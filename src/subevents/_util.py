@@ -1,14 +1,8 @@
-"""Small shared helpers: deterministic hashing and optional thread pools."""
+"""Small shared helpers: deterministic hashing and float formatting."""
 
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
-from typing import TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
@@ -29,18 +23,6 @@ def sha256_file(path: str) -> str:
         for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
-    """Order-preserving map, optionally over a thread pool.
-
-    Results are identical regardless of `threads`; the pool only changes how
-    the per-item work is scheduled.
-    """
-    if threads <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def format_float(value: float) -> str:

@@ -35,9 +35,8 @@ from .errors import ConfigError, SubeventsError
 from .evaluate import evaluate_at_k, read_metrics, roc_points, write_metrics
 from .extract import (
     PhraseConfig,
+    count_nv_pairs,
     detect_phrases,
-    extract_nv_pairs,
-    extract_nv_pairs_fallback,
     filter_candidates,
     load_pos_lexicon,
     read_candidates,
@@ -74,7 +73,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="JSON config file")
     parser.add_argument(
         "--threads", type=int, default=1, metavar="N",
-        help="worker cap for parallel stages; outputs are identical for any N",
+        help="accepted for compatibility; has no effect (every stage runs on one thread)",
     )
     parser.add_argument(
         "--seed", type=int, default=None, metavar="N",
@@ -141,7 +140,7 @@ def _require_artifact(out_dir: Path, name: str, producer: str) -> Path:
     return path
 
 
-def _load_combined_corpus(cfg: PipelineConfig, stopwords: frozenset[str], threads: int) -> Corpus:
+def _load_combined_corpus(cfg: PipelineConfig, stopwords: frozenset[str]) -> Corpus:
     """Unlabeled corpus with the labeled corpus appended, preprocessed, and
     (when configured) with dependency parses attached."""
     paths = cfg.paths
@@ -157,7 +156,7 @@ def _load_combined_corpus(cfg: PipelineConfig, stopwords: frozenset[str], thread
         before = len(corpus)
         corpus = dedupe_corpus(corpus)
         logger.info("dedupe removed %d duplicate tweets", before - len(corpus))
-    corpus = preprocess_corpus(corpus, stopwords, threads)
+    corpus = preprocess_corpus(corpus, stopwords)
     if paths.parses:
         corpus = attach_parses(corpus, load_parses(paths.parses))
     return corpus
@@ -173,7 +172,7 @@ def _load_store(cfg: PipelineConfig) -> EmbeddingStore:
     )
 
 
-def cmd_extract(cfg: PipelineConfig, threads: int, out_dir: Path) -> None:
+def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     lexicon = load_pos_lexicon(cfg.paths.lexicon) if cfg.paths.lexicon else None
     if cfg.paths.parses is None and lexicon is None:
         raise ConfigError(
@@ -181,19 +180,12 @@ def cmd_extract(cfg: PipelineConfig, threads: int, out_dir: Path) -> None:
             "part-of-speech lexicon (paths.lexicon); point one of them at a file"
         )
     stopwords = load_stopwords(cfg.paths.stopwords)
-    corpus = _load_combined_corpus(cfg, stopwords, threads)
-    nv = []
-    parsed = 0
-    for tweet in corpus.tweets:
-        if tweet.parse is not None:
-            parsed += 1
-            nv.extend(extract_nv_pairs(tweet, stopwords))
-        elif lexicon is not None:
-            nv.extend(extract_nv_pairs_fallback(tweet, lexicon))
-    if parsed == 0 and lexicon is None:
-        logger.warning("no tweet ids matched the parse file; zero noun-verb pairs")
+    corpus = _load_combined_corpus(cfg, stopwords)
+    nv = count_nv_pairs(corpus.tweets, stopwords, lexicon)
+    if cfg.paths.parses and nv.parsed == 0:
+        logger.warning("no tweet id in the corpus matched the parse file %s", cfg.paths.parses)
     phrases = detect_phrases(corpus, PhraseConfig(cfg.phrase.min_count, cfg.phrase.threshold))
-    result = filter_candidates(nv, phrases, cfg.filter_min_freq)
+    result = filter_candidates(nv.candidates, phrases, cfg.filter_min_freq)
     write_candidates(result.candidates, _artifact(out_dir, "candidates"))
     accounting = {
         "tweets": len(corpus),
@@ -215,6 +207,10 @@ def cmd_extract(cfg: PipelineConfig, threads: int, out_dir: Path) -> None:
     print("extraction accounting:")
     print(f"  tweets processed:  {accounting['tweets']}")
     print(
+        f"  nv pair source:    {nv.parsed} parsed, {nv.fallback} lexicon fallback,"
+        f" {nv.neither} neither"
+    )
+    print(
         f"  nv pairs (unique): {result.nv_before} -> {result.nv_after}"
         f" ({accounting['nv_reduction_percent']:.2f}% reduction)"
     )
@@ -225,11 +221,11 @@ def cmd_extract(cfg: PipelineConfig, threads: int, out_dir: Path) -> None:
     )
 
 
-def cmd_rank(cfg: PipelineConfig, threads: int, out_dir: Path) -> None:
+def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> None:
     candidates = read_candidates(_require_artifact(out_dir, "candidates", "extract"))
     if cfg.rank.method == "baseline":
         stopwords = load_stopwords(cfg.paths.stopwords)
-        corpus = _load_combined_corpus(cfg, stopwords, threads)
+        corpus = _load_combined_corpus(cfg, stopwords)
         ranked = rank_baseline_overlap(candidates, corpus, cfg.rank.discount)
     else:
         store = _load_store(cfg)
@@ -239,7 +235,7 @@ def cmd_rank(cfg: PipelineConfig, threads: int, out_dir: Path) -> None:
     print(f"ranked {len(ranked)} candidates with the {cfg.rank.method} method")
 
 
-def cmd_cluster(cfg: PipelineConfig, threads: int, out_dir: Path) -> None:
+def cmd_cluster(cfg: PipelineConfig, out_dir: Path) -> None:
     if cfg.cluster.k is None:
         raise ConfigError("cluster.k is required: choose the number of sub-event clusters")
     ranked = read_ranked(_require_artifact(out_dir, "ranked", "rank"))
@@ -267,13 +263,13 @@ def cmd_cluster(cfg: PipelineConfig, threads: int, out_dir: Path) -> None:
     print(f"clustered {len(kept)} candidates into {len(summaries)} clusters")
 
 
-def cmd_evaluate(cfg: PipelineConfig, threads: int, out_dir: Path) -> None:
+def cmd_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
     if not cfg.paths.corpus_labeled:
         raise ConfigError("paths.corpus_labeled is required for evaluation")
     ranked = read_ranked(_require_artifact(out_dir, "ranked", "rank"))
     stopwords = load_stopwords(cfg.paths.stopwords)
     labeled = load_corpus(cfg.paths.corpus_labeled, LabelMode.LABELED)
-    labeled = preprocess_corpus(labeled, stopwords, threads)
+    labeled = preprocess_corpus(labeled, stopwords)
     metrics = evaluate_at_k(
         ranked, labeled, list(cfg.eval.ks),
         nv_mode=cfg.eval.nv_match, phrase_mode=cfg.eval.phrase_match,
@@ -287,7 +283,7 @@ def cmd_evaluate(cfg: PipelineConfig, threads: int, out_dir: Path) -> None:
     )
 
 
-def cmd_report(cfg: PipelineConfig, threads: int, out_dir: Path) -> None:
+def cmd_report(cfg: PipelineConfig, out_dir: Path) -> None:
     metrics = read_metrics(_require_artifact(out_dir, "metrics", "evaluate"))
     curve = roc_points(metrics)
     _artifact(out_dir, "f1_plot").write_text(f1_plot_svg(metrics), encoding="utf-8")
@@ -305,7 +301,7 @@ def _input_hashes(cfg: PipelineConfig) -> dict:
     return hashes
 
 
-def cmd_pipeline(cfg: PipelineConfig, threads: int, out_dir: Path) -> None:
+def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> None:
     # Fail on configuration gaps before any stage runs.
     if cfg.cluster.k is None:
         raise ConfigError("cluster.k is required: choose the number of sub-event clusters")
@@ -323,7 +319,7 @@ def cmd_pipeline(cfg: PipelineConfig, threads: int, out_dir: Path) -> None:
     start = time.perf_counter()
     for name, handler in stages:
         stage_start = time.perf_counter()
-        handler(cfg, threads, out_dir)
+        handler(cfg, out_dir)
         timings[name] = round(time.perf_counter() - stage_start, 6)
     total = round(time.perf_counter() - start, 6)
     manifest = {
@@ -368,7 +364,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _resolve_config(args)
         out_dir = Path(cfg.paths.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        COMMANDS[args.command](cfg, args.threads, out_dir)
+        COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -17,12 +17,12 @@ import json
 import logging
 import string
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
-from ._util import parallel_map
 from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
@@ -43,15 +43,21 @@ class LabelMode(Enum):
     LABELED = "labeled"
 
 
-@dataclass(frozen=True)
-class ParseNode:
+class ParseNode(NamedTuple):
     """One token of a dependency parse: 1-based index, surface form,
-    universal POS tag, and 1-based head index (0 for the root)."""
+    universal POS tag, and 1-based head index (0 for the root).
+
+    A named tuple rather than a dataclass because a parse file holds one
+    node per token, and a tuple is the cheapest immutable record to build.
+    """
 
     index: int
     surface: str
     upos: str
     head: int
+
+
+_REACHES_ROOT = -1
 
 
 @dataclass(frozen=True)
@@ -72,13 +78,21 @@ class DependencyParse:
                 roots += 1
         if roots != 1:
             raise ValueError(f"expected exactly one root, found {roots}")
-        for node in self.nodes:
-            seen = set()
-            current = node.index
-            while current != 0:
-                if current in seen:
+        # Walk up from each node in order, stopping at any node an earlier
+        # walk showed to reach the root. A walk that ends in a cycle meets no
+        # such node, so it raises on the same node as a full walk would.
+        on_walk = [0] * (n + 1)  # start index of the walk that visited it
+        on_walk[0] = _REACHES_ROOT
+        for start in range(1, n + 1):
+            current = start
+            while on_walk[current] != _REACHES_ROOT:
+                if on_walk[current] == start:
                     raise ValueError(f"cycle through node {current}")
-                seen.add(current)
+                on_walk[current] = start
+                current = self.nodes[current - 1].head
+            current = start
+            while on_walk[current] == start:
+                on_walk[current] = _REACHES_ROOT
                 current = self.nodes[current - 1].head
 
 
@@ -248,9 +262,32 @@ def preprocess(tweet: Tweet, stopwords: frozenset[str]) -> Tweet:
     return replace(tweet, tokens=tuple(tokens))
 
 
-def preprocess_corpus(corpus: Corpus, stopwords: frozenset[str], threads: int = 1) -> Corpus:
-    """Preprocess every tweet; pure per tweet, so safely parallel."""
-    tweets = parallel_map(lambda t: preprocess(t, stopwords), corpus.tweets, threads)
+class TokenCleaner(dict):
+    """``clean_token`` memoized per distinct raw token.
+
+    ``cleaner[token]`` is the cleaned token, or None when it is removed.
+    Tweet vocabularies are Zipfian, so a corpus holds few distinct tokens
+    for its size. Make one per batch of work: it holds every token seen.
+    """
+
+    def __init__(self, stopwords: frozenset[str]) -> None:
+        super().__init__()
+        self.stopwords = stopwords
+
+    def __missing__(self, token: str) -> str | None:
+        cleaned = self[token] = clean_token(token, self.stopwords)
+        return cleaned
+
+
+def preprocess_corpus(corpus: Corpus, stopwords: frozenset[str]) -> Corpus:
+    """``preprocess`` every tweet, cleaning each distinct raw token once."""
+    cleaner = TokenCleaner(stopwords)
+    tweets = []
+    for t in corpus.tweets:
+        tokens = [tok for raw in t.raw_text.lower().split() if (tok := cleaner[raw]) is not None]
+        tweets.append(
+            Tweet(id=t.id, raw_text=t.raw_text, label=t.label, tokens=tuple(tokens), parse=t.parse)
+        )
     return Corpus(tweets=tuple(tweets), skipped=corpus.skipped)
 
 
@@ -261,9 +298,10 @@ _COL_ID, _COL_FORM, _COL_UPOS, _COL_HEAD = 0, 1, 3, 6
 def load_parses(path: str | Path) -> dict[str, DependencyParse]:
     """Read a CoNLL-U sidecar keyed by ``# tweet_id = <id>`` comments.
 
+    A sentence ends at a blank line or at the next ``# tweet_id`` comment.
     Multiword-token and empty-node lines (ranged or dotted IDs) are skipped.
     Sentences without a tweet_id comment or violating parse invariants are
-    skipped with a warning.
+    skipped with a warning; a repeated tweet_id keeps the first valid parse.
     """
     parses: dict[str, DependencyParse] = {}
     current_id: str | None = None
@@ -280,7 +318,10 @@ def load_parses(path: str | Path) -> dict[str, DependencyParse]:
                 bad += 1
                 logger.warning("%s: dropping parse for %s (%s)", path, current_id, exc)
             else:
-                parses[current_id] = parse
+                if current_id in parses:
+                    logger.warning("%s: duplicate tweet_id %r, keeping first", path, current_id)
+                else:
+                    parses[current_id] = parse
         current_id = None
         nodes = []
 
@@ -293,22 +334,19 @@ def load_parses(path: str | Path) -> dict[str, DependencyParse]:
             if line.startswith("#"):
                 comment = line[1:].strip()
                 if comment.startswith("tweet_id"):
+                    flush()
                     _, _, value = comment.partition("=")
                     current_id = value.strip()
                 continue
-            cols = line.split("\t")
+            cols = line.split("\t", _COL_HEAD + 1)
             if len(cols) <= _COL_HEAD:
                 continue
-            if "-" in cols[_COL_ID] or "." in cols[_COL_ID]:
+            token_id = cols[_COL_ID]
+            if "-" in token_id or "." in token_id:
                 continue
             try:
                 nodes.append(
-                    ParseNode(
-                        index=int(cols[_COL_ID]),
-                        surface=cols[_COL_FORM],
-                        upos=cols[_COL_UPOS],
-                        head=int(cols[_COL_HEAD]),
-                    )
+                    ParseNode(int(token_id), cols[_COL_FORM], cols[_COL_UPOS], int(cols[_COL_HEAD]))
                 )
             except ValueError:
                 bad += 1
@@ -324,6 +362,9 @@ def load_parses(path: str | Path) -> dict[str, DependencyParse]:
 def attach_parses(corpus: Corpus, parses: dict[str, DependencyParse]) -> Corpus:
     """Return a corpus whose tweets carry their sidecar parse, if any."""
     tweets = tuple(
-        replace(t, parse=parses[t.id]) if t.id in parses else t for t in corpus.tweets
+        Tweet(id=t.id, raw_text=t.raw_text, label=t.label, tokens=t.tokens, parse=parses[t.id])
+        if t.id in parses
+        else t
+        for t in corpus.tweets
     )
     return Corpus(tweets=tweets, skipped=corpus.skipped)

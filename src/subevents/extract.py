@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import logging
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .corpus import Corpus, Tweet, clean_token
+from .corpus import Corpus, ParseNode, TokenCleaner, Tweet, clean_token
 from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
@@ -28,6 +28,8 @@ VERB_TAG = "VERB"
 
 DEFAULT_MIN_FREQ = 2
 DEFAULT_WINDOW = 4
+
+_NO_TAGS: frozenset[str] = frozenset()
 
 
 class CandidateKind(Enum):
@@ -85,6 +87,19 @@ class CandidateSet:
         return len(self.candidates)
 
 
+def _nv_edges(nodes: Sequence[ParseNode]) -> Iterator[tuple[str, str]]:
+    """(noun, verb) surface forms of each head-dependent edge joining a
+    {NOUN, PROPN} node and a VERB node, noun first, in node order."""
+    for node in nodes:
+        if node.head == 0:
+            continue
+        parent = nodes[node.head - 1]
+        if node.upos in NOUN_TAGS and parent.upos == VERB_TAG:
+            yield node.surface, parent.surface
+        elif node.upos == VERB_TAG and parent.upos in NOUN_TAGS:
+            yield parent.surface, node.surface
+
+
 def extract_nv_pairs(tweet: Tweet, stopwords: frozenset[str]) -> list[Candidate]:
     """Noun-verb pairs from the tweet's dependency parse.
 
@@ -98,17 +113,7 @@ def extract_nv_pairs(tweet: Tweet, stopwords: frozenset[str]) -> list[Candidate]
             f"tweet {tweet.id} has no dependency parse; use extract_nv_pairs_fallback"
         )
     pairs: list[Candidate] = []
-    nodes = tweet.parse.nodes
-    for node in nodes:
-        if node.head == 0:
-            continue
-        parent = nodes[node.head - 1]
-        if node.upos in NOUN_TAGS and parent.upos == VERB_TAG:
-            noun, verb = node.surface, parent.surface
-        elif node.upos == VERB_TAG and parent.upos in NOUN_TAGS:
-            noun, verb = parent.surface, node.surface
-        else:
-            continue
+    for noun, verb in _nv_edges(tweet.parse.nodes):
         noun = clean_token(noun.lower(), stopwords)
         verb = clean_token(verb.lower(), stopwords)
         if noun is None or verb is None:
@@ -137,6 +142,20 @@ def load_pos_lexicon(path: str | Path | None = None) -> dict[str, frozenset[str]
     return lexicon
 
 
+def _window_pairs(
+    tokens: Sequence[str], lexicon: dict[str, frozenset[str]], window: int
+) -> Iterator[tuple[str, str]]:
+    """(noun, verb) for each lexicon noun and each lexicon verb that follows
+    it at distance < window, left to right."""
+    for i, noun in enumerate(tokens):
+        if "N" not in lexicon.get(noun, _NO_TAGS):
+            continue
+        for j in range(i + 1, min(i + window, len(tokens))):
+            verb = tokens[j]
+            if "V" in lexicon.get(verb, _NO_TAGS):
+                yield noun, verb
+
+
 def extract_nv_pairs_fallback(
     tweet: Tweet,
     lexicon: dict[str, frozenset[str]],
@@ -148,16 +167,59 @@ def extract_nv_pairs_fallback(
     sliding window of `window` tokens (both tokens inside one window, so at
     distance < window), emitted left to right.
     """
-    tokens = tweet.tokens
-    pairs: list[Candidate] = []
-    for i, noun in enumerate(tokens):
-        if "N" not in lexicon.get(noun, frozenset()):
-            continue
-        for j in range(i + 1, min(i + window, len(tokens))):
-            verb = tokens[j]
-            if "V" in lexicon.get(verb, frozenset()):
-                pairs.append(Candidate(CandidateKind.NOUN_VERB_PAIR, noun, verb))
-    return pairs
+    return [
+        Candidate(CandidateKind.NOUN_VERB_PAIR, noun, verb)
+        for noun, verb in _window_pairs(tweet.tokens, lexicon, window)
+    ]
+
+
+@dataclass(frozen=True)
+class NvCounts:
+    """Corpus-wide noun-verb pair occurrences and the source each tweet used."""
+
+    pairs: Counter[tuple[str, str]]
+    parsed: int
+    fallback: int
+    neither: int
+
+    @property
+    def candidates(self) -> list[Candidate]:
+        """One candidate per (noun, verb), frequency = occurrences; sorted by
+        identity, as ``aggregate`` sorts."""
+        return [
+            Candidate(CandidateKind.NOUN_VERB_PAIR, noun, verb, frequency=count)
+            for (noun, verb), count in sorted(self.pairs.items())
+        ]
+
+
+def count_nv_pairs(
+    tweets: Iterable[Tweet],
+    stopwords: frozenset[str],
+    lexicon: dict[str, frozenset[str]] | None = None,
+) -> NvCounts:
+    """Count noun-verb pairs over the corpus without one object per occurrence.
+
+    A tweet with a parse counts the pairs ``extract_nv_pairs`` gives; one
+    without counts those of ``extract_nv_pairs_fallback`` when a lexicon is
+    given, and nothing otherwise. Each distinct surface form is cleaned once.
+    """
+    pairs: Counter[tuple[str, str]] = Counter()
+    cleaner = TokenCleaner(stopwords)
+    parsed = fallback = neither = 0
+    for tweet in tweets:
+        if tweet.parse is not None:
+            parsed += 1
+            for noun, verb in _nv_edges(tweet.parse.nodes):
+                noun = cleaner[noun.lower()]
+                verb = cleaner[verb.lower()]
+                if noun is not None and verb is not None:
+                    pairs[noun, verb] += 1
+        elif lexicon is not None:
+            fallback += 1
+            pairs.update(_window_pairs(tweet.tokens, lexicon, DEFAULT_WINDOW))
+        else:
+            neither += 1
+    return NvCounts(pairs=pairs, parsed=parsed, fallback=fallback, neither=neither)
 
 
 def detect_phrases(corpus: Corpus, cfg: PhraseConfig = PhraseConfig()) -> list[Candidate]:
@@ -179,7 +241,7 @@ def detect_phrases(corpus: Corpus, cfg: PhraseConfig = PhraseConfig()) -> list[C
     for (a, b), count_ab in bigrams.items():
         if count_ab < cfg.min_count:
             continue
-        score = (count_ab - cfg.min_count) * vocab_size / (unigrams[a] * unigrams[b])
+        score = phrase_score(count_ab, unigrams[a], unigrams[b], vocab_size, cfg.min_count)
         if score > cfg.threshold:
             phrases.append(Candidate(CandidateKind.PHRASE, a, b, frequency=count_ab))
     phrases.sort(key=lambda c: (c.first, c.second))

@@ -172,6 +172,30 @@ class TestStagedFlow:
         assert all(rc.best_term is None for rc in ranked)
         assert all(rc.score >= 0.0 for rc in ranked)
 
+    def test_extract_reports_nv_sources(self, run_cli, tmp_path, write_config,
+                                        pipeline_config_dict):
+        cfg = write_config(pipeline_config_dict, tmp_path / "out")
+        code, stdout, _ = run_cli("extract", "--config", cfg)
+        assert code == 0
+        assert "160 parsed, 0 lexicon fallback, 120 neither" in stdout
+
+    def test_unmatched_parse_file_warns_with_lexicon(self, run_cli, tmp_path, write_config,
+                                                      pipeline_config_dict, caplog):
+        parses = tmp_path / "other.conllu"
+        parses.write_text(
+            "# tweet_id = nobody\n1\tx\tx\tNOUN\t_\t_\t0\troot\t_\t_\n", encoding="utf-8"
+        )
+        lexicon = tmp_path / "lexicon.tsv"
+        lexicon.write_text("flood\tN\nrise\tV\n", encoding="utf-8")
+        cfg_dict = json.loads(json.dumps(pipeline_config_dict))
+        cfg_dict["paths"].update(parses=str(parses), lexicon=str(lexicon))
+        cfg = write_config(cfg_dict, tmp_path / "out")
+        with caplog.at_level("WARNING"):
+            code, stdout, _ = run_cli("extract", "--config", cfg)
+        assert code == 0
+        assert "0 parsed, 280 lexicon fallback, 0 neither" in stdout
+        assert any("matched the parse file" in rec.message for rec in caplog.records)
+
 
 class TestPipeline:
     def test_manifest_records_run(self, run_cli, tmp_path, write_config, pipeline_config_dict):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subevents.corpus import (
     Corpus,
@@ -18,6 +20,7 @@ from subevents.corpus import (
     load_parses,
     load_stopwords,
     preprocess,
+    preprocess_corpus,
     write_corpus,
 )
 from subevents.errors import InputFormatError
@@ -213,6 +216,27 @@ class TestCleanToken:
         assert clean_token("!!!", STOPWORDS) is None
 
 
+# Words that repeat across tweets (so the per-call cache is hit), stopwords,
+# and tokens the prefix, digit and punctuation rules act on, including
+# Unicode punctuation of several P* categories.
+_WORDS = st.sampled_from([
+    "flood", "Flood", "FLOOD", "bridge", "the", "and", "rt", "#flood", "@user",
+    "2017", "covid19", "o'clock", "e-mail", "“flood”", "¿water?", "—roads—",
+    "(road)", "«smoke»", "water!!", "...", "#", "@", "ab", "café", "naïve",
+])
+_TEXT = st.lists(
+    st.one_of(_WORDS, st.text(min_size=1, max_size=8)), max_size=12
+).map(" ".join)
+
+
+@given(texts=st.lists(_TEXT, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_preprocess_corpus_equals_per_tweet_preprocess(texts):
+    corpus = Corpus(tweets=tuple(Tweet(id=str(i), raw_text=t) for i, t in enumerate(texts)))
+    expected = tuple(preprocess(t, STOPWORDS) for t in corpus.tweets)
+    assert preprocess_corpus(corpus, STOPWORDS).tweets == expected
+
+
 class TestStopwords:
     def test_bundled_list(self):
         assert "the" in STOPWORDS
@@ -303,6 +327,34 @@ class TestParses:
         ))
         assert load_parses(path) == {}
 
+    def test_tweet_id_comment_ends_pending_sentence(self, tmp_path, caplog):
+        path = self._write(tmp_path, (
+            "# tweet_id = a\n"
+            "1\tfloods\tflood\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
+            "2\trise\trise\tVERB\t_\t_\t0\troot\t_\t_\n"
+            "# tweet_id = b\n"
+            "1\tcalm\tcalm\tADJ\t_\t_\t0\troot\t_\t_\n"
+        ))
+        with caplog.at_level("WARNING"):
+            parses = load_parses(path)
+        assert set(parses) == {"a", "b"}
+        assert [n.surface for n in parses["a"].nodes] == ["floods", "rise"]
+        assert [n.surface for n in parses["b"].nodes] == ["calm"]
+        assert not caplog.records
+
+    def test_duplicate_tweet_id_keeps_first(self, tmp_path, caplog):
+        path = self._write(tmp_path, (
+            "# tweet_id = a\n"
+            "1\tfirst\tfirst\tNOUN\t_\t_\t0\troot\t_\t_\n"
+            "\n"
+            "# tweet_id = a\n"
+            "1\tsecond\tsecond\tNOUN\t_\t_\t0\troot\t_\t_\n"
+        ))
+        with caplog.at_level("WARNING"):
+            parses = load_parses(path)
+        assert [n.surface for n in parses["a"].nodes] == ["first"]
+        assert any("duplicate tweet_id 'a'" in rec.message for rec in caplog.records)
+
     def test_attach_matches_ids(self, tmp_path):
         path = self._write(tmp_path, (
             "# tweet_id = 2\n"
@@ -342,3 +394,47 @@ class TestDependencyParseValidate:
         nodes = (ParseNode(index=2, surface="w", upos="NOUN", head=0),)
         with pytest.raises(ValueError):
             DependencyParse(nodes=nodes).validate()
+
+    def test_parse_node_is_immutable(self):
+        node = ParseNode(index=1, surface="w", upos="NOUN", head=0)
+        with pytest.raises(AttributeError):
+            node.head = 2  # type: ignore[misc]
+
+
+def _validate_brute_force(heads: list[int]) -> str | None:
+    """The error message a full head walk from every node gives, or None."""
+    n = len(heads)
+    for head in heads:
+        if not 0 <= head <= n:
+            return f"head {head} out of range [0, {n}]"
+    roots = heads.count(0)
+    if roots != 1:
+        return f"expected exactly one root, found {roots}"
+    for index in range(1, n + 1):
+        seen = set()
+        current = index
+        while current != 0:
+            if current in seen:
+                return f"cycle through node {current}"
+            seen.add(current)
+            current = heads[current - 1]
+    return None
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.one_of(
+    st.lists(st.integers(0, n), min_size=n, max_size=n),
+    st.lists(st.integers(-1, n + 1), min_size=n, max_size=n),
+)))
+@settings(max_examples=500, deadline=None)
+def test_validate_matches_brute_force_walk(heads):
+    nodes = tuple(
+        ParseNode(index=i + 1, surface=f"w{i}", upos="NOUN", head=h)
+        for i, h in enumerate(heads)
+    )
+    expected = _validate_brute_force(heads)
+    if expected is None:
+        DependencyParse(nodes=nodes).validate()
+    else:
+        with pytest.raises(ValueError) as info:
+            DependencyParse(nodes=nodes).validate()
+        assert str(info.value) == expected

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subevents.corpus import (
     Corpus,
@@ -7,6 +9,7 @@ from subevents.corpus import (
     ParseNode,
     Tweet,
     attach_parses,
+    concat_corpora,
     load_corpus,
     load_parses,
     load_stopwords,
@@ -18,6 +21,7 @@ from subevents.extract import (
     CandidateKind,
     PhraseConfig,
     aggregate,
+    count_nv_pairs,
     detect_phrases,
     extract_nv_pairs,
     extract_nv_pairs_fallback,
@@ -240,6 +244,44 @@ class TestPhraseScore:
 
     def test_zero_at_min_count(self):
         assert phrase_score(3, 5, 7, 50, 3) == 0.0
+
+
+@pytest.fixture(scope="module")
+def pipeline_corpus(generated_fixtures) -> Corpus:
+    corpus = concat_corpora(
+        load_corpus(generated_fixtures / "pipeline_unlabeled.jsonl"),
+        load_corpus(generated_fixtures / "pipeline_labeled.jsonl", LabelMode.LABELED),
+    )
+    corpus = preprocess_corpus(corpus, STOPWORDS)
+    return attach_parses(corpus, load_parses(generated_fixtures / "pipeline_parses.conllu"))
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_count_nv_pairs_equals_per_tweet_aggregate(pipeline_corpus, data):
+    """Counting over the pipeline fixtures gives what aggregating the
+    per-tweet extraction gives, for a random tweet subset and a random
+    lexicon over the fixture vocabulary."""
+    tweets = data.draw(st.lists(st.sampled_from(pipeline_corpus.tweets), max_size=60))
+    vocabulary = sorted({token for tweet in pipeline_corpus.tweets for token in tweet.tokens})
+    lexicon = data.draw(st.none() | st.dictionaries(
+        st.sampled_from(vocabulary),
+        st.sampled_from([frozenset("N"), frozenset("V"), frozenset("NV")]),
+    ))
+    expected = []
+    for tweet in tweets:
+        if tweet.parse is not None:
+            expected.extend(extract_nv_pairs(tweet, STOPWORDS))
+        elif lexicon is not None:
+            expected.extend(extract_nv_pairs_fallback(tweet, lexicon))
+    counts = count_nv_pairs(tweets, STOPWORDS, lexicon)
+    assert counts.candidates == aggregate(expected)
+    assert sum(counts.pairs.values()) == len(expected)
+    parsed = sum(1 for t in tweets if t.parse is not None)
+    assert counts.parsed == parsed
+    assert (counts.fallback, counts.neither) == (
+        (len(tweets) - parsed, 0) if lexicon is not None else (0, len(tweets) - parsed)
+    )
 
 
 class TestAggregateAndFilter:

@@ -1,6 +1,4 @@
-import pytest
-
-from subevents._util import fnv1a_32, format_float, parallel_map, sha256_file
+from subevents._util import fnv1a_32, format_float, sha256_file
 
 
 class TestFnv1a:
@@ -20,29 +18,6 @@ class TestSha256File:
         path.write_bytes(b"abc")
         expected = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
         assert sha256_file(str(path)) == expected
-
-
-class TestParallelMap:
-    def test_preserves_order(self):
-        items = list(range(50))
-        assert parallel_map(lambda x: x * x, items, threads=4) == [x * x for x in items]
-
-    def test_thread_count_does_not_change_result(self):
-        items = [f"s{i}" for i in range(40)]
-        serial = parallel_map(str.upper, items, threads=1)
-        pooled = parallel_map(str.upper, items, threads=8)
-        assert serial == pooled
-
-    def test_empty_and_single(self):
-        assert parallel_map(len, [], threads=4) == []
-        assert parallel_map(len, ["abc"], threads=4) == [3]
-
-    def test_exceptions_propagate(self):
-        def boom(x):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            parallel_map(boom, [1, 2], threads=2)
 
 
 class TestFormatFloat:
