@@ -292,13 +292,11 @@ def cmd_report(cfg: PipelineConfig, out_dir: Path) -> None:
 
 
 def _input_hashes(cfg: PipelineConfig) -> dict:
-    hashes = {}
-    for field in ("corpus_labeled", "corpus_unlabeled", "parses", "vectors",
-                  "ontology", "stopwords", "lexicon"):
-        value = getattr(cfg.paths, field)
-        if value:
-            hashes[field] = {"path": value, "sha256": sha256_file(value)}
-    return hashes
+    return {
+        name: {"path": value, "sha256": sha256_file(value)}
+        for name, value in vars(cfg.paths).items()
+        if value and name != "out_dir"
+    }
 
 
 def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> None:

@@ -1,27 +1,32 @@
 """Pipeline configuration: JSON file, defaults, and dotted-key overrides.
 
-Every key in the JSON config can be overridden on the command line by a
-flag of the same dotted name (e.g. --cluster.k 40). One seed
-(cluster.seed) drives all randomness: k-means initialization and the
-out-of-vocabulary hash buckets.
+The field annotations of the dataclasses below are the schema. Every leaf
+field is a JSON key (nested under its section) and a command-line flag of
+the same dotted name (e.g. --cluster.k 40); both sources go through the
+same per-annotation coercion, so a value of the wrong type is a
+ConfigError. One seed (cluster.seed) drives all randomness: k-means
+initialization and the out-of-vocabulary hash buckets.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal, get_args, get_origin, get_type_hints
 
+from .embed import OovPolicy
 from .errors import ConfigError
 from .evaluate import MATCH_MODES
+from .rank import DISCOUNTS
 
 DEFAULT_KS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
-RANK_METHODS = ("moac", "baseline")
-OOV_POLICIES = ("skip", "subword")
-DISCOUNTS = ("log", "none")
+OovPolicyName = Literal[tuple(policy.value for policy in OovPolicy)]
 
 
 @dataclass
@@ -44,10 +49,10 @@ class PhraseSection:
 
 @dataclass
 class RankSection:
-    method: str = "moac"
+    method: Literal["moac", "baseline"] = "moac"
     normalize_words: bool = False
-    oov_policy: str = "skip"
-    discount: str = "log"
+    oov_policy: OovPolicyName = "skip"
+    discount: Literal[DISCOUNTS] = "log"
 
 
 @dataclass
@@ -61,8 +66,8 @@ class ClusterSection:
 @dataclass
 class EvalSection:
     ks: tuple[int, ...] = DEFAULT_KS
-    nv_match: str = "tokens"
-    phrase_match: str = "bigram"
+    nv_match: Literal[MATCH_MODES] = "tokens"
+    phrase_match: Literal[MATCH_MODES] = "bigram"
 
 
 @dataclass
@@ -76,18 +81,14 @@ class PipelineConfig:
     eval: EvalSection = field(default_factory=EvalSection)
 
     def validate(self) -> None:
+        for dotted, hint in OVERRIDABLE.items():
+            _coerce(dotted, hint, getattr(*_owner(self, dotted)), text=False)
         if self.phrase.min_count < 1:
             raise ConfigError("phrase.min_count must be >= 1")
-        if not math.isfinite(self.phrase.threshold):
-            raise ConfigError("phrase.threshold must be finite")
+        if not (math.isfinite(self.phrase.threshold) and self.phrase.threshold >= 0):
+            raise ConfigError("phrase.threshold must be finite and >= 0")
         if self.filter_min_freq < 1:
             raise ConfigError("filter_min_freq must be >= 1")
-        if self.rank.method not in RANK_METHODS:
-            raise ConfigError(f"rank.method must be one of {RANK_METHODS}")
-        if self.rank.oov_policy not in OOV_POLICIES:
-            raise ConfigError(f"rank.oov_policy must be one of {OOV_POLICIES}")
-        if self.rank.discount not in DISCOUNTS:
-            raise ConfigError(f"rank.discount must be one of {DISCOUNTS}")
         if self.cluster.k is not None and self.cluster.k < 2:
             raise ConfigError("cluster.k must be >= 2")
         if self.cluster.top_m < 2:
@@ -100,15 +101,26 @@ class PipelineConfig:
             raise ConfigError("eval.ks entries must be >= 0")
         if any(a >= b for a, b in zip(self.eval.ks, self.eval.ks[1:])):
             raise ConfigError("eval.ks must be strictly ascending")
-        if self.eval.nv_match not in MATCH_MODES:
-            raise ConfigError(f"eval.nv_match must be one of {MATCH_MODES}")
-        if self.eval.phrase_match not in MATCH_MODES:
-            raise ConfigError(f"eval.phrase_match must be one of {MATCH_MODES}")
 
     def to_dict(self) -> dict:
         data = dataclasses.asdict(self)
         data["eval"]["ks"] = list(self.eval.ks)
         return data
+
+
+def _leaf_fields(cls: type, prefix: str = "") -> dict[str, object]:
+    """Dotted key -> annotation for every non-section field of `cls`."""
+    leaves: dict[str, object] = {}
+    for name, hint in get_type_hints(cls).items():
+        if dataclasses.is_dataclass(hint):
+            leaves.update(_leaf_fields(hint, f"{prefix}{name}."))
+        else:
+            leaves[prefix + name] = hint
+    return leaves
+
+
+# Every settable key: the JSON schema and the set of command-line flags.
+OVERRIDABLE: dict[str, object] = _leaf_fields(PipelineConfig)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -120,48 +132,59 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _parse_ks(raw: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in raw.split(",") if part.strip())
-
-
-def _parse_opt_str(raw: str) -> str | None:
-    return raw or None
-
-
-# dotted key -> (section attribute or None for top level, field, CLI parser)
-OVERRIDABLE: dict[str, tuple[str | None, str, object]] = {
-    "paths.corpus_labeled": ("paths", "corpus_labeled", _parse_opt_str),
-    "paths.corpus_unlabeled": ("paths", "corpus_unlabeled", _parse_opt_str),
-    "paths.parses": ("paths", "parses", _parse_opt_str),
-    "paths.vectors": ("paths", "vectors", _parse_opt_str),
-    "paths.ontology": ("paths", "ontology", _parse_opt_str),
-    "paths.stopwords": ("paths", "stopwords", _parse_opt_str),
-    "paths.lexicon": ("paths", "lexicon", _parse_opt_str),
-    "paths.out_dir": ("paths", "out_dir", str),
-    "phrase.min_count": ("phrase", "min_count", int),
-    "phrase.threshold": ("phrase", "threshold", float),
-    "filter_min_freq": (None, "filter_min_freq", int),
-    "dedupe": (None, "dedupe", _parse_bool),
-    "rank.method": ("rank", "method", str),
-    "rank.normalize_words": ("rank", "normalize_words", _parse_bool),
-    "rank.oov_policy": ("rank", "oov_policy", str),
-    "rank.discount": ("rank", "discount", str),
-    "cluster.k": ("cluster", "k", int),
-    "cluster.top_m": ("cluster", "top_m", int),
-    "cluster.seed": ("cluster", "seed", int),
-    "cluster.normalized": ("cluster", "normalized", _parse_bool),
-    "eval.ks": ("eval", "ks", _parse_ks),
-    "eval.nv_match": ("eval", "nv_match", str),
-    "eval.phrase_match": ("eval", "phrase_match", str),
+# scalar annotation -> (what a value must be, parser of its command-line
+# form, test of its JSON form). JSON bools are not numbers and a JSON int
+# is accepted where a float is expected.
+_SCALARS = {
+    int: ("an integer", int, lambda v: type(v) is int),
+    float: ("a number", float, lambda v: type(v) in (int, float)),
+    bool: ("true or false", _parse_bool, lambda v: type(v) is bool),
+    str: ("a string", str, lambda v: type(v) is str),
 }
 
-_SECTIONS = {
-    "paths": PathsSection,
-    "phrase": PhraseSection,
-    "rank": RankSection,
-    "cluster": ClusterSection,
-    "eval": EvalSection,
-}
+
+def _coerce(dotted: str, hint: object, value: object, text: bool) -> object:
+    """The value of annotation `hint` given as JSON or, when `text`, as a
+    command-line string; ConfigError naming `dotted` if it does not fit."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is types.UnionType:  # X | None
+        if value is None or (text and value == ""):
+            return None
+        (inner,) = (arg for arg in args if arg is not type(None))
+        return _coerce(dotted, inner, value, text)
+    if origin is tuple:  # tuple[X, ...]: a JSON list or comma-separated text
+        if text:
+            value = [part for part in value.split(",") if part.strip()]
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{dotted} must be a list, got {value!r}")
+        return tuple(_coerce(f"{dotted} entries", args[0], item, text) for item in value)
+    if origin is Literal:
+        value = _coerce(dotted, str, value, text)
+        if value not in args:
+            raise ConfigError(f"{dotted} must be one of {args}, got {value!r}")
+        return value
+    what, parse, is_json = _SCALARS[hint]
+    try:
+        parsed = parse(value) if text else value
+        if is_json(parsed):
+            return hint(parsed)
+    except (ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{dotted} must be {what}, got {value!r}")
+
+
+def _owner(cfg: PipelineConfig, dotted: str) -> tuple[object, str]:
+    """The section object holding a dotted key, and the field's name there."""
+    *sections, name = dotted.split(".")
+    return functools.reduce(getattr, sections, cfg), name
+
+
+def _set(cfg: PipelineConfig, dotted: str, value: object, text: bool) -> None:
+    if dotted not in OVERRIDABLE:
+        if any(key.startswith(dotted + ".") for key in OVERRIDABLE):
+            raise ConfigError(f"config section {dotted!r} must be an object")
+        raise ConfigError(f"unknown config key {dotted!r}")
+    setattr(*_owner(cfg, dotted), _coerce(dotted, OVERRIDABLE[dotted], value, text))
 
 
 def config_from_dict(data: dict) -> PipelineConfig:
@@ -170,25 +193,11 @@ def config_from_dict(data: dict) -> PipelineConfig:
         raise ConfigError("config must be a JSON object")
     cfg = PipelineConfig()
     for key, value in data.items():
-        if key in _SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config section {key!r} must be an object")
-            section = getattr(cfg, key)
-            known = {f.name for f in dataclasses.fields(section)}
+        if isinstance(value, dict):
             for sub, sub_value in value.items():
-                if sub not in known:
-                    raise ConfigError(f"unknown config key {key}.{sub}")
-                if key == "eval" and sub == "ks":
-                    if not isinstance(sub_value, list) or not all(
-                        isinstance(v, int) and not isinstance(v, bool) for v in sub_value
-                    ):
-                        raise ConfigError("eval.ks must be a list of integers")
-                    sub_value = tuple(sub_value)
-                setattr(section, sub, sub_value)
-        elif key in ("filter_min_freq", "dedupe"):
-            setattr(cfg, key, value)
+                _set(cfg, f"{key}.{sub}", sub_value, text=False)
         else:
-            raise ConfigError(f"unknown config key {key!r}")
+            _set(cfg, key, value, text=False)
     cfg.validate()
     return cfg
 
@@ -206,13 +215,4 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 def apply_override(cfg: PipelineConfig, dotted: str, raw: str) -> None:
     """Set one dotted config key from its command-line string form."""
-    try:
-        section_name, field_name, parser = OVERRIDABLE[dotted]
-    except KeyError:
-        raise ConfigError(f"unknown config key {dotted!r}") from None
-    try:
-        value = parser(raw)
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {dotted}: {exc}") from exc
-    target = cfg if section_name is None else getattr(cfg, section_name)
-    setattr(target, field_name, value)
+    _set(cfg, dotted, raw, text=True)

@@ -28,6 +28,7 @@ from .extract import Candidate, CandidateKind, CandidateSet
 logger = logging.getLogger(__name__)
 
 NULL_SCORE = -1.0
+DISCOUNTS = ("log", "none")
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ def rank_baseline_overlap(
     default, or 1 with discount="none". Candidates with an empty occurrence
     set score 0.
     """
-    if discount not in ("log", "none"):
+    if discount not in DISCOUNTS:
         raise ValueError(f"unknown discount {discount!r}")
     postings: dict[str, set[str]] = {}
     for tweet in corpus.tweets:

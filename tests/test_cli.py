@@ -108,6 +108,20 @@ class TestExitCodes:
         assert "cluster.k" in err
         assert not (tmp_path / "out" / "candidates.csv").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "json"])
+    def test_negative_phrase_threshold_rejected_before_any_stage(
+            self, run_cli, tmp_path, write_config, pipeline_config_dict, source):
+        cfg_dict = json.loads(json.dumps(pipeline_config_dict))
+        flags = ["--phrase.threshold", "-1"]
+        if source == "json":
+            cfg_dict["phrase"]["threshold"] = -1
+            flags = []
+        out = tmp_path / "out"
+        code, _, err = run_cli("extract", "--config", write_config(cfg_dict, out), *flags)
+        assert code == 1
+        assert err == "error: phrase.threshold must be finite and >= 0\n"
+        assert not out.exists()
+
     def test_evaluate_requires_labeled_corpus(self, run_cli, tmp_path, write_config, pipeline_config_dict):
         out = tmp_path / "out"
         cfg_dict = json.loads(json.dumps(pipeline_config_dict))

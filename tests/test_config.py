@@ -1,7 +1,11 @@
+import functools
 import json
+import types
+from typing import Literal, get_args, get_origin
 
 import pytest
 
+from subevents.cli import _build_parser, _resolve_config
 from subevents.config import (
     DEFAULT_KS,
     OVERRIDABLE,
@@ -66,6 +70,13 @@ class TestFromDict:
     def test_not_an_object(self):
         with pytest.raises(ConfigError):
             config_from_dict([1, 2])
+
+    def test_int_for_float_and_null_for_optional(self):
+        cfg = config_from_dict(
+            {"phrase": {"threshold": 12}, "paths": {"parses": None}, "cluster": {"k": None}}
+        )
+        assert cfg.phrase.threshold == 12.0 and type(cfg.phrase.threshold) is float
+        assert cfg.paths.parses is None and cfg.cluster.k is None
 
     def test_ks_must_be_int_list(self):
         with pytest.raises(ConfigError):
@@ -158,7 +169,6 @@ class TestOverrides:
             "eval.nv_match": "bigram",
             "eval.phrase_match": "tokens",
         }
-        assert set(samples) == set(OVERRIDABLE)
         cfg = PipelineConfig()
         for key, raw in samples.items():
             apply_override(cfg, key, raw)
@@ -201,3 +211,86 @@ class TestOverrides:
         ]:
             apply_override(cfg, "dedupe", raw)
             assert cfg.dedupe is expected
+
+
+def _get(cfg, dotted):
+    return functools.reduce(getattr, dotted.split("."), cfg)
+
+
+def _unwrap_optional(hint):
+    """(inner annotation, whether None is allowed) for `hint`."""
+    if get_origin(hint) is types.UnionType:
+        (inner,) = [arg for arg in get_args(hint) if arg is not type(None)]
+        return inner, True
+    return hint, False
+
+
+def _other_value(hint, default):
+    """A valid non-default value for a field of annotation `hint`, and the
+    text that sets it on the command line."""
+    hint, _ = _unwrap_optional(hint)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Literal:
+        value = next(arg for arg in args if arg != default)
+        return value, value
+    if origin is tuple:
+        return (1, 2, 3), "1,2,3"
+    if hint is bool:
+        return not default, str(not default).lower()
+    if hint is int:
+        return (default or 4) + 1, str((default or 4) + 1)
+    if hint is float:
+        return default + 0.5, repr(default + 0.5)
+    if hint is str:
+        return "elsewhere", "elsewhere"
+    raise AssertionError(f"no sample value for annotation {hint}")
+
+
+def _wrong_values(hint):
+    """JSON values of the wrong type for a field of annotation `hint`."""
+    hint, optional = _unwrap_optional(hint)
+    origin = get_origin(hint)
+    if origin is tuple:
+        wrong = ["1,2", 3, [1.5], [True], [None]]
+    elif origin is Literal:
+        wrong = ["no-such-choice", 1, [get_args(hint)[0]]]
+    elif hint is bool:
+        wrong = ["false", "true", 0, 1]
+    elif hint is int:
+        wrong = ["8", 2.5, True]
+    elif hint is float:
+        wrong = ["x", "1.5", True]
+    else:
+        wrong = [["a"], 1, True]
+    return wrong if optional else wrong + [None]
+
+
+WRONG = [(key, wrong) for key, hint in OVERRIDABLE.items() for wrong in _wrong_values(hint)]
+
+
+class TestSchema:
+    def test_every_field_round_trips_through_its_flag_and_json(self):
+        defaults = PipelineConfig()
+        samples = {key: _other_value(hint, _get(defaults, key)) for key, hint in OVERRIDABLE.items()}
+        argv = ["extract"]
+        for key, (_, text) in samples.items():
+            argv += [f"--{key}", text]
+        cfg = _resolve_config(_build_parser().parse_args(argv))
+        for key, (value, _) in samples.items():
+            assert value != _get(defaults, key), key
+            assert _get(cfg, key) == value and type(_get(cfg, key)) is type(value), key
+        assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @pytest.mark.parametrize("key,wrong", WRONG, ids=[f"{k}={json.dumps(w)}" for k, w in WRONG])
+    def test_wrong_json_type_exits_1_with_one_line(self, run_cli, tmp_path, key, wrong):
+        *sections, name = key.split(".")
+        data = node = {}
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[name] = wrong
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli("extract", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {key} ") and err.count("\n") == 1, err
