@@ -29,7 +29,7 @@ from .corpus import (
     preprocess,
     preprocess_corpus,
 )
-from .embed import ComposedVector, EmbeddingStore, OovPolicy, compose, cosine, load_vectors
+from .embed import ComposedVector, EmbeddingStore, OovPolicy, compose, load_vectors
 from .errors import ConfigError, InputFormatError, SubeventsError
 from .evaluate import MatchIndex, MetricsPoint, RocCurve, evaluate_at_k, roc_points, tweet_matches
 from .extract import (
@@ -73,7 +73,6 @@ __all__ = [
     "Tweet",
     "build_affinity",
     "compose",
-    "cosine",
     "detect_phrases",
     "eig_topk",
     "evaluate_at_k",

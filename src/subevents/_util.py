@@ -1,8 +1,19 @@
-"""Small shared helpers: deterministic hashing and float formatting."""
+"""Small shared helpers: deterministic hashing, float formatting, and the
+framing of the CSV and JSON artifacts the stages hand to each other."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
+import reprlib
+from collections.abc import Callable, Iterable, Sequence
+from pathlib import Path
+from typing import TypeVar
+
+from .errors import InputFormatError
+
+T = TypeVar("T")
 
 _FNV_OFFSET = 0x811C9DC5
 _FNV_PRIME = 0x01000193
@@ -28,3 +39,59 @@ def sha256_file(path: str) -> str:
 def format_float(value: float) -> str:
     """Shortest round-trip decimal form, used for deterministic artifacts."""
     return repr(float(value))
+
+
+def write_table(
+    path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]
+) -> None:
+    """Write a header line and one CSV record per row (csv module defaults)."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def read_table(
+    path: str | Path,
+    header: Sequence[str],
+    parse_row: Callable[[list[str]], T],
+) -> list[T]:
+    """Read a file written by `write_table`, one `parse_row(record)` per record.
+
+    A wrong header or field count, a `ValueError` from `parse_row` or a CSV
+    framing error (unterminated quote, field over `csv.field_size_limit()`)
+    raises InputFormatError naming the path and the record's first line;
+    bytes that are not UTF-8 raise it naming the path.
+    """
+    parsed = []
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, strict=True)
+        start = 1  # first line of the record being read
+        try:
+            if next(reader, None) != list(header):
+                raise InputFormatError(f"{path}:1: expected header {','.join(header)}")
+            start = reader.line_num + 1
+            for row in reader:
+                if len(row) != len(header):
+                    raise InputFormatError(
+                        f"{path}:{start}: expected {len(header)} fields, got {len(row)}"
+                    )
+                try:
+                    parsed.append(parse_row(row))
+                except ValueError as exc:
+                    raise InputFormatError(
+                        f"{path}:{start}: malformed row {reprlib.repr(row)}"
+                    ) from exc
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise InputFormatError(f"{path}:{start}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # decoded in blocks, so no line number
+            raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    return parsed
+
+
+def write_json(path: str | Path, data: object) -> None:
+    """Indented JSON plus a trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")

@@ -9,14 +9,13 @@ error.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 import time
 from pathlib import Path
 
 from . import __version__
-from ._util import sha256_file
+from ._util import sha256_file, write_json
 from .cluster import build_affinity, spectral_cluster, summarize_clusters, write_clusters
 from .config import OVERRIDABLE, PipelineConfig, apply_override, load_config
 from .corpus import (
@@ -30,7 +29,7 @@ from .corpus import (
     load_stopwords,
     preprocess_corpus,
 )
-from .embed import EmbeddingStore, OovPolicy, compose, load_vectors
+from .embed import EmbeddingStore, OovPolicy, load_vectors
 from .errors import ConfigError, SubeventsError
 from .evaluate import evaluate_at_k, read_metrics, roc_points, write_metrics
 from .extract import (
@@ -43,7 +42,16 @@ from .extract import (
     reduction_percent,
     write_candidates,
 )
-from .rank import load_ontology, rank_baseline_overlap, rank_candidates, read_ranked, top_k, write_ranked
+from .rank import (
+    NULL_SCORE,
+    compose_rows,
+    load_ontology,
+    rank_baseline_overlap,
+    rank_candidates,
+    read_ranked,
+    top_k,
+    write_ranked,
+)
 from .report import f1_plot_svg, roc_plot_svg
 
 logger = logging.getLogger(__name__)
@@ -169,6 +177,7 @@ def _load_store(cfg: PipelineConfig) -> EmbeddingStore:
         cfg.paths.vectors,
         OovPolicy(cfg.rank.oov_policy),
         hash_seed=cfg.cluster.seed,
+        normalize_words=cfg.rank.normalize_words,
     )
 
 
@@ -201,9 +210,7 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
         ),
         "overlap": result.overlap,
     }
-    with open(_artifact(out_dir, "accounting"), "w", encoding="utf-8") as fh:
-        json.dump(accounting, fh, indent=2)
-        fh.write("\n")
+    write_json(_artifact(out_dir, "accounting"), accounting)
     print("extraction accounting:")
     print(f"  tweets processed:  {accounting['tweets']}")
     print(
@@ -229,10 +236,16 @@ def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> None:
         ranked = rank_baseline_overlap(candidates, corpus, cfg.rank.discount)
     else:
         store = _load_store(cfg)
-        ontology = load_ontology(cfg.paths.ontology, store, cfg.rank.normalize_words)
-        ranked = rank_candidates(candidates, ontology, store, cfg.rank.normalize_words)
+        ontology = load_ontology(cfg.paths.ontology, store)
+        ranked = rank_candidates(candidates, ontology, store)
     write_ranked(ranked, _artifact(out_dir, "ranked"))
     print(f"ranked {len(ranked)} candidates with the {cfg.rank.method} method")
+    if cfg.rank.method == "moac":
+        no_vector = sum(1 for rc in ranked if rc.best_term is None)
+        unusable = len(ontology) - len(ontology.usable_terms)
+        print(f"  candidates without a vector: {no_vector} (scored {NULL_SCORE:g}, ranked last)")
+        print(f"  terms without a vector:      {unusable} of {len(ontology)}"
+              " (not used for scoring)")
 
 
 def cmd_cluster(cfg: PipelineConfig, out_dir: Path) -> None:
@@ -240,20 +253,9 @@ def cmd_cluster(cfg: PipelineConfig, out_dir: Path) -> None:
         raise ConfigError("cluster.k is required: choose the number of sub-event clusters")
     ranked = read_ranked(_require_artifact(out_dir, "ranked", "rank"))
     top = top_k(ranked, cfg.cluster.top_m)
-    store = _load_store(cfg)
-    kept = []
-    vectors = []
-    for rc in top:
-        vec = compose(list(rc.candidate.words), store, cfg.rank.normalize_words)
-        if vec.is_null:
-            continue
-        kept.append(rc)
-        vectors.append(vec)
-    if len(kept) < len(top):
-        logger.info(
-            "%d of %d top candidates have no vector and stay unclustered",
-            len(top) - len(kept), len(top),
-        )
+    rows, null = compose_rows([rc.candidate.words for rc in top], _load_store(cfg))
+    kept = [rc for rc, is_null in zip(top, null) if not is_null]
+    vectors = rows[~null]
     affinity = build_affinity(vectors)
     assignment = spectral_cluster(
         affinity, cfg.cluster.k, cfg.cluster.seed, cfg.cluster.normalized
@@ -261,6 +263,7 @@ def cmd_cluster(cfg: PipelineConfig, out_dir: Path) -> None:
     summaries = summarize_clusters(assignment, kept, vectors)
     write_clusters(summaries, _artifact(out_dir, "clusters"))
     print(f"clustered {len(kept)} candidates into {len(summaries)} clusters")
+    print(f"  top {len(top)} candidates without a vector: {int(null.sum())} (left unclustered)")
 
 
 def cmd_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
@@ -334,9 +337,7 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> None:
         "stage_seconds": timings,
         "total_seconds": total,
     }
-    with open(_artifact(out_dir, "manifest"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_json(_artifact(out_dir, "manifest"), manifest)
     print(f"pipeline complete in {total:.2f}s; manifest at {_artifact(out_dir, 'manifest')}")
 
 

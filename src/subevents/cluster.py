@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embed import ComposedVector
+from ._util import write_json
 from .errors import InputFormatError
 from .rank import RankedCandidate
 
@@ -62,21 +62,19 @@ class ClusterAssignment:
             raise ValueError("cluster ids must lie in [0, k)")
 
 
-def build_affinity(vectors: Sequence[ComposedVector]) -> AffinityMatrix:
-    """Pairwise clamped cosine similarity: max(0, cos(v_i, v_j)), zero diagonal.
+def build_affinity(vectors: np.ndarray) -> AffinityMatrix:
+    """Pairwise clamped cosine similarity of the rows of an (n, dim) array:
+    max(0, cos(v_i, v_j)), zero diagonal.
 
     Negative cosines are clamped to 0 so the matrix satisfies the
     nonnegativity spectral clustering assumes.
     """
-    if len(vectors) < 2:
-        raise ValueError("affinity needs at least 2 vectors")
-    if any(v.is_null for v in vectors):
-        raise ValueError("null vectors cannot be clustered; filter them first")
-    dims = {v.dim for v in vectors}
-    if len(dims) != 1:
-        raise ValueError(f"mixed vector dimensions {sorted(dims)}")
-    stacked = np.stack([v.values for v in vectors])
+    stacked = np.asarray(vectors, dtype=np.float64)
+    if stacked.ndim != 2 or stacked.shape[0] < 2:
+        raise ValueError(f"affinity needs an (n >= 2, dim) array, got shape {stacked.shape}")
     norms = np.linalg.norm(stacked, axis=1)
+    if not np.all(norms > 0.0):
+        raise ValueError("null vectors cannot be clustered; filter them first")
     unit = stacked / norms[:, None]
     sims = unit @ unit.T
     # Mirror the upper triangle so the matrix is exactly symmetric, then
@@ -261,13 +259,14 @@ def spectral_cluster(
 def summarize_clusters(
     assignment: ClusterAssignment,
     ranked: Sequence[RankedCandidate],
-    vectors: Sequence[ComposedVector],
+    vectors: np.ndarray,
 ) -> list[dict]:
     """Group ranked candidates by cluster id and pick each cluster's medoid.
 
-    The medoid is the member whose composed vector is closest to the
-    cluster centroid (first by rank on ties). Members are listed in rank
-    order.
+    `vectors` holds one composed vector per ranked candidate, as the rows
+    of an (n, dim) array. The medoid is the member whose vector is closest
+    to the cluster centroid (first by rank on ties). Members are listed in
+    rank order.
     """
     if not len(ranked) == len(vectors) == len(assignment.labels):
         raise ValueError("ranked candidates, vectors, and labels must align")
@@ -277,11 +276,11 @@ def summarize_clusters(
     summaries = []
     for cluster_id in sorted(by_cluster):
         indices = sorted(by_cluster[cluster_id], key=lambda i: ranked[i].rank)
-        centroid = np.mean([vectors[i].values for i in indices], axis=0)
+        centroid = np.mean(vectors[indices], axis=0)
         medoid_idx = indices[0]
         best = np.inf
         for i in indices:
-            dist = float(np.linalg.norm(vectors[i].values - centroid))
+            dist = float(np.linalg.norm(vectors[i] - centroid))
             if dist < best:
                 best = dist
                 medoid_idx = i
@@ -303,9 +302,7 @@ def _member_dict(rc: RankedCandidate) -> dict:
 
 
 def write_clusters(summaries: list[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summaries, fh, indent=2)
-        fh.write("\n")
+    write_json(path, summaries)
 
 
 def read_clusters(path: str | Path) -> list[dict]:

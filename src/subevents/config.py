@@ -93,6 +93,10 @@ class PipelineConfig:
             raise ConfigError("cluster.k must be >= 2")
         if self.cluster.top_m < 2:
             raise ConfigError("cluster.top_m must be >= 2")
+        if self.cluster.k is not None and self.cluster.k > self.cluster.top_m:
+            raise ConfigError(
+                f"cluster.k={self.cluster.k} exceeds cluster.top_m={self.cluster.top_m}"
+            )
         if self.cluster.seed < 0:
             raise ConfigError("cluster.seed must be >= 0")
         if not self.eval.ks:

@@ -35,18 +35,20 @@ class OovPolicy(Enum):
 
 @dataclass
 class EmbeddingStore:
-    """Immutable-after-load store of word vectors plus the OOV policy.
+    """Immutable-after-load store of word vectors plus how to compose them.
 
-    Under SUBWORD_HASH, an OOV word gets the average of per-n-gram vectors
-    drawn from a fixed-size bucket table generated deterministically from
-    (hash_seed, bucket); bucket vectors are materialized lazily but are a
-    pure function of the seed.
+    With `normalize_words`, `compose` L2-normalizes each word vector before
+    summing. Under SUBWORD_HASH, an OOV word gets the average of per-n-gram
+    vectors drawn from a fixed-size bucket table generated deterministically
+    from (hash_seed, bucket); bucket vectors are materialized lazily but are
+    a pure function of the seed.
     """
 
     dim: int
     vectors: dict[str, np.ndarray]
     oov_policy: OovPolicy = OovPolicy.SKIP_WORD
     hash_seed: int = 0
+    normalize_words: bool = False
     n_buckets: int = DEFAULT_BUCKETS
     _bucket_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
@@ -84,18 +86,14 @@ class ComposedVector:
     """Unit vector for a multiword expression; null when nothing composed."""
 
     values: np.ndarray
-    n_known: int
     is_null: bool
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
 
 def load_vectors(
     path: str | Path,
     oov_policy: OovPolicy = OovPolicy.SKIP_WORD,
     hash_seed: int = 0,
+    normalize_words: bool = False,
 ) -> EmbeddingStore:
     """Load word2vec-text-format vectors.
 
@@ -139,33 +137,28 @@ def load_vectors(
             vectors[word] = values
     if declared != len(vectors):
         logger.info("%s: header declared %d words, loaded %d", path, declared, len(vectors))
-    return EmbeddingStore(dim=dim, vectors=vectors, oov_policy=oov_policy, hash_seed=hash_seed)
+    return EmbeddingStore(dim=dim, vectors=vectors, oov_policy=oov_policy,
+                          hash_seed=hash_seed, normalize_words=normalize_words)
 
 
-def compose(
-    words: Sequence[str],
-    store: EmbeddingStore,
-    normalize_words: bool = False,
-) -> ComposedVector:
+def compose(words: Sequence[str], store: EmbeddingStore) -> ComposedVector:
     """Sum the words' vectors and L2-normalize the sum.
 
-    OOV words follow the store's policy. With `normalize_words`, each word
-    vector is normalized before summation instead of only normalizing the
-    sum. Returns a null vector when no word contributes or the sum is zero.
+    OOV words follow the store's policy. With the store's
+    `normalize_words`, each word vector is normalized before summation
+    instead of only normalizing the sum. Returns a null vector when no word
+    contributes or the sum is zero.
     """
     if not words:
         raise ValueError("compose requires at least one word")
     total = np.zeros(store.dim)
-    n_known = 0
     for word in words:
         vec = store.vectors.get(word)
-        if vec is not None:
-            n_known += 1
-        elif store.oov_policy is OovPolicy.SUBWORD_HASH:
+        if vec is None and store.oov_policy is OovPolicy.SUBWORD_HASH:
             vec = store.subword_vector(word)
         if vec is None:
             continue
-        if normalize_words:
+        if store.normalize_words:
             norm = float(np.linalg.norm(vec))
             if norm == 0.0:
                 continue
@@ -173,14 +166,5 @@ def compose(
         total = total + vec
     norm = float(np.linalg.norm(total))
     if norm == 0.0:
-        return ComposedVector(values=np.zeros(store.dim), n_known=n_known, is_null=True)
-    return ComposedVector(values=total / norm, n_known=n_known, is_null=False)
-
-
-def cosine(u: ComposedVector, v: ComposedVector) -> float:
-    """Cosine similarity of two composed (unit) vectors."""
-    if u.is_null or v.is_null:
-        raise ValueError("cosine of a null vector is undefined; apply a null policy first")
-    if u.dim != v.dim:
-        raise ValueError(f"dimension mismatch: {u.dim} != {v.dim}")
-    return float(np.dot(u.values, v.values))
+        return ComposedVector(values=np.zeros(store.dim), is_null=True)
+    return ComposedVector(values=total / norm, is_null=False)

@@ -8,13 +8,12 @@ by ordered adjacent bigram. Both match modes can be overridden.
 
 from __future__ import annotations
 
-import csv
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._util import format_float
+from ._util import format_float, read_table, write_table
 from .corpus import Corpus, Label, Tweet
 from .errors import InputFormatError
 from .extract import Candidate, CandidateKind
@@ -186,34 +185,18 @@ METRICS_CSV_HEADER = ["k", "tp", "fp", "fn", "tn", "precision", "recall", "f1", 
 
 
 def write_metrics(metrics: Sequence[MetricsPoint], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_CSV_HEADER)
-        for m in metrics:
-            writer.writerow([
-                m.k, m.tp, m.fp, m.fn, m.tn,
-                format_float(m.precision), format_float(m.recall),
-                format_float(m.f1), format_float(m.fpr), format_float(m.tpr),
-            ])
+    write_table(path, METRICS_CSV_HEADER, (
+        (m.k, m.tp, m.fp, m.fn, m.tn,
+         format_float(m.precision), format_float(m.recall),
+         format_float(m.f1), format_float(m.fpr), format_float(m.tpr))
+        for m in metrics
+    ))
+
+
+def _parse_metrics_point(row: list[str]) -> MetricsPoint:
+    # Header order is field order: five counts, then five rates.
+    return MetricsPoint(*map(int, row[:5]), *map(float, row[5:]))
 
 
 def read_metrics(path: str | Path) -> list[MetricsPoint]:
-    metrics = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != METRICS_CSV_HEADER:
-            raise InputFormatError(f"{path}: expected header {','.join(METRICS_CSV_HEADER)}")
-        for row in reader:
-            if len(row) != 10:
-                raise InputFormatError(f"{path}: malformed row {row!r}")
-            try:
-                metrics.append(MetricsPoint(
-                    k=int(row[0]), tp=int(row[1]), fp=int(row[2]),
-                    fn=int(row[3]), tn=int(row[4]),
-                    precision=float(row[5]), recall=float(row[6]),
-                    f1=float(row[7]), fpr=float(row[8]), tpr=float(row[9]),
-                ))
-            except ValueError as exc:
-                raise InputFormatError(f"{path}: malformed row {row!r}") from exc
-    return metrics
+    return read_table(path, METRICS_CSV_HEADER, _parse_metrics_point)

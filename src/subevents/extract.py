@@ -9,7 +9,6 @@ phrases are frequency-gated by the detector itself.
 
 from __future__ import annotations
 
-import csv
 import logging
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
@@ -18,6 +17,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
+from ._util import read_table, write_table
 from .corpus import Corpus, ParseNode, TokenCleaner, Tweet, clean_token
 from .errors import InputFormatError
 
@@ -309,27 +309,13 @@ CANDIDATE_CSV_HEADER = ["kind", "first", "second", "frequency"]
 
 
 def write_candidates(candidates: Iterable[Candidate], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CANDIDATE_CSV_HEADER)
-        for cand in candidates:
-            writer.writerow([cand.kind.value, cand.first, cand.second, cand.frequency])
+    write_table(path, CANDIDATE_CSV_HEADER,
+                ((c.kind.value, c.first, c.second, c.frequency) for c in candidates))
+
+
+def _parse_candidate(row: list[str]) -> Candidate:
+    return Candidate(CandidateKind(row[0]), row[1], row[2], int(row[3]))
 
 
 def read_candidates(path: str | Path) -> list[Candidate]:
-    candidates = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CANDIDATE_CSV_HEADER:
-            raise InputFormatError(f"{path}: expected header {','.join(CANDIDATE_CSV_HEADER)}")
-        for row in reader:
-            if len(row) != 4:
-                raise InputFormatError(f"{path}: malformed row {row!r}")
-            try:
-                kind = CandidateKind(row[0])
-                frequency = int(row[3])
-            except ValueError as exc:
-                raise InputFormatError(f"{path}: malformed row {row!r}") from exc
-            candidates.append(Candidate(kind, row[1], row[2], frequency))
-    return candidates
+    return read_table(path, CANDIDATE_CSV_HEADER, _parse_candidate)

@@ -9,8 +9,6 @@ log(1 + co-occurrence count).
 
 from __future__ import annotations
 
-import csv
-import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -19,29 +17,25 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import format_float
+from ._util import format_float, read_table, write_table
 from .corpus import Corpus
-from .embed import ComposedVector, EmbeddingStore, compose
+from .embed import EmbeddingStore, compose
 from .errors import InputFormatError
 from .extract import Candidate, CandidateKind, CandidateSet
-
-logger = logging.getLogger(__name__)
 
 NULL_SCORE = -1.0
 DISCOUNTS = ("log", "none")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ontology:
-    """Term list with composed vectors; terms that composed to null are kept
-    for reporting but excluded from max-cosine scoring."""
+    """Term list plus the unit vectors of its usable terms, one row per
+    usable term in list order. Terms that composed to null are kept in
+    `terms` for reporting but excluded from max-cosine scoring."""
 
     terms: tuple[str, ...]
-    term_vectors: tuple[ComposedVector, ...]
-
-    @property
-    def usable_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.term_vectors) if not v.is_null)
+    usable_terms: tuple[str, ...]
+    matrix: np.ndarray
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -55,11 +49,24 @@ class RankedCandidate:
     rank: int
 
 
-def load_ontology(
-    path: str | Path | None,
-    store: EmbeddingStore,
-    normalize_words: bool = False,
-) -> Ontology:
+def compose_rows(
+    word_lists: Sequence[Sequence[str]], store: EmbeddingStore
+) -> tuple[np.ndarray, np.ndarray]:
+    """Compose each word list into one row of an (n, dim) array.
+
+    Returns the array and a boolean mask of the null rows; a null row is
+    all zeros, every other row has unit norm.
+    """
+    rows = np.zeros((len(word_lists), store.dim))
+    null = np.zeros(len(word_lists), dtype=bool)
+    for i, words in enumerate(word_lists):
+        vec = compose(words, store)
+        rows[i] = vec.values
+        null[i] = vec.is_null
+    return rows, null
+
+
+def load_ontology(path: str | Path | None, store: EmbeddingStore) -> Ontology:
     """Load a one-term-per-line term list and compose a vector per term.
 
     '#' comment lines and blank lines are ignored; terms are lowercased.
@@ -78,17 +85,11 @@ def load_ontology(
             terms.append(term)
     if not terms:
         raise InputFormatError(f"{path}: no terms found")
-    vectors = tuple(compose(term.split(), store, normalize_words) for term in terms)
-    ontology = Ontology(terms=tuple(terms), term_vectors=vectors)
-    usable = len(ontology.usable_indices)
-    if usable == 0:
+    rows, null = compose_rows([term.split() for term in terms], store)
+    if null.all():
         raise InputFormatError(f"{path}: no term has an in-vocabulary vector")
-    if usable < len(terms):
-        logger.warning(
-            "%s: %d of %d terms have null vectors and are excluded from scoring",
-            path, len(terms) - usable, len(terms),
-        )
-    return ontology
+    usable = tuple(term for term, is_null in zip(terms, null) if not is_null)
+    return Ontology(terms=tuple(terms), usable_terms=usable, matrix=rows[~null])
 
 
 def _as_candidates(candidates: CandidateSet | Sequence[Candidate]) -> Sequence[Candidate]:
@@ -112,7 +113,6 @@ def rank_candidates(
     candidates: CandidateSet | Sequence[Candidate],
     ontology: Ontology,
     store: EmbeddingStore,
-    normalize_words: bool = False,
 ) -> list[RankedCandidate]:
     """Rank candidates by max cosine similarity to the ontology terms.
 
@@ -120,17 +120,18 @@ def rank_candidates(
     Candidates whose composed vector is null score -1 and sink to the
     bottom, kept for auditability.
     """
-    usable = ontology.usable_indices
-    term_matrix = np.stack([ontology.term_vectors[i].values for i in usable])
+    cands = _as_candidates(candidates)
+    rows, null = compose_rows([cand.words for cand in cands], store)
     scored: list[tuple[Candidate, float, str | None]] = []
-    for cand in _as_candidates(candidates):
-        vec = compose(list(cand.words), store, normalize_words)
-        if vec.is_null:
+    for cand, vec, is_null in zip(cands, rows, null):
+        if is_null:
             scored.append((cand, NULL_SCORE, None))
             continue
-        sims = term_matrix @ vec.values
+        # One matrix-vector product per candidate: a single rows @ matrix.T
+        # sums in a different order and changes the last bits of scores.
+        sims = ontology.matrix @ vec
         best = int(np.argmax(sims))
-        scored.append((cand, float(sims[best]), ontology.terms[usable[best]]))
+        scored.append((cand, float(sims[best]), ontology.usable_terms[best]))
     return _sort_and_rank(scored)
 
 
@@ -179,41 +180,18 @@ RANKED_CSV_HEADER = ["rank", "kind", "first", "second", "frequency", "score", "b
 
 
 def write_ranked(ranked: Sequence[RankedCandidate], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RANKED_CSV_HEADER)
-        for rc in ranked:
-            writer.writerow([
-                rc.rank,
-                rc.candidate.kind.value,
-                rc.candidate.first,
-                rc.candidate.second,
-                rc.candidate.frequency,
-                format_float(rc.score),
-                rc.best_term or "",
-            ])
+    write_table(path, RANKED_CSV_HEADER, (
+        (rc.rank, rc.candidate.kind.value, rc.candidate.first, rc.candidate.second,
+         rc.candidate.frequency, format_float(rc.score), rc.best_term or "")
+        for rc in ranked
+    ))
+
+
+def _parse_ranked(row: list[str]) -> RankedCandidate:
+    candidate = Candidate(CandidateKind(row[1]), row[2], row[3], int(row[4]))
+    return RankedCandidate(candidate=candidate, score=float(row[5]),
+                           best_term=row[6] or None, rank=int(row[0]))
 
 
 def read_ranked(path: str | Path) -> list[RankedCandidate]:
-    ranked = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != RANKED_CSV_HEADER:
-            raise InputFormatError(f"{path}: expected header {','.join(RANKED_CSV_HEADER)}")
-        for row in reader:
-            if len(row) != 7:
-                raise InputFormatError(f"{path}: malformed row {row!r}")
-            try:
-                candidate = Candidate(CandidateKind(row[1]), row[2], row[3], int(row[4]))
-                ranked.append(
-                    RankedCandidate(
-                        candidate=candidate,
-                        score=float(row[5]),
-                        best_term=row[6] or None,
-                        rank=int(row[0]),
-                    )
-                )
-            except ValueError as exc:
-                raise InputFormatError(f"{path}: malformed row {row!r}") from exc
-    return ranked
+    return read_table(path, RANKED_CSV_HEADER, _parse_ranked)

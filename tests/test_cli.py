@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -7,6 +10,8 @@ import pytest
 
 from subevents import __version__
 from subevents.rank import read_ranked
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def sha256(path):
@@ -122,6 +127,21 @@ class TestExitCodes:
         assert err == "error: phrase.threshold must be finite and >= 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "json"])
+    def test_cluster_k_above_top_m_rejected_before_any_stage(
+            self, run_cli, tmp_path, write_config, pipeline_config_dict, source):
+        cfg_dict = json.loads(json.dumps(pipeline_config_dict))
+        flags = ["--cluster.k", "41"]
+        if source == "json":
+            cfg_dict["cluster"]["k"] = 41
+            flags = []
+        out = tmp_path / "out"
+        code, _, err = run_cli("pipeline", "--config", write_config(cfg_dict, out), *flags)
+        assert code == 1
+        assert err.startswith("error: cluster.k=41 exceeds cluster.top_m=40")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_evaluate_requires_labeled_corpus(self, run_cli, tmp_path, write_config, pipeline_config_dict):
         out = tmp_path / "out"
         cfg_dict = json.loads(json.dumps(pipeline_config_dict))
@@ -147,10 +167,13 @@ class TestStagedFlow:
         code, stdout, _ = run_cli("rank", "--config", cfg)
         assert code == 0
         assert "moac" in stdout
+        assert "candidates without a vector: 0 (scored -1, ranked last)" in stdout
+        assert "terms without a vector:      0 of 8 (not used for scoring)" in stdout
         assert (out / "ranked.csv").exists()
 
         code, stdout, _ = run_cli("cluster", "--config", cfg)
         assert code == 0
+        assert "top 40 candidates without a vector: 0 (left unclustered)" in stdout
         assert (out / "clusters.json").exists()
 
         code, stdout, _ = run_cli("evaluate", "--config", cfg)
@@ -164,6 +187,28 @@ class TestStagedFlow:
             svg = (out / name).read_text(encoding="utf-8")
             root = ET.fromstring(svg)
             assert root.tag.endswith("svg")
+
+    def test_rank_and_cluster_report_what_has_no_vector(
+            self, run_cli, tmp_path, write_config, pipeline_config_dict):
+        # Drop the vectors of one term and of both words of the top candidate.
+        dropped = ("anchortheta ", "cnounaa ", "cverbaa ")
+        lines = Path(pipeline_config_dict["paths"]["vectors"]).read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("".join(line for line in lines if not line.startswith(dropped)),
+                           encoding="utf-8")
+        cfg_dict = json.loads(json.dumps(pipeline_config_dict))
+        cfg_dict["paths"]["vectors"] = str(vectors)
+        cfg = write_config(cfg_dict, tmp_path / "out")
+        assert run_cli("extract", "--config", cfg)[0] == 0
+        code, stdout, _ = run_cli("rank", "--config", cfg)
+        assert code == 0
+        assert "candidates without a vector: 1 (scored -1, ranked last)" in stdout
+        assert "terms without a vector:      1 of 8 (not used for scoring)" in stdout
+        code, stdout, _ = run_cli("cluster", "--config", cfg)
+        assert code == 0
+        assert "clustered 39 candidates into 8 clusters" in stdout
+        assert "top 40 candidates without a vector: 1 (left unclustered)" in stdout
 
     def test_accounting_matches_golden(self, run_cli, tmp_path, write_config,
                                        pipeline_config_dict, fixtures_dir):
@@ -261,6 +306,25 @@ class TestPipeline:
         assert manifest["config"]["cluster"]["k"] == 5
         clusters = json.loads((out / "clusters.json").read_text(encoding="utf-8"))
         assert len(clusters) == 5
+
+
+class TestBenchmarkTrace:
+    def test_traced_pipeline_reports_layer_metrics(self, tmp_path):
+        # perfbench/child.py wraps package functions by name; a renamed or
+        # retyped one shows up here as a traceback or a missing metric.
+        report = tmp_path / "report.json"
+        env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+        proc = subprocess.run(
+            [sys.executable, "perfbench/child.py", str(report), "1", "--",
+             "pipeline", "--config", "tests/fixtures/pipeline_config.json",
+             "--paths.out_dir", str(tmp_path / "out")],
+            cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        layers = json.loads(report.read_text(encoding="utf-8"))["layers"]
+        assert {"embed.vectors_n", "cluster.n", "rank.null_candidates_n"} <= set(layers["levels"])
+        assert layers["sums"]["embed.compose_calls"] > 0
 
 
 class TestDedupeFlag:

@@ -16,7 +16,6 @@ from subevents.cluster import (
     summarize_clusters,
     write_clusters,
 )
-from subevents.embed import ComposedVector
 from subevents.errors import InputFormatError
 from subevents.extract import Candidate, CandidateKind
 from subevents.rank import RankedCandidate
@@ -26,23 +25,20 @@ def unit(values, dim=None):
     arr = np.zeros(dim) if dim else np.array(values, dtype=float)
     if dim:
         arr[: len(values)] = values
-    arr = np.asarray(arr, dtype=float)
-    return ComposedVector(values=arr / np.linalg.norm(arr), n_known=2, is_null=False)
+    return arr / np.linalg.norm(arr)
 
 
 def block_vectors(sizes=(4, 5, 6), dim=6):
-    """Blocks on orthogonal coordinate planes; members of one block are
-    rotated at most 25 degrees apart (pairwise cosine >= 0.9), members of
-    different blocks are orthogonal."""
-    vectors = []
+    """(n, dim) rows in blocks on orthogonal coordinate planes; members of
+    one block are rotated at most 25 degrees apart (pairwise cosine >= 0.9),
+    members of different blocks are orthogonal."""
+    vectors = np.zeros((sum(sizes), dim))
     truth = []
     for b, size in enumerate(sizes):
         for j in range(size):
             phi = math.radians(5.0 * j)
-            values = np.zeros(dim)
-            values[2 * b] = math.cos(phi)
-            values[2 * b + 1] = math.sin(phi)
-            vectors.append(ComposedVector(values=values, n_known=2, is_null=False))
+            vectors[len(truth), 2 * b] = math.cos(phi)
+            vectors[len(truth), 2 * b + 1] = math.sin(phi)
             truth.append(b)
     return vectors, truth
 
@@ -78,13 +74,14 @@ class TestBuildAffinity:
             build_affinity([unit([1, 0])])
 
     def test_null_vector_rejected(self):
-        null = ComposedVector(values=np.zeros(2), n_known=0, is_null=True)
         with pytest.raises(ValueError):
-            build_affinity([unit([1, 0]), null])
+            build_affinity(np.array([unit([1, 0]), np.zeros(2)]))
 
     def test_mixed_dims_rejected(self):
         with pytest.raises(ValueError):
             build_affinity([unit([1, 0]), unit([1, 0, 0])])
+        with pytest.raises(ValueError):
+            build_affinity(unit([1, 0, 0]))  # one vector, not an (n, dim) array
 
     def test_validate_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
@@ -272,7 +269,7 @@ class TestSpectralCluster:
         vectors, truth = block_vectors()
         rng = np.random.default_rng(4)
         perm = rng.permutation(len(vectors))
-        shuffled = [vectors[i] for i in perm]
+        shuffled = vectors[perm]
         base = spectral_cluster(build_affinity(vectors), k=3, seed=0)
         moved = spectral_cluster(build_affinity(shuffled), k=3, seed=0)
         realigned = [base.labels[i] for i in perm]
@@ -354,11 +351,11 @@ class TestSummaries:
         return out
 
     def test_medoid_closest_to_centroid(self):
-        vectors = [
+        vectors = np.array([
             unit([1, 0]),
             unit([math.cos(0.3), math.sin(0.3)]),
             unit([math.cos(0.6), math.sin(0.6)]),
-        ]
+        ])
         assignment = ClusterAssignment(k=1, labels=(0, 0, 0))
         summaries = summarize_clusters(assignment, self._ranked(3), vectors)
         assert len(summaries) == 1
@@ -366,13 +363,13 @@ class TestSummaries:
         assert summaries[0]["medoid"]["first"] == "word1"
 
     def test_medoid_tie_prefers_better_rank(self):
-        vectors = [unit([1, 0]), unit([0, 1])]
+        vectors = np.array([unit([1, 0]), unit([0, 1])])
         assignment = ClusterAssignment(k=1, labels=(0, 0))
         summaries = summarize_clusters(assignment, self._ranked(2), vectors)
         assert summaries[0]["medoid"]["first"] == "word0"
 
     def test_members_in_rank_order_and_ids_sorted(self):
-        vectors = [unit([1, 0]), unit([0, 1]), unit([1, 0.1])]
+        vectors = np.array([unit([1, 0]), unit([0, 1]), unit([1, 0.1])])
         ranked = self._ranked(3)
         assignment = ClusterAssignment(k=2, labels=(0, 1, 0))
         summaries = summarize_clusters(assignment, ranked, vectors)
@@ -380,20 +377,20 @@ class TestSummaries:
         assert [m["first"] for m in summaries[0]["members"]] == ["word0", "word2"]
 
     def test_member_dict_fields(self):
-        vectors = [unit([1, 0]), unit([0, 1])]
+        vectors = np.array([unit([1, 0]), unit([0, 1])])
         assignment = ClusterAssignment(k=2, labels=(0, 1))
         summaries = summarize_clusters(assignment, self._ranked(2), vectors)
         member = summaries[0]["members"][0]
         assert set(member) == {"kind", "first", "second", "score"}
 
     def test_length_mismatch_rejected(self):
-        vectors = [unit([1, 0])]
+        vectors = np.array([unit([1, 0])])
         assignment = ClusterAssignment(k=1, labels=(0, 0))
         with pytest.raises(ValueError):
             summarize_clusters(assignment, self._ranked(2), vectors)
 
     def test_json_round_trip(self, tmp_path):
-        vectors = [unit([1, 0]), unit([0, 1]), unit([1, 0.1])]
+        vectors = np.array([unit([1, 0]), unit([0, 1]), unit([1, 0.1])])
         assignment = ClusterAssignment(k=2, labels=(0, 1, 0))
         summaries = summarize_clusters(assignment, self._ranked(3), vectors)
         path = tmp_path / "clusters.json"

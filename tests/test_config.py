@@ -105,6 +105,7 @@ class TestValidate:
         self._raises(lambda c: setattr(c.rank, "discount", "sqrt"))
         self._raises(lambda c: setattr(c.cluster, "k", 1))
         self._raises(lambda c: setattr(c.cluster, "top_m", 1))
+        self._raises(lambda c: (setattr(c.cluster, "top_m", 10), setattr(c.cluster, "k", 11)))
         self._raises(lambda c: setattr(c.cluster, "seed", -1))
         self._raises(lambda c: setattr(c.eval, "ks", ()))
         self._raises(lambda c: setattr(c.eval, "ks", (-1, 2)))
@@ -116,6 +117,11 @@ class TestValidate:
     def test_cluster_k_none_is_valid(self):
         cfg = PipelineConfig()
         cfg.cluster.k = None
+        cfg.validate()
+
+    def test_cluster_k_may_equal_top_m(self):
+        cfg = PipelineConfig()
+        cfg.cluster.k = cfg.cluster.top_m = 10
         cfg.validate()
 
 

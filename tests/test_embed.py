@@ -3,23 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from subevents.embed import (
-    ComposedVector,
-    EmbeddingStore,
-    OovPolicy,
-    compose,
-    cosine,
-    load_vectors,
-)
+from subevents.embed import EmbeddingStore, OovPolicy, compose, load_vectors
 from subevents.errors import InputFormatError
 
 
-def _store(vectors, dim=3, policy=OovPolicy.SKIP_WORD, hash_seed=0):
+def _store(vectors, dim=3, policy=OovPolicy.SKIP_WORD, hash_seed=0, normalize_words=False):
     return EmbeddingStore(
         dim=dim,
         vectors={w: np.array(v, dtype=float) for w, v in vectors.items()},
         oov_policy=policy,
         hash_seed=hash_seed,
+        normalize_words=normalize_words,
     )
 
 
@@ -37,6 +31,8 @@ class TestLoadVectors:
         assert np.array_equal(store.vectors["flood"], [1.0, 0.0, 0.0])
         assert "flood" in store
         assert "absent" not in store
+        assert not store.normalize_words
+        assert load_vectors(path, normalize_words=True).normalize_words
 
     def test_bad_header_fatal(self, tmp_path):
         for header in ["", "3", "x y", "2 3 4", "-1 3", "2 0"]:
@@ -81,7 +77,6 @@ class TestCompose:
         store = _store({"aaa": [3.0, 0.0, 0.0], "bbb": [0.0, 4.0, 0.0]})
         vec = compose(["aaa", "bbb"], store)
         assert not vec.is_null
-        assert vec.n_known == 2
         assert np.allclose(vec.values, [0.6, 0.8, 0.0])
         assert math.isclose(float(np.linalg.norm(vec.values)), 1.0, rel_tol=1e-12)
 
@@ -94,23 +89,21 @@ class TestCompose:
     def test_normalize_words_flag(self):
         # Per-word normalization equalizes the long vector's pull:
         # raw sum (10,1)/norm vs unit sum (1,1)/sqrt(2).
-        store = _store({"big": [10.0, 0.0, 0.0], "sml": [0.0, 1.0, 0.0]})
-        raw = compose(["big", "sml"], store)
-        unit = compose(["big", "sml"], store, normalize_words=True)
+        vectors = {"big": [10.0, 0.0, 0.0], "sml": [0.0, 1.0, 0.0]}
+        raw = compose(["big", "sml"], _store(vectors))
+        unit = compose(["big", "sml"], _store(vectors, normalize_words=True))
         assert np.allclose(raw.values, np.array([10.0, 1.0, 0.0]) / math.sqrt(101.0))
         assert np.allclose(unit.values, [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0])
 
     def test_skip_policy_ignores_oov(self):
         store = _store({"aaa": [1.0, 0.0, 0.0]})
         vec = compose(["aaa", "missing"], store)
-        assert vec.n_known == 1
         assert np.allclose(vec.values, [1.0, 0.0, 0.0])
 
     def test_all_oov_is_null_under_skip(self):
         store = _store({"aaa": [1.0, 0.0, 0.0]})
         vec = compose(["missing", "also"], store)
         assert vec.is_null
-        assert vec.n_known == 0
         assert np.array_equal(vec.values, np.zeros(3))
 
     def test_cancelling_sum_is_null(self):
@@ -122,8 +115,8 @@ class TestCompose:
             compose([], _store({}))
 
     def test_zero_vector_word_skipped_under_normalize_words(self):
-        store = _store({"zero": [0.0, 0.0, 0.0], "aaa": [0.0, 2.0, 0.0]})
-        vec = compose(["zero", "aaa"], store, normalize_words=True)
+        store = _store({"zero": [0.0, 0.0, 0.0], "aaa": [0.0, 2.0, 0.0]}, normalize_words=True)
+        vec = compose(["zero", "aaa"], store)
         assert np.allclose(vec.values, [0.0, 1.0, 0.0])
 
     def test_worked_fixture_composition(self, fixtures_dir):
@@ -141,7 +134,6 @@ class TestSubwordHash:
         store = _store({}, policy=OovPolicy.SUBWORD_HASH)
         vec = compose(["novelword"], store)
         assert not vec.is_null
-        assert vec.n_known == 0
 
     def test_known_word_still_preferred(self):
         store = _store({"aaa": [1.0, 0.0, 0.0]}, policy=OovPolicy.SUBWORD_HASH)
@@ -191,29 +183,3 @@ class TestSubwordHash:
         again = store._bucket_vector(17)
         assert np.array_equal(first, again)
 
-
-class TestCosine:
-    def _unit(self, values):
-        arr = np.array(values, dtype=float)
-        return ComposedVector(values=arr / np.linalg.norm(arr), n_known=1, is_null=False)
-
-    def test_orthogonal_and_parallel(self):
-        assert cosine(self._unit([1, 0]), self._unit([0, 1])) == 0.0
-        assert cosine(self._unit([1, 0]), self._unit([1, 0])) == 1.0
-        assert cosine(self._unit([1, 0]), self._unit([-1, 0])) == -1.0
-
-    def test_hand_value(self):
-        assert cosine(self._unit([1, 0]), self._unit([1, 1])) == pytest.approx(
-            1.0 / math.sqrt(2.0), abs=1e-12
-        )
-
-    def test_null_rejected(self):
-        null = ComposedVector(values=np.zeros(2), n_known=0, is_null=True)
-        with pytest.raises(ValueError):
-            cosine(null, self._unit([1, 0]))
-        with pytest.raises(ValueError):
-            cosine(self._unit([1, 0]), null)
-
-    def test_dim_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cosine(self._unit([1, 0]), self._unit([1, 0, 0]))

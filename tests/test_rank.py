@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from subevents.corpus import Corpus, Tweet
-from subevents.embed import EmbeddingStore, OovPolicy, load_vectors
+from subevents.embed import EmbeddingStore, compose, load_vectors
 from subevents.errors import InputFormatError
 from subevents.extract import Candidate, CandidateKind
 from subevents.rank import (
     NULL_SCORE,
+    compose_rows,
     load_ontology,
     rank_baseline_overlap,
     rank_candidates,
@@ -46,20 +47,31 @@ def axis_store():
     )
 
 
+class TestComposeRows:
+    def test_rows_are_compose_values_and_mask_marks_nulls(self, axis_store):
+        word_lists = [("north", "east"), ("absent",), ("upww",)]
+        rows, null = compose_rows(word_lists, axis_store)
+        assert rows.shape == (3, 3)
+        assert null.tolist() == [False, True, False]
+        for row, words in zip(rows, word_lists):
+            assert np.array_equal(row, compose(words, axis_store).values)
+
+
 class TestLoadOntology:
     def test_custom_file(self, tmp_path, axis_store):
         path = tmp_path / "terms.txt"
         path.write_text("# crisis terms\nNorth\n\neast mixx\n", encoding="utf-8")
         ontology = load_ontology(path, axis_store)
         assert ontology.terms == ("north", "east mixx")
-        assert len(ontology.usable_indices) == 2
+        assert ontology.usable_terms == ontology.terms
+        assert ontology.matrix.shape == (2, 3)
 
     def test_multiword_term_composes(self, tmp_path, axis_store):
         path = tmp_path / "terms.txt"
         path.write_text("north east\n", encoding="utf-8")
         ontology = load_ontology(path, axis_store)
         expected = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-        assert np.allclose(ontology.term_vectors[0].values, expected)
+        assert np.allclose(ontology.matrix[0], expected)
 
     def test_empty_file_fatal(self, tmp_path, axis_store):
         path = tmp_path / "terms.txt"
@@ -78,7 +90,8 @@ class TestLoadOntology:
         path.write_text("north\nabsent\n", encoding="utf-8")
         ontology = load_ontology(path, axis_store)
         assert len(ontology) == 2
-        assert ontology.usable_indices == (0,)
+        assert ontology.usable_terms == ("north",)
+        assert np.array_equal(ontology.matrix, [[1.0, 0.0, 0.0]])
 
     def test_bundled_list_loads(self, fixtures_dir):
         store = load_vectors(fixtures_dir / "worked_vectors.txt")
