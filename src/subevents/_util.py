@@ -7,9 +7,10 @@ import csv
 import hashlib
 import json
 import reprlib
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TypeVar
+from typing import TextIO, TypeVar
 
 from .errors import InputFormatError
 
@@ -41,6 +42,18 @@ def format_float(value: float) -> str:
     return repr(float(value))
 
 
+@contextmanager
+def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """Open an input file as UTF-8 text; bytes that are not UTF-8, met
+    anywhere inside the ``with`` block, raise InputFormatError naming the
+    path (with no line: the text layer decodes in blocks)."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def write_table(
     path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]
 ) -> None:
@@ -64,7 +77,7 @@ def read_table(
     bytes that are not UTF-8 raise it naming the path.
     """
     parsed = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh, strict=True)
         start = 1  # first line of the record being read
         try:
@@ -85,8 +98,6 @@ def read_table(
                 start = reader.line_num + 1
         except csv.Error as exc:
             raise InputFormatError(f"{path}:{start}: {exc}") from exc
-        except UnicodeDecodeError as exc:  # decoded in blocks, so no line number
-            raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from exc
     return parsed
 
 

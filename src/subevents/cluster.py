@@ -104,20 +104,20 @@ def eig_topk(matrix: np.ndarray, k: int) -> list[tuple[float, np.ndarray]]:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     values, vectors = np.linalg.eigh(m)
     order = np.argsort(-values, kind="stable")[:k]
+    top_values = values[order]
+    top = vectors[:, order]
+    cols = np.arange(k)
+    flip = top[np.argmax(np.abs(top), axis=0), cols] < 0.0
+    top[:, flip] = -top[:, flip]
+    # All k residuals from one matrix product; they only gate the result.
+    residuals = np.linalg.norm(m @ top - top * top_values, axis=0)
     bound = EIG_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(m)))
-    pairs = []
-    for idx in order:
-        value = float(values[idx])
-        vector = vectors[:, idx].copy()
-        if vector[int(np.argmax(np.abs(vector)))] < 0.0:
-            vector = -vector
-        residual = float(np.linalg.norm(m @ vector - value * vector))
-        if residual > bound:
-            raise ArithmeticError(
-                f"eigenpair residual {residual:.3e} exceeds bound {bound:.3e}"
-            )
-        pairs.append((value, vector))
-    return pairs
+    worst = int(np.argmax(residuals))
+    if residuals[worst] > bound:
+        raise ArithmeticError(
+            f"eigenpair residual {residuals[worst]:.3e} exceeds bound {bound:.3e}"
+        )
+    return [(float(top_values[i]), top[:, i].copy()) for i in cols]
 
 
 def kmeans(
@@ -156,15 +156,20 @@ def kmeans(
     history: list[float] = []
     labels = np.zeros(n, dtype=np.int64)
     prev = np.inf
+    # Squared distances to one center at a time: each entry sums the same d
+    # contiguous squares in the same order as a full (n, k, d) difference
+    # would, without that n * k * d temporary.
+    dists = np.empty((n, k), dtype=np.float64)
     for _ in range(max_iter):
-        dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        for c in range(k):
+            dists[:, c] = ((pts - centers[c]) ** 2).sum(axis=1)
         labels = np.argmin(dists, axis=1)
-        inertia = float(dists[np.arange(n), labels].sum())
+        contributions = dists[np.arange(n), labels]
+        inertia = float(contributions.sum())
         history.append(inertia)
         if np.isfinite(prev) and prev - inertia <= tol * max(prev, 1e-12):
             break
         prev = inertia
-        contributions = dists[np.arange(n), labels]
         taken: set[int] = set()
         for c in range(k):
             members = pts[labels == c]
@@ -228,13 +233,17 @@ def spectral_cluster(
     elif k_rem == 1:
         sub_labels = np.zeros(len(connected), dtype=np.int64)
     else:
-        sub = affinity.entries[np.ix_(connected, connected)]
+        if len(isolated):
+            sub = affinity.entries[np.ix_(connected, connected)]
+        else:
+            sub = affinity.entries
         deg = sub.sum(axis=1)
         if normalized:
             inv_sqrt = 1.0 / np.sqrt(deg)
-            scaled = inv_sqrt[:, None] * sub * inv_sqrt[None, :]
+            scaled = sub * inv_sqrt[:, None]
+            scaled *= inv_sqrt[None, :]
             upper = np.triu(scaled, 1)
-            pairs = eig_topk(upper + upper.T, k_rem)
+            pairs = eig_topk(np.add(upper, upper.T, out=scaled), k_rem)
             embedding = np.stack([vec for _, vec in pairs], axis=1)
             row_norms = np.linalg.norm(embedding, axis=1)
             nonzero = row_norms > 0.0

@@ -23,6 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
+from ._util import open_text
 from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
@@ -151,7 +152,7 @@ def load_corpus(path: str | Path, label_mode: LabelMode = LabelMode.UNLABELED) -
     tweets: list[Tweet] = []
     skipped = 0
     total = 0
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -207,7 +208,8 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     if path is None:
         text = resources.files("subevents.data").joinpath("stopwords.txt").read_text("utf-8")
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        with open_text(path) as fh:
+            text = fh.read()
     words = set()
     for line in text.splitlines():
         word = line.strip()
@@ -325,7 +327,7 @@ def load_parses(path: str | Path) -> dict[str, DependencyParse]:
         current_id = None
         nodes = []
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line:

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import fnv1a_32
+from ._util import fnv1a_32, open_text
 from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
@@ -26,6 +26,8 @@ logger = logging.getLogger(__name__)
 SUBWORD_MIN_GRAM = 3
 SUBWORD_MAX_GRAM = 6
 DEFAULT_BUCKETS = 1 << 16
+# Vector rows handed to numpy's text parser at a time.
+VECTOR_BLOCK_ROWS = 64
 
 
 class OovPolicy(Enum):
@@ -98,10 +100,10 @@ def load_vectors(
     """Load word2vec-text-format vectors.
 
     Rows whose arity disagrees with the declared dimension, or containing
-    non-finite components, are rejected with a warning; a duplicate word
-    keeps the first row. A malformed header is fatal.
+    non-numeric or non-finite components, are rejected with a warning; a
+    duplicate word keeps the first row. A malformed header is fatal.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         try:
             declared, dim = int(header[0]), int(header[1])
@@ -112,33 +114,73 @@ def load_vectors(
         if len(header) != 2 or declared < 0 or dim < 1:
             raise InputFormatError(f"{path}: invalid header {header!r}")
         vectors: dict[str, np.ndarray] = {}
+        block: list[tuple[int, list[str]]] = []
         for lineno, line in enumerate(fh, start=2):
             parts = line.split()
-            if not parts:
-                continue
-            word, raw_values = parts[0], parts[1:]
-            if len(raw_values) != dim:
-                logger.warning(
-                    "%s:%d: rejecting row for %r (%d values, expected %d)",
-                    path, lineno, word, len(raw_values), dim,
-                )
-                continue
-            try:
-                values = np.array([float(v) for v in raw_values])
-            except ValueError:
-                logger.warning("%s:%d: rejecting row for %r (non-numeric)", path, lineno, word)
-                continue
-            if not np.all(np.isfinite(values)):
-                logger.warning("%s:%d: rejecting row for %r (non-finite)", path, lineno, word)
-                continue
-            if word in vectors:
-                logger.warning("%s:%d: duplicate word %r, keeping first", path, lineno, word)
-                continue
-            vectors[word] = values
+            if parts:
+                block.append((lineno, parts))
+            if len(block) == VECTOR_BLOCK_ROWS:
+                _add_rows(vectors, block, dim, path)
+                block = []
+        _add_rows(vectors, block, dim, path)
     if declared != len(vectors):
         logger.info("%s: header declared %d words, loaded %d", path, declared, len(vectors))
     return EmbeddingStore(dim=dim, vectors=vectors, oov_policy=oov_policy,
                           hash_seed=hash_seed, normalize_words=normalize_words)
+
+
+def _block_values(rows: list[list[str]], dim: int) -> np.ndarray | None:
+    """The values of `rows` (each a word and `dim` value tokens) as one
+    (len(rows), dim) array read by numpy's C text parser, or None when it
+    rejects any token.
+
+    That parser rounds correctly, like `float()`, but accepts less: no
+    underscores and no non-ASCII digits. A rejected block is therefore
+    parsed again row by row with `float()`. Joining the tokens with single
+    spaces keeps its column split equal to `str.split()`.
+    """
+    try:
+        values = np.loadtxt([" ".join(parts[1:]) for parts in rows],
+                            dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return values if values.shape == (len(rows), dim) else None
+
+
+def _add_rows(
+    vectors: dict[str, np.ndarray], block: list[tuple[int, list[str]]], dim: int, path: str | Path
+) -> None:
+    """Store the accepted rows of one block of (lineno, split line), warning
+    about each rejected row in line order."""
+    sized = [parts for _, parts in block if len(parts) == dim + 1]
+    parsed = _block_values(sized, dim) if sized else None
+    finite = np.isfinite(parsed).all(axis=1) if parsed is not None else None
+    row = -1
+    for lineno, parts in block:
+        word = parts[0]
+        if len(parts) != dim + 1:
+            logger.warning(
+                "%s:%d: rejecting row for %r (%d values, expected %d)",
+                path, lineno, word, len(parts) - 1, dim,
+            )
+            continue
+        row += 1
+        if parsed is not None:
+            values, is_finite = parsed[row], finite[row]
+        else:
+            try:
+                values = np.array([float(v) for v in parts[1:]])
+            except ValueError:
+                logger.warning("%s:%d: rejecting row for %r (non-numeric)", path, lineno, word)
+                continue
+            is_finite = np.all(np.isfinite(values))
+        if not is_finite:
+            logger.warning("%s:%d: rejecting row for %r (non-finite)", path, lineno, word)
+            continue
+        if word in vectors:
+            logger.warning("%s:%d: duplicate word %r, keeping first", path, lineno, word)
+            continue
+        vectors[word] = values
 
 
 def compose(words: Sequence[str], store: EmbeddingStore) -> ComposedVector:

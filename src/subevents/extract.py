@@ -17,7 +17,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from ._util import read_table, write_table
+from ._util import open_text, read_table, write_table
 from .corpus import Corpus, ParseNode, TokenCleaner, Tweet, clean_token
 from .errors import InputFormatError
 
@@ -129,7 +129,8 @@ def load_pos_lexicon(path: str | Path | None = None) -> dict[str, frozenset[str]
         text = resources.files("subevents.data").joinpath("pos_lexicon.txt").read_text("utf-8")
         path = "<bundled lexicon>"
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        with open_text(path) as fh:
+            text = fh.read()
     lexicon: dict[str, frozenset[str]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

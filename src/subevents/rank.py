@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import format_float, read_table, write_table
+from ._util import format_float, open_text, read_table, write_table
 from .corpus import Corpus
 from .embed import EmbeddingStore, compose
 from .errors import InputFormatError
@@ -77,7 +77,8 @@ def load_ontology(path: str | Path | None, store: EmbeddingStore) -> Ontology:
         text = resources.files("subevents.data").joinpath("moac_terms.txt").read_text("utf-8")
         path = "<bundled term list>"
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        with open_text(path) as fh:
+            text = fh.read()
     terms = []
     for line in text.splitlines():
         term = line.strip().lower()

@@ -149,3 +149,50 @@ def brute_force_confusion(tweets, candidates, k):
             fp += matched
             tn += not matched
     return tp, fp, fn, tn
+
+
+def reference_kmeans(points, k: int, seed: int, max_iter: int = 300, tol: float = 1e-6):
+    """Lloyd iterations from k-means++ seeding with one (n, k, d) difference
+    array per assignment: the package's k-means as first written.
+
+    Not independent: it makes the same random draws and the same float
+    operations as `subevents.cluster.kmeans`, so the two must agree
+    bit for bit; only the assignment step's memory layout differs.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = pts.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, pts.shape[1]), dtype=np.float64)
+    centers[0] = pts[int(rng.integers(n))]
+    nearest_sq = ((pts - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = float(nearest_sq.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=nearest_sq / total))
+        centers[c] = pts[idx]
+        nearest_sq = np.minimum(nearest_sq, ((pts - centers[c]) ** 2).sum(axis=1))
+    history = []
+    labels = np.zeros(n, dtype=np.int64)
+    prev = math.inf
+    for _ in range(max_iter):
+        dists = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(dists, axis=1)
+        inertia = float(dists[np.arange(n), labels].sum())
+        history.append(inertia)
+        if math.isfinite(prev) and prev - inertia <= tol * max(prev, 1e-12):
+            break
+        prev = inertia
+        contributions = dists[np.arange(n), labels]
+        taken: set[int] = set()
+        for c in range(k):
+            members = pts[labels == c]
+            if len(members):
+                centers[c] = members.mean(axis=0)
+                continue
+            order = np.argsort(-contributions, kind="stable")
+            far = next(int(i) for i in order if int(i) not in taken)
+            taken.add(far)
+            centers[c] = pts[far]
+    return labels, centers, history

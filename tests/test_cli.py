@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,27 @@ class TestExitCodes:
         bad.write_text("not a header\n", encoding="utf-8")
         code, _, _ = run_cli("rank", "--config", cfg, "--paths.vectors", str(bad))
         assert code == 2
+
+    @pytest.mark.parametrize("key, bundled", [
+        ("corpus_unlabeled", None), ("corpus_labeled", None), ("parses", None),
+        ("vectors", None), ("ontology", None),
+        ("stopwords", "stopwords.txt"), ("lexicon", "pos_lexicon.txt"),
+    ])
+    def test_non_utf8_input_names_the_file(self, run_cli, tmp_path, write_config,
+                                           pipeline_config_dict, key, bundled):
+        if bundled is None:
+            text = Path(pipeline_config_dict["paths"][key]).read_bytes()
+        else:
+            text = resources.files("subevents.data").joinpath(bundled).read_bytes()
+        bad = tmp_path / f"latin1_{key}.txt"
+        bad.write_bytes(text + "caf\u00e9\n".encode("latin-1"))
+        cfg_dict = json.loads(json.dumps(pipeline_config_dict))
+        cfg_dict["paths"][key] = str(bad)
+        code, _, err = run_cli("pipeline", "--config", write_config(cfg_dict, tmp_path / "out"))
+        assert code == 2
+        assert err.startswith(f"error: {bad}: not UTF-8 text: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_pipeline_requires_cluster_k(self, run_cli, tmp_path, write_config, pipeline_config_dict):
         cfg_dict = json.loads(json.dumps(pipeline_config_dict))

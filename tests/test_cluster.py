@@ -1,8 +1,11 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from subevents.cluster import (
@@ -233,6 +236,37 @@ class TestKmeans:
             kmeans(pts, 0, seed=0)
         with pytest.raises(ValueError):
             kmeans(pts, 4, seed=0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 6)),
+        k_frac=st.floats(0.0, 1.0),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        coarse=st.booleans(),
+    )
+    def test_matches_reference_bit_for_bit(self, shape, k_frac, data_seed, seed, coarse):
+        rng = np.random.default_rng(data_seed)
+        pts = rng.normal(size=shape)
+        if coarse:  # repeated points and tied distances
+            pts = np.round(pts)
+        k = 1 + int(k_frac * (shape[0] - 1))
+        labels, centers, history = kmeans(pts, k, seed)
+        ref_labels, ref_centers, ref_history = oracles.reference_kmeans(pts, k, seed)
+        assert np.array_equal(labels, ref_labels)
+        assert np.array_equal(centers, ref_centers)
+        assert history == ref_history
+
+    def test_assignment_memory_is_not_n_k_d(self):
+        n, d, k = 2000, 64, 64
+        pts = np.random.default_rng(3).normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            kmeans(pts, k, seed=0, max_iter=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * k * d * 8 / 10
 
 
 class TestSpectralCluster:

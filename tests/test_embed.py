@@ -1,8 +1,12 @@
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from subevents import embed
 from subevents.embed import EmbeddingStore, OovPolicy, compose, load_vectors
 from subevents.errors import InputFormatError
 
@@ -70,6 +74,95 @@ class TestLoadVectors:
         store = load_vectors(fixtures_dir / "worked_vectors.txt")
         assert store.dim == 8
         assert "waterborne" in store
+
+
+def _reference_load(path):
+    """The loader as first written: every value parsed by `float()`, one row
+    at a time. Takes a valid header; returns (dim, vectors, warning
+    messages)."""
+    warnings = []
+    with open(path, encoding="utf-8") as fh:
+        dim = int(fh.readline().split()[1])
+        vectors = {}
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.split()
+            if not parts:
+                continue
+            word, raw_values = parts[0], parts[1:]
+            if len(raw_values) != dim:
+                warnings.append(f"{path}:{lineno}: rejecting row for {word!r} "
+                                f"({len(raw_values)} values, expected {dim})")
+                continue
+            try:
+                values = np.array([float(v) for v in raw_values])
+            except ValueError:
+                warnings.append(f"{path}:{lineno}: rejecting row for {word!r} (non-numeric)")
+                continue
+            if not np.all(np.isfinite(values)):
+                warnings.append(f"{path}:{lineno}: rejecting row for {word!r} (non-finite)")
+                continue
+            if word in vectors:
+                warnings.append(f"{path}:{lineno}: duplicate word {word!r}, keeping first")
+                continue
+            vectors[word] = values
+    return dim, vectors, warnings
+
+
+# Tokens numpy's C parser rejects but float() reads (underscores, non-ASCII
+# digits), ones both reject, non-finite ones, and plain numbers.
+ODD_TOKENS = ["x1", "1_0", "\u0661\u0662", "\uff11", "nan", "inf", "-inf", "1e999", "#", "-0.0", ""]
+TOKENS = st.sampled_from(ODD_TOKENS) | st.floats().map(repr) | st.integers(-99, 99).map(str)
+SEPARATORS = st.sampled_from([" ", "\t", "  ", "\xa0", "\u2003", "\u3000", "\x0c", "\x1f", "\r"])
+WORDS = st.sampled_from(["flood", "fire", "x1", "#", "\u0661", "caf\u00e9"])
+
+
+@st.composite
+def vector_files(draw):
+    dim = draw(st.integers(1, 4))
+    lines = [f"{draw(st.integers(0, 9))} {dim}"]
+    for _ in range(draw(st.integers(0, 30))):
+        n_values = draw(st.sampled_from([dim, dim, dim, dim - 1, dim + 1]))
+        fields = [draw(WORDS)] + [draw(TOKENS) for _ in range(n_values)]
+        line = draw(SEPARATORS).join(fields) if draw(st.booleans()) else " ".join(fields)
+        lines.append(line if draw(st.integers(0, 9)) else draw(st.sampled_from(["", " \t"])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+@pytest.fixture(scope="module")
+def vector_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("vectors")
+
+
+class TestLoadVectorsProperties:
+    @pytest.mark.parametrize("block_rows", [3, embed.VECTOR_BLOCK_ROWS])
+    @settings(deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=vector_files())
+    def test_same_as_per_row_reference(self, text, block_rows, vector_dir, caplog, monkeypatch):
+        monkeypatch.setattr(embed, "VECTOR_BLOCK_ROWS", block_rows)
+        path = vector_dir / "v.txt"
+        path.write_bytes(text.encode("utf-8"))
+        caplog.clear()
+        caplog.set_level(logging.WARNING, logger="subevents.embed")
+        dim, vectors, warnings = _reference_load(path)
+        store = load_vectors(path)
+        assert store.dim == dim
+        assert list(store.vectors) == list(vectors)
+        for word, values in vectors.items():
+            got = store.vectors[word]
+            assert got.dtype == np.float64 and got.shape == (dim,)
+            assert got.tobytes() == values.tobytes()
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == warnings
+
+    @settings(deadline=None)
+    @given(data=st.binary() | st.binary().map(lambda b: b"2 2\nflood " + b))
+    def test_any_bytes_load_or_raise_input_format_error(self, data, vector_dir):
+        path = vector_dir / "v.txt"
+        path.write_bytes(data)
+        try:
+            load_vectors(path)
+        except InputFormatError:
+            pass
 
 
 class TestCompose:
