@@ -31,7 +31,7 @@ from .corpus import (
 )
 from .embed import ComposedVector, EmbeddingStore, OovPolicy, compose, load_vectors
 from .errors import ConfigError, InputFormatError, SubeventsError
-from .evaluate import MatchIndex, MetricsPoint, RocCurve, evaluate_at_k, roc_points, tweet_matches
+from .evaluate import MatchIndex, MetricsPoint, RocCurve, evaluate_at_k, roc_points
 from .extract import (
     Candidate,
     CandidateKind,
@@ -95,6 +95,5 @@ __all__ = [
     "spectral_cluster",
     "summarize_clusters",
     "top_k",
-    "tweet_matches",
     "__version__",
 ]

@@ -1,5 +1,6 @@
-"""Small shared helpers: deterministic hashing, float formatting, and the
-framing of the CSV and JSON artifacts the stages hand to each other."""
+"""Small shared helpers: deterministic hashing, float formatting, the
+decoding and line framing of input files, and the framing of the CSV and
+JSON artifacts the stages hand to each other."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import json
 import reprlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
+from importlib import resources
 from pathlib import Path
 from typing import TextIO, TypeVar
 
@@ -52,6 +54,27 @@ def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
             yield fh
         except UnicodeDecodeError as exc:
             raise InputFormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def read_list_file(
+    path: str | Path | None, bundled: str, bundled_name: str
+) -> tuple[str | Path, list[tuple[int, str]]]:
+    """The entries of a one-entry-per-line list file and the name to report
+    it by: (lineno, stripped line) for each line that is neither blank nor
+    a '#' comment. With no path, the bundled data file `bundled` is read
+    and reported as `bundled_name`."""
+    if path is None:
+        text = resources.files("subevents.data").joinpath(bundled).read_text("utf-8")
+        path = bundled_name
+    else:
+        with open_text(path) as fh:
+            text = fh.read()
+    entries = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            entries.append((lineno, line))
+    return path, entries
 
 
 def write_table(

@@ -149,8 +149,7 @@ def _require_artifact(out_dir: Path, name: str, producer: str) -> Path:
 
 
 def _load_combined_corpus(cfg: PipelineConfig, stopwords: frozenset[str]) -> Corpus:
-    """Unlabeled corpus with the labeled corpus appended, preprocessed, and
-    (when configured) with dependency parses attached."""
+    """Unlabeled corpus with the labeled corpus appended and preprocessed."""
     paths = cfg.paths
     if not paths.corpus_unlabeled and not paths.corpus_labeled:
         raise ConfigError("set paths.corpus_unlabeled and/or paths.corpus_labeled")
@@ -164,10 +163,7 @@ def _load_combined_corpus(cfg: PipelineConfig, stopwords: frozenset[str]) -> Cor
         before = len(corpus)
         corpus = dedupe_corpus(corpus)
         logger.info("dedupe removed %d duplicate tweets", before - len(corpus))
-    corpus = preprocess_corpus(corpus, stopwords)
-    if paths.parses:
-        corpus = attach_parses(corpus, load_parses(paths.parses))
-    return corpus
+    return preprocess_corpus(corpus, stopwords)
 
 
 def _load_store(cfg: PipelineConfig) -> EmbeddingStore:
@@ -190,6 +186,8 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
         )
     stopwords = load_stopwords(cfg.paths.stopwords)
     corpus = _load_combined_corpus(cfg, stopwords)
+    if cfg.paths.parses:
+        corpus = attach_parses(corpus, load_parses(cfg.paths.parses))
     nv = count_nv_pairs(corpus.tweets, stopwords, lexicon)
     if cfg.paths.parses and nv.parsed == 0:
         logger.warning("no tweet id in the corpus matched the parse file %s", cfg.paths.parses)

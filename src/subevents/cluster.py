@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import write_json
+from ._util import open_text, write_json
 from .errors import InputFormatError
 from .rank import RankedCandidate
 
@@ -97,7 +97,9 @@ def eig_topk(matrix: np.ndarray, k: int) -> list[tuple[float, np.ndarray]]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
+    # The exact test is cheap and passes for the mirrored matrices
+    # spectral_cluster builds; only a near-symmetric input pays for allclose.
+    if not np.array_equal(m, m.T) and not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
         raise ValueError("matrix must be symmetric")
     n = m.shape[0]
     if not 1 <= k <= n:
@@ -214,8 +216,6 @@ def spectral_cluster(
         raise ValueError("k must be >= 2")
     if k > n:
         raise ValueError(f"k={k} exceeds the {n} candidates")
-    if k == n:
-        return ClusterAssignment(k=k, labels=tuple(range(n)))
 
     degrees = affinity.entries.sum(axis=1)
     isolated = np.flatnonzero(degrees == 0.0)
@@ -223,7 +223,8 @@ def spectral_cluster(
     k_rem = k - len(isolated)
     if len(isolated):
         logger.info("%d zero-degree candidates become singleton clusters", len(isolated))
-    if k_rem < 1:
+    # With k == n every row is its own cluster, even when all are isolated.
+    if k_rem < 1 and k < n:
         raise ValueError(
             f"{len(isolated)} isolated candidates already exceed k={k}; raise k"
         )
@@ -315,7 +316,7 @@ def write_clusters(summaries: list[dict], path: str | Path) -> None:
 
 
 def read_clusters(path: str | Path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
+from ._util import open_text
 from .embed import OovPolicy
-from .errors import ConfigError
+from .errors import ConfigError, InputFormatError
 from .evaluate import MATCH_MODES
 from .rank import DISCOUNTS
 
@@ -208,12 +209,14 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 def load_config(path: str | Path) -> PipelineConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except InputFormatError as exc:
+        raise ConfigError(f"config {exc}") from exc
     return config_from_dict(data)
 
 

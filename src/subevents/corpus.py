@@ -19,11 +19,10 @@ import string
 import unicodedata
 from dataclasses import dataclass, replace
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
-from ._util import open_text
+from ._util import open_text, read_list_file
 from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
@@ -159,7 +158,7 @@ def load_corpus(path: str | Path, label_mode: LabelMode = LabelMode.UNLABELED) -
             total += 1
             try:
                 tweets.append(_parse_line(line, label_mode))
-            except (json.JSONDecodeError, ValueError) as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
                 skipped += 1
                 logger.warning("%s:%d: skipping malformed line (%s)", path, lineno, exc)
     if total > 0 and skipped * 2 > total:
@@ -173,7 +172,9 @@ def load_corpus(path: str | Path, label_mode: LabelMode = LabelMode.UNLABELED) -
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """Serialize (id, text, label) back to JSON Lines; inverse of load_corpus."""
-    with open(path, "w", encoding="utf-8") as fh:
+    # A lone surrogate (load_corpus reads one from a "\ud800" escape) has no
+    # UTF-8 form; backslashreplace writes it back as that same JSON escape.
+    with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
         for tweet in corpus.tweets:
             obj: dict = {"id": tweet.id, "text": tweet.raw_text}
             if tweet.label is not Label.UNLABELED:
@@ -205,17 +206,8 @@ def concat_corpora(*corpora: Corpus) -> Corpus:
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     """Load a stopword list (one word per line, '#' comments); the bundled
     English list is used when no path is given."""
-    if path is None:
-        text = resources.files("subevents.data").joinpath("stopwords.txt").read_text("utf-8")
-    else:
-        with open_text(path) as fh:
-            text = fh.read()
-    words = set()
-    for line in text.splitlines():
-        word = line.strip()
-        if word and not word.startswith("#"):
-            words.add(word.lower())
-    return frozenset(words)
+    _, entries = read_list_file(path, "stopwords.txt", "<bundled stopword list>")
+    return frozenset(word.lower() for _, word in entries)
 
 
 def _is_edge_punct(ch: str) -> bool:

@@ -26,7 +26,7 @@ logger = logging.getLogger(__name__)
 SUBWORD_MIN_GRAM = 3
 SUBWORD_MAX_GRAM = 6
 DEFAULT_BUCKETS = 1 << 16
-# Vector rows handed to numpy's text parser at a time.
+# Vector rows handed to numpy's string-to-float cast at a time.
 VECTOR_BLOCK_ROWS = 64
 
 
@@ -129,22 +129,11 @@ def load_vectors(
                           hash_seed=hash_seed, normalize_words=normalize_words)
 
 
-def _block_values(rows: list[list[str]], dim: int) -> np.ndarray | None:
-    """The values of `rows` (each a word and `dim` value tokens) as one
-    (len(rows), dim) array read by numpy's C text parser, or None when it
-    rejects any token.
-
-    That parser rounds correctly, like `float()`, but accepts less: no
-    underscores and no non-ASCII digits. A rejected block is therefore
-    parsed again row by row with `float()`. Joining the tokens with single
-    spaces keeps its column split equal to `str.split()`.
-    """
-    try:
-        values = np.loadtxt([" ".join(parts[1:]) for parts in rows],
-                            dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        return None
-    return values if values.shape == (len(rows), dim) else None
+def _block_values(rows: list[list[str]]) -> np.ndarray:
+    """The value tokens of `rows` (each a word and then its values) as a
+    float64 array, one row each. numpy's string cast reads every token as
+    `float()` does; a token that is not a number raises ValueError."""
+    return np.array([parts[1:] for parts in rows], dtype=np.float64)
 
 
 def _add_rows(
@@ -153,7 +142,10 @@ def _add_rows(
     """Store the accepted rows of one block of (lineno, split line), warning
     about each rejected row in line order."""
     sized = [parts for _, parts in block if len(parts) == dim + 1]
-    parsed = _block_values(sized, dim) if sized else None
+    try:
+        parsed = _block_values(sized) if sized else None
+    except ValueError:
+        parsed = None  # some row is not numeric: read row by row to find it
     finite = np.isfinite(parsed).all(axis=1) if parsed is not None else None
     row = -1
     for lineno, parts in block:
@@ -169,7 +161,7 @@ def _add_rows(
             values, is_finite = parsed[row], finite[row]
         else:
             try:
-                values = np.array([float(v) for v in parts[1:]])
+                values = _block_values([parts])[0]
             except ValueError:
                 logger.warning("%s:%d: rejecting row for %r (non-numeric)", path, lineno, word)
                 continue

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._util import format_float, read_table, write_table
-from .corpus import Corpus, Label, Tweet
+from .corpus import Corpus, Label
 from .errors import InputFormatError
 from .extract import Candidate, CandidateKind
 from .rank import RankedCandidate
@@ -58,30 +58,6 @@ class RocCurve:
 def _check_mode(name: str, mode: str) -> None:
     if mode not in MATCH_MODES:
         raise ValueError(f"{name} must be one of {MATCH_MODES}, got {mode!r}")
-
-
-def tweet_matches(
-    tweet: Tweet,
-    candidate: Candidate,
-    nv_mode: str = "tokens",
-    phrase_mode: str = "bigram",
-) -> bool:
-    """Whether a preprocessed tweet contains the candidate.
-
-    "tokens" requires both words anywhere in the token set; "bigram"
-    requires (first, second) as an adjacent ordered bigram.
-    """
-    _check_mode("nv_mode", nv_mode)
-    _check_mode("phrase_mode", phrase_mode)
-    mode = nv_mode if candidate.kind is CandidateKind.NOUN_VERB_PAIR else phrase_mode
-    tokens = tweet.tokens
-    if mode == "tokens":
-        present = set(tokens)
-        return candidate.first in present and candidate.second in present
-    return any(
-        tokens[i] == candidate.first and tokens[i + 1] == candidate.second
-        for i in range(len(tokens) - 1)
-    )
 
 
 class MatchIndex:

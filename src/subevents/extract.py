@@ -14,10 +14,9 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
-from ._util import open_text, read_table, write_table
+from ._util import read_list_file, read_table, write_table
 from .corpus import Corpus, ParseNode, TokenCleaner, Tweet, clean_token
 from .errors import InputFormatError
 
@@ -125,17 +124,9 @@ def extract_nv_pairs(tweet: Tweet, stopwords: frozenset[str]) -> list[Candidate]
 def load_pos_lexicon(path: str | Path | None = None) -> dict[str, frozenset[str]]:
     """Load a `word TAB tags` lexicon (tags a subset of {N, V}); the bundled
     small lexicon is used when no path is given."""
-    if path is None:
-        text = resources.files("subevents.data").joinpath("pos_lexicon.txt").read_text("utf-8")
-        path = "<bundled lexicon>"
-    else:
-        with open_text(path) as fh:
-            text = fh.read()
+    path, entries = read_list_file(path, "pos_lexicon.txt", "<bundled lexicon>")
     lexicon: dict[str, frozenset[str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in entries:
         parts = line.split("\t")
         if len(parts) != 2 or not set(parts[1]) <= {"N", "V"}:
             raise InputFormatError(f"{path}:{lineno}: expected 'word<TAB>tags' with tags in {{N,V}}")

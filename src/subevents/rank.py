@@ -12,12 +12,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from ._util import format_float, open_text, read_table, write_table
+from ._util import format_float, read_list_file, read_table, write_table
 from .corpus import Corpus
 from .embed import EmbeddingStore, compose
 from .errors import InputFormatError
@@ -73,17 +72,8 @@ def load_ontology(path: str | Path | None, store: EmbeddingStore) -> Ontology:
     The bundled crisis term list is used when no path is given. Zero usable
     (non-null) terms is fatal.
     """
-    if path is None:
-        text = resources.files("subevents.data").joinpath("moac_terms.txt").read_text("utf-8")
-        path = "<bundled term list>"
-    else:
-        with open_text(path) as fh:
-            text = fh.read()
-    terms = []
-    for line in text.splitlines():
-        term = line.strip().lower()
-        if term and not term.startswith("#"):
-            terms.append(term)
+    path, entries = read_list_file(path, "moac_terms.txt", "<bundled term list>")
+    terms = [term.lower() for _, term in entries]
     if not terms:
         raise InputFormatError(f"{path}: no terms found")
     rows, null = compose_rows([term.split() for term in terms], store)

@@ -151,6 +151,17 @@ def brute_force_confusion(tweets, candidates, k):
     return tp, fp, fn, tn
 
 
+def tweet_matches(tokens, kind, first, second, nv_mode="tokens", phrase_mode="bigram"):
+    """Reference match of one candidate against one tweet's tokens by a
+    direct scan. `kind` is "nv" or "phrase" and picks the mode: "tokens"
+    needs both words anywhere in the tweet, "bigram" needs (first, second)
+    as an adjacent ordered pair."""
+    mode = nv_mode if kind == "nv" else phrase_mode
+    if mode == "tokens":
+        return first in tokens and second in tokens
+    return any(tokens[i] == first and tokens[i + 1] == second for i in range(len(tokens) - 1))
+
+
 def reference_kmeans(points, k: int, seed: int, max_iter: int = 300, tol: float = 1e-6):
     """Lloyd iterations from k-means++ seeding with one (n, k, d) difference
     array per assignment: the package's k-means as first written.

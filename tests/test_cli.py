@@ -49,6 +49,15 @@ class TestExitCodes:
         code, _, _ = run_cli("extract", "--config", str(path))
         assert code == 1
 
+    def test_non_utf8_config_names_the_file(self, run_cli, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes('{"cluster": {"k": 8}, "x": "caf\u00e9"}'.encode("latin-1"))
+        code, _, err = run_cli("extract", "--config", str(path))
+        assert code == 1
+        assert err.startswith(f"error: config {path}: not UTF-8 text: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_invalid_override_value(self, run_cli, tmp_path):
         code, _, _ = run_cli("extract", "--cluster.k", "many")
         assert code == 1
@@ -252,6 +261,19 @@ class TestStagedFlow:
         assert ranked
         assert all(rc.best_term is None for rc in ranked)
         assert all(rc.score >= 0.0 for rc in ranked)
+
+    def test_baseline_rank_reads_no_parses(self, run_cli, tmp_path, write_config,
+                                           pipeline_config_dict, monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_config(pipeline_config_dict, out)
+        assert run_cli("extract", "--config", cfg)[0] == 0
+
+        def no_parses(path):
+            raise AssertionError(f"baseline rank loaded parses from {path}")
+
+        monkeypatch.setattr("subevents.cli.load_parses", no_parses)
+        code, _, err = run_cli("rank", "--config", cfg, "--rank.method", "baseline")
+        assert code == 0, err
 
     def test_extract_reports_nv_sources(self, run_cli, tmp_path, write_config,
                                         pipeline_config_dict):

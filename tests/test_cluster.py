@@ -168,6 +168,12 @@ class TestEigTopk:
         basis = np.stack([vec for _, vec in pairs], axis=1)
         assert np.allclose(np.abs(basis), np.eye(4), atol=1e-12)
 
+    def test_symmetric_within_tolerance_accepted(self):
+        m = np.array([[2.0, 1.0], [1.0 + 1e-13, 2.0]])
+        assert not np.array_equal(m, m.T)
+        values = [value for value, _ in eig_topk(m, 2)]
+        assert values == pytest.approx([3.0, 1.0], abs=1e-12)
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             eig_topk(np.zeros((2, 3)), 1)
@@ -313,6 +319,12 @@ class TestSpectralCluster:
         vectors, _ = block_vectors(sizes=(2, 2))
         assignment = spectral_cluster(build_affinity(vectors), k=4, seed=0)
         assert assignment.labels == (0, 1, 2, 3)
+        # One row orthogonal to the rest, and then every row isolated.
+        with_isolated = [unit([1, 0], dim=4), unit([0, 0, 0, 1], dim=4), unit([1, 0.1], dim=4)]
+        assignment = spectral_cluster(build_affinity(with_isolated), k=3, seed=0)
+        assert assignment.labels == (0, 1, 2)
+        assignment = spectral_cluster(build_affinity(np.eye(3)), k=3, seed=0)
+        assert assignment.labels == (0, 1, 2)
 
     def test_zero_degree_rows_become_singletons(self):
         vectors = [
@@ -441,4 +453,10 @@ class TestSummaries:
             read_clusters(path)
         path.write_text(json.dumps([{"cluster_id": 0}]), encoding="utf-8")
         with pytest.raises(InputFormatError):
+            read_clusters(path)
+
+    def test_read_rejects_non_utf8_naming_the_file(self, tmp_path):
+        path = tmp_path / "clusters.json"
+        path.write_bytes('[{"cluster_id": 0, "members": [], "medoid": "caf\u00e9"}]'.encode("latin-1"))
+        with pytest.raises(InputFormatError, match=f"{path}: not UTF-8 text"):
             read_clusters(path)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subevents.corpus import (
@@ -438,3 +438,69 @@ def test_validate_matches_brute_force_walk(heads):
         with pytest.raises(ValueError) as info:
             DependencyParse(nodes=nodes).validate()
         assert str(info.value) == expected
+
+
+@pytest.fixture(scope="module")
+def reader_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers")
+
+
+def _lines(*lines):
+    """Bytes that are either arbitrary or lines drawn from `lines` (text
+    made into UTF-8) and short arbitrary runs, so structure and junk both
+    occur."""
+    return st.binary() | st.lists(
+        st.sampled_from([line.encode("utf-8") for line in lines]) | st.binary(max_size=8),
+        max_size=12,
+    ).map(b"\n".join)
+
+
+CORPUS_BYTES = _lines(
+    '{"id": "1", "text": "flood rising"}', '{"id": "2", "text": "x", "label": "informative"}',
+    '{"id": "3", "text": "x", "label": "nope"}', '{"id": "4", "text": "\\ude00 \\\\ud800"}',
+    '{"id": "5", "text": "caf\u00e9\\r\u2028"}', '{"id": 1}', "[]", "{", "", " ",
+)
+PARSE_BYTES = _lines(
+    "# tweet_id = a", "# tweet_id = b", "# tweet_id", "#", "", " ", "\t\t\t\t\t\t",
+    "1\tflood\tflood\tNOUN\t_\t_\t0\troot\t_\t_", "1\tx\t_\tNOUN\t_\t_\t-1",
+    "2\trise\trise\tVERB\t_\t_\t1\tdep\t_\t_", "2\tx\t_\tVERB\t_\t_\t2",
+    "1-2\tx\t_\t_\t_\t_\t_", "1.1\tx\t_\t_\t_\t_\t_", "\u0661\tx\t_\tNOUN\t_\t_\t0",
+    "99999999999999999999\tx\t_\tNOUN\t_\t_\t0",
+)
+
+
+class TestReaderProperties:
+    @settings(deadline=None)
+    @given(rows=st.lists(st.tuples(st.text(), st.text(), st.sampled_from(Label)), max_size=8))
+    def test_corpus_round_trips_through_write_corpus(self, rows, reader_dir):
+        corpus = Corpus(tweets=tuple(
+            Tweet(id=tid, raw_text=text, label=label) for tid, text, label in rows
+        ))
+        path = reader_dir / "round.jsonl"
+        write_corpus(corpus, path)
+        assert load_corpus(path, LabelMode.LABELED) == corpus
+
+    @settings(deadline=None)
+    @given(data=CORPUS_BYTES)
+    @example(data=b"[" * 100_000 + b'\n{"id": "1", "text": "a"}\n{"id": "2", "text": "b"}')
+    def test_corpus_written_back_loads_the_same(self, data, reader_dir):
+        path = reader_dir / "c.jsonl"
+        path.write_bytes(data)
+        try:
+            first = load_corpus(path, LabelMode.LABELED)
+        except InputFormatError:
+            return
+        write_corpus(first, path)
+        assert load_corpus(path, LabelMode.LABELED).tweets == first.tweets
+
+    @settings(deadline=None)
+    @given(data=PARSE_BYTES)
+    def test_parses_load_or_raise_input_format_error(self, data, reader_dir):
+        path = reader_dir / "p.conllu"
+        path.write_bytes(data)
+        try:
+            parses = load_parses(path)
+        except InputFormatError:
+            return
+        for parse in parses.values():
+            parse.validate()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,12 @@ import oracles
 from subevents.corpus import Corpus, Label, Tweet
 from subevents.errors import InputFormatError
 from subevents.evaluate import (
+    MATCH_MODES,
     MatchIndex,
     MetricsPoint,
     evaluate_at_k,
     read_metrics,
     roc_points,
-    tweet_matches,
     write_metrics,
 )
 from subevents.extract import Candidate, CandidateKind
@@ -36,40 +38,46 @@ def tweet(tid, tokens, label=Label.UNLABELED):
     return Tweet(id=tid, raw_text=" ".join(tokens), label=label, tokens=tuple(tokens))
 
 
+def one_tweet_matches(tokens, candidate, nv_mode="tokens", phrase_mode="bigram"):
+    """Whether MatchIndex, built over one labeled tweet, matches the candidate."""
+    index = MatchIndex(Corpus(tweets=(tweet("1", tokens, Label.INFORMATIVE),)))
+    return index.candidate_matches(candidate, nv_mode, phrase_mode) == {0}
+
+
 class TestTweetMatches:
     def test_nv_unordered_containment(self):
-        t = tweet("1", ["blocked", "tree", "road"])
-        assert tweet_matches(t, nv("road", "blocked"))
-        assert tweet_matches(t, nv("blocked", "road"))
-        assert not tweet_matches(t, nv("road", "closed"))
+        t = ["blocked", "tree", "road"]
+        assert one_tweet_matches(t, nv("road", "blocked"))
+        assert one_tweet_matches(t, nv("blocked", "road"))
+        assert not one_tweet_matches(t, nv("road", "closed"))
 
     def test_phrase_requires_ordered_adjacency(self):
-        t = tweet("1", ["storm", "surge", "coming"])
-        assert tweet_matches(t, ph("storm", "surge"))
-        assert tweet_matches(t, ph("surge", "coming"))
-        assert not tweet_matches(t, ph("surge", "storm"))
-        assert not tweet_matches(t, ph("storm", "coming"))
+        t = ["storm", "surge", "coming"]
+        assert one_tweet_matches(t, ph("storm", "surge"))
+        assert one_tweet_matches(t, ph("surge", "coming"))
+        assert not one_tweet_matches(t, ph("surge", "storm"))
+        assert not one_tweet_matches(t, ph("storm", "coming"))
 
     def test_phrase_tokens_mode_override(self):
-        t = tweet("1", ["storm", "surge", "coming"])
-        assert tweet_matches(t, ph("storm", "coming"), phrase_mode="tokens")
+        t = ["storm", "surge", "coming"]
+        assert one_tweet_matches(t, ph("storm", "coming"), phrase_mode="tokens")
 
     def test_nv_bigram_mode_override(self):
-        t = tweet("1", ["blocked", "tree", "road"])
-        assert not tweet_matches(t, nv("road", "blocked"), nv_mode="bigram")
-        assert tweet_matches(t, nv("blocked", "tree"), nv_mode="bigram")
+        t = ["blocked", "tree", "road"]
+        assert not one_tweet_matches(t, nv("road", "blocked"), nv_mode="bigram")
+        assert one_tweet_matches(t, nv("blocked", "tree"), nv_mode="bigram")
 
     def test_empty_tweet_never_matches(self):
-        t = tweet("1", [])
-        assert not tweet_matches(t, nv("road", "blocked"))
-        assert not tweet_matches(t, ph("road", "blocked"))
+        assert not one_tweet_matches([], nv("road", "blocked"))
+        assert not one_tweet_matches([], ph("road", "blocked"))
 
     def test_invalid_mode_rejected(self):
-        t = tweet("1", ["road"])
+        corpus = Corpus(tweets=(tweet("1", ["road"], Label.INFORMATIVE),))
+        ranked = ranked_list([nv("a", "b"), ph("a", "b")])
         with pytest.raises(ValueError):
-            tweet_matches(t, nv("a", "b"), nv_mode="fuzzy")
+            evaluate_at_k(ranked, corpus, [1], nv_mode="fuzzy")
         with pytest.raises(ValueError):
-            tweet_matches(t, ph("a", "b"), phrase_mode="fuzzy")
+            evaluate_at_k(ranked, corpus, [1], phrase_mode="fuzzy")
 
 
 class TestMatchIndex:
@@ -97,10 +105,12 @@ class TestMatchIndex:
         corpus = Corpus(tweets=tuple(tweets))
         index = MatchIndex(corpus)
         candidates = [nv("w0", "w1"), ph("w2", "w3"), nv("w7", "zz")]
-        for cand in candidates:
-            via_index = index.candidate_matches(cand, "tokens", "bigram")
+        for cand, nv_mode, phrase_mode in itertools.product(candidates, MATCH_MODES, MATCH_MODES):
+            via_index = index.candidate_matches(cand, nv_mode, phrase_mode)
             direct = {
-                i for i, t in enumerate(index.tweets) if tweet_matches(t, cand)
+                i for i, t in enumerate(index.tweets)
+                if oracles.tweet_matches(t.tokens, cand.kind.value, cand.first, cand.second,
+                                         nv_mode, phrase_mode)
             }
             assert via_index == direct
 
