@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 import time
@@ -226,14 +227,17 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     )
 
 
-def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> None:
+def cmd_rank(cfg: PipelineConfig, out_dir: Path, store: EmbeddingStore | None = None) -> None:
+    """Rank the extracted candidates; `store` is the vector store to rank
+    with, loaded from the config when None (unused by the baseline)."""
     candidates = read_candidates(_require_artifact(out_dir, "candidates", "extract"))
     if cfg.rank.method == "baseline":
         stopwords = load_stopwords(cfg.paths.stopwords)
         corpus = _load_combined_corpus(cfg, stopwords)
         ranked = rank_baseline_overlap(candidates, corpus, cfg.rank.discount)
     else:
-        store = _load_store(cfg)
+        if store is None:
+            store = _load_store(cfg)
         ontology = load_ontology(cfg.paths.ontology, store)
         ranked = rank_candidates(candidates, ontology, store)
     write_ranked(ranked, _artifact(out_dir, "ranked"))
@@ -246,12 +250,17 @@ def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> None:
               " (not used for scoring)")
 
 
-def cmd_cluster(cfg: PipelineConfig, out_dir: Path) -> None:
+def cmd_cluster(cfg: PipelineConfig, out_dir: Path, store: EmbeddingStore | None = None) -> None:
+    """Cluster the top of the ranking; `store` is the vector store to
+    compose with, loaded from the config when None."""
     if cfg.cluster.k is None:
         raise ConfigError("cluster.k is required: choose the number of sub-event clusters")
     ranked = read_ranked(_require_artifact(out_dir, "ranked", "rank"))
     top = top_k(ranked, cfg.cluster.top_m)
-    rows, null = compose_rows([rc.candidate.words for rc in top], _load_store(cfg))
+    # A store loaded here is freed once composed, before the affinity is built.
+    rows, null = compose_rows(
+        [rc.candidate.words for rc in top], _load_store(cfg) if store is None else store
+    )
     kept = [rc for rc, is_null in zip(top, null) if not is_null]
     vectors = rows[~null]
     affinity = build_affinity(vectors)
@@ -308,17 +317,27 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> None:
         raise ConfigError("paths.corpus_labeled is required: evaluation needs labels")
     if not cfg.paths.vectors:
         raise ConfigError("paths.vectors is required for ranking and clustering")
+    # Rank (moac) and cluster share vectors loaded once: the store is a pure
+    # function of the config. Each gets its own subword bucket cache, so
+    # rank's buckets are not held through cluster, and a stage that reads no
+    # vectors runs with the store freed.
     stages = [
-        ("extract", cmd_extract),
-        ("rank", cmd_rank),
-        ("cluster", cmd_cluster),
-        ("evaluate", cmd_evaluate),
+        ("extract", cmd_extract, False),
+        ("rank", cmd_rank, cfg.rank.method == "moac"),
+        ("cluster", cmd_cluster, True),
+        ("evaluate", cmd_evaluate, False),
     ]
+    store = None
     timings = {}
     start = time.perf_counter()
-    for name, handler in stages:
+    for name, handler, reads_vectors in stages:
         stage_start = time.perf_counter()
-        handler(cfg, out_dir)
+        if reads_vectors:
+            store = _load_store(cfg) if store is None else dataclasses.replace(store)
+            handler(cfg, out_dir, store)
+        else:
+            store = None
+            handler(cfg, out_dir)
         timings[name] = round(time.perf_counter() - stage_start, 6)
     total = round(time.perf_counter() - start, 6)
     manifest = {

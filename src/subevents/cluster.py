@@ -319,7 +319,7 @@ def read_clusters(path: str | Path) -> list[dict]:
     with open_text(path) as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise InputFormatError(f"{path}: expected a JSON array of clusters")

@@ -213,7 +213,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     except InputFormatError as exc:
         raise ConfigError(f"config {exc}") from exc

@@ -17,10 +17,10 @@ import json
 import logging
 import string
 import unicodedata
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple
 
 from ._util import open_text, read_list_file
 from .errors import InputFormatError
@@ -43,57 +43,75 @@ class LabelMode(Enum):
     LABELED = "labeled"
 
 
-class ParseNode(NamedTuple):
-    """One token of a dependency parse: 1-based index, surface form,
-    universal POS tag, and 1-based head index (0 for the root).
+NOUN_TAGS = frozenset({"NOUN", "PROPN"})
+VERB_TAG = "VERB"
 
-    A named tuple rather than a dataclass because a parse file holds one
-    node per token, and a tuple is the cheapest immutable record to build.
+
+@dataclass(frozen=True, slots=True)
+class DependencyParse:
+    """What extraction reads of a sentence's dependency parse: the (noun,
+    verb) surface forms of each head-dependent edge joining a {NOUN, PROPN}
+    token and a VERB token, noun first, in token order (see ``_nv_edges``).
+
+    Only these edges are kept, not the tree: a parse file holds one token
+    per word, and most of them take part in no such edge.
     """
 
-    index: int
-    surface: str
-    upos: str
-    head: int
+    edges: tuple[tuple[str, str], ...]
 
 
 _REACHES_ROOT = -1
 
 
-@dataclass(frozen=True)
-class DependencyParse:
-    nodes: tuple[ParseNode, ...]
+def validate_heads(ids: Sequence[int], heads: Sequence[int]) -> None:
+    """Raise ValueError unless the token ids run 1..n, every head (1-based,
+    0 for the root) is in range, there is exactly one root, and the head
+    relation is acyclic."""
+    n = len(heads)
+    roots = 0
+    for i, (index, head) in enumerate(zip(ids, heads)):
+        if index != i + 1:
+            raise ValueError(f"node index {index} at position {i}")
+        if not 0 <= head <= n:
+            raise ValueError(f"head {head} out of range [0, {n}]")
+        if head == 0:
+            roots += 1
+    if roots != 1:
+        raise ValueError(f"expected exactly one root, found {roots}")
+    # Walk up from each node in order, stopping at any node an earlier
+    # walk showed to reach the root. A walk that ends in a cycle meets no
+    # such node, so it raises on the same node as a full walk would.
+    on_walk = [0] * (n + 1)  # start index of the walk that visited it
+    on_walk[0] = _REACHES_ROOT
+    for start in range(1, n + 1):
+        current = start
+        while on_walk[current] != _REACHES_ROOT:
+            if on_walk[current] == start:
+                raise ValueError(f"cycle through node {current}")
+            on_walk[current] = start
+            current = heads[current - 1]
+        current = start
+        while on_walk[current] == start:
+            on_walk[current] = _REACHES_ROOT
+            current = heads[current - 1]
 
-    def validate(self) -> None:
-        """Raise ValueError unless heads are in range, there is exactly one
-        root, and the head relation is acyclic."""
-        n = len(self.nodes)
-        roots = 0
-        for i, node in enumerate(self.nodes):
-            if node.index != i + 1:
-                raise ValueError(f"node index {node.index} at position {i}")
-            if not 0 <= node.head <= n:
-                raise ValueError(f"head {node.head} out of range [0, {n}]")
-            if node.head == 0:
-                roots += 1
-        if roots != 1:
-            raise ValueError(f"expected exactly one root, found {roots}")
-        # Walk up from each node in order, stopping at any node an earlier
-        # walk showed to reach the root. A walk that ends in a cycle meets no
-        # such node, so it raises on the same node as a full walk would.
-        on_walk = [0] * (n + 1)  # start index of the walk that visited it
-        on_walk[0] = _REACHES_ROOT
-        for start in range(1, n + 1):
-            current = start
-            while on_walk[current] != _REACHES_ROOT:
-                if on_walk[current] == start:
-                    raise ValueError(f"cycle through node {current}")
-                on_walk[current] = start
-                current = self.nodes[current - 1].head
-            current = start
-            while on_walk[current] == start:
-                on_walk[current] = _REACHES_ROOT
-                current = self.nodes[current - 1].head
+
+def _nv_edges(
+    forms: Sequence[str], upos: Sequence[str], heads: Sequence[int]
+) -> list[tuple[str, str]]:
+    """(noun, verb) surface forms of each head-dependent edge joining a
+    {NOUN, PROPN} token and a VERB token, noun first, in token order, for a
+    sentence given as columns (heads 1-based, 0 for the root)."""
+    edges = []
+    for i, head in enumerate(heads):
+        if head == 0:
+            continue
+        tag, parent_tag = upos[i], upos[head - 1]
+        if tag in NOUN_TAGS and parent_tag == VERB_TAG:
+            edges.append((forms[i], forms[head - 1]))
+        elif tag == VERB_TAG and parent_tag in NOUN_TAGS:
+            edges.append((forms[head - 1], forms[i]))
+    return edges
 
 
 @dataclass(frozen=True)
@@ -294,20 +312,25 @@ def load_parses(path: str | Path) -> dict[str, DependencyParse]:
 
     A sentence ends at a blank line or at the next ``# tweet_id`` comment.
     Multiword-token and empty-node lines (ranged or dotted IDs) are skipped.
-    Sentences without a tweet_id comment or violating parse invariants are
-    skipped with a warning; a repeated tweet_id keeps the first valid parse.
+    Sentences without a tweet_id comment or violating parse invariants
+    (``validate_heads``) are skipped with a warning; a repeated tweet_id
+    keeps the first valid parse. Each sentence is read into transient
+    columns and only its noun-verb edges are kept.
     """
     parses: dict[str, DependencyParse] = {}
     current_id: str | None = None
-    nodes: list[ParseNode] = []
+    ids: list[int] = []
+    forms: list[str] = []
+    upos: list[str] = []
+    heads: list[int] = []
+    columns = (ids, forms, upos, heads)
     bad = 0
 
     def flush() -> None:
-        nonlocal current_id, nodes, bad
-        if current_id is not None and nodes:
-            parse = DependencyParse(nodes=tuple(nodes))
+        nonlocal current_id, bad
+        if current_id is not None and heads:
             try:
-                parse.validate()
+                validate_heads(ids, heads)
             except ValueError as exc:
                 bad += 1
                 logger.warning("%s: dropping parse for %s (%s)", path, current_id, exc)
@@ -315,9 +338,10 @@ def load_parses(path: str | Path) -> dict[str, DependencyParse]:
                 if current_id in parses:
                     logger.warning("%s: duplicate tweet_id %r, keeping first", path, current_id)
                 else:
-                    parses[current_id] = parse
+                    parses[current_id] = DependencyParse(tuple(_nv_edges(forms, upos, heads)))
         current_id = None
-        nodes = []
+        for column in columns:
+            column.clear()
 
     with open_text(path) as fh:
         for line in fh:
@@ -339,14 +363,17 @@ def load_parses(path: str | Path) -> dict[str, DependencyParse]:
             if "-" in token_id or "." in token_id:
                 continue
             try:
-                nodes.append(
-                    ParseNode(int(token_id), cols[_COL_FORM], cols[_COL_UPOS], int(cols[_COL_HEAD]))
-                )
+                index = int(token_id)
+                head = int(cols[_COL_HEAD])
             except ValueError:
                 bad += 1
                 logger.warning("%s: unparseable token line %r", path, line)
-                current_id = None
-                nodes = []
+                current_id = None  # the rest of the sentence is read, then dropped
+                continue
+            ids.append(index)
+            forms.append(cols[_COL_FORM])
+            upos.append(cols[_COL_UPOS])
+            heads.append(head)
     flush()
     if bad:
         logger.info("%s: dropped %d malformed parse entries", path, bad)

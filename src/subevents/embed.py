@@ -43,7 +43,8 @@ class EmbeddingStore:
     summing. Under SUBWORD_HASH, an OOV word gets the average of per-n-gram
     vectors drawn from a fixed-size bucket table generated deterministically
     from (hash_seed, bucket); bucket vectors are materialized lazily but are
-    a pure function of the seed.
+    a pure function of the seed. A copy made by `dataclasses.replace` shares
+    the word vectors and starts with an empty bucket cache.
     """
 
     dim: int
@@ -52,7 +53,7 @@ class EmbeddingStore:
     hash_seed: int = 0
     normalize_words: bool = False
     n_buckets: int = DEFAULT_BUCKETS
-    _bucket_cache: dict[int, np.ndarray] = field(default_factory=dict, repr=False)
+    _bucket_cache: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __contains__(self, word: str) -> bool:
         return word in self.vectors

@@ -17,13 +17,11 @@ from enum import Enum
 from pathlib import Path
 
 from ._util import read_list_file, read_table, write_table
-from .corpus import Corpus, ParseNode, TokenCleaner, Tweet, clean_token
+from .corpus import NOUN_TAGS, VERB_TAG  # noqa: F401  (re-exported: the edge rule's tags)
+from .corpus import Corpus, TokenCleaner, Tweet, clean_token
 from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
-
-NOUN_TAGS = frozenset({"NOUN", "PROPN"})
-VERB_TAG = "VERB"
 
 DEFAULT_MIN_FREQ = 2
 DEFAULT_WINDOW = 4
@@ -86,19 +84,6 @@ class CandidateSet:
         return len(self.candidates)
 
 
-def _nv_edges(nodes: Sequence[ParseNode]) -> Iterator[tuple[str, str]]:
-    """(noun, verb) surface forms of each head-dependent edge joining a
-    {NOUN, PROPN} node and a VERB node, noun first, in node order."""
-    for node in nodes:
-        if node.head == 0:
-            continue
-        parent = nodes[node.head - 1]
-        if node.upos in NOUN_TAGS and parent.upos == VERB_TAG:
-            yield node.surface, parent.surface
-        elif node.upos == VERB_TAG and parent.upos in NOUN_TAGS:
-            yield parent.surface, node.surface
-
-
 def extract_nv_pairs(tweet: Tweet, stopwords: frozenset[str]) -> list[Candidate]:
     """Noun-verb pairs from the tweet's dependency parse.
 
@@ -112,7 +97,7 @@ def extract_nv_pairs(tweet: Tweet, stopwords: frozenset[str]) -> list[Candidate]
             f"tweet {tweet.id} has no dependency parse; use extract_nv_pairs_fallback"
         )
     pairs: list[Candidate] = []
-    for noun, verb in _nv_edges(tweet.parse.nodes):
+    for noun, verb in tweet.parse.edges:
         noun = clean_token(noun.lower(), stopwords)
         verb = clean_token(verb.lower(), stopwords)
         if noun is None or verb is None:
@@ -201,7 +186,7 @@ def count_nv_pairs(
     for tweet in tweets:
         if tweet.parse is not None:
             parsed += 1
-            for noun, verb in _nv_edges(tweet.parse.nodes):
+            for noun, verb in tweet.parse.edges:
                 noun = cleaner[noun.lower()]
                 verb = cleaner[verb.lower()]
                 if noun is not None and verb is not None:

@@ -8,10 +8,14 @@ formula. Slow is fine; independent is the point.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import Counter
+from typing import NamedTuple
 
 import numpy as np
+
+logger = logging.getLogger(__name__)
 
 
 def jacobi_eigh(matrix, tol: float = 1e-12, max_sweeps: int = 100):
@@ -207,3 +211,111 @@ def reference_kmeans(points, k: int, seed: int, max_iter: int = 300, tol: float 
             taken.add(far)
             centers[c] = pts[far]
     return labels, centers, history
+
+
+class _Node(NamedTuple):
+    index: int
+    surface: str
+    upos: str
+    head: int
+
+
+def _reference_tree_error(nodes) -> str | None:
+    """The first invariant a sentence's nodes break, as ``load_parses``
+    words it, or None for a tree (full walk from every node)."""
+    n = len(nodes)
+    for i, node in enumerate(nodes):
+        if node.index != i + 1:
+            return f"node index {node.index} at position {i}"
+        if not 0 <= node.head <= n:
+            return f"head {node.head} out of range [0, {n}]"
+    roots = sum(1 for node in nodes if node.head == 0)
+    if roots != 1:
+        return f"expected exactly one root, found {roots}"
+    for start in range(1, n + 1):
+        seen = set()
+        current = start
+        while current != 0:
+            if current in seen:
+                return f"cycle through node {current}"
+            seen.add(current)
+            current = nodes[current - 1].head
+    return None
+
+
+def reference_nv_edges(nodes) -> tuple[tuple[str, str], ...]:
+    """(noun, verb) surface forms of the noun-verb edges of one sentence
+    from `reference_load_parses`, noun first, in node order."""
+    return tuple(_nv_edges(nodes))
+
+
+def _nv_edges(nodes):
+    nouns = {"NOUN", "PROPN"}
+    for node in nodes:
+        if node.head == 0:
+            continue
+        parent = nodes[node.head - 1]
+        if node.upos in nouns and parent.upos == "VERB":
+            yield node.surface, parent.surface
+        elif node.upos == "VERB" and parent.upos in nouns:
+            yield parent.surface, node.surface
+
+
+def reference_load_parses(path) -> dict[str, tuple[_Node, ...]]:
+    """tweet_id -> the sentence's nodes (index, surface, upos, head), read
+    the way `subevents.corpus.load_parses` read a sidecar when it kept one
+    node per token, logging the same messages in the same order.
+
+    Not independent: it is that loader, and with `reference_nv_edges` its
+    edge rule, kept as written so the column reader can be checked against
+    it. Bytes that are not UTF-8 raise UnicodeDecodeError (the package
+    raises InputFormatError).
+    """
+    parses: dict[str, tuple[_Node, ...]] = {}
+    current_id = None
+    nodes: list[_Node] = []
+    bad = 0
+
+    def flush():
+        nonlocal current_id, nodes, bad
+        if current_id is not None and nodes:
+            error = _reference_tree_error(nodes)
+            if error is not None:
+                bad += 1
+                logger.warning("%s: dropping parse for %s (%s)", path, current_id, error)
+            elif current_id in parses:
+                logger.warning("%s: duplicate tweet_id %r, keeping first", path, current_id)
+            else:
+                parses[current_id] = tuple(nodes)
+        current_id = None
+        nodes = []
+
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                flush()
+                continue
+            if line.startswith("#"):
+                comment = line[1:].strip()
+                if comment.startswith("tweet_id"):
+                    flush()
+                    _, _, value = comment.partition("=")
+                    current_id = value.strip()
+                continue
+            cols = line.split("\t", 7)
+            if len(cols) <= 6:
+                continue
+            if "-" in cols[0] or "." in cols[0]:
+                continue
+            try:
+                nodes.append(_Node(int(cols[0]), cols[1], cols[3], int(cols[6])))
+            except ValueError:
+                bad += 1
+                logger.warning("%s: unparseable token line %r", path, line)
+                current_id = None
+                nodes = []
+    flush()
+    if bad:
+        logger.info("%s: dropped %d malformed parse entries", path, bad)
+    return parses

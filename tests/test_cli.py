@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import make_fixtures
+import subevents.cli as cli
 from subevents import __version__
 from subevents.rank import read_ranked
 
@@ -57,6 +59,14 @@ class TestExitCodes:
         assert err.startswith(f"error: config {path}: not UTF-8 text: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_deeply_nested_config_is_config_error(self, run_cli, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        code, _, err = run_cli("extract", "--config", str(path))
+        assert code == 1
+        assert err.startswith(f"error: config {path} is not valid JSON: ")
+        assert err.count("\n") == 1
 
     def test_invalid_override_value(self, run_cli, tmp_path):
         code, _, _ = run_cli("extract", "--cluster.k", "many")
@@ -350,6 +360,90 @@ class TestPipeline:
         assert manifest["config"]["cluster"]["k"] == 5
         clusters = json.loads((out / "clusters.json").read_text(encoding="utf-8"))
         assert len(clusters) == 5
+
+
+    @pytest.mark.parametrize("method", ["moac", "baseline"])
+    def test_vectors_loaded_once(self, run_cli, tmp_path, write_config, pipeline_config_dict,
+                                 monkeypatch, method):
+        calls = []
+        load_vectors = cli.load_vectors
+
+        def counting_load(*args, **kwargs):
+            calls.append(args)
+            return load_vectors(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_vectors", counting_load)
+        cfg = write_config(pipeline_config_dict, tmp_path / "out")
+        assert run_cli("pipeline", "--config", cfg, "--rank.method", method)[0] == 0
+        assert len(calls) == 1
+
+    def test_staged_subword_run_matches_pipeline(self, run_cli, tmp_path, write_config,
+                                                 pipeline_config_dict):
+        # Top candidates' words without a vector are composed from subword
+        # bucket vectors; the pipeline's cluster stage composes them from the
+        # vectors rank loaded, staged runs from a store of their own.
+        dropped = ("cnounaa ", "cverbaa ", "cnounab ", "nverbac ")
+        lines = Path(pipeline_config_dict["paths"]["vectors"]).read_text(
+            encoding="utf-8").splitlines(keepends=True)
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("".join(line for line in lines if not line.startswith(dropped)),
+                           encoding="utf-8")
+        cfg_dict = json.loads(json.dumps(pipeline_config_dict))
+        cfg_dict["paths"]["vectors"] = str(vectors)
+        cfg_dict["rank"]["oov_policy"] = "subword"
+        staged, whole = tmp_path / "staged", tmp_path / "whole"
+        cfg = write_config(cfg_dict, staged)
+        for stage in ("extract", "rank", "cluster"):
+            assert run_cli(stage, "--config", cfg)[0] == 0
+        code, stdout, _ = run_cli("pipeline", "--config", write_config(cfg_dict, whole))
+        assert code == 0
+        assert "candidates without a vector: 0 " in stdout
+        assert "top 40 candidates without a vector: 0 " in stdout
+        top = [rc.candidate.first for rc in read_ranked(whole / "ranked.csv")[:40]]
+        assert {"cnounaa", "cnounab"} <= set(top)
+        for name in ("ranked.csv", "clusters.json"):
+            assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+
+    def test_bad_vectors_fail_at_rank_after_extract(self, run_cli, tmp_path, write_config,
+                                                    pipeline_config_dict):
+        bad = tmp_path / "bad_vectors.txt"
+        bad.write_text("not a header\n", encoding="utf-8")
+        out = tmp_path / "out"
+        cfg = write_config(pipeline_config_dict, out)
+        code, _, _ = run_cli("pipeline", "--config", cfg, "--paths.vectors", str(bad))
+        assert code == 2
+        assert (out / "candidates.csv").exists() and (out / "accounting.json").exists()
+        assert not (out / "ranked.csv").exists()
+
+
+# sha256 of the two numpy-free artifacts on the fixture config, recorded
+# with the tree-based parse reader: faster extraction must leave them be.
+GOLDEN_EXTRACT = {
+    "shipped": ([], "eb91bcc38b16a154d27ef8bf7f98e4d6d9132af8bb676130bfe7c71a560869f3",
+                "11110fc75e7b89bfef5c0e7bc2e8130e1540df61f055f40ea2d0b015db33089f"),
+    "lexicon": (["--paths.lexicon", "LEXICON"],
+                "90a8791014b9d69b11ad949d3a1ea42e1974c2857ff84499721ef9ea3fe8e801",
+                "da64818da5d01d23f9388aa272a12f3af0afe1e7091471c1769a5bf3e4d5a245"),
+    "dedupe": (["--dedupe"], "eb91bcc38b16a154d27ef8bf7f98e4d6d9132af8bb676130bfe7c71a560869f3",
+               "11110fc75e7b89bfef5c0e7bc2e8130e1540df61f055f40ea2d0b015db33089f"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_EXTRACT))
+def test_extract_artifacts_match_golden_digests(run_cli, tmp_path, write_config,
+                                                pipeline_config_dict, variant):
+    # The lexicon tags each planted candidate's first word N and second word
+    # V, so the 120 tweets without a parse add window pairs.
+    planted = make_fixtures.crisis_candidates() + make_fixtures.noise_candidates()
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("".join(f"{first}\tN\n{second}\tV\n" for _, first, second in planted),
+                       encoding="utf-8")
+    flags, candidates_sha, accounting_sha = GOLDEN_EXTRACT[variant]
+    flags = [str(lexicon) if flag == "LEXICON" else flag for flag in flags]
+    out = tmp_path / "out"
+    assert run_cli("extract", "--config", write_config(pipeline_config_dict, out), *flags)[0] == 0
+    assert sha256(out / "candidates.csv") == candidates_sha
+    assert sha256(out / "accounting.json") == accounting_sha
 
 
 class TestBenchmarkTrace:

@@ -455,6 +455,12 @@ class TestSummaries:
         with pytest.raises(InputFormatError):
             read_clusters(path)
 
+    def test_read_rejects_deeply_nested_json(self, tmp_path):
+        path = tmp_path / "clusters.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        with pytest.raises(InputFormatError, match=f"{path}: invalid JSON"):
+            read_clusters(path)
+
     def test_read_rejects_non_utf8_naming_the_file(self, tmp_path):
         path = tmp_path / "clusters.json"
         path.write_bytes('[{"cluster_id": 0, "members": [], "medoid": "caf\u00e9"}]'.encode("latin-1"))

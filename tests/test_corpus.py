@@ -1,16 +1,19 @@
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+
+import oracles
 
 from subevents.corpus import (
     Corpus,
     DependencyParse,
     Label,
     LabelMode,
-    ParseNode,
     Tweet,
     attach_parses,
     clean_token,
@@ -21,6 +24,7 @@ from subevents.corpus import (
     load_stopwords,
     preprocess,
     preprocess_corpus,
+    validate_heads,
     write_corpus,
 )
 from subevents.errors import InputFormatError
@@ -291,20 +295,19 @@ class TestParses:
         ))
         parses = load_parses(path)
         assert set(parses) == {"a", "b"}
-        nodes = parses["a"].nodes
-        assert nodes[0] == ParseNode(index=1, surface="floods", upos="NOUN", head=2)
-        assert nodes[1].head == 0
+        assert parses["a"] == DependencyParse(edges=(("floods", "rise"),))
+        assert parses["b"].edges == ()
 
     def test_range_and_decimal_ids_skipped(self, tmp_path):
         path = self._write(tmp_path, (
             "# tweet_id = a\n"
             "1-2\tcannot\t_\t_\t_\t_\t_\t_\t_\t_\n"
-            "1\tcan\tcan\tAUX\t_\t_\t2\taux\t_\t_\n"
+            "1\tcan\tcan\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
             "1.1\telided\t_\t_\t_\t_\t_\t_\t_\t_\n"
             "2\tgo\tgo\tVERB\t_\t_\t0\troot\t_\t_\n"
         ))
         parses = load_parses(path)
-        assert [n.surface for n in parses["a"].nodes] == ["can", "go"]
+        assert parses["a"].edges == (("can", "go"),)
 
     def test_invalid_sentence_dropped_others_kept(self, tmp_path, caplog):
         path = self._write(tmp_path, (
@@ -338,21 +341,23 @@ class TestParses:
         with caplog.at_level("WARNING"):
             parses = load_parses(path)
         assert set(parses) == {"a", "b"}
-        assert [n.surface for n in parses["a"].nodes] == ["floods", "rise"]
-        assert [n.surface for n in parses["b"].nodes] == ["calm"]
+        assert parses["a"].edges == (("floods", "rise"),)
+        assert parses["b"].edges == ()
         assert not caplog.records
 
     def test_duplicate_tweet_id_keeps_first(self, tmp_path, caplog):
         path = self._write(tmp_path, (
             "# tweet_id = a\n"
-            "1\tfirst\tfirst\tNOUN\t_\t_\t0\troot\t_\t_\n"
+            "1\tfirst\tfirst\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
+            "2\tgo\tgo\tVERB\t_\t_\t0\troot\t_\t_\n"
             "\n"
             "# tweet_id = a\n"
-            "1\tsecond\tsecond\tNOUN\t_\t_\t0\troot\t_\t_\n"
+            "1\tsecond\tsecond\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
+            "2\tgo\tgo\tVERB\t_\t_\t0\troot\t_\t_\n"
         ))
         with caplog.at_level("WARNING"):
             parses = load_parses(path)
-        assert [n.surface for n in parses["a"].nodes] == ["first"]
+        assert parses["a"].edges == (("first", "go"),)
         assert any("duplicate tweet_id 'a'" in rec.message for rec in caplog.records)
 
     def test_attach_matches_ids(self, tmp_path):
@@ -367,38 +372,37 @@ class TestParses:
 
 
 class TestDependencyParseValidate:
-    def _nodes(self, heads):
-        return tuple(
-            ParseNode(index=i + 1, surface=f"w{i}", upos="NOUN", head=h)
-            for i, h in enumerate(heads)
-        )
+    """``validate_heads``: the tree invariants ``load_parses`` checks on a
+    sentence's id and head columns before keeping its edges."""
+
+    def _validate(self, heads):
+        validate_heads(list(range(1, len(heads) + 1)), heads)
 
     def test_valid_tree(self):
-        DependencyParse(nodes=self._nodes([2, 0, 2])).validate()
+        self._validate([2, 0, 2])
 
     def test_head_out_of_range(self):
         with pytest.raises(ValueError):
-            DependencyParse(nodes=self._nodes([5, 0])).validate()
+            self._validate([5, 0])
 
     def test_zero_or_multiple_roots(self):
         with pytest.raises(ValueError):
-            DependencyParse(nodes=self._nodes([0, 0])).validate()
+            self._validate([0, 0])
         with pytest.raises(ValueError):
-            DependencyParse(nodes=self._nodes([2, 1])).validate()
+            self._validate([2, 1])
 
     def test_cycle_detected(self):
         with pytest.raises(ValueError):
-            DependencyParse(nodes=self._nodes([2, 1, 0])).validate()
+            self._validate([2, 1, 0])
 
     def test_bad_index_sequence(self):
-        nodes = (ParseNode(index=2, surface="w", upos="NOUN", head=0),)
-        with pytest.raises(ValueError):
-            DependencyParse(nodes=nodes).validate()
+        with pytest.raises(ValueError, match="node index 2 at position 0"):
+            validate_heads([2], [0])
 
-    def test_parse_node_is_immutable(self):
-        node = ParseNode(index=1, surface="w", upos="NOUN", head=0)
+    def test_parse_is_immutable(self):
+        parse = DependencyParse(edges=(("flood", "rise"),))
         with pytest.raises(AttributeError):
-            node.head = 2  # type: ignore[misc]
+            parse.edges = ()  # type: ignore[misc]
 
 
 def _validate_brute_force(heads: list[int]) -> str | None:
@@ -427,16 +431,13 @@ def _validate_brute_force(heads: list[int]) -> str | None:
 )))
 @settings(max_examples=500, deadline=None)
 def test_validate_matches_brute_force_walk(heads):
-    nodes = tuple(
-        ParseNode(index=i + 1, surface=f"w{i}", upos="NOUN", head=h)
-        for i, h in enumerate(heads)
-    )
+    ids = list(range(1, len(heads) + 1))
     expected = _validate_brute_force(heads)
     if expected is None:
-        DependencyParse(nodes=nodes).validate()
+        validate_heads(ids, heads)
     else:
         with pytest.raises(ValueError) as info:
-            DependencyParse(nodes=nodes).validate()
+            validate_heads(ids, heads)
         assert str(info.value) == expected
 
 
@@ -501,6 +502,113 @@ class TestReaderProperties:
         try:
             parses = load_parses(path)
         except InputFormatError:
+            with pytest.raises(UnicodeDecodeError):
+                oracles.reference_load_parses(path)
             return
-        for parse in parses.values():
-            parse.validate()
+        assert _edges_by_id(parses) == _reference_edges(path)
+
+
+def _edges_by_id(parses):
+    return {tweet_id: parse.edges for tweet_id, parse in parses.items()}
+
+
+def _reference_edges(path):
+    parses = oracles.reference_load_parses(path)
+    return {tweet_id: oracles.reference_nv_edges(nodes) for tweet_id, nodes in parses.items()}
+
+
+_TAGS = ("NOUN", "PROPN", "VERB", "ADJ", "X")
+
+
+@st.composite
+def _sentences(draw):
+    """Lines of one CoNLL-U sentence: an optional tweet_id comment (ids
+    repeat across sentences) and 1-6 token lines forming a tree. Now and
+    then a head is replaced by any integer or a non-integer, or a token id
+    is off, so cycles, several roots, out-of-range heads, id gaps and
+    unparseable lines occur, as do ranged and dotted ids."""
+    lines = []
+    if draw(st.integers(0, 7)):
+        lines.append(f"# tweet_id = {draw(st.sampled_from('abcd'))}")
+    if draw(st.integers(0, 3)) == 0:
+        lines.append("# text = flood rising")
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(1, n + 1)))
+    heads = {order[0]: "0"}
+    for k in range(1, n):
+        heads[order[k]] = str(order[draw(st.integers(0, k - 1))])
+    if draw(st.integers(0, 5)) == 0:
+        heads[draw(st.integers(1, n))] = draw(st.sampled_from(
+            [str(h) for h in range(-1, n + 2)] + ["_", "1.5", " 2 "]))
+    for i in range(1, n + 1):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from([f"{i}-{i + 1}", f"{i}.1"])) + "\tx\t_\t_\t_\t_\t_")
+        token_id = str(i) if draw(st.integers(0, 24)) else draw(st.sampled_from([str(i + 1), "x"]))
+        form = draw(st.sampled_from(["floods", "rise", "Bridge", "gone", "x y"]))
+        tag = draw(st.sampled_from(_TAGS))
+        lines.append("\t".join([token_id, form, "_", tag, "_", "_", heads[i], "dep", "_", "_"]))
+    return lines
+
+
+@st.composite
+def _sidecars(draw):
+    """Sentences separated by a blank line or by nothing (the next
+    tweet_id comment then ends a sentence), with LF or CRLF line ends."""
+    parts = []
+    for lines in draw(st.lists(_sentences(), max_size=6)):
+        parts.extend(lines)
+        if draw(st.integers(0, 3)):
+            parts.append("")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(parts).encode("utf-8")
+
+
+# caplog is cleared before each example, so sharing it across examples is safe.
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_sidecars())
+def test_load_parses_matches_node_reference(data, reader_dir, caplog):
+    """The column reader keeps the ids, edges and log records, in order, of
+    the node-based reader it replaced."""
+    path = reader_dir / "sidecar.conllu"
+    path.write_bytes(data)
+    caplog.clear()
+    with caplog.at_level("INFO"):
+        parses = load_parses(path)
+        got = [(rec.levelname, rec.getMessage()) for rec in caplog.records]
+        caplog.clear()
+        expected = _reference_edges(path)
+        want = [(rec.levelname, rec.getMessage()) for rec in caplog.records]
+    assert list(parses) == list(expected)
+    assert _edges_by_id(parses) == expected
+    assert got == want
+
+
+def _retained_bytes(load, path):
+    """Bytes still allocated (tracemalloc) while the result of load(path) is held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = load(path)  # noqa: F841  (held while measured)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_parses_retains_a_fraction_of_the_tree_reader(tmp_path):
+    """Keeping only noun-verb edges holds under a third of what one node
+    per token held, on 2,000 fifteen-token sentences."""
+    tags = ["NOUN", "VERB", "ADV", "ADJ", "PROPN"]
+    lines = []
+    for s in range(2000):
+        lines.append(f"# tweet_id = t{s:05d}")
+        for i in range(1, 16):
+            head = 0 if i == 2 else 2
+            lines.append(f"{i}\tw{s}x{i}\t_\t{tags[(s + i) % 5]}\t_\t_\t{head}\tdep\t_\t_")
+        lines.append("")
+    path = tmp_path / "bulk.conllu"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    assert len(load_parses(path)) == 2000
+    assert 3 * _retained_bytes(load_parses, path) < _retained_bytes(
+        oracles.reference_load_parses, path
+    )

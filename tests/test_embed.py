@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -275,4 +276,13 @@ class TestSubwordHash:
         first = store._bucket_vector(17).copy()
         again = store._bucket_vector(17)
         assert np.array_equal(first, again)
+
+    def test_copy_shares_vectors_with_an_empty_bucket_cache(self):
+        # The pipeline hands cluster such a copy of rank's store.
+        store = _store({"flood": [1.0, 0.0, 0.0]}, policy=OovPolicy.SUBWORD_HASH, hash_seed=3)
+        expected = store.subword_vector("rain")
+        copy = dataclasses.replace(store)
+        assert copy.vectors is store.vectors
+        assert store._bucket_cache and not copy._bucket_cache
+        assert np.array_equal(copy.subword_vector("rain"), expected)
 

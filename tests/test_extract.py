@@ -6,8 +6,8 @@ from subevents.corpus import (
     Corpus,
     DependencyParse,
     LabelMode,
-    ParseNode,
     Tweet,
+    _nv_edges,
     attach_parses,
     concat_corpora,
     load_corpus,
@@ -37,13 +37,11 @@ STOPWORDS = load_stopwords()
 
 
 def _parsed_tweet(words):
-    """Build a tweet from (surface, upos, head) triples."""
-    nodes = tuple(
-        ParseNode(index=i + 1, surface=s, upos=u, head=h)
-        for i, (s, u, h) in enumerate(words)
-    )
-    text = " ".join(s for s, _, _ in words)
-    return Tweet(id="t", raw_text=text, parse=DependencyParse(nodes=nodes))
+    """Build a tweet from (surface, upos, head) triples, keeping the parse's
+    noun-verb edges as ``load_parses`` does."""
+    forms, upos, heads = zip(*words)
+    edges = tuple(_nv_edges(forms, upos, heads))
+    return Tweet(id="t", raw_text=" ".join(forms), parse=DependencyParse(edges=edges))
 
 
 def nv(first, second, freq=1):
