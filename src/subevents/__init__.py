@@ -36,6 +36,7 @@ from .extract import (
     Candidate,
     CandidateKind,
     CandidateSet,
+    ExtractCounts,
     PhraseConfig,
     detect_phrases,
     extract_nv_pairs,
@@ -58,6 +59,7 @@ __all__ = [
     "Corpus",
     "DependencyParse",
     "EmbeddingStore",
+    "ExtractCounts",
     "InputFormatError",
     "Label",
     "LabelMode",

@@ -46,10 +46,11 @@ def format_float(value: float) -> str:
 
 @contextmanager
 def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
-    """Open an input file as UTF-8 text; bytes that are not UTF-8, met
-    anywhere inside the ``with`` block, raise InputFormatError naming the
-    path (with no line: the text layer decodes in blocks)."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    """Open an input file as UTF-8 text, dropping a leading byte-order mark;
+    bytes that are not UTF-8, met anywhere inside the ``with`` block, raise
+    InputFormatError naming the path (with no line: the text layer decodes
+    in blocks)."""
+    with open(path, encoding="utf-8-sig", newline=newline) as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

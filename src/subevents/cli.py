@@ -22,7 +22,6 @@ from .config import OVERRIDABLE, PipelineConfig, apply_override, load_config
 from .corpus import (
     Corpus,
     LabelMode,
-    attach_parses,
     concat_corpora,
     dedupe_corpus,
     load_corpus,
@@ -34,10 +33,8 @@ from .embed import EmbeddingStore, OovPolicy, load_vectors
 from .errors import ConfigError, SubeventsError
 from .evaluate import evaluate_at_k, read_metrics, roc_points, write_metrics
 from .extract import (
+    ExtractCounts,
     PhraseConfig,
-    count_nv_pairs,
-    detect_phrases,
-    filter_candidates,
     load_pos_lexicon,
     read_candidates,
     reduction_percent,
@@ -149,17 +146,22 @@ def _require_artifact(out_dir: Path, name: str, producer: str) -> Path:
     return path
 
 
-def _load_combined_corpus(cfg: PipelineConfig, stopwords: frozenset[str]) -> Corpus:
-    """Unlabeled corpus with the labeled corpus appended and preprocessed."""
+def _corpus_files(cfg: PipelineConfig) -> list[tuple[str, LabelMode]]:
+    """The corpus files to read, unlabeled before labeled."""
     paths = cfg.paths
     if not paths.corpus_unlabeled and not paths.corpus_labeled:
         raise ConfigError("set paths.corpus_unlabeled and/or paths.corpus_labeled")
-    parts = []
+    files = []
     if paths.corpus_unlabeled:
-        parts.append(load_corpus(paths.corpus_unlabeled, LabelMode.UNLABELED))
+        files.append((paths.corpus_unlabeled, LabelMode.UNLABELED))
     if paths.corpus_labeled:
-        parts.append(load_corpus(paths.corpus_labeled, LabelMode.LABELED))
-    corpus = concat_corpora(*parts)
+        files.append((paths.corpus_labeled, LabelMode.LABELED))
+    return files
+
+
+def _load_combined_corpus(cfg: PipelineConfig, stopwords: frozenset[str]) -> Corpus:
+    """Unlabeled corpus with the labeled corpus appended and preprocessed."""
+    corpus = concat_corpora(*(load_corpus(path, mode) for path, mode in _corpus_files(cfg)))
     if cfg.dedupe:
         before = len(corpus)
         corpus = dedupe_corpus(corpus)
@@ -186,18 +188,22 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
             "part-of-speech lexicon (paths.lexicon); point one of them at a file"
         )
     stopwords = load_stopwords(cfg.paths.stopwords)
-    corpus = _load_combined_corpus(cfg, stopwords)
-    if cfg.paths.parses:
-        corpus = attach_parses(corpus, load_parses(cfg.paths.parses))
-    nv = count_nv_pairs(corpus.tweets, stopwords, lexicon)
-    if cfg.paths.parses and nv.parsed == 0:
+    files = _corpus_files(cfg)
+    parses = load_parses(cfg.paths.parses) if cfg.paths.parses else None
+    counts = ExtractCounts(stopwords, parses, lexicon, dedupe=cfg.dedupe)
+    for path, mode in files:
+        counts.add_file(path, mode)
+    if cfg.dedupe:
+        logger.info("dedupe removed %d duplicate tweets", counts.duplicates)
+    if cfg.paths.parses and counts.parsed == 0:
         logger.warning("no tweet id in the corpus matched the parse file %s", cfg.paths.parses)
-    phrases = detect_phrases(corpus, PhraseConfig(cfg.phrase.min_count, cfg.phrase.threshold))
-    result = filter_candidates(nv.candidates, phrases, cfg.filter_min_freq)
+    result = counts.candidates(
+        PhraseConfig(cfg.phrase.min_count, cfg.phrase.threshold), cfg.filter_min_freq
+    )
     write_candidates(result.candidates, _artifact(out_dir, "candidates"))
     accounting = {
-        "tweets": len(corpus),
-        "skipped_lines": corpus.skipped,
+        "tweets": counts.tweets,
+        "skipped_lines": counts.skipped,
         "nv_before": result.nv_before,
         "nv_after": result.nv_after,
         "nv_reduction_percent": reduction_percent(result.nv_before, result.nv_after),
@@ -213,8 +219,12 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     print("extraction accounting:")
     print(f"  tweets processed:  {accounting['tweets']}")
     print(
-        f"  nv pair source:    {nv.parsed} parsed, {nv.fallback} lexicon fallback,"
-        f" {nv.neither} neither"
+        f"  discarded:         {counts.skipped} malformed lines,"
+        f" {counts.duplicates} duplicate tweets"
+    )
+    print(
+        f"  nv pair source:    {counts.parsed} parsed, {counts.fallback} lexicon fallback,"
+        f" {counts.neither} neither"
     )
     print(
         f"  nv pairs (unique): {result.nv_before} -> {result.nv_after}"

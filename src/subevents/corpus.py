@@ -17,7 +17,7 @@ import json
 import logging
 import string
 import unicodedata
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -139,7 +139,7 @@ class Corpus:
         return len(self.tweets)
 
 
-def _parse_line(line: str, label_mode: LabelMode) -> Tweet:
+def _parse_line(line: str, label_mode: LabelMode) -> tuple[str, str, Label]:
     obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
@@ -156,36 +156,56 @@ def _parse_line(line: str, label_mode: LabelMode) -> Tweet:
             label = Label.UNINFORMATIVE
         else:
             raise ValueError(f"unknown label {raw!r}")
-    return Tweet(id=tweet_id, raw_text=text, label=label)
+    return tweet_id, text, label
+
+
+class CorpusLines:
+    """The ``(id, raw_text, label)`` records of a JSON Lines corpus, read
+    one line at a time.
+
+    Malformed lines are logged, skipped and, once the file has been read
+    to its end, counted in ``skipped``; blank lines are ignored. More than
+    50% malformed lines raises InputFormatError at the end of the file.
+    """
+
+    def __init__(self, path: str | Path, label_mode: LabelMode = LabelMode.UNLABELED) -> None:
+        self.path = path
+        self.label_mode = label_mode
+        self.skipped = 0
+
+    def __iter__(self) -> Iterator[tuple[str, str, Label]]:
+        path, label_mode = self.path, self.label_mode
+        skipped = 0
+        total = 0
+        with open_text(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                total += 1
+                try:
+                    record = _parse_line(line, label_mode)
+                except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
+                    skipped += 1
+                    logger.warning("%s:%d: skipping malformed line (%s)", path, lineno, exc)
+                    continue
+                yield record
+        self.skipped = skipped
+        if total > 0 and skipped * 2 > total:
+            raise InputFormatError(
+                f"{path}: {skipped} of {total} lines malformed; not a JSONL tweet corpus?"
+            )
+        if skipped:
+            logger.info("%s: loaded %d tweets, skipped %d malformed lines",
+                        path, total - skipped, skipped)
 
 
 def load_corpus(path: str | Path, label_mode: LabelMode = LabelMode.UNLABELED) -> Corpus:
-    """Load a JSON Lines corpus.
-
-    Malformed lines are counted and skipped (reported on the returned
-    ``Corpus.skipped``); more than 50% malformed lines is a fatal
-    InputFormatError. Blank lines are ignored.
-    """
-    tweets: list[Tweet] = []
-    skipped = 0
-    total = 0
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            total += 1
-            try:
-                tweets.append(_parse_line(line, label_mode))
-            except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-                skipped += 1
-                logger.warning("%s:%d: skipping malformed line (%s)", path, lineno, exc)
-    if total > 0 and skipped * 2 > total:
-        raise InputFormatError(
-            f"{path}: {skipped} of {total} lines malformed; not a JSONL tweet corpus?"
-        )
-    if skipped:
-        logger.info("%s: loaded %d tweets, skipped %d malformed lines", path, len(tweets), skipped)
-    return Corpus(tweets=tuple(tweets), skipped=skipped)
+    """Load a JSON Lines corpus read by ``CorpusLines``; its malformed
+    lines are counted on the returned ``Corpus.skipped``."""
+    lines = CorpusLines(path, label_mode)
+    tweets = tuple(Tweet(id=tweet_id, raw_text=text, label=label)
+                   for tweet_id, text, label in lines)
+    return Corpus(tweets=tweets, skipped=lines.skipped)
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -290,17 +310,20 @@ class TokenCleaner(dict):
         cleaned = self[token] = clean_token(token, self.stopwords)
         return cleaned
 
+    def tokens(self, raw_text: str) -> list[str]:
+        """The tokens ``preprocess`` keeps of a raw tweet text."""
+        return [tok for raw in raw_text.lower().split() if (tok := self[raw]) is not None]
+
 
 def preprocess_corpus(corpus: Corpus, stopwords: frozenset[str]) -> Corpus:
     """``preprocess`` every tweet, cleaning each distinct raw token once."""
     cleaner = TokenCleaner(stopwords)
-    tweets = []
-    for t in corpus.tweets:
-        tokens = [tok for raw in t.raw_text.lower().split() if (tok := cleaner[raw]) is not None]
-        tweets.append(
-            Tweet(id=t.id, raw_text=t.raw_text, label=t.label, tokens=tuple(tokens), parse=t.parse)
-        )
-    return Corpus(tweets=tuple(tweets), skipped=corpus.skipped)
+    tweets = tuple(
+        Tweet(id=t.id, raw_text=t.raw_text, label=t.label,
+              tokens=tuple(cleaner.tokens(t.raw_text)), parse=t.parse)
+        for t in corpus.tweets
+    )
+    return Corpus(tweets=tweets, skipped=corpus.skipped)
 
 
 # CoNLL-U column offsets (ID, FORM, UPOS, HEAD are the ones used here).

@@ -4,21 +4,32 @@ Candidates are noun-verb pairs read off dependency-parse edges (with a
 window-based lexicon fallback for corpora without parses) plus adjacent
 two-word phrases detected with a vocabulary-scaled co-occurrence score.
 Noun-verb pairs are kept only when they occur at least twice corpus-wide;
-phrases are frequency-gated by the detector itself.
+phrases are frequency-gated by the detector itself. ``ExtractCounts``
+folds a corpus into the counts behind both, one tweet at a time; the
+whole-corpus functions are folds of the same per-tweet steps.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import TypeVar
 
 from ._util import read_list_file, read_table, write_table
 from .corpus import NOUN_TAGS, VERB_TAG  # noqa: F401  (re-exported: the edge rule's tags)
-from .corpus import Corpus, TokenCleaner, Tweet, clean_token
+from .corpus import (
+    Corpus,
+    CorpusLines,
+    DependencyParse,
+    LabelMode,
+    TokenCleaner,
+    Tweet,
+    clean_token,
+)
 from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
@@ -27,6 +38,8 @@ DEFAULT_MIN_FREQ = 2
 DEFAULT_WINDOW = 4
 
 _NO_TAGS: frozenset[str] = frozenset()
+
+K = TypeVar("K")
 
 
 class CandidateKind(Enum):
@@ -169,6 +182,108 @@ class NvCounts:
         ]
 
 
+class ExtractCounts:
+    """The corpus-wide counts extraction reads, folded one tweet at a time.
+
+    ``add`` takes one tweet's id and raw text: it cleans the tokens, counts
+    the tweet's noun-verb pairs and its unigrams and adjacent bigrams, and
+    keeps nothing else of it (with ``dedupe``, its raw text, so that a text
+    seen before is counted only as a duplicate). A tweet whose id has an
+    entry in ``parses`` takes its pairs from that parse's edges; one
+    without takes them from the lexicon window when a lexicon is given,
+    and has none otherwise. Memory grows with the vocabulary, not with the
+    number of tweets.
+    """
+
+    def __init__(
+        self,
+        stopwords: frozenset[str],
+        parses: Mapping[str, DependencyParse] | None = None,
+        lexicon: dict[str, frozenset[str]] | None = None,
+        dedupe: bool = False,
+    ) -> None:
+        self.cleaner = TokenCleaner(stopwords)
+        self.parses = parses if parses is not None else {}
+        self.lexicon = lexicon
+        self.seen: set[str] | None = set() if dedupe else None
+        self.pairs: Counter[tuple[str, str]] = Counter()
+        self.unigrams: Counter[str] = Counter()
+        self.bigrams: Counter[tuple[str, str]] = Counter()
+        self.tweets = 0
+        self.parsed = self.fallback = self.neither = 0
+        self.duplicates = 0
+        self.skipped = 0
+
+    def add_file(self, path: str | Path, label_mode: LabelMode = LabelMode.UNLABELED) -> None:
+        """Add every tweet of a JSON Lines corpus read by ``CorpusLines``
+        and count its malformed lines in ``skipped``."""
+        lines = CorpusLines(path, label_mode)
+        add = self.add
+        for tweet_id, raw_text, _ in lines:
+            add(tweet_id, raw_text)
+        self.skipped += lines.skipped
+
+    def add(self, tweet_id: str, raw_text: str) -> None:
+        seen = self.seen
+        if seen is not None:
+            if raw_text in seen:
+                self.duplicates += 1
+                return
+            seen.add(raw_text)
+        self.tweets += 1
+        tokens = self.cleaner.tokens(raw_text)
+        self.count_nv(self.parses.get(tweet_id), tokens)
+        self.count_grams(tokens)
+
+    def count_nv(self, parse: DependencyParse | None, tokens: Sequence[str]) -> None:
+        """Count one tweet's noun-verb pairs: those ``extract_nv_pairs``
+        gives for its parse or, without one, those
+        ``extract_nv_pairs_fallback`` gives when there is a lexicon."""
+        if parse is not None:
+            self.parsed += 1
+            cleaner, pairs = self.cleaner, self.pairs
+            for noun, verb in parse.edges:
+                noun = cleaner[noun.lower()]
+                verb = cleaner[verb.lower()]
+                if noun is not None and verb is not None:
+                    pairs[noun, verb] += 1
+        elif self.lexicon is not None:
+            self.fallback += 1
+            self.pairs.update(_window_pairs(tokens, self.lexicon, DEFAULT_WINDOW))
+        else:
+            self.neither += 1
+
+    def count_grams(self, tokens: Sequence[str]) -> None:
+        """Count one tweet's unigrams and adjacent bigrams."""
+        self.unigrams.update(tokens)
+        self.bigrams.update(zip(tokens, tokens[1:]))
+
+    def phrases(self, cfg: PhraseConfig = PhraseConfig()) -> list[Candidate]:
+        """The bigrams ``detect_phrases`` emits for the counted tokens."""
+        unigrams = self.unigrams
+        vocab_size = len(unigrams)
+        phrases = []
+        for (a, b), count_ab in self.bigrams.items():
+            if count_ab < cfg.min_count:
+                continue
+            score = phrase_score(count_ab, unigrams[a], unigrams[b], vocab_size, cfg.min_count)
+            if score > cfg.threshold:
+                phrases.append(Candidate(CandidateKind.PHRASE, a, b, frequency=count_ab))
+        phrases.sort(key=lambda c: (c.first, c.second))
+        return phrases
+
+    def candidates(
+        self, cfg: PhraseConfig = PhraseConfig(), min_freq: int = DEFAULT_MIN_FREQ
+    ) -> CandidateSet:
+        """What ``filter_candidates`` gives for the counted noun-verb pairs
+        and phrases; a Candidate is made only for a pair that is kept."""
+        kept = [
+            Candidate(CandidateKind.NOUN_VERB_PAIR, noun, verb, frequency=count)
+            for (noun, verb), count in _frequent(self.pairs, min_freq)
+        ]
+        return _union(len(self.pairs), kept, self.phrases(cfg))
+
+
 def count_nv_pairs(
     tweets: Iterable[Tweet],
     stopwords: frozenset[str],
@@ -180,23 +295,10 @@ def count_nv_pairs(
     without counts those of ``extract_nv_pairs_fallback`` when a lexicon is
     given, and nothing otherwise. Each distinct surface form is cleaned once.
     """
-    pairs: Counter[tuple[str, str]] = Counter()
-    cleaner = TokenCleaner(stopwords)
-    parsed = fallback = neither = 0
+    counts = ExtractCounts(stopwords, lexicon=lexicon)
     for tweet in tweets:
-        if tweet.parse is not None:
-            parsed += 1
-            for noun, verb in tweet.parse.edges:
-                noun = cleaner[noun.lower()]
-                verb = cleaner[verb.lower()]
-                if noun is not None and verb is not None:
-                    pairs[noun, verb] += 1
-        elif lexicon is not None:
-            fallback += 1
-            pairs.update(_window_pairs(tweet.tokens, lexicon, DEFAULT_WINDOW))
-        else:
-            neither += 1
-    return NvCounts(pairs=pairs, parsed=parsed, fallback=fallback, neither=neither)
+        counts.count_nv(tweet.parse, tweet.tokens)
+    return NvCounts(counts.pairs, counts.parsed, counts.fallback, counts.neither)
 
 
 def detect_phrases(corpus: Corpus, cfg: PhraseConfig = PhraseConfig()) -> list[Candidate]:
@@ -207,22 +309,10 @@ def detect_phrases(corpus: Corpus, cfg: PhraseConfig = PhraseConfig()) -> list[C
     and score > threshold become Phrase candidates with frequency count(a,b).
     Output is sorted by (first, second) and so independent of tweet order.
     """
-    unigrams: Counter[str] = Counter()
-    bigrams: Counter[tuple[str, str]] = Counter()
+    counts = ExtractCounts(frozenset())
     for tweet in corpus.tweets:
-        tokens = tweet.tokens
-        unigrams.update(tokens)
-        bigrams.update(zip(tokens, tokens[1:]))
-    vocab_size = len(unigrams)
-    phrases = []
-    for (a, b), count_ab in bigrams.items():
-        if count_ab < cfg.min_count:
-            continue
-        score = phrase_score(count_ab, unigrams[a], unigrams[b], vocab_size, cfg.min_count)
-        if score > cfg.threshold:
-            phrases.append(Candidate(CandidateKind.PHRASE, a, b, frequency=count_ab))
-    phrases.sort(key=lambda c: (c.first, c.second))
-    return phrases
+        counts.count_grams(tweet.tokens)
+    return counts.phrases(cfg)
 
 
 def phrase_score(
@@ -232,17 +322,45 @@ def phrase_score(
     return (count_ab - min_count) * vocab_size / (count_a * count_b)
 
 
+def _by_identity(candidates: Iterable[Candidate]) -> Counter[tuple[str, str, str]]:
+    merged: Counter[tuple[str, str, str]] = Counter()
+    for cand in candidates:
+        merged[cand.identity] += cand.frequency
+    return merged
+
+
+def _from_identity(identity: tuple[str, str, str], frequency: int) -> Candidate:
+    return Candidate(CandidateKind(identity[0]), identity[1], identity[2], frequency=frequency)
+
+
 def aggregate(candidates: Iterable[Candidate]) -> list[Candidate]:
     """Merge candidates by identity, summing frequencies; sorted by identity."""
-    merged: dict[tuple[str, str, str], int] = {}
-    kinds: dict[tuple[str, str, str], CandidateKind] = {}
-    for cand in candidates:
-        merged[cand.identity] = merged.get(cand.identity, 0) + cand.frequency
-        kinds[cand.identity] = cand.kind
-    return [
-        Candidate(kinds[identity], identity[1], identity[2], frequency=freq)
-        for identity, freq in sorted(merged.items())
-    ]
+    merged = _by_identity(candidates)
+    return [_from_identity(identity, freq) for identity, freq in sorted(merged.items())]
+
+
+def _frequent(counts: Mapping[K, int], min_freq: int) -> list[tuple[K, int]]:
+    """The (key, count) items counted at least `min_freq` times, by key."""
+    return sorted(item for item in counts.items() if item[1] >= min_freq)
+
+
+def _union(
+    nv_before: int, nv_kept: Sequence[Candidate], phrases: Sequence[Candidate]
+) -> CandidateSet:
+    """The candidate set of the kept noun-verb pairs and the phrases, with
+    `nv_before` distinct pairs counted before the frequency filter."""
+    union: dict[tuple[str, str, str], Candidate] = {}
+    for cand in (*nv_kept, *phrases):
+        union.setdefault(cand.identity, cand)
+    candidates = tuple(sorted(union.values(), key=lambda c: c.identity))
+    return CandidateSet(
+        candidates=candidates,
+        nv_before=nv_before,
+        nv_after=len(nv_kept),
+        phrase_count=len(phrases),
+        total=len(candidates),
+        overlap=len(nv_kept) + len(phrases) - len(candidates),
+    )
 
 
 def filter_candidates(
@@ -257,22 +375,9 @@ def filter_candidates(
     (kind, first, second); `overlap` reports how many identities collided
     (expected zero, since kind is part of the identity).
     """
-    nv_agg = aggregate(nv)
-    phrase_agg = aggregate(phrases)
-    nv_kept = [c for c in nv_agg if c.frequency >= min_freq]
-    union: dict[tuple[str, str, str], Candidate] = {}
-    for cand in nv_kept + phrase_agg:
-        union.setdefault(cand.identity, cand)
-    candidates = tuple(sorted(union.values(), key=lambda c: c.identity))
-    overlap = len(nv_kept) + len(phrase_agg) - len(candidates)
-    return CandidateSet(
-        candidates=candidates,
-        nv_before=len(nv_agg),
-        nv_after=len(nv_kept),
-        phrase_count=len(phrase_agg),
-        total=len(candidates),
-        overlap=overlap,
-    )
+    merged = _by_identity(nv)
+    kept = [_from_identity(identity, freq) for identity, freq in _frequent(merged, min_freq)]
+    return _union(len(merged), kept, aggregate(phrases))
 
 
 def reduction_percent(before: int, after: int) -> float:

@@ -290,7 +290,7 @@ def reference_load_parses(path) -> dict[str, tuple[_Node, ...]]:
         current_id = None
         nodes = []
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line:
@@ -319,3 +319,42 @@ def reference_load_parses(path) -> dict[str, tuple[_Node, ...]]:
     if bad:
         logger.info("%s: dropped %d malformed parse entries", path, bad)
     return parses
+
+
+def reference_extract(files, stopwords, parses_path, lexicon, dedupe, phrase_cfg, min_freq):
+    """The extract stage composed as it was before it became one counting
+    pass: load each ``(path, label_mode)`` corpus file whole, concatenate,
+    dedupe, preprocess, attach parses, count noun-verb pairs, detect
+    phrases and filter candidates. Returns the CandidateSet and a dict of
+    the counts the stage reports.
+
+    Not independent: it calls the package's per-tweet rules and filters.
+    It checks the fold's order of work (file order, dedupe across files,
+    per-file malformed checks, counting before filtering) against this
+    composition of whole-corpus steps.
+    """
+    from subevents.corpus import (
+        attach_parses,
+        concat_corpora,
+        dedupe_corpus,
+        load_corpus,
+        load_parses,
+        preprocess_corpus,
+    )
+    from subevents.extract import count_nv_pairs, detect_phrases, filter_candidates
+
+    corpus = concat_corpora(*(load_corpus(path, mode) for path, mode in files))
+    loaded = len(corpus)
+    if dedupe:
+        corpus = dedupe_corpus(corpus)
+    corpus = preprocess_corpus(corpus, stopwords)
+    if parses_path is not None:
+        corpus = attach_parses(corpus, load_parses(parses_path))
+    nv = count_nv_pairs(corpus.tweets, stopwords, lexicon)
+    phrases = detect_phrases(corpus, phrase_cfg)
+    result = filter_candidates(nv.candidates, phrases, min_freq)
+    counts = {
+        "tweets": len(corpus), "skipped": corpus.skipped, "duplicates": loaded - len(corpus),
+        "parsed": nv.parsed, "fallback": nv.fallback, "neither": nv.neither,
+    }
+    return result, counts

@@ -102,6 +102,30 @@ class TestExitCodes:
         assert code == 2
         assert "error" in err
 
+    def test_majority_malformed_labeled_file_writes_no_candidates(self, run_cli, tmp_path):
+        # The unlabeled file is fine and read first; the labeled file fails
+        # at its end, before any artifact is written.
+        unlabeled = tmp_path / "u.jsonl"
+        unlabeled.write_text('{"id": "1", "text": "road blocked badly"}\n', encoding="utf-8")
+        labeled = tmp_path / "l.jsonl"
+        labeled.write_text(
+            'junk\n{"id": "2", "text": "road", "label": "maybe"}\n'
+            '{"id": "3", "text": "road blocked", "label": "informative"}\n', encoding="utf-8")
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("road\tN\nblocked\tV\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code, _, err = run_cli(
+            "extract",
+            "--paths.corpus_unlabeled", str(unlabeled),
+            "--paths.corpus_labeled", str(labeled),
+            "--paths.lexicon", str(lexicon),
+            "--paths.out_dir", str(out),
+        )
+        assert code == 2
+        assert err.splitlines()[-1] == (
+            f"error: {labeled}: 2 of 3 lines malformed; not a JSONL tweet corpus?")
+        assert not (out / "candidates.csv").exists()
+
     def test_stage_missing_artifact_names_producer(self, run_cli, tmp_path, write_config, pipeline_config_dict):
         cfg = write_config(pipeline_config_dict, tmp_path / "empty_out")
         code, _, err = run_cli("cluster", "--config", cfg)
@@ -426,7 +450,45 @@ GOLDEN_EXTRACT = {
                 "da64818da5d01d23f9388aa272a12f3af0afe1e7091471c1769a5bf3e4d5a245"),
     "dedupe": (["--dedupe"], "eb91bcc38b16a154d27ef8bf7f98e4d6d9132af8bb676130bfe7c71a560869f3",
                "11110fc75e7b89bfef5c0e7bc2e8130e1540df61f055f40ea2d0b015db33089f"),
+    # Recorded with the load-then-preprocess extract path.
+    "edge_cases": (["--dedupe", "--paths.lexicon", "LEXICON",
+                    "--paths.corpus_unlabeled", "UNLABELED", "--paths.corpus_labeled", "LABELED"],
+                   "e08aeef3ac446b462e062218fb7d4984efdfeb89e4e8f1912ca905ad64983e00",
+                   "3bbce7caaa5084de2e13a101f92273043b2cfa8570acb198ee4e9116f3d243e7"),
 }
+
+
+def _edge_case_corpora(paths: dict, tmp_path: Path) -> tuple[Path, Path]:
+    """The fixture corpora with malformed lines in both files, duplicate
+    texts within and across the files, and repeated tweet ids."""
+    unlabeled = Path(paths["corpus_unlabeled"]).read_text(encoding="utf-8").splitlines()
+    labeled = Path(paths["corpus_labeled"]).read_text(encoding="utf-8").splitlines()
+    texts = {json.loads(line)["id"]: json.loads(line)["text"] for line in unlabeled + labeled}
+    malformed = ["not json", '{"id": 7, "text": "x"}', '["list"]', '{"id": "m", "text": "a"']
+    edge_unlabeled = []
+    for i, line in enumerate(unlabeled):
+        edge_unlabeled.append(line)
+        if i % 20 == 0:
+            edge_unlabeled.append(malformed[(i // 20) % len(malformed)])
+    edge_unlabeled += [json.dumps({"id": f"xu{i}", "text": texts[f"l{i:03d}"]}) for i in range(10)]
+    edge_unlabeled += [
+        json.dumps({"id": "du0", "text": texts["u000"]}),   # duplicate text in the same file
+        json.dumps({"id": "u001", "text": "cnounaa storm cverbaa surge"}),  # repeated id
+        json.dumps({"id": "l003", "text": "cnounab storm cverbab"}),  # a labeled tweet's id
+    ]
+    edge_labeled = labeled + [
+        json.dumps({"id": "b1", "text": "x", "label": "maybe"}),
+        "garbage",
+        json.dumps({"id": "b2"}),
+        json.dumps({"id": "l000", "text": texts["l000"], "label": "informative"}),
+    ] + [
+        json.dumps({"id": f"xl{i}", "text": texts[f"u{i + 10:03d}"], "label": "uninformative"})
+        for i in range(5)
+    ]
+    paths_out = tmp_path / "edge_unlabeled.jsonl", tmp_path / "edge_labeled.jsonl"
+    for path, lines in zip(paths_out, (edge_unlabeled, edge_labeled)):
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return paths_out
 
 
 @pytest.mark.parametrize("variant", sorted(GOLDEN_EXTRACT))
@@ -439,11 +501,26 @@ def test_extract_artifacts_match_golden_digests(run_cli, tmp_path, write_config,
     lexicon.write_text("".join(f"{first}\tN\n{second}\tV\n" for _, first, second in planted),
                        encoding="utf-8")
     flags, candidates_sha, accounting_sha = GOLDEN_EXTRACT[variant]
-    flags = [str(lexicon) if flag == "LEXICON" else flag for flag in flags]
+    unlabeled, labeled = _edge_case_corpora(pipeline_config_dict["paths"], tmp_path)
+    placeholders = {"LEXICON": lexicon, "UNLABELED": unlabeled, "LABELED": labeled}
+    flags = [str(placeholders.get(flag, flag)) for flag in flags]
     out = tmp_path / "out"
     assert run_cli("extract", "--config", write_config(pipeline_config_dict, out), *flags)[0] == 0
     assert sha256(out / "candidates.csv") == candidates_sha
     assert sha256(out / "accounting.json") == accounting_sha
+
+
+def test_extract_reports_what_it_discarded(run_cli, tmp_path, write_config, pipeline_config_dict):
+    unlabeled, labeled = _edge_case_corpora(pipeline_config_dict["paths"], tmp_path)
+    cfg = write_config(pipeline_config_dict, tmp_path / "out")
+    args = ["extract", "--config", cfg,
+            "--paths.corpus_unlabeled", str(unlabeled), "--paths.corpus_labeled", str(labeled)]
+    code, stdout, _ = run_cli(*args, "--dedupe")
+    assert code == 0
+    assert "  discarded:         13 malformed lines, 17 duplicate tweets\n" in stdout
+    code, stdout, _ = run_cli(*args)
+    assert code == 0
+    assert "  discarded:         13 malformed lines, 0 duplicate tweets\n" in stdout
 
 
 class TestBenchmarkTrace:

@@ -132,6 +132,11 @@ class TestLoadConfig:
         cfg = load_config(path)
         assert cfg.cluster.k == 5
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("\ufeff" + json.dumps({"cluster": {"k": 5}}), encoding="utf-8")
+        assert load_config(path).cluster.k == 5
+
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(tmp_path / "absent.json")

@@ -143,6 +143,15 @@ class TestLoadCorpus:
         ]
 
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("\ufeff" + json.dumps({"id": "1", "text": "first"}) + "\n",
+                        encoding="utf-8")
+        corpus = load_corpus(path)
+        assert [t.id for t in corpus.tweets] == ["1"]
+        assert corpus.skipped == 0
+
+
 class TestPreprocess:
     def _tokens(self, text):
         return preprocess(Tweet(id="t", raw_text=text), STOPWORDS).tokens
@@ -253,6 +262,12 @@ class TestStopwords:
         assert words == frozenset({"foo", "bar"})
 
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "stop.txt"
+        path.write_text("\ufeffthe\nbar\n", encoding="utf-8")
+        assert load_stopwords(path) == frozenset({"the", "bar"})
+
+
 class TestCorpusOps:
     def _corpus(self):
         return Corpus(tweets=(
@@ -297,6 +312,19 @@ class TestParses:
         assert set(parses) == {"a", "b"}
         assert parses["a"] == DependencyParse(edges=(("floods", "rise"),))
         assert parses["b"].edges == ()
+
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        path = self._write(tmp_path, (
+            "\ufeff# tweet_id = a\n"
+            "1\tfloods\tflood\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
+            "2\trise\trise\tVERB\t_\t_\t0\troot\t_\t_\n"
+            "\n"
+            "# tweet_id = b\n"
+            "1\tcalm\tcalm\tADJ\t_\t_\t0\troot\t_\t_\n"
+        ))
+        parses = load_parses(path)
+        assert set(parses) == {"a", "b"}
+        assert parses["a"].edges == (("floods", "rise"),)
 
     def test_range_and_decimal_ids_skipped(self, tmp_path):
         path = self._write(tmp_path, (

@@ -39,6 +39,10 @@ class TestLoadVectors:
         assert not store.normalize_words
         assert load_vectors(path, normalize_words=True).normalize_words
 
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path):
+        path = self._write(tmp_path, "\ufeff2 3\nflood 1 0 0\nfire 0 1 0\n")
+        assert set(load_vectors(path).vectors) == {"flood", "fire"}
+
     def test_bad_header_fatal(self, tmp_path):
         for header in ["", "3", "x y", "2 3 4", "-1 3", "2 0"]:
             path = self._write(tmp_path, header + "\nflood 1 0 0\n")

@@ -1,7 +1,12 @@
+import gc
+import json
+import tracemalloc
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from subevents.corpus import (
     Corpus,
     DependencyParse,
@@ -19,6 +24,7 @@ from subevents.errors import InputFormatError
 from subevents.extract import (
     Candidate,
     CandidateKind,
+    ExtractCounts,
     PhraseConfig,
     aggregate,
     count_nv_pairs,
@@ -280,6 +286,149 @@ def test_count_nv_pairs_equals_per_tweet_aggregate(pipeline_corpus, data):
     assert (counts.fallback, counts.neither) == (
         (len(tweets) - parsed, 0) if lexicon is not None else (0, len(tweets) - parsed)
     )
+
+
+_IDS = ("a", "b", "c", "d", "e")
+_WORDS = ("flood", "rise", "bridge", "gone", "water", "storm", "the", "#help", "@user", "x1")
+_MALFORMED = ("not json", '{"id": 1, "text": "x"}', "[]", '{"id": "a"}')
+
+
+@st.composite
+def _jsonl_lines(draw, texts, labeled):
+    """Lines of a corpus file: tweets whose ids repeat and whose texts come
+    from a shared pool (so duplicates occur within and across files), blank
+    lines, and malformed lines (an unknown label too, in a labeled file)."""
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(_MALFORMED)))
+        elif kind == 1:
+            lines.append("")
+        else:
+            obj = {"id": draw(st.sampled_from(_IDS)), "text": draw(st.sampled_from(texts))}
+            if labeled:
+                obj["label"] = draw(st.sampled_from(["informative", "uninformative", "maybe"]))
+            lines.append(json.dumps(obj))
+    return lines
+
+
+@st.composite
+def _sidecar(draw):
+    """A CoNLL-U sidecar over the tweet ids (some missing, some repeated),
+    each sentence a chain of tokens headed by its first."""
+    lines = []
+    for tweet_id in draw(st.lists(st.sampled_from(_IDS), max_size=6)):
+        lines.append(f"# tweet_id = {tweet_id}")
+        n = draw(st.integers(1, 4))
+        for i in range(1, n + 1):
+            form = draw(st.sampled_from(_WORDS)).capitalize()
+            tag = draw(st.sampled_from(["NOUN", "PROPN", "VERB", "ADJ"]))
+            lines.append(f"{i}\t{form}\t_\t{tag}\t_\t_\t{i - 1}\tdep\t_\t_")
+        lines.append("")
+    return lines
+
+
+@st.composite
+def _extract_inputs(draw):
+    texts = draw(st.lists(
+        st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join), min_size=1, max_size=6))
+    return {
+        "unlabeled": draw(st.none() | _jsonl_lines(texts, labeled=False)),
+        "labeled": draw(st.none() | _jsonl_lines(texts, labeled=True)),
+        "sidecar": draw(st.none() | _sidecar()),
+        "lexicon": draw(st.none() | st.dictionaries(
+            st.sampled_from(_WORDS), st.sampled_from([frozenset("N"), frozenset("V"),
+                                                      frozenset("NV")]))),
+        "dedupe": draw(st.booleans()),
+        "phrase": PhraseConfig(draw(st.integers(1, 3)),
+                               draw(st.sampled_from([0.0, 0.5, 2.0, 10.0]))),
+        "min_freq": draw(st.integers(1, 3)),
+    }
+
+
+def _run_logged(caplog, fn):
+    """fn()'s result, or the InputFormatError it raised, and its log records."""
+    caplog.clear()
+    with caplog.at_level("INFO", logger="subevents"):
+        try:
+            result = fn()
+        except InputFormatError as exc:
+            result = str(exc)
+        records = [(rec.levelname, rec.getMessage()) for rec in caplog.records]
+    caplog.clear()
+    return result, records
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_extract_inputs())
+def test_fold_matches_whole_corpus_reference(inputs, tmp_path, caplog):
+    """Folding the corpus files line by line gives the candidates, counts
+    and log records of loading, deduping, preprocessing and counting whole
+    corpora; only the parse file's records move ahead of the corpus ones."""
+    files = []
+    for name, mode in (("unlabeled", LabelMode.UNLABELED), ("labeled", LabelMode.LABELED)):
+        if inputs[name] is not None:
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text("".join(line + "\n" for line in inputs[name]), encoding="utf-8")
+            files.append((path, mode))
+    parses_path = None
+    if inputs["sidecar"] is not None:
+        parses_path = tmp_path / "parses.conllu"
+        parses_path.write_text("\n".join(inputs["sidecar"]), encoding="utf-8")
+    lexicon, dedupe = inputs["lexicon"], inputs["dedupe"]
+
+    def fold():
+        parses = load_parses(parses_path) if parses_path is not None else None
+        counts = ExtractCounts(STOPWORDS, parses, lexicon, dedupe=dedupe)
+        for path, mode in files:
+            counts.add_file(path, mode)
+        got = {"tweets": counts.tweets, "skipped": counts.skipped,
+               "duplicates": counts.duplicates, "parsed": counts.parsed,
+               "fallback": counts.fallback, "neither": counts.neither}
+        return counts.candidates(inputs["phrase"], inputs["min_freq"]), got
+
+    def reference():
+        return oracles.reference_extract(files, STOPWORDS, parses_path, lexicon, dedupe,
+                                         inputs["phrase"], inputs["min_freq"])
+
+    got, got_log = _run_logged(caplog, fold)
+    want, want_log = _run_logged(caplog, reference)
+    assert got == want
+    if isinstance(got, str) and parses_path is not None:
+        # A mostly malformed corpus file stops the reference before it reads
+        # the parse file, and the fold after.
+        got_log = [r for r in got_log if str(parses_path) not in r[1]]
+    assert sorted(got_log) == sorted(want_log)
+    for path in [str(p) for p, _ in files] + [str(parses_path)]:
+        assert [r for r in got_log if path in r[1]] == [r for r in want_log if path in r[1]]
+
+
+def _fold_peak(path) -> int:
+    """tracemalloc peak of folding one corpus file with a lexicon only."""
+    lexicon = {"flood": frozenset("N"), "rise": frozenset("V")}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        ExtractCounts(STOPWORDS, lexicon=lexicon).add_file(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fold_memory_does_not_grow_with_tweets(tmp_path):
+    """Doubling a corpus (the same texts again under new ids) leaves the
+    fold's peak within 10%: it holds counts, not tweets."""
+    vocab = [f"word{chr(97 + i % 26)}{chr(97 + i // 26)}" for i in range(300)]
+    texts = [" ".join(vocab[(7 * t + 13 * j) % len(vocab)] for j in range(12)) + " flood rise"
+             for t in range(3000)]
+    once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+    once.write_text("".join(json.dumps({"id": f"a{i}", "text": text}) + "\n"
+                            for i, text in enumerate(texts)), encoding="utf-8")
+    twice.write_text("".join(json.dumps({"id": f"{p}{i}", "text": text}) + "\n"
+                             for p in "ab" for i, text in enumerate(texts)), encoding="utf-8")
+    assert _fold_peak(twice) <= 1.1 * _fold_peak(once)
 
 
 class TestAggregateAndFilter:
