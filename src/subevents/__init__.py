@@ -19,7 +19,6 @@ from .cluster import (
 from .config import PipelineConfig, load_config
 from .corpus import (
     Corpus,
-    DependencyParse,
     Label,
     LabelMode,
     Tweet,
@@ -44,7 +43,7 @@ from .extract import (
     filter_candidates,
     phrase_score,
 )
-from .rank import Ontology, RankedCandidate, load_ontology, rank_baseline_overlap, rank_candidates, top_k
+from .rank import Ontology, RankedCandidate, load_ontology, rank_baseline_overlap, rank_candidates
 
 __version__ = "0.1.0"
 
@@ -57,7 +56,6 @@ __all__ = [
     "ComposedVector",
     "ConfigError",
     "Corpus",
-    "DependencyParse",
     "EmbeddingStore",
     "ExtractCounts",
     "InputFormatError",
@@ -96,6 +94,5 @@ __all__ = [
     "roc_points",
     "spectral_cluster",
     "summarize_clusters",
-    "top_k",
     "__version__",
 ]

@@ -47,7 +47,6 @@ from .rank import (
     rank_baseline_overlap,
     rank_candidates,
     read_ranked,
-    top_k,
     write_ranked,
 )
 from .report import f1_plot_svg, roc_plot_svg
@@ -266,7 +265,7 @@ def cmd_cluster(cfg: PipelineConfig, out_dir: Path, store: EmbeddingStore | None
     if cfg.cluster.k is None:
         raise ConfigError("cluster.k is required: choose the number of sub-event clusters")
     ranked = read_ranked(_require_artifact(out_dir, "ranked", "rank"))
-    top = top_k(ranked, cfg.cluster.top_m)
+    top = ranked[: cfg.cluster.top_m]
     # A store loaded here is freed once composed, before the affinity is built.
     rows, null = compose_rows(
         [rc.candidate.words for rc in top], _load_store(cfg) if store is None else store
@@ -394,8 +393,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SubeventsError, OSError, ValueError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SubeventsError, OSError, ValueError, ArithmeticError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

@@ -46,18 +46,12 @@ class LabelMode(Enum):
 NOUN_TAGS = frozenset({"NOUN", "PROPN"})
 VERB_TAG = "VERB"
 
-
-@dataclass(frozen=True, slots=True)
-class DependencyParse:
-    """What extraction reads of a sentence's dependency parse: the (noun,
-    verb) surface forms of each head-dependent edge joining a {NOUN, PROPN}
-    token and a VERB token, noun first, in token order (see ``_nv_edges``).
-
-    Only these edges are kept, not the tree: a parse file holds one token
-    per word, and most of them take part in no such edge.
-    """
-
-    edges: tuple[tuple[str, str], ...]
+# What extraction reads of a sentence's dependency parse: the (noun, verb)
+# surface forms of each head-dependent edge joining a {NOUN, PROPN} token
+# and a VERB token, noun first, in token order (see ``_nv_edges``). Only
+# these edges are kept, not the tree: a parse file holds one token per
+# word, and most of them take part in no such edge.
+NvEdges = tuple[tuple[str, str], ...]
 
 
 _REACHES_ROOT = -1
@@ -116,24 +110,20 @@ def _nv_edges(
 
 @dataclass(frozen=True)
 class Tweet:
+    """One tweet. ``parse`` is the noun-verb edges of its dependency parse:
+    None when it has no parse, ``()`` when its parse has no such edge."""
+
     id: str
     raw_text: str
     label: Label = Label.UNLABELED
     tokens: tuple[str, ...] = ()
-    parse: DependencyParse | None = None
+    parse: NvEdges | None = None
 
 
 @dataclass(frozen=True)
 class Corpus:
     tweets: tuple[Tweet, ...]
     skipped: int = 0
-
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        """(n_informative, n_uninformative, n_unlabeled); sums to len(tweets)."""
-        n_inf = sum(1 for t in self.tweets if t.label is Label.INFORMATIVE)
-        n_unf = sum(1 for t in self.tweets if t.label is Label.UNINFORMATIVE)
-        return n_inf, n_unf, len(self.tweets) - n_inf - n_unf
 
     def __len__(self) -> int:
         return len(self.tweets)
@@ -330,18 +320,24 @@ def preprocess_corpus(corpus: Corpus, stopwords: frozenset[str]) -> Corpus:
 _COL_ID, _COL_FORM, _COL_UPOS, _COL_HEAD = 0, 1, 3, 6
 
 
-def load_parses(path: str | Path) -> dict[str, DependencyParse]:
-    """Read a CoNLL-U sidecar keyed by ``# tweet_id = <id>`` comments.
+def load_parses(path: str | Path) -> dict[str, NvEdges]:
+    """Read a CoNLL-U sidecar keyed by ``# tweet_id = <id>`` comments into
+    tweet id -> the (noun, verb) edges of its parse (``NvEdges``); ``()``
+    is a parse with no noun-verb edge.
 
     A sentence ends at a blank line or at the next ``# tweet_id`` comment.
     Multiword-token and empty-node lines (ranged or dotted IDs) are skipped.
-    Sentences without a tweet_id comment or violating parse invariants
-    (``validate_heads``) are skipped with a warning; a repeated tweet_id
-    keeps the first valid parse. Each sentence is read into transient
-    columns and only its noun-verb edges are kept.
+    A sentence without a tweet_id comment or violating parse invariants
+    (``validate_heads``) is dropped with a warning; so is one with an
+    unparseable token line, with a warning per such line. Each warning
+    counts toward the "dropped N malformed parse entries" total. A repeated
+    tweet_id keeps the first valid parse. Each sentence is read into
+    transient columns and only its noun-verb edges are kept.
     """
-    parses: dict[str, DependencyParse] = {}
+    parses: dict[str, NvEdges] = {}
     current_id: str | None = None
+    dropped = False  # the sentence read so far was already reported
+    first_line = 0  # line number of its first token line
     ids: list[int] = []
     forms: list[str] = []
     upos: list[str] = []
@@ -350,24 +346,31 @@ def load_parses(path: str | Path) -> dict[str, DependencyParse]:
     bad = 0
 
     def flush() -> None:
-        nonlocal current_id, bad
-        if current_id is not None and heads:
-            try:
-                validate_heads(ids, heads)
-            except ValueError as exc:
+        nonlocal current_id, dropped, bad
+        if heads and not dropped:
+            if current_id is None:
                 bad += 1
-                logger.warning("%s: dropping parse for %s (%s)", path, current_id, exc)
+                logger.warning("%s:%d: dropping sentence with no tweet_id comment",
+                               path, first_line)
             else:
-                if current_id in parses:
-                    logger.warning("%s: duplicate tweet_id %r, keeping first", path, current_id)
+                try:
+                    validate_heads(ids, heads)
+                except ValueError as exc:
+                    bad += 1
+                    logger.warning("%s: dropping parse for %s (%s)", path, current_id, exc)
                 else:
-                    parses[current_id] = DependencyParse(tuple(_nv_edges(forms, upos, heads)))
+                    if current_id in parses:
+                        logger.warning("%s: duplicate tweet_id %r, keeping first",
+                                       path, current_id)
+                    else:
+                        parses[current_id] = tuple(_nv_edges(forms, upos, heads))
         current_id = None
+        dropped = False
         for column in columns:
             column.clear()
 
     with open_text(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 flush()
@@ -391,8 +394,10 @@ def load_parses(path: str | Path) -> dict[str, DependencyParse]:
             except ValueError:
                 bad += 1
                 logger.warning("%s: unparseable token line %r", path, line)
-                current_id = None  # the rest of the sentence is read, then dropped
+                dropped = True  # the rest of the sentence is read, then dropped
                 continue
+            if not heads:
+                first_line = lineno
             ids.append(index)
             forms.append(cols[_COL_FORM])
             upos.append(cols[_COL_UPOS])
@@ -403,7 +408,7 @@ def load_parses(path: str | Path) -> dict[str, DependencyParse]:
     return parses
 
 
-def attach_parses(corpus: Corpus, parses: dict[str, DependencyParse]) -> Corpus:
+def attach_parses(corpus: Corpus, parses: dict[str, NvEdges]) -> Corpus:
     """Return a corpus whose tweets carry their sidecar parse, if any."""
     tweets = tuple(
         Tweet(id=t.id, raw_text=t.raw_text, label=t.label, tokens=t.tokens, parse=parses[t.id])

@@ -20,16 +20,7 @@ from pathlib import Path
 from typing import TypeVar
 
 from ._util import read_list_file, read_table, write_table
-from .corpus import NOUN_TAGS, VERB_TAG  # noqa: F401  (re-exported: the edge rule's tags)
-from .corpus import (
-    Corpus,
-    CorpusLines,
-    DependencyParse,
-    LabelMode,
-    TokenCleaner,
-    Tweet,
-    clean_token,
-)
+from .corpus import Corpus, CorpusLines, LabelMode, NvEdges, TokenCleaner, Tweet
 from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
@@ -97,6 +88,16 @@ class CandidateSet:
         return len(self.candidates)
 
 
+def _edge_pairs(edges: NvEdges, cleaner: TokenCleaner) -> Iterator[tuple[str, str]]:
+    """(noun, verb) of each parse edge, lowercased and cleaned, for the
+    edges whose two words both survive preprocessing."""
+    for noun, verb in edges:
+        noun = cleaner[noun.lower()]
+        verb = cleaner[verb.lower()]
+        if noun is not None and verb is not None:
+            yield noun, verb
+
+
 def extract_nv_pairs(tweet: Tweet, stopwords: frozenset[str]) -> list[Candidate]:
     """Noun-verb pairs from the tweet's dependency parse.
 
@@ -109,14 +110,10 @@ def extract_nv_pairs(tweet: Tweet, stopwords: frozenset[str]) -> list[Candidate]
         raise ValueError(
             f"tweet {tweet.id} has no dependency parse; use extract_nv_pairs_fallback"
         )
-    pairs: list[Candidate] = []
-    for noun, verb in tweet.parse.edges:
-        noun = clean_token(noun.lower(), stopwords)
-        verb = clean_token(verb.lower(), stopwords)
-        if noun is None or verb is None:
-            continue
-        pairs.append(Candidate(CandidateKind.NOUN_VERB_PAIR, noun, verb))
-    return pairs
+    return [
+        Candidate(CandidateKind.NOUN_VERB_PAIR, noun, verb)
+        for noun, verb in _edge_pairs(tweet.parse, TokenCleaner(stopwords))
+    ]
 
 
 def load_pos_lexicon(path: str | Path | None = None) -> dict[str, frozenset[str]]:
@@ -163,25 +160,6 @@ def extract_nv_pairs_fallback(
     ]
 
 
-@dataclass(frozen=True)
-class NvCounts:
-    """Corpus-wide noun-verb pair occurrences and the source each tweet used."""
-
-    pairs: Counter[tuple[str, str]]
-    parsed: int
-    fallback: int
-    neither: int
-
-    @property
-    def candidates(self) -> list[Candidate]:
-        """One candidate per (noun, verb), frequency = occurrences; sorted by
-        identity, as ``aggregate`` sorts."""
-        return [
-            Candidate(CandidateKind.NOUN_VERB_PAIR, noun, verb, frequency=count)
-            for (noun, verb), count in sorted(self.pairs.items())
-        ]
-
-
 class ExtractCounts:
     """The corpus-wide counts extraction reads, folded one tweet at a time.
 
@@ -198,7 +176,7 @@ class ExtractCounts:
     def __init__(
         self,
         stopwords: frozenset[str],
-        parses: Mapping[str, DependencyParse] | None = None,
+        parses: Mapping[str, NvEdges] | None = None,
         lexicon: dict[str, frozenset[str]] | None = None,
         dedupe: bool = False,
     ) -> None:
@@ -235,18 +213,13 @@ class ExtractCounts:
         self.count_nv(self.parses.get(tweet_id), tokens)
         self.count_grams(tokens)
 
-    def count_nv(self, parse: DependencyParse | None, tokens: Sequence[str]) -> None:
+    def count_nv(self, parse: NvEdges | None, tokens: Sequence[str]) -> None:
         """Count one tweet's noun-verb pairs: those ``extract_nv_pairs``
         gives for its parse or, without one, those
         ``extract_nv_pairs_fallback`` gives when there is a lexicon."""
         if parse is not None:
             self.parsed += 1
-            cleaner, pairs = self.cleaner, self.pairs
-            for noun, verb in parse.edges:
-                noun = cleaner[noun.lower()]
-                verb = cleaner[verb.lower()]
-                if noun is not None and verb is not None:
-                    pairs[noun, verb] += 1
+            self.pairs.update(_edge_pairs(parse, self.cleaner))
         elif self.lexicon is not None:
             self.fallback += 1
             self.pairs.update(_window_pairs(tokens, self.lexicon, DEFAULT_WINDOW))
@@ -282,23 +255,6 @@ class ExtractCounts:
             for (noun, verb), count in _frequent(self.pairs, min_freq)
         ]
         return _union(len(self.pairs), kept, self.phrases(cfg))
-
-
-def count_nv_pairs(
-    tweets: Iterable[Tweet],
-    stopwords: frozenset[str],
-    lexicon: dict[str, frozenset[str]] | None = None,
-) -> NvCounts:
-    """Count noun-verb pairs over the corpus without one object per occurrence.
-
-    A tweet with a parse counts the pairs ``extract_nv_pairs`` gives; one
-    without counts those of ``extract_nv_pairs_fallback`` when a lexicon is
-    given, and nothing otherwise. Each distinct surface form is cleaned once.
-    """
-    counts = ExtractCounts(stopwords, lexicon=lexicon)
-    for tweet in tweets:
-        counts.count_nv(tweet.parse, tweet.tokens)
-    return NvCounts(counts.pairs, counts.parsed, counts.fallback, counts.neither)
 
 
 def detect_phrases(corpus: Corpus, cfg: PhraseConfig = PhraseConfig()) -> list[Candidate]:

@@ -160,13 +160,6 @@ def rank_baseline_overlap(
     return _sort_and_rank(scored)
 
 
-def top_k(ranked: Sequence[RankedCandidate], k: int) -> list[RankedCandidate]:
-    """First min(k, len) entries of the ranking."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return list(ranked[:k])
-
-
 RANKED_CSV_HEADER = ["rank", "kind", "first", "second", "frequency", "score", "best_term"]
 
 

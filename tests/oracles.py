@@ -264,7 +264,9 @@ def _nv_edges(nodes):
 def reference_load_parses(path) -> dict[str, tuple[_Node, ...]]:
     """tweet_id -> the sentence's nodes (index, surface, upos, head), read
     the way `subevents.corpus.load_parses` read a sidecar when it kept one
-    node per token, logging the same messages in the same order.
+    node per token, logging the same messages in the same order. Like the
+    package, it also warns of and counts a sentence with no tweet_id
+    comment, unless an unparseable token line already dropped it.
 
     Not independent: it is that loader, and with `reference_nv_edges` its
     edge rule, kept as written so the column reader can be checked against
@@ -273,12 +275,17 @@ def reference_load_parses(path) -> dict[str, tuple[_Node, ...]]:
     """
     parses: dict[str, tuple[_Node, ...]] = {}
     current_id = None
+    dropped = False
+    first_line = 0
     nodes: list[_Node] = []
     bad = 0
 
     def flush():
-        nonlocal current_id, nodes, bad
-        if current_id is not None and nodes:
+        nonlocal current_id, dropped, nodes, bad
+        if current_id is None and nodes and not dropped:
+            bad += 1
+            logger.warning("%s:%d: dropping sentence with no tweet_id comment", path, first_line)
+        elif current_id is not None and nodes:
             error = _reference_tree_error(nodes)
             if error is not None:
                 bad += 1
@@ -288,10 +295,11 @@ def reference_load_parses(path) -> dict[str, tuple[_Node, ...]]:
             else:
                 parses[current_id] = tuple(nodes)
         current_id = None
+        dropped = False
         nodes = []
 
     with open(path, encoding="utf-8-sig") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line:
                 flush()
@@ -309,12 +317,17 @@ def reference_load_parses(path) -> dict[str, tuple[_Node, ...]]:
             if "-" in cols[0] or "." in cols[0]:
                 continue
             try:
-                nodes.append(_Node(int(cols[0]), cols[1], cols[3], int(cols[6])))
+                node = _Node(int(cols[0]), cols[1], cols[3], int(cols[6]))
             except ValueError:
                 bad += 1
                 logger.warning("%s: unparseable token line %r", path, line)
                 current_id = None
+                dropped = True
                 nodes = []
+                continue
+            if not nodes:
+                first_line = lineno
+            nodes.append(node)
     flush()
     if bad:
         logger.info("%s: dropped %d malformed parse entries", path, bad)
@@ -324,9 +337,11 @@ def reference_load_parses(path) -> dict[str, tuple[_Node, ...]]:
 def reference_extract(files, stopwords, parses_path, lexicon, dedupe, phrase_cfg, min_freq):
     """The extract stage composed as it was before it became one counting
     pass: load each ``(path, label_mode)`` corpus file whole, concatenate,
-    dedupe, preprocess, attach parses, count noun-verb pairs, detect
-    phrases and filter candidates. Returns the CandidateSet and a dict of
-    the counts the stage reports.
+    dedupe, preprocess, attach parses, extract each tweet's noun-verb pairs
+    (``extract_nv_pairs`` for a tweet with a parse, else
+    ``extract_nv_pairs_fallback`` when there is a lexicon), detect phrases
+    and filter candidates. Returns the CandidateSet and a dict of the
+    counts the stage reports.
 
     Not independent: it calls the package's per-tweet rules and filters.
     It checks the fold's order of work (file order, dedupe across files,
@@ -341,7 +356,12 @@ def reference_extract(files, stopwords, parses_path, lexicon, dedupe, phrase_cfg
         load_parses,
         preprocess_corpus,
     )
-    from subevents.extract import count_nv_pairs, detect_phrases, filter_candidates
+    from subevents.extract import (
+        detect_phrases,
+        extract_nv_pairs,
+        extract_nv_pairs_fallback,
+        filter_candidates,
+    )
 
     corpus = concat_corpora(*(load_corpus(path, mode) for path, mode in files))
     loaded = len(corpus)
@@ -350,11 +370,19 @@ def reference_extract(files, stopwords, parses_path, lexicon, dedupe, phrase_cfg
     corpus = preprocess_corpus(corpus, stopwords)
     if parses_path is not None:
         corpus = attach_parses(corpus, load_parses(parses_path))
-    nv = count_nv_pairs(corpus.tweets, stopwords, lexicon)
-    phrases = detect_phrases(corpus, phrase_cfg)
-    result = filter_candidates(nv.candidates, phrases, min_freq)
     counts = {
         "tweets": len(corpus), "skipped": corpus.skipped, "duplicates": loaded - len(corpus),
-        "parsed": nv.parsed, "fallback": nv.fallback, "neither": nv.neither,
+        "parsed": 0, "fallback": 0, "neither": 0,
     }
+    nv = []
+    for tweet in corpus.tweets:
+        if tweet.parse is not None:
+            counts["parsed"] += 1
+            nv.extend(extract_nv_pairs(tweet, stopwords))
+        elif lexicon is not None:
+            counts["fallback"] += 1
+            nv.extend(extract_nv_pairs_fallback(tweet, lexicon))
+        else:
+            counts["neither"] += 1
+    result = filter_candidates(nv, detect_phrases(corpus, phrase_cfg), min_freq)
     return result, counts

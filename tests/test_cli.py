@@ -148,6 +148,18 @@ class TestExitCodes:
         code, _, _ = run_cli("rank", "--config", cfg, "--paths.vectors", str(bad))
         assert code == 2
 
+    def test_impossible_vector_dimension_is_data_error(self, run_cli, tmp_path, write_config,
+                                                       pipeline_config_dict):
+        # numpy refuses a 10^15-column array before it touches any memory.
+        cfg = write_config(pipeline_config_dict, tmp_path / "out")
+        assert run_cli("extract", "--config", cfg)[0] == 0
+        huge = tmp_path / "huge_vectors.txt"
+        huge.write_text("1 1000000000000000\nflood 0.1 0.2\n", encoding="utf-8")
+        code, _, err = run_cli("rank", "--config", cfg, "--paths.vectors", str(huge))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("key, bundled", [
         ("corpus_unlabeled", None), ("corpus_labeled", None), ("parses", None),
         ("vectors", None), ("ontology", None),
@@ -334,6 +346,18 @@ class TestStagedFlow:
         assert any("matched the parse file" in rec.message for rec in caplog.records)
 
 
+def _oov_vectors(pipeline_config_dict: dict, tmp_path: Path) -> Path:
+    """The fixture vectors without the rows of four words of top-ranked
+    candidates, so that those words are out of vocabulary."""
+    dropped = ("cnounaa ", "cverbaa ", "cnounab ", "nverbac ")
+    lines = Path(pipeline_config_dict["paths"]["vectors"]).read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    vectors = tmp_path / "oov_vectors.txt"
+    vectors.write_text("".join(line for line in lines if not line.startswith(dropped)),
+                       encoding="utf-8")
+    return vectors
+
+
 class TestPipeline:
     def test_manifest_records_run(self, run_cli, tmp_path, write_config, pipeline_config_dict):
         out = tmp_path / "out"
@@ -406,14 +430,8 @@ class TestPipeline:
         # Top candidates' words without a vector are composed from subword
         # bucket vectors; the pipeline's cluster stage composes them from the
         # vectors rank loaded, staged runs from a store of their own.
-        dropped = ("cnounaa ", "cverbaa ", "cnounab ", "nverbac ")
-        lines = Path(pipeline_config_dict["paths"]["vectors"]).read_text(
-            encoding="utf-8").splitlines(keepends=True)
-        vectors = tmp_path / "vectors.txt"
-        vectors.write_text("".join(line for line in lines if not line.startswith(dropped)),
-                           encoding="utf-8")
         cfg_dict = json.loads(json.dumps(pipeline_config_dict))
-        cfg_dict["paths"]["vectors"] = str(vectors)
+        cfg_dict["paths"]["vectors"] = str(_oov_vectors(pipeline_config_dict, tmp_path))
         cfg_dict["rank"]["oov_policy"] = "subword"
         staged, whole = tmp_path / "staged", tmp_path / "whole"
         cfg = write_config(cfg_dict, staged)
@@ -508,6 +526,51 @@ def test_extract_artifacts_match_golden_digests(run_cli, tmp_path, write_config,
     assert run_cli("extract", "--config", write_config(pipeline_config_dict, out), *flags)[0] == 0
     assert sha256(out / "candidates.csv") == candidates_sha
     assert sha256(out / "accounting.json") == accounting_sha
+
+
+# sha256 of ranked.csv, clusters.json and metrics.csv of the fixture
+# pipeline, recorded with numpy 2.4 on x86-64. No variant changes what
+# extract reads (the fixture corpora hold no duplicate texts), so each also
+# gives the "shipped" extract digests above. The fixture holds no word
+# without a vector, so "subword" ranks with OOV_VECTORS (``_oov_vectors``).
+GOLDEN_PIPELINE = {
+    "shipped": ([], "b716adb4c52c9362a9983b8f88023a2190ec3209afc1a58dcbbea3d91836f28d",
+                "b4d88bbe8d9c557b142e06227856fb4b6352d4846c9f5753ec425e879b1b6438",
+                "f120e9c03500394be4ccf58c3b626ae295c1091147096a9f99ea6239952ef487"),
+    "baseline": (["--rank.method", "baseline"],
+                 "4a29cab8818afd4210ec893f1395c26d45207c2cc37b9b1427d6d87845fa4ae9",
+                 "f84bdd022da75ed91407b4cf4495c6ac7f5b126c983fde909ee42cd6a5327849",
+                 "d3fe7250096d9b55039a1c612e19595ab40a4576ff0b7bc38942d240d42835c8"),
+    "baseline_dedupe": (["--rank.method", "baseline", "--dedupe"],
+                        "4a29cab8818afd4210ec893f1395c26d45207c2cc37b9b1427d6d87845fa4ae9",
+                        "f84bdd022da75ed91407b4cf4495c6ac7f5b126c983fde909ee42cd6a5327849",
+                        "d3fe7250096d9b55039a1c612e19595ab40a4576ff0b7bc38942d240d42835c8"),
+    "normalize_words": (["--rank.normalize_words", "true"],
+                        "77e622d02f59d5596de3c63bf82ca2c9632e1b7eba6333f05559b261877f0d45",
+                        "fbf76e40b68da5e2d8c2dff037ca70646885047f05a9efac4ce21a8f57942ebf",
+                        "f120e9c03500394be4ccf58c3b626ae295c1091147096a9f99ea6239952ef487"),
+    "unnormalized_cluster": (["--cluster.normalized", "false"],
+                             "b716adb4c52c9362a9983b8f88023a2190ec3209afc1a58dcbbea3d91836f28d",
+                             "26c15e5211242076e3bc26cce88d34cdcaa9143c2f1993f1cdbc9d41801732eb",
+                             "f120e9c03500394be4ccf58c3b626ae295c1091147096a9f99ea6239952ef487"),
+    "subword": (["--rank.oov_policy", "subword", "--paths.vectors", "OOV_VECTORS"],
+                "87d7873ed415df6fe6036e7c07961d01945db19dc4b6d5102149251a0b3df270",
+                "4ea28ef269498eed070fe52aa8e90ce73346043caec36c7ba3fdffd503f0cc85",
+                "f120e9c03500394be4ccf58c3b626ae295c1091147096a9f99ea6239952ef487"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_PIPELINE))
+def test_pipeline_artifacts_match_golden_digests(run_cli, tmp_path, write_config,
+                                                 pipeline_config_dict, variant):
+    flags, *digests = GOLDEN_PIPELINE[variant]
+    oov_vectors = _oov_vectors(pipeline_config_dict, tmp_path)
+    flags = [str(oov_vectors) if flag == "OOV_VECTORS" else flag for flag in flags]
+    out = tmp_path / "out"
+    assert run_cli("pipeline", "--config", write_config(pipeline_config_dict, out), *flags)[0] == 0
+    names = ("candidates.csv", "accounting.json", "ranked.csv", "clusters.json", "metrics.csv")
+    assert {name: sha256(out / name) for name in names} == dict(
+        zip(names, [*GOLDEN_EXTRACT["shipped"][1:], *digests]))
 
 
 def test_extract_reports_what_it_discarded(run_cli, tmp_path, write_config, pipeline_config_dict):

@@ -11,7 +11,6 @@ import oracles
 
 from subevents.corpus import (
     Corpus,
-    DependencyParse,
     Label,
     LabelMode,
     Tweet,
@@ -276,11 +275,6 @@ class TestCorpusOps:
             Tweet(id="3", raw_text="a", label=Label.UNLABELED),
         ))
 
-    def test_counts_sum_to_length(self):
-        corpus = self._corpus()
-        assert sum(corpus.counts) == len(corpus)
-        assert corpus.counts == (1, 1, 1)
-
     def test_dedupe_keeps_first(self):
         deduped = dedupe_corpus(self._corpus())
         assert [t.id for t in deduped.tweets] == ["1", "2"]
@@ -308,10 +302,7 @@ class TestParses:
             "# tweet_id = b\n"
             "1\tcalm\tcalm\tADJ\t_\t_\t0\troot\t_\t_\n"
         ))
-        parses = load_parses(path)
-        assert set(parses) == {"a", "b"}
-        assert parses["a"] == DependencyParse(edges=(("floods", "rise"),))
-        assert parses["b"].edges == ()
+        assert load_parses(path) == {"a": (("floods", "rise"),), "b": ()}
 
     def test_leading_byte_order_mark_is_ignored(self, tmp_path):
         path = self._write(tmp_path, (
@@ -324,7 +315,7 @@ class TestParses:
         ))
         parses = load_parses(path)
         assert set(parses) == {"a", "b"}
-        assert parses["a"].edges == (("floods", "rise"),)
+        assert parses["a"] == (("floods", "rise"),)
 
     def test_range_and_decimal_ids_skipped(self, tmp_path):
         path = self._write(tmp_path, (
@@ -335,7 +326,7 @@ class TestParses:
             "2\tgo\tgo\tVERB\t_\t_\t0\troot\t_\t_\n"
         ))
         parses = load_parses(path)
-        assert parses["a"].edges == (("can", "go"),)
+        assert parses["a"] == (("can", "go"),)
 
     def test_invalid_sentence_dropped_others_kept(self, tmp_path, caplog):
         path = self._write(tmp_path, (
@@ -358,6 +349,26 @@ class TestParses:
         ))
         assert load_parses(path) == {}
 
+    def test_sentence_without_tweet_id_is_warned_and_counted(self, tmp_path, caplog):
+        path = self._write(tmp_path, (
+            "# tweet_id = a\n"
+            "1\tfloods\tflood\tNOUN\t_\t_\t0\troot\t_\t_\n"
+            "\n"
+            "# sent_id = 1\n"
+            "1\tx\tx\tNOUN\t_\t_\t0\troot\t_\t_\n"
+            "\n"
+            "1\tx\tx\tNOUN\t_\t_\tnot-a-head\troot\t_\t_\n"
+            "2\ty\ty\tVERB\t_\t_\t1\tdep\t_\t_\n"
+        ))
+        with caplog.at_level("INFO"):
+            parses = load_parses(path)
+        assert list(parses) == ["a"]
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"{path}:5: dropping sentence with no tweet_id comment",
+            f"{path}: unparseable token line '1\\tx\\tx\\tNOUN\\t_\\t_\\tnot-a-head\\troot\\t_\\t_'",
+            f"{path}: dropped 2 malformed parse entries",
+        ]
+
     def test_tweet_id_comment_ends_pending_sentence(self, tmp_path, caplog):
         path = self._write(tmp_path, (
             "# tweet_id = a\n"
@@ -369,8 +380,8 @@ class TestParses:
         with caplog.at_level("WARNING"):
             parses = load_parses(path)
         assert set(parses) == {"a", "b"}
-        assert parses["a"].edges == (("floods", "rise"),)
-        assert parses["b"].edges == ()
+        assert parses["a"] == (("floods", "rise"),)
+        assert parses["b"] == ()
         assert not caplog.records
 
     def test_duplicate_tweet_id_keeps_first(self, tmp_path, caplog):
@@ -385,7 +396,7 @@ class TestParses:
         ))
         with caplog.at_level("WARNING"):
             parses = load_parses(path)
-        assert parses["a"].edges == (("first", "go"),)
+        assert parses["a"] == (("first", "go"),)
         assert any("duplicate tweet_id 'a'" in rec.message for rec in caplog.records)
 
     def test_attach_matches_ids(self, tmp_path):
@@ -426,11 +437,6 @@ class TestDependencyParseValidate:
     def test_bad_index_sequence(self):
         with pytest.raises(ValueError, match="node index 2 at position 0"):
             validate_heads([2], [0])
-
-    def test_parse_is_immutable(self):
-        parse = DependencyParse(edges=(("flood", "rise"),))
-        with pytest.raises(AttributeError):
-            parse.edges = ()  # type: ignore[misc]
 
 
 def _validate_brute_force(heads: list[int]) -> str | None:
@@ -533,11 +539,7 @@ class TestReaderProperties:
             with pytest.raises(UnicodeDecodeError):
                 oracles.reference_load_parses(path)
             return
-        assert _edges_by_id(parses) == _reference_edges(path)
-
-
-def _edges_by_id(parses):
-    return {tweet_id: parse.edges for tweet_id, parse in parses.items()}
+        assert parses == _reference_edges(path)
 
 
 def _reference_edges(path):
@@ -608,7 +610,7 @@ def test_load_parses_matches_node_reference(data, reader_dir, caplog):
         expected = _reference_edges(path)
         want = [(rec.levelname, rec.getMessage()) for rec in caplog.records]
     assert list(parses) == list(expected)
-    assert _edges_by_id(parses) == expected
+    assert parses == expected
     assert got == want
 
 

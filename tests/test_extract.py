@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import oracles
 from subevents.corpus import (
     Corpus,
-    DependencyParse,
     LabelMode,
     Tweet,
     _nv_edges,
@@ -27,7 +26,6 @@ from subevents.extract import (
     ExtractCounts,
     PhraseConfig,
     aggregate,
-    count_nv_pairs,
     detect_phrases,
     extract_nv_pairs,
     extract_nv_pairs_fallback,
@@ -47,7 +45,7 @@ def _parsed_tweet(words):
     noun-verb edges as ``load_parses`` does."""
     forms, upos, heads = zip(*words)
     edges = tuple(_nv_edges(forms, upos, heads))
-    return Tweet(id="t", raw_text=" ".join(forms), parse=DependencyParse(edges=edges))
+    return Tweet(id="t", raw_text=" ".join(forms), parse=edges)
 
 
 def nv(first, second, freq=1):
@@ -88,9 +86,10 @@ class TestNvPairs:
         assert [c.words for c in pairs] == [("bridge", "collapsed")]
 
     def test_propn_counts_as_noun(self):
+        # Headline case: both words are lowercased before cleaning.
         tweet = _parsed_tweet([
             ("Texas", "PROPN", 2),
-            ("floods", "VERB", 0),
+            ("Floods", "VERB", 0),
         ])
         pairs = extract_nv_pairs(tweet, STOPWORDS)
         assert [c.words for c in pairs] == [("texas", "floods")]
@@ -263,9 +262,9 @@ def pipeline_corpus(generated_fixtures) -> Corpus:
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_count_nv_pairs_equals_per_tweet_aggregate(pipeline_corpus, data):
-    """Counting over the pipeline fixtures gives what aggregating the
-    per-tweet extraction gives, for a random tweet subset and a random
-    lexicon over the fixture vocabulary."""
+    """Folding ``ExtractCounts.count_nv`` over the pipeline fixtures gives
+    what aggregating the per-tweet extraction gives, for a random tweet
+    subset and a random lexicon over the fixture vocabulary."""
     tweets = data.draw(st.lists(st.sampled_from(pipeline_corpus.tweets), max_size=60))
     vocabulary = sorted({token for tweet in pipeline_corpus.tweets for token in tweet.tokens})
     lexicon = data.draw(st.none() | st.dictionaries(
@@ -278,8 +277,11 @@ def test_count_nv_pairs_equals_per_tweet_aggregate(pipeline_corpus, data):
             expected.extend(extract_nv_pairs(tweet, STOPWORDS))
         elif lexicon is not None:
             expected.extend(extract_nv_pairs_fallback(tweet, lexicon))
-    counts = count_nv_pairs(tweets, STOPWORDS, lexicon)
-    assert counts.candidates == aggregate(expected)
+    counts = ExtractCounts(STOPWORDS, lexicon=lexicon)
+    for tweet in tweets:
+        counts.count_nv(tweet.parse, tweet.tokens)
+    assert [nv(noun, verb, freq) for (noun, verb), freq in sorted(counts.pairs.items())] == (
+        aggregate(expected))
     assert sum(counts.pairs.values()) == len(expected)
     parsed = sum(1 for t in tweets if t.parse is not None)
     assert counts.parsed == parsed

@@ -14,7 +14,6 @@ from subevents.rank import (
     rank_baseline_overlap,
     rank_candidates,
     read_ranked,
-    top_k,
     write_ranked,
 )
 
@@ -227,28 +226,6 @@ class TestBaselineOverlap:
         scores = [rc.score for rc in ranked]
         assert scores == sorted(scores, reverse=True)
         assert [rc.rank for rc in ranked] == [1, 2, 3]
-
-
-class TestTopK:
-    def _ranked(self, axis_store, tmp_path):
-        path = tmp_path / "terms.txt"
-        path.write_text("north\n", encoding="utf-8")
-        ontology = load_ontology(path, axis_store)
-        cands = [nv("north", "north"), nv("north", "east"), nv("east", "east")]
-        return rank_candidates(cands, ontology, axis_store)
-
-    def test_prefix(self, axis_store, tmp_path):
-        ranked = self._ranked(axis_store, tmp_path)
-        assert [rc.rank for rc in top_k(ranked, 2)] == [1, 2]
-
-    def test_k_larger_than_list(self, axis_store, tmp_path):
-        ranked = self._ranked(axis_store, tmp_path)
-        assert len(top_k(ranked, 100)) == 3
-
-    def test_k_below_one_rejected(self, axis_store, tmp_path):
-        ranked = self._ranked(axis_store, tmp_path)
-        with pytest.raises(ValueError):
-            top_k(ranked, 0)
 
 
 class TestRankedCsv:
