@@ -22,6 +22,7 @@ from .corpus import (
     Label,
     LabelMode,
     Tweet,
+    TweetTokens,
     load_corpus,
     load_parses,
     load_stopwords,
@@ -71,6 +72,7 @@ __all__ = [
     "RocCurve",
     "SubeventsError",
     "Tweet",
+    "TweetTokens",
     "build_affinity",
     "compose",
     "detect_phrases",

@@ -20,10 +20,8 @@ from ._util import sha256_file, write_json
 from .cluster import build_affinity, spectral_cluster, summarize_clusters, write_clusters
 from .config import OVERRIDABLE, PipelineConfig, apply_override, load_config
 from .corpus import (
-    Corpus,
     LabelMode,
-    concat_corpora,
-    dedupe_corpus,
+    TweetTokens,
     load_corpus,
     load_parses,
     load_stopwords,
@@ -145,27 +143,20 @@ def _require_artifact(out_dir: Path, name: str, producer: str) -> Path:
     return path
 
 
-def _corpus_files(cfg: PipelineConfig) -> list[tuple[str, LabelMode]]:
-    """The corpus files to read, unlabeled before labeled."""
+def _tweet_tokens(cfg: PipelineConfig) -> TweetTokens:
+    """The reader of the configured corpus files, unlabeled before labeled."""
     paths = cfg.paths
-    if not paths.corpus_unlabeled and not paths.corpus_labeled:
+    stopwords = load_stopwords(paths.stopwords)
+    files = [(path, mode) for path, mode in [(paths.corpus_unlabeled, LabelMode.UNLABELED),
+                                             (paths.corpus_labeled, LabelMode.LABELED)] if path]
+    if not files:
         raise ConfigError("set paths.corpus_unlabeled and/or paths.corpus_labeled")
-    files = []
-    if paths.corpus_unlabeled:
-        files.append((paths.corpus_unlabeled, LabelMode.UNLABELED))
-    if paths.corpus_labeled:
-        files.append((paths.corpus_labeled, LabelMode.LABELED))
-    return files
+    return TweetTokens(files, stopwords, cfg.dedupe)
 
 
-def _load_combined_corpus(cfg: PipelineConfig, stopwords: frozenset[str]) -> Corpus:
-    """Unlabeled corpus with the labeled corpus appended and preprocessed."""
-    corpus = concat_corpora(*(load_corpus(path, mode) for path, mode in _corpus_files(cfg)))
-    if cfg.dedupe:
-        before = len(corpus)
-        corpus = dedupe_corpus(corpus)
-        logger.info("dedupe removed %d duplicate tweets", before - len(corpus))
-    return preprocess_corpus(corpus, stopwords)
+def _log_dedupe(tweets: TweetTokens) -> None:
+    if tweets.dedupe:
+        logger.info("dedupe removed %d duplicate tweets", tweets.duplicates)
 
 
 def _load_store(cfg: PipelineConfig) -> EmbeddingStore:
@@ -186,14 +177,12 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
             "noun-verb extraction needs dependency parses (paths.parses) or a "
             "part-of-speech lexicon (paths.lexicon); point one of them at a file"
         )
-    stopwords = load_stopwords(cfg.paths.stopwords)
-    files = _corpus_files(cfg)
+    tweets = _tweet_tokens(cfg)
     parses = load_parses(cfg.paths.parses) if cfg.paths.parses else None
-    counts = ExtractCounts(stopwords, parses, lexicon, dedupe=cfg.dedupe)
-    for path, mode in files:
-        counts.add_file(path, mode)
-    if cfg.dedupe:
-        logger.info("dedupe removed %d duplicate tweets", counts.duplicates)
+    counts = ExtractCounts(tweets.cleaner, parses, lexicon)
+    for tweet_id, tokens in tweets:
+        counts.add(tweet_id, tokens)
+    _log_dedupe(tweets)
     if cfg.paths.parses and counts.parsed == 0:
         logger.warning("no tweet id in the corpus matched the parse file %s", cfg.paths.parses)
     result = counts.candidates(
@@ -202,7 +191,7 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     write_candidates(result.candidates, _artifact(out_dir, "candidates"))
     accounting = {
         "tweets": counts.tweets,
-        "skipped_lines": counts.skipped,
+        "skipped_lines": tweets.skipped,
         "nv_before": result.nv_before,
         "nv_after": result.nv_after,
         "nv_reduction_percent": reduction_percent(result.nv_before, result.nv_after),
@@ -218,8 +207,8 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     print("extraction accounting:")
     print(f"  tweets processed:  {accounting['tweets']}")
     print(
-        f"  discarded:         {counts.skipped} malformed lines,"
-        f" {counts.duplicates} duplicate tweets"
+        f"  discarded:         {tweets.skipped} malformed lines,"
+        f" {tweets.duplicates} duplicate tweets"
     )
     print(
         f"  nv pair source:    {counts.parsed} parsed, {counts.fallback} lexicon fallback,"
@@ -241,9 +230,9 @@ def cmd_rank(cfg: PipelineConfig, out_dir: Path, store: EmbeddingStore | None = 
     with, loaded from the config when None (unused by the baseline)."""
     candidates = read_candidates(_require_artifact(out_dir, "candidates", "extract"))
     if cfg.rank.method == "baseline":
-        stopwords = load_stopwords(cfg.paths.stopwords)
-        corpus = _load_combined_corpus(cfg, stopwords)
-        ranked = rank_baseline_overlap(candidates, corpus, cfg.rank.discount)
+        tweets = _tweet_tokens(cfg)
+        ranked = rank_baseline_overlap(candidates, tweets, cfg.rank.discount)
+        _log_dedupe(tweets)
     else:
         if store is None:
             store = _load_store(cfg)

@@ -9,7 +9,6 @@ normalization) is available behind the `normalized` flag.
 
 from __future__ import annotations
 
-import json
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -17,8 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import open_text, write_json
-from .errors import InputFormatError
+from ._util import write_json
 from .rank import RankedCandidate
 
 logger = logging.getLogger(__name__)
@@ -314,16 +312,3 @@ def _member_dict(rc: RankedCandidate) -> dict:
 def write_clusters(summaries: list[dict], path: str | Path) -> None:
     write_json(path, summaries)
 
-
-def read_clusters(path: str | Path) -> list[dict]:
-    with open_text(path) as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-            raise InputFormatError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise InputFormatError(f"{path}: expected a JSON array of clusters")
-    for entry in data:
-        if not isinstance(entry, dict) or not {"cluster_id", "members", "medoid"} <= set(entry):
-            raise InputFormatError(f"{path}: malformed cluster entry {entry!r}")
-    return data

@@ -9,6 +9,8 @@ Preprocessing lowercases, splits on whitespace, strips punctuation from
 token edges, and removes stopwords, tokens shorter than three characters,
 tokens containing a digit, hashtags, and user mentions. Tweets and corpora
 are treated as immutable: preprocessing returns new objects.
+``TweetTokens`` reads corpus files as a stream of (tweet id, tokens),
+for stages that need no whole ``Corpus``.
 """
 
 from __future__ import annotations
@@ -210,18 +212,6 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def dedupe_corpus(corpus: Corpus) -> Corpus:
-    """Drop tweets whose exact raw_text was already seen, keeping the first."""
-    seen: set[str] = set()
-    kept = []
-    for tweet in corpus.tweets:
-        if tweet.raw_text in seen:
-            continue
-        seen.add(tweet.raw_text)
-        kept.append(tweet)
-    return Corpus(tweets=tuple(kept), skipped=corpus.skipped)
-
-
 def concat_corpora(*corpora: Corpus) -> Corpus:
     tweets: list[Tweet] = []
     skipped = 0
@@ -271,19 +261,6 @@ def clean_token(token: str, stopwords: frozenset[str]) -> str | None:
     return token
 
 
-def preprocess(tweet: Tweet, stopwords: frozenset[str]) -> Tweet:
-    """Return a copy of the tweet with ``tokens`` filled from ``raw_text``.
-
-    A tweet may legitimately end up with zero tokens.
-    """
-    tokens = []
-    for raw in tweet.raw_text.lower().split():
-        token = clean_token(raw, stopwords)
-        if token is not None:
-            tokens.append(token)
-    return replace(tweet, tokens=tuple(tokens))
-
-
 class TokenCleaner(dict):
     """``clean_token`` memoized per distinct raw token.
 
@@ -301,8 +278,18 @@ class TokenCleaner(dict):
         return cleaned
 
     def tokens(self, raw_text: str) -> list[str]:
-        """The tokens ``preprocess`` keeps of a raw tweet text."""
+        """The tokens of a raw tweet text: lowercased, split on whitespace,
+        each cleaned, the removed ones dropped."""
         return [tok for raw in raw_text.lower().split() if (tok := self[raw]) is not None]
+
+
+def preprocess(tweet: Tweet, stopwords: frozenset[str]) -> Tweet:
+    """Return a copy of the tweet with ``tokens`` filled from ``raw_text``
+    by ``TokenCleaner.tokens``.
+
+    A tweet may legitimately end up with zero tokens.
+    """
+    return replace(tweet, tokens=tuple(TokenCleaner(stopwords).tokens(tweet.raw_text)))
 
 
 def preprocess_corpus(corpus: Corpus, stopwords: frozenset[str]) -> Corpus:
@@ -314,6 +301,46 @@ def preprocess_corpus(corpus: Corpus, stopwords: frozenset[str]) -> Corpus:
         for t in corpus.tweets
     )
     return Corpus(tweets=tweets, skipped=corpus.skipped)
+
+
+class TweetTokens:
+    """The ``(tweet_id, tokens)`` of each tweet kept from a list of
+    ``(path, label_mode)`` JSON Lines corpus files, read in list order one
+    line at a time by ``CorpusLines``.
+
+    With ``dedupe``, a tweet whose exact raw text was read before is
+    dropped (the first is kept, across files) and counted in
+    ``duplicates``; it then holds every distinct text read. Malformed lines
+    are counted in ``skipped``. Tokens are cleaned by ``cleaner``, one
+    ``TokenCleaner`` for the whole read. Each iteration reads the files
+    anew and recounts.
+    """
+
+    def __init__(
+        self,
+        files: Sequence[tuple[str | Path, LabelMode]],
+        stopwords: frozenset[str],
+        dedupe: bool = False,
+    ) -> None:
+        self.files = files
+        self.cleaner = TokenCleaner(stopwords)
+        self.dedupe = dedupe
+        self.skipped = self.duplicates = 0
+
+    def __iter__(self) -> Iterator[tuple[str, list[str]]]:
+        self.skipped = self.duplicates = 0
+        seen: set[str] | None = set() if self.dedupe else None
+        tokens = self.cleaner.tokens
+        for path, label_mode in self.files:
+            lines = CorpusLines(path, label_mode)
+            for tweet_id, raw_text, _ in lines:
+                if seen is not None:
+                    if raw_text in seen:
+                        self.duplicates += 1
+                        continue
+                    seen.add(raw_text)
+                yield tweet_id, tokens(raw_text)
+            self.skipped += lines.skipped
 
 
 # CoNLL-U column offsets (ID, FORM, UPOS, HEAD are the ones used here).

@@ -12,6 +12,7 @@ whole-corpus functions are folds of the same per-tweet steps.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from pathlib import Path
 from typing import TypeVar
 
 from ._util import read_list_file, read_table, write_table
-from .corpus import Corpus, CorpusLines, LabelMode, NvEdges, TokenCleaner, Tweet
+from .corpus import Corpus, NvEdges, TokenCleaner, Tweet
 from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
@@ -69,8 +70,8 @@ class PhraseConfig:
     def __post_init__(self) -> None:
         if self.min_count < 1:
             raise ValueError("min_count must be >= 1")
-        if self.threshold < 0:
-            raise ValueError("threshold must be nonnegative")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0):
+            raise ValueError("threshold must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -163,53 +164,32 @@ def extract_nv_pairs_fallback(
 class ExtractCounts:
     """The corpus-wide counts extraction reads, folded one tweet at a time.
 
-    ``add`` takes one tweet's id and raw text: it cleans the tokens, counts
-    the tweet's noun-verb pairs and its unigrams and adjacent bigrams, and
-    keeps nothing else of it (with ``dedupe``, its raw text, so that a text
-    seen before is counted only as a duplicate). A tweet whose id has an
-    entry in ``parses`` takes its pairs from that parse's edges; one
-    without takes them from the lexicon window when a lexicon is given,
-    and has none otherwise. Memory grows with the vocabulary, not with the
-    number of tweets.
+    ``add`` takes one tweet's id and cleaned tokens (as ``TweetTokens``
+    yields them): it counts the tweet's noun-verb pairs and its unigrams
+    and adjacent bigrams, and keeps nothing else of it. A tweet whose id
+    has an entry in ``parses`` takes its pairs from that parse's edges,
+    their words cleaned by ``cleaner``; one without takes them from the
+    lexicon window when a lexicon is given, and has none otherwise. Memory
+    grows with the vocabulary, not with the number of tweets.
     """
 
     def __init__(
         self,
-        stopwords: frozenset[str],
+        cleaner: TokenCleaner,
         parses: Mapping[str, NvEdges] | None = None,
         lexicon: dict[str, frozenset[str]] | None = None,
-        dedupe: bool = False,
     ) -> None:
-        self.cleaner = TokenCleaner(stopwords)
+        self.cleaner = cleaner
         self.parses = parses if parses is not None else {}
         self.lexicon = lexicon
-        self.seen: set[str] | None = set() if dedupe else None
         self.pairs: Counter[tuple[str, str]] = Counter()
         self.unigrams: Counter[str] = Counter()
         self.bigrams: Counter[tuple[str, str]] = Counter()
         self.tweets = 0
         self.parsed = self.fallback = self.neither = 0
-        self.duplicates = 0
-        self.skipped = 0
 
-    def add_file(self, path: str | Path, label_mode: LabelMode = LabelMode.UNLABELED) -> None:
-        """Add every tweet of a JSON Lines corpus read by ``CorpusLines``
-        and count its malformed lines in ``skipped``."""
-        lines = CorpusLines(path, label_mode)
-        add = self.add
-        for tweet_id, raw_text, _ in lines:
-            add(tweet_id, raw_text)
-        self.skipped += lines.skipped
-
-    def add(self, tweet_id: str, raw_text: str) -> None:
-        seen = self.seen
-        if seen is not None:
-            if raw_text in seen:
-                self.duplicates += 1
-                return
-            seen.add(raw_text)
+    def add(self, tweet_id: str, tokens: Sequence[str]) -> None:
         self.tweets += 1
-        tokens = self.cleaner.tokens(raw_text)
         self.count_nv(self.parses.get(tweet_id), tokens)
         self.count_grams(tokens)
 
@@ -265,7 +245,7 @@ def detect_phrases(corpus: Corpus, cfg: PhraseConfig = PhraseConfig()) -> list[C
     and score > threshold become Phrase candidates with frequency count(a,b).
     Output is sorted by (first, second) and so independent of tweet order.
     """
-    counts = ExtractCounts(frozenset())
+    counts = ExtractCounts(TokenCleaner(frozenset()))
     for tweet in corpus.tweets:
         counts.count_grams(tweet.tokens)
     return counts.phrases(cfg)

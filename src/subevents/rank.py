@@ -10,14 +10,13 @@ log(1 + co-occurrence count).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ._util import format_float, read_list_file, read_table, write_table
-from .corpus import Corpus
 from .embed import EmbeddingStore, compose
 from .errors import InputFormatError
 from .extract import Candidate, CandidateKind, CandidateSet
@@ -128,26 +127,32 @@ def rank_candidates(
 
 def rank_baseline_overlap(
     candidates: CandidateSet | Sequence[Candidate],
-    corpus: Corpus,
+    tweets: Iterable[tuple[str, Sequence[str]]],
     discount: str = "log",
 ) -> list[RankedCandidate]:
-    """Overlap-coefficient baseline ranking.
+    """Overlap-coefficient baseline ranking over ``(tweet_id, tokens)``
+    pairs, such as ``TweetTokens`` yields.
 
     For candidate (a, b) with tweet-id occurrence sets A and B, the score is
     |A∩B| / min(|A|, |B|) times a discounting factor: log(1 + |A∩B|) by
-    default, or 1 with discount="none". Candidates with an empty occurrence
-    set score 0.
+    default, or 1 with discount="none". A repeated tweet id counts once.
+    Candidates with an empty occurrence set score 0. Only the occurrence
+    sets of candidate words are kept, so memory does not grow with tweets
+    that hold none.
     """
     if discount not in DISCOUNTS:
         raise ValueError(f"unknown discount {discount!r}")
-    postings: dict[str, set[str]] = {}
-    for tweet in corpus.tweets:
-        for token in set(tweet.tokens):
-            postings.setdefault(token, set()).add(tweet.id)
+    cands = _as_candidates(candidates)
+    postings: dict[str, set[str]] = {word: set() for cand in cands for word in cand.words}
+    for tweet_id, tokens in tweets:
+        for token in tokens:
+            ids = postings.get(token)
+            if ids is not None:
+                ids.add(tweet_id)
     scored: list[tuple[Candidate, float, str | None]] = []
-    for cand in _as_candidates(candidates):
-        ids_a = postings.get(cand.first, set())
-        ids_b = postings.get(cand.second, set())
+    for cand in cands:
+        ids_a = postings[cand.first]
+        ids_b = postings[cand.second]
         smaller = min(len(ids_a), len(ids_b))
         if smaller == 0:
             scored.append((cand, 0.0, None))

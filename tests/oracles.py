@@ -349,9 +349,9 @@ def reference_extract(files, stopwords, parses_path, lexicon, dedupe, phrase_cfg
     composition of whole-corpus steps.
     """
     from subevents.corpus import (
+        Corpus,
         attach_parses,
         concat_corpora,
-        dedupe_corpus,
         load_corpus,
         load_parses,
         preprocess_corpus,
@@ -365,8 +365,14 @@ def reference_extract(files, stopwords, parses_path, lexicon, dedupe, phrase_cfg
 
     corpus = concat_corpora(*(load_corpus(path, mode) for path, mode in files))
     loaded = len(corpus)
-    if dedupe:
-        corpus = dedupe_corpus(corpus)
+    if dedupe:  # drop a tweet whose exact raw text came before, keeping the first
+        seen: set[str] = set()
+        kept = []
+        for tweet in corpus.tweets:
+            if tweet.raw_text not in seen:
+                seen.add(tweet.raw_text)
+                kept.append(tweet)
+        corpus = Corpus(tweets=tuple(kept), skipped=corpus.skipped)
     corpus = preprocess_corpus(corpus, stopwords)
     if parses_path is not None:
         corpus = attach_parses(corpus, load_parses(parses_path))

@@ -573,6 +573,29 @@ def test_pipeline_artifacts_match_golden_digests(run_cli, tmp_path, write_config
         zip(names, [*GOLDEN_EXTRACT["shipped"][1:], *digests]))
 
 
+# sha256 of ranked.csv from the overlap baseline (extract, then rank) on
+# ``_edge_case_corpora``, whose duplicate texts and repeated tweet ids the
+# fixture corpora lack: they pin the baseline's dedupe and its counting of
+# a repeated id once.
+GOLDEN_BASELINE_EDGE_CASES = {
+    "keep_duplicates": ([], "a05133fdc3dd9ab44e33b8bcf76e055d2094c5d7ba7560ec454c19d4313429e9"),
+    "dedupe": (["--dedupe"], "4a9d9eccd5323efc3690595a7094461705e9aff3e2caeaee3230328b915a55ba"),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_BASELINE_EDGE_CASES))
+def test_baseline_rank_on_edge_cases_matches_golden_digest(run_cli, tmp_path, write_config,
+                                                           pipeline_config_dict, variant):
+    flags, ranked_sha = GOLDEN_BASELINE_EDGE_CASES[variant]
+    unlabeled, labeled = _edge_case_corpora(pipeline_config_dict["paths"], tmp_path)
+    out = tmp_path / "out"
+    args = ["--config", write_config(pipeline_config_dict, out), *flags,
+            "--paths.corpus_unlabeled", str(unlabeled), "--paths.corpus_labeled", str(labeled)]
+    assert run_cli("extract", *args)[0] == 0
+    assert run_cli("rank", *args, "--rank.method", "baseline")[0] == 0
+    assert sha256(out / "ranked.csv") == ranked_sha
+
+
 def test_extract_reports_what_it_discarded(run_cli, tmp_path, write_config, pipeline_config_dict):
     unlabeled, labeled = _edge_case_corpora(pipeline_config_dict["paths"], tmp_path)
     cfg = write_config(pipeline_config_dict, tmp_path / "out")

@@ -14,12 +14,10 @@ from subevents.cluster import (
     build_affinity,
     eig_topk,
     kmeans,
-    read_clusters,
     spectral_cluster,
     summarize_clusters,
     write_clusters,
 )
-from subevents.errors import InputFormatError
 from subevents.extract import Candidate, CandidateKind
 from subevents.rank import RankedCandidate
 
@@ -441,28 +439,4 @@ class TestSummaries:
         summaries = summarize_clusters(assignment, self._ranked(3), vectors)
         path = tmp_path / "clusters.json"
         write_clusters(summaries, path)
-        assert read_clusters(path) == summaries
-
-    def test_read_rejects_malformed(self, tmp_path):
-        path = tmp_path / "clusters.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(InputFormatError):
-            read_clusters(path)
-        path.write_text('{"cluster_id": 0}', encoding="utf-8")
-        with pytest.raises(InputFormatError):
-            read_clusters(path)
-        path.write_text(json.dumps([{"cluster_id": 0}]), encoding="utf-8")
-        with pytest.raises(InputFormatError):
-            read_clusters(path)
-
-    def test_read_rejects_deeply_nested_json(self, tmp_path):
-        path = tmp_path / "clusters.json"
-        path.write_text("[" * 100_000, encoding="utf-8")
-        with pytest.raises(InputFormatError, match=f"{path}: invalid JSON"):
-            read_clusters(path)
-
-    def test_read_rejects_non_utf8_naming_the_file(self, tmp_path):
-        path = tmp_path / "clusters.json"
-        path.write_bytes('[{"cluster_id": 0, "members": [], "medoid": "caf\u00e9"}]'.encode("latin-1"))
-        with pytest.raises(InputFormatError, match=f"{path}: not UTF-8 text"):
-            read_clusters(path)
+        assert json.loads(path.read_text(encoding="utf-8")) == summaries

@@ -14,10 +14,10 @@ from subevents.corpus import (
     Label,
     LabelMode,
     Tweet,
+    TweetTokens,
     attach_parses,
     clean_token,
     concat_corpora,
-    dedupe_corpus,
     load_corpus,
     load_parses,
     load_stopwords,
@@ -267,18 +267,36 @@ class TestStopwords:
         assert load_stopwords(path) == frozenset({"the", "bar"})
 
 
+class TestTweetTokens:
+    def _files(self, tmp_path):
+        unlabeled, labeled = tmp_path / "u.jsonl", tmp_path / "l.jsonl"
+        _write_lines(unlabeled, [
+            json.dumps({"id": "1", "text": "Flood waters rise"}),
+            "not json",
+            json.dumps({"id": "2", "text": "bridge gone"}),
+            json.dumps({"id": "3", "text": "Flood waters rise"}),
+        ])
+        _write_lines(labeled, [
+            json.dumps({"id": "4", "text": "bridge gone", "label": "informative"}),
+            json.dumps({"id": "5", "text": "#help the roads!", "label": "uninformative"}),
+            json.dumps({"id": "6", "text": "road", "label": "maybe"}),
+        ])
+        return [(unlabeled, LabelMode.UNLABELED), (labeled, LabelMode.LABELED)]
+
+    def test_dedupe_across_files_keeps_first(self, tmp_path):
+        tweets = TweetTokens(self._files(tmp_path), STOPWORDS, dedupe=True)
+        for _ in range(2):  # each read recounts
+            assert list(tweets) == [
+                ("1", ["flood", "waters", "rise"]), ("2", ["bridge", "gone"]), ("5", ["roads"])]
+            assert (tweets.skipped, tweets.duplicates) == (2, 2)
+
+    def test_without_dedupe_keeps_every_tweet_in_file_order(self, tmp_path):
+        tweets = TweetTokens(self._files(tmp_path), STOPWORDS)
+        assert [tweet_id for tweet_id, _ in tweets] == ["1", "2", "3", "4", "5"]
+        assert (tweets.skipped, tweets.duplicates) == (2, 0)
+
+
 class TestCorpusOps:
-    def _corpus(self):
-        return Corpus(tweets=(
-            Tweet(id="1", raw_text="a", label=Label.INFORMATIVE),
-            Tweet(id="2", raw_text="b", label=Label.UNINFORMATIVE),
-            Tweet(id="3", raw_text="a", label=Label.UNLABELED),
-        ))
-
-    def test_dedupe_keeps_first(self):
-        deduped = dedupe_corpus(self._corpus())
-        assert [t.id for t in deduped.tweets] == ["1", "2"]
-
     def test_concat_preserves_order_and_skips(self):
         a = Corpus(tweets=(Tweet(id="1", raw_text="x"),), skipped=2)
         b = Corpus(tweets=(Tweet(id="2", raw_text="y"),), skipped=1)

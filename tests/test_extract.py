@@ -10,7 +10,9 @@ import oracles
 from subevents.corpus import (
     Corpus,
     LabelMode,
+    TokenCleaner,
     Tweet,
+    TweetTokens,
     _nv_edges,
     attach_parses,
     concat_corpora,
@@ -237,6 +239,12 @@ class TestPhrases:
         with pytest.raises(ValueError):
             PhraseConfig(threshold=-1.0)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        # With NaN no score would pass ``score > threshold``: no phrase at all.
+        with pytest.raises(ValueError, match="finite"):
+            PhraseConfig(threshold=threshold)
+
 
 class TestPhraseScore:
     def test_exact_fraction(self):
@@ -277,7 +285,7 @@ def test_count_nv_pairs_equals_per_tweet_aggregate(pipeline_corpus, data):
             expected.extend(extract_nv_pairs(tweet, STOPWORDS))
         elif lexicon is not None:
             expected.extend(extract_nv_pairs_fallback(tweet, lexicon))
-    counts = ExtractCounts(STOPWORDS, lexicon=lexicon)
+    counts = ExtractCounts(TokenCleaner(STOPWORDS), lexicon=lexicon)
     for tweet in tweets:
         counts.count_nv(tweet.parse, tweet.tokens)
     assert [nv(noun, verb, freq) for (noun, verb), freq in sorted(counts.pairs.items())] == (
@@ -383,11 +391,12 @@ def test_fold_matches_whole_corpus_reference(inputs, tmp_path, caplog):
 
     def fold():
         parses = load_parses(parses_path) if parses_path is not None else None
-        counts = ExtractCounts(STOPWORDS, parses, lexicon, dedupe=dedupe)
-        for path, mode in files:
-            counts.add_file(path, mode)
-        got = {"tweets": counts.tweets, "skipped": counts.skipped,
-               "duplicates": counts.duplicates, "parsed": counts.parsed,
+        tweets = TweetTokens(files, STOPWORDS, dedupe)
+        counts = ExtractCounts(tweets.cleaner, parses, lexicon)
+        for tweet_id, tokens in tweets:
+            counts.add(tweet_id, tokens)
+        got = {"tweets": counts.tweets, "skipped": tweets.skipped,
+               "duplicates": tweets.duplicates, "parsed": counts.parsed,
                "fallback": counts.fallback, "neither": counts.neither}
         return counts.candidates(inputs["phrase"], inputs["min_freq"]), got
 
@@ -413,7 +422,10 @@ def _fold_peak(path) -> int:
     gc.collect()
     tracemalloc.start()
     try:
-        ExtractCounts(STOPWORDS, lexicon=lexicon).add_file(path)
+        tweets = TweetTokens([(path, LabelMode.UNLABELED)], STOPWORDS)
+        counts = ExtractCounts(tweets.cleaner, lexicon=lexicon)
+        for tweet_id, tokens in tweets:
+            counts.add(tweet_id, tokens)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,12 +1,16 @@
+import gc
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from subevents.corpus import Corpus, Tweet
+from subevents.cli import cmd_rank
+from subevents.config import PipelineConfig
 from subevents.embed import EmbeddingStore, compose, load_vectors
 from subevents.errors import InputFormatError
-from subevents.extract import Candidate, CandidateKind
+from subevents.extract import Candidate, CandidateKind, write_candidates
 from subevents.rank import (
     NULL_SCORE,
     compose_rows,
@@ -176,12 +180,12 @@ class TestRankCandidates:
 
 class TestBaselineOverlap:
     def _corpus(self):
-        return Corpus(tweets=(
-            Tweet(id="1", raw_text="", tokens=("road", "blocked", "tree")),
-            Tweet(id="2", raw_text="", tokens=("road", "blocked")),
-            Tweet(id="3", raw_text="", tokens=("road", "clear")),
-            Tweet(id="4", raw_text="", tokens=("tree", "fell")),
-        ))
+        return [
+            ("1", ("road", "blocked", "tree")),
+            ("2", ("road", "blocked")),
+            ("3", ("road", "clear")),
+            ("4", ("tree", "fell")),
+        ]
 
     def test_hand_counted_overlap(self):
         # road in {1,2,3}, blocked in {1,2}: overlap 2 / min(3,2) = 1.0,
@@ -206,12 +210,15 @@ class TestBaselineOverlap:
         assert ranked[0].score == 0.0
 
     def test_duplicate_tokens_in_tweet_count_once(self):
-        corpus = Corpus(tweets=(
-            Tweet(id="1", raw_text="", tokens=("fire", "fire", "spreads")),
-            Tweet(id="2", raw_text="", tokens=("fire",)),
-        ))
+        corpus = [("1", ("fire", "fire", "spreads")), ("2", ("fire",))]
         ranked = rank_baseline_overlap([nv("fire", "spreads")], corpus, discount="none")
         # fire in {1,2}, spreads in {1}: 1 / min(2,1) = 1.0.
+        assert ranked[0].score == pytest.approx(1.0, abs=1e-12)
+
+    def test_repeated_tweet_id_counts_once(self):
+        corpus = [("1", ("fire", "spreads")), ("1", ("fire",)), ("2", ("spreads",))]
+        ranked = rank_baseline_overlap([nv("fire", "spreads")], corpus, discount="none")
+        # fire in {1}, spreads in {1,2}: 1 / min(1,2) = 1.0.
         assert ranked[0].score == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_discount_rejected(self):
@@ -226,6 +233,42 @@ class TestBaselineOverlap:
         scores = [rc.score for rc in ranked]
         assert scores == sorted(scores, reverse=True)
         assert [rc.rank for rc in ranked] == [1, 2, 3]
+
+
+def _baseline_peak(corpus, out) -> int:
+    """tracemalloc peak of a baseline ``rank`` of one candidate over one
+    corpus file."""
+    cfg = PipelineConfig()
+    cfg.paths.corpus_unlabeled = str(corpus)
+    cfg.rank.method = "baseline"
+    out.mkdir()
+    write_candidates([nv("flood", "rise", 2)], out / "candidates.csv")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cmd_rank(cfg, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_baseline_memory_does_not_grow_with_tweets_without_candidate_words(tmp_path):
+    """Doubling the tweets that hold no candidate word (the same texts
+    again under new ids) leaves the baseline's peak within 10%: it keeps
+    the tweet ids of candidate words, not the tweets."""
+    vocab = [f"word{chr(97 + i % 26)}{chr(97 + i // 26)}" for i in range(300)]
+    background = [" ".join(vocab[(7 * t + 13 * j) % len(vocab)] for j in range(12))
+                  for t in range(3000)]
+    lines = [json.dumps({"id": f"c{i}", "text": f"flood rise {vocab[i]}"}) for i in range(300)]
+    once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+    once.write_text("".join(line + "\n" for line in lines + [
+        json.dumps({"id": f"a{i}", "text": text}) for i, text in enumerate(background)]),
+        encoding="utf-8")
+    twice.write_text("".join(line + "\n" for line in lines + [
+        json.dumps({"id": f"{p}{i}", "text": text})
+        for p in "ab" for i, text in enumerate(background)]), encoding="utf-8")
+    once_peak = _baseline_peak(once, tmp_path / "once")  # first: it pays any first-call set-up
+    assert _baseline_peak(twice, tmp_path / "twice") <= 1.1 * once_peak
 
 
 class TestRankedCsv:
