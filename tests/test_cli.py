@@ -557,6 +557,10 @@ GOLDEN_PIPELINE = {
                 "87d7873ed415df6fe6036e7c07961d01945db19dc4b6d5102149251a0b3df270",
                 "4ea28ef269498eed070fe52aa8e90ce73346043caec36c7ba3fdffd503f0cc85",
                 "f120e9c03500394be4ccf58c3b626ae295c1091147096a9f99ea6239952ef487"),
+    "match_modes": (["--eval.nv_match", "bigram", "--eval.phrase_match", "tokens"],
+                    "b716adb4c52c9362a9983b8f88023a2190ec3209afc1a58dcbbea3d91836f28d",
+                    "b4d88bbe8d9c557b142e06227856fb4b6352d4846c9f5753ec425e879b1b6438",
+                    "9d916e51b98abfca3a6a11146da931d6fb4dc19c8fa0bdeaf8d4c7a1ce5612ff"),
 }
 
 
@@ -594,6 +598,35 @@ def test_baseline_rank_on_edge_cases_matches_golden_digest(run_cli, tmp_path, wr
     assert run_cli("extract", *args)[0] == 0
     assert run_cli("rank", *args, "--rank.method", "baseline")[0] == 0
     assert sha256(out / "ranked.csv") == ranked_sha
+
+
+# sha256 of metrics.csv from ``evaluate`` run alone (after extract and rank
+# on the fixture) on the labeled file of ``_edge_case_corpora`` plus one
+# line with no label: malformed, unknown-label and unlabeled lines count
+# for neither class, and the repeated id ``l000`` counts twice.
+GOLDEN_EVALUATE_EDGE_CASES = (
+    "443e1e458a95ee1e77c992aea4ea5271929784626d9074b48006c95e0204bf9c")
+
+
+def _evaluate_edge_cases(run_cli, tmp_path, write_config, pipeline_config_dict):
+    """stdout and the metrics.csv path of ``evaluate`` on the edge-case
+    labeled file (see ``GOLDEN_EVALUATE_EDGE_CASES``)."""
+    _, labeled = _edge_case_corpora(pipeline_config_dict["paths"], tmp_path)
+    with labeled.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"id": "nl0", "text": "cnounaa storm cverbaa surge"}) + "\n")
+    out = tmp_path / "out"
+    cfg = write_config(pipeline_config_dict, out)
+    assert run_cli("extract", "--config", cfg)[0] == 0
+    assert run_cli("rank", "--config", cfg)[0] == 0
+    code, stdout, _ = run_cli("evaluate", "--config", cfg, "--paths.corpus_labeled", str(labeled))
+    assert code == 0
+    return stdout, out / "metrics.csv"
+
+
+def test_evaluate_on_edge_cases_matches_golden_digest(run_cli, tmp_path, write_config,
+                                                      pipeline_config_dict):
+    _, metrics = _evaluate_edge_cases(run_cli, tmp_path, write_config, pipeline_config_dict)
+    assert sha256(metrics) == GOLDEN_EVALUATE_EDGE_CASES
 
 
 def test_extract_reports_what_it_discarded(run_cli, tmp_path, write_config, pipeline_config_dict):
