@@ -31,7 +31,14 @@ from .corpus import (
 )
 from .embed import ComposedVector, EmbeddingStore, OovPolicy, compose, load_vectors
 from .errors import ConfigError, InputFormatError, SubeventsError
-from .evaluate import MatchIndex, MetricsPoint, RocCurve, evaluate_at_k, roc_points
+from .evaluate import (
+    MatchIndex,
+    MetricsPoint,
+    RocCurve,
+    evaluate_at_k,
+    evaluate_labeled,
+    roc_points,
+)
 from .extract import (
     Candidate,
     CandidateKind,
@@ -78,6 +85,7 @@ __all__ = [
     "detect_phrases",
     "eig_topk",
     "evaluate_at_k",
+    "evaluate_labeled",
     "extract_nv_pairs",
     "extract_nv_pairs_fallback",
     "filter_candidates",

@@ -13,6 +13,7 @@ import dataclasses
 import logging
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -20,16 +21,17 @@ from ._util import sha256_file, write_json
 from .cluster import build_affinity, spectral_cluster, summarize_clusters, write_clusters
 from .config import OVERRIDABLE, PipelineConfig, apply_override, load_config
 from .corpus import (
+    CorpusLines,
+    Label,
     LabelMode,
+    TokenCleaner,
     TweetTokens,
-    load_corpus,
     load_parses,
     load_stopwords,
-    preprocess_corpus,
 )
 from .embed import EmbeddingStore, OovPolicy, load_vectors
 from .errors import ConfigError, SubeventsError
-from .evaluate import evaluate_at_k, read_metrics, roc_points, write_metrics
+from .evaluate import evaluate_labeled, read_metrics, roc_points, write_metrics
 from .extract import (
     ExtractCounts,
     PhraseConfig,
@@ -143,6 +145,24 @@ def _require_artifact(out_dir: Path, name: str, producer: str) -> Path:
     return path
 
 
+def _cluster_k(cfg: PipelineConfig) -> int:
+    if cfg.cluster.k is None:
+        raise ConfigError("cluster.k is required: choose the number of sub-event clusters")
+    return cfg.cluster.k
+
+
+def _corpus_labeled(cfg: PipelineConfig) -> str:
+    if not cfg.paths.corpus_labeled:
+        raise ConfigError("paths.corpus_labeled is required: evaluation needs labels")
+    return cfg.paths.corpus_labeled
+
+
+def _vectors(cfg: PipelineConfig) -> str:
+    if not cfg.paths.vectors:
+        raise ConfigError("paths.vectors is required for ranking and clustering")
+    return cfg.paths.vectors
+
+
 def _tweet_tokens(cfg: PipelineConfig) -> TweetTokens:
     """The reader of the configured corpus files, unlabeled before labeled."""
     paths = cfg.paths
@@ -160,10 +180,8 @@ def _log_dedupe(tweets: TweetTokens) -> None:
 
 
 def _load_store(cfg: PipelineConfig) -> EmbeddingStore:
-    if not cfg.paths.vectors:
-        raise ConfigError("paths.vectors is required for ranking and clustering")
     return load_vectors(
-        cfg.paths.vectors,
+        _vectors(cfg),
         OovPolicy(cfg.rank.oov_policy),
         hash_seed=cfg.cluster.seed,
         normalize_words=cfg.rank.normalize_words,
@@ -251,8 +269,7 @@ def cmd_rank(cfg: PipelineConfig, out_dir: Path, store: EmbeddingStore | None = 
 def cmd_cluster(cfg: PipelineConfig, out_dir: Path, store: EmbeddingStore | None = None) -> None:
     """Cluster the top of the ranking; `store` is the vector store to
     compose with, loaded from the config when None."""
-    if cfg.cluster.k is None:
-        raise ConfigError("cluster.k is required: choose the number of sub-event clusters")
+    k = _cluster_k(cfg)
     ranked = read_ranked(_require_artifact(out_dir, "ranked", "rank"))
     top = ranked[: cfg.cluster.top_m]
     # A store loaded here is freed once composed, before the affinity is built.
@@ -262,9 +279,7 @@ def cmd_cluster(cfg: PipelineConfig, out_dir: Path, store: EmbeddingStore | None
     kept = [rc for rc, is_null in zip(top, null) if not is_null]
     vectors = rows[~null]
     affinity = build_affinity(vectors)
-    assignment = spectral_cluster(
-        affinity, cfg.cluster.k, cfg.cluster.seed, cfg.cluster.normalized
-    )
+    assignment = spectral_cluster(affinity, k, cfg.cluster.seed, cfg.cluster.normalized)
     summaries = summarize_clusters(assignment, kept, vectors)
     write_clusters(summaries, _artifact(out_dir, "clusters"))
     print(f"clustered {len(kept)} candidates into {len(summaries)} clusters")
@@ -272,14 +287,18 @@ def cmd_cluster(cfg: PipelineConfig, out_dir: Path, store: EmbeddingStore | None
 
 
 def cmd_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
-    if not cfg.paths.corpus_labeled:
-        raise ConfigError("paths.corpus_labeled is required for evaluation")
+    lines = CorpusLines(_corpus_labeled(cfg), LabelMode.LABELED)
     ranked = read_ranked(_require_artifact(out_dir, "ranked", "rank"))
-    stopwords = load_stopwords(cfg.paths.stopwords)
-    labeled = load_corpus(cfg.paths.corpus_labeled, LabelMode.LABELED)
-    labeled = preprocess_corpus(labeled, stopwords)
-    metrics = evaluate_at_k(
-        ranked, labeled, list(cfg.eval.ks),
+    cleaner = TokenCleaner(load_stopwords(cfg.paths.stopwords))
+    read: Counter[Label] = Counter()
+
+    def labeled():
+        for _, text, label in lines:
+            read[label] += 1
+            yield label, cleaner.tokens(text)
+
+    metrics = evaluate_labeled(
+        ranked, labeled(), list(cfg.eval.ks),
         nv_mode=cfg.eval.nv_match, phrase_mode=cfg.eval.phrase_match,
     )
     write_metrics(metrics, _artifact(out_dir, "metrics"))
@@ -288,6 +307,11 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
     print(
         f"evaluated {len(metrics)} cuts: best f1 {best.f1:.4f} at k={best.k},"
         f" auc {curve.auc:.4f}"
+    )
+    print(
+        f"  labeled file:      {read[Label.INFORMATIVE]} informative,"
+        f" {read[Label.UNINFORMATIVE]} uninformative; discarded {lines.skipped} malformed"
+        f" lines, {read[Label.UNLABELED]} without a label"
     )
 
 
@@ -309,12 +333,9 @@ def _input_hashes(cfg: PipelineConfig) -> dict:
 
 def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> None:
     # Fail on configuration gaps before any stage runs.
-    if cfg.cluster.k is None:
-        raise ConfigError("cluster.k is required: choose the number of sub-event clusters")
-    if not cfg.paths.corpus_labeled:
-        raise ConfigError("paths.corpus_labeled is required: evaluation needs labels")
-    if not cfg.paths.vectors:
-        raise ConfigError("paths.vectors is required for ranking and clustering")
+    _cluster_k(cfg)
+    _corpus_labeled(cfg)
+    _vectors(cfg)
     # Rank (moac) and cluster share vectors loaded once: the store is a pure
     # function of the config. Each gets its own subword bucket cache, so
     # rank's buckets are not held through cluster, and a stage that reads no

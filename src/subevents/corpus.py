@@ -9,8 +9,14 @@ Preprocessing lowercases, splits on whitespace, strips punctuation from
 token edges, and removes stopwords, tokens shorter than three characters,
 tokens containing a digit, hashtags, and user mentions. Tweets and corpora
 are treated as immutable: preprocessing returns new objects.
-``TweetTokens`` reads corpus files as a stream of (tweet id, tokens),
-for stages that need no whole ``Corpus``.
+
+The CLI stages read corpus files one line at a time, never as a whole
+``Corpus``: ``CorpusLines`` yields each line's (id, text, label), and
+``TokenCleaner`` applies the preprocessing rules to its text.
+``TweetTokens`` builds on both for a stream of (tweet id, tokens) over
+several files; evaluation pairs each label with its tokens.
+``load_corpus`` and ``preprocess_corpus`` build a ``Corpus`` from the
+same rules, for library use.
 """
 
 from __future__ import annotations

@@ -4,12 +4,16 @@ A labeled tweet is "identified" at cut k when it matches at least one of
 the top-k candidates. Noun-verb pairs match by unordered token
 containment (dependency pairs need not be adjacent in text); phrases match
 by ordered adjacent bigram. Both match modes can be overridden.
+
+The labeled tweets arrive as a stream of ``(label, tokens)``, one per
+corpus line, and are read once; only their labels and the postings of the
+words and bigrams the ranking names are kept.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -61,19 +65,32 @@ def _check_mode(name: str, mode: str) -> None:
 
 
 class MatchIndex:
-    """Inverted token and adjacent-bigram postings over labeled tweets only."""
+    """The labels of the labeled tweets of a ``(label, tokens)`` stream, in
+    stream order, and postings into them: the tweets holding each word a
+    candidate names, and the tweets holding each candidate's ``(first,
+    second)`` as an adjacent bigram. Unlabeled tweets are skipped; every
+    other one counts by its place in the stream, so a tweet read twice
+    counts twice."""
 
-    def __init__(self, corpus: Corpus):
-        self.tweets = [t for t in corpus.tweets if t.label is not Label.UNLABELED]
+    def __init__(
+        self, labeled: Iterable[tuple[Label, Sequence[str]]], candidates: Iterable[Candidate]
+    ):
+        pairs = {(candidate.first, candidate.second) for candidate in candidates}
+        words = {word for pair in pairs for word in pair}
+        self.labels: list[Label] = []
         self.token_postings: dict[str, set[int]] = {}
         self.bigram_postings: dict[tuple[str, str], set[int]] = {}
-        for idx, tweet in enumerate(self.tweets):
-            for token in set(tweet.tokens):
+        for label, tokens in labeled:
+            if label is Label.UNLABELED:
+                continue
+            idx = len(self.labels)
+            self.labels.append(label)
+            for token in words.intersection(tokens):
                 self.token_postings.setdefault(token, set()).add(idx)
-            for a, b in zip(tweet.tokens, tweet.tokens[1:]):
-                self.bigram_postings.setdefault((a, b), set()).add(idx)
-        self.n_informative = sum(1 for t in self.tweets if t.label is Label.INFORMATIVE)
-        self.n_uninformative = len(self.tweets) - self.n_informative
+            for pair in pairs.intersection(zip(tokens, tokens[1:])):
+                self.bigram_postings.setdefault(pair, set()).add(idx)
+        self.n_informative = self.labels.count(Label.INFORMATIVE)
+        self.n_uninformative = len(self.labels) - self.n_informative
 
     def candidate_matches(
         self, candidate: Candidate, nv_mode: str, phrase_mode: str
@@ -88,14 +105,16 @@ class MatchIndex:
         return self.bigram_postings.get((candidate.first, candidate.second), set())
 
 
-def evaluate_at_k(
+def evaluate_labeled(
     ranked: Sequence[RankedCandidate],
-    labeled: Corpus,
+    labeled: Iterable[tuple[Label, Sequence[str]]],
     ks: Sequence[int],
     nv_mode: str = "tokens",
     phrase_mode: str = "bigram",
 ) -> list[MetricsPoint]:
-    """Metrics for each top-k cut of the ranking.
+    """Metrics for each top-k cut of the ranking over a stream of
+    ``(label, tokens)``, one per tweet, read once after the arguments are
+    checked.
 
     The sweep is incremental: each tweet's lowest matching rank is found
     once via the postings index, then every k is answered by binary
@@ -108,25 +127,24 @@ def evaluate_at_k(
         raise ValueError("ks must be >= 0")
     if any(a >= b for a, b in zip(ks, ks[1:])):
         raise ValueError("ks must be strictly ascending")
-    index = MatchIndex(labeled)
+    ranked = sorted(ranked, key=lambda r: r.rank)
+    index = MatchIndex(labeled, (rc.candidate for rc in ranked))
     if index.n_informative == 0 or index.n_uninformative == 0:
         raise InputFormatError(
             "labeled corpus must contain both informative and uninformative "
             "tweets (fpr is undefined otherwise)"
         )
     first_rank: dict[int, int] = {}
-    for rc in sorted(ranked, key=lambda r: r.rank):
+    for rc in ranked:
         for tweet_idx in index.candidate_matches(rc.candidate, nv_mode, phrase_mode):
             first_rank.setdefault(tweet_idx, rc.rank)
-        if len(first_rank) == len(index.tweets):
+        if len(first_rank) == len(index.labels):
             break
     informative_ranks = sorted(
-        rank for idx, rank in first_rank.items()
-        if index.tweets[idx].label is Label.INFORMATIVE
+        rank for idx, rank in first_rank.items() if index.labels[idx] is Label.INFORMATIVE
     )
     uninformative_ranks = sorted(
-        rank for idx, rank in first_rank.items()
-        if index.tweets[idx].label is Label.UNINFORMATIVE
+        rank for idx, rank in first_rank.items() if index.labels[idx] is Label.UNINFORMATIVE
     )
     points = []
     for k in ks:
@@ -138,6 +156,18 @@ def evaluate_at_k(
             tn=index.n_uninformative - fp,
         ))
     return points
+
+
+def evaluate_at_k(
+    ranked: Sequence[RankedCandidate],
+    labeled: Corpus,
+    ks: Sequence[int],
+    nv_mode: str = "tokens",
+    phrase_mode: str = "bigram",
+) -> list[MetricsPoint]:
+    """``evaluate_labeled`` over the tweets of a preprocessed ``Corpus``."""
+    return evaluate_labeled(
+        ranked, ((t.label, t.tokens) for t in labeled.tweets), ks, nv_mode, phrase_mode)
 
 
 def roc_points(metrics: Sequence[MetricsPoint]) -> RocCurve:

@@ -124,12 +124,14 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     return (sum_cells - expected) / (max_index - expected)
 
 
-def brute_force_confusion(tweets, candidates, k):
+def brute_force_confusion(tweets, candidates, k, nv_mode="tokens", phrase_mode="bigram"):
     """Reference top-k confusion counts via a full double loop.
 
     `tweets` are (tokens, is_informative) pairs; `candidates` are
-    (kind, first, second) in rank order. Matching mirrors the default
-    modes: token containment for nv, ordered adjacency for phrases.
+    (kind, first, second) in rank order. A kind's mode is "tokens" (both
+    words anywhere in the tweet) or "bigram" (an adjacent ordered pair);
+    the defaults are token containment for nv, ordered adjacency for
+    phrases.
     """
     top = candidates[:k]
     tp = fp = fn = tn = 0
@@ -138,7 +140,8 @@ def brute_force_confusion(tweets, candidates, k):
         bigrams = set(zip(tokens, tokens[1:]))
         matched = False
         for kind, first, second in top:
-            if kind == "nv":
+            mode = nv_mode if kind == "nv" else phrase_mode
+            if mode == "tokens":
                 if first in token_set and second in token_set:
                     matched = True
                     break

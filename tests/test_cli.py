@@ -629,6 +629,15 @@ def test_evaluate_on_edge_cases_matches_golden_digest(run_cli, tmp_path, write_c
     assert sha256(metrics) == GOLDEN_EVALUATE_EDGE_CASES
 
 
+def test_evaluate_reports_what_it_read(run_cli, tmp_path, write_config, pipeline_config_dict):
+    stdout, _ = _evaluate_edge_cases(run_cli, tmp_path, write_config, pipeline_config_dict)
+    # 40 + 40 fixture tweets, the repeated l000 and five more uninformative;
+    # the unknown label, "garbage" and the line with no text are malformed.
+    assert stdout.splitlines()[-1] == (
+        "  labeled file:      41 informative, 45 uninformative;"
+        " discarded 3 malformed lines, 1 without a label")
+
+
 def test_extract_reports_what_it_discarded(run_cli, tmp_path, write_config, pipeline_config_dict):
     unlabeled, labeled = _edge_case_corpora(pipeline_config_dict["paths"], tmp_path)
     cfg = write_config(pipeline_config_dict, tmp_path / "out")

@@ -1,9 +1,14 @@
+import gc
 import itertools
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from subevents.cli import cmd_evaluate
+from subevents.config import PipelineConfig
 from subevents.corpus import Corpus, Label, Tweet
 from subevents.errors import InputFormatError
 from subevents.evaluate import (
@@ -11,12 +16,13 @@ from subevents.evaluate import (
     MatchIndex,
     MetricsPoint,
     evaluate_at_k,
+    evaluate_labeled,
     read_metrics,
     roc_points,
     write_metrics,
 )
 from subevents.extract import Candidate, CandidateKind
-from subevents.rank import RankedCandidate
+from subevents.rank import RankedCandidate, write_ranked
 
 
 def nv(first, second):
@@ -39,8 +45,9 @@ def tweet(tid, tokens, label=Label.UNLABELED):
 
 
 def one_tweet_matches(tokens, candidate, nv_mode="tokens", phrase_mode="bigram"):
-    """Whether MatchIndex, built over one labeled tweet, matches the candidate."""
-    index = MatchIndex(Corpus(tweets=(tweet("1", tokens, Label.INFORMATIVE),)))
+    """Whether MatchIndex, built over one labeled tweet for the candidate,
+    matches it."""
+    index = MatchIndex([(Label.INFORMATIVE, tokens)], [candidate])
     return index.candidate_matches(candidate, nv_mode, phrase_mode) == {0}
 
 
@@ -82,34 +89,40 @@ class TestTweetMatches:
 
 class TestMatchIndex:
     def test_only_labeled_tweets_indexed(self):
-        corpus = Corpus(tweets=(
-            tweet("1", ["road", "blocked"], Label.INFORMATIVE),
-            tweet("2", ["road", "clear"], Label.UNLABELED),
-            tweet("3", ["calm"], Label.UNINFORMATIVE),
-        ))
-        index = MatchIndex(corpus)
-        assert len(index.tweets) == 2
+        index = MatchIndex([
+            (Label.INFORMATIVE, ["road", "blocked"]),
+            (Label.UNLABELED, ["road", "clear"]),
+            (Label.UNINFORMATIVE, ["calm"]),
+        ], [nv("road", "blocked")])
+        assert index.labels == [Label.INFORMATIVE, Label.UNINFORMATIVE]
         assert index.n_informative == 1
         assert index.n_uninformative == 1
         assert index.candidate_matches(nv("road", "blocked"), "tokens", "bigram") == {0}
 
+    def test_postings_only_for_words_and_bigrams_the_candidates_name(self):
+        index = MatchIndex([
+            (Label.INFORMATIVE, ["road", "blocked", "tree"]),
+            (Label.UNINFORMATIVE, ["tree", "road", "blocked"]),
+        ], [nv("road", "blocked"), ph("storm", "surge")])
+        assert index.token_postings == {"road": {0, 1}, "blocked": {0, 1}}
+        assert index.bigram_postings == {("road", "blocked"): {0, 1}}
+
     def test_postings_agree_with_direct_matching(self):
         rng = np.random.default_rng(13)
         vocab = [f"w{i}" for i in range(8)]
-        tweets = []
+        labeled = []
         for i in range(30):
             n = int(rng.integers(0, 6))
             toks = [vocab[int(j)] for j in rng.integers(0, len(vocab), n)]
             label = Label.INFORMATIVE if rng.random() < 0.5 else Label.UNINFORMATIVE
-            tweets.append(tweet(str(i), toks, label))
-        corpus = Corpus(tweets=tuple(tweets))
-        index = MatchIndex(corpus)
+            labeled.append((label, toks))
         candidates = [nv("w0", "w1"), ph("w2", "w3"), nv("w7", "zz")]
+        index = MatchIndex(labeled, candidates)
         for cand, nv_mode, phrase_mode in itertools.product(candidates, MATCH_MODES, MATCH_MODES):
             via_index = index.candidate_matches(cand, nv_mode, phrase_mode)
             direct = {
-                i for i, t in enumerate(index.tweets)
-                if oracles.tweet_matches(t.tokens, cand.kind.value, cand.first, cand.second,
+                i for i, (_, toks) in enumerate(labeled)
+                if oracles.tweet_matches(toks, cand.kind.value, cand.first, cand.second,
                                          nv_mode, phrase_mode)
             }
             assert via_index == direct
@@ -199,38 +212,54 @@ class TestEvaluateAtK(_HandFixture):
             evaluate_at_k(self.ranking(), self.corpus(), ks=[1, 1])
 
     def test_matches_brute_force_on_random_inputs(self):
+        # Unlabeled and empty tweets are interleaved; candidates include
+        # first == second and one word pair as both an nv pair and a phrase.
         rng = np.random.default_rng(29)
         vocab = [f"w{i}" for i in range(10)]
+        labels = [Label.INFORMATIVE, Label.UNINFORMATIVE, Label.UNLABELED]
         for trial in range(25):
-            tweets = []
-            labels_seen = set()
+            tweets = [tweet(f"{trial}-e", [], Label.INFORMATIVE),
+                      tweet(f"{trial}-f", [], Label.UNINFORMATIVE)]
             for i in range(int(rng.integers(4, 25))):
                 n = int(rng.integers(0, 7))
                 toks = [vocab[int(j)] for j in rng.integers(0, len(vocab), n)]
-                informative = bool(rng.random() < 0.5)
-                labels_seen.add(informative)
-                label = Label.INFORMATIVE if informative else Label.UNINFORMATIVE
-                tweets.append(tweet(f"{trial}-{i}", toks, label))
-            if labels_seen != {True, False}:
-                continue
+                tweets.append(tweet(f"{trial}-{i}", toks, labels[int(rng.integers(0, 3))]))
             corpus = Corpus(tweets=tuple(tweets))
-            cands = []
+            a, b, c = (vocab[int(j)] for j in rng.integers(0, len(vocab), 3))
+            cands = [nv(c, c), ph(a, b), nv(a, b)]
             for _ in range(int(rng.integers(1, 12))):
                 a, b = (vocab[int(j)] for j in rng.integers(0, len(vocab), 2))
                 cands.append(nv(a, b) if rng.random() < 0.5 else ph(a, b))
-            ranking = ranked_list(cands)
+            order = rng.permutation(len(cands))
+            ranking = ranked_list([cands[int(j)] for j in order])
             ks = list(range(0, len(cands) + 2))
-            points = evaluate_at_k(ranking, corpus, ks=ks)
             oracle_tweets = [
-                (t.tokens, t.label is Label.INFORMATIVE) for t in corpus.tweets
+                (t.tokens, t.label is Label.INFORMATIVE)
+                for t in corpus.tweets if t.label is not Label.UNLABELED
             ]
             oracle_cands = [
                 (rc.candidate.kind.value, rc.candidate.first, rc.candidate.second)
                 for rc in ranking
             ]
-            for k, p in zip(ks, points):
-                expected = oracles.brute_force_confusion(oracle_tweets, oracle_cands, k)
-                assert (p.tp, p.fp, p.fn, p.tn) == expected
+            for nv_mode, phrase_mode in itertools.product(MATCH_MODES, MATCH_MODES):
+                streamed = evaluate_labeled(
+                    ranking, ((t.label, list(t.tokens)) for t in corpus.tweets), ks,
+                    nv_mode, phrase_mode)
+                assert evaluate_at_k(ranking, corpus, ks, nv_mode, phrase_mode) == streamed
+                for k, p in zip(ks, streamed):
+                    expected = oracles.brute_force_confusion(
+                        oracle_tweets, oracle_cands, k, nv_mode, phrase_mode)
+                    assert (p.tp, p.fp, p.fn, p.tn) == expected
+
+    def test_checks_arguments_before_reading_the_stream(self):
+        def stream():
+            raise AssertionError("stream read")
+            yield
+
+        for kwargs in ({"ks": [-1]}, {"ks": [2, 1]}, {"ks": [1], "nv_mode": "fuzzy"},
+                       {"ks": [1], "phrase_mode": "fuzzy"}):
+            with pytest.raises(ValueError):
+                evaluate_labeled(self.ranking(), stream(), **kwargs)
 
     def test_counts_monotone_in_k(self):
         points = evaluate_at_k(self.ranking(), self.corpus(), ks=list(range(0, 8)))
@@ -241,6 +270,44 @@ class TestEvaluateAtK(_HandFixture):
         for p in points:
             assert p.tp + p.fn == 4
             assert p.fp + p.tn == 2
+
+
+def _evaluate_peak(labeled, out) -> int:
+    """tracemalloc peak of ``evaluate`` of a two-candidate ranking over one
+    labeled file."""
+    cfg = PipelineConfig()
+    cfg.paths.corpus_labeled = str(labeled)
+    out.mkdir()
+    write_ranked(ranked_list([nv("flood", "rise"), ph("water", "rise")]), out / "ranked.csv")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        cmd_evaluate(cfg, out)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_memory_does_not_grow_with_tweets_without_candidate_words(tmp_path):
+    """Doubling the labeled tweets of both classes that hold no candidate
+    word (the same texts again under new ids) leaves evaluate's peak within
+    10%: it keeps postings of candidate words only, not the tweets."""
+    vocab = [f"word{chr(97 + i % 26)}{chr(97 + i // 26)}" for i in range(300)]
+    background = [" ".join(vocab[(7 * t + 13 * j) % len(vocab)] for j in range(12))
+                  for t in range(3000)]
+    labels = ("informative", "uninformative")
+
+    def line(tweet_id, text, i):
+        return json.dumps({"id": tweet_id, "text": text, "label": labels[i % 2]}) + "\n"
+
+    lines = [line(f"c{i}", f"flood rise water {vocab[i]}", i) for i in range(300)]
+    once, twice = tmp_path / "once.jsonl", tmp_path / "twice.jsonl"
+    once.write_text("".join(lines + [line(f"a{i}", text, i)
+                                     for i, text in enumerate(background)]), encoding="utf-8")
+    twice.write_text("".join(lines + [line(f"{p}{i}", text, i) for p in "ab"
+                                      for i, text in enumerate(background)]), encoding="utf-8")
+    once_peak = _evaluate_peak(once, tmp_path / "once")  # first: it pays any first-call set-up
+    assert _evaluate_peak(twice, tmp_path / "twice") <= 1.1 * once_peak
 
 
 class TestMetricsPoint:
