@@ -14,6 +14,7 @@ import logging
 import sys
 import time
 from collections import Counter
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from . import __version__
@@ -47,6 +48,7 @@ from .rank import (
     rank_baseline_overlap,
     rank_candidates,
     read_ranked,
+    read_terms,
     write_ranked,
 )
 from .report import f1_plot_svg, roc_plot_svg
@@ -179,12 +181,15 @@ def _log_dedupe(tweets: TweetTokens) -> None:
         logger.info("dedupe removed %d duplicate tweets", tweets.duplicates)
 
 
-def _load_store(cfg: PipelineConfig) -> EmbeddingStore:
+def _load_store(cfg: PipelineConfig, word_lists: Iterable[Sequence[str]]) -> EmbeddingStore:
+    """The configured vectors of the words in `word_lists`; the rows of
+    other words are not read."""
     return load_vectors(
         _vectors(cfg),
         OovPolicy(cfg.rank.oov_policy),
         hash_seed=cfg.cluster.seed,
         normalize_words=cfg.rank.normalize_words,
+        words={word for words in word_lists for word in words},
     )
 
 
@@ -243,17 +248,19 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     )
 
 
-def cmd_rank(cfg: PipelineConfig, out_dir: Path, store: EmbeddingStore | None = None) -> None:
-    """Rank the extracted candidates; `store` is the vector store to rank
-    with, loaded from the config when None (unused by the baseline)."""
+def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> EmbeddingStore | None:
+    """Rank the extracted candidates. Returns the vector store ranked with,
+    which holds the vectors of every candidate and term word (None for the
+    baseline, which reads no vectors)."""
     candidates = read_candidates(_require_artifact(out_dir, "candidates", "extract"))
+    store = None
     if cfg.rank.method == "baseline":
         tweets = _tweet_tokens(cfg)
         ranked = rank_baseline_overlap(candidates, tweets, cfg.rank.discount)
         _log_dedupe(tweets)
     else:
-        if store is None:
-            store = _load_store(cfg)
+        _, _, term_words = read_terms(cfg.paths.ontology)
+        store = _load_store(cfg, [*(cand.words for cand in candidates), *term_words])
         ontology = load_ontology(cfg.paths.ontology, store)
         ranked = rank_candidates(candidates, ontology, store)
     write_ranked(ranked, _artifact(out_dir, "ranked"))
@@ -264,17 +271,20 @@ def cmd_rank(cfg: PipelineConfig, out_dir: Path, store: EmbeddingStore | None = 
         print(f"  candidates without a vector: {no_vector} (scored {NULL_SCORE:g}, ranked last)")
         print(f"  terms without a vector:      {unusable} of {len(ontology)}"
               " (not used for scoring)")
+    return store
 
 
 def cmd_cluster(cfg: PipelineConfig, out_dir: Path, store: EmbeddingStore | None = None) -> None:
     """Cluster the top of the ranking; `store` is the vector store to
-    compose with, loaded from the config when None."""
+    compose with, loaded from the config when None with the vectors of the
+    top candidates' words only."""
     k = _cluster_k(cfg)
     ranked = read_ranked(_require_artifact(out_dir, "ranked", "rank"))
     top = ranked[: cfg.cluster.top_m]
+    word_lists = [rc.candidate.words for rc in top]
     # A store loaded here is freed once composed, before the affinity is built.
     rows, null = compose_rows(
-        [rc.candidate.words for rc in top], _load_store(cfg) if store is None else store
+        word_lists, _load_store(cfg, word_lists) if store is None else store
     )
     kept = [rc for rc, is_null in zip(top, null) if not is_null]
     vectors = rows[~null]
@@ -336,28 +346,26 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> None:
     _cluster_k(cfg)
     _corpus_labeled(cfg)
     _vectors(cfg)
-    # Rank (moac) and cluster share vectors loaded once: the store is a pure
-    # function of the config. Each gets its own subword bucket cache, so
-    # rank's buckets are not held through cluster, and a stage that reads no
-    # vectors runs with the store freed.
-    stages = [
-        ("extract", cmd_extract, False),
-        ("rank", cmd_rank, cfg.rank.method == "moac"),
-        ("cluster", cmd_cluster, True),
-        ("evaluate", cmd_evaluate, False),
-    ]
-    store = None
     timings = {}
     start = time.perf_counter()
-    for name, handler, reads_vectors in stages:
+
+    def run(name, handler, *args):
         stage_start = time.perf_counter()
-        if reads_vectors:
-            store = _load_store(cfg) if store is None else dataclasses.replace(store)
-            handler(cfg, out_dir, store)
-        else:
-            store = None
-            handler(cfg, out_dir)
+        result = handler(cfg, out_dir, *args)
         timings[name] = round(time.perf_counter() - stage_start, 6)
+        return result
+
+    run("extract", cmd_extract)
+    # Rank (moac) and cluster share vectors loaded once: rank's store holds
+    # every candidate word, so every word of the top candidates. Cluster
+    # gets a copy with empty subword caches, so rank's are not held through
+    # cluster; under the baseline, cluster loads its own. Evaluate runs
+    # with the store freed.
+    store = run("rank", cmd_rank)
+    store = None if store is None else dataclasses.replace(store)
+    run("cluster", cmd_cluster, store)
+    del store
+    run("evaluate", cmd_evaluate)
     total = round(time.perf_counter() - start, 6)
     manifest = {
         "tool_version": __version__,

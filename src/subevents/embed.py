@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -43,8 +43,9 @@ class EmbeddingStore:
     summing. Under SUBWORD_HASH, an OOV word gets the average of per-n-gram
     vectors drawn from a fixed-size bucket table generated deterministically
     from (hash_seed, bucket); bucket vectors are materialized lazily but are
-    a pure function of the seed. A copy made by `dataclasses.replace` shares
-    the word vectors and starts with an empty bucket cache.
+    a pure function of the seed, and each OOV word's vector is made once and
+    kept read-only. A copy made by `dataclasses.replace` shares the word
+    vectors and starts with empty bucket and subword caches.
     """
 
     dim: int
@@ -54,6 +55,7 @@ class EmbeddingStore:
     normalize_words: bool = False
     n_buckets: int = DEFAULT_BUCKETS
     _bucket_cache: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _subword_cache: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __contains__(self, word: str) -> bool:
         return word in self.vectors
@@ -67,9 +69,13 @@ class EmbeddingStore:
         return vec
 
     def subword_vector(self, word: str) -> np.ndarray | None:
-        """Average of hashed 3-6 character-gram vectors of '<word>'."""
+        """Average of hashed 3-6 character-gram vectors of '<word>'; the
+        same read-only array on every call for the same word."""
         if not word:
             return None
+        vec = self._subword_cache.get(word)
+        if vec is not None:
+            return vec
         marked = f"<{word}>"
         grams = [
             marked[i : i + n]
@@ -81,7 +87,10 @@ class EmbeddingStore:
         total = np.zeros(self.dim)
         for gram in grams:
             total += self._bucket_vector(fnv1a_32(gram.encode("utf-8")) % self.n_buckets)
-        return total / len(grams)
+        vec = total / len(grams)
+        vec.flags.writeable = False
+        self._subword_cache[word] = vec
+        return vec
 
 
 @dataclass(frozen=True)
@@ -97,12 +106,16 @@ def load_vectors(
     oov_policy: OovPolicy = OovPolicy.SKIP_WORD,
     hash_seed: int = 0,
     normalize_words: bool = False,
+    words: Collection[str] | None = None,
 ) -> EmbeddingStore:
-    """Load word2vec-text-format vectors.
+    """Load word2vec-text-format vectors: every row, or with `words` only
+    the rows whose first field is one of them. The rows of other words are
+    skipped unparsed, so they are neither checked nor warned about.
 
-    Rows whose arity disagrees with the declared dimension, or containing
-    non-numeric or non-finite components, are rejected with a warning; a
-    duplicate word keeps the first row. A malformed header is fatal.
+    A row that is read is rejected with a warning when its arity disagrees
+    with the declared dimension or a component is non-numeric or
+    non-finite; a duplicate word keeps the first accepted row. A malformed
+    header is fatal.
     """
     with open_text(path) as fh:
         header = fh.readline().split()
@@ -117,6 +130,10 @@ def load_vectors(
         vectors: dict[str, np.ndarray] = {}
         block: list[tuple[int, list[str]]] = []
         for lineno, line in enumerate(fh, start=2):
+            if words is not None:
+                head = line.split(None, 1)
+                if not head or head[0] not in words:
+                    continue
             parts = line.split()
             if parts:
                 block.append((lineno, parts))
@@ -124,7 +141,9 @@ def load_vectors(
                 _add_rows(vectors, block, dim, path)
                 block = []
         _add_rows(vectors, block, dim, path)
-    if declared != len(vectors):
+    if words is not None:
+        logger.info("%s: loaded %d of the %d words asked for", path, len(vectors), len(words))
+    elif declared != len(vectors):
         logger.info("%s: header declared %d words, loaded %d", path, declared, len(vectors))
     return EmbeddingStore(dim=dim, vectors=vectors, oov_policy=oov_policy,
                           hash_seed=hash_seed, normalize_words=normalize_words)

@@ -64,18 +64,25 @@ def compose_rows(
     return rows, null
 
 
-def load_ontology(path: str | Path | None, store: EmbeddingStore) -> Ontology:
-    """Load a one-term-per-line term list and compose a vector per term.
+def read_terms(path: str | Path | None) -> tuple[str | Path, list[str], list[list[str]]]:
+    """A one-term-per-line term list: the name to report it by, its terms
+    in list order and each term's words.
 
     '#' comment lines and blank lines are ignored; terms are lowercased.
-    The bundled crisis term list is used when no path is given. Zero usable
-    (non-null) terms is fatal.
+    The bundled crisis term list is read when no path is given.
     """
     path, entries = read_list_file(path, "moac_terms.txt", "<bundled term list>")
     terms = [term.lower() for _, term in entries]
+    return path, terms, [term.split() for term in terms]
+
+
+def load_ontology(path: str | Path | None, store: EmbeddingStore) -> Ontology:
+    """Read a term list (see `read_terms`) and compose a vector per term.
+    Zero usable (non-null) terms is fatal."""
+    path, terms, words = read_terms(path)
     if not terms:
         raise InputFormatError(f"{path}: no terms found")
-    rows, null = compose_rows([term.split() for term in terms], store)
+    rows, null = compose_rows(words, store)
     if null.all():
         raise InputFormatError(f"{path}: no term has an in-vocabulary vector")
     usable = tuple(term for term, is_null in zip(terms, null) if not is_null)

@@ -425,26 +425,50 @@ class TestPipeline:
         assert run_cli("pipeline", "--config", cfg, "--rank.method", method)[0] == 0
         assert len(calls) == 1
 
-    def test_staged_subword_run_matches_pipeline(self, run_cli, tmp_path, write_config,
-                                                 pipeline_config_dict):
-        # Top candidates' words without a vector are composed from subword
-        # bucket vectors; the pipeline's cluster stage composes them from the
-        # vectors rank loaded, staged runs from a store of their own.
-        cfg_dict = json.loads(json.dumps(pipeline_config_dict))
-        cfg_dict["paths"]["vectors"] = str(_oov_vectors(pipeline_config_dict, tmp_path))
-        cfg_dict["rank"]["oov_policy"] = "subword"
-        staged, whole = tmp_path / "staged", tmp_path / "whole"
-        cfg = write_config(cfg_dict, staged)
-        for stage in ("extract", "rank", "cluster"):
-            assert run_cli(stage, "--config", cfg)[0] == 0
-        code, stdout, _ = run_cli("pipeline", "--config", write_config(cfg_dict, whole))
+    @pytest.mark.parametrize("variant", ["shipped", "normalize_words", "subword"])
+    def test_staged_run_matches_pipeline(self, run_cli, tmp_path, write_config,
+                                         pipeline_config_dict, variant):
+        # Run alone, rank loads the vectors of the candidate and term words
+        # and cluster only those of the top candidates' words; the pipeline
+        # loads rank's words once for both. Under "subword", top candidates'
+        # words without a vector are composed from subword bucket vectors.
+        flags, ranked_sha, clusters_sha, _ = _golden_flags(variant, pipeline_config_dict, tmp_path)
+        out = tmp_path / "out"
+        cfg = write_config(pipeline_config_dict, out)
+        assert run_cli("extract", "--config", cfg, *flags)[0] == 0
+        code, stdout, _ = run_cli("rank", "--config", cfg, *flags)
         assert code == 0
         assert "candidates without a vector: 0 " in stdout
+        code, stdout, _ = run_cli("cluster", "--config", cfg, *flags)
+        assert code == 0
         assert "top 40 candidates without a vector: 0 " in stdout
-        top = [rc.candidate.first for rc in read_ranked(whole / "ranked.csv")[:40]]
+        top = [rc.candidate.first for rc in read_ranked(out / "ranked.csv")[:40]]
         assert {"cnounaa", "cnounab"} <= set(top)
-        for name in ("ranked.csv", "clusters.json"):
-            assert (staged / name).read_bytes() == (whole / name).read_bytes(), name
+        assert sha256(out / "ranked.csv") == ranked_sha
+        assert sha256(out / "clusters.json") == clusters_sha
+
+    def test_vector_rows_are_checked_only_for_words_looked_up(
+            self, run_cli, tmp_path, write_config, pipeline_config_dict, caplog):
+        # A second, malformed row for a top candidate's word, for a term's
+        # word and for a word that no candidate or term uses.
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(
+            Path(pipeline_config_dict["paths"]["vectors"]).read_text(encoding="utf-8")
+            + "cnounaa 1 2\nanchortheta 1 2\nunusedword 1 2\n", encoding="utf-8")
+        cfg_dict = json.loads(json.dumps(pipeline_config_dict))
+        cfg_dict["paths"]["vectors"] = str(vectors)
+        cfg = write_config(cfg_dict, tmp_path / "out")
+
+        def warned(stage):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="subevents.embed"):
+                assert run_cli(stage, "--config", cfg)[0] == 0
+            return [rec.getMessage().split("'")[1] for rec in caplog.records
+                    if rec.name == "subevents.embed"]
+
+        assert warned("pipeline") == ["cnounaa", "anchortheta"]
+        assert warned("rank") == ["cnounaa", "anchortheta"]
+        assert warned("cluster") == ["cnounaa"]
 
     def test_bad_vectors_fail_at_rank_after_extract(self, run_cli, tmp_path, write_config,
                                                     pipeline_config_dict):
@@ -564,12 +588,18 @@ GOLDEN_PIPELINE = {
 }
 
 
+def _golden_flags(variant: str, pipeline_config_dict: dict, tmp_path: Path) -> tuple:
+    """``GOLDEN_PIPELINE[variant]`` with OOV_VECTORS in its flags replaced
+    by the path of ``_oov_vectors``."""
+    flags, *digests = GOLDEN_PIPELINE[variant]
+    oov_vectors = str(_oov_vectors(pipeline_config_dict, tmp_path))
+    return ([oov_vectors if flag == "OOV_VECTORS" else flag for flag in flags], *digests)
+
+
 @pytest.mark.parametrize("variant", sorted(GOLDEN_PIPELINE))
 def test_pipeline_artifacts_match_golden_digests(run_cli, tmp_path, write_config,
                                                  pipeline_config_dict, variant):
-    flags, *digests = GOLDEN_PIPELINE[variant]
-    oov_vectors = _oov_vectors(pipeline_config_dict, tmp_path)
-    flags = [str(oov_vectors) if flag == "OOV_VECTORS" else flag for flag in flags]
+    flags, *digests = _golden_flags(variant, pipeline_config_dict, tmp_path)
     out = tmp_path / "out"
     assert run_cli("pipeline", "--config", write_config(pipeline_config_dict, out), *flags)[0] == 0
     names = ("candidates.csv", "accounting.json", "ranked.csv", "clusters.json", "metrics.csv")

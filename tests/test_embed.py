@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from subevents import embed
+from subevents._util import fnv1a_32
 from subevents.embed import EmbeddingStore, OovPolicy, compose, load_vectors
 from subevents.errors import InputFormatError
 
@@ -83,8 +84,8 @@ class TestLoadVectors:
 
 def _reference_load(path):
     """The loader as first written: every value parsed by `float()`, one row
-    at a time. Takes a valid header; returns (dim, vectors, warning
-    messages)."""
+    at a time. Takes a valid header; returns (dim, vectors, warnings), each
+    warning as (the row's word, message)."""
     warnings = []
     with open(path, encoding="utf-8") as fh:
         dim = int(fh.readline().split()[1])
@@ -95,19 +96,22 @@ def _reference_load(path):
                 continue
             word, raw_values = parts[0], parts[1:]
             if len(raw_values) != dim:
-                warnings.append(f"{path}:{lineno}: rejecting row for {word!r} "
-                                f"({len(raw_values)} values, expected {dim})")
+                warnings.append((word, f"{path}:{lineno}: rejecting row for {word!r} "
+                                       f"({len(raw_values)} values, expected {dim})"))
                 continue
             try:
                 values = np.array([float(v) for v in raw_values])
             except ValueError:
-                warnings.append(f"{path}:{lineno}: rejecting row for {word!r} (non-numeric)")
+                warnings.append(
+                    (word, f"{path}:{lineno}: rejecting row for {word!r} (non-numeric)"))
                 continue
             if not np.all(np.isfinite(values)):
-                warnings.append(f"{path}:{lineno}: rejecting row for {word!r} (non-finite)")
+                warnings.append(
+                    (word, f"{path}:{lineno}: rejecting row for {word!r} (non-finite)"))
                 continue
             if word in vectors:
-                warnings.append(f"{path}:{lineno}: duplicate word {word!r}, keeping first")
+                warnings.append(
+                    (word, f"{path}:{lineno}: duplicate word {word!r}, keeping first"))
                 continue
             vectors[word] = values
     return dim, vectors, warnings
@@ -119,6 +123,8 @@ ODD_TOKENS = ["x1", "1_0", "\u0661\u0662", "\uff11", "nan", "inf", "-inf", "1e99
 TOKENS = st.sampled_from(ODD_TOKENS) | st.floats().map(repr) | st.integers(-99, 99).map(str)
 SEPARATORS = st.sampled_from([" ", "\t", "  ", "\xa0", "\u2003", "\u3000", "\x0c", "\x1f", "\r"])
 WORDS = st.sampled_from(["flood", "fire", "x1", "#", "\u0661", "caf\u00e9"])
+# Words no drawn row has, including ones that cannot be a row's first field.
+ABSENT_WORDS = st.sampled_from(["rain", "", "flood fire", "flood\t"])
 
 
 @st.composite
@@ -142,22 +148,36 @@ class TestLoadVectorsProperties:
     @pytest.mark.parametrize("block_rows", [3, embed.VECTOR_BLOCK_ROWS])
     @settings(deadline=None, max_examples=100,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(text=vector_files())
-    def test_same_as_per_row_reference(self, text, block_rows, vector_dir, caplog, monkeypatch):
+    @given(text=vector_files(), words=st.sets(WORDS | ABSENT_WORDS))
+    def test_same_as_per_row_reference(self, text, words, block_rows, vector_dir, caplog,
+                                       monkeypatch):
         monkeypatch.setattr(embed, "VECTOR_BLOCK_ROWS", block_rows)
         path = vector_dir / "v.txt"
         path.write_bytes(text.encode("utf-8"))
-        caplog.clear()
         caplog.set_level(logging.WARNING, logger="subevents.embed")
         dim, vectors, warnings = _reference_load(path)
-        store = load_vectors(path)
+
+        def load_and_warnings(**kwargs):
+            caplog.clear()
+            store = load_vectors(path, **kwargs)
+            return store, [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+
+        store, got_warnings = load_and_warnings()
         assert store.dim == dim
         assert list(store.vectors) == list(vectors)
         for word, values in vectors.items():
             got = store.vectors[word]
             assert got.dtype == np.float64 and got.shape == (dim,)
             assert got.tobytes() == values.tobytes()
-        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == warnings
+        assert got_warnings == [message for _, message in warnings]
+
+        # Asked for `words` only: the reference's rows of those words.
+        store, got_warnings = load_and_warnings(words=words)
+        assert store.dim == dim
+        assert list(store.vectors) == [word for word in vectors if word in words]
+        for word, got in store.vectors.items():
+            assert got.tobytes() == vectors[word].tobytes()
+        assert got_warnings == [message for word, message in warnings if word in words]
 
     @settings(deadline=None)
     @given(data=st.binary() | st.binary().map(lambda b: b"2 2\nflood " + b))
@@ -260,7 +280,6 @@ class TestSubwordHash:
         assert grams == ["<ca", "cat", "at>", "<cat", "cat>", "<cat>"]
         total = np.zeros(store.dim)
         for gram in grams:
-            from subevents._util import fnv1a_32
             total += store._bucket_vector(fnv1a_32(gram.encode("utf-8")) % store.n_buckets)
         assert np.allclose(store.subword_vector("cat"), total / len(grams))
 
@@ -288,5 +307,26 @@ class TestSubwordHash:
         copy = dataclasses.replace(store)
         assert copy.vectors is store.vectors
         assert store._bucket_cache and not copy._bucket_cache
+        assert store._subword_cache and not copy._subword_cache
         assert np.array_equal(copy.subword_vector("rain"), expected)
+
+    def test_each_oov_word_is_hashed_once(self, monkeypatch):
+        words = ["rain", "flood", "rain", "storm", "rain", "storm"]
+        fresh = {word: _store({}, policy=OovPolicy.SUBWORD_HASH, hash_seed=3).subword_vector(word)
+                 for word in set(words)}
+        calls = []
+
+        def counting_hash(data):
+            calls.append(data)
+            return fnv1a_32(data)
+
+        monkeypatch.setattr(embed, "fnv1a_32", counting_hash)
+        store = _store({"flood": [1.0, 0.0, 0.0]}, policy=OovPolicy.SUBWORD_HASH, hash_seed=3)
+        got = [store.subword_vector(word) for word in words if word not in store]
+        compose(words, store)
+        # '<rain>' and '<storm>' have 4+3+2+1 and 5+4+3+2 grams of 3-6 characters.
+        assert len(calls) == 10 + 14
+        for word, vec in zip([w for w in words if w not in store], got):
+            assert vec.tobytes() == fresh[word].tobytes()
+            assert not vec.flags.writeable
 
