@@ -65,6 +65,9 @@ ARTIFACTS = {
     "roc_plot": "report_roc.svg",
     "manifest": "manifest.json",
 }
+# Written by cluster into out_dir: a cache of the last eigendecomposition,
+# not an artifact (see eig_topk).
+SPECTRUM_CACHE = "spectrum.npz"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -289,7 +292,8 @@ def cmd_cluster(cfg: PipelineConfig, out_dir: Path, store: EmbeddingStore | None
     kept = [rc for rc, is_null in zip(top, null) if not is_null]
     vectors = rows[~null]
     affinity = build_affinity(vectors)
-    assignment = spectral_cluster(affinity, k, cfg.cluster.seed, cfg.cluster.normalized)
+    assignment = spectral_cluster(affinity, k, cfg.cluster.seed, cfg.cluster.normalized,
+                                  cache=out_dir / SPECTRUM_CACHE)
     summaries = summarize_clusters(assignment, kept, vectors)
     write_clusters(summaries, _artifact(out_dir, "clusters"))
     print(f"clustered {len(kept)} candidates into {len(summaries)} clusters")

@@ -9,7 +9,11 @@ normalization) is available behind the `normalized` flag.
 
 from __future__ import annotations
 
+import hashlib
 import logging
+import os
+import tempfile
+import zipfile
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -82,13 +86,87 @@ def build_affinity(vectors: np.ndarray) -> AffinityMatrix:
     return AffinityMatrix(entries=entries)
 
 
-def eig_topk(matrix: np.ndarray, k: int) -> list[tuple[float, np.ndarray]]:
+def _load_spectrum(path: Path, key: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (values, vectors) saved in `path` under `key`; None when the file
+    is unreadable, is no .npz, holds another key or the wrong shapes."""
+    try:
+        # Opened here: np.load leaves its own handle open when the zip
+        # directory cannot be read.
+        with open(path, "rb") as fh:
+            saved = np.load(fh, allow_pickle=False)
+            if not isinstance(saved, np.lib.npyio.NpzFile):
+                return None
+            with saved:
+                stored_key, values, vectors = saved["key"], saved["values"], saved["vectors"]
+    # BadZipFile is no OSError; np.load raises EOFError on an empty file.
+    except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
+        return None
+    if (stored_key.shape == () and stored_key.item() == key
+            and values.dtype == vectors.dtype == np.float64
+            and values.shape == (n,) and vectors.shape == (n, n)):
+        return values, vectors
+    return None
+
+
+def _save_spectrum(path: Path, key: str, values: np.ndarray, vectors: np.ndarray) -> bool:
+    """Write the decomposition through a temp file in the same directory,
+    so a reader sees the old file or the new one whole; False on OSError."""
+    tmp = None
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, key=np.array(key), values=values, vectors=vectors)
+        os.replace(tmp, path)
+    except OSError as exc:
+        logger.warning("could not save the eigendecomposition to %s: %s", path, exc)
+        if tmp is not None:
+            Path(tmp).unlink(missing_ok=True)
+        return False
+    return True
+
+
+def _eigh(m: np.ndarray, cache: str | os.PathLike | None) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(m), read from the .npz file `cache` when it holds the
+    decomposition of these exact matrix bytes, else computed and saved there.
+    The key is the sha256 of the numpy version, the shape and the bytes of
+    m. A failed save only logs a warning."""
+    if cache is None:
+        return np.linalg.eigh(m)
+    path = Path(cache)
+    n = m.shape[0]
+    digest = hashlib.sha256(np.__version__.encode())
+    digest.update(repr(m.shape).encode())
+    # The buffer of a C-contiguous array is m.tobytes() without the copy.
+    digest.update(np.ascontiguousarray(m))
+    key = digest.hexdigest()
+    saved = _load_spectrum(path, key, n)
+    if saved is not None:
+        logger.info("reused the eigendecomposition of the %dx%d matrix (key %s) from %s",
+                    n, n, key[:12], path)
+        return saved
+    values, vectors = np.linalg.eigh(m)
+    if _save_spectrum(path, key, values, vectors):
+        logger.info("computed the eigendecomposition of the %dx%d matrix (key %s) and saved"
+                    " it to %s", n, n, key[:12], path)
+    return values, vectors
+
+
+def eig_topk(
+    matrix: np.ndarray, k: int, cache: str | os.PathLike | None = None
+) -> list[tuple[float, np.ndarray]]:
     """k eigenpairs of a symmetric matrix with the largest eigenvalues.
 
     Eigenvalues descend; eigenvectors are unit-norm with a deterministic
     sign (largest-magnitude component positive, first index on ties).
     Each pair is checked against the residual bound
     ||Mv - lv|| <= 1e-8 * max(1, ||M||_F).
+
+    With `cache`, the path of an .npz file, the full decomposition is kept
+    there keyed by the exact matrix bytes: a later call on the same matrix,
+    at any k, reads it back instead of decomposing again and returns the
+    same bits the first call did. The input checks run before the file is
+    read or written; pairs read back pass the same ordering, sign and
+    residual steps as fresh ones.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -102,7 +180,7 @@ def eig_topk(matrix: np.ndarray, k: int) -> list[tuple[float, np.ndarray]]:
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    values, vectors = np.linalg.eigh(m)
+    values, vectors = _eigh(m, cache)
     order = np.argsort(-values, kind="stable")[:k]
     top_values = values[order]
     top = vectors[:, order]
@@ -200,6 +278,7 @@ def spectral_cluster(
     k: int,
     seed: int,
     normalized: bool = True,
+    cache: str | os.PathLike | None = None,
 ) -> ClusterAssignment:
     """Cluster the affinity graph into k groups.
 
@@ -207,6 +286,9 @@ def spectral_cluster(
     and the remaining rows are decomposed into the leftover cluster budget,
     so the output always has exactly k cluster ids. Labels are canonical by
     first appearance, making the result deterministic for (A, k, seed).
+
+    `cache` is passed to `eig_topk` in both variants: runs at several k on
+    one affinity decompose its (normalized or Laplacian) matrix once.
     """
     affinity.validate()
     n = affinity.n
@@ -242,7 +324,7 @@ def spectral_cluster(
             scaled = sub * inv_sqrt[:, None]
             scaled *= inv_sqrt[None, :]
             upper = np.triu(scaled, 1)
-            pairs = eig_topk(np.add(upper, upper.T, out=scaled), k_rem)
+            pairs = eig_topk(np.add(upper, upper.T, out=scaled), k_rem, cache)
             embedding = np.stack([vec for _, vec in pairs], axis=1)
             row_norms = np.linalg.norm(embedding, axis=1)
             nonzero = row_norms > 0.0
@@ -250,7 +332,7 @@ def spectral_cluster(
         else:
             laplacian = np.diag(deg) - sub
             # Smallest eigenvalues of L are the largest of -L.
-            pairs = eig_topk(-laplacian, k_rem)
+            pairs = eig_topk(-laplacian, k_rem, cache)
             embedding = np.stack([vec for _, vec in pairs], axis=1)
         sub_labels, _, _ = kmeans(embedding, k_rem, seed)
 

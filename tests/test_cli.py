@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import make_fixtures
@@ -480,6 +481,157 @@ class TestPipeline:
         assert code == 2
         assert (out / "candidates.csv").exists() and (out / "accounting.json").exists()
         assert not (out / "ranked.csv").exists()
+
+
+def _count_eigh(monkeypatch) -> list:
+    """Record the shape of each numpy.linalg.eigh call from here on."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(m):
+        calls.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return calls
+
+
+def _truncate(path, monkeypatch):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _empty(path, monkeypatch):
+    path.write_bytes(b"")
+
+
+def _flip_data_byte(path, monkeypatch):
+    # The middle of the file lies in the eigenvector data; the zip CRC
+    # check makes np.load raise BadZipFile, which is no OSError.
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _other_matrix(path, monkeypatch):
+    # Well-formed, but keyed by another matrix: the identity's eigenvectors
+    # would fail the residual gate if they were used.
+    with np.load(path) as saved:
+        n = len(saved["values"])
+    np.savez(path, key=np.array(hashlib.sha256(b"another matrix").hexdigest()),
+             values=np.ones(n), vectors=np.eye(n))
+
+
+def _text(path, monkeypatch):
+    path.write_text("not an npz file\n", encoding="utf-8")
+
+
+def _npy(path, monkeypatch):
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+def _write_fails(path, monkeypatch):
+    path.unlink()
+
+    def failing_savez(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+
+
+class TestSpectrumCache:
+    """cluster keeps the eigendecomposition in out_dir/spectrum.npz, so runs
+    at several k on one ranking decompose the matrix once."""
+
+    def _ranked(self, run_cli, write_config, pipeline_config_dict, out: Path) -> str:
+        cfg = write_config(pipeline_config_dict, out)
+        assert run_cli("extract", "--config", cfg)[0] == 0
+        assert run_cli("rank", "--config", cfg)[0] == 0
+        return cfg
+
+    def _fresh(self, run_cli, cfg, out: Path, k: int, flags=()) -> bytes:
+        """clusters.json of cluster at k in a new out_dir holding only ranked.csv."""
+        fresh = out.parent / f"fresh-{k}-{'-'.join(flags)}"
+        fresh.mkdir()
+        (fresh / "ranked.csv").write_bytes((out / "ranked.csv").read_bytes())
+        args = ("cluster", "--config", cfg, "--paths.out_dir", str(fresh), "--cluster.k", str(k))
+        assert run_cli(*args, *flags)[0] == 0
+        return (fresh / "clusters.json").read_bytes()
+
+    @pytest.mark.parametrize("flags", [(), ("--cluster.normalized", "false")],
+                             ids=["normalized", "laplacian"])
+    def test_sweep_decomposes_once(self, run_cli, tmp_path, write_config, pipeline_config_dict,
+                                   monkeypatch, flags):
+        out = tmp_path / "out"
+        cfg = self._ranked(run_cli, write_config, pipeline_config_dict, out)
+        fresh = {k: self._fresh(run_cli, cfg, out, k, flags) for k in (2, 3)}
+        calls = _count_eigh(monkeypatch)
+        for k in (2, 3, 2):
+            assert run_cli("cluster", "--config", cfg, "--cluster.k", str(k), *flags)[0] == 0
+            assert (out / "clusters.json").read_bytes() == fresh[k], k
+        assert calls == [(40, 40)]
+        assert (out / "spectrum.npz").is_file()
+
+    def test_cluster_after_pipeline_reuses_its_decomposition(
+            self, run_cli, tmp_path, write_config, pipeline_config_dict, monkeypatch):
+        out = tmp_path / "out"
+        cfg = write_config(pipeline_config_dict, out)
+        assert run_cli("pipeline", "--config", cfg)[0] == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert "spectrum.npz" not in {entry["path"] for entry in manifest["artifacts"].values()}
+        fresh = self._fresh(run_cli, cfg, out, 5)
+        calls = _count_eigh(monkeypatch)
+        assert run_cli("cluster", "--config", cfg, "--cluster.k", "5")[0] == 0
+        assert calls == []
+        assert (out / "clusters.json").read_bytes() == fresh
+
+    @pytest.mark.parametrize("damage", [_truncate, _empty, _flip_data_byte, _other_matrix,
+                                        _text, _npy, _write_fails],
+                             ids=lambda fn: fn.__name__.lstrip("_"))
+    def test_bad_cache_is_a_miss(self, run_cli, tmp_path, write_config, pipeline_config_dict,
+                                 monkeypatch, caplog, damage):
+        out = tmp_path / "out"
+        cfg = self._ranked(run_cli, write_config, pipeline_config_dict, out)
+        assert run_cli("cluster", "--config", cfg)[0] == 0
+        expected = (out / "clusters.json").read_bytes()
+        damage(out / "spectrum.npz", monkeypatch)
+        calls = _count_eigh(monkeypatch)
+        with caplog.at_level("WARNING", logger="subevents.cluster"):
+            code, _, err = run_cli("cluster", "--config", cfg)
+        assert code == 0, err
+        assert (out / "clusters.json").read_bytes() == expected
+        assert calls == [(40, 40)]
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+        warnings = [rec.getMessage() for rec in caplog.records if rec.name == "subevents.cluster"]
+        if damage is _write_fails:
+            assert not (out / "spectrum.npz").exists()
+            assert len(warnings) == 1 and "could not save" in warnings[0]
+        else:
+            # The miss rewrote the file: the next run reads it.
+            assert warnings == []
+            assert run_cli("cluster", "--config", cfg)[0] == 0
+            assert calls == [(40, 40)]
+            assert (out / "clusters.json").read_bytes() == expected
+
+    def test_verbose_logs_reuse_with_key(self, run_cli, tmp_path, write_config,
+                                         pipeline_config_dict, caplog):
+        out = tmp_path / "out"
+        cfg = self._ranked(run_cli, write_config, pipeline_config_dict, out)
+
+        def logged(k):
+            caplog.clear()
+            with caplog.at_level("INFO", logger="subevents.cluster"):
+                assert run_cli("cluster", "--config", cfg, "--verbose", "--cluster.k", k)[0] == 0
+            return [rec.getMessage() for rec in caplog.records
+                    if rec.name == "subevents.cluster" and "eigendecomposition" in rec.getMessage()]
+
+        (computed,) = logged("3")
+        (reused,) = logged("2")
+        assert computed.startswith("computed the eigendecomposition of the 40x40 matrix (key ")
+        assert computed.endswith(f"and saved it to {out / 'spectrum.npz'}")
+        assert reused.startswith("reused the eigendecomposition of the 40x40 matrix (key ")
+        key = computed.split("(key ")[1].split(")")[0]
+        assert len(key) == 12 and f"(key {key})" in reused
 
 
 # sha256 of the two numpy-free artifacts on the fixture config, recorded

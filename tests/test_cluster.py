@@ -1,6 +1,8 @@
 import json
 import math
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +185,60 @@ class TestEigTopk:
             eig_topk(np.eye(3), 0)
         with pytest.raises(ValueError):
             eig_topk(np.eye(3), 4)
+
+
+def _bits(pairs):
+    return [(np.float64(value).tobytes(), vector.tobytes()) for value, vector in pairs]
+
+
+def _symmetric(n, seed):
+    raw = np.random.default_rng(seed).normal(size=(n, n))
+    return (raw + raw.T) / 2.0
+
+
+class TestEigTopkCache:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        sizes=st.tuples(st.integers(2, 12), st.integers(2, 12)),
+        data_seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 12)), min_size=1, max_size=6),
+    )
+    def test_cached_pairs_bit_identical(self, sizes, data_seed, steps):
+        # Two matrices in one file: a switch between them is a key (and
+        # often a shape) mismatch, a repeat is a hit at any k.
+        matrices = [_symmetric(n, data_seed + i) for i, n in enumerate(sizes)]
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = Path(tmp) / "spectrum.npz"
+            for which, k in steps:
+                m = matrices[which]
+                k = 1 + (k - 1) % len(m)
+                assert _bits(eig_topk(m, k, cache=cache)) == _bits(eig_topk(m, k))
+            assert [p.name for p in Path(tmp).iterdir()] == ["spectrum.npz"]
+
+    @pytest.mark.parametrize("bad", [
+        np.array([[np.nan, 0.0], [0.0, 0.0]]),
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+    ], ids=["nan", "asymmetric"])
+    def test_bad_matrix_raises_before_the_cache_is_touched(self, tmp_path, bad):
+        cache = tmp_path / "spectrum.npz"
+        with pytest.raises(ValueError):
+            eig_topk(bad, 1, cache=cache)
+        assert list(tmp_path.iterdir()) == []
+        eig_topk(np.diag([1.0, 2.0]), 1, cache=cache)
+        before = cache.read_bytes(), cache.stat().st_mtime_ns
+        with pytest.raises(ValueError):
+            eig_topk(bad, 1, cache=cache)
+        assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
+        assert [p.name for p in tmp_path.iterdir()] == ["spectrum.npz"]
+
+    @pytest.mark.parametrize("normalized", [True, False])
+    def test_spectral_cluster_passes_the_cache(self, tmp_path, normalized):
+        affinity = build_affinity(block_vectors()[0])
+        cache = tmp_path / "spectrum.npz"
+        fresh = spectral_cluster(affinity, 3, seed=0, normalized=normalized)
+        assert spectral_cluster(affinity, 3, 0, normalized, cache=cache) == fresh
+        assert cache.is_file()
+        assert spectral_cluster(affinity, 3, 0, normalized, cache=cache) == fresh
 
 
 class TestKmeans:
