@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-import tempfile
 import zipfile
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -28,6 +27,9 @@ logger = logging.getLogger(__name__)
 EIG_RESIDUAL_TOL = 1e-8
 KMEANS_MAX_ITER = 300
 KMEANS_REL_TOL = 1e-6
+# 2 * (d + 4) * eps * R^2 covers the rounding of both k-means distance forms
+# in any summation order; 64 leaves a 32x margin (see _assign).
+KMEANS_SCREEN_SLACK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,17 +112,20 @@ def _load_spectrum(path: Path, key: str, n: int) -> tuple[np.ndarray, np.ndarray
 
 def _save_spectrum(path: Path, key: str, values: np.ndarray, vectors: np.ndarray) -> bool:
     """Write the decomposition through a temp file in the same directory,
-    so a reader sees the old file or the new one whole; False on OSError."""
-    tmp = None
+    so a reader sees the old file or the new one whole; False on OSError.
+    The temp file is created as every artifact is, with the mode the umask
+    leaves (mkstemp would make it 0600)."""
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    created = False
     try:
-        fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-        with os.fdopen(fd, "wb") as fh:
+        with open(tmp, "xb") as fh:
+            created = True
             np.savez(fh, key=np.array(key), values=values, vectors=vectors)
         os.replace(tmp, path)
     except OSError as exc:
         logger.warning("could not save the eigendecomposition to %s: %s", path, exc)
-        if tmp is not None:
-            Path(tmp).unlink(missing_ok=True)
+        if created:
+            tmp.unlink(missing_ok=True)
         return False
     return True
 
@@ -198,6 +203,53 @@ def eig_topk(
     return [(float(top_values[i]), top[:, i].copy()) for i in cols]
 
 
+def _assign(
+    pts: np.ndarray, sq_norms: np.ndarray, centers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Each row's nearest center, as the per-center form decides it.
+
+    Returns (labels, contributions, rechecked): labels[i] is the argmin over
+    c of ((pts[i] - centers[c]) ** 2).sum(), first index on ties;
+    contributions[i] is that sum for the chosen c, the same bits; rechecked
+    counts the rows the per-center form had to compare. `sq_norms` holds
+    (pts ** 2).sum(axis=1).
+
+    One matrix product gives every ||x||^2 - 2 x.c + ||c||^2. In any
+    summation order, it and the per-center form each lie within
+    (d + 4) * u * R^2 of the exact squared distance, where u = eps / 2 is the
+    unit roundoff and R = ||x|| + max ||c||. A row whose second-best product
+    distance exceeds its best by more than four times that,
+    2 * (d + 4) * eps * R^2, has one nearest center, the same in both forms.
+    The screen asks for KMEANS_SCREEN_SLACK * (d + 4) * eps * R^2, 32 times
+    that; the other rows (ties and near ties) are compared with every center
+    in the per-center form.
+    """
+    d = pts.shape[1]
+    center_sq = (centers ** 2).sum(axis=1)
+    dists = pts @ centers.T
+    dists *= -2.0
+    dists += sq_norms[:, None]
+    dists += center_sq
+    labels = np.argmin(dists, axis=1)
+    rows = np.arange(len(pts))
+    best = dists[rows, labels]
+    dists[rows, labels] = np.inf
+    gap = dists.min(axis=1) - best
+    width = KMEANS_SCREEN_SLACK * (d + 4) * np.finfo(np.float64).eps
+    bound = width * (np.sqrt(sq_norms) + np.sqrt(center_sq.max())) ** 2
+    # A NaN gap (overflow in the product form) is rechecked too.
+    doubt = np.flatnonzero(~(gap > bound))
+    if len(doubt):
+        sub = pts[doubt]
+        exact = dists[: len(doubt)]
+        for c in range(len(centers)):
+            exact[:, c] = ((sub - centers[c]) ** 2).sum(axis=1)
+        labels[doubt] = np.argmin(exact, axis=1)
+    # Sums the same d squares in the same order as the per-center form.
+    contributions = ((pts - centers[labels]) ** 2).sum(axis=1)
+    return labels, contributions, len(doubt)
+
+
 def kmeans(
     points: np.ndarray,
     k: int,
@@ -211,7 +263,9 @@ def kmeans(
     max_iter assignment rounds. Returns (labels, centers, inertia history);
     the history is non-increasing. A cluster emptied during an update is
     re-seeded at the point contributing most to inertia, so descent holds
-    on the next assignment too.
+    on the next assignment too. Every label and inertia term is the
+    per-center sum of squared differences (see `_assign`); logs one info
+    line with the iterations, the final inertia and the rechecked rows.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -234,15 +288,11 @@ def kmeans(
     history: list[float] = []
     labels = np.zeros(n, dtype=np.int64)
     prev = np.inf
-    # Squared distances to one center at a time: each entry sums the same d
-    # contiguous squares in the same order as a full (n, k, d) difference
-    # would, without that n * k * d temporary.
-    dists = np.empty((n, k), dtype=np.float64)
+    sq_norms = (pts ** 2).sum(axis=1)
+    rechecked = 0
     for _ in range(max_iter):
-        for c in range(k):
-            dists[:, c] = ((pts - centers[c]) ** 2).sum(axis=1)
-        labels = np.argmin(dists, axis=1)
-        contributions = dists[np.arange(n), labels]
+        labels, contributions, doubtful = _assign(pts, sq_norms, centers)
+        rechecked += doubtful
         inertia = float(contributions.sum())
         history.append(inertia)
         if np.isfinite(prev) and prev - inertia <= tol * max(prev, 1e-12):
@@ -260,6 +310,9 @@ def kmeans(
             far = next(int(i) for i in order if int(i) not in taken)
             taken.add(far)
             centers[c] = pts[far]
+    logger.info("k-means: %d iterations, final inertia %r, %d of %d row assignments"
+                " decided by the exact recheck", len(history),
+                history[-1] if history else float("nan"), rechecked, n * len(history))
     return labels, centers, history
 
 

@@ -174,8 +174,11 @@ def reference_kmeans(points, k: int, seed: int, max_iter: int = 300, tol: float 
     array per assignment: the package's k-means as first written.
 
     Not independent: it makes the same random draws and the same float
-    operations as `subevents.cluster.kmeans`, so the two must agree
-    bit for bit; only the assignment step's memory layout differs.
+    operations as `subevents.cluster.kmeans` in every step that decides a
+    label or an inertia term, so the two must agree bit for bit. The
+    package screens the assignment with a matrix product first and
+    decides only the near ties with these sums; this one sums every
+    (point, center) pair.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -613,6 +614,21 @@ class TestSpectrumCache:
             assert calls == [(40, 40)]
             assert (out / "clusters.json").read_bytes() == expected
 
+    def test_cache_file_mode_follows_umask(self, run_cli, tmp_path, write_config,
+                                           pipeline_config_dict):
+        out = tmp_path / "out"
+        cfg = self._ranked(run_cli, write_config, pipeline_config_dict, out)
+        old = os.umask(0o027)
+        try:
+            assert run_cli("cluster", "--config", cfg)[0] == 0
+        finally:
+            os.umask(old)
+
+        def mode(name):
+            return stat.S_IMODE((out / name).stat().st_mode)
+
+        assert mode("spectrum.npz") == mode("clusters.json") == 0o640
+
     def test_verbose_logs_reuse_with_key(self, run_cli, tmp_path, write_config,
                                          pipeline_config_dict, caplog):
         out = tmp_path / "out"
@@ -832,6 +848,22 @@ def test_extract_reports_what_it_discarded(run_cli, tmp_path, write_config, pipe
     assert code == 0
     assert "  discarded:         13 malformed lines, 0 duplicate tweets\n" in stdout
 
+
+
+def test_verbose_cluster_logs_one_kmeans_line(run_cli, tmp_path, write_config,
+                                              pipeline_config_dict, caplog):
+    cfg = write_config(pipeline_config_dict, tmp_path / "out")
+    assert run_cli("extract", "--config", cfg)[0] == 0
+    assert run_cli("rank", "--config", cfg)[0] == 0
+    code, quiet, _ = run_cli("cluster", "--config", cfg)
+    assert code == 0
+    with caplog.at_level("INFO", logger="subevents.cluster"):
+        code, verbose, _ = run_cli("cluster", "--config", cfg, "--verbose")
+    assert code == 0 and verbose == quiet
+    (line,) = [rec.getMessage() for rec in caplog.records
+               if rec.name == "subevents.cluster" and rec.getMessage().startswith("k-means: ")]
+    assert " iterations, final inertia " in line
+    assert line.endswith(" row assignments decided by the exact recheck")
 
 class TestBenchmarkTrace:
     def test_traced_pipeline_reports_layer_metrics(self, tmp_path):

@@ -13,6 +13,7 @@ import oracles
 from subevents.cluster import (
     AffinityMatrix,
     ClusterAssignment,
+    _assign,
     build_affinity,
     eig_topk,
     kmeans,
@@ -297,25 +298,77 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(pts, 4, seed=0)
 
-    @settings(deadline=None, max_examples=60)
+    @settings(deadline=None, max_examples=100)
     @given(
         shape=st.tuples(st.integers(1, 40), st.integers(1, 6)),
         k_frac=st.floats(0.0, 1.0),
         data_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**32 - 1),
         coarse=st.booleans(),
+        scale_exp=st.integers(-3, 3),
+        offset=st.sampled_from([0.0, 1e2, 1e5]),
     )
-    def test_matches_reference_bit_for_bit(self, shape, k_frac, data_seed, seed, coarse):
+    def test_matches_reference_bit_for_bit(self, shape, k_frac, data_seed, seed, coarse,
+                                           scale_exp, offset):
         rng = np.random.default_rng(data_seed)
         pts = rng.normal(size=shape)
         if coarse:  # repeated points and tied distances
             pts = np.round(pts)
+        # Far from the origin the product form cancels most of its digits,
+        # so near ties reach the exact recheck.
+        pts = (pts + offset) * 10.0 ** scale_exp
         k = 1 + int(k_frac * (shape[0] - 1))
         labels, centers, history = kmeans(pts, k, seed)
         ref_labels, ref_centers, ref_history = oracles.reference_kmeans(pts, k, seed)
         assert np.array_equal(labels, ref_labels)
         assert np.array_equal(centers, ref_centers)
         assert history == ref_history
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_assign_decides_bisector_points_by_the_per_center_form(self, seed):
+        """Points on the perpendicular bisector of two centers are near ties
+        that ||x||^2 - 2 x.c + ||c||^2 often breaks the other way; the
+        per-center form must decide them. Points near a third center are
+        screened without a recheck."""
+        rng = np.random.default_rng(seed)
+        d = 8
+        centers = rng.normal(size=(3, d))
+        centers[2] += 50.0
+        normal = centers[1] - centers[0]
+        along = rng.normal(size=(200, d))
+        along -= np.outer(along @ normal / (normal @ normal), normal)
+        bisector = (centers[0] + centers[1]) / 2 + along
+        pts = np.vstack([bisector, centers[2] + 0.1 * rng.normal(size=(50, d))])
+        sq_norms = (pts ** 2).sum(axis=1)
+        per_center = np.stack([((pts - c) ** 2).sum(axis=1) for c in centers], axis=1)
+        expected = np.argmin(per_center, axis=1)
+        product = sq_norms[:, None] - 2.0 * pts @ centers.T + (centers ** 2).sum(axis=1)
+        # The screen alone would get some rows wrong, not only break ties.
+        screened = np.argmin(product, axis=1)
+        wrong = screened != expected
+        assert np.any(product[wrong, screened[wrong]] < product[wrong, expected[wrong]])
+
+        labels, contributions, rechecked = _assign(pts, sq_norms, centers)
+        assert np.array_equal(labels, expected)
+        assert np.array_equal(contributions, per_center[np.arange(len(pts)), expected])
+        assert rechecked == len(bisector)
+
+    def test_logs_iterations_inertia_and_rechecks(self, caplog):
+        def logged(pts, k):
+            caplog.clear()
+            with caplog.at_level("INFO", logger="subevents.cluster"):
+                _, _, history = kmeans(pts, k, seed=0)
+            (line,) = [rec.getMessage() for rec in caplog.records
+                       if rec.name == "subevents.cluster"]
+            return line, history
+
+        line, history = logged(self._two_blobs(), 2)
+        assert line == (f"k-means: {len(history)} iterations, final inertia {history[-1]!r},"
+                        f" 0 of {40 * len(history)} row assignments decided by the exact recheck")
+        # Coincident points tie with every center: each row is rechecked.
+        line, history = logged(np.ones((5, 2)), 2)
+        assert line.endswith(f", {5 * len(history)} of {5 * len(history)} row assignments"
+                             " decided by the exact recheck")
 
     def test_assignment_memory_is_not_n_k_d(self):
         n, d, k = 2000, 64, 64
