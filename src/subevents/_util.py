@@ -1,18 +1,19 @@
 """Small shared helpers: deterministic hashing, float formatting, the
-decoding and line framing of input files, and the framing of the CSV and
-JSON artifacts the stages hand to each other."""
+decoding and line framing of input files, and the framing and atomic
+writing of the artifacts the stages hand to each other."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+import os
 import reprlib
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from importlib import resources
 from pathlib import Path
-from typing import TextIO, TypeVar
+from typing import IO, TextIO, TypeVar
 
 from .errors import InputFormatError
 
@@ -78,11 +79,37 @@ def read_list_file(
     return path, entries
 
 
+@contextmanager
+def replacing(path: str | Path, mode: str = "x", **kwargs) -> Iterator[IO]:
+    """Open a new temp file next to `path` (``open(tmp, mode, **kwargs)``,
+    `mode` "x" or "xb") and, when the ``with`` block ends without an
+    exception, move it onto `path`, so a reader sees the old file or the
+    new one whole, never a part. The temp file gets the mode the umask
+    leaves, as any new file; it is removed when the write fails."""
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, mode, **kwargs)
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` as UTF-8 through `replacing`."""
+    with replacing(path, encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def write_table(
     path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]
 ) -> None:
-    """Write a header line and one CSV record per row (csv module defaults)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    """Write a header line and one CSV record per row (csv module defaults),
+    through `replacing`."""
+    with replacing(path, encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -126,7 +153,7 @@ def read_table(
 
 
 def write_json(path: str | Path, data: object) -> None:
-    """Indented JSON plus a trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Indented JSON plus a trailing newline, through `replacing`."""
+    with replacing(path, encoding="utf-8") as fh:
         json.dump(data, fh, indent=2)
         fh.write("\n")

@@ -18,7 +18,7 @@ from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from . import __version__
-from ._util import sha256_file, write_json
+from ._util import sha256_file, write_json, write_text
 from .cluster import build_affinity, spectral_cluster, summarize_clusters, write_clusters
 from .config import OVERRIDABLE, PipelineConfig, apply_override, load_config
 from .corpus import (
@@ -332,8 +332,8 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
 def cmd_report(cfg: PipelineConfig, out_dir: Path) -> None:
     metrics = read_metrics(_require_artifact(out_dir, "metrics", "evaluate"))
     curve = roc_points(metrics)
-    _artifact(out_dir, "f1_plot").write_text(f1_plot_svg(metrics), encoding="utf-8")
-    _artifact(out_dir, "roc_plot").write_text(roc_plot_svg(curve), encoding="utf-8")
+    write_text(_artifact(out_dir, "f1_plot"), f1_plot_svg(metrics))
+    write_text(_artifact(out_dir, "roc_plot"), roc_plot_svg(curve))
     print(f"wrote {ARTIFACTS['f1_plot']} and {ARTIFACTS['roc_plot']} (auc {curve.auc:.4f})")
 
 

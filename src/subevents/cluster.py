@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import write_json
+from ._util import replacing, write_json
 from .rank import RankedCandidate
 
 logger = logging.getLogger(__name__)
@@ -111,21 +111,13 @@ def _load_spectrum(path: Path, key: str, n: int) -> tuple[np.ndarray, np.ndarray
 
 
 def _save_spectrum(path: Path, key: str, values: np.ndarray, vectors: np.ndarray) -> bool:
-    """Write the decomposition through a temp file in the same directory,
-    so a reader sees the old file or the new one whole; False on OSError.
-    The temp file is created as every artifact is, with the mode the umask
-    leaves (mkstemp would make it 0600)."""
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    created = False
+    """Write the decomposition as every artifact is written (`replacing`),
+    so a reader sees the old file or the new one whole; False on OSError."""
     try:
-        with open(tmp, "xb") as fh:
-            created = True
+        with replacing(path, "xb") as fh:
             np.savez(fh, key=np.array(key), values=values, vectors=vectors)
-        os.replace(tmp, path)
     except OSError as exc:
         logger.warning("could not save the eigendecomposition to %s: %s", path, exc)
-        if created:
-            tmp.unlink(missing_ok=True)
         return False
     return True
 

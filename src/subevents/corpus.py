@@ -1,4 +1,4 @@
-"""Tweet corpus loading, preprocessing, and dependency-parse sidecars.
+"""Reading and preprocessing tweet corpora, and dependency-parse sidecars.
 
 Corpora arrive as JSON Lines files (one object per line with ``id``,
 ``text``, and an optional ``label`` of "informative"/"uninformative").
@@ -7,16 +7,13 @@ Dependency parses arrive as an optional CoNLL-U sidecar keyed by a
 
 Preprocessing lowercases, splits on whitespace, strips punctuation from
 token edges, and removes stopwords, tokens shorter than three characters,
-tokens containing a digit, hashtags, and user mentions. Tweets and corpora
-are treated as immutable: preprocessing returns new objects.
+tokens containing a digit, hashtags, and user mentions.
 
-The CLI stages read corpus files one line at a time, never as a whole
-``Corpus``: ``CorpusLines`` yields each line's (id, text, label), and
-``TokenCleaner`` applies the preprocessing rules to its text.
-``TweetTokens`` builds on both for a stream of (tweet id, tokens) over
-several files; evaluation pairs each label with its tokens.
-``load_corpus`` and ``preprocess_corpus`` build a ``Corpus`` from the
-same rules, for library use.
+Corpus files are read one line at a time and no tweet is kept:
+``CorpusLines`` yields each line's (id, text, label), and ``TokenCleaner``
+applies the preprocessing rules to its text. ``TweetTokens`` builds on
+both for a stream of (tweet id, tokens) over several files; evaluation
+pairs each label with its tokens.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ import logging
 import string
 import unicodedata
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -116,27 +112,6 @@ def _nv_edges(
     return edges
 
 
-@dataclass(frozen=True)
-class Tweet:
-    """One tweet. ``parse`` is the noun-verb edges of its dependency parse:
-    None when it has no parse, ``()`` when its parse has no such edge."""
-
-    id: str
-    raw_text: str
-    label: Label = Label.UNLABELED
-    tokens: tuple[str, ...] = ()
-    parse: NvEdges | None = None
-
-
-@dataclass(frozen=True)
-class Corpus:
-    tweets: tuple[Tweet, ...]
-    skipped: int = 0
-
-    def __len__(self) -> int:
-        return len(self.tweets)
-
-
 def _parse_line(line: str, label_mode: LabelMode) -> tuple[str, str, Label]:
     obj = json.loads(line)
     if not isinstance(obj, dict):
@@ -197,36 +172,6 @@ class CorpusLines:
                         path, total - skipped, skipped)
 
 
-def load_corpus(path: str | Path, label_mode: LabelMode = LabelMode.UNLABELED) -> Corpus:
-    """Load a JSON Lines corpus read by ``CorpusLines``; its malformed
-    lines are counted on the returned ``Corpus.skipped``."""
-    lines = CorpusLines(path, label_mode)
-    tweets = tuple(Tweet(id=tweet_id, raw_text=text, label=label)
-                   for tweet_id, text, label in lines)
-    return Corpus(tweets=tweets, skipped=lines.skipped)
-
-
-def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Serialize (id, text, label) back to JSON Lines; inverse of load_corpus."""
-    # A lone surrogate (load_corpus reads one from a "\ud800" escape) has no
-    # UTF-8 form; backslashreplace writes it back as that same JSON escape.
-    with open(path, "w", encoding="utf-8", errors="backslashreplace") as fh:
-        for tweet in corpus.tweets:
-            obj: dict = {"id": tweet.id, "text": tweet.raw_text}
-            if tweet.label is not Label.UNLABELED:
-                obj["label"] = tweet.label.value
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-
-def concat_corpora(*corpora: Corpus) -> Corpus:
-    tweets: list[Tweet] = []
-    skipped = 0
-    for corpus in corpora:
-        tweets.extend(corpus.tweets)
-        skipped += corpus.skipped
-    return Corpus(tweets=tuple(tweets), skipped=skipped)
-
-
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     """Load a stopword list (one word per line, '#' comments); the bundled
     English list is used when no path is given."""
@@ -271,7 +216,7 @@ class TokenCleaner(dict):
     """``clean_token`` memoized per distinct raw token.
 
     ``cleaner[token]`` is the cleaned token, or None when it is removed.
-    Tweet vocabularies are Zipfian, so a corpus holds few distinct tokens
+    The vocabulary of tweets is Zipfian, so a corpus holds few distinct tokens
     for its size. Make one per batch of work: it holds every token seen.
     """
 
@@ -287,26 +232,6 @@ class TokenCleaner(dict):
         """The tokens of a raw tweet text: lowercased, split on whitespace,
         each cleaned, the removed ones dropped."""
         return [tok for raw in raw_text.lower().split() if (tok := self[raw]) is not None]
-
-
-def preprocess(tweet: Tweet, stopwords: frozenset[str]) -> Tweet:
-    """Return a copy of the tweet with ``tokens`` filled from ``raw_text``
-    by ``TokenCleaner.tokens``.
-
-    A tweet may legitimately end up with zero tokens.
-    """
-    return replace(tweet, tokens=tuple(TokenCleaner(stopwords).tokens(tweet.raw_text)))
-
-
-def preprocess_corpus(corpus: Corpus, stopwords: frozenset[str]) -> Corpus:
-    """``preprocess`` every tweet, cleaning each distinct raw token once."""
-    cleaner = TokenCleaner(stopwords)
-    tweets = tuple(
-        Tweet(id=t.id, raw_text=t.raw_text, label=t.label,
-              tokens=tuple(cleaner.tokens(t.raw_text)), parse=t.parse)
-        for t in corpus.tweets
-    )
-    return Corpus(tweets=tweets, skipped=corpus.skipped)
 
 
 class TweetTokens:
@@ -440,13 +365,3 @@ def load_parses(path: str | Path) -> dict[str, NvEdges]:
         logger.info("%s: dropped %d malformed parse entries", path, bad)
     return parses
 
-
-def attach_parses(corpus: Corpus, parses: dict[str, NvEdges]) -> Corpus:
-    """Return a corpus whose tweets carry their sidecar parse, if any."""
-    tweets = tuple(
-        Tweet(id=t.id, raw_text=t.raw_text, label=t.label, tokens=t.tokens, parse=parses[t.id])
-        if t.id in parses
-        else t
-        for t in corpus.tweets
-    )
-    return Corpus(tweets=tweets, skipped=corpus.skipped)

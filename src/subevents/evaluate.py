@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._util import format_float, read_table, write_table
-from .corpus import Corpus, Label
+from .corpus import Label
 from .errors import InputFormatError
 from .extract import Candidate, CandidateKind
 from .rank import RankedCandidate
@@ -156,18 +156,6 @@ def evaluate_labeled(
             tn=index.n_uninformative - fp,
         ))
     return points
-
-
-def evaluate_at_k(
-    ranked: Sequence[RankedCandidate],
-    labeled: Corpus,
-    ks: Sequence[int],
-    nv_mode: str = "tokens",
-    phrase_mode: str = "bigram",
-) -> list[MetricsPoint]:
-    """``evaluate_labeled`` over the tweets of a preprocessed ``Corpus``."""
-    return evaluate_labeled(
-        ranked, ((t.label, t.tokens) for t in labeled.tweets), ks, nv_mode, phrase_mode)
 
 
 def roc_points(metrics: Sequence[MetricsPoint]) -> RocCurve:

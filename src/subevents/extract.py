@@ -5,8 +5,7 @@ window-based lexicon fallback for corpora without parses) plus adjacent
 two-word phrases detected with a vocabulary-scaled co-occurrence score.
 Noun-verb pairs are kept only when they occur at least twice corpus-wide;
 phrases are frequency-gated by the detector itself. ``ExtractCounts``
-folds a corpus into the counts behind both, one tweet at a time; the
-whole-corpus functions are folds of the same per-tweet steps.
+folds a corpus into the counts behind both, one tweet at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from pathlib import Path
 from typing import TypeVar
 
 from ._util import read_list_file, read_table, write_table
-from .corpus import Corpus, NvEdges, TokenCleaner, Tweet
+from .corpus import NvEdges, TokenCleaner
 from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
@@ -99,24 +98,6 @@ def _edge_pairs(edges: NvEdges, cleaner: TokenCleaner) -> Iterator[tuple[str, st
             yield noun, verb
 
 
-def extract_nv_pairs(tweet: Tweet, stopwords: frozenset[str]) -> list[Candidate]:
-    """Noun-verb pairs from the tweet's dependency parse.
-
-    Every head-dependent edge joining a {NOUN, PROPN} node and a VERB node
-    yields one pair, noun first regardless of edge direction, lowercase
-    surface forms. Pairs whose members would not survive preprocessing
-    (too short, digits, stopwords) are dropped.
-    """
-    if tweet.parse is None:
-        raise ValueError(
-            f"tweet {tweet.id} has no dependency parse; use extract_nv_pairs_fallback"
-        )
-    return [
-        Candidate(CandidateKind.NOUN_VERB_PAIR, noun, verb)
-        for noun, verb in _edge_pairs(tweet.parse, TokenCleaner(stopwords))
-    ]
-
-
 def load_pos_lexicon(path: str | Path | None = None) -> dict[str, frozenset[str]]:
     """Load a `word TAB tags` lexicon (tags a subset of {N, V}); the bundled
     small lexicon is used when no path is given."""
@@ -131,34 +112,18 @@ def load_pos_lexicon(path: str | Path | None = None) -> dict[str, frozenset[str]
 
 
 def _window_pairs(
-    tokens: Sequence[str], lexicon: dict[str, frozenset[str]], window: int
+    tokens: Sequence[str], lexicon: dict[str, frozenset[str]]
 ) -> Iterator[tuple[str, str]]:
     """(noun, verb) for each lexicon noun and each lexicon verb that follows
-    it at distance < window, left to right."""
+    it within a sliding window of DEFAULT_WINDOW tokens (both inside one
+    window, so at distance < DEFAULT_WINDOW), left to right."""
     for i, noun in enumerate(tokens):
         if "N" not in lexicon.get(noun, _NO_TAGS):
             continue
-        for j in range(i + 1, min(i + window, len(tokens))):
+        for j in range(i + 1, min(i + DEFAULT_WINDOW, len(tokens))):
             verb = tokens[j]
             if "V" in lexicon.get(verb, _NO_TAGS):
                 yield noun, verb
-
-
-def extract_nv_pairs_fallback(
-    tweet: Tweet,
-    lexicon: dict[str, frozenset[str]],
-    window: int = DEFAULT_WINDOW,
-) -> list[Candidate]:
-    """Window-based noun-verb pairing for tweets without a parse.
-
-    Pairs each lexicon noun with each lexicon verb that follows it within a
-    sliding window of `window` tokens (both tokens inside one window, so at
-    distance < window), emitted left to right.
-    """
-    return [
-        Candidate(CandidateKind.NOUN_VERB_PAIR, noun, verb)
-        for noun, verb in _window_pairs(tweet.tokens, lexicon, window)
-    ]
 
 
 class ExtractCounts:
@@ -194,15 +159,17 @@ class ExtractCounts:
         self.count_grams(tokens)
 
     def count_nv(self, parse: NvEdges | None, tokens: Sequence[str]) -> None:
-        """Count one tweet's noun-verb pairs: those ``extract_nv_pairs``
-        gives for its parse or, without one, those
-        ``extract_nv_pairs_fallback`` gives when there is a lexicon."""
+        """Count one tweet's noun-verb pairs. With a parse, each of its
+        (noun, verb) edges counts once, both words lowercased and cleaned
+        by ``cleaner``; an edge whose words do not both survive is dropped.
+        Without a parse but with a lexicon, the pairs are those of
+        ``_window_pairs`` over the tokens. Otherwise the tweet has none."""
         if parse is not None:
             self.parsed += 1
             self.pairs.update(_edge_pairs(parse, self.cleaner))
         elif self.lexicon is not None:
             self.fallback += 1
-            self.pairs.update(_window_pairs(tokens, self.lexicon, DEFAULT_WINDOW))
+            self.pairs.update(_window_pairs(tokens, self.lexicon))
         else:
             self.neither += 1
 
@@ -212,7 +179,14 @@ class ExtractCounts:
         self.bigrams.update(zip(tokens, tokens[1:]))
 
     def phrases(self, cfg: PhraseConfig = PhraseConfig()) -> list[Candidate]:
-        """The bigrams ``detect_phrases`` emits for the counted tokens."""
+        """Adjacent two-word phrases over the counted tokens.
+
+        A bigram (a, b) with count(a,b) >= min_count is scored by
+        ``phrase_score`` with V the distinct-unigram count; one whose score
+        is above threshold becomes a Phrase candidate with frequency
+        count(a,b). Output is sorted by (first, second) and so independent
+        of tweet order.
+        """
         unigrams = self.unigrams
         vocab_size = len(unigrams)
         phrases = []
@@ -237,24 +211,12 @@ class ExtractCounts:
         return _union(len(self.pairs), kept, self.phrases(cfg))
 
 
-def detect_phrases(corpus: Corpus, cfg: PhraseConfig = PhraseConfig()) -> list[Candidate]:
-    """Adjacent two-word phrases over the preprocessed corpus.
-
-    A bigram (a, b) scores (count(a,b) - min_count) * V / (count(a) * count(b))
-    with V the distinct-unigram count; bigrams with count(a,b) >= min_count
-    and score > threshold become Phrase candidates with frequency count(a,b).
-    Output is sorted by (first, second) and so independent of tweet order.
-    """
-    counts = ExtractCounts(TokenCleaner(frozenset()))
-    for tweet in corpus.tweets:
-        counts.count_grams(tweet.tokens)
-    return counts.phrases(cfg)
-
-
 def phrase_score(
     count_ab: int, count_a: int, count_b: int, vocab_size: int, min_count: int
 ) -> float:
-    """The raw bigram score used by detect_phrases, exposed for inspection."""
+    """The raw bigram score ``ExtractCounts.phrases`` thresholds:
+    (count(a,b) - min_count) * V / (count(a) * count(b)), with V the
+    distinct-unigram count."""
     return (count_ab - min_count) * vocab_size / (count_a * count_b)
 
 

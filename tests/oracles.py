@@ -340,61 +340,90 @@ def reference_load_parses(path) -> dict[str, tuple[_Node, ...]]:
     return parses
 
 
+def reference_nv_pairs(parse, tokens, lexicon, stopwords):
+    """One tweet's (noun, verb) pairs, in order: each edge of its parse (as
+    ``load_parses`` gives it) with both words lowercased and surviving
+    ``clean_token``; without a parse, each lexicon noun with each lexicon
+    verb among the next ``DEFAULT_WINDOW - 1`` tokens, when there is a
+    lexicon; else none."""
+    from subevents.corpus import clean_token
+    from subevents.extract import DEFAULT_WINDOW
+
+    pairs = []
+    if parse is not None:
+        for noun, verb in parse:
+            noun, verb = clean_token(noun.lower(), stopwords), clean_token(verb.lower(), stopwords)
+            if noun is not None and verb is not None:
+                pairs.append((noun, verb))
+    elif lexicon is not None:
+        for i, noun in enumerate(tokens):
+            if "N" in lexicon.get(noun, ""):
+                pairs.extend((noun, verb) for verb in tokens[i + 1:i + DEFAULT_WINDOW]
+                             if "V" in lexicon.get(verb, ""))
+    return pairs
+
+
 def reference_extract(files, stopwords, parses_path, lexicon, dedupe, phrase_cfg, min_freq):
-    """The extract stage composed as it was before it became one counting
-    pass: load each ``(path, label_mode)`` corpus file whole, concatenate,
-    dedupe, preprocess, attach parses, extract each tweet's noun-verb pairs
-    (``extract_nv_pairs`` for a tweet with a parse, else
-    ``extract_nv_pairs_fallback`` when there is a lexicon), detect phrases
-    and filter candidates. Returns the CandidateSet and a dict of the
-    counts the stage reports.
+    """The extract stage as whole-corpus steps over plain lists: read every
+    ``(path, label_mode)`` corpus file whole with ``CorpusLines``, drop a
+    tweet whose exact raw text came before when ``dedupe`` (the first kept,
+    across files), clean each whitespace token of the lowercased text with
+    ``clean_token``, read the parses, then count each tweet's noun-verb
+    pairs (``reference_nv_pairs``), the unigrams and the adjacent bigrams,
+    score the bigrams with ``phrase_score`` and filter the candidates.
+    Returns the CandidateSet and a dict of the counts the stage reports.
 
-    Not independent: it calls the package's per-tweet rules and filters.
-    It checks the fold's order of work (file order, dedupe across files,
-    per-file malformed checks, counting before filtering) against this
-    composition of whole-corpus steps.
+    Not independent: it shares the package's line reader, token rule,
+    parse reader, phrase score and filter. It checks the fold's order of
+    work (file order, dedupe across files, per-file malformed checks,
+    counting before filtering) and its counting against this composition.
     """
-    from subevents.corpus import (
-        Corpus,
-        attach_parses,
-        concat_corpora,
-        load_corpus,
-        load_parses,
-        preprocess_corpus,
-    )
-    from subevents.extract import (
-        detect_phrases,
-        extract_nv_pairs,
-        extract_nv_pairs_fallback,
-        filter_candidates,
-    )
+    from subevents.corpus import CorpusLines, clean_token, load_parses
+    from subevents.extract import Candidate, CandidateKind, filter_candidates, phrase_score
 
-    corpus = concat_corpora(*(load_corpus(path, mode) for path, mode in files))
-    loaded = len(corpus)
+    records = []
+    skipped = 0
+    for path, mode in files:
+        lines = CorpusLines(path, mode)
+        records.extend(lines)
+        skipped += lines.skipped
+    loaded = len(records)
     if dedupe:  # drop a tweet whose exact raw text came before, keeping the first
         seen: set[str] = set()
         kept = []
-        for tweet in corpus.tweets:
-            if tweet.raw_text not in seen:
-                seen.add(tweet.raw_text)
-                kept.append(tweet)
-        corpus = Corpus(tweets=tuple(kept), skipped=corpus.skipped)
-    corpus = preprocess_corpus(corpus, stopwords)
-    if parses_path is not None:
-        corpus = attach_parses(corpus, load_parses(parses_path))
+        for record in records:
+            if record[1] not in seen:
+                seen.add(record[1])
+                kept.append(record)
+        records = kept
+    tweets = [
+        (tweet_id, [token for raw in text.lower().split()
+                    if (token := clean_token(raw, stopwords)) is not None])
+        for tweet_id, text, _ in records
+    ]
+    parses = load_parses(parses_path) if parses_path is not None else {}
     counts = {
-        "tweets": len(corpus), "skipped": corpus.skipped, "duplicates": loaded - len(corpus),
+        "tweets": len(tweets), "skipped": skipped, "duplicates": loaded - len(tweets),
         "parsed": 0, "fallback": 0, "neither": 0,
     }
     nv = []
-    for tweet in corpus.tweets:
-        if tweet.parse is not None:
+    for tweet_id, tokens in tweets:
+        parse = parses.get(tweet_id)
+        if parse is not None:
             counts["parsed"] += 1
-            nv.extend(extract_nv_pairs(tweet, stopwords))
         elif lexicon is not None:
             counts["fallback"] += 1
-            nv.extend(extract_nv_pairs_fallback(tweet, lexicon))
         else:
             counts["neither"] += 1
-    result = filter_candidates(nv, detect_phrases(corpus, phrase_cfg), min_freq)
-    return result, counts
+        nv.extend(Candidate(CandidateKind.NOUN_VERB_PAIR, noun, verb)
+                  for noun, verb in reference_nv_pairs(parse, tokens, lexicon, stopwords))
+    unigrams = Counter(token for _, tokens in tweets for token in tokens)
+    bigrams = Counter(pair for _, tokens in tweets for pair in zip(tokens, tokens[1:]))
+    min_count = phrase_cfg.min_count
+    phrases = [
+        Candidate(CandidateKind.PHRASE, a, b, frequency=count)
+        for (a, b), count in bigrams.items()
+        if count >= min_count and phrase_score(
+            count, unigrams[a], unigrams[b], len(unigrams), min_count) > phrase_cfg.threshold
+    ]
+    return filter_candidates(nv, phrases, min_freq), counts

@@ -20,25 +20,21 @@ import conftest
 import oracles
 from subevents.cluster import AffinityMatrix, eig_topk, spectral_cluster
 from subevents.corpus import (
-    Corpus,
+    CorpusLines,
     Label,
     LabelMode,
-    Tweet,
-    attach_parses,
-    concat_corpora,
-    load_corpus,
+    TokenCleaner,
+    TweetTokens,
     load_parses,
     load_stopwords,
-    preprocess_corpus,
 )
 from subevents.embed import EmbeddingStore, load_vectors
-from subevents.evaluate import evaluate_at_k, roc_points
+from subevents.evaluate import evaluate_labeled, roc_points
 from subevents.extract import (
     Candidate,
     CandidateKind,
+    ExtractCounts,
     PhraseConfig,
-    detect_phrases,
-    extract_nv_pairs,
     filter_candidates,
     phrase_score,
     reduction_percent,
@@ -73,39 +69,42 @@ def ph(first, second, freq=1):
 
 @pytest.fixture(scope="module")
 def fixture_ranking(fixtures_dir):
-    """The bundled synthetic corpus pushed through extract and rank."""
-    stopwords = load_stopwords()
-    unlabeled = load_corpus(fixtures_dir / "pipeline_unlabeled.jsonl", LabelMode.UNLABELED)
-    labeled_raw = load_corpus(fixtures_dir / "pipeline_labeled.jsonl", LabelMode.LABELED)
-    corpus = preprocess_corpus(concat_corpora(unlabeled, labeled_raw), stopwords)
-    corpus = attach_parses(corpus, load_parses(fixtures_dir / "pipeline_parses.conllu"))
-    pairs = []
-    for t in corpus.tweets:
-        if t.parse is not None:
-            pairs.extend(extract_nv_pairs(t, stopwords))
-    phrases = detect_phrases(corpus, PhraseConfig(2, 10.0))
-    candidates = filter_candidates(pairs, phrases, 2)
+    """The bundled synthetic corpus pushed through extract and rank, and
+    the (label, tokens) of its labeled file."""
+    tweets = TweetTokens([
+        (fixtures_dir / "pipeline_unlabeled.jsonl", LabelMode.UNLABELED),
+        (fixtures_dir / "pipeline_labeled.jsonl", LabelMode.LABELED),
+    ], load_stopwords())
+    counts = ExtractCounts(tweets.cleaner, load_parses(fixtures_dir / "pipeline_parses.conllu"))
+    for tweet_id, tokens in tweets:
+        counts.add(tweet_id, tokens)
+    candidates = counts.candidates(PhraseConfig(2, 10.0), 2)
     store = load_vectors(fixtures_dir / "pipeline_vectors.txt")
     ontology = load_ontology(fixtures_dir / "pipeline_ontology.txt", store)
     ranked = rank_candidates(candidates, ontology, store)
-    labeled = preprocess_corpus(labeled_raw, stopwords)
+    lines = CorpusLines(fixtures_dir / "pipeline_labeled.jsonl", LabelMode.LABELED)
+    labeled = [(label, tweets.cleaner.tokens(text)) for _, text, label in lines]
     return ranked, labeled
 
 
 def test_1_worked_example(fixtures_dir):
     with criterion(1, "worked example"):
         start = time.perf_counter()
-        stopwords = load_stopwords()
-        corpus = load_corpus(fixtures_dir / "worked_corpus.jsonl")
-        corpus = preprocess_corpus(corpus, stopwords)
-        corpus = attach_parses(corpus, load_parses(fixtures_dir / "worked_parses.conllu"))
-        key_tweet = corpus.tweets[0]
-        assert key_tweet.tokens == ("waterborne", "diseases", "hurricane", "water", "recedes")
+        reader = TweetTokens([(fixtures_dir / "worked_corpus.jsonl", LabelMode.UNLABELED)],
+                             load_stopwords())
+        tweets = list(reader)
+        parses = load_parses(fixtures_dir / "worked_parses.conllu")
+        key_id, key_tokens = tweets[0]
+        assert key_tokens == ["waterborne", "diseases", "hurricane", "water", "recedes"]
 
-        pairs = extract_nv_pairs(key_tweet, stopwords)
-        assert {c.words for c in pairs} == {("waterborne", "recedes"), ("water", "recedes")}
+        counts = ExtractCounts(reader.cleaner)
+        counts.count_nv(parses[key_id], key_tokens)
+        assert set(counts.pairs) == {("waterborne", "recedes"), ("water", "recedes")}
 
-        phrases = detect_phrases(corpus, PhraseConfig(min_count=2, threshold=10.0))
+        counts = ExtractCounts(reader.cleaner)
+        for _, tokens in tweets:
+            counts.count_grams(tokens)
+        phrases = counts.phrases(PhraseConfig(min_count=2, threshold=10.0))
         assert [c.words for c in phrases] == [("waterborne", "diseases")]
 
         store = load_vectors(fixtures_dir / "worked_vectors.txt")
@@ -163,10 +162,9 @@ def test_3_phrase_scorer(fixtures_dir):
             "a b a b", "a b c", "c d", "d c d",
             "e f", "e f e f e f", "g h", "h g",
         ]
-        corpus = Corpus(tweets=tuple(
-            Tweet(id=str(i), raw_text="", tokens=tuple(text.split()))
-            for i, text in enumerate(token_lists)
-        ))
+        counts = ExtractCounts(TokenCleaner(frozenset()))
+        for text in token_lists:
+            counts.count_grams(text.split())
         hand_scores = [
             (3, 3, 3, 8, 2, (3 - 2) * 8 / 9),   # (a,b)
             (2, 3, 3, 8, 2, 0.0),               # (c,d)
@@ -185,9 +183,9 @@ def test_3_phrase_scorer(fixtures_dir):
 
         # The detector emits exactly the bigrams whose hand score clears
         # the threshold: (e,f)=1.0 and (a,b)=8/9 at min_count 2.
-        out = detect_phrases(corpus, PhraseConfig(min_count=2, threshold=0.95))
+        out = counts.phrases(PhraseConfig(min_count=2, threshold=0.95))
         assert [c.words for c in out] == [("e", "f")]
-        out = detect_phrases(corpus, PhraseConfig(min_count=2, threshold=0.5))
+        out = counts.phrases(PhraseConfig(min_count=2, threshold=0.5))
         assert [c.words for c in out] == [("a", "b"), ("e", "f")]
 
         # Property: no bigram below min_count is ever emitted, and emitted
@@ -196,17 +194,19 @@ def test_3_phrase_scorer(fixtures_dir):
         rng = np.random.default_rng(5150)
         for _ in range(1000):
             vocab_words = [f"w{i}" for i in range(int(rng.integers(2, 7)))]
-            tweets = []
+            rand_lists = []
             for i in range(int(rng.integers(1, 6))):
                 length = int(rng.integers(0, 9))
                 toks = tuple(vocab_words[int(j)] for j in rng.integers(0, len(vocab_words), length))
-                tweets.append(Tweet(id=str(i), raw_text="", tokens=toks))
-            rand_corpus = Corpus(tweets=tuple(tweets))
+                rand_lists.append(toks)
+            rand_counts = ExtractCounts(TokenCleaner(frozenset()))
+            for toks in rand_lists:
+                rand_counts.count_grams(toks)
             min_count = int(rng.integers(1, 4))
-            emitted = detect_phrases(rand_corpus, PhraseConfig(min_count, 0.0))
+            emitted = rand_counts.phrases(PhraseConfig(min_count, 0.0))
             true_counts: Counter = Counter()
-            for t in rand_corpus.tweets:
-                true_counts.update(zip(t.tokens, t.tokens[1:]))
+            for toks in rand_lists:
+                true_counts.update(zip(toks, toks[1:]))
             for cand in emitted:
                 assert true_counts[(cand.first, cand.second)] >= min_count
                 assert cand.frequency == true_counts[(cand.first, cand.second)]
@@ -321,20 +321,14 @@ def test_6_spectral_clustering():
 def test_7_metrics(fixture_ranking):
     with criterion(7, "metrics"):
         # Hand-counted fixture: at k=2 the confusion is tp=2 fp=1 fn=2 tn=1.
-        corpus = Corpus(tweets=(
-            Tweet(id="1", raw_text="", tokens=("road", "blocked", "tree"),
-                  label=Label.INFORMATIVE),
-            Tweet(id="2", raw_text="", tokens=("storm", "surge", "coming"),
-                  label=Label.INFORMATIVE),
-            Tweet(id="3", raw_text="", tokens=("fire", "spreads", "fast"),
-                  label=Label.INFORMATIVE),
-            Tweet(id="4", raw_text="", tokens=("quiet", "evening", "walk"),
-                  label=Label.INFORMATIVE),
-            Tweet(id="5", raw_text="", tokens=("blocked", "joke", "road"),
-                  label=Label.UNINFORMATIVE),
-            Tweet(id="6", raw_text="", tokens=("calm", "waters", "today"),
-                  label=Label.UNINFORMATIVE),
-        ))
+        labeled_tweets = [
+            (Label.INFORMATIVE, ("road", "blocked", "tree")),
+            (Label.INFORMATIVE, ("storm", "surge", "coming")),
+            (Label.INFORMATIVE, ("fire", "spreads", "fast")),
+            (Label.INFORMATIVE, ("quiet", "evening", "walk")),
+            (Label.UNINFORMATIVE, ("blocked", "joke", "road")),
+            (Label.UNINFORMATIVE, ("calm", "waters", "today")),
+        ]
         hand_ranking = [
             RankedCandidate(candidate=nv("road", "blocked", 2), score=0.9,
                             best_term=None, rank=1),
@@ -343,7 +337,7 @@ def test_7_metrics(fixture_ranking):
             RankedCandidate(candidate=nv("fire", "spreads", 2), score=0.7,
                             best_term=None, rank=3),
         ]
-        point = evaluate_at_k(hand_ranking, corpus, ks=[2])[0]
+        point = evaluate_labeled(hand_ranking, labeled_tweets, ks=[2])[0]
         assert point.precision == 2 / 3
         assert point.recall == 1 / 2
         assert point.f1 == 4 / 7
@@ -352,16 +346,15 @@ def test_7_metrics(fixture_ranking):
         rng = np.random.default_rng(1234)
         vocab = [f"w{i}" for i in range(8)]
         for _ in range(1000):
-            tweets = [
-                Tweet(id="inf", raw_text="", tokens=("w0", "w1"), label=Label.INFORMATIVE),
-                Tweet(id="unf", raw_text="", tokens=("w2", "w3"), label=Label.UNINFORMATIVE),
+            rand_tweets = [
+                (Label.INFORMATIVE, ("w0", "w1")),
+                (Label.UNINFORMATIVE, ("w2", "w3")),
             ]
             for i in range(int(rng.integers(0, 10))):
                 length = int(rng.integers(0, 6))
                 toks = tuple(vocab[int(j)] for j in rng.integers(0, len(vocab), length))
                 label = Label.INFORMATIVE if rng.random() < 0.5 else Label.UNINFORMATIVE
-                tweets.append(Tweet(id=str(i), raw_text="", tokens=toks, label=label))
-            rand_corpus = Corpus(tweets=tuple(tweets))
+                rand_tweets.append((label, toks))
             ranking = []
             for pos in range(int(rng.integers(1, 8))):
                 a, b = (vocab[int(j)] for j in rng.integers(0, len(vocab), 2))
@@ -369,7 +362,7 @@ def test_7_metrics(fixture_ranking):
                 ranking.append(RankedCandidate(candidate=cand, score=float(-pos),
                                                best_term=None, rank=pos + 1))
             ks = list(range(0, len(ranking) + 2))
-            points = evaluate_at_k(ranking, rand_corpus, ks=ks)
+            points = evaluate_labeled(ranking, rand_tweets, ks=ks)
             tps = [p.tp for p in points]
             fps = [p.fp for p in points]
             assert tps == sorted(tps)
@@ -380,7 +373,7 @@ def test_7_metrics(fixture_ranking):
         # the planted crisis candidates almost perfectly.
         ranked, labeled = fixture_ranking
         ks = list(range(1, len(ranked) + 1))
-        planted_auc = roc_points(evaluate_at_k(ranked, labeled, ks)).auc
+        planted_auc = roc_points(evaluate_labeled(ranked, labeled, ks)).auc
         assert planted_auc >= 0.8
 
         candidates = [rc.candidate for rc in ranked]
@@ -392,7 +385,7 @@ def test_7_metrics(fixture_ranking):
                                 best_term=None, rank=pos + 1)
                 for pos, idx in enumerate(perm)
             ]
-            aucs.append(roc_points(evaluate_at_k(shuffled, labeled, ks)).auc)
+            aucs.append(roc_points(evaluate_labeled(shuffled, labeled, ks)).auc)
         mean_auc = sum(aucs) / len(aucs)
         assert abs(mean_auc - 0.5) <= 0.05
 

@@ -660,7 +660,7 @@ GOLDEN_EXTRACT = {
                 "da64818da5d01d23f9388aa272a12f3af0afe1e7091471c1769a5bf3e4d5a245"),
     "dedupe": (["--dedupe"], "eb91bcc38b16a154d27ef8bf7f98e4d6d9132af8bb676130bfe7c71a560869f3",
                "11110fc75e7b89bfef5c0e7bc2e8130e1540df61f055f40ea2d0b015db33089f"),
-    # Recorded with the load-then-preprocess extract path.
+    # Recorded before extract became one counting pass.
     "edge_cases": (["--dedupe", "--paths.lexicon", "LEXICON",
                     "--paths.corpus_unlabeled", "UNLABELED", "--paths.corpus_labeled", "LABELED"],
                    "e08aeef3ac446b462e062218fb7d4984efdfeb89e4e8f1912ca905ad64983e00",

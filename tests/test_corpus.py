@@ -10,23 +10,18 @@ from hypothesis import strategies as st
 import oracles
 
 from subevents.corpus import (
-    Corpus,
+    CorpusLines,
     Label,
     LabelMode,
-    Tweet,
+    TokenCleaner,
     TweetTokens,
-    attach_parses,
     clean_token,
-    concat_corpora,
-    load_corpus,
     load_parses,
     load_stopwords,
-    preprocess,
-    preprocess_corpus,
     validate_heads,
-    write_corpus,
 )
 from subevents.errors import InputFormatError
+from subevents.extract import ExtractCounts
 
 STOPWORDS = load_stopwords()
 
@@ -37,18 +32,28 @@ def _write_lines(path, lines):
             fh.write(line + "\n")
 
 
+def _read(path, label_mode=LabelMode.UNLABELED):
+    """The (id, raw_text, label) records ``CorpusLines`` yields for a file,
+    and its count of malformed lines."""
+    lines = CorpusLines(path, label_mode)
+    records = list(lines)
+    return records, lines.skipped
+
+
 class TestLoadCorpus:
+    """Corpus files as ``CorpusLines`` reads them."""
+
     def test_unlabeled_lines(self, tmp_path):
         path = tmp_path / "c.jsonl"
         _write_lines(path, [
             json.dumps({"id": "1", "text": "power outage in west kingman due to flooding"}),
             json.dumps({"id": "2", "text": "second tweet"}),
         ])
-        corpus = load_corpus(path)
-        assert len(corpus) == 2
-        assert corpus.tweets[0].id == "1"
-        assert corpus.tweets[0].raw_text == "power outage in west kingman due to flooding"
-        assert all(t.label is Label.UNLABELED for t in corpus.tweets)
+        records, _ = _read(path)
+        assert len(records) == 2
+        assert records[0] == (
+            "1", "power outage in west kingman due to flooding", Label.UNLABELED)
+        assert all(label is Label.UNLABELED for _, _, label in records)
 
     def test_labeled_mode_parses_labels(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -57,20 +62,20 @@ class TestLoadCorpus:
             json.dumps({"id": "2", "text": "b", "label": "uninformative"}),
             json.dumps({"id": "3", "text": "c"}),
         ])
-        corpus = load_corpus(path, LabelMode.LABELED)
-        labels = [t.label for t in corpus.tweets]
+        records, _ = _read(path, LabelMode.LABELED)
+        labels = [label for _, _, label in records]
         assert labels == [Label.INFORMATIVE, Label.UNINFORMATIVE, Label.UNLABELED]
 
     def test_unlabeled_mode_ignores_label_field(self, tmp_path):
         path = tmp_path / "c.jsonl"
         _write_lines(path, [json.dumps({"id": "1", "text": "a", "label": "informative"})])
-        corpus = load_corpus(path, LabelMode.UNLABELED)
-        assert corpus.tweets[0].label is Label.UNLABELED
+        records, _ = _read(path, LabelMode.UNLABELED)
+        assert records[0][2] is Label.UNLABELED
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("", encoding="utf-8")
-        assert len(load_corpus(path)) == 0
+        assert _read(path) == ([], 0)
 
     def test_malformed_lines_skipped_and_counted(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -79,9 +84,9 @@ class TestLoadCorpus:
             "{not json",
             json.dumps({"id": "2", "text": "b"}),
         ])
-        corpus = load_corpus(path)
-        assert len(corpus) == 2
-        assert corpus.skipped == 1
+        records, skipped = _read(path)
+        assert len(records) == 2
+        assert skipped == 1
 
     def test_unknown_label_counts_as_malformed(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -90,9 +95,9 @@ class TestLoadCorpus:
             json.dumps({"id": "2", "text": "b", "label": "informative"}),
             json.dumps({"id": "3", "text": "c", "label": "informative"}),
         ])
-        corpus = load_corpus(path, LabelMode.LABELED)
-        assert len(corpus) == 2
-        assert corpus.skipped == 1
+        records, skipped = _read(path, LabelMode.LABELED)
+        assert len(records) == 2
+        assert skipped == 1
 
     def test_missing_fields_are_malformed(self, tmp_path):
         path = tmp_path / "c.jsonl"
@@ -105,55 +110,37 @@ class TestLoadCorpus:
             json.dumps({"id": "6", "text": "f"}),
             json.dumps({"id": "7", "text": "g"}),
         ])
-        corpus = load_corpus(path)
-        assert len(corpus) == 4
-        assert corpus.skipped == 3
+        records, skipped = _read(path)
+        assert len(records) == 4
+        assert skipped == 3
 
     def test_majority_malformed_is_fatal(self, tmp_path):
         path = tmp_path / "c.jsonl"
         _write_lines(path, ["oops", "also bad", json.dumps({"id": "1", "text": "a"})])
         with pytest.raises(InputFormatError):
-            load_corpus(path)
+            _read(path)
 
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "c.jsonl"
         _write_lines(path, ["", json.dumps({"id": "1", "text": "a"}), "", ""])
-        corpus = load_corpus(path)
-        assert len(corpus) == 1
-        assert corpus.skipped == 0
+        records, skipped = _read(path)
+        assert len(records) == 1
+        assert skipped == 0
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(OSError):
-            load_corpus(tmp_path / "absent.jsonl")
-
-    def test_round_trip_is_loss_free(self, tmp_path):
-        src = tmp_path / "src.jsonl"
-        _write_lines(src, [
-            json.dumps({"id": "1", "text": "flood waters rising", "label": "informative"}),
-            json.dumps({"id": "2", "text": "lol nothing", "label": "uninformative"}),
-            json.dumps({"id": "3", "text": "unlabeled one"}),
-        ])
-        first = load_corpus(src, LabelMode.LABELED)
-        dst = tmp_path / "dst.jsonl"
-        write_corpus(first, dst)
-        second = load_corpus(dst, LabelMode.LABELED)
-        assert [(t.id, t.raw_text, t.label) for t in first.tweets] == [
-            (t.id, t.raw_text, t.label) for t in second.tweets
-        ]
-
+            _read(tmp_path / "absent.jsonl")
 
     def test_leading_byte_order_mark_is_ignored(self, tmp_path):
         path = tmp_path / "c.jsonl"
         path.write_text("\ufeff" + json.dumps({"id": "1", "text": "first"}) + "\n",
                         encoding="utf-8")
-        corpus = load_corpus(path)
-        assert [t.id for t in corpus.tweets] == ["1"]
-        assert corpus.skipped == 0
+        assert _read(path) == ([("1", "first", Label.UNLABELED)], 0)
 
 
 class TestPreprocess:
     def _tokens(self, text):
-        return preprocess(Tweet(id="t", raw_text=text), STOPWORDS).tokens
+        return tuple(TokenCleaner(STOPWORDS).tokens(text))
 
     def test_reference_sentence(self):
         text = "Waterborne diseases on the rise in Texas as hurricane water recedes #harvey2017"
@@ -188,10 +175,13 @@ class TestPreprocess:
     def test_interior_punctuation_kept(self):
         assert self._tokens("o'clock e-mail") == ("o'clock", "e-mail")
 
-    def test_zero_token_tweet_is_legitimate(self):
-        tweet = preprocess(Tweet(id="t", raw_text="#only @refs 12"), STOPWORDS)
-        assert tweet.tokens == ()
-        assert tweet.raw_text == "#only @refs 12"
+    def test_zero_token_tweet_is_legitimate(self, tmp_path):
+        # A tweet whose every token is removed is still read, with no tokens.
+        path = tmp_path / "c.jsonl"
+        _write_lines(path, [json.dumps({"id": "t", "text": "#only @refs 12"})])
+        tweets = TweetTokens([(path, LabelMode.UNLABELED)], STOPWORDS)
+        assert list(tweets) == [("t", [])]
+        assert tweets.skipped == 0
 
     def test_no_forbidden_tokens_property(self):
         rng = np.random.default_rng(42)
@@ -243,10 +233,12 @@ _TEXT = st.lists(
 
 @given(texts=st.lists(_TEXT, max_size=8))
 @settings(max_examples=200, deadline=None)
-def test_preprocess_corpus_equals_per_tweet_preprocess(texts):
-    corpus = Corpus(tweets=tuple(Tweet(id=str(i), raw_text=t) for i, t in enumerate(texts)))
-    expected = tuple(preprocess(t, STOPWORDS) for t in corpus.tweets)
-    assert preprocess_corpus(corpus, STOPWORDS).tweets == expected
+def test_shared_cleaner_equals_per_tweet_cleaner(texts):
+    """One ``TokenCleaner`` over many texts, reusing what it cached, gives
+    each text the tokens a fresh one does."""
+    shared = TokenCleaner(STOPWORDS)
+    assert [shared.tokens(text) for text in texts] == [
+        TokenCleaner(STOPWORDS).tokens(text) for text in texts]
 
 
 class TestStopwords:
@@ -297,12 +289,17 @@ class TestTweetTokens:
 
 
 class TestCorpusOps:
-    def test_concat_preserves_order_and_skips(self):
-        a = Corpus(tweets=(Tweet(id="1", raw_text="x"),), skipped=2)
-        b = Corpus(tweets=(Tweet(id="2", raw_text="y"),), skipped=1)
-        merged = concat_corpora(a, b)
-        assert [t.id for t in merged.tweets] == ["1", "2"]
-        assert merged.skipped == 3
+    def test_concat_preserves_order_and_skips(self, tmp_path):
+        # TweetTokens reads its files one after the other: tweets in file
+        # order, malformed lines summed over the files.
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        _write_lines(a, [json.dumps({"id": "1", "text": "x"}), "bad", "bad",
+                         json.dumps({"id": "3", "text": "z"})])
+        _write_lines(b, [json.dumps({"id": "2", "text": "y"}), "bad",
+                         json.dumps({"id": "4", "text": "w"})])
+        tweets = TweetTokens([(a, LabelMode.UNLABELED), (b, LabelMode.UNLABELED)], STOPWORDS)
+        assert [tweet_id for tweet_id, _ in tweets] == ["1", "3", "2", "4"]
+        assert tweets.skipped == 3
 
 
 class TestParses:
@@ -422,10 +419,13 @@ class TestParses:
             "# tweet_id = 2\n"
             "1\tx\tx\tNOUN\t_\t_\t0\troot\t_\t_\n"
         ))
-        corpus = Corpus(tweets=(Tweet(id="1", raw_text="a"), Tweet(id="2", raw_text="b")))
-        attached = attach_parses(corpus, load_parses(path))
-        assert attached.tweets[0].parse is None
-        assert attached.tweets[1].parse is not None
+        # ExtractCounts looks each tweet's parse up by id: tweet "2" takes
+        # the parse, tweet "1" has none.
+        counts = ExtractCounts(TokenCleaner(STOPWORDS), load_parses(path))
+        counts.add("1", ["aaa"])
+        assert (counts.parsed, counts.neither) == (0, 1)
+        counts.add("2", ["bbb"])
+        assert (counts.parsed, counts.neither) == (1, 1)
 
 
 class TestDependencyParseValidate:
@@ -524,27 +524,26 @@ PARSE_BYTES = _lines(
 
 class TestReaderProperties:
     @settings(deadline=None)
-    @given(rows=st.lists(st.tuples(st.text(), st.text(), st.sampled_from(Label)), max_size=8))
-    def test_corpus_round_trips_through_write_corpus(self, rows, reader_dir):
-        corpus = Corpus(tweets=tuple(
-            Tweet(id=tid, raw_text=text, label=label) for tid, text, label in rows
-        ))
-        path = reader_dir / "round.jsonl"
-        write_corpus(corpus, path)
-        assert load_corpus(path, LabelMode.LABELED) == corpus
-
-    @settings(deadline=None)
     @given(data=CORPUS_BYTES)
     @example(data=b"[" * 100_000 + b'\n{"id": "1", "text": "a"}\n{"id": "2", "text": "b"}')
     def test_corpus_written_back_loads_the_same(self, data, reader_dir):
+        """Any bytes are read, each non-blank line as a record or a counted
+        malformed line, or rejected with InputFormatError; the records,
+        written back as JSON Lines, read back the same."""
         path = reader_dir / "c.jsonl"
         path.write_bytes(data)
         try:
-            first = load_corpus(path, LabelMode.LABELED)
+            first, skipped = _read(path, LabelMode.LABELED)
         except InputFormatError:
             return
-        write_corpus(first, path)
-        assert load_corpus(path, LabelMode.LABELED).tweets == first.tweets
+        with open(path, encoding="utf-8-sig") as fh:
+            assert len(first) + skipped == sum(1 for line in fh if line.strip())
+        _write_lines(path, [
+            json.dumps({"id": tweet_id, "text": text}
+                       | ({} if label is Label.UNLABELED else {"label": label.value}))
+            for tweet_id, text, label in first
+        ])
+        assert _read(path, LabelMode.LABELED) == (first, 0)
 
     @settings(deadline=None)
     @given(data=PARSE_BYTES)

@@ -9,13 +9,12 @@ import pytest
 import oracles
 from subevents.cli import cmd_evaluate
 from subevents.config import PipelineConfig
-from subevents.corpus import Corpus, Label, Tweet
+from subevents.corpus import Label
 from subevents.errors import InputFormatError
 from subevents.evaluate import (
     MATCH_MODES,
     MatchIndex,
     MetricsPoint,
-    evaluate_at_k,
     evaluate_labeled,
     read_metrics,
     roc_points,
@@ -38,10 +37,6 @@ def ranked_list(candidates):
         RankedCandidate(candidate=c, score=1.0 - 0.01 * i, best_term=None, rank=i + 1)
         for i, c in enumerate(candidates)
     ]
-
-
-def tweet(tid, tokens, label=Label.UNLABELED):
-    return Tweet(id=tid, raw_text=" ".join(tokens), label=label, tokens=tuple(tokens))
 
 
 def one_tweet_matches(tokens, candidate, nv_mode="tokens", phrase_mode="bigram"):
@@ -79,12 +74,12 @@ class TestTweetMatches:
         assert not one_tweet_matches([], ph("road", "blocked"))
 
     def test_invalid_mode_rejected(self):
-        corpus = Corpus(tweets=(tweet("1", ["road"], Label.INFORMATIVE),))
+        labeled = [(Label.INFORMATIVE, ["road"])]
         ranked = ranked_list([nv("a", "b"), ph("a", "b")])
         with pytest.raises(ValueError):
-            evaluate_at_k(ranked, corpus, [1], nv_mode="fuzzy")
+            evaluate_labeled(ranked, labeled, [1], nv_mode="fuzzy")
         with pytest.raises(ValueError):
-            evaluate_at_k(ranked, corpus, [1], phrase_mode="fuzzy")
+            evaluate_labeled(ranked, labeled, [1], phrase_mode="fuzzy")
 
 
 class TestMatchIndex:
@@ -132,14 +127,15 @@ class _HandFixture:
     """Six labeled tweets engineered so k=2 yields tp=2 fp=1 fn=2 tn=1."""
 
     def corpus(self):
-        return Corpus(tweets=(
-            tweet("1", ["road", "blocked", "tree"], Label.INFORMATIVE),
-            tweet("2", ["storm", "surge", "coming"], Label.INFORMATIVE),
-            tweet("3", ["fire", "spreads", "fast"], Label.INFORMATIVE),
-            tweet("4", ["quiet", "evening", "walk"], Label.INFORMATIVE),
-            tweet("5", ["blocked", "joke", "road"], Label.UNINFORMATIVE),
-            tweet("6", ["calm", "waters", "today"], Label.UNINFORMATIVE),
-        ))
+        """The (label, tokens) of the six tweets, in order."""
+        return [
+            (Label.INFORMATIVE, ["road", "blocked", "tree"]),
+            (Label.INFORMATIVE, ["storm", "surge", "coming"]),
+            (Label.INFORMATIVE, ["fire", "spreads", "fast"]),
+            (Label.INFORMATIVE, ["quiet", "evening", "walk"]),
+            (Label.UNINFORMATIVE, ["blocked", "joke", "road"]),
+            (Label.UNINFORMATIVE, ["calm", "waters", "today"]),
+        ]
 
     def ranking(self):
         return ranked_list([
@@ -150,8 +146,10 @@ class _HandFixture:
 
 
 class TestEvaluateAtK(_HandFixture):
+    """``evaluate_labeled`` at top-k cuts."""
+
     def test_exact_fractions_at_k2(self):
-        points = evaluate_at_k(self.ranking(), self.corpus(), ks=[2])
+        points = evaluate_labeled(self.ranking(), self.corpus(), ks=[2])
         p = points[0]
         assert (p.tp, p.fp, p.fn, p.tn) == (2, 1, 2, 1)
         assert p.precision == 2 / 3
@@ -161,7 +159,7 @@ class TestEvaluateAtK(_HandFixture):
         assert p.tpr == p.recall
 
     def test_k_zero_origin(self):
-        p = evaluate_at_k(self.ranking(), self.corpus(), ks=[0])[0]
+        p = evaluate_labeled(self.ranking(), self.corpus(), ks=[0])[0]
         assert (p.tp, p.fp, p.fn, p.tn) == (0, 0, 4, 2)
         assert p.precision == 0.0
         assert p.recall == 0.0
@@ -169,47 +167,42 @@ class TestEvaluateAtK(_HandFixture):
         assert p.fpr == 0.0
 
     def test_full_sweep(self):
-        points = evaluate_at_k(self.ranking(), self.corpus(), ks=[0, 1, 2, 3, 10])
+        points = evaluate_labeled(self.ranking(), self.corpus(), ks=[0, 1, 2, 3, 10])
         assert [(p.tp, p.fp) for p in points] == [(0, 0), (1, 1), (2, 1), (3, 1), (3, 1)]
         # Saturates past the ranking length.
         assert points[-1].recall == 3 / 4
         assert points[-1].f1 == 6 / 8
 
     def test_tweet_counted_once_at_lowest_matching_rank(self):
-        # Tweet 1 matches both rank 1 and a duplicate at rank 3; the
+        # The first tweet matches both rank 1 and a duplicate at rank 3; the
         # counts at k=1 already include it and never double-count.
         ranking = ranked_list([
             nv("road", "blocked"),
             ph("storm", "surge"),
             nv("blocked", "tree"),
         ])
-        points = evaluate_at_k(ranking, self.corpus(), ks=[1, 3])
+        points = evaluate_labeled(ranking, self.corpus(), ks=[1, 3])
         assert points[0].tp == 1
         assert points[1].tp == 2
 
     def test_requires_both_classes(self):
-        corpus = Corpus(tweets=(
-            tweet("1", ["road"], Label.INFORMATIVE),
-            tweet("2", ["tree"], Label.INFORMATIVE),
-        ))
+        labeled = [(Label.INFORMATIVE, ["road"]), (Label.INFORMATIVE, ["tree"])]
         with pytest.raises(InputFormatError):
-            evaluate_at_k(self.ranking(), corpus, ks=[1])
+            evaluate_labeled(self.ranking(), labeled, ks=[1])
 
     def test_unlabeled_tweets_excluded(self):
-        extra = Corpus(tweets=self.corpus().tweets + (
-            tweet("7", ["road", "blocked"], Label.UNLABELED),
-        ))
-        base = evaluate_at_k(self.ranking(), self.corpus(), ks=[2])[0]
-        with_extra = evaluate_at_k(self.ranking(), extra, ks=[2])[0]
+        extra = self.corpus() + [(Label.UNLABELED, ["road", "blocked"])]
+        base = evaluate_labeled(self.ranking(), self.corpus(), ks=[2])[0]
+        with_extra = evaluate_labeled(self.ranking(), extra, ks=[2])[0]
         assert base == with_extra
 
     def test_ks_validation(self):
         with pytest.raises(ValueError):
-            evaluate_at_k(self.ranking(), self.corpus(), ks=[-1])
+            evaluate_labeled(self.ranking(), self.corpus(), ks=[-1])
         with pytest.raises(ValueError):
-            evaluate_at_k(self.ranking(), self.corpus(), ks=[2, 1])
+            evaluate_labeled(self.ranking(), self.corpus(), ks=[2, 1])
         with pytest.raises(ValueError):
-            evaluate_at_k(self.ranking(), self.corpus(), ks=[1, 1])
+            evaluate_labeled(self.ranking(), self.corpus(), ks=[1, 1])
 
     def test_matches_brute_force_on_random_inputs(self):
         # Unlabeled and empty tweets are interleaved; candidates include
@@ -218,13 +211,11 @@ class TestEvaluateAtK(_HandFixture):
         vocab = [f"w{i}" for i in range(10)]
         labels = [Label.INFORMATIVE, Label.UNINFORMATIVE, Label.UNLABELED]
         for trial in range(25):
-            tweets = [tweet(f"{trial}-e", [], Label.INFORMATIVE),
-                      tweet(f"{trial}-f", [], Label.UNINFORMATIVE)]
-            for i in range(int(rng.integers(4, 25))):
+            labeled = [(Label.INFORMATIVE, []), (Label.UNINFORMATIVE, [])]
+            for _ in range(int(rng.integers(4, 25))):
                 n = int(rng.integers(0, 7))
                 toks = [vocab[int(j)] for j in rng.integers(0, len(vocab), n)]
-                tweets.append(tweet(f"{trial}-{i}", toks, labels[int(rng.integers(0, 3))]))
-            corpus = Corpus(tweets=tuple(tweets))
+                labeled.append((labels[int(rng.integers(0, 3))], toks))
             a, b, c = (vocab[int(j)] for j in rng.integers(0, len(vocab), 3))
             cands = [nv(c, c), ph(a, b), nv(a, b)]
             for _ in range(int(rng.integers(1, 12))):
@@ -234,18 +225,15 @@ class TestEvaluateAtK(_HandFixture):
             ranking = ranked_list([cands[int(j)] for j in order])
             ks = list(range(0, len(cands) + 2))
             oracle_tweets = [
-                (t.tokens, t.label is Label.INFORMATIVE)
-                for t in corpus.tweets if t.label is not Label.UNLABELED
+                (toks, label is Label.INFORMATIVE)
+                for label, toks in labeled if label is not Label.UNLABELED
             ]
             oracle_cands = [
                 (rc.candidate.kind.value, rc.candidate.first, rc.candidate.second)
                 for rc in ranking
             ]
             for nv_mode, phrase_mode in itertools.product(MATCH_MODES, MATCH_MODES):
-                streamed = evaluate_labeled(
-                    ranking, ((t.label, list(t.tokens)) for t in corpus.tweets), ks,
-                    nv_mode, phrase_mode)
-                assert evaluate_at_k(ranking, corpus, ks, nv_mode, phrase_mode) == streamed
+                streamed = evaluate_labeled(ranking, iter(labeled), ks, nv_mode, phrase_mode)
                 for k, p in zip(ks, streamed):
                     expected = oracles.brute_force_confusion(
                         oracle_tweets, oracle_cands, k, nv_mode, phrase_mode)
@@ -262,7 +250,7 @@ class TestEvaluateAtK(_HandFixture):
                 evaluate_labeled(self.ranking(), stream(), **kwargs)
 
     def test_counts_monotone_in_k(self):
-        points = evaluate_at_k(self.ranking(), self.corpus(), ks=list(range(0, 8)))
+        points = evaluate_labeled(self.ranking(), self.corpus(), ks=list(range(0, 8)))
         tps = [p.tp for p in points]
         fps = [p.fp for p in points]
         assert tps == sorted(tps)
@@ -323,7 +311,7 @@ class TestMetricsPoint:
 
 class TestRoc(_HandFixture):
     def test_endpoints_added(self):
-        points = evaluate_at_k(self.ranking(), self.corpus(), ks=[2])
+        points = evaluate_labeled(self.ranking(), self.corpus(), ks=[2])
         curve = roc_points(points)
         assert curve.points[0] == (0.0, 0.0)
         assert curve.points[-1] == (1.0, 1.0)
@@ -358,13 +346,13 @@ class TestRoc(_HandFixture):
 
 class TestMetricsCsv(_HandFixture):
     def test_round_trip(self, tmp_path):
-        points = evaluate_at_k(self.ranking(), self.corpus(), ks=[0, 1, 2, 3])
+        points = evaluate_labeled(self.ranking(), self.corpus(), ks=[0, 1, 2, 3])
         path = tmp_path / "metrics.csv"
         write_metrics(points, path)
         assert read_metrics(path) == points
 
     def test_bytes_stable(self, tmp_path):
-        points = evaluate_at_k(self.ranking(), self.corpus(), ks=[0, 2])
+        points = evaluate_labeled(self.ranking(), self.corpus(), ks=[0, 2])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_metrics(points, a)
         write_metrics(points, b)

@@ -8,18 +8,12 @@ from hypothesis import strategies as st
 
 import oracles
 from subevents.corpus import (
-    Corpus,
     LabelMode,
     TokenCleaner,
-    Tweet,
     TweetTokens,
     _nv_edges,
-    attach_parses,
-    concat_corpora,
-    load_corpus,
     load_parses,
     load_stopwords,
-    preprocess_corpus,
 )
 from subevents.errors import InputFormatError
 from subevents.extract import (
@@ -28,9 +22,6 @@ from subevents.extract import (
     ExtractCounts,
     PhraseConfig,
     aggregate,
-    detect_phrases,
-    extract_nv_pairs,
-    extract_nv_pairs_fallback,
     filter_candidates,
     load_pos_lexicon,
     phrase_score,
@@ -42,12 +33,27 @@ from subevents.extract import (
 STOPWORDS = load_stopwords()
 
 
-def _parsed_tweet(words):
-    """Build a tweet from (surface, upos, head) triples, keeping the parse's
-    noun-verb edges as ``load_parses`` does."""
+def _parse(words):
+    """The noun-verb edges ``load_parses`` keeps of a sentence given as
+    (surface, upos, head) triples."""
     forms, upos, heads = zip(*words)
-    edges = tuple(_nv_edges(forms, upos, heads))
-    return Tweet(id="t", raw_text=" ".join(forms), parse=edges)
+    return tuple(_nv_edges(forms, upos, heads))
+
+
+def _pairs(parse, tokens=(), lexicon=None):
+    """The (noun, verb) pairs ``ExtractCounts.count_nv`` counts for one
+    tweet, in the order first counted."""
+    counts = ExtractCounts(TokenCleaner(STOPWORDS), lexicon=lexicon)
+    counts.count_nv(parse, tokens)
+    return list(counts.pairs)
+
+
+def _phrases(token_lists, cfg):
+    """``ExtractCounts.phrases`` after counting the grams of each token list."""
+    counts = ExtractCounts(TokenCleaner(frozenset()))
+    for tokens in token_lists:
+        counts.count_grams(tokens)
+    return counts.phrases(cfg)
 
 
 def nv(first, second, freq=1):
@@ -60,99 +66,89 @@ def ph(first, second, freq=1):
 
 class TestNvPairs:
     def test_sample_parse(self, fixtures_dir):
-        corpus = load_corpus(fixtures_dir / "worked_corpus.jsonl")
-        corpus = attach_parses(corpus, load_parses(fixtures_dir / "worked_parses.conllu"))
-        key = corpus.tweets[0]
-        assert key.id == "w000"
-        pairs = extract_nv_pairs(key, STOPWORDS)
-        assert [c.words for c in pairs] == [("waterborne", "recedes"), ("water", "recedes")]
-        assert all(c.kind is CandidateKind.NOUN_VERB_PAIR for c in pairs)
+        tweets = TweetTokens([(fixtures_dir / "worked_corpus.jsonl", LabelMode.UNLABELED)],
+                             STOPWORDS)
+        key_id, tokens = next(iter(tweets))
+        assert key_id == "w000"
+        parse = load_parses(fixtures_dir / "worked_parses.conllu")[key_id]
+        assert _pairs(parse, tokens) == [("waterborne", "recedes"), ("water", "recedes")]
 
     def test_noun_first_both_edge_directions(self):
         # floods(NOUN) <- destroyed(VERB) root, bridge(NOUN) -> destroyed:
         # dependent noun and dependent verb cases must both come out noun first.
-        tweet = _parsed_tweet([
+        parse = _parse([
             ("floods", "NOUN", 2),
             ("destroyed", "VERB", 0),
             ("bridge", "NOUN", 2),
         ])
-        pairs = extract_nv_pairs(tweet, STOPWORDS)
-        assert [c.words for c in pairs] == [("floods", "destroyed"), ("bridge", "destroyed")]
+        assert _pairs(parse) == [("floods", "destroyed"), ("bridge", "destroyed")]
 
     def test_verb_with_noun_head(self):
-        tweet = _parsed_tweet([
+        parse = _parse([
             ("bridge", "NOUN", 0),
             ("collapsed", "VERB", 1),
         ])
-        pairs = extract_nv_pairs(tweet, STOPWORDS)
-        assert [c.words for c in pairs] == [("bridge", "collapsed")]
+        assert _pairs(parse) == [("bridge", "collapsed")]
 
     def test_propn_counts_as_noun(self):
         # Headline case: both words are lowercased before cleaning.
-        tweet = _parsed_tweet([
+        parse = _parse([
             ("Texas", "PROPN", 2),
             ("Floods", "VERB", 0),
         ])
-        pairs = extract_nv_pairs(tweet, STOPWORDS)
-        assert [c.words for c in pairs] == [("texas", "floods")]
+        assert _pairs(parse) == [("texas", "floods")]
 
     def test_non_nv_edges_ignored(self):
-        tweet = _parsed_tweet([
+        parse = _parse([
             ("quickly", "ADV", 2),
             ("rises", "VERB", 0),
             ("river", "NOUN", 4),
             ("deep", "ADJ", 2),
         ])
-        assert extract_nv_pairs(tweet, STOPWORDS) == []
+        assert _pairs(parse) == []
 
     def test_members_failing_token_rules_drop_pair(self):
-        tweet = _parsed_tweet([
+        parse = _parse([
             ("it", "NOUN", 2),          # too short
             ("flooded", "VERB", 0),
             ("road66", "NOUN", 2),      # digit
             ("being", "NOUN", 2),       # stopword
             ("bridge", "NOUN", 2),      # survives
         ])
-        pairs = extract_nv_pairs(tweet, STOPWORDS)
-        assert [c.words for c in pairs] == [("bridge", "flooded")]
+        assert _pairs(parse) == [("bridge", "flooded")]
 
     def test_requires_parse(self):
-        with pytest.raises(ValueError):
-            extract_nv_pairs(Tweet(id="t", raw_text="no parse"), STOPWORDS)
+        # Without a parse and without a lexicon a tweet has no pair, however
+        # its tokens read, and is counted as having neither source.
+        counts = ExtractCounts(TokenCleaner(STOPWORDS))
+        counts.count_nv(None, ["bridge", "collapsed"])
+        assert not counts.pairs
+        assert (counts.parsed, counts.fallback, counts.neither) == (0, 0, 1)
 
 
 class TestFallback:
     LEXICON = load_pos_lexicon()
 
-    def test_window_two_adjacent_only(self):
-        tweet = Tweet(id="t", raw_text="", tokens=("house", "burning", "road", "blocked"))
-        pairs = extract_nv_pairs_fallback(tweet, self.LEXICON, window=2)
-        assert [c.words for c in pairs] == [("house", "burning"), ("road", "blocked")]
-
     def test_window_four_reaches_farther_verb(self):
-        tweet = Tweet(id="t", raw_text="", tokens=("house", "burning", "road", "blocked"))
-        pairs = extract_nv_pairs_fallback(tweet, self.LEXICON, window=4)
-        assert [c.words for c in pairs] == [
+        tokens = ["house", "burning", "road", "blocked"]
+        assert _pairs(None, tokens, self.LEXICON) == [
             ("house", "burning"),
             ("house", "blocked"),
             ("road", "blocked"),
         ]
 
     def test_noun_must_precede_verb(self):
-        tweet = Tweet(id="t", raw_text="", tokens=("burning", "house"))
-        assert extract_nv_pairs_fallback(tweet, self.LEXICON, window=4) == []
+        assert _pairs(None, ["burning", "house"], self.LEXICON) == []
 
     def test_dual_tag_word_pairs_both_ways(self):
         # "flood" is tagged NV in the bundled lexicon.
-        tweet = Tweet(id="t", raw_text="", tokens=("flood", "blocked", "road", "flood"))
-        pairs = extract_nv_pairs_fallback(tweet, self.LEXICON, window=4)
-        assert ("flood", "blocked") in [c.words for c in pairs]
-        assert ("road", "flood") in [c.words for c in pairs]
+        pairs = _pairs(None, ["flood", "blocked", "road", "flood"], self.LEXICON)
+        assert ("flood", "blocked") in pairs
+        assert ("road", "flood") in pairs
 
     def test_unknown_words_ignored(self):
-        tweet = Tweet(id="t", raw_text="", tokens=("zzzz", "house", "qqqq", "burning"))
-        pairs = extract_nv_pairs_fallback(tweet, self.LEXICON, window=4)
-        assert [c.words for c in pairs] == [("house", "burning")]
+        pairs = _pairs(None, ["zzzz", "house", "qqqq", "burning"], self.LEXICON)
+        assert pairs == [("house", "burning")]
 
     def test_custom_lexicon_file(self, tmp_path):
         path = tmp_path / "lex.txt"
@@ -171,44 +167,38 @@ class TestFallback:
 
 
 class TestPhrases:
-    def _corpus(self, token_lists):
-        return Corpus(tweets=tuple(
-            Tweet(id=str(i), raw_text="", tokens=tuple(ts))
-            for i, ts in enumerate(token_lists)
-        ))
-
     def test_hand_counted_example(self):
         # unigrams: storm 3, surge 3, hits 1, calm 1, waters 1 -> V = 5
         # bigram (storm, surge) occurs 3 times, score (3-2)*5/(3*3) = 5/9.
-        corpus = self._corpus([
+        token_lists = [
             ["storm", "surge", "storm", "surge"],
             ["storm", "surge", "hits"],
             ["calm", "waters"],
-        ])
-        phrases = detect_phrases(corpus, PhraseConfig(min_count=2, threshold=0.5))
+        ]
+        phrases = _phrases(token_lists, PhraseConfig(min_count=2, threshold=0.5))
         assert len(phrases) == 1
         assert phrases[0].words == ("storm", "surge")
         assert phrases[0].frequency == 3
         assert phrases[0].kind is CandidateKind.PHRASE
 
     def test_threshold_is_strict(self):
-        corpus = self._corpus([
+        token_lists = [
             ["storm", "surge", "storm", "surge"],
             ["storm", "surge", "hits"],
             ["calm", "waters"],
-        ])
+        ]
         exactly = 5.0 / 9.0
-        assert detect_phrases(corpus, PhraseConfig(2, exactly)) == []
-        assert len(detect_phrases(corpus, PhraseConfig(2, exactly - 1e-9))) == 1
+        assert _phrases(token_lists, PhraseConfig(2, exactly)) == []
+        assert len(_phrases(token_lists, PhraseConfig(2, exactly - 1e-9))) == 1
 
     def test_min_count_gates_before_scoring(self):
         # (rare, pair) occurs once; even a huge score cannot rescue it.
-        corpus = self._corpus([["rare", "pair"], ["rare"], ["pair"]])
-        assert detect_phrases(corpus, PhraseConfig(min_count=2, threshold=0.0)) == []
+        token_lists = [["rare", "pair"], ["rare"], ["pair"]]
+        assert _phrases(token_lists, PhraseConfig(min_count=2, threshold=0.0)) == []
 
     def test_count_equal_to_min_count_scores_zero(self):
-        corpus = self._corpus([["aaa", "bbb"], ["aaa", "bbb"]])
-        assert detect_phrases(corpus, PhraseConfig(min_count=2, threshold=0.0)) == []
+        token_lists = [["aaa", "bbb"], ["aaa", "bbb"]]
+        assert _phrases(token_lists, PhraseConfig(min_count=2, threshold=0.0)) == []
 
     def test_tweet_order_independent(self):
         lists = [
@@ -217,18 +207,18 @@ class TestPhrases:
             ["calm", "waters"],
             ["fire", "spreads", "fire", "spreads", "fire", "spreads"],
         ]
-        forward = detect_phrases(self._corpus(lists), PhraseConfig(2, 0.1))
-        backward = detect_phrases(self._corpus(lists[::-1]), PhraseConfig(2, 0.1))
+        forward = _phrases(lists, PhraseConfig(2, 0.1))
+        backward = _phrases(lists[::-1], PhraseConfig(2, 0.1))
         assert forward == backward
 
     def test_no_cross_tweet_bigrams(self):
-        corpus = self._corpus([["aaa"], ["bbb"], ["aaa"], ["bbb"]])
-        assert detect_phrases(corpus, PhraseConfig(1, 0.0)) == []
+        assert _phrases([["aaa"], ["bbb"], ["aaa"], ["bbb"]], PhraseConfig(1, 0.0)) == []
 
     def test_worked_corpus_score(self, fixtures_dir):
-        corpus = load_corpus(fixtures_dir / "worked_corpus.jsonl")
-        corpus = preprocess_corpus(corpus, STOPWORDS)
-        phrases = detect_phrases(corpus, PhraseConfig(min_count=2, threshold=10.0))
+        tweets = TweetTokens([(fixtures_dir / "worked_corpus.jsonl", LabelMode.UNLABELED)],
+                             STOPWORDS)
+        phrases = _phrases((tokens for _, tokens in tweets),
+                           PhraseConfig(min_count=2, threshold=10.0))
         assert [c.words for c in phrases] == [("waterborne", "diseases")]
         assert phrases[0].frequency == 6
         assert phrase_score(6, 6, 6, 111, 2) == pytest.approx(37.0 / 3.0, abs=1e-12)
@@ -258,40 +248,40 @@ class TestPhraseScore:
 
 
 @pytest.fixture(scope="module")
-def pipeline_corpus(generated_fixtures) -> Corpus:
-    corpus = concat_corpora(
-        load_corpus(generated_fixtures / "pipeline_unlabeled.jsonl"),
-        load_corpus(generated_fixtures / "pipeline_labeled.jsonl", LabelMode.LABELED),
-    )
-    corpus = preprocess_corpus(corpus, STOPWORDS)
-    return attach_parses(corpus, load_parses(generated_fixtures / "pipeline_parses.conllu"))
+def pipeline_tweets(generated_fixtures):
+    """(tokens, parse) of each tweet of the pipeline fixtures, the parse
+    None for a tweet without one."""
+    tweets = TweetTokens([
+        (generated_fixtures / "pipeline_unlabeled.jsonl", LabelMode.UNLABELED),
+        (generated_fixtures / "pipeline_labeled.jsonl", LabelMode.LABELED),
+    ], STOPWORDS)
+    parses = load_parses(generated_fixtures / "pipeline_parses.conllu")
+    return [(tokens, parses.get(tweet_id)) for tweet_id, tokens in tweets]
 
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
-def test_count_nv_pairs_equals_per_tweet_aggregate(pipeline_corpus, data):
+def test_count_nv_pairs_equals_per_tweet_aggregate(pipeline_tweets, data):
     """Folding ``ExtractCounts.count_nv`` over the pipeline fixtures gives
-    what aggregating the per-tweet extraction gives, for a random tweet
-    subset and a random lexicon over the fixture vocabulary."""
-    tweets = data.draw(st.lists(st.sampled_from(pipeline_corpus.tweets), max_size=60))
-    vocabulary = sorted({token for tweet in pipeline_corpus.tweets for token in tweet.tokens})
+    what aggregating each tweet's ``oracles.reference_nv_pairs`` gives, for
+    a random tweet subset and a random lexicon over the fixture vocabulary."""
+    tweets = data.draw(st.lists(st.sampled_from(pipeline_tweets), max_size=60))
+    vocabulary = sorted({token for tokens, _ in pipeline_tweets for token in tokens})
     lexicon = data.draw(st.none() | st.dictionaries(
         st.sampled_from(vocabulary),
         st.sampled_from([frozenset("N"), frozenset("V"), frozenset("NV")]),
     ))
-    expected = []
-    for tweet in tweets:
-        if tweet.parse is not None:
-            expected.extend(extract_nv_pairs(tweet, STOPWORDS))
-        elif lexicon is not None:
-            expected.extend(extract_nv_pairs_fallback(tweet, lexicon))
+    expected = [
+        nv(noun, verb) for tokens, parse in tweets
+        for noun, verb in oracles.reference_nv_pairs(parse, tokens, lexicon, STOPWORDS)
+    ]
     counts = ExtractCounts(TokenCleaner(STOPWORDS), lexicon=lexicon)
-    for tweet in tweets:
-        counts.count_nv(tweet.parse, tweet.tokens)
+    for tokens, parse in tweets:
+        counts.count_nv(parse, tokens)
     assert [nv(noun, verb, freq) for (noun, verb), freq in sorted(counts.pairs.items())] == (
         aggregate(expected))
     assert sum(counts.pairs.values()) == len(expected)
-    parsed = sum(1 for t in tweets if t.parse is not None)
+    parsed = sum(1 for _, parse in tweets if parse is not None)
     assert counts.parsed == parsed
     assert (counts.fallback, counts.neither) == (
         (len(tweets) - parsed, 0) if lexicon is not None else (0, len(tweets) - parsed)

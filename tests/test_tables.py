@@ -110,3 +110,20 @@ def test_any_text_loads_or_raises_input_format_error(name, data, table_dir):
         table.read(path)
     except InputFormatError:
         pass
+
+
+def test_failed_write_leaves_previous_file_whole(tmp_path):
+    """A write whose rows raise midway leaves the file it would replace
+    byte-identical and no temp file behind."""
+    path = tmp_path / "candidates.csv"
+    write_candidates([Candidate(CandidateKind.NOUN_VERB_PAIR, "road", "blocked", 3)], path)
+    before = path.read_bytes()
+
+    def rows():
+        yield Candidate(CandidateKind.PHRASE, "storm", "surge", 7)
+        raise RuntimeError("stage stopped")
+
+    with pytest.raises(RuntimeError, match="stage stopped"):
+        write_candidates(rows(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["candidates.csv"]

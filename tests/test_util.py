@@ -1,9 +1,12 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subevents._util import fnv1a_32, format_float, sha256_file
+from subevents._util import fnv1a_32, format_float, sha256_file, write_json
 from subevents.corpus import load_stopwords
 from subevents.embed import EmbeddingStore
 from subevents.errors import InputFormatError
@@ -69,3 +72,18 @@ class TestListFileProperties:
             load(path)
         except InputFormatError:
             pass
+
+
+class TestReplacing:
+    def test_new_file_appears_whole_with_umask_mode(self, tmp_path):
+        # The temp file renamed into place keeps its mode, so it must be
+        # created as any new file is (mkstemp would make it 0600).
+        path = tmp_path / "a.json"
+        old = os.umask(0o027)
+        try:
+            write_json(path, {"k": [1, 2]})
+        finally:
+            os.umask(old)
+        assert path.read_text(encoding="utf-8") == '{\n  "k": [\n    1,\n    2\n  ]\n}\n'
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["a.json"]
