@@ -22,9 +22,11 @@ import json
 import logging
 import string
 import unicodedata
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from enum import Enum
 from pathlib import Path
+
+import numpy as np
 
 from ._util import open_text, read_list_file
 from .errors import InputFormatError
@@ -52,7 +54,7 @@ VERB_TAG = "VERB"
 
 # What extraction reads of a sentence's dependency parse: the (noun, verb)
 # surface forms of each head-dependent edge joining a {NOUN, PROPN} token
-# and a VERB token, noun first, in token order (see ``_nv_edges``). Only
+# and a VERB token, noun first, in token order (see ``load_parses``). Only
 # these edges are kept, not the tree: a parse file holds one token per
 # word, and most of them take part in no such edge.
 NvEdges = tuple[tuple[str, str], ...]
@@ -92,24 +94,6 @@ def validate_heads(ids: Sequence[int], heads: Sequence[int]) -> None:
         while on_walk[current] == start:
             on_walk[current] = _REACHES_ROOT
             current = heads[current - 1]
-
-
-def _nv_edges(
-    forms: Sequence[str], upos: Sequence[str], heads: Sequence[int]
-) -> list[tuple[str, str]]:
-    """(noun, verb) surface forms of each head-dependent edge joining a
-    {NOUN, PROPN} token and a VERB token, noun first, in token order, for a
-    sentence given as columns (heads 1-based, 0 for the root)."""
-    edges = []
-    for i, head in enumerate(heads):
-        if head == 0:
-            continue
-        tag, parent_tag = upos[i], upos[head - 1]
-        if tag in NOUN_TAGS and parent_tag == VERB_TAG:
-            edges.append((forms[i], forms[head - 1]))
-        elif tag == VERB_TAG and parent_tag in NOUN_TAGS:
-            edges.append((forms[head - 1], forms[i]))
-    return edges
 
 
 def _parse_line(line: str, label_mode: LabelMode) -> tuple[str, str, Label]:
@@ -274,8 +258,16 @@ class TweetTokens:
             self.skipped += lines.skipped
 
 
+# Characters of a parse sidecar read at a time. A block is cut at a sentence
+# boundary, so it grows past this to hold a longer sentence.
+PARSE_BLOCK_CHARS = 1 << 18
+
 # CoNLL-U column offsets (ID, FORM, UPOS, HEAD are the ones used here).
 _COL_ID, _COL_FORM, _COL_UPOS, _COL_HEAD = 0, 1, 3, 6
+
+# An ID or HEAD field of 1 to this many ASCII digits is read by numpy; any
+# other field is left to int().
+_FAST_DIGITS = 6
 
 
 def load_parses(path: str | Path) -> dict[str, NvEdges]:
@@ -284,84 +276,219 @@ def load_parses(path: str | Path) -> dict[str, NvEdges]:
     is a parse with no noun-verb edge.
 
     A sentence ends at a blank line or at the next ``# tweet_id`` comment.
-    Multiword-token and empty-node lines (ranged or dotted IDs) are skipped.
-    A sentence without a tweet_id comment or violating parse invariants
-    (``validate_heads``) is dropped with a warning; so is one with an
-    unparseable token line, with a warning per such line. Each warning
-    counts toward the "dropped N malformed parse entries" total. A repeated
-    tweet_id keeps the first valid parse. Each sentence is read into
-    transient columns and only its noun-verb edges are kept.
+    A line of fewer than 7 columns is skipped, and so are multiword-token
+    and empty-node lines (an ID holding ``-`` or ``.``). A sentence without
+    a tweet_id comment or violating parse invariants (``validate_heads``)
+    is dropped with a warning; so is one with a token line whose ID or HEAD
+    ``int()`` rejects, with a warning per such line. Each warning counts
+    toward the "dropped N malformed parse entries" total. A repeated
+    tweet_id keeps the first valid parse.
+
+    The file is read in blocks of about ``PARSE_BLOCK_CHARS`` characters,
+    each cut just before its last blank line or ``# tweet_id`` comment
+    line, so a block holds whole sentences. numpy finds the columns of
+    every line of a block as byte offsets, reads IDs and HEADs of plain
+    ASCII digits, checks each sentence's tree and finds its edges; Python
+    reads only comment lines, ID and HEAD fields of any other form (by
+    ``int()``), the words of the edges (one str per distinct word for the
+    whole read), and the message for a rejected tree (``validate_heads``).
     """
     parses: dict[str, NvEdges] = {}
-    current_id: str | None = None
-    dropped = False  # the sentence read so far was already reported
-    first_line = 0  # line number of its first token line
-    ids: list[int] = []
-    forms: list[str] = []
-    upos: list[str] = []
-    heads: list[int] = []
-    columns = (ids, forms, upos, heads)
-    bad = 0
-
-    def flush() -> None:
-        nonlocal current_id, dropped, bad
-        if heads and not dropped:
-            if current_id is None:
-                bad += 1
-                logger.warning("%s:%d: dropping sentence with no tweet_id comment",
-                               path, first_line)
-            else:
-                try:
-                    validate_heads(ids, heads)
-                except ValueError as exc:
-                    bad += 1
-                    logger.warning("%s: dropping parse for %s (%s)", path, current_id, exc)
-                else:
-                    if current_id in parses:
-                        logger.warning("%s: duplicate tweet_id %r, keeping first",
-                                       path, current_id)
-                    else:
-                        parses[current_id] = tuple(_nv_edges(forms, upos, heads))
-        current_id = None
-        dropped = False
-        for column in columns:
-            column.clear()
-
+    words: dict[str, str] = {}
+    bad = lines_before = 0
+    text = ""
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                flush()
-                continue
-            if line.startswith("#"):
-                comment = line[1:].strip()
-                if comment.startswith("tweet_id"):
-                    flush()
-                    _, _, value = comment.partition("=")
-                    current_id = value.strip()
-                continue
-            cols = line.split("\t", _COL_HEAD + 1)
-            if len(cols) <= _COL_HEAD:
-                continue
-            token_id = cols[_COL_ID]
-            if "-" in token_id or "." in token_id:
-                continue
-            try:
-                index = int(token_id)
-                head = int(cols[_COL_HEAD])
-            except ValueError:
-                bad += 1
-                logger.warning("%s: unparseable token line %r", path, line)
-                dropped = True  # the rest of the sentence is read, then dropped
-                continue
-            if not heads:
-                first_line = lineno
-            ids.append(index)
-            forms.append(cols[_COL_FORM])
-            upos.append(cols[_COL_UPOS])
-            heads.append(head)
-    flush()
+        while True:
+            chunk = fh.read(PARSE_BLOCK_CHARS)
+            carried, text = len(text), text + chunk
+            cut = _block_end(text, carried) if chunk else len(text)
+            if cut:
+                bad += _read_block(text[:cut], lines_before, path, parses, words)
+                lines_before += text.count("\n", 0, cut)
+                text = text[cut:]
+            if not chunk:
+                break
     if bad:
         logger.info("%s: dropped %d malformed parse entries", path, bad)
     return parses
 
+
+def _block_end(text: str, carried: int) -> int:
+    """The start of the last blank line or ``# tweet_id`` comment line of
+    `text` after position 0, or 0 when there is none. The search starts at
+    the last line of the first `carried` characters, which an earlier call
+    searched up to that line."""
+    start = max(text.rfind("\n", 0, carried), 0)
+    cut = text.rfind("\n\n", start) + 1
+    end = len(text)
+    while (newline := text.rfind("\n#", max(start, cut), end)) >= 0:
+        line_end = text.find("\n", newline + 1)
+        comment = text[newline + 2 : line_end if line_end >= 0 else None]
+        if comment.strip().startswith("tweet_id"):
+            return newline + 1
+        end = newline + 1
+    return cut
+
+
+def _ascii_digits(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The value of each field ``buf[start:stop]`` of 1 to ``_FAST_DIGITS``
+    ASCII digits, and -1 for any other field."""
+    width = stop - start
+    plain = (width >= 1) & (width <= _FAST_DIGITS)
+    value = np.zeros(len(start), np.int64)
+    for k in range(min(int(width.max(initial=0)), _FAST_DIGITS)):
+        inside = width > k
+        digit = buf[np.where(inside, start + k, 0)].astype(np.int64) - ord("0")
+        plain &= ~inside | ((digit >= 0) & (digit <= 9))
+        value = np.where(inside, value * 10 + digit, value)
+    return np.where(plain, value, -1)
+
+
+def _field_in(
+    buf: np.ndarray, start: np.ndarray, stop: np.ndarray, words: Iterable[str]
+) -> np.ndarray:
+    """Whether each field ``buf[start:stop]`` is one of `words`."""
+    found = np.zeros(len(start), bool)
+    for word in map(str.encode, words):
+        equal = stop - start == len(word)
+        for k, byte in enumerate(word):
+            equal &= buf[np.where(equal, start + k, 0)] == byte
+        found |= equal
+    return found
+
+
+def _read_block(
+    text: str, lines_before: int, path: str | Path,
+    parses: dict[str, NvEdges], words: dict[str, str],
+) -> int:
+    """Read the whole sentences in `text`, the lines of a sidecar after its
+    first `lines_before`, into `parses`, logging as ``load_parses`` does,
+    and return the number of malformed entries met. `words` holds the one
+    str of each edge word read so far."""
+    data = text.encode()
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not data.endswith(b"\n"):
+        ends = np.append(ends, len(buf))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    comment = (starts < ends) & (buf[np.minimum(starts, len(buf) - 1)] == ord("#"))
+
+    # A sentence ends at each blank line and each tweet_id comment line.
+    flush = starts == ends
+    tid_rows, tids = [], []
+    rows = np.flatnonzero(comment)
+    for row, start, end in zip(rows.tolist(), starts[rows].tolist(), ends[rows].tolist()):
+        body = data[start + 1 : end].decode().strip()
+        if body.startswith("tweet_id"):
+            tid_rows.append(row)
+            tids.append(body.partition("=")[2].strip())
+    flush[tid_rows] = True
+    segment = np.cumsum(flush)  # line -> the sentence it is read into
+    tweet_id = dict(zip(segment[tid_rows].tolist(), tids))
+
+    # Token lines: at least 7 columns, found from the line's first tab on.
+    tabs = np.flatnonzero(buf == ord("\t"))
+    first_tab = np.searchsorted(tabs, starts)
+    n_tabs = np.searchsorted(tabs, ends) - first_tab
+    rows = np.flatnonzero(~comment & (n_tabs >= _COL_HEAD))
+    tab = first_tab[rows]
+    head_stop = np.where(n_tabs[rows] > _COL_HEAD,
+                         tabs[np.minimum(tab + _COL_HEAD, len(tabs) - 1)], ends[rows])
+    ids = _ascii_digits(buf, starts[rows], tabs[tab])
+    heads = _ascii_digits(buf, tabs[tab + _COL_HEAD - 1] + 1, head_stop)
+    keep = (ids >= 0) & (heads >= 0)
+    unparseable = []  # (sentence, text) of each token line int() rejects
+    for j in np.flatnonzero(~keep).tolist():
+        row = rows[j]
+        line = data[starts[row] : ends[row]].decode()
+        cols = line.split("\t", _COL_HEAD + 1)
+        if "-" in cols[_COL_ID] or "." in cols[_COL_ID]:
+            continue
+        try:
+            index, head = int(cols[_COL_ID]), int(cols[_COL_HEAD])
+        except ValueError:
+            unparseable.append((int(segment[row]), line))
+            continue
+        keep[j] = True
+        # Beyond -1..len(buf) a value fails the tree check as those two do.
+        ids[j], heads[j] = (min(max(value, -1), len(buf)) for value in (index, head))
+    rows, tab, ids, heads = rows[keep], tab[keep], ids[keep], heads[keep]
+
+    # Tree check: ids run 1..n, heads in range, one root, and every token
+    # reaches the root by pointer jumping (up[i] is 2**k steps up after k).
+    seg = segment[rows]
+    n = len(rows)
+    new = np.ones(n, bool)
+    new[1:] = seg[1:] != seg[:-1]
+    first = np.flatnonzero(new)  # each sentence's first token
+    sentence = np.cumsum(new) - 1
+    base = first[sentence]
+    size = np.diff(first, append=n)
+    root = heads == 0
+    in_range = (ids == np.arange(n) - base + 1) & (heads >= 0) & (heads <= size[sentence])
+    good = np.logical_and.reduceat(in_range, first) & (np.add.reduceat(root, first) == 1)
+    up = np.where(good[sentence] & ~root, base + heads - 1, np.arange(n))
+    for _ in range(int(size.max(initial=0)).bit_length()):
+        up = up[up]
+    good &= np.logical_and.reduceat(root[up], first)
+
+    # Noun-verb edges of the good trees, in token order, and their words.
+    def column(col: int) -> tuple[np.ndarray, np.ndarray]:
+        return tabs[tab + col - 1] + 1, tabs[tab + col]
+
+    noun, verb = (_field_in(buf, *column(_COL_UPOS), tags) for tags in (NOUN_TAGS, [VERB_TAG]))
+    child = np.flatnonzero(good[sentence] & ~root)
+    parent = base[child] + heads[child] - 1
+    noun_child = noun[child] & verb[parent]
+    edge = noun_child | verb[child] & noun[parent]
+    child, parent, noun_child = child[edge], parent[edge], noun_child[edge]
+    pair_tokens = np.stack([np.where(noun_child, child, parent),
+                            np.where(noun_child, parent, child)], axis=1).ravel()
+    start, stop = (field[pair_tokens] for field in column(_COL_FORM))
+    width = stop - start + 1  # each form with the tab after it
+    at = np.repeat(start - (np.cumsum(width) - width), width) + np.arange(width.sum())
+    forms = buf[at].tobytes().decode().split("\t")
+    canonical = map(words.setdefault, forms, forms)
+    pairs = tuple(zip(canonical, canonical))
+    bounds = np.searchsorted(sentence[child], np.arange(len(first) + 1)).tolist()
+
+    # Sentences in order; each unparseable line is logged before the
+    # sentence after it.
+    bad = len(unparseable)
+    dropped = {k for k, _ in unparseable}
+    unparseable.append((len(starts), None))  # after every sentence
+    u = 0
+    for k, token, count, ok, lo, hi in zip(seg[first].tolist(), first.tolist(), size.tolist(),
+                                           good.tolist(), bounds, bounds[1:]):
+        while unparseable[u][0] <= k:
+            logger.warning("%s: unparseable token line %r", path, unparseable[u][1])
+            u += 1
+        if k in dropped:
+            continue
+        tid = tweet_id.get(k)
+        if tid is None:
+            bad += 1
+            logger.warning("%s:%d: dropping sentence with no tweet_id comment",
+                           path, lines_before + int(rows[token]) + 1)
+        elif not ok:
+            lines = rows[token : token + count]
+            try:
+                validate_heads(*_int_columns(data, starts[lines], ends[lines]))
+            except ValueError as exc:
+                bad += 1
+                logger.warning("%s: dropping parse for %s (%s)", path, tid, exc)
+        elif tid in parses:
+            logger.warning("%s: duplicate tweet_id %r, keeping first", path, tid)
+        else:
+            parses[tid] = pairs[lo:hi]
+    for _, line in unparseable[u:-1]:
+        logger.warning("%s: unparseable token line %r", path, line)
+    return bad
+
+
+def _int_columns(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[list[int], list[int]]:
+    """The IDs and HEADs, as int() reads them, of the token lines
+    ``data[starts:ends]``."""
+    cols = [data[s:e].decode().split("\t", _COL_HEAD + 1)
+            for s, e in zip(starts.tolist(), ends.tolist())]
+    return [int(c[_COL_ID]) for c in cols], [int(c[_COL_HEAD]) for c in cols]

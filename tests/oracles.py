@@ -275,7 +275,7 @@ def reference_load_parses(path) -> dict[str, tuple[_Node, ...]]:
     comment, unless an unparseable token line already dropped it.
 
     Not independent: it is that loader, and with `reference_nv_edges` its
-    edge rule, kept as written so the column reader can be checked against
+    edge rule, kept as written so the block reader can be checked against
     it. Bytes that are not UTF-8 raise UnicodeDecodeError (the package
     raises InputFormatError).
     """

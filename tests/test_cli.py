@@ -701,11 +701,18 @@ def _edge_case_corpora(paths: dict, tmp_path: Path) -> tuple[Path, Path]:
     return paths_out
 
 
-@pytest.mark.parametrize("variant", sorted(GOLDEN_EXTRACT))
-def test_extract_artifacts_match_golden_digests(run_cli, tmp_path, write_config,
-                                                pipeline_config_dict, variant):
+# Each variant also reads the parse sidecar in 7-character blocks, which
+# cut a block at nearly every sentence.
+@pytest.mark.parametrize("variant, block_chars", [
+    *(pytest.param(variant, None, id=variant) for variant in sorted(GOLDEN_EXTRACT)),
+    *(pytest.param(variant, 7, id=f"{variant}-block7") for variant in sorted(GOLDEN_EXTRACT)),
+])
+def test_extract_artifacts_match_golden_digests(run_cli, tmp_path, write_config, monkeypatch,
+                                                pipeline_config_dict, variant, block_chars):
     # The lexicon tags each planted candidate's first word N and second word
     # V, so the 120 tweets without a parse add window pairs.
+    if block_chars is not None:
+        monkeypatch.setattr("subevents.corpus.PARSE_BLOCK_CHARS", block_chars)
     planted = make_fixtures.crisis_candidates() + make_fixtures.noise_candidates()
     lexicon = tmp_path / "lexicon.tsv"
     lexicon.write_text("".join(f"{first}\tN\n{second}\tV\n" for _, first, second in planted),

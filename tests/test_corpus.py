@@ -1,6 +1,8 @@
 import gc
 import json
+import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+from subevents import corpus
 from subevents.corpus import (
     CorpusLines,
     Label,
@@ -551,12 +554,23 @@ class TestReaderProperties:
         path = reader_dir / "p.conllu"
         path.write_bytes(data)
         try:
-            parses = load_parses(path)
-        except InputFormatError:
-            with pytest.raises(UnicodeDecodeError):
-                oracles.reference_load_parses(path)
+            oracles.reference_load_parses(path)
+        except UnicodeDecodeError:
+            for block_chars in BLOCK_CHARS:
+                with mock.patch.object(corpus, "PARSE_BLOCK_CHARS", block_chars):
+                    with pytest.raises(InputFormatError):
+                        load_parses(path)
             return
-        assert parses == _reference_edges(path)
+        expected = _reference_edges(path)
+        for block_chars in BLOCK_CHARS:
+            with mock.patch.object(corpus, "PARSE_BLOCK_CHARS", block_chars):
+                assert load_parses(path) == expected
+
+
+# Block sizes the parse reader is checked at: its own, and reads of 16 and
+# 1 characters, which end inside nearly every line, so that nearly every
+# sentence is cut out as a block of its own.
+BLOCK_CHARS = (corpus.PARSE_BLOCK_CHARS, 16, 1)
 
 
 def _reference_edges(path):
@@ -570,27 +584,34 @@ _TAGS = ("NOUN", "PROPN", "VERB", "ADJ", "X")
 @st.composite
 def _sentences(draw):
     """Lines of one CoNLL-U sentence: an optional tweet_id comment (ids
-    repeat across sentences) and 1-6 token lines forming a tree. Now and
-    then a head is replaced by any integer or a non-integer, or a token id
-    is off, so cycles, several roots, out-of-range heads, id gaps and
-    unparseable lines occur, as do ranged and dotted ids."""
+    repeat across sentences) and 1-6 token lines (7-40 in one sentence of
+    four) forming a tree, now and then a chain (a tree 16 or more deep
+    needs five rounds of pointer jumping). Now and then a head is replaced by any integer or a
+    non-integer, or a token id is off, so cycles, several roots,
+    out-of-range heads, id gaps and unparseable lines occur, as do ranged
+    and dotted ids, and ids and heads that int() reads though they are not
+    plain ASCII digits (" 2 ", "+1", "1_0", Arabic-Indic digits) or are
+    too large for any tree."""
     lines = []
     if draw(st.integers(0, 7)):
         lines.append(f"# tweet_id = {draw(st.sampled_from('abcd'))}")
     if draw(st.integers(0, 3)) == 0:
         lines.append("# text = flood rising")
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(7, 40) if draw(st.integers(0, 3)) == 0 else st.integers(1, 6))
     order = draw(st.permutations(range(1, n + 1)))
+    chain = draw(st.integers(0, 3)) == 0
     heads = {order[0]: "0"}
     for k in range(1, n):
-        heads[order[k]] = str(order[draw(st.integers(0, k - 1))])
+        heads[order[k]] = str(order[k - 1 if chain else draw(st.integers(0, k - 1))])
     if draw(st.integers(0, 5)) == 0:
         heads[draw(st.integers(1, n))] = draw(st.sampled_from(
-            [str(h) for h in range(-1, n + 2)] + ["_", "1.5", " 2 "]))
+            [str(h) for h in range(-1, n + 2)]
+            + ["_", "1.5", " 2 ", "+1", "1_0", "\u0661", "9" * 20]))
     for i in range(1, n + 1):
         if draw(st.integers(0, 9)) == 0:
             lines.append(draw(st.sampled_from([f"{i}-{i + 1}", f"{i}.1"])) + "\tx\t_\t_\t_\t_\t_")
-        token_id = str(i) if draw(st.integers(0, 24)) else draw(st.sampled_from([str(i + 1), "x"]))
+        token_id = str(i) if draw(st.integers(0, 24)) else draw(
+            st.sampled_from([str(i + 1), "x", f" {i} ", f"+{i}", f"0{i}", "9" * 20]))
         form = draw(st.sampled_from(["floods", "rise", "Bridge", "gone", "x y"]))
         tag = draw(st.sampled_from(_TAGS))
         lines.append("\t".join([token_id, form, "_", tag, "_", "_", heads[i], "dep", "_", "_"]))
@@ -600,11 +621,13 @@ def _sentences(draw):
 @st.composite
 def _sidecars(draw):
     """Sentences separated by a blank line or by nothing (the next
-    tweet_id comment then ends a sentence), with LF or CRLF line ends."""
+    tweet_id comment then ends a sentence), with LF or CRLF line ends;
+    now and then a file holds no blank line at all."""
     parts = []
+    blank_lines = draw(st.integers(0, 3)) > 0
     for lines in draw(st.lists(_sentences(), max_size=6)):
         parts.extend(lines)
-        if draw(st.integers(0, 3)):
+        if blank_lines and draw(st.integers(0, 3)):
             parts.append("")
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(parts).encode("utf-8")
@@ -615,47 +638,113 @@ def _sidecars(draw):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=_sidecars())
 def test_load_parses_matches_node_reference(data, reader_dir, caplog):
-    """The column reader keeps the ids, edges and log records, in order, of
-    the node-based reader it replaced."""
+    """The block reader keeps the ids, edges and log records, in order, of
+    the node-based reader it replaced, at every block size."""
     path = reader_dir / "sidecar.conllu"
     path.write_bytes(data)
     caplog.clear()
     with caplog.at_level("INFO"):
-        parses = load_parses(path)
-        got = [(rec.levelname, rec.getMessage()) for rec in caplog.records]
-        caplog.clear()
         expected = _reference_edges(path)
         want = [(rec.levelname, rec.getMessage()) for rec in caplog.records]
-    assert list(parses) == list(expected)
-    assert parses == expected
-    assert got == want
+        for block_chars in BLOCK_CHARS:
+            caplog.clear()
+            with mock.patch.object(corpus, "PARSE_BLOCK_CHARS", block_chars):
+                parses = load_parses(path)
+            got = [(rec.levelname, rec.getMessage()) for rec in caplog.records]
+            assert list(parses) == list(expected)
+            assert parses == expected
+            assert got == want
 
 
-def _retained_bytes(load, path):
-    """Bytes still allocated (tracemalloc) while the result of load(path) is held."""
+def _traced_bytes(load, path):
+    """Bytes still allocated (tracemalloc) while the result of load(path) is
+    held, and the peak allocated while it ran."""
     gc.collect()
     tracemalloc.start()
     try:
         result = load(path)  # noqa: F841  (held while measured)
-        return tracemalloc.get_traced_memory()[0]
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+
+
+def _bulk_sidecar(path, sentences=2000, vocabulary=None, blank_lines=True):
+    """Write `sentences` well-formed fifteen-token sentences to `path`: a
+    star around the second token, tags cycling through nouns, verbs and
+    others. Each word is new unless `vocabulary` bounds how many differ."""
+    tags = ["NOUN", "VERB", "ADV", "ADJ", "PROPN"]
+    lines = []
+    for s in range(sentences):
+        lines.append(f"# tweet_id = t{s:05d}")
+        for i in range(1, 16):
+            head = 0 if i == 2 else 2
+            word = f"w{s}x{i}" if vocabulary is None else f"w{(s * 15 + i) % vocabulary}"
+            lines.append(f"{i}\t{word}\t_\t{tags[(s + i) % 5]}\t_\t_\t{head}\tdep\t_\t_")
+        if blank_lines:
+            lines.append("")
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return path
 
 
 def test_load_parses_retains_a_fraction_of_the_tree_reader(tmp_path):
     """Keeping only noun-verb edges holds under a third of what one node
     per token held, on 2,000 fifteen-token sentences."""
-    tags = ["NOUN", "VERB", "ADV", "ADJ", "PROPN"]
-    lines = []
-    for s in range(2000):
-        lines.append(f"# tweet_id = t{s:05d}")
-        for i in range(1, 16):
-            head = 0 if i == 2 else 2
-            lines.append(f"{i}\tw{s}x{i}\t_\t{tags[(s + i) % 5]}\t_\t_\t{head}\tdep\t_\t_")
-        lines.append("")
-    path = tmp_path / "bulk.conllu"
-    path.write_text("\n".join(lines), encoding="utf-8")
+    path = _bulk_sidecar(tmp_path / "bulk.conllu")
     assert len(load_parses(path)) == 2000
-    assert 3 * _retained_bytes(load_parses, path) < _retained_bytes(
+    assert 3 * _traced_bytes(load_parses, path)[0] < _traced_bytes(
         oracles.reference_load_parses, path
-    )
+    )[0]
+
+
+def test_equal_edge_words_are_one_str_across_blocks(tmp_path, monkeypatch):
+    """An edge word is one str however many sentences and blocks hold it."""
+    monkeypatch.setattr(corpus, "PARSE_BLOCK_CHARS", 64)
+    sentence = ("1\tfloods\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
+                "2\trise\t_\tVERB\t_\t_\t0\troot\t_\t_\n\n")
+    path = tmp_path / "p.conllu"
+    path.write_text("".join(f"# tweet_id = {i}\n{sentence}" for i in range(4)), encoding="utf-8")
+    parses = load_parses(path)
+    assert len(parses) == 4
+    (noun, verb), = parses["0"]
+    for edges in parses.values():
+        assert edges == (("floods", "rise"),)
+        assert edges[0][0] is noun and edges[0][1] is verb
+
+
+@pytest.mark.parametrize("blank_lines", [True, False], ids=["blank_lines", "tweet_id_only"])
+def test_load_parses_transient_memory_is_bounded_by_the_block(tmp_path, monkeypatch, blank_lines):
+    """What the read uses beyond its result grows by under 25% from a
+    4-block sidecar to a 16-block one, with or without blank lines between
+    sentences. The words repeat: the read keeps one str per distinct edge
+    word, which this measure counts."""
+    monkeypatch.setattr(corpus, "PARSE_BLOCK_CHARS", 1 << 14)
+    sizes = []
+    for blocks in (4, 16):
+        # About 40 of these sentences fill a block.
+        path = _bulk_sidecar(tmp_path / f"{blocks}.conllu", sentences=40 * blocks,
+                             vocabulary=50, blank_lines=blank_lines)
+        assert path.stat().st_size > blocks * corpus.PARSE_BLOCK_CHARS
+        held, peak = _traced_bytes(load_parses, path)
+        sizes.append(peak - held)
+    small, large = sizes
+    assert large < 1.25 * small
+
+
+def test_load_parses_does_no_per_line_python_work(tmp_path):
+    """Fewer than two Python and C function calls (profile events) per
+    token line of a well-formed sidecar: the lines are read by numpy, not
+    by Python one at a time."""
+    path = _bulk_sidecar(tmp_path / "bulk.conllu")
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        parses = load_parses(path)
+    finally:
+        sys.setprofile(None)
+    assert len(parses) == 2000
+    assert calls < 2 * 2000 * 15

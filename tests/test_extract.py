@@ -1,6 +1,8 @@
 import gc
 import json
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,7 +13,6 @@ from subevents.corpus import (
     LabelMode,
     TokenCleaner,
     TweetTokens,
-    _nv_edges,
     load_parses,
     load_stopwords,
 )
@@ -36,8 +37,12 @@ STOPWORDS = load_stopwords()
 def _parse(words):
     """The noun-verb edges ``load_parses`` keeps of a sentence given as
     (surface, upos, head) triples."""
-    forms, upos, heads = zip(*words)
-    return tuple(_nv_edges(forms, upos, heads))
+    lines = [f"{i}\t{surface}\t_\t{upos}\t_\t_\t{head}\t_\t_\t_\n"
+             for i, (surface, upos, head) in enumerate(words, start=1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sentence.conllu"
+        path.write_text("# tweet_id = s\n" + "".join(lines), encoding="utf-8")
+        return load_parses(path)["s"]
 
 
 def _pairs(parse, tokens=(), lexicon=None):
