@@ -59,7 +59,7 @@ def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
 
 
 def read_list_file(
-    path: str | Path | None, bundled: str, bundled_name: str
+    path: str | Path | None, bundled: str | None = None, bundled_name: str | None = None
 ) -> tuple[str | Path, list[tuple[int, str]]]:
     """The entries of a one-entry-per-line list file and the name to report
     it by: (lineno, stripped line) for each line that is neither blank nor

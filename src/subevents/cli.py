@@ -9,7 +9,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 import time
@@ -251,12 +250,8 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     )
 
 
-def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> EmbeddingStore | None:
-    """Rank the extracted candidates. Returns the vector store ranked with,
-    which holds the vectors of every candidate and term word (None for the
-    baseline, which reads no vectors)."""
+def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> None:
     candidates = read_candidates(_require_artifact(out_dir, "candidates", "extract"))
-    store = None
     if cfg.rank.method == "baseline":
         tweets = _tweet_tokens(cfg)
         ranked = rank_baseline_overlap(candidates, tweets, cfg.rank.discount)
@@ -274,21 +269,17 @@ def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> EmbeddingStore | None:
         print(f"  candidates without a vector: {no_vector} (scored {NULL_SCORE:g}, ranked last)")
         print(f"  terms without a vector:      {unusable} of {len(ontology)}"
               " (not used for scoring)")
-    return store
 
 
-def cmd_cluster(cfg: PipelineConfig, out_dir: Path, store: EmbeddingStore | None = None) -> None:
-    """Cluster the top of the ranking; `store` is the vector store to
-    compose with, loaded from the config when None with the vectors of the
-    top candidates' words only."""
+def cmd_cluster(cfg: PipelineConfig, out_dir: Path) -> None:
+    """Cluster the top `cluster.top_m` candidates of the ranking, composed
+    from the vectors of their words only."""
     k = _cluster_k(cfg)
     ranked = read_ranked(_require_artifact(out_dir, "ranked", "rank"))
     top = ranked[: cfg.cluster.top_m]
     word_lists = [rc.candidate.words for rc in top]
-    # A store loaded here is freed once composed, before the affinity is built.
-    rows, null = compose_rows(
-        word_lists, _load_store(cfg, word_lists) if store is None else store
-    )
+    # The store is freed once composed, before the affinity is built.
+    rows, null = compose_rows(word_lists, _load_store(cfg, word_lists))
     kept = [rc for rc, is_null in zip(top, null) if not is_null]
     vectors = rows[~null]
     affinity = build_affinity(vectors)
@@ -352,24 +343,10 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> None:
     _vectors(cfg)
     timings = {}
     start = time.perf_counter()
-
-    def run(name, handler, *args):
+    for name in ("extract", "rank", "cluster", "evaluate"):
         stage_start = time.perf_counter()
-        result = handler(cfg, out_dir, *args)
+        COMMANDS[name](cfg, out_dir)
         timings[name] = round(time.perf_counter() - stage_start, 6)
-        return result
-
-    run("extract", cmd_extract)
-    # Rank (moac) and cluster share vectors loaded once: rank's store holds
-    # every candidate word, so every word of the top candidates. Cluster
-    # gets a copy with empty subword caches, so rank's are not held through
-    # cluster; under the baseline, cluster loads its own. Evaluate runs
-    # with the store freed.
-    store = run("rank", cmd_rank)
-    store = None if store is None else dataclasses.replace(store)
-    run("cluster", cmd_cluster, store)
-    del store
-    run("evaluate", cmd_evaluate)
     total = round(time.perf_counter() - start, 6)
     manifest = {
         "tool_version": __version__,

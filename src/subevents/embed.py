@@ -25,7 +25,7 @@ logger = logging.getLogger(__name__)
 
 SUBWORD_MIN_GRAM = 3
 SUBWORD_MAX_GRAM = 6
-DEFAULT_BUCKETS = 1 << 16
+SUBWORD_BUCKETS = 1 << 16
 # Vector rows handed to numpy's string-to-float cast at a time.
 VECTOR_BLOCK_ROWS = 64
 
@@ -41,11 +41,12 @@ class EmbeddingStore:
 
     With `normalize_words`, `compose` L2-normalizes each word vector before
     summing. Under SUBWORD_HASH, an OOV word gets the average of per-n-gram
-    vectors drawn from a fixed-size bucket table generated deterministically
-    from (hash_seed, bucket); bucket vectors are materialized lazily but are
-    a pure function of the seed, and each OOV word's vector is made once and
-    kept read-only. A copy made by `dataclasses.replace` shares the word
-    vectors and starts with empty bucket and subword caches.
+    vectors drawn from a table of SUBWORD_BUCKETS buckets generated
+    deterministically from (hash_seed, bucket); bucket vectors are
+    materialized lazily but are a pure function of the seed, and each OOV
+    word's vector is made once and kept read-only. A copy made by
+    `dataclasses.replace` shares the word vectors and starts with empty
+    bucket and subword caches.
     """
 
     dim: int
@@ -53,7 +54,6 @@ class EmbeddingStore:
     oov_policy: OovPolicy = OovPolicy.SKIP_WORD
     hash_seed: int = 0
     normalize_words: bool = False
-    n_buckets: int = DEFAULT_BUCKETS
     _bucket_cache: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
     _subword_cache: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
@@ -86,7 +86,7 @@ class EmbeddingStore:
             grams = [marked]
         total = np.zeros(self.dim)
         for gram in grams:
-            total += self._bucket_vector(fnv1a_32(gram.encode("utf-8")) % self.n_buckets)
+            total += self._bucket_vector(fnv1a_32(gram.encode("utf-8")) % SUBWORD_BUCKETS)
         vec = total / len(grams)
         vec.flags.writeable = False
         self._subword_cache[word] = vec

@@ -98,10 +98,9 @@ def _edge_pairs(edges: NvEdges, cleaner: TokenCleaner) -> Iterator[tuple[str, st
             yield noun, verb
 
 
-def load_pos_lexicon(path: str | Path | None = None) -> dict[str, frozenset[str]]:
-    """Load a `word TAB tags` lexicon (tags a subset of {N, V}); the bundled
-    small lexicon is used when no path is given."""
-    path, entries = read_list_file(path, "pos_lexicon.txt", "<bundled lexicon>")
+def load_pos_lexicon(path: str | Path) -> dict[str, frozenset[str]]:
+    """Load a `word TAB tags` lexicon (tags a subset of {N, V})."""
+    _, entries = read_list_file(path)
     lexicon: dict[str, frozenset[str]] = {}
     for lineno, line in entries:
         parts = line.split("\t")

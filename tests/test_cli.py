@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -162,17 +163,21 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("key, bundled", [
+    @pytest.mark.parametrize("key, start", [
         ("corpus_unlabeled", None), ("corpus_labeled", None), ("parses", None),
         ("vectors", None), ("ontology", None),
         ("stopwords", "stopwords.txt"), ("lexicon", "pos_lexicon.txt"),
     ])
-    def test_non_utf8_input_names_the_file(self, run_cli, tmp_path, write_config,
-                                           pipeline_config_dict, key, bundled):
-        if bundled is None:
+    def test_non_utf8_input_names_the_file(self, run_cli, tmp_path, write_config, fixtures_dir,
+                                           pipeline_config_dict, key, start):
+        # Each file starts well-formed: the configured input, the bundled
+        # stopword list or the test lexicon.
+        if start is None:
             text = Path(pipeline_config_dict["paths"][key]).read_bytes()
+        elif key == "stopwords":
+            text = resources.files("subevents.data").joinpath(start).read_bytes()
         else:
-            text = resources.files("subevents.data").joinpath(bundled).read_bytes()
+            text = (fixtures_dir / start).read_bytes()
         bad = tmp_path / f"latin1_{key}.txt"
         bad.write_bytes(text + "caf\u00e9\n".encode("latin-1"))
         cfg_dict = json.loads(json.dumps(pipeline_config_dict))
@@ -412,20 +417,66 @@ class TestPipeline:
         assert len(clusters) == 5
 
 
-    @pytest.mark.parametrize("method", ["moac", "baseline"])
-    def test_vectors_loaded_once(self, run_cli, tmp_path, write_config, pipeline_config_dict,
-                                 monkeypatch, method):
-        calls = []
+    @pytest.mark.parametrize("variant", ["moac", "baseline", "subword"])
+    def test_pipeline_is_the_staged_run(self, run_cli, tmp_path, write_config,
+                                        pipeline_config_dict, monkeypatch, caplog, variant):
+        # A second, malformed row for a top candidate's word, which every
+        # stage that reads it warns about. Under "subword" the word has no
+        # other row, so it is composed from subword bucket vectors.
+        flags = {"moac": [], "baseline": ["--rank.method", "baseline"],
+                 "subword": ["--rank.oov_policy", "subword"]}[variant]
+        base = (_oov_vectors(pipeline_config_dict, tmp_path) if variant == "subword"
+                else Path(pipeline_config_dict["paths"]["vectors"]))
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text(base.read_text(encoding="utf-8") + "cnounaa 1 2\n", encoding="utf-8")
+        cfg_dict = json.loads(json.dumps(pipeline_config_dict))
+        cfg_dict["paths"]["vectors"] = str(vectors)
+        out = tmp_path / "out"
+        cfg = write_config(cfg_dict, out)
+
+        # Each stage handler entered and each set of words whose vectors
+        # are loaded, in order.
+        events = []
+        for name in ("extract", "rank", "cluster", "evaluate"):
+            def handler(cfg, out_dir, name=name, run=cli.COMMANDS[name]):
+                events.append(name)
+                run(cfg, out_dir)
+            monkeypatch.setitem(cli.COMMANDS, name, handler)
         load_vectors = cli.load_vectors
 
-        def counting_load(*args, **kwargs):
-            calls.append(args)
-            return load_vectors(*args, **kwargs)
+        def recording_load(*args, words, **kwargs):
+            events.append(frozenset(words))
+            return load_vectors(*args, words=words, **kwargs)
 
-        monkeypatch.setattr(cli, "load_vectors", counting_load)
-        cfg = write_config(pipeline_config_dict, tmp_path / "out")
-        assert run_cli("pipeline", "--config", cfg, "--rank.method", method)[0] == 0
-        assert len(calls) == 1
+        monkeypatch.setattr(cli, "load_vectors", recording_load)
+
+        def run(*stages):
+            """The events, stderr lines and artifacts of `stages` run one
+            by one on a fresh out dir."""
+            shutil.rmtree(out, ignore_errors=True)
+            events.clear()
+            caplog.clear()
+            stderr = []
+            with caplog.at_level("INFO"):
+                for stage in stages:
+                    code, _, err = run_cli(stage, "--config", cfg, "--verbose", *flags)
+                    assert code == 0
+                    stderr += [f"{rec.levelname} {rec.name}: {rec.getMessage()}"
+                               for rec in caplog.records] + err.splitlines()
+                    caplog.clear()
+            artifacts = {name: (out / name).read_bytes() for name in (
+                "candidates.csv", "accounting.json", "ranked.csv", "clusters.json",
+                "metrics.csv")}
+            return list(events), stderr, artifacts
+
+        staged = run("extract", "rank", "cluster", "evaluate")
+        assert run("pipeline") == staged
+        events, stderr, _ = staged
+        loads = [event for event in events if isinstance(event, frozenset)]
+        assert len(loads) == (1 if variant == "baseline" else 2)
+        assert "cnounaa" in loads[-1]
+        rejected = [line for line in stderr if "rejecting row for 'cnounaa'" in line]
+        assert len(rejected) == len(loads)
 
     @pytest.mark.parametrize("variant", ["shipped", "normalize_words", "subword"])
     def test_staged_run_matches_pipeline(self, run_cli, tmp_path, write_config,
@@ -468,7 +519,7 @@ class TestPipeline:
             return [rec.getMessage().split("'")[1] for rec in caplog.records
                     if rec.name == "subevents.embed"]
 
-        assert warned("pipeline") == ["cnounaa", "anchortheta"]
+        assert warned("pipeline") == ["cnounaa", "anchortheta", "cnounaa"]
         assert warned("rank") == ["cnounaa", "anchortheta"]
         assert warned("cluster") == ["cnounaa"]
 

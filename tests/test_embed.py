@@ -280,7 +280,7 @@ class TestSubwordHash:
         assert grams == ["<ca", "cat", "at>", "<cat", "cat>", "<cat>"]
         total = np.zeros(store.dim)
         for gram in grams:
-            total += store._bucket_vector(fnv1a_32(gram.encode("utf-8")) % store.n_buckets)
+            total += store._bucket_vector(fnv1a_32(gram.encode("utf-8")) % embed.SUBWORD_BUCKETS)
         assert np.allclose(store.subword_vector("cat"), total / len(grams))
 
     def test_short_word_uses_whole_marked_form(self):
@@ -301,7 +301,7 @@ class TestSubwordHash:
         assert np.array_equal(first, again)
 
     def test_copy_shares_vectors_with_an_empty_bucket_cache(self):
-        # The pipeline hands cluster such a copy of rank's store.
+        # A copy keeps the loaded vectors and drops the caches built since.
         store = _store({"flood": [1.0, 0.0, 0.0]}, policy=OovPolicy.SUBWORD_HASH, hash_seed=3)
         expected = store.subword_vector("rain")
         copy = dataclasses.replace(store)

@@ -132,7 +132,7 @@ class TestNvPairs:
 
 
 class TestFallback:
-    LEXICON = load_pos_lexicon()
+    LEXICON = load_pos_lexicon(Path(__file__).parent / "fixtures" / "pos_lexicon.txt")
 
     def test_window_four_reaches_farther_verb(self):
         tokens = ["house", "burning", "road", "blocked"]
@@ -146,7 +146,7 @@ class TestFallback:
         assert _pairs(None, ["burning", "house"], self.LEXICON) == []
 
     def test_dual_tag_word_pairs_both_ways(self):
-        # "flood" is tagged NV in the bundled lexicon.
+        # "flood" is tagged NV in the fixture lexicon.
         pairs = _pairs(None, ["flood", "blocked", "road", "flood"], self.LEXICON)
         assert ("flood", "blocked") in pairs
         assert ("road", "flood") in pairs
