@@ -20,7 +20,7 @@ from .config import PipelineConfig, load_config
 from .corpus import Label, LabelMode, TweetTokens, load_parses, load_stopwords
 from .embed import ComposedVector, EmbeddingStore, OovPolicy, compose, load_vectors
 from .errors import ConfigError, InputFormatError, SubeventsError
-from .evaluate import MatchIndex, MetricsPoint, RocCurve, evaluate_labeled, roc_points
+from .evaluate import MetricsPoint, RocCurve, evaluate_labeled, roc_points
 from .extract import (
     Candidate,
     CandidateKind,
@@ -47,7 +47,6 @@ __all__ = [
     "InputFormatError",
     "Label",
     "LabelMode",
-    "MatchIndex",
     "MetricsPoint",
     "Ontology",
     "OovPolicy",

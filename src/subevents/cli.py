@@ -378,10 +378,12 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    # basicConfig adds a stderr handler only to a root logger without one;
+    # the package logger's level is set for this call and restored after.
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    package_logger = logging.getLogger("subevents")
+    level = package_logger.level
+    package_logger.setLevel(logging.INFO if args.verbose else logging.WARNING)
     try:
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
@@ -395,6 +397,8 @@ def main(argv: list[str] | None = None) -> int:
     except (SubeventsError, OSError, ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
+    finally:
+        package_logger.setLevel(level)
     return 0
 
 

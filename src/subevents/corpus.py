@@ -290,11 +290,12 @@ def load_parses(path: str | Path) -> dict[str, NvEdges]:
     every line of a block as byte offsets, reads IDs and HEADs of plain
     ASCII digits, checks each sentence's tree and finds its edges; Python
     reads only comment lines, ID and HEAD fields of any other form (by
-    ``int()``), the words of the edges (one str per distinct word for the
-    whole read), and the message for a rejected tree (``validate_heads``).
+    ``int()``), the words of the edges (one str per distinct word and one
+    tuple per distinct edge for the whole read), and the message for a
+    rejected tree (``validate_heads``).
     """
     parses: dict[str, NvEdges] = {}
-    words: dict[str, str] = {}
+    interned: dict = {}
     bad = lines_before = 0
     text = ""
     with open_text(path) as fh:
@@ -303,7 +304,7 @@ def load_parses(path: str | Path) -> dict[str, NvEdges]:
             carried, text = len(text), text + chunk
             cut = _block_end(text, carried) if chunk else len(text)
             if cut:
-                bad += _read_block(text[:cut], lines_before, path, parses, words)
+                bad += _read_block(text[:cut], lines_before, path, parses, interned)
                 lines_before += text.count("\n", 0, cut)
                 text = text[cut:]
             if not chunk:
@@ -359,12 +360,12 @@ def _field_in(
 
 def _read_block(
     text: str, lines_before: int, path: str | Path,
-    parses: dict[str, NvEdges], words: dict[str, str],
+    parses: dict[str, NvEdges], interned: dict,
 ) -> int:
     """Read the whole sentences in `text`, the lines of a sidecar after its
     first `lines_before`, into `parses`, logging as ``load_parses`` does,
-    and return the number of malformed entries met. `words` holds the one
-    str of each edge word read so far."""
+    and return the number of malformed entries met. `interned` holds the
+    one str of each edge word and the one tuple of each edge read so far."""
     data = text.encode()
     buf = np.frombuffer(data, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
@@ -448,8 +449,9 @@ def _read_block(
     width = stop - start + 1  # each form with the tab after it
     at = np.repeat(start - (np.cumsum(width) - width), width) + np.arange(width.sum())
     forms = buf[at].tobytes().decode().split("\t")
-    canonical = map(words.setdefault, forms, forms)
-    pairs = tuple(zip(canonical, canonical))
+    canonical = map(interned.setdefault, forms, forms)
+    edges = list(zip(canonical, canonical))
+    pairs = tuple(map(interned.setdefault, edges, edges))
     bounds = np.searchsorted(sentence[child], np.arange(len(first) + 1)).tolist()
 
     # Sentences in order; each unparseable line is logged before the

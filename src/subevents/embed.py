@@ -26,8 +26,6 @@ logger = logging.getLogger(__name__)
 SUBWORD_MIN_GRAM = 3
 SUBWORD_MAX_GRAM = 6
 SUBWORD_BUCKETS = 1 << 16
-# Vector rows handed to numpy's string-to-float cast at a time.
-VECTOR_BLOCK_ROWS = 64
 
 
 class OovPolicy(Enum):
@@ -112,10 +110,11 @@ def load_vectors(
     the rows whose first field is one of them. The rows of other words are
     skipped unparsed, so they are neither checked nor warned about.
 
-    A row that is read is rejected with a warning when its arity disagrees
-    with the declared dimension or a component is non-numeric or
-    non-finite; a duplicate word keeps the first accepted row. A malformed
-    header is fatal.
+    Each row that is read is parsed on its own: numpy's string-to-float64
+    cast reads every value as ``float()`` does. The row is rejected with a
+    warning when its arity disagrees with the declared dimension or a value
+    is non-numeric or non-finite; a duplicate word keeps the first accepted
+    row. A malformed header is fatal.
     """
     with open_text(path) as fh:
         header = fh.readline().split()
@@ -128,71 +127,39 @@ def load_vectors(
         if len(header) != 2 or declared < 0 or dim < 1:
             raise InputFormatError(f"{path}: invalid header {header!r}")
         vectors: dict[str, np.ndarray] = {}
-        block: list[tuple[int, list[str]]] = []
         for lineno, line in enumerate(fh, start=2):
             if words is not None:
                 head = line.split(None, 1)
                 if not head or head[0] not in words:
                     continue
             parts = line.split()
-            if parts:
-                block.append((lineno, parts))
-            if len(block) == VECTOR_BLOCK_ROWS:
-                _add_rows(vectors, block, dim, path)
-                block = []
-        _add_rows(vectors, block, dim, path)
+            if not parts:
+                continue
+            word = parts[0]
+            if len(parts) != dim + 1:
+                logger.warning(
+                    "%s:%d: rejecting row for %r (%d values, expected %d)",
+                    path, lineno, word, len(parts) - 1, dim,
+                )
+                continue
+            try:
+                values = np.array(parts[1:], dtype=np.float64)
+            except ValueError:
+                logger.warning("%s:%d: rejecting row for %r (non-numeric)", path, lineno, word)
+                continue
+            if not np.isfinite(values).all():
+                logger.warning("%s:%d: rejecting row for %r (non-finite)", path, lineno, word)
+                continue
+            if word in vectors:
+                logger.warning("%s:%d: duplicate word %r, keeping first", path, lineno, word)
+                continue
+            vectors[word] = values
     if words is not None:
         logger.info("%s: loaded %d of the %d words asked for", path, len(vectors), len(words))
     elif declared != len(vectors):
         logger.info("%s: header declared %d words, loaded %d", path, declared, len(vectors))
     return EmbeddingStore(dim=dim, vectors=vectors, oov_policy=oov_policy,
                           hash_seed=hash_seed, normalize_words=normalize_words)
-
-
-def _block_values(rows: list[list[str]]) -> np.ndarray:
-    """The value tokens of `rows` (each a word and then its values) as a
-    float64 array, one row each. numpy's string cast reads every token as
-    `float()` does; a token that is not a number raises ValueError."""
-    return np.array([parts[1:] for parts in rows], dtype=np.float64)
-
-
-def _add_rows(
-    vectors: dict[str, np.ndarray], block: list[tuple[int, list[str]]], dim: int, path: str | Path
-) -> None:
-    """Store the accepted rows of one block of (lineno, split line), warning
-    about each rejected row in line order."""
-    sized = [parts for _, parts in block if len(parts) == dim + 1]
-    try:
-        parsed = _block_values(sized) if sized else None
-    except ValueError:
-        parsed = None  # some row is not numeric: read row by row to find it
-    finite = np.isfinite(parsed).all(axis=1) if parsed is not None else None
-    row = -1
-    for lineno, parts in block:
-        word = parts[0]
-        if len(parts) != dim + 1:
-            logger.warning(
-                "%s:%d: rejecting row for %r (%d values, expected %d)",
-                path, lineno, word, len(parts) - 1, dim,
-            )
-            continue
-        row += 1
-        if parsed is not None:
-            values, is_finite = parsed[row], finite[row]
-        else:
-            try:
-                values = _block_values([parts])[0]
-            except ValueError:
-                logger.warning("%s:%d: rejecting row for %r (non-numeric)", path, lineno, word)
-                continue
-            is_finite = np.all(np.isfinite(values))
-        if not is_finite:
-            logger.warning("%s:%d: rejecting row for %r (non-finite)", path, lineno, word)
-            continue
-        if word in vectors:
-            logger.warning("%s:%d: duplicate word %r, keeping first", path, lineno, word)
-            continue
-        vectors[word] = values
 
 
 def compose(words: Sequence[str], store: EmbeddingStore) -> ComposedVector:

@@ -6,8 +6,8 @@ containment (dependency pairs need not be adjacent in text); phrases match
 by ordered adjacent bigram. Both match modes can be overridden.
 
 The labeled tweets arrive as a stream of ``(label, tokens)``, one per
-corpus line, and are read once; only their labels and the postings of the
-words and bigrams the ranking names are kept.
+corpus line, and are read once; of each, only its label and its lowest
+matching rank are kept.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, product, repeat
+from math import inf
 from pathlib import Path
 
 from ._util import format_float, read_table, write_table
 from .corpus import Label
 from .errors import InputFormatError
-from .extract import Candidate, CandidateKind
+from .extract import CandidateKind
 from .rank import RankedCandidate
 
 MATCH_MODES = ("tokens", "bigram")
@@ -64,47 +66,6 @@ def _check_mode(name: str, mode: str) -> None:
         raise ValueError(f"{name} must be one of {MATCH_MODES}, got {mode!r}")
 
 
-class MatchIndex:
-    """The labels of the labeled tweets of a ``(label, tokens)`` stream, in
-    stream order, and postings into them: the tweets holding each word a
-    candidate names, and the tweets holding each candidate's ``(first,
-    second)`` as an adjacent bigram. Unlabeled tweets are skipped; every
-    other one counts by its place in the stream, so a tweet read twice
-    counts twice."""
-
-    def __init__(
-        self, labeled: Iterable[tuple[Label, Sequence[str]]], candidates: Iterable[Candidate]
-    ):
-        pairs = {(candidate.first, candidate.second) for candidate in candidates}
-        words = {word for pair in pairs for word in pair}
-        self.labels: list[Label] = []
-        self.token_postings: dict[str, set[int]] = {}
-        self.bigram_postings: dict[tuple[str, str], set[int]] = {}
-        for label, tokens in labeled:
-            if label is Label.UNLABELED:
-                continue
-            idx = len(self.labels)
-            self.labels.append(label)
-            for token in words.intersection(tokens):
-                self.token_postings.setdefault(token, set()).add(idx)
-            for pair in pairs.intersection(zip(tokens, tokens[1:])):
-                self.bigram_postings.setdefault(pair, set()).add(idx)
-        self.n_informative = self.labels.count(Label.INFORMATIVE)
-        self.n_uninformative = len(self.labels) - self.n_informative
-
-    def candidate_matches(
-        self, candidate: Candidate, nv_mode: str, phrase_mode: str
-    ) -> set[int]:
-        mode = nv_mode if candidate.kind is CandidateKind.NOUN_VERB_PAIR else phrase_mode
-        if mode == "tokens":
-            first = self.token_postings.get(candidate.first)
-            second = self.token_postings.get(candidate.second)
-            if not first or not second:
-                return set()
-            return first & second
-        return self.bigram_postings.get((candidate.first, candidate.second), set())
-
-
 def evaluate_labeled(
     ranked: Sequence[RankedCandidate],
     labeled: Iterable[tuple[Label, Sequence[str]]],
@@ -114,12 +75,15 @@ def evaluate_labeled(
 ) -> list[MetricsPoint]:
     """Metrics for each top-k cut of the ranking over a stream of
     ``(label, tokens)``, one per tweet, read once after the arguments are
-    checked.
+    checked. Unlabeled tweets are skipped; a tweet read twice counts twice.
 
-    The sweep is incremental: each tweet's lowest matching rank is found
-    once via the postings index, then every k is answered by binary
-    search, so cost scales with total matches rather than |ks| * n * k.
-    k = 0 is allowed as a curve origin.
+    Each candidate's ``(first, second)`` maps to its lowest rank, in one
+    map for the candidates matched by containment and one for those
+    matched by bigram. A tweet's lowest matching rank is then the least
+    rank looked up by its adjacent bigrams and by the ordered pairs of its
+    distinct words that a containment candidate could name (a first word
+    then a second word, which covers first == second); every k is answered
+    by binary search over those ranks. k = 0 is allowed as a curve origin.
     """
     _check_mode("nv_mode", nv_mode)
     _check_mode("phrase_mode", phrase_mode)
@@ -127,33 +91,36 @@ def evaluate_labeled(
         raise ValueError("ks must be >= 0")
     if any(a >= b for a, b in zip(ks, ks[1:])):
         raise ValueError("ks must be strictly ascending")
-    ranked = sorted(ranked, key=lambda r: r.rank)
-    index = MatchIndex(labeled, (rc.candidate for rc in ranked))
-    if index.n_informative == 0 or index.n_uninformative == 0:
+    by_tokens: dict[tuple[str, str], int] = {}
+    by_bigram: dict[tuple[str, str], int] = {}
+    for rc in sorted(ranked, key=lambda r: r.rank):
+        c = rc.candidate
+        mode = nv_mode if c.kind is CandidateKind.NOUN_VERB_PAIR else phrase_mode
+        (by_tokens if mode == "tokens" else by_bigram).setdefault((c.first, c.second), rc.rank)
+    firsts = {first for first, _ in by_tokens}
+    seconds = {second for _, second in by_tokens}
+    # Each labeled tweet's lowest matching rank, inf when none matches.
+    ranks: dict[Label, list[float]] = {Label.INFORMATIVE: [], Label.UNINFORMATIVE: []}
+    for label, tokens in labeled:
+        if label is Label.UNLABELED:
+            continue
+        pairs = product(firsts.intersection(tokens), seconds.intersection(tokens))
+        found = chain(map(by_tokens.get, pairs, repeat(inf)),
+                      map(by_bigram.get, zip(tokens, tokens[1:]), repeat(inf)))
+        ranks[label].append(min(found, default=inf))
+    n_informative, n_uninformative = map(len, ranks.values())
+    if n_informative == 0 or n_uninformative == 0:
         raise InputFormatError(
             "labeled corpus must contain both informative and uninformative "
             "tweets (fpr is undefined otherwise)"
         )
-    first_rank: dict[int, int] = {}
-    for rc in ranked:
-        for tweet_idx in index.candidate_matches(rc.candidate, nv_mode, phrase_mode):
-            first_rank.setdefault(tweet_idx, rc.rank)
-        if len(first_rank) == len(index.labels):
-            break
-    informative_ranks = sorted(
-        rank for idx, rank in first_rank.items() if index.labels[idx] is Label.INFORMATIVE
-    )
-    uninformative_ranks = sorted(
-        rank for idx, rank in first_rank.items() if index.labels[idx] is Label.UNINFORMATIVE
-    )
+    informative_ranks, uninformative_ranks = map(sorted, ranks.values())
     points = []
     for k in ks:
         tp = bisect_right(informative_ranks, k)
         fp = bisect_right(uninformative_ranks, k)
         points.append(MetricsPoint.from_counts(
-            k=k, tp=tp, fp=fp,
-            fn=index.n_informative - tp,
-            tn=index.n_uninformative - fp,
+            k=k, tp=tp, fp=fp, fn=n_informative - tp, tn=n_uninformative - fp,
         ))
     return points
 

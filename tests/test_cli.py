@@ -923,6 +923,27 @@ def test_verbose_cluster_logs_one_kmeans_line(run_cli, tmp_path, write_config,
     assert " iterations, final inertia " in line
     assert line.endswith(" row assignments decided by the exact recheck")
 
+
+@pytest.mark.parametrize("calls", ["010", "101"], ids=["quiet_first", "verbose_first"])
+def test_verbose_holds_for_each_in_process_call(tmp_path, write_config, pipeline_config_dict,
+                                                calls):
+    """Calls of ``main`` in one process, each quiet (0) or verbose (1),
+    print INFO lines to stderr exactly when verbose, whatever came before.
+    A fresh process is used because the first call sets up the root
+    logger's stderr handler."""
+    cfg = write_config(pipeline_config_dict, tmp_path / "out")
+    script = ("import sys\n"
+              "from subevents.cli import main\n"
+              "for verbose in sys.argv[1]:\n"
+              "    print('-- call', file=sys.stderr)\n"
+              "    assert main(sys.argv[2:] + ['--verbose'] * (verbose == '1')) == 0\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", script, calls, "pipeline", "--config", cfg],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    logs = proc.stderr.split("-- call\n")[1:]
+    assert [str(int("\nINFO subevents." in "\n" + log)) for log in logs] == list(calls)
+
 class TestBenchmarkTrace:
     def test_traced_pipeline_reports_layer_metrics(self, tmp_path):
         # perfbench/child.py wraps package functions by name; a renamed or

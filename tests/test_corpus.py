@@ -711,6 +711,23 @@ def test_equal_edge_words_are_one_str_across_blocks(tmp_path, monkeypatch):
         assert edges[0][0] is noun and edges[0][1] is verb
 
 
+def test_equal_edges_are_one_tuple_across_blocks(tmp_path, monkeypatch):
+    """An edge is one (noun, verb) tuple however many sentences and blocks
+    hold it, so a parse holds only a reference to it."""
+    monkeypatch.setattr(corpus, "PARSE_BLOCK_CHARS", 64)
+    sentence = ("1\tfloods\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
+                "2\trise\t_\tVERB\t_\t_\t0\troot\t_\t_\n"
+                "3\troads\t_\tNOUN\t_\t_\t2\tobj\t_\t_\n\n")
+    path = tmp_path / "p.conllu"
+    path.write_text("".join(f"# tweet_id = {i}\n{sentence}" for i in range(4)), encoding="utf-8")
+    parses = load_parses(path)
+    assert len(parses) == 4
+    first = parses["0"]
+    assert first == (("floods", "rise"), ("roads", "rise"))
+    for edges in parses.values():
+        assert all(edge is kept for edge, kept in zip(edges, first, strict=True))
+
+
 @pytest.mark.parametrize("blank_lines", [True, False], ids=["blank_lines", "tweet_id_only"])
 def test_load_parses_transient_memory_is_bounded_by_the_block(tmp_path, monkeypatch, blank_lines):
     """What the read uses beyond its result grows by under 25% from a

@@ -145,13 +145,10 @@ def vector_dir(tmp_path_factory):
 
 
 class TestLoadVectorsProperties:
-    @pytest.mark.parametrize("block_rows", [3, embed.VECTOR_BLOCK_ROWS])
     @settings(deadline=None, max_examples=100,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(text=vector_files(), words=st.sets(WORDS | ABSENT_WORDS))
-    def test_same_as_per_row_reference(self, text, words, block_rows, vector_dir, caplog,
-                                       monkeypatch):
-        monkeypatch.setattr(embed, "VECTOR_BLOCK_ROWS", block_rows)
+    def test_same_as_per_row_reference(self, text, words, vector_dir, caplog):
         path = vector_dir / "v.txt"
         path.write_bytes(text.encode("utf-8"))
         caplog.set_level(logging.WARNING, logger="subevents.embed")

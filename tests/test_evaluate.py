@@ -13,7 +13,6 @@ from subevents.corpus import Label
 from subevents.errors import InputFormatError
 from subevents.evaluate import (
     MATCH_MODES,
-    MatchIndex,
     MetricsPoint,
     evaluate_labeled,
     read_metrics,
@@ -40,10 +39,14 @@ def ranked_list(candidates):
 
 
 def one_tweet_matches(tokens, candidate, nv_mode="tokens", phrase_mode="bigram"):
-    """Whether MatchIndex, built over one labeled tweet for the candidate,
-    matches it."""
-    index = MatchIndex([(Label.INFORMATIVE, tokens)], [candidate])
-    return index.candidate_matches(candidate, nv_mode, phrase_mode) == {0}
+    """Whether the candidate, ranked alone, identifies one informative
+    tweet at k = 1, checked against the direct-scan oracle; an empty
+    uninformative tweet makes the labels valid."""
+    labeled = [(Label.INFORMATIVE, tokens), (Label.UNINFORMATIVE, [])]
+    (point,) = evaluate_labeled(ranked_list([candidate]), labeled, [1], nv_mode, phrase_mode)
+    assert point.tp == oracles.tweet_matches(tokens, candidate.kind.value, candidate.first,
+                                             candidate.second, nv_mode, phrase_mode)
+    return point.tp == 1
 
 
 class TestTweetMatches:
@@ -80,47 +83,6 @@ class TestTweetMatches:
             evaluate_labeled(ranked, labeled, [1], nv_mode="fuzzy")
         with pytest.raises(ValueError):
             evaluate_labeled(ranked, labeled, [1], phrase_mode="fuzzy")
-
-
-class TestMatchIndex:
-    def test_only_labeled_tweets_indexed(self):
-        index = MatchIndex([
-            (Label.INFORMATIVE, ["road", "blocked"]),
-            (Label.UNLABELED, ["road", "clear"]),
-            (Label.UNINFORMATIVE, ["calm"]),
-        ], [nv("road", "blocked")])
-        assert index.labels == [Label.INFORMATIVE, Label.UNINFORMATIVE]
-        assert index.n_informative == 1
-        assert index.n_uninformative == 1
-        assert index.candidate_matches(nv("road", "blocked"), "tokens", "bigram") == {0}
-
-    def test_postings_only_for_words_and_bigrams_the_candidates_name(self):
-        index = MatchIndex([
-            (Label.INFORMATIVE, ["road", "blocked", "tree"]),
-            (Label.UNINFORMATIVE, ["tree", "road", "blocked"]),
-        ], [nv("road", "blocked"), ph("storm", "surge")])
-        assert index.token_postings == {"road": {0, 1}, "blocked": {0, 1}}
-        assert index.bigram_postings == {("road", "blocked"): {0, 1}}
-
-    def test_postings_agree_with_direct_matching(self):
-        rng = np.random.default_rng(13)
-        vocab = [f"w{i}" for i in range(8)]
-        labeled = []
-        for i in range(30):
-            n = int(rng.integers(0, 6))
-            toks = [vocab[int(j)] for j in rng.integers(0, len(vocab), n)]
-            label = Label.INFORMATIVE if rng.random() < 0.5 else Label.UNINFORMATIVE
-            labeled.append((label, toks))
-        candidates = [nv("w0", "w1"), ph("w2", "w3"), nv("w7", "zz")]
-        index = MatchIndex(labeled, candidates)
-        for cand, nv_mode, phrase_mode in itertools.product(candidates, MATCH_MODES, MATCH_MODES):
-            via_index = index.candidate_matches(cand, nv_mode, phrase_mode)
-            direct = {
-                i for i, (_, toks) in enumerate(labeled)
-                if oracles.tweet_matches(toks, cand.kind.value, cand.first, cand.second,
-                                         nv_mode, phrase_mode)
-            }
-            assert via_index == direct
 
 
 class _HandFixture:
