@@ -27,7 +27,6 @@ from .extract import (
     CandidateSet,
     ExtractCounts,
     PhraseConfig,
-    filter_candidates,
     phrase_score,
 )
 from .rank import Ontology, RankedCandidate, load_ontology, rank_baseline_overlap, rank_candidates
@@ -60,7 +59,6 @@ __all__ = [
     "compose",
     "eig_topk",
     "evaluate_labeled",
-    "filter_candidates",
     "kmeans",
     "load_config",
     "load_ontology",

@@ -42,9 +42,7 @@ class EmbeddingStore:
     vectors drawn from a table of SUBWORD_BUCKETS buckets generated
     deterministically from (hash_seed, bucket); bucket vectors are
     materialized lazily but are a pure function of the seed, and each OOV
-    word's vector is made once and kept read-only. A copy made by
-    `dataclasses.replace` shares the word vectors and starts with empty
-    bucket and subword caches.
+    word's vector is made once and kept read-only.
     """
 
     dim: int

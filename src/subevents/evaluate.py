@@ -77,13 +77,14 @@ def evaluate_labeled(
     ``(label, tokens)``, one per tweet, read once after the arguments are
     checked. Unlabeled tweets are skipped; a tweet read twice counts twice.
 
-    Each candidate's ``(first, second)`` maps to its lowest rank, in one
-    map for the candidates matched by containment and one for those
-    matched by bigram. A tweet's lowest matching rank is then the least
-    rank looked up by its adjacent bigrams and by the ordered pairs of its
-    distinct words that a containment candidate could name (a first word
-    then a second word, which covers first == second); every k is answered
-    by binary search over those ranks. k = 0 is allowed as a curve origin.
+    Each candidate ranked at most ``ks[-1]`` (no later one can change a
+    metric) maps its ``(first, second)`` to its lowest rank, in one map for
+    the candidates matched by containment and one for those matched by
+    bigram. A tweet's lowest matching rank is then the least rank looked
+    up by its adjacent bigrams and by the ordered pairs of its distinct
+    words that a containment candidate could name (a first word then a
+    second word, which covers first == second); every k is answered by
+    binary search over those ranks. k = 0 is allowed as a curve origin.
     """
     _check_mode("nv_mode", nv_mode)
     _check_mode("phrase_mode", phrase_mode)
@@ -94,6 +95,8 @@ def evaluate_labeled(
     by_tokens: dict[tuple[str, str], int] = {}
     by_bigram: dict[tuple[str, str], int] = {}
     for rc in sorted(ranked, key=lambda r: r.rank):
+        if not ks or rc.rank > ks[-1]:
+            break  # this rank and all after it are past every k
         c = rc.candidate
         mode = nv_mode if c.kind is CandidateKind.NOUN_VERB_PAIR else phrase_mode
         (by_tokens if mode == "tokens" else by_bigram).setdefault((c.first, c.second), rc.rank)

@@ -3,9 +3,10 @@
 Candidates are noun-verb pairs read off dependency-parse edges (with a
 window-based lexicon fallback for corpora without parses) plus adjacent
 two-word phrases detected with a vocabulary-scaled co-occurrence score.
-Noun-verb pairs are kept only when they occur at least twice corpus-wide;
-phrases are frequency-gated by the detector itself. ``ExtractCounts``
-folds a corpus into the counts behind both, one tweet at a time.
+Noun-verb pairs are kept only when they occur at least ``filter_min_freq``
+times corpus-wide (default 2); phrases are frequency-gated by the detector
+itself. ``ExtractCounts`` folds a corpus into the counts behind both, one
+tweet at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TypeVar
 
 from ._util import read_list_file, read_table, write_table
 from .corpus import NvEdges, TokenCleaner
@@ -29,8 +29,6 @@ DEFAULT_MIN_FREQ = 2
 DEFAULT_WINDOW = 4
 
 _NO_TAGS: frozenset[str] = frozenset()
-
-K = TypeVar("K")
 
 
 class CandidateKind(Enum):
@@ -53,10 +51,6 @@ class Candidate:
     frequency: int = 1
 
     @property
-    def identity(self) -> tuple[str, str, str]:
-        return (self.kind.value, self.first, self.second)
-
-    @property
     def words(self) -> tuple[str, str]:
         return (self.first, self.second)
 
@@ -75,7 +69,12 @@ class PhraseConfig:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Filtered candidate union plus the accounting the extract stage reports."""
+    """Filtered candidates plus the accounting the extract stage reports.
+
+    `overlap` is 0 by construction: kind is part of a candidate's identity,
+    so a noun-verb pair and a phrase never collide. It stays in
+    ``accounting.json``.
+    """
 
     candidates: tuple[Candidate, ...]
     nv_before: int
@@ -201,13 +200,23 @@ class ExtractCounts:
     def candidates(
         self, cfg: PhraseConfig = PhraseConfig(), min_freq: int = DEFAULT_MIN_FREQ
     ) -> CandidateSet:
-        """What ``filter_candidates`` gives for the counted noun-verb pairs
-        and phrases; a Candidate is made only for a pair that is kept."""
+        """The pairs counted at least ``min_freq`` times, sorted by (noun,
+        verb), then the phrases, sorted by (first, second). "nv" sorts
+        before "phrase", so the whole is in (kind, first, second) order;
+        ``nv_before`` is the number of distinct pairs counted."""
         kept = [
             Candidate(CandidateKind.NOUN_VERB_PAIR, noun, verb, frequency=count)
-            for (noun, verb), count in _frequent(self.pairs, min_freq)
+            for (noun, verb), count in sorted(p for p in self.pairs.items() if p[1] >= min_freq)
         ]
-        return _union(len(self.pairs), kept, self.phrases(cfg))
+        phrases = self.phrases(cfg)
+        return CandidateSet(
+            candidates=(*kept, *phrases),
+            nv_before=len(self.pairs),
+            nv_after=len(kept),
+            phrase_count=len(phrases),
+            total=len(kept) + len(phrases),
+            overlap=0,
+        )
 
 
 def phrase_score(
@@ -217,64 +226,6 @@ def phrase_score(
     (count(a,b) - min_count) * V / (count(a) * count(b)), with V the
     distinct-unigram count."""
     return (count_ab - min_count) * vocab_size / (count_a * count_b)
-
-
-def _by_identity(candidates: Iterable[Candidate]) -> Counter[tuple[str, str, str]]:
-    merged: Counter[tuple[str, str, str]] = Counter()
-    for cand in candidates:
-        merged[cand.identity] += cand.frequency
-    return merged
-
-
-def _from_identity(identity: tuple[str, str, str], frequency: int) -> Candidate:
-    return Candidate(CandidateKind(identity[0]), identity[1], identity[2], frequency=frequency)
-
-
-def aggregate(candidates: Iterable[Candidate]) -> list[Candidate]:
-    """Merge candidates by identity, summing frequencies; sorted by identity."""
-    merged = _by_identity(candidates)
-    return [_from_identity(identity, freq) for identity, freq in sorted(merged.items())]
-
-
-def _frequent(counts: Mapping[K, int], min_freq: int) -> list[tuple[K, int]]:
-    """The (key, count) items counted at least `min_freq` times, by key."""
-    return sorted(item for item in counts.items() if item[1] >= min_freq)
-
-
-def _union(
-    nv_before: int, nv_kept: Sequence[Candidate], phrases: Sequence[Candidate]
-) -> CandidateSet:
-    """The candidate set of the kept noun-verb pairs and the phrases, with
-    `nv_before` distinct pairs counted before the frequency filter."""
-    union: dict[tuple[str, str, str], Candidate] = {}
-    for cand in (*nv_kept, *phrases):
-        union.setdefault(cand.identity, cand)
-    candidates = tuple(sorted(union.values(), key=lambda c: c.identity))
-    return CandidateSet(
-        candidates=candidates,
-        nv_before=nv_before,
-        nv_after=len(nv_kept),
-        phrase_count=len(phrases),
-        total=len(candidates),
-        overlap=len(nv_kept) + len(phrases) - len(candidates),
-    )
-
-
-def filter_candidates(
-    nv: Sequence[Candidate],
-    phrases: Sequence[Candidate],
-    min_freq: int = DEFAULT_MIN_FREQ,
-) -> CandidateSet:
-    """Frequency-filter noun-verb pairs, union with phrases, and account.
-
-    Noun-verb pairs below `min_freq` corpus-wide occurrences are dropped;
-    phrases are already gated by the detector. The union deduplicates on
-    (kind, first, second); `overlap` reports how many identities collided
-    (expected zero, since kind is part of the identity).
-    """
-    merged = _by_identity(nv)
-    kept = [_from_identity(identity, freq) for identity, freq in _frequent(merged, min_freq)]
-    return _union(len(merged), kept, aggregate(phrases))
 
 
 def reduction_percent(before: int, after: int) -> float:

@@ -344,11 +344,11 @@ def reference_nv_pairs(parse, tokens, lexicon, stopwords):
     """One tweet's (noun, verb) pairs, in order: each edge of its parse (as
     ``load_parses`` gives it) with both words lowercased and surviving
     ``clean_token``; without a parse, each lexicon noun with each lexicon
-    verb among the next ``DEFAULT_WINDOW - 1`` tokens, when there is a
-    lexicon; else none."""
+    verb among the next 3 tokens (a window of 4), when there is a lexicon;
+    else none."""
     from subevents.corpus import clean_token
-    from subevents.extract import DEFAULT_WINDOW
 
+    window = 4
     pairs = []
     if parse is not None:
         for noun, verb in parse:
@@ -358,7 +358,7 @@ def reference_nv_pairs(parse, tokens, lexicon, stopwords):
     elif lexicon is not None:
         for i, noun in enumerate(tokens):
             if "N" in lexicon.get(noun, ""):
-                pairs.extend((noun, verb) for verb in tokens[i + 1:i + DEFAULT_WINDOW]
+                pairs.extend((noun, verb) for verb in tokens[i + 1:i + window]
                              if "V" in lexicon.get(verb, ""))
     return pairs
 
@@ -369,17 +369,23 @@ def reference_extract(files, stopwords, parses_path, lexicon, dedupe, phrase_cfg
     tweet whose exact raw text came before when ``dedupe`` (the first kept,
     across files), clean each whitespace token of the lowercased text with
     ``clean_token``, read the parses, then count each tweet's noun-verb
-    pairs (``reference_nv_pairs``), the unigrams and the adjacent bigrams,
-    score the bigrams with ``phrase_score`` and filter the candidates.
-    Returns the CandidateSet and a dict of the counts the stage reports.
+    pairs (``reference_nv_pairs``), the unigrams and the adjacent bigrams.
+    A pair counted at least ``min_freq`` times is kept; a bigram counted at
+    least ``phrase_cfg.min_count`` times whose word2phrase score
+    (count(a,b) - min_count) * V / (count(a) * count(b)), V the number of
+    distinct unigrams, is above ``phrase_cfg.threshold`` is a phrase.
 
-    Not independent: it shares the package's line reader, token rule,
-    parse reader, phrase score and filter. It checks the fold's order of
-    work (file order, dedupe across files, per-file malformed checks,
-    counting before filtering) and its counting against this composition.
+    Returns a dict of the candidate rows ``(kind, first, second,
+    frequency)`` in (kind, first, second) order with the accounting of
+    ``CandidateSet``, and a dict of the counts the stage reports.
+
+    It shares the package's line reader, token rule and parse reader: what
+    counts as a corpus line, a token and a parse edge is checked by their
+    own tests, and rewriting them here would copy them. It checks the fold's
+    order of work (file order, dedupe across files, per-file malformed
+    checks, counting before filtering), its counting, filter and score.
     """
     from subevents.corpus import CorpusLines, clean_token, load_parses
-    from subevents.extract import Candidate, CandidateKind, filter_candidates, phrase_score
 
     records = []
     skipped = 0
@@ -406,7 +412,7 @@ def reference_extract(files, stopwords, parses_path, lexicon, dedupe, phrase_cfg
         "tweets": len(tweets), "skipped": skipped, "duplicates": loaded - len(tweets),
         "parsed": 0, "fallback": 0, "neither": 0,
     }
-    nv = []
+    pairs: Counter = Counter()
     for tweet_id, tokens in tweets:
         parse = parses.get(tweet_id)
         if parse is not None:
@@ -415,15 +421,21 @@ def reference_extract(files, stopwords, parses_path, lexicon, dedupe, phrase_cfg
             counts["fallback"] += 1
         else:
             counts["neither"] += 1
-        nv.extend(Candidate(CandidateKind.NOUN_VERB_PAIR, noun, verb)
-                  for noun, verb in reference_nv_pairs(parse, tokens, lexicon, stopwords))
+        pairs.update(reference_nv_pairs(parse, tokens, lexicon, stopwords))
     unigrams = Counter(token for _, tokens in tweets for token in tokens)
     bigrams = Counter(pair for _, tokens in tweets for pair in zip(tokens, tokens[1:]))
     min_count = phrase_cfg.min_count
-    phrases = [
-        Candidate(CandidateKind.PHRASE, a, b, frequency=count)
-        for (a, b), count in bigrams.items()
-        if count >= min_count and phrase_score(
-            count, unigrams[a], unigrams[b], len(unigrams), min_count) > phrase_cfg.threshold
-    ]
-    return filter_candidates(nv, phrases, min_freq), counts
+    kept_nv = sorted(("nv", noun, verb, count)
+                     for (noun, verb), count in pairs.items() if count >= min_freq)
+    phrases = sorted(
+        ("phrase", a, b, count) for (a, b), count in bigrams.items()
+        if count >= min_count and (count - min_count) * len(unigrams)
+        / (unigrams[a] * unigrams[b]) > phrase_cfg.threshold
+    )
+    rows = kept_nv + phrases
+    candidates = {
+        "candidates": rows, "nv_before": len(pairs), "nv_after": len(kept_nv),
+        "phrase_count": len(phrases), "total": len(rows),
+        "overlap": len(rows) - len({row[:3] for row in rows}),
+    }
+    return candidates, counts

@@ -35,7 +35,6 @@ from subevents.extract import (
     CandidateKind,
     ExtractCounts,
     PhraseConfig,
-    filter_candidates,
     phrase_score,
     reduction_percent,
 )
@@ -134,7 +133,17 @@ def test_2_accounting_identities(fixtures_dir):
                 ph(words[int(a)], words[int(b)], freq=int(rng.integers(2, 6)))
                 for a, b in rng.integers(0, len(words), size=(int(rng.integers(0, 8)), 2))
             ]
-            result = filter_candidates(pair_pool, phrase_pool, min_freq=int(rng.integers(1, 4)))
+            # The fold counts each pool pair once and each pool phrase's
+            # bigram `freq` times; at min_count 1 and threshold 0 every
+            # bigram counted twice or more is a phrase.
+            counts = ExtractCounts(TokenCleaner(frozenset()))
+            counts.pairs.update(c.words for c in pair_pool)
+            for c in phrase_pool:
+                for _ in range(c.frequency):
+                    counts.count_grams(c.words)
+            result = counts.candidates(PhraseConfig(min_count=1, threshold=0.0),
+                                       min_freq=int(rng.integers(1, 4)))
+            assert result.phrase_count == len({c.words for c in phrase_pool})
             assert result.total == result.nv_after + result.phrase_count - result.overlap
             assert result.overlap == 0
             assert result.total == result.nv_after + result.phrase_count

@@ -135,6 +135,11 @@ class TestEvaluateAtK(_HandFixture):
         assert points[-1].recall == 3 / 4
         assert points[-1].f1 == 6 / 8
 
+    def test_empty_ks(self):
+        assert evaluate_labeled(self.ranking(), self.corpus(), ks=[]) == []
+        with pytest.raises(InputFormatError):
+            evaluate_labeled(self.ranking(), [(Label.INFORMATIVE, ["road"])], ks=[])
+
     def test_tweet_counted_once_at_lowest_matching_rank(self):
         # The first tweet matches both rank 1 and a duplicate at rank 3; the
         # counts at k=1 already include it and never double-count.
@@ -185,7 +190,10 @@ class TestEvaluateAtK(_HandFixture):
                 cands.append(nv(a, b) if rng.random() < 0.5 else ph(a, b))
             order = rng.permutation(len(cands))
             ranking = ranked_list([cands[int(j)] for j in order])
-            ks = list(range(0, len(cands) + 2))
+            # The second sweep stops below the ranking's length, so the
+            # candidates ranked past its last k are left out of the maps.
+            cut = trial % len(cands)
+            sweeps = [list(range(0, len(cands) + 2)), sorted({0, cut // 2, cut})]
             oracle_tweets = [
                 (toks, label is Label.INFORMATIVE)
                 for label, toks in labeled if label is not Label.UNLABELED
@@ -194,8 +202,10 @@ class TestEvaluateAtK(_HandFixture):
                 (rc.candidate.kind.value, rc.candidate.first, rc.candidate.second)
                 for rc in ranking
             ]
-            for nv_mode, phrase_mode in itertools.product(MATCH_MODES, MATCH_MODES):
+            for ks, (nv_mode, phrase_mode) in itertools.product(
+                    sweeps, itertools.product(MATCH_MODES, MATCH_MODES)):
                 streamed = evaluate_labeled(ranking, iter(labeled), ks, nv_mode, phrase_mode)
+                assert [p.k for p in streamed] == ks
                 for k, p in zip(ks, streamed):
                     expected = oracles.brute_force_confusion(
                         oracle_tweets, oracle_cands, k, nv_mode, phrase_mode)

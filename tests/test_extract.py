@@ -1,7 +1,9 @@
+import ast
 import gc
 import json
 import tempfile
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,8 +24,6 @@ from subevents.extract import (
     CandidateKind,
     ExtractCounts,
     PhraseConfig,
-    aggregate,
-    filter_candidates,
     load_pos_lexicon,
     phrase_score,
     read_candidates,
@@ -268,24 +268,22 @@ def pipeline_tweets(generated_fixtures):
 @settings(max_examples=60, deadline=None)
 def test_count_nv_pairs_equals_per_tweet_aggregate(pipeline_tweets, data):
     """Folding ``ExtractCounts.count_nv`` over the pipeline fixtures gives
-    what aggregating each tweet's ``oracles.reference_nv_pairs`` gives, for
-    a random tweet subset and a random lexicon over the fixture vocabulary."""
+    the ``Counter`` of each tweet's ``oracles.reference_nv_pairs``, for a
+    random tweet subset and a random lexicon over the fixture vocabulary."""
     tweets = data.draw(st.lists(st.sampled_from(pipeline_tweets), max_size=60))
     vocabulary = sorted({token for tokens, _ in pipeline_tweets for token in tokens})
     lexicon = data.draw(st.none() | st.dictionaries(
         st.sampled_from(vocabulary),
         st.sampled_from([frozenset("N"), frozenset("V"), frozenset("NV")]),
     ))
-    expected = [
-        nv(noun, verb) for tokens, parse in tweets
-        for noun, verb in oracles.reference_nv_pairs(parse, tokens, lexicon, STOPWORDS)
-    ]
+    expected = Counter(
+        pair for tokens, parse in tweets
+        for pair in oracles.reference_nv_pairs(parse, tokens, lexicon, STOPWORDS)
+    )
     counts = ExtractCounts(TokenCleaner(STOPWORDS), lexicon=lexicon)
     for tokens, parse in tweets:
         counts.count_nv(parse, tokens)
-    assert [nv(noun, verb, freq) for (noun, verb), freq in sorted(counts.pairs.items())] == (
-        aggregate(expected))
-    assert sum(counts.pairs.values()) == len(expected)
+    assert counts.pairs == expected
     parsed = sum(1 for _, parse in tweets if parse is not None)
     assert counts.parsed == parsed
     assert (counts.fallback, counts.neither) == (
@@ -352,6 +350,12 @@ def _extract_inputs(draw):
     }
 
 
+def _plain(result):
+    """A CandidateSet as the rows and accounting ``oracles.reference_extract`` returns."""
+    rows = [(c.kind.value, c.first, c.second, c.frequency) for c in result.candidates]
+    return {**vars(result), "candidates": rows}
+
+
 def _run_logged(caplog, fn):
     """fn()'s result, or the InputFormatError it raised, and its log records."""
     caplog.clear()
@@ -393,7 +397,7 @@ def test_fold_matches_whole_corpus_reference(inputs, tmp_path, caplog):
         got = {"tweets": counts.tweets, "skipped": tweets.skipped,
                "duplicates": tweets.duplicates, "parsed": counts.parsed,
                "fallback": counts.fallback, "neither": counts.neither}
-        return counts.candidates(inputs["phrase"], inputs["min_freq"]), got
+        return _plain(counts.candidates(inputs["phrase"], inputs["min_freq"])), got
 
     def reference():
         return oracles.reference_extract(files, STOPWORDS, parses_path, lexicon, dedupe,
@@ -409,6 +413,20 @@ def test_fold_matches_whole_corpus_reference(inputs, tmp_path, caplog):
     assert sorted(got_log) == sorted(want_log)
     for path in [str(p) for p, _ in files] + [str(parses_path)]:
         assert [r for r in got_log if path in r[1]] == [r for r in want_log if path in r[1]]
+
+
+def test_oracles_take_only_readers_from_the_package():
+    """``tests/oracles.py`` imports only the line reader, the token rule and
+    the parse reader from ``subevents``, so the fold is checked against its
+    own counting, filter and score."""
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("subevents"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.startswith("subevents"))
+    assert names == {"CorpusLines", "clean_token", "load_parses"}
 
 
 def _fold_peak(path) -> int:
@@ -440,58 +458,46 @@ def test_fold_memory_does_not_grow_with_tweets(tmp_path):
     assert _fold_peak(twice) <= 1.1 * _fold_peak(once)
 
 
+def _candidates(pairs, token_lists=(), min_freq=2):
+    """``ExtractCounts.candidates`` after counting the given (noun, verb)
+    pairs and the grams of each token list; a bigram counted twice or more
+    is a phrase."""
+    counts = ExtractCounts(TokenCleaner(frozenset()))
+    counts.pairs.update(pairs)
+    for tokens in token_lists:
+        counts.count_grams(tokens)
+    return counts.candidates(PhraseConfig(min_count=1, threshold=0.0), min_freq)
+
+
 class TestAggregateAndFilter:
-    def test_aggregate_sums_by_identity(self):
-        merged = aggregate([nv("road", "blocked"), nv("road", "blocked"), nv("house", "burning")])
-        assert merged == [nv("house", "burning", 1), nv("road", "blocked", 2)]
-
-    def test_aggregate_separates_kinds(self):
-        merged = aggregate([nv("storm", "surge"), ph("storm", "surge", 3)])
-        assert len(merged) == 2
-
     def test_min_freq_boundary(self):
-        result = filter_candidates(
-            [nv("road", "blocked"), nv("road", "blocked"), nv("house", "burning")],
-            [],
-            min_freq=2,
-        )
+        result = _candidates(
+            [("road", "blocked"), ("road", "blocked"), ("house", "burning")], min_freq=2)
         assert [c.words for c in result.candidates] == [("road", "blocked")]
         assert result.nv_before == 2
         assert result.nv_after == 1
         assert result.total == 1
 
     def test_phrases_not_refiltered(self):
-        result = filter_candidates([], [ph("storm", "surge", 1)], min_freq=5)
+        result = _candidates([], [["storm", "surge"]] * 2, min_freq=5)
+        assert result.candidates == (ph("storm", "surge", 2),)
         assert result.phrase_count == 1
         assert result.total == 1
 
     def test_union_counts_and_overlap_zero(self):
-        result = filter_candidates(
-            [nv("road", "blocked", 2)],
-            [ph("road", "blocked", 4)],
-            min_freq=2,
-        )
+        result = _candidates([("road", "blocked")] * 2, [["road", "blocked"]] * 2)
+        assert result.candidates == (nv("road", "blocked", 2), ph("road", "blocked", 2))
         assert result.total == 2
         assert result.overlap == 0
 
-    def test_overlap_counts_identity_collisions(self):
-        # The same phrase identity arriving through both inputs collapses
-        # in the union and is reported.
-        result = filter_candidates(
-            [ph("storm", "surge", 5)],
-            [ph("storm", "surge", 2)],
-            min_freq=2,
-        )
-        assert result.total == 1
-        assert result.overlap == 1
-
     def test_output_sorted_by_identity(self):
-        result = filter_candidates(
-            [nv("zebra", "runs", 2), nv("apple", "falls", 2)],
-            [ph("mid", "point", 2)],
-        )
-        identities = [c.identity for c in result.candidates]
+        result = _candidates([("zebra", "runs"), ("apple", "falls")] * 2,
+                             [["mid", "point"], ["able", "bodied"]] * 2)
+        identities = [(c.kind.value, c.first, c.second) for c in result.candidates]
+        assert identities == [("nv", "apple", "falls"), ("nv", "zebra", "runs"),
+                              ("phrase", "able", "bodied"), ("phrase", "mid", "point")]
         assert identities == sorted(identities)
+        assert result.overlap == 0
 
     def test_reduction_percent(self):
         assert reduction_percent(100, 25) == 75.0
