@@ -30,6 +30,13 @@ KMEANS_REL_TOL = 1e-6
 # 2 * (d + 4) * eps * R^2 covers the rounding of both k-means distance forms
 # in any summation order; 64 leaves a 32x margin (see _assign).
 KMEANS_SCREEN_SLACK = 64
+# Side of the square blocks _mirror_upper copies at a time (512 KiB each).
+MIRROR_TILE = 256
+# spectrum.npz: the layout tag in its key, and the chunk size in which the
+# eigenvector rows a run does not use are read and dropped.
+SPECTRUM_LAYOUT = "values descending, eigenvectors as rows"
+SPECTRUM_READ_CHUNK = 1 << 18
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,72 +87,134 @@ def build_affinity(vectors: np.ndarray) -> AffinityMatrix:
     if not np.all(norms > 0.0):
         raise ValueError("null vectors cannot be clustered; filter them first")
     unit = stacked / norms[:, None]
-    sims = unit @ unit.T
+    entries = unit @ unit.T
     # Mirror the upper triangle so the matrix is exactly symmetric, then
     # clamp float drift and negatives into [0, 1]. Diagonal stays zero.
-    upper = np.triu(sims, 1)
-    entries = np.clip(upper + upper.T, 0.0, 1.0)
+    _mirror_upper(entries)
+    np.clip(entries, 0.0, 1.0, out=entries)
     return AffinityMatrix(entries=entries)
 
 
-def _load_spectrum(path: Path, key: str, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The (values, vectors) saved in `path` under `key`; None when the file
-    is unreadable, is no .npz, holds another key or the wrong shapes."""
+def _mirror_upper(m: np.ndarray) -> None:
+    """Set the square array m, in place, to np.triu(m, 1) + np.triu(m, 1).T:
+    the strict upper triangle copied onto the lower one, a zero diagonal
+    and no -0.0. Copies MIRROR_TILE x MIRROR_TILE tiles, so the scratch
+    memory does not grow with n."""
+    n = m.shape[0]
+    below = np.tri(MIRROR_TILE, k=-1, dtype=bool)
+    for start in range(0, n, MIRROR_TILE):
+        stop = min(start + MIRROR_TILE, n)
+        for left in range(0, start, MIRROR_TILE):
+            m[start:stop, left:left + MIRROR_TILE] = m[left:left + MIRROR_TILE, start:stop].T
+        tile = m[start:stop, start:stop]
+        np.copyto(tile, tile.T, where=below[: stop - start, : stop - start])
+    np.fill_diagonal(m, 0.0)
+    # x + 0.0 is x except that -0.0 becomes +0.0, as in the sum above.
+    m += 0.0
+
+
+def _read_rows(member, n: int, k: int) -> np.ndarray | None:
+    """The first k rows of the (n, n) float64 .npy stream `member`, which
+    is then read to its end in chunks, so that zipfile checks the CRC-32
+    of the whole member; None when the header or the length differs."""
+    version = np.lib.format.read_magic(member)
+    if version == (1, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
+    elif version == (2, 0):
+        shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(member)
+    else:
+        return None
+    if shape != (n, n) or fortran_order or dtype != np.dtype(np.float64):
+        return None
+    head = member.read(k * n * 8)
+    rest = 0
+    while chunk := member.read(SPECTRUM_READ_CHUNK):
+        rest += len(chunk)
+    if len(head) != k * n * 8 or rest != (n - k) * n * 8:
+        return None
+    return np.frombuffer(head, dtype=np.float64).reshape(k, n).copy()
+
+
+def _load_spectrum(path: Path, key: str, n: int, k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The n values and the first k eigenvector rows saved in `path` under
+    `key`; None when the file is unreadable, is no .npz, fails its CRC
+    check, holds another key or the wrong shapes."""
     try:
-        # Opened here: np.load leaves its own handle open when the zip
-        # directory cannot be read.
-        with open(path, "rb") as fh:
-            saved = np.load(fh, allow_pickle=False)
-            if not isinstance(saved, np.lib.npyio.NpzFile):
+        with open(path, "rb") as fh, zipfile.ZipFile(fh) as saved:
+            with saved.open("key.npy") as member:
+                stored_key = np.lib.format.read_array(member, allow_pickle=False)
+            if stored_key.shape != () or stored_key.item() != key:
                 return None
-            with saved:
-                stored_key, values, vectors = saved["key"], saved["values"], saved["vectors"]
-    # BadZipFile is no OSError; np.load raises EOFError on an empty file.
+            with saved.open("values.npy") as member:
+                values = np.lib.format.read_array(member, allow_pickle=False)
+            if values.dtype != np.float64 or values.shape != (n,):
+                return None
+            with saved.open("vectors.npy") as member:
+                rows = _read_rows(member, n, k)
+    # BadZipFile (no zip, or a CRC mismatch) is no OSError; a short
+    # member raises EOFError or ValueError.
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
         return None
-    if (stored_key.shape == () and stored_key.item() == key
-            and values.dtype == vectors.dtype == np.float64
-            and values.shape == (n,) and vectors.shape == (n, n)):
-        return values, vectors
-    return None
+    return None if rows is None else (values, rows)
 
 
-def _save_spectrum(path: Path, key: str, values: np.ndarray, vectors: np.ndarray) -> bool:
+def _save_spectrum(path: Path, key: str, values: np.ndarray, rows: np.ndarray) -> bool:
     """Write the decomposition as every artifact is written (`replacing`),
     so a reader sees the old file or the new one whole; False on OSError."""
     try:
         with replacing(path, "xb") as fh:
-            np.savez(fh, key=np.array(key), values=values, vectors=vectors)
+            np.savez(fh, key=np.array(key), values=values, vectors=rows)
     except OSError as exc:
         logger.warning("could not save the eigendecomposition to %s: %s", path, exc)
         return False
     return True
 
 
-def _eigh(m: np.ndarray, cache: str | os.PathLike | None) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh(m), read from the .npz file `cache` when it holds the
-    decomposition of these exact matrix bytes, else computed and saved there.
-    The key is the sha256 of the numpy version, the shape and the bytes of
-    m. A failed save only logs a warning."""
-    if cache is None:
-        return np.linalg.eigh(m)
-    path = Path(cache)
-    n = m.shape[0]
-    digest = hashlib.sha256(np.__version__.encode())
+def _spectrum_key(m: np.ndarray) -> str:
+    """sha256 of the file layout, the numpy version, the BLAS thread
+    settings, the CPU count, the shape and the bytes of m."""
+    digest = hashlib.sha256(SPECTRUM_LAYOUT.encode())
+    digest.update(np.__version__.encode())
+    # BLAS reads these at start-up; its thread count can change the
+    # eigenvector bits. The BLAS build itself is not in the key.
+    for name in BLAS_THREAD_VARS:
+        digest.update(f"\0{name}={os.environ.get(name)!r}".encode())
+    digest.update(f"\0cpus={os.cpu_count()!r}\0".encode())
     digest.update(repr(m.shape).encode())
     # The buffer of a C-contiguous array is m.tobytes() without the copy.
     digest.update(np.ascontiguousarray(m))
-    key = digest.hexdigest()
-    saved = _load_spectrum(path, key, n)
+    return digest.hexdigest()
+
+
+def _descending_eigh(m: np.ndarray, k: int,
+                     cache: str | os.PathLike | None) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues of m in descending order (a stable argsort of
+    -values) and the eigenvectors of the first k as the rows of a (k, n)
+    array. With `cache`, read from that .npz file when it holds the
+    decomposition of these exact matrix bytes (`_spectrum_key`), else
+    computed by np.linalg.eigh and saved there with all n eigenvectors as
+    rows in the same order. A failed save only logs a warning."""
+    if cache is None:
+        values, vectors = np.linalg.eigh(m)
+        order = np.argsort(-values, kind="stable")
+        return values[order], vectors[:, order[:k]].T
+    path = Path(cache)
+    n = m.shape[0]
+    key = _spectrum_key(m)
+    saved = _load_spectrum(path, key, n, k)
     if saved is not None:
         logger.info("reused the eigendecomposition of the %dx%d matrix (key %s) from %s",
                     n, n, key[:12], path)
         return saved
     values, vectors = np.linalg.eigh(m)
-    if _save_spectrum(path, key, values, vectors):
+    order = np.argsort(-values, kind="stable")
+    values = values[order]
+    rows = vectors.T[order]
+    del vectors
+    if _save_spectrum(path, key, values, rows):
         logger.info("computed the eigendecomposition of the %dx%d matrix (key %s) and saved"
                     " it to %s", n, n, key[:12], path)
-    return values, vectors
+    return values, rows[:k].copy()
 
 
 def eig_topk(
@@ -159,11 +228,14 @@ def eig_topk(
     ||Mv - lv|| <= 1e-8 * max(1, ||M||_F).
 
     With `cache`, the path of an .npz file, the full decomposition is kept
-    there keyed by the exact matrix bytes: a later call on the same matrix,
-    at any k, reads it back instead of decomposing again and returns the
-    same bits the first call did. The input checks run before the file is
-    read or written; pairs read back pass the same ordering, sign and
-    residual steps as fresh ones.
+    there keyed by the exact matrix bytes and the BLAS thread settings:
+    the n eigenvalues in descending order and the n eigenvectors as rows
+    in that order. A later call on the same matrix, at any k, reads back
+    the values and only the first k rows instead of decomposing again, and
+    returns the same bits the first call did. The rest of the rows are
+    read in chunks and dropped, so a damaged file is still a miss. The
+    input checks run before the file is read or written; pairs read back
+    pass the same sign and residual steps as fresh ones.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -177,22 +249,20 @@ def eig_topk(
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    values, vectors = _eigh(m, cache)
-    order = np.argsort(-values, kind="stable")[:k]
-    top_values = values[order]
-    top = vectors[:, order]
-    cols = np.arange(k)
-    flip = top[np.argmax(np.abs(top), axis=0), cols] < 0.0
-    top[:, flip] = -top[:, flip]
+    values, top = _descending_eigh(m, k, cache)
+    top_values = values[:k]
+    rows = np.arange(k)
+    flip = top[rows, np.argmax(np.abs(top), axis=1)] < 0.0
+    top[flip] = -top[flip]
     # All k residuals from one matrix product; they only gate the result.
-    residuals = np.linalg.norm(m @ top - top * top_values, axis=0)
+    residuals = np.linalg.norm(m @ top.T - top.T * top_values, axis=0)
     bound = EIG_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(m)))
     worst = int(np.argmax(residuals))
     if residuals[worst] > bound:
         raise ArithmeticError(
             f"eigenpair residual {residuals[worst]:.3e} exceeds bound {bound:.3e}"
         )
-    return [(float(top_values[i]), top[:, i].copy()) for i in cols]
+    return [(float(top_values[i]), top[i].copy()) for i in rows]
 
 
 def _assign(
@@ -333,7 +403,10 @@ def spectral_cluster(
     first appearance, making the result deterministic for (A, k, seed).
 
     `cache` is passed to `eig_topk` in both variants: runs at several k on
-    one affinity decompose its (normalized or Laplacian) matrix once.
+    one affinity decompose its (normalized or Laplacian) matrix once. The
+    matrix is built in one n x n array (D^-1/2 A D^-1/2 scaled and mirrored
+    in place, or -L), so a run that reads its pairs from `cache` holds two
+    n x n arrays: the affinity and that matrix.
     """
     affinity.validate()
     n = affinity.n
@@ -366,18 +439,23 @@ def spectral_cluster(
         deg = sub.sum(axis=1)
         if normalized:
             inv_sqrt = 1.0 / np.sqrt(deg)
-            scaled = sub * inv_sqrt[:, None]
+            # The submatrix without the isolated rows is already a copy.
+            scaled = np.multiply(sub, inv_sqrt[:, None], out=sub if len(isolated) else None)
             scaled *= inv_sqrt[None, :]
-            upper = np.triu(scaled, 1)
-            pairs = eig_topk(np.add(upper, upper.T, out=scaled), k_rem, cache)
+            _mirror_upper(scaled)
+            pairs = eig_topk(scaled, k_rem, cache)
             embedding = np.stack([vec for _, vec in pairs], axis=1)
             row_norms = np.linalg.norm(embedding, axis=1)
             nonzero = row_norms > 0.0
             embedding[nonzero] = embedding[nonzero] / row_norms[nonzero, None]
         else:
-            laplacian = np.diag(deg) - sub
+            # -L = -(D - A) in one array; -(0.0 - 0.0) is -0.0 off the
+            # diagonal, as in the expression.
+            neg_laplacian = np.diag(deg)
+            np.subtract(neg_laplacian, sub, out=neg_laplacian)
+            np.negative(neg_laplacian, out=neg_laplacian)
             # Smallest eigenvalues of L are the largest of -L.
-            pairs = eig_topk(-laplacian, k_rem, cache)
+            pairs = eig_topk(neg_laplacian, k_rem, cache)
             embedding = np.stack([vec for _, vec in pairs], axis=1)
         sub_labels, _, _ = kmeans(embedding, k_rem, seed)
 

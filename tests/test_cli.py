@@ -564,6 +564,16 @@ def _flip_data_byte(path, monkeypatch):
     path.write_bytes(bytes(data))
 
 
+def _flip_last_row_byte(path, monkeypatch):
+    # The last eigenvector row lies past the k rows a hit uses; only the
+    # CRC check of the whole member, read to its end, finds it.
+    with np.load(path) as saved:
+        last = saved["vectors"][-1].tobytes()
+    data = bytearray(path.read_bytes())
+    data[data.rindex(last) + len(last) // 2] ^= 1
+    path.write_bytes(bytes(data))
+
+
 def _other_matrix(path, monkeypatch):
     # Well-formed, but keyed by another matrix: the identity's eigenvectors
     # would fail the residual gate if they were used.
@@ -637,8 +647,8 @@ class TestSpectrumCache:
         assert calls == []
         assert (out / "clusters.json").read_bytes() == fresh
 
-    @pytest.mark.parametrize("damage", [_truncate, _empty, _flip_data_byte, _other_matrix,
-                                        _text, _npy, _write_fails],
+    @pytest.mark.parametrize("damage", [_truncate, _empty, _flip_data_byte, _flip_last_row_byte,
+                                        _other_matrix, _text, _npy, _write_fails],
                              ids=lambda fn: fn.__name__.lstrip("_"))
     def test_bad_cache_is_a_miss(self, run_cli, tmp_path, write_config, pipeline_config_dict,
                                  monkeypatch, caplog, damage):
@@ -664,6 +674,33 @@ class TestSpectrumCache:
             assert run_cli("cluster", "--config", cfg)[0] == 0
             assert calls == [(40, 40)]
             assert (out / "clusters.json").read_bytes() == expected
+
+    def test_old_layout_is_a_miss(self, run_cli, tmp_path, write_config, pipeline_config_dict,
+                                  monkeypatch):
+        # Before the layout tag: eigh's ascending values and the eigenvectors
+        # as columns, keyed by the numpy version, the shape and the bytes.
+        out = tmp_path / "out"
+        cfg = self._ranked(run_cli, write_config, pipeline_config_dict, out)
+        matrices = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: matrices.append(m.copy()) or eigh(m))
+        assert run_cli("cluster", "--config", cfg)[0] == 0
+        expected = (out / "clusters.json").read_bytes()
+        (m,) = matrices
+        digest = hashlib.sha256(np.__version__.encode())
+        digest.update(repr(m.shape).encode())
+        digest.update(m)
+        old_key = digest.hexdigest()
+        values, vectors = eigh(m)
+        np.savez(out / "spectrum.npz", key=np.array(old_key), values=values, vectors=vectors)
+        assert run_cli("cluster", "--config", cfg)[0] == 0
+        assert len(matrices) == 2
+        assert (out / "clusters.json").read_bytes() == expected
+        with np.load(out / "spectrum.npz") as saved:
+            assert saved["key"].item() != old_key
+            assert np.all(np.diff(saved["values"]) <= 0.0)
+        assert run_cli("cluster", "--config", cfg)[0] == 0
+        assert len(matrices) == 2
 
     def test_cache_file_mode_follows_umask(self, run_cli, tmp_path, write_config,
                                            pipeline_config_dict):

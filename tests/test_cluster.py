@@ -6,14 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from subevents import cluster as cluster_module
 from subevents.cluster import (
+    BLAS_THREAD_VARS,
+    MIRROR_TILE,
     AffinityMatrix,
     ClusterAssignment,
     _assign,
+    _mirror_upper,
     build_affinity,
     eig_topk,
     kmeans,
@@ -47,6 +51,35 @@ def block_vectors(sizes=(4, 5, 6), dim=6):
     return vectors, truth
 
 
+# Sizes within one tile of _mirror_upper and across several.
+ACROSS_TILES = st.one_of(st.integers(2, 24), st.sampled_from(
+    [MIRROR_TILE - 1, MIRROR_TILE, MIRROR_TILE + 1, 2 * MIRROR_TILE + 3]))
+
+
+def _expression_affinity(vectors):
+    """build_affinity written with whole-matrix expressions."""
+    stacked = np.asarray(vectors, dtype=np.float64)
+    unit_rows = stacked / np.linalg.norm(stacked, axis=1)[:, None]
+    upper = np.triu(unit_rows @ unit_rows.T, 1)
+    return np.clip(upper + upper.T, 0.0, 1.0)
+
+
+def _expression_matrix(entries, normalized):
+    """The matrix spectral_cluster decomposes, written with whole-matrix
+    expressions: D^-1/2 A D^-1/2 or -L over the rows of nonzero degree."""
+    connected = np.flatnonzero(entries.sum(axis=1) > 0.0)
+    sub = entries[np.ix_(connected, connected)] if len(connected) < len(entries) else entries
+    deg = sub.sum(axis=1)
+    if normalized:
+        inv_sqrt = 1.0 / np.sqrt(deg)
+        scaled = sub * inv_sqrt[:, None]
+        scaled *= inv_sqrt[None, :]
+        upper = np.triu(scaled, 1)
+        return upper + upper.T
+    laplacian = np.diag(deg) - sub
+    return -laplacian
+
+
 class TestBuildAffinity:
     def test_hand_cosines(self):
         vecs = [unit([1, 0]), unit([0, 1]), unit([1, 1])]
@@ -72,6 +105,35 @@ class TestBuildAffinity:
         aff = build_affinity(vecs)
         assert np.array_equal(aff.entries, aff.entries.T)
         aff.validate()
+
+    @settings(deadline=None, max_examples=30)
+    @given(n=ACROSS_TILES, seed=st.integers(0, 2**32 - 1))
+    def test_mirror_upper_matches_the_expression(self, n, seed):
+        # -0.0 in the upper triangle must come out as the sum's +0.0.
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n))
+        m[rng.random((n, n)) < 0.3] = -0.0
+        upper = np.triu(m, 1)
+        expected = upper + upper.T
+        _mirror_upper(m)
+        assert m.tobytes() == expected.tobytes()
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        n=ACROSS_TILES,
+        dim=st.integers(1, 6),
+        integer_rows=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_entries_match_the_expression(self, n, dim, integer_rows, seed):
+        # Integer rows give exact 0 and +-1 cosines.
+        rng = np.random.default_rng(seed)
+        if integer_rows:
+            vectors = rng.integers(-1, 2, size=(n, dim)).astype(np.float64)
+            vectors[~vectors.any(axis=1), 0] = -1.0
+        else:
+            vectors = rng.normal(size=(n, dim))
+        assert build_affinity(vectors).entries.tobytes() == _expression_affinity(vectors).tobytes()
 
     def test_too_few_vectors(self):
         with pytest.raises(ValueError):
@@ -231,6 +293,22 @@ class TestEigTopkCache:
             eig_topk(bad, 1, cache=cache)
         assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
         assert [p.name for p in tmp_path.iterdir()] == ["spectrum.npz"]
+
+    @pytest.mark.parametrize("name", BLAS_THREAD_VARS)
+    def test_blas_thread_setting_is_in_the_key(self, tmp_path, monkeypatch, name):
+        m = _symmetric(6, 0)
+        cache = tmp_path / "spectrum.npz"
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        expected = _bits(eig_topk(m, 2))
+        for value, misses in [("1", 2), ("1", 2), ("2", 3), ("2", 3), (None, 4)]:
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+            assert _bits(eig_topk(m, 2, cache=cache)) == expected
+            assert len(calls) == misses, value
 
     @pytest.mark.parametrize("normalized", [True, False])
     def test_spectral_cluster_passes_the_cache(self, tmp_path, normalized):
@@ -487,6 +565,74 @@ class TestSpectralCluster:
         for value, _ in pairs[:3]:
             assert value == pytest.approx(1.0, abs=1e-10)
         assert pairs[3][0] < 0.999
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n_grouped=st.integers(4, 30),
+        n_isolated=st.integers(0, 3),
+        integer_rows=st.booleans(),
+        normalized=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_decomposed_matrix_matches_the_expression(self, n_grouped, n_isolated, integer_rows,
+                                                      normalized, seed, data):
+        # Nonnegative rows; the isolated ones are unit vectors on their own
+        # axes. Integer rows also give exact zero affinities between grouped
+        # rows, which -L turns into -0.0.
+        rng = np.random.default_rng(seed)
+        dim = 4
+        vectors = np.zeros((n_grouped + n_isolated, dim + n_isolated))
+        grouped = vectors[:n_grouped, :dim]
+        if integer_rows:
+            grouped[:] = rng.integers(0, 3, size=(n_grouped, dim))
+            grouped[~grouped.any(axis=1), 0] = 1.0
+        else:
+            grouped[:] = np.abs(rng.normal(size=(n_grouped, dim)))
+        for j in range(n_isolated):
+            vectors[n_grouped + j, dim + j] = 1.0
+        affinity = build_affinity(vectors[rng.permutation(len(vectors))])
+        isolated = int(np.sum(affinity.entries.sum(axis=1) == 0.0))
+        assume(affinity.n - isolated >= 3)
+        k = isolated + data.draw(st.integers(2, affinity.n - isolated - 1))
+        seen = []
+        real = cluster_module.eig_topk
+
+        def capturing(m, k, cache=None):
+            seen.append(m.copy())
+            return real(m, k, cache)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cluster_module, "eig_topk", capturing)
+            spectral_cluster(affinity, k, seed=0, normalized=normalized)
+        (matrix,) = seen
+        assert matrix.tobytes() == _expression_matrix(affinity.entries, normalized).tobytes()
+
+    def test_affinity_and_cache_hit_hold_two_n_by_n_arrays(self, tmp_path, monkeypatch):
+        n, k = 600, 10
+        budget = 1.6 * n * n * 8
+        vectors = np.random.default_rng(5).normal(size=(n, 50))
+        tracemalloc.start()
+        try:
+            affinity = build_affinity(vectors)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < budget
+        cache = tmp_path / "spectrum.npz"
+        fresh = spectral_cluster(affinity, k, seed=0, cache=cache)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+        # The affinity (one n x n array) is held before tracing starts.
+        tracemalloc.start()
+        try:
+            hit = spectral_cluster(affinity, k, seed=0, cache=cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert calls == [] and hit == fresh
+        assert peak < budget
 
     def test_assignment_validate(self):
         with pytest.raises(ValueError):
