@@ -13,7 +13,8 @@ import logging
 import sys
 import time
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -68,6 +69,66 @@ ARTIFACTS = {
 # not an artifact (see eig_topk).
 SPECTRUM_CACHE = "spectrum.npz"
 
+Need = tuple[Callable[[PipelineConfig], object], str]
+_CORPUS: Need = (lambda cfg: cfg.paths.corpus_unlabeled or cfg.paths.corpus_labeled,
+                 "set paths.corpus_unlabeled and/or paths.corpus_labeled")
+_VECTORS: Need = (lambda cfg: cfg.paths.vectors,
+                  "paths.vectors is required for ranking and clustering")
+
+
+def _under(method: str, need: Need) -> Need:
+    """`need`, checked only when rank.method is `method`."""
+    test, message = need
+    return (lambda cfg: cfg.rank.method != method or test(cfg)), message
+
+
+@dataclass(frozen=True)
+class Stage:
+    """What a command needs of the config, as (test, error message) pairs
+    checked in order, and the ARTIFACTS it reads and writes in out_dir. A
+    command that `runs` other stages has their needs and writes too."""
+
+    help: str
+    needs: tuple[Need, ...] = ()
+    reads: tuple[str, ...] = ()
+    writes: tuple[str, ...] = ()
+    runs: tuple[str, ...] = ()
+
+
+PIPELINE = ("extract", "rank", "cluster", "evaluate")
+STAGES = {
+    "extract": Stage(
+        "extract and filter candidate sub-events",
+        needs=((lambda cfg: cfg.paths.parses is not None or cfg.paths.lexicon,
+                "noun-verb extraction needs dependency parses (paths.parses) or a "
+                "part-of-speech lexicon (paths.lexicon); point one of them at a file"),
+               _CORPUS),
+        writes=("candidates", "accounting")),
+    "rank": Stage(
+        "rank candidates against the crisis term list",
+        needs=(_under("moac", _VECTORS), _under("baseline", _CORPUS)),
+        reads=("candidates",), writes=("ranked",)),
+    "cluster": Stage(
+        "group top-ranked candidates into sub-event clusters",
+        needs=((lambda cfg: cfg.cluster.k is not None,
+                "cluster.k is required: choose the number of sub-event clusters"), _VECTORS),
+        reads=("ranked",), writes=("clusters",)),
+    "evaluate": Stage(
+        "score the ranking against labeled tweets",
+        needs=((lambda cfg: cfg.paths.corpus_labeled,
+                "paths.corpus_labeled is required: evaluation needs labels"),),
+        reads=("ranked",), writes=("metrics",)),
+    "pipeline": Stage(
+        "run extract, rank, cluster, and evaluate in sequence",
+        writes=("manifest",), runs=PIPELINE),
+    "report": Stage(
+        "render F1 and ROC plots from the metrics artifact",
+        reads=("metrics",), writes=("f1_plot", "roc_plot")),
+}
+PRODUCER = {artifact: name for name, stage in STAGES.items() for artifact in stage.writes}
+# The artifacts whose checksums manifest.json records, in pipeline order.
+MANIFESTED = tuple(artifact for name in PIPELINE for artifact in STAGES[name].writes)
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage errors, but 2 is reserved for
@@ -113,15 +174,8 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for name, help_text in [
-        ("extract", "extract and filter candidate sub-events"),
-        ("rank", "rank candidates against the crisis term list"),
-        ("cluster", "group top-ranked candidates into sub-event clusters"),
-        ("evaluate", "score the ranking against labeled tweets"),
-        ("pipeline", "run extract, rank, cluster, and evaluate in sequence"),
-        ("report", "render F1 and ROC plots from the metrics artifact"),
-    ]:
-        _add_common(sub.add_parser(name, help=help_text, epilog=parser.epilog))
+    for name, stage in STAGES.items():
+        _add_common(sub.add_parser(name, help=stage.help, epilog=parser.epilog))
     return parser
 
 
@@ -142,29 +196,23 @@ def _artifact(out_dir: Path, name: str) -> Path:
     return out_dir / ARTIFACTS[name]
 
 
-def _require_artifact(out_dir: Path, name: str, producer: str) -> Path:
-    path = _artifact(out_dir, name)
-    if not path.exists():
-        raise ConfigError(f"{path} not found; run the {producer} stage first")
-    return path
-
-
-def _cluster_k(cfg: PipelineConfig) -> int:
-    if cfg.cluster.k is None:
-        raise ConfigError("cluster.k is required: choose the number of sub-event clusters")
-    return cfg.cluster.k
-
-
-def _corpus_labeled(cfg: PipelineConfig) -> str:
-    if not cfg.paths.corpus_labeled:
-        raise ConfigError("paths.corpus_labeled is required: evaluation needs labels")
-    return cfg.paths.corpus_labeled
-
-
-def _vectors(cfg: PipelineConfig) -> str:
-    if not cfg.paths.vectors:
-        raise ConfigError("paths.vectors is required for ranking and clustering")
-    return cfg.paths.vectors
+def _prepare(command: str, cfg: PipelineConfig, out_dir: Path) -> None:
+    """Check the needs of `command` (of each stage it runs, in turn) and the
+    artifacts it reads, before out_dir is made; then drop a manifest.json
+    that the command's writes would leave stale. The stages a command runs
+    write what each later one reads (tests check it)."""
+    spec = STAGES[command]
+    stages = [*(STAGES[name] for name in spec.runs), spec]
+    for test, message in (need for stage in stages for need in stage.needs):
+        if not test(cfg):
+            raise ConfigError(message)
+    for name in spec.reads:
+        path = _artifact(out_dir, name)
+        if not path.exists():
+            raise ConfigError(f"{path} not found; run the {PRODUCER[name]} stage first")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if any(name in MANIFESTED for stage in stages for name in stage.writes):
+        _artifact(out_dir, "manifest").unlink(missing_ok=True)
 
 
 def _tweet_tokens(cfg: PipelineConfig) -> TweetTokens:
@@ -173,8 +221,6 @@ def _tweet_tokens(cfg: PipelineConfig) -> TweetTokens:
     stopwords = load_stopwords(paths.stopwords)
     files = [(path, mode) for path, mode in [(paths.corpus_unlabeled, LabelMode.UNLABELED),
                                              (paths.corpus_labeled, LabelMode.LABELED)] if path]
-    if not files:
-        raise ConfigError("set paths.corpus_unlabeled and/or paths.corpus_labeled")
     return TweetTokens(files, stopwords, cfg.dedupe)
 
 
@@ -187,7 +233,7 @@ def _load_store(cfg: PipelineConfig, word_lists: Iterable[Sequence[str]]) -> Emb
     """The configured vectors of the words in `word_lists`; the rows of
     other words are not read."""
     return load_vectors(
-        _vectors(cfg),
+        cfg.paths.vectors,
         OovPolicy(cfg.rank.oov_policy),
         hash_seed=cfg.cluster.seed,
         normalize_words=cfg.rank.normalize_words,
@@ -197,11 +243,6 @@ def _load_store(cfg: PipelineConfig, word_lists: Iterable[Sequence[str]]) -> Emb
 
 def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     lexicon = load_pos_lexicon(cfg.paths.lexicon) if cfg.paths.lexicon else None
-    if cfg.paths.parses is None and lexicon is None:
-        raise ConfigError(
-            "noun-verb extraction needs dependency parses (paths.parses) or a "
-            "part-of-speech lexicon (paths.lexicon); point one of them at a file"
-        )
     tweets = _tweet_tokens(cfg)
     parses = load_parses(cfg.paths.parses) if cfg.paths.parses else None
     counts = ExtractCounts(tweets.cleaner, parses, lexicon)
@@ -251,7 +292,7 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
 
 
 def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> None:
-    candidates = read_candidates(_require_artifact(out_dir, "candidates", "extract"))
+    candidates = read_candidates(_artifact(out_dir, "candidates"))
     if cfg.rank.method == "baseline":
         tweets = _tweet_tokens(cfg)
         ranked = rank_baseline_overlap(candidates, tweets, cfg.rank.discount)
@@ -274,8 +315,7 @@ def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> None:
 def cmd_cluster(cfg: PipelineConfig, out_dir: Path) -> None:
     """Cluster the top `cluster.top_m` candidates of the ranking, composed
     from the vectors of their words only."""
-    k = _cluster_k(cfg)
-    ranked = read_ranked(_require_artifact(out_dir, "ranked", "rank"))
+    ranked = read_ranked(_artifact(out_dir, "ranked"))
     top = ranked[: cfg.cluster.top_m]
     word_lists = [rc.candidate.words for rc in top]
     # The store is freed once composed, before the affinity is built.
@@ -283,8 +323,8 @@ def cmd_cluster(cfg: PipelineConfig, out_dir: Path) -> None:
     kept = [rc for rc, is_null in zip(top, null) if not is_null]
     vectors = rows[~null]
     affinity = build_affinity(vectors)
-    assignment = spectral_cluster(affinity, k, cfg.cluster.seed, cfg.cluster.normalized,
-                                  cache=out_dir / SPECTRUM_CACHE)
+    assignment = spectral_cluster(affinity, cfg.cluster.k, cfg.cluster.seed,
+                                  cfg.cluster.normalized, cache=out_dir / SPECTRUM_CACHE)
     summaries = summarize_clusters(assignment, kept, vectors)
     write_clusters(summaries, _artifact(out_dir, "clusters"))
     print(f"clustered {len(kept)} candidates into {len(summaries)} clusters")
@@ -292,8 +332,8 @@ def cmd_cluster(cfg: PipelineConfig, out_dir: Path) -> None:
 
 
 def cmd_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
-    lines = CorpusLines(_corpus_labeled(cfg), LabelMode.LABELED)
-    ranked = read_ranked(_require_artifact(out_dir, "ranked", "rank"))
+    lines = CorpusLines(cfg.paths.corpus_labeled, LabelMode.LABELED)
+    ranked = read_ranked(_artifact(out_dir, "ranked"))
     cleaner = TokenCleaner(load_stopwords(cfg.paths.stopwords))
     read: Counter[Label] = Counter()
 
@@ -321,7 +361,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
 
 
 def cmd_report(cfg: PipelineConfig, out_dir: Path) -> None:
-    metrics = read_metrics(_require_artifact(out_dir, "metrics", "evaluate"))
+    metrics = read_metrics(_artifact(out_dir, "metrics"))
     curve = roc_points(metrics)
     write_text(_artifact(out_dir, "f1_plot"), f1_plot_svg(metrics))
     write_text(_artifact(out_dir, "roc_plot"), roc_plot_svg(curve))
@@ -337,13 +377,9 @@ def _input_hashes(cfg: PipelineConfig) -> dict:
 
 
 def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> None:
-    # Fail on configuration gaps before any stage runs.
-    _cluster_k(cfg)
-    _corpus_labeled(cfg)
-    _vectors(cfg)
     timings = {}
     start = time.perf_counter()
-    for name in ("extract", "rank", "cluster", "evaluate"):
+    for name in PIPELINE:
         stage_start = time.perf_counter()
         COMMANDS[name](cfg, out_dir)
         timings[name] = round(time.perf_counter() - stage_start, 6)
@@ -357,7 +393,7 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> None:
                 "path": ARTIFACTS[name],
                 "sha256": sha256_file(str(_artifact(out_dir, name))),
             }
-            for name in ("candidates", "accounting", "ranked", "clusters", "metrics")
+            for name in MANIFESTED
         },
         "stage_seconds": timings,
         "total_seconds": total,
@@ -366,14 +402,8 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> None:
     print(f"pipeline complete in {total:.2f}s; manifest at {_artifact(out_dir, 'manifest')}")
 
 
-COMMANDS = {
-    "extract": cmd_extract,
-    "rank": cmd_rank,
-    "cluster": cmd_cluster,
-    "evaluate": cmd_evaluate,
-    "pipeline": cmd_pipeline,
-    "report": cmd_report,
-}
+# Each command's handler, cmd_<command>; main and pipeline dispatch through this dict.
+COMMANDS = {name: globals()[f"cmd_{name}"] for name in STAGES}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -389,7 +419,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError("--threads must be >= 1")
         cfg = _resolve_config(args)
         out_dir = Path(cfg.paths.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _prepare(args.command, cfg, out_dir)
         COMMANDS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -237,6 +237,95 @@ class TestExitCodes:
         assert "corpus_labeled" in err
 
 
+PARSES_OR_LEXICON = ("noun-verb extraction needs dependency parses (paths.parses) or a "
+                     "part-of-speech lexicon (paths.lexicon); point one of them at a file")
+CORPUS = "set paths.corpus_unlabeled and/or paths.corpus_labeled"
+VECTORS = "paths.vectors is required for ranking and clustering"
+NO_CORPUS = ["--paths.corpus_unlabeled", "", "--paths.corpus_labeled", ""]
+# (command, message of one of its config needs) -> flags that leave that
+# need, and none the command checks before it, unmet on the fixture config.
+# Under pipeline an earlier stage's need with the same message may fail first.
+NEED_GAPS = {
+    ("extract", PARSES_OR_LEXICON): ["--paths.parses", ""],
+    ("extract", CORPUS): NO_CORPUS,
+    ("rank", VECTORS): ["--paths.vectors", ""],
+    ("rank", CORPUS): ["--rank.method", "baseline", *NO_CORPUS],
+    ("cluster", "cluster.k is required: choose the number of sub-event clusters"):
+        ["--cluster.k", ""],
+    ("cluster", VECTORS): ["--paths.vectors", ""],
+    ("evaluate", "paths.corpus_labeled is required: evaluation needs labels"):
+        ["--paths.corpus_labeled", ""],
+}
+# (command, artifact it reads) -> the stage that writes the artifact.
+READ_PRODUCERS = {
+    ("rank", "candidates"): "extract",
+    ("cluster", "ranked"): "rank",
+    ("evaluate", "ranked"): "rank",
+    ("report", "metrics"): "evaluate",
+}
+
+
+class TestStageTable:
+    """cli.STAGES: what each command needs, reads and writes."""
+
+    def test_each_read_is_written_earlier_in_the_pipeline(self):
+        written = set()
+        for name in cli.PIPELINE:
+            stage = cli.STAGES[name]
+            assert set(stage.reads) <= written, name
+            written.update(stage.writes)
+
+    def test_each_artifact_has_one_producer(self):
+        writes = [artifact for stage in cli.STAGES.values() for artifact in stage.writes]
+        assert sorted(writes) == sorted(set(writes))
+        assert set(writes) <= set(cli.ARTIFACTS)
+        assert set(cli.PRODUCER) == set(writes)
+
+    def test_commands_are_the_stages(self):
+        assert list(cli.COMMANDS) == list(cli.STAGES)
+        assert cli.STAGES["pipeline"].runs == cli.PIPELINE
+
+    def test_manifest_lists_the_pipeline_writes_in_order(self, run_cli, tmp_path, write_config,
+                                                       pipeline_config_dict):
+        out = tmp_path / "out"
+        assert run_cli("pipeline", "--config", write_config(pipeline_config_dict, out))[0] == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert list(manifest["artifacts"]) == [
+            artifact for name in cli.PIPELINE for artifact in cli.STAGES[name].writes]
+
+    def test_every_need_and_read_has_a_case(self):
+        assert set(NEED_GAPS) == {(name, message) for name, stage in cli.STAGES.items()
+                                  for _, message in stage.needs}
+        assert set(READ_PRODUCERS) == {(name, artifact) for name, stage in cli.STAGES.items()
+                                       for artifact in stage.reads}
+
+    @pytest.mark.parametrize("command, stage, message", [
+        pytest.param(command, stage, message, id=f"{command}:{stage}:" + ",".join(
+            flag[2:] for flag in NEED_GAPS[stage, message] if flag.startswith("--")))
+        for stage, message in NEED_GAPS
+        for command in [stage, *(["pipeline"] if stage in cli.PIPELINE else [])]
+    ])
+    def test_unmet_need_exits_1_without_out_dir(self, run_cli, tmp_path, write_config,
+                                               pipeline_config_dict, command, stage, message):
+        out = tmp_path / "out"
+        cfg = write_config(pipeline_config_dict, out)
+        code, stdout, err = run_cli(command, "--config", cfg, *NEED_GAPS[stage, message])
+        assert (code, stdout, err) == (1, "", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, artifact", list(READ_PRODUCERS))
+    def test_missing_artifact_names_its_producer(self, run_cli, tmp_path, write_config,
+                                                 pipeline_config_dict, command, artifact):
+        out = tmp_path / "out"
+        cfg = write_config(pipeline_config_dict, out)
+        code, stdout, err = run_cli(command, "--config", cfg)
+        path = out / cli.ARTIFACTS[artifact]
+        producer = READ_PRODUCERS[command, artifact]
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {path} not found; run the {producer} stage first\n"
+        assert not out.exists()
+
+
 class TestStagedFlow:
     def test_stage_by_stage(self, run_cli, tmp_path, write_config, pipeline_config_dict):
         out = tmp_path / "out"
@@ -386,6 +475,31 @@ class TestPipeline:
         assert set(stages) == {"extract", "rank", "cluster", "evaluate"}
         assert all(v >= 0 for v in stages.values())
         assert manifest["total_seconds"] >= max(stages.values())
+
+    def test_stage_alone_removes_the_manifest(self, run_cli, tmp_path, write_config,
+                                              pipeline_config_dict):
+        # A manifest whose checksums no longer match the artifacts is gone;
+        # report writes no artifact the manifest lists, so it keeps it.
+        out = tmp_path / "out"
+        cfg = write_config(pipeline_config_dict, out)
+        assert run_cli("pipeline", "--config", cfg)[0] == 0
+        assert run_cli("report", "--config", cfg)[0] == 0
+        assert (out / "manifest.json").exists()
+        code, _, _ = run_cli("extract", "--config", cfg,
+                             "--phrase.threshold", "0", "--filter_min_freq", "5")
+        assert code == 0
+        assert not (out / "manifest.json").exists()
+
+    def test_pipeline_failing_part_way_leaves_no_manifest(self, run_cli, tmp_path, write_config,
+                                                         pipeline_config_dict):
+        out = tmp_path / "out"
+        cfg = write_config(pipeline_config_dict, out)
+        assert run_cli("pipeline", "--config", cfg)[0] == 0
+        bad = tmp_path / "bad_vectors.txt"
+        bad.write_text("not a header\n", encoding="utf-8")
+        assert run_cli("pipeline", "--config", cfg, "--paths.vectors", str(bad))[0] == 2
+        assert (out / "candidates.csv").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_artifacts_byte_identical_across_runs(self, run_cli, tmp_path, write_config,
                                                   pipeline_config_dict):

@@ -1,10 +1,14 @@
-"""The python blocks of README.md's "Library use" section run as written."""
+"""README.md checked against the package: the python blocks of its
+"Library use" section run as written, and its per-command table matches
+``cli.STAGES``."""
 
 import re
 import shutil
 from types import ModuleType
 
 import conftest
+from subevents import cli
+from subevents.config import OVERRIDABLE
 
 README = conftest.REPO_ROOT / "README.md"
 
@@ -18,10 +22,13 @@ README_FILES = {
 }
 
 
+def _section(title: str) -> str:
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
 def _library_use_blocks() -> list[str]:
-    text = README.read_text(encoding="utf-8")
-    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"^```python\n(.*?)^```", section, flags=re.DOTALL | re.MULTILINE)
+    return re.findall(r"^```python\n(.*?)^```", _section("Library use"),
+                      flags=re.DOTALL | re.MULTILINE)
 
 
 def test_library_use_blocks_run_in_order(fixtures_dir, tmp_path, monkeypatch):
@@ -42,3 +49,26 @@ def test_library_use_blocks_run_in_order(fixtures_dir, tmp_path, monkeypatch):
                   and not callable(value) and not isinstance(value, ModuleType)}
     assert values["ranked"]
     assert [point.k for point in values["metrics"]] == [1, 10, 100]
+
+
+def _ticked(cell: str) -> list[str]:
+    return re.findall(r"`([^`]+)`", cell)
+
+
+def test_quick_start_stage_table_matches_stages():
+    """Each row of the needs/reads/writes table is its STAGES entry: the
+    config keys its needs' messages name, the stages it runs, and the files
+    it reads and writes, in order."""
+    rows = re.findall(r"^\| `(\w+)` \|([^|]*)\|([^|]*)\|([^|]*)\|$",
+                      _section("Quick start"), flags=re.MULTILINE)
+    assert [row[0] for row in rows] == list(cli.STAGES)
+    for command, needs, reads, writes in rows:
+        stage = cli.STAGES[command]
+        named = {key for _, message in stage.needs
+                 for key in re.findall(r"[\w.]+", message) if key in OVERRIDABLE}
+        assert {key for key in _ticked(needs) if key in OVERRIDABLE} == named, command
+        for cell in (needs, writes):
+            assert [name for name in _ticked(cell) if name in cli.STAGES] == list(stage.runs)
+        assert _ticked(reads) == [cli.ARTIFACTS[name] for name in stage.reads], command
+        files = [name for name in _ticked(writes) if "." in name]
+        assert files == [cli.ARTIFACTS[name] for name in stage.writes], command
