@@ -99,7 +99,7 @@ PIPELINE = ("extract", "rank", "cluster", "evaluate")
 STAGES = {
     "extract": Stage(
         "extract and filter candidate sub-events",
-        needs=((lambda cfg: cfg.paths.parses is not None or cfg.paths.lexicon,
+        needs=((lambda cfg: cfg.paths.parses or cfg.paths.lexicon,
                 "noun-verb extraction needs dependency parses (paths.parses) or a "
                 "part-of-speech lexicon (paths.lexicon); point one of them at a file"),
                _CORPUS),

@@ -13,7 +13,7 @@ import hashlib
 import logging
 import os
 import zipfile
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,9 +32,9 @@ KMEANS_REL_TOL = 1e-6
 KMEANS_SCREEN_SLACK = 64
 # Side of the square blocks _mirror_upper copies at a time (512 KiB each).
 MIRROR_TILE = 256
-# spectrum.npz: the layout tag in its key, and the chunk size in which the
-# eigenvector rows a run does not use are read and dropped.
-SPECTRUM_LAYOUT = "values descending, eigenvectors as rows"
+# spectrum.npz: the layout tag in its key, and the chunk size in which its
+# eigenvector matrix is read to gather the columns a run uses.
+SPECTRUM_LAYOUT = "np.linalg.eigh as returned: values ascending, eigenvectors as columns"
 SPECTRUM_READ_CHUNK = 1 << 18
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -113,32 +113,31 @@ def _mirror_upper(m: np.ndarray) -> None:
     m += 0.0
 
 
-def _read_rows(member, n: int, k: int) -> np.ndarray | None:
-    """The first k rows of the (n, n) float64 .npy stream `member`, which
-    is then read to its end in chunks, so that zipfile checks the CRC-32
-    of the whole member; None when the header or the length differs."""
-    version = np.lib.format.read_magic(member)
-    if version == (1, 0):
-        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
-    elif version == (2, 0):
-        shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(member)
-    else:
+def _read_columns(member, n: int, columns: np.ndarray) -> np.ndarray | None:
+    """The given columns of the (n, n) float64 .npy stream `member`, as an
+    (n, len(columns)) array gathered from chunks of rows read to the end,
+    so that zipfile checks the CRC-32 of the whole member; None when the
+    header differs or bytes are left over, ValueError when they run out."""
+    if np.lib.format.read_magic(member) != (1, 0):
         return None
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(member)
     if shape != (n, n) or fortran_order or dtype != np.dtype(np.float64):
         return None
-    head = member.read(k * n * 8)
-    rest = 0
-    while chunk := member.read(SPECTRUM_READ_CHUNK):
-        rest += len(chunk)
-    if len(head) != k * n * 8 or rest != (n - k) * n * 8:
-        return None
-    return np.frombuffer(head, dtype=np.float64).reshape(k, n).copy()
+    gathered = np.empty((n, len(columns)))
+    step = max(1, SPECTRUM_READ_CHUNK // (n * 8))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        chunk = np.frombuffer(member.read((stop - start) * n * 8), np.float64)
+        gathered[start:stop] = chunk.reshape(stop - start, n)[:, columns]
+    return None if member.read(1) else gathered
 
 
-def _load_spectrum(path: Path, key: str, n: int, k: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The n values and the first k eigenvector rows saved in `path` under
-    `key`; None when the file is unreadable, is no .npz, fails its CRC
-    check, holds another key or the wrong shapes."""
+def _load_spectrum(path: Path, key: str, n: int, leading: Callable[[np.ndarray], np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The values saved in `path` under `key` at `leading(values)` and
+    those columns of the saved eigenvectors; None when the file is
+    unreadable, is no .npz, fails its CRC check, holds another key or the
+    wrong shapes."""
     try:
         with open(path, "rb") as fh, zipfile.ZipFile(fh) as saved:
             with saved.open("key.npy") as member:
@@ -149,21 +148,22 @@ def _load_spectrum(path: Path, key: str, n: int, k: int) -> tuple[np.ndarray, np
                 values = np.lib.format.read_array(member, allow_pickle=False)
             if values.dtype != np.float64 or values.shape != (n,):
                 return None
+            order = leading(values)
             with saved.open("vectors.npy") as member:
-                rows = _read_rows(member, n, k)
+                top = _read_columns(member, n, order)
     # BadZipFile (no zip, or a CRC mismatch) is no OSError; a short
     # member raises EOFError or ValueError.
     except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile):
         return None
-    return None if rows is None else (values, rows)
+    return None if top is None else (values[order], top)
 
 
-def _save_spectrum(path: Path, key: str, values: np.ndarray, rows: np.ndarray) -> bool:
+def _save_spectrum(path: Path, key: str, values: np.ndarray, vectors: np.ndarray) -> bool:
     """Write the decomposition as every artifact is written (`replacing`),
     so a reader sees the old file or the new one whole; False on OSError."""
     try:
         with replacing(path, "xb") as fh:
-            np.savez(fh, key=np.array(key), values=values, vectors=rows)
+            np.savez(fh, key=np.array(key), values=values, vectors=vectors)
     except OSError as exc:
         logger.warning("could not save the eigendecomposition to %s: %s", path, exc)
         return False
@@ -188,33 +188,31 @@ def _spectrum_key(m: np.ndarray) -> str:
 
 def _descending_eigh(m: np.ndarray, k: int,
                      cache: str | os.PathLike | None) -> tuple[np.ndarray, np.ndarray]:
-    """The eigenvalues of m in descending order (a stable argsort of
-    -values) and the eigenvectors of the first k as the rows of a (k, n)
-    array. With `cache`, read from that .npz file when it holds the
-    decomposition of these exact matrix bytes (`_spectrum_key`), else
-    computed by np.linalg.eigh and saved there with all n eigenvectors as
-    rows in the same order. A failed save only logs a warning."""
-    if cache is None:
-        values, vectors = np.linalg.eigh(m)
-        order = np.argsort(-values, kind="stable")
-        return values[order], vectors[:, order[:k]].T
-    path = Path(cache)
+    """The k largest eigenvalues of m in descending order and their
+    eigenvectors as the columns of an (n, k) array: the columns of
+    np.linalg.eigh(m) at the first k of a stable argsort of -values. With
+    `cache`, that .npz file memoizes eigh: it holds values and vectors as
+    eigh returns them, under the key of these exact matrix bytes
+    (`_spectrum_key`). A hit reads the values and gathers the k columns;
+    a miss decomposes and saves, and a failed save only logs a warning."""
+
+    def leading(values: np.ndarray) -> np.ndarray:
+        return np.argsort(-values, kind="stable")[:k]
+
     n = m.shape[0]
-    key = _spectrum_key(m)
-    saved = _load_spectrum(path, key, n, k)
-    if saved is not None:
-        logger.info("reused the eigendecomposition of the %dx%d matrix (key %s) from %s",
-                    n, n, key[:12], path)
-        return saved
+    if cache is not None:
+        path, key = Path(cache), _spectrum_key(m)
+        saved = _load_spectrum(path, key, n, leading)
+        if saved is not None:
+            logger.info("reused the eigendecomposition of the %dx%d matrix (key %s) from %s",
+                        n, n, key[:12], path)
+            return saved
     values, vectors = np.linalg.eigh(m)
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    rows = vectors.T[order]
-    del vectors
-    if _save_spectrum(path, key, values, rows):
+    if cache is not None and _save_spectrum(path, key, values, vectors):
         logger.info("computed the eigendecomposition of the %dx%d matrix (key %s) and saved"
                     " it to %s", n, n, key[:12], path)
-    return values, rows[:k].copy()
+    order = leading(values)
+    return values[order], vectors[:, order]
 
 
 def eig_topk(
@@ -229,13 +227,14 @@ def eig_topk(
 
     With `cache`, the path of an .npz file, the full decomposition is kept
     there keyed by the exact matrix bytes and the BLAS thread settings:
-    the n eigenvalues in descending order and the n eigenvectors as rows
-    in that order. A later call on the same matrix, at any k, reads back
-    the values and only the first k rows instead of decomposing again, and
-    returns the same bits the first call did. The rest of the rows are
-    read in chunks and dropped, so a damaged file is still a miss. The
-    input checks run before the file is read or written; pairs read back
-    pass the same sign and residual steps as fresh ones.
+    the values and vectors exactly as np.linalg.eigh returns them (values
+    ascending, eigenvectors as columns). A later call on the same matrix,
+    at any k, reads back the values and gathers only the k columns it
+    needs instead of decomposing again, and returns the same bits the
+    first call did. The whole file is read in chunks, so a damaged file is
+    still a miss, as is a file in an earlier layout. The input checks run
+    before the file is read or written; pairs read back pass the same
+    sign and residual steps as fresh ones.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -249,20 +248,19 @@ def eig_topk(
     n = m.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    values, top = _descending_eigh(m, k, cache)
-    top_values = values[:k]
-    rows = np.arange(k)
-    flip = top[rows, np.argmax(np.abs(top), axis=1)] < 0.0
-    top[flip] = -top[flip]
+    top_values, top = _descending_eigh(m, k, cache)
+    cols = np.arange(k)
+    flip = top[np.argmax(np.abs(top), axis=0), cols] < 0.0
+    top[:, flip] = -top[:, flip]
     # All k residuals from one matrix product; they only gate the result.
-    residuals = np.linalg.norm(m @ top.T - top.T * top_values, axis=0)
+    residuals = np.linalg.norm(m @ top - top * top_values, axis=0)
     bound = EIG_RESIDUAL_TOL * max(1.0, float(np.linalg.norm(m)))
     worst = int(np.argmax(residuals))
     if residuals[worst] > bound:
         raise ArithmeticError(
             f"eigenpair residual {residuals[worst]:.3e} exceeds bound {bound:.3e}"
         )
-    return [(float(top_values[i]), top[i].copy()) for i in rows]
+    return [(float(top_values[i]), top[:, i].copy()) for i in cols]
 
 
 def _assign(
@@ -378,16 +376,6 @@ def kmeans(
     return labels, centers, history
 
 
-def _canonical(raw_keys: Sequence[object]) -> tuple[int, ...]:
-    mapping: dict[object, int] = {}
-    labels = []
-    for key in raw_keys:
-        if key not in mapping:
-            mapping[key] = len(mapping)
-        labels.append(mapping[key])
-    return tuple(labels)
-
-
 def spectral_cluster(
     affinity: AffinityMatrix,
     k: int,
@@ -403,10 +391,12 @@ def spectral_cluster(
     first appearance, making the result deterministic for (A, k, seed).
 
     `cache` is passed to `eig_topk` in both variants: runs at several k on
-    one affinity decompose its (normalized or Laplacian) matrix once. The
-    matrix is built in one n x n array (D^-1/2 A D^-1/2 scaled and mirrored
-    in place, or -L), so a run that reads its pairs from `cache` holds two
-    n x n arrays: the affinity and that matrix.
+    one affinity decompose its (normalized or Laplacian) matrix once; the
+    file holds eigh's output for it as returned, and one in the previous
+    layout is recomputed once. The matrix is built in one n x n array
+    (D^-1/2 A D^-1/2 scaled and mirrored in place, or -L), so a run that
+    reads its pairs from `cache` holds two n x n arrays: the affinity and
+    that matrix.
     """
     affinity.validate()
     n = affinity.n
@@ -432,39 +422,35 @@ def spectral_cluster(
     elif k_rem == 1:
         sub_labels = np.zeros(len(connected), dtype=np.int64)
     else:
-        if len(isolated):
-            sub = affinity.entries[np.ix_(connected, connected)]
-        else:
-            sub = affinity.entries
+        sub = affinity.entries[np.ix_(connected, connected)] if len(isolated) else affinity.entries
         deg = sub.sum(axis=1)
         if normalized:
             inv_sqrt = 1.0 / np.sqrt(deg)
             # The submatrix without the isolated rows is already a copy.
-            scaled = np.multiply(sub, inv_sqrt[:, None], out=sub if len(isolated) else None)
-            scaled *= inv_sqrt[None, :]
-            _mirror_upper(scaled)
-            pairs = eig_topk(scaled, k_rem, cache)
-            embedding = np.stack([vec for _, vec in pairs], axis=1)
+            matrix = np.multiply(sub, inv_sqrt[:, None], out=sub if len(isolated) else None)
+            matrix *= inv_sqrt[None, :]
+            _mirror_upper(matrix)
+        else:
+            # -L = -(D - A) in one array; -(0.0 - 0.0) is -0.0 off the
+            # diagonal, as in the expression. Smallest eigenvalues of L are
+            # the largest of -L.
+            matrix = np.diag(deg)
+            np.subtract(matrix, sub, out=matrix)
+            np.negative(matrix, out=matrix)
+        embedding = np.stack([vec for _, vec in eig_topk(matrix, k_rem, cache)], axis=1)
+        if normalized:
             row_norms = np.linalg.norm(embedding, axis=1)
             nonzero = row_norms > 0.0
             embedding[nonzero] = embedding[nonzero] / row_norms[nonzero, None]
-        else:
-            # -L = -(D - A) in one array; -(0.0 - 0.0) is -0.0 off the
-            # diagonal, as in the expression.
-            neg_laplacian = np.diag(deg)
-            np.subtract(neg_laplacian, sub, out=neg_laplacian)
-            np.negative(neg_laplacian, out=neg_laplacian)
-            # Smallest eigenvalues of L are the largest of -L.
-            pairs = eig_topk(neg_laplacian, k_rem, cache)
-            embedding = np.stack([vec for _, vec in pairs], axis=1)
         sub_labels, _, _ = kmeans(embedding, k_rem, seed)
 
-    raw_keys: list[object] = [None] * n
-    for i in isolated:
-        raw_keys[i] = ("singleton", int(i))
-    for pos, i in enumerate(connected):
-        raw_keys[i] = ("grouped", int(sub_labels[pos]))
-    assignment = ClusterAssignment(k=k, labels=_canonical(raw_keys))
+    # Each row's k-means id, or for a singleton k_rem + its index, past
+    # every k-means id; then relabelled by first appearance.
+    raw = k_rem + np.arange(n)
+    raw[connected] = sub_labels
+    _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[inverse]
+    assignment = ClusterAssignment(k=k, labels=tuple(labels.tolist()))
     assignment.validate()
     return assignment
 

@@ -84,6 +84,9 @@ class PipelineConfig:
     def validate(self) -> None:
         for dotted, hint in OVERRIDABLE.items():
             _coerce(dotted, hint, getattr(*_owner(self, dotted)), text=False)
+        # Path("") is the current directory, not an output directory.
+        if not self.paths.out_dir:
+            raise ConfigError("paths.out_dir must not be empty")
         if self.phrase.min_count < 1:
             raise ConfigError("phrase.min_count must be >= 1")
         if not (math.isfinite(self.phrase.threshold) and self.phrase.threshold >= 0):

@@ -26,6 +26,10 @@ logger = logging.getLogger(__name__)
 SUBWORD_MIN_GRAM = 3
 SUBWORD_MAX_GRAM = 6
 SUBWORD_BUCKETS = 1 << 16
+# Largest |value| a vector row may hold. The squared norm of a sum of W such
+# rows in d dimensions stays finite while W * sqrt(d) < ~1e54, so `compose`
+# and the cosines after it never overflow.
+VALUE_BOUND = 1e100
 
 
 class OovPolicy(Enum):
@@ -111,8 +115,9 @@ def load_vectors(
     Each row that is read is parsed on its own: numpy's string-to-float64
     cast reads every value as ``float()`` does. The row is rejected with a
     warning when its arity disagrees with the declared dimension or a value
-    is non-numeric or non-finite; a duplicate word keeps the first accepted
-    row. A malformed header is fatal.
+    is non-numeric, non-finite or larger in magnitude than VALUE_BOUND; a
+    duplicate word keeps the first accepted row. A malformed header is
+    fatal.
     """
     with open_text(path) as fh:
         header = fh.readline().split()
@@ -147,6 +152,10 @@ def load_vectors(
                 continue
             if not np.isfinite(values).all():
                 logger.warning("%s:%d: rejecting row for %r (non-finite)", path, lineno, word)
+                continue
+            if np.abs(values).max() > VALUE_BOUND:
+                logger.warning("%s:%d: rejecting row for %r (|value| > %g)",
+                               path, lineno, word, VALUE_BOUND)
                 continue
             if word in vectors:
                 logger.warning("%s:%d: duplicate word %r, keeping first", path, lineno, word)

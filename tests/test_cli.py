@@ -5,6 +5,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
@@ -90,6 +91,26 @@ class TestExitCodes:
         )
         assert code == 1
         assert "paths.parses" in err and "paths.lexicon" in err
+
+    def test_empty_parses_path_in_json_is_no_source(self, run_cli, tmp_path, write_config,
+                                                    pipeline_config_dict):
+        # JSON keeps "" as a string, where the command line reads it as null.
+        pipeline_config_dict["paths"]["parses"] = ""
+        out = tmp_path / "out"
+        code, stdout, err = run_cli("extract", "--config", write_config(pipeline_config_dict, out))
+        assert (code, stdout, err) == (1, "", f"error: {PARSES_OR_LEXICON}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["json", "flag"])
+    def test_empty_out_dir_is_a_config_error(self, run_cli, tmp_path, write_config,
+                                             pipeline_config_dict, monkeypatch, where):
+        # Path("") is the current directory.
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(pipeline_config_dict, "" if where == "json" else tmp_path / "out")
+        flags = ["--paths.out_dir", ""] if where == "flag" else []
+        code, stdout, err = run_cli("extract", "--config", cfg, *flags)
+        assert (code, stdout, err) == (1, "", "error: paths.out_dir must not be empty\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [Path(cfg).name]
 
     def test_majority_malformed_corpus_is_data_error(self, run_cli, tmp_path):
         corpus = tmp_path / "c.jsonl"
@@ -637,6 +658,37 @@ class TestPipeline:
         assert warned("rank") == ["cnounaa", "anchortheta"]
         assert warned("cluster") == ["cnounaa"]
 
+    def test_overflowing_vector_rows_score_as_out_of_vocabulary(
+            self, run_cli, tmp_path, write_config, pipeline_config_dict):
+        # Finite rows too large to sum and normalize in float64: 1e308 sums
+        # to inf, and 1e200 has an infinite squared norm.
+        source = Path(pipeline_config_dict["paths"]["vectors"]).read_text(encoding="utf-8")
+        big = {"cnounaa": "1e308", "cverbaa": "1e308", "cnounab": "1e200"}
+        overflowing, dropped = [], []
+        for line in source.splitlines(keepends=True):
+            word, *values = line.split()
+            if word in big:
+                overflowing.append(" ".join([word] + [big[word]] * len(values)) + "\n")
+            else:
+                overflowing.append(line)
+                dropped.append(line)
+        out = tmp_path / "out"
+        cfg = write_config(pipeline_config_dict, out)
+        assert run_cli("extract", "--config", cfg)[0] == 0
+
+        def ranked(lines, name):
+            path = tmp_path / name
+            path.write_text("".join(lines), encoding="utf-8")
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert run_cli("rank", "--config", cfg, "--paths.vectors", str(path))[0] == 0
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            return (out / "ranked.csv").read_bytes()
+
+        got = ranked(overflowing, "overflowing.txt")
+        assert all(np.isfinite(rc.score) for rc in read_ranked(out / "ranked.csv"))
+        assert got == ranked(dropped, "dropped.txt")
+
     def test_bad_vectors_fail_at_rank_after_extract(self, run_cli, tmp_path, write_config,
                                                     pipeline_config_dict):
         bad = tmp_path / "bad_vectors.txt"
@@ -679,8 +731,9 @@ def _flip_data_byte(path, monkeypatch):
 
 
 def _flip_last_row_byte(path, monkeypatch):
-    # The last eigenvector row lies past the k rows a hit uses; only the
-    # CRC check of the whole member, read to its end, finds it.
+    # The middle of the last row of the saved eigenvector matrix lies in
+    # the column of a middling eigenvalue, which a hit does not gather; only
+    # the CRC check of the whole member, read to its end, finds it.
     with np.load(path) as saved:
         last = saved["vectors"][-1].tobytes()
     data = bytearray(path.read_bytes())
@@ -812,9 +865,44 @@ class TestSpectrumCache:
         assert (out / "clusters.json").read_bytes() == expected
         with np.load(out / "spectrum.npz") as saved:
             assert saved["key"].item() != old_key
-            assert np.all(np.diff(saved["values"]) <= 0.0)
+            assert np.all(np.diff(saved["values"]) >= 0.0)
         assert run_cli("cluster", "--config", cfg)[0] == 0
         assert len(matrices) == 2
+
+    def test_descending_rows_layout_is_a_miss(self, run_cli, tmp_path, write_config,
+                                              pipeline_config_dict, monkeypatch):
+        # The layout before the file held eigh's output as returned: values
+        # descending and the eigenvectors as rows in that order, under a key
+        # of that layout tag, the numpy version, the BLAS thread settings,
+        # the CPU count, the shape and the bytes.
+        out = tmp_path / "out"
+        cfg = self._ranked(run_cli, write_config, pipeline_config_dict, out)
+        matrices = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: matrices.append(m.copy()) or eigh(m))
+        assert run_cli("cluster", "--config", cfg)[0] == 0
+        expected = (out / "clusters.json").read_bytes()
+        (m,) = matrices
+        digest = hashlib.sha256(b"values descending, eigenvectors as rows")
+        digest.update(np.__version__.encode())
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            digest.update(f"\0{name}={os.environ.get(name)!r}".encode())
+        digest.update(f"\0cpus={os.cpu_count()!r}\0".encode())
+        digest.update(repr(m.shape).encode())
+        digest.update(m)
+        old_key = digest.hexdigest()
+        values, vectors = eigh(m)
+        order = np.argsort(-values, kind="stable")
+        np.savez(out / "spectrum.npz", key=np.array(old_key), values=values[order],
+                 vectors=vectors.T[order])
+        assert run_cli("cluster", "--config", cfg)[0] == 0
+        assert len(matrices) == 2
+        assert (out / "clusters.json").read_bytes() == expected
+        with np.load(out / "spectrum.npz") as saved:
+            assert saved["key"].item() != old_key
+        assert run_cli("cluster", "--config", cfg)[0] == 0
+        assert len(matrices) == 2
+        assert (out / "clusters.json").read_bytes() == expected
 
     def test_cache_file_mode_follows_umask(self, run_cli, tmp_path, write_config,
                                            pipeline_config_dict):

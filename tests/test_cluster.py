@@ -604,9 +604,14 @@ class TestSpectralCluster:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cluster_module, "eig_topk", capturing)
-            spectral_cluster(affinity, k, seed=0, normalized=normalized)
+            assignment = spectral_cluster(affinity, k, seed=0, normalized=normalized)
         (matrix,) = seen
         assert matrix.tobytes() == _expression_matrix(affinity.entries, normalized).tobytes()
+        labels = np.array(assignment.labels)
+        in_order = list(dict.fromkeys(assignment.labels))
+        assert in_order == list(range(len(in_order)))
+        assert np.all(np.bincount(labels)[labels[affinity.entries.sum(axis=1) == 0.0]] == 1)
+        assert len(in_order) == k
 
     def test_affinity_and_cache_hit_hold_two_n_by_n_arrays(self, tmp_path, monkeypatch):
         n, k = 600, 10

@@ -63,6 +63,10 @@ class TestLoadVectors:
         path = self._write(tmp_path, "2 2\nflood nan 0\nfire inf 1\n")
         assert load_vectors(path).vectors == {}
 
+    def test_row_beyond_value_bound_rejected(self, tmp_path):
+        path = self._write(tmp_path, "3 2\nflood 1e308 0\nfire 0 -1e101\nrain 1e100 -1e100\n")
+        assert set(load_vectors(path).vectors) == {"rain"}
+
     def test_duplicate_keeps_first(self, tmp_path):
         path = self._write(tmp_path, "2 2\nflood 1 0\nflood 0 1\n")
         store = load_vectors(path)
@@ -83,9 +87,10 @@ class TestLoadVectors:
 
 
 def _reference_load(path):
-    """The loader as first written: every value parsed by `float()`, one row
-    at a time. Takes a valid header; returns (dim, vectors, warnings), each
-    warning as (the row's word, message)."""
+    """The loader as first written, with the later |value| bound: every
+    value parsed by `float()`, one row at a time. Takes a valid header;
+    returns (dim, vectors, warnings), each warning as (the row's word,
+    message)."""
     warnings = []
     with open(path, encoding="utf-8") as fh:
         dim = int(fh.readline().split()[1])
@@ -108,6 +113,10 @@ def _reference_load(path):
             if not np.all(np.isfinite(values)):
                 warnings.append(
                     (word, f"{path}:{lineno}: rejecting row for {word!r} (non-finite)"))
+                continue
+            if np.any(np.abs(values) > 1e100):
+                warnings.append(
+                    (word, f"{path}:{lineno}: rejecting row for {word!r} (|value| > 1e+100)"))
                 continue
             if word in vectors:
                 warnings.append(
