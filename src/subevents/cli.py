@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 import time
@@ -128,6 +129,9 @@ STAGES = {
 PRODUCER = {artifact: name for name, stage in STAGES.items() for artifact in stage.writes}
 # The artifacts whose checksums manifest.json records, in pipeline order.
 MANIFESTED = tuple(artifact for name in PIPELINE for artifact in STAGES[name].writes)
+# Keys of every manifest.json cmd_pipeline writes: a file without them is
+# not the package's, and no command removes or overwrites it.
+MANIFEST_KEYS = ("tool_version", "artifacts", "stage_seconds")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -197,10 +201,12 @@ def _artifact(out_dir: Path, name: str) -> Path:
 
 
 def _prepare(command: str, cfg: PipelineConfig, out_dir: Path) -> None:
-    """Check the needs of `command` (of each stage it runs, in turn) and the
-    artifacts it reads, before out_dir is made; then drop a manifest.json
-    that the command's writes would leave stale. The stages a command runs
-    write what each later one reads (tests check it)."""
+    """Check the needs of `command` (of each stage it runs, in turn), the
+    artifacts it reads and, if it writes manifest.json, that a file there is
+    the package's own, before out_dir is made; then drop the package's
+    manifest.json that the command's writes would leave stale. A
+    manifest.json the package did not write is never removed. The stages a
+    command runs write what each later one reads (tests check it)."""
     spec = STAGES[command]
     stages = [*(STAGES[name] for name in spec.runs), spec]
     for test, message in (need for stage in stages for need in stage.needs):
@@ -210,9 +216,24 @@ def _prepare(command: str, cfg: PipelineConfig, out_dir: Path) -> None:
         path = _artifact(out_dir, name)
         if not path.exists():
             raise ConfigError(f"{path} not found; run the {PRODUCER[name]} stage first")
+    manifest = _artifact(out_dir, "manifest")
+    foreign = manifest.exists() and not _own_manifest(manifest)
+    if foreign and "manifest" in spec.writes:
+        raise ConfigError(f"{manifest} was not written by subevents; move it or choose"
+                          " another paths.out_dir")
     out_dir.mkdir(parents=True, exist_ok=True)
-    if any(name in MANIFESTED for stage in stages for name in stage.writes):
-        _artifact(out_dir, "manifest").unlink(missing_ok=True)
+    if not foreign and any(name in MANIFESTED for stage in stages for name in stage.writes):
+        manifest.unlink(missing_ok=True)
+
+
+def _own_manifest(path: Path) -> bool:
+    """Whether `path` reads as a JSON object with the keys cmd_pipeline
+    writes; a file that cannot be read or parsed is not the package's."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):
+        return False
+    return isinstance(data, dict) and all(key in data for key in MANIFEST_KEYS)
 
 
 def _tweet_tokens(cfg: PipelineConfig) -> TweetTokens:

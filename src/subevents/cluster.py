@@ -36,7 +36,10 @@ MIRROR_TILE = 256
 # eigenvector matrix is read to gather the columns a run uses.
 SPECTRUM_LAYOUT = "np.linalg.eigh as returned: values ascending, eigenvectors as columns"
 SPECTRUM_READ_CHUNK = 1 << 18
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Read by BLAS at start-up: its thread counts and OpenBLAS's kernel set can
+# change the eigenvector bits, so each is in the spectrum.npz key.
+BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                 "OPENBLAS_CORETYPE")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,13 +174,12 @@ def _save_spectrum(path: Path, key: str, values: np.ndarray, vectors: np.ndarray
 
 
 def _spectrum_key(m: np.ndarray) -> str:
-    """sha256 of the file layout, the numpy version, the BLAS thread
-    settings, the CPU count, the shape and the bytes of m."""
+    """sha256 of the file layout, the numpy version, the BLAS settings
+    (BLAS_ENV_VARS), the CPU count, the shape and the bytes of m. The BLAS
+    build itself is not in the key."""
     digest = hashlib.sha256(SPECTRUM_LAYOUT.encode())
     digest.update(np.__version__.encode())
-    # BLAS reads these at start-up; its thread count can change the
-    # eigenvector bits. The BLAS build itself is not in the key.
-    for name in BLAS_THREAD_VARS:
+    for name in BLAS_ENV_VARS:
         digest.update(f"\0{name}={os.environ.get(name)!r}".encode())
     digest.update(f"\0cpus={os.cpu_count()!r}\0".encode())
     digest.update(repr(m.shape).encode())
@@ -226,7 +228,7 @@ def eig_topk(
     ||Mv - lv|| <= 1e-8 * max(1, ||M||_F).
 
     With `cache`, the path of an .npz file, the full decomposition is kept
-    there keyed by the exact matrix bytes and the BLAS thread settings:
+    there keyed by the exact matrix bytes and the BLAS settings:
     the values and vectors exactly as np.linalg.eigh returns them (values
     ascending, eigenvectors as columns). A later call on the same matrix,
     at any k, reads back the values and gathers only the k columns it

@@ -511,6 +511,54 @@ class TestPipeline:
         assert code == 0
         assert not (out / "manifest.json").exists()
 
+    # manifest.json files the package did not write: another tool's JSON,
+    # a JSON object short of one key cmd_pipeline writes, other JSON, text
+    # that is no JSON, and bytes that are no UTF-8.
+    FOREIGN_MANIFESTS = [
+        pytest.param(b'{"name": "my-web-app", "version": "1.0"}', id="other-tool"),
+        pytest.param(b'{"tool_version": "0", "artifacts": {}}', id="no-stage-seconds"),
+        pytest.param(b'["tool_version", "artifacts", "stage_seconds"]', id="json-list"),
+        pytest.param(b"manifest: yes\n", id="not-json"),
+        pytest.param(b'{"tool_version": "\xff"}', id="not-utf8"),
+    ]
+
+    @pytest.mark.parametrize("foreign", FOREIGN_MANIFESTS)
+    def test_stages_keep_a_foreign_manifest(self, run_cli, tmp_path, write_config,
+                                            pipeline_config_dict, foreign):
+        out = tmp_path / "out"
+        cfg = write_config(pipeline_config_dict, out)
+        assert run_cli("pipeline", "--config", cfg)[0] == 0
+        (out / "manifest.json").write_bytes(foreign)
+        for stage in ("extract", "rank", "cluster", "evaluate", "report"):
+            assert run_cli(stage, "--config", cfg)[0] == 0, stage
+            assert (out / "manifest.json").read_bytes() == foreign, stage
+
+    @pytest.mark.parametrize("foreign", FOREIGN_MANIFESTS)
+    def test_pipeline_refuses_a_foreign_manifest(self, run_cli, tmp_path, write_config,
+                                                 pipeline_config_dict, foreign):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "manifest.json").write_bytes(foreign)
+        cfg = write_config(pipeline_config_dict, out)
+        code, stdout, stderr = run_cli("pipeline", "--config", cfg)
+        assert code == 1
+        assert stdout == ""
+        assert stderr == (f"error: {out / 'manifest.json'} was not written by subevents;"
+                          " move it or choose another paths.out_dir\n")
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        assert (out / "manifest.json").read_bytes() == foreign
+
+    def test_pipeline_replaces_its_own_manifest(self, run_cli, tmp_path, write_config,
+                                                pipeline_config_dict):
+        out = tmp_path / "out"
+        cfg = write_config(pipeline_config_dict, out)
+        assert run_cli("pipeline", "--config", cfg)[0] == 0
+        first = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert set(cli.MANIFEST_KEYS) <= set(first)
+        assert run_cli("pipeline", "--config", cfg, "--cluster.k", "5")[0] == 0
+        second = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert second["config"]["cluster"]["k"] == 5
+
     def test_pipeline_failing_part_way_leaves_no_manifest(self, run_cli, tmp_path, write_config,
                                                          pipeline_config_dict):
         out = tmp_path / "out"

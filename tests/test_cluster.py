@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -12,12 +14,13 @@ from hypothesis import strategies as st
 import oracles
 from subevents import cluster as cluster_module
 from subevents.cluster import (
-    BLAS_THREAD_VARS,
     MIRROR_TILE,
+    SPECTRUM_LAYOUT,
     AffinityMatrix,
     ClusterAssignment,
     _assign,
     _mirror_upper,
+    _spectrum_key,
     build_affinity,
     eig_topk,
     kmeans,
@@ -294,7 +297,8 @@ class TestEigTopkCache:
         assert (cache.read_bytes(), cache.stat().st_mtime_ns) == before
         assert [p.name for p in tmp_path.iterdir()] == ["spectrum.npz"]
 
-    @pytest.mark.parametrize("name", BLAS_THREAD_VARS)
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                      "MKL_NUM_THREADS"])
     def test_blas_thread_setting_is_in_the_key(self, tmp_path, monkeypatch, name):
         m = _symmetric(6, 0)
         cache = tmp_path / "spectrum.npz"
@@ -309,6 +313,39 @@ class TestEigTopkCache:
                 monkeypatch.setenv(name, value)
             assert _bits(eig_topk(m, 2, cache=cache)) == expected
             assert len(calls) == misses, value
+
+    def test_openblas_kernel_set_is_in_the_key(self, monkeypatch):
+        # OpenBLAS picks its kernels at start-up, by CPU or by this variable,
+        # and they can change the eigenvector bits.
+        m = _symmetric(6, 0)
+        monkeypatch.delenv("OPENBLAS_CORETYPE", raising=False)
+        keys = {_spectrum_key(m)}
+        for value in ["Haswell", "Prescott"]:
+            monkeypatch.setenv("OPENBLAS_CORETYPE", value)
+            keys.add(_spectrum_key(m.copy()))
+        assert len(keys) == 3
+
+    def test_key_without_the_kernel_set_is_a_miss(self, tmp_path, monkeypatch):
+        # A file keyed before OPENBLAS_CORETYPE entered the key: same layout,
+        # the three thread variables, the CPU count, the shape and the bytes.
+        m = _symmetric(6, 0)
+        digest = hashlib.sha256(SPECTRUM_LAYOUT.encode())
+        digest.update(np.__version__.encode())
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            digest.update(f"\0{name}={os.environ.get(name)!r}".encode())
+        digest.update(f"\0cpus={os.cpu_count()!r}\0".encode())
+        digest.update(repr(m.shape).encode())
+        digest.update(np.ascontiguousarray(m))
+        cache = tmp_path / "spectrum.npz"
+        values, vectors = np.linalg.eigh(m)
+        np.savez(cache, key=np.array(digest.hexdigest()), values=values, vectors=vectors)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        expected = _bits(eig_topk(m, 2))
+        for misses in (2, 2):
+            assert _bits(eig_topk(m, 2, cache=cache)) == expected
+            assert len(calls) == misses
 
     @pytest.mark.parametrize("normalized", [True, False])
     def test_spectral_cluster_passes_the_cache(self, tmp_path, normalized):

@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -155,12 +156,22 @@ def vector_dir(tmp_path_factory):
 
 class TestLoadVectorsProperties:
     # Short files search the header and first rows closely; long ones give
-    # duplicates and rejected rows far apart.
-    @pytest.mark.parametrize("max_rows", [3, 64])
+    # duplicates and rejected rows far apart. Small blocks put block edges
+    # next to rejected and duplicate rows, and let clean blocks take the
+    # one-call path between them.
+    @pytest.mark.parametrize("max_rows, block_rows", [
+        pytest.param(3, None, id="3"),
+        pytest.param(64, None, id="64"),
+        pytest.param(64, 4, id="64-blocks-of-4"),
+        pytest.param(3, 1, id="3-blocks-of-1"),
+    ])
     @settings(deadline=None, max_examples=100,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), words=st.sets(WORDS | ABSENT_WORDS))
-    def test_same_as_per_row_reference(self, data, words, max_rows, vector_dir, caplog):
+    def test_same_as_per_row_reference(self, data, words, max_rows, block_rows, vector_dir,
+                                       caplog, monkeypatch):
+        if block_rows is not None:
+            monkeypatch.setattr(embed, "VECTOR_BLOCK_ROWS", block_rows)
         text = data.draw(vector_files(max_rows))
         path = vector_dir / "v.txt"
         path.write_bytes(text.encode("utf-8"))
@@ -198,6 +209,60 @@ class TestLoadVectorsProperties:
             load_vectors(path)
         except InputFormatError:
             pass
+
+
+# Every character str.split() splits on, except the line ends a text-mode
+# read never leaves inside a line; then characters it does not split on.
+WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c not in "\n\r"]
+NOT_WHITESPACE = ["\u200b", "\ufeff", "\u180e", "\x00"]
+
+
+@pytest.mark.parametrize("sep", WHITESPACE + NOT_WHITESPACE, ids=lambda c: f"U+{ord(c):04X}")
+def test_loadtxt_splits_fields_where_str_split_does(sep, tmp_path):
+    """The one-call parse of a block relies on np.loadtxt splitting a row
+    into the fields str.split() gives, or rejecting it."""
+    tail = f"1{sep}{sep}2{sep}\n"
+    try:
+        table = np.loadtxt([tail], dtype=np.float64, comments=None, ndmin=2).tolist()
+    except ValueError:
+        table = None
+    if sep.isspace():
+        assert tail.split() == ["1", "2"]
+        assert table == [[1.0, 2.0]]
+    else:
+        assert len(tail.split()) == 1
+        assert table is None
+    path = tmp_path / "v.txt"
+    path.write_text(f"1 2\nflood {tail}", encoding="utf-8")
+    assert {w: v.tolist() for w, v in load_vectors(path).vectors.items()} == (
+        {"flood": [1.0, 2.0]} if sep.isspace() else {})
+
+
+def test_clean_rows_take_no_per_row_numpy_call(tmp_path):
+    """A file whose rows are all well formed makes as many numpy.array
+    calls (profile events) at 500 rows as at 50: the rows are parsed by one
+    np.loadtxt per block, not one by one."""
+    rng = np.random.default_rng(0)
+    counts = []
+    for rows in (50, 500):
+        path = tmp_path / f"{rows}.txt"
+        path.write_text(f"{rows} 8\n" + "".join(
+            f"w{i} " + " ".join(map(repr, rng.standard_normal(8).tolist())) + "\n"
+            for i in range(rows)), encoding="utf-8")
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "c_call" and arg is np.array
+
+        sys.setprofile(count)
+        try:
+            store = load_vectors(path)
+        finally:
+            sys.setprofile(None)
+        assert len(store.vectors) == rows
+        counts.append(calls)
+    assert counts[0] == counts[1]
 
 
 class TestCompose:
