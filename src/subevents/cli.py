@@ -267,8 +267,7 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     tweets = _tweet_tokens(cfg)
     parses = load_parses(cfg.paths.parses) if cfg.paths.parses else None
     counts = ExtractCounts(tweets.cleaner, parses, lexicon)
-    for tweet_id, tokens in tweets:
-        counts.add(tweet_id, tokens)
+    counts.add_texts(tweets.texts())
     _log_dedupe(tweets)
     if cfg.paths.parses and counts.parsed == 0:
         logger.warning("no tweet id in the corpus matched the parse file %s", cfg.paths.parses)

@@ -12,8 +12,8 @@ tokens containing a digit, hashtags, and user mentions.
 Corpus files are read one line at a time and no tweet is kept:
 ``CorpusLines`` yields each line's (id, text, label), and ``TokenCleaner``
 applies the preprocessing rules to its text. ``TweetTokens`` builds on
-both for a stream of (tweet id, tokens) over several files; evaluation
-pairs each label with its tokens.
+both for a stream of (tweet id, raw text) or (tweet id, tokens) over
+several files; evaluation pairs each label with its tokens.
 """
 
 from __future__ import annotations
@@ -96,8 +96,25 @@ def validate_heads(ids: Sequence[int], heads: Sequence[int]) -> None:
             current = heads[current - 1]
 
 
+_DECODER = json.JSONDecoder()
+
+
+def _loads(line: str):
+    """``json.loads(line)``. A line that is one JSON value from its first
+    character, then JSON whitespace, is decoded by ``raw_decode`` alone,
+    without the wrapper's per-call work; any other line goes through
+    ``json.loads``, so its value or error is the same."""
+    try:
+        obj, end = _DECODER.raw_decode(line)
+    except ValueError:
+        return json.loads(line)
+    if line[end:].strip(" \t\n\r"):
+        return json.loads(line)
+    return obj
+
+
 def _parse_line(line: str, label_mode: LabelMode) -> tuple[str, str, Label]:
-    obj = json.loads(line)
+    obj = _loads(line)
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
     tweet_id = obj.get("id")
@@ -219,16 +236,16 @@ class TokenCleaner(dict):
 
 
 class TweetTokens:
-    """The ``(tweet_id, tokens)`` of each tweet kept from a list of
-    ``(path, label_mode)`` JSON Lines corpus files, read in list order one
-    line at a time by ``CorpusLines``.
+    """The tweets kept from a list of ``(path, label_mode)`` JSON Lines
+    corpus files, read in list order one line at a time by ``CorpusLines``.
 
-    With ``dedupe``, a tweet whose exact raw text was read before is
-    dropped (the first is kept, across files) and counted in
-    ``duplicates``; it then holds every distinct text read. Malformed lines
-    are counted in ``skipped``. Tokens are cleaned by ``cleaner``, one
-    ``TokenCleaner`` for the whole read. Each iteration reads the files
-    anew and recounts.
+    ``texts()`` yields each kept tweet's ``(tweet_id, raw_text)``; iterating
+    the reader yields its ``(tweet_id, tokens)``, the text's tokens cleaned
+    by ``cleaner``, one ``TokenCleaner`` for the whole read. With
+    ``dedupe``, a tweet whose exact raw text was read before is dropped
+    (the first is kept, across files) and counted in ``duplicates``; the
+    read then holds every distinct text. Malformed lines are counted in
+    ``skipped``. Each read opens the files anew and recounts.
     """
 
     def __init__(
@@ -242,10 +259,9 @@ class TweetTokens:
         self.dedupe = dedupe
         self.skipped = self.duplicates = 0
 
-    def __iter__(self) -> Iterator[tuple[str, list[str]]]:
+    def texts(self) -> Iterator[tuple[str, str]]:
         self.skipped = self.duplicates = 0
         seen: set[str] | None = set() if self.dedupe else None
-        tokens = self.cleaner.tokens
         for path, label_mode in self.files:
             lines = CorpusLines(path, label_mode)
             for tweet_id, raw_text, _ in lines:
@@ -254,8 +270,13 @@ class TweetTokens:
                         self.duplicates += 1
                         continue
                     seen.add(raw_text)
-                yield tweet_id, tokens(raw_text)
+                yield tweet_id, raw_text
             self.skipped += lines.skipped
+
+    def __iter__(self) -> Iterator[tuple[str, list[str]]]:
+        tokens = self.cleaner.tokens
+        for tweet_id, raw_text in self.texts():
+            yield tweet_id, tokens(raw_text)
 
 
 # Characters of a parse sidecar read at a time. A block is cut at a sentence

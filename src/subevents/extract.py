@@ -5,8 +5,8 @@ window-based lexicon fallback for corpora without parses) plus adjacent
 two-word phrases detected with a vocabulary-scaled co-occurrence score.
 Noun-verb pairs are kept only when they occur at least ``filter_min_freq``
 times corpus-wide (default 2); phrases are frequency-gated by the detector
-itself. ``ExtractCounts`` folds a corpus into the counts behind both, one
-tweet at a time.
+itself. ``ExtractCounts`` folds a corpus into the counts behind both on
+integer word ids, a buffer of tweets at a time.
 """
 
 from __future__ import annotations
@@ -14,13 +14,16 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
+import numpy as np
+
 from ._util import read_list_file, read_table, write_table
-from .corpus import NvEdges, TokenCleaner
+from .corpus import NvEdges, TokenCleaner, clean_token
 from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
@@ -87,16 +90,6 @@ class CandidateSet:
         return len(self.candidates)
 
 
-def _edge_pairs(edges: NvEdges, cleaner: TokenCleaner) -> Iterator[tuple[str, str]]:
-    """(noun, verb) of each parse edge, lowercased and cleaned, for the
-    edges whose two words both survive preprocessing."""
-    for noun, verb in edges:
-        noun = cleaner[noun.lower()]
-        verb = cleaner[verb.lower()]
-        if noun is not None and verb is not None:
-            yield noun, verb
-
-
 def load_pos_lexicon(path: str | Path) -> dict[str, frozenset[str]]:
     """Load a `word TAB tags` lexicon (tags a subset of {N, V})."""
     _, entries = read_list_file(path)
@@ -109,31 +102,109 @@ def load_pos_lexicon(path: str | Path) -> dict[str, frozenset[str]]:
     return lexicon
 
 
-def _window_pairs(
-    tokens: Sequence[str], lexicon: dict[str, frozenset[str]]
-) -> Iterator[tuple[str, str]]:
-    """(noun, verb) for each lexicon noun and each lexicon verb that follows
-    it within a sliding window of DEFAULT_WINDOW tokens (both inside one
-    window, so at distance < DEFAULT_WINDOW), left to right."""
-    for i, noun in enumerate(tokens):
-        if "N" not in lexicon.get(noun, _NO_TAGS):
-            continue
-        for j in range(i + 1, min(i + DEFAULT_WINDOW, len(tokens))):
-            verb = tokens[j]
-            if "V" in lexicon.get(verb, _NO_TAGS):
-                yield noun, verb
+# Entries of the id buffer below every word id: a removed raw token, and the
+# end of a tweet, which says what the ids since the previous end count toward.
+_REMOVED = -1  # a raw token that preprocessing removes
+_GRAMS = -2  # unigrams and adjacent bigrams
+_GRAMS_WINDOW = -3  # those, and the lexicon window's pairs
+_WINDOW = -4  # the lexicon window's pairs only
+
+_NOUN, _VERB = 1, 2  # bits of a word's lexicon tag
+
+# The fold of the id buffer runs once the buffer holds more than this many
+# entries, or more than the distinct bigrams held, whichever is larger.
+FOLD_ENTRIES = 4096
+
+_WORD_BITS = 32
+_WORD_MASK = (1 << _WORD_BITS) - 1
+
+# Below this a float64 holds every integer exactly, so dividing two such
+# values rounds as Python's int true division does.
+_EXACT_BELOW = float(1 << 53)
+
+
+class _WordTable(dict):
+    """Cleaned word -> id, in order of first appearance; ``words[id]`` is
+    the word and ``tags[id]`` its lexicon tag bits."""
+
+    def __init__(self, lexicon: dict[str, frozenset[str]] | None) -> None:
+        super().__init__()
+        self.lexicon = lexicon if lexicon is not None else {}
+        self.words: list[str] = []
+        self.tags = bytearray()
+
+    def __missing__(self, word: str) -> int:
+        index = self[word] = len(self.words)
+        self.words.append(word)
+        tags = self.lexicon.get(word, _NO_TAGS)
+        self.tags.append(_NOUN * ("N" in tags) | _VERB * ("V" in tags))
+        return index
+
+
+class _RawIds(dict):
+    """Raw lowercased token -> the id of its cleaned word in `table`, or
+    _REMOVED; ``clean_token`` runs once per distinct raw token."""
+
+    def __init__(self, table: _WordTable, stopwords: frozenset[str]) -> None:
+        super().__init__()
+        self.table = table
+        self.stopwords = stopwords
+
+    def __missing__(self, raw: str) -> int:
+        word = clean_token(raw, self.stopwords)
+        index = self[raw] = _REMOVED if word is None else self.table[word]
+        return index
+
+
+def _keys(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    return first.astype(np.int64) << _WORD_BITS | second
+
+
+def _no_counts() -> tuple[np.ndarray, np.ndarray]:
+    return np.zeros(0, np.int64), np.zeros(0, np.int64)
+
+
+def _merge(
+    keys: np.ndarray, counts: np.ndarray, new_keys: np.ndarray, new_counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two (sorted distinct keys, their counts) merged, the counts of a key
+    in both added; `counts` is updated in place."""
+    at = np.searchsorted(keys, new_keys)
+    held = at < len(keys)
+    held[held] = keys[at[held]] == new_keys[held]
+    counts[at[held]] += new_counts[held]
+    fresh = np.flatnonzero(~held)
+    to = at[fresh] + np.arange(len(fresh))  # where each fresh key lands
+    old = np.ones(len(keys) + len(fresh), bool)
+    old[to] = False
+    merged_keys, merged_counts = np.empty(len(old), np.int64), np.empty(len(old), np.int64)
+    merged_keys[to], merged_keys[old] = new_keys[fresh], keys
+    merged_counts[to], merged_counts[old] = new_counts[fresh], counts
+    return merged_keys, merged_counts
+
+
+def _at_least(counts: np.ndarray, bound: int) -> np.ndarray:
+    """counts >= bound for a Python int bound of any size (counts < 2**62)."""
+    return counts >= min(max(bound, -(1 << 62)), 1 << 62)
 
 
 class ExtractCounts:
-    """The corpus-wide counts extraction reads, folded one tweet at a time.
+    """The corpus-wide counts extraction reads, folded on integer word ids.
 
-    ``add`` takes one tweet's id and cleaned tokens (as ``TweetTokens``
-    yields them): it counts the tweet's noun-verb pairs and its unigrams
-    and adjacent bigrams, and keeps nothing else of it. A tweet whose id
-    has an entry in ``parses`` takes its pairs from that parse's edges,
-    their words cleaned by ``cleaner``; one without takes them from the
-    lexicon window when a lexicon is given, and has none otherwise. Memory
-    grows with the vocabulary, not with the number of tweets.
+    A tweet comes in as raw text (``add_texts``, the path ``cmd_extract``
+    takes) or as the cleaned tokens ``TweetTokens`` yields (``add``), and
+    both map its words through one word table into one buffer of ids, each
+    tweet closed by an entry that says whether it takes the lexicon
+    window. A tweet whose id has an entry in ``parses`` takes its pairs
+    from that parse's edges, their words lowercased and cleaned by
+    ``cleaner``'s rule; one without takes them from the lexicon window
+    when a lexicon is given, and has none otherwise. Once the buffer (and
+    the list of parses not yet counted) holds more than
+    max(``FOLD_ENTRIES``, distinct bigrams held) entries it is folded:
+    unigrams into one count per id, bigram and pair keys
+    (``first << 32 | second``) into sorted arrays of distinct keys and
+    their counts. Memory grows with the distinct words, bigrams and pairs,
+    not with the number of tweets.
     """
 
     def __init__(
@@ -145,57 +216,158 @@ class ExtractCounts:
         self.cleaner = cleaner
         self.parses = parses if parses is not None else {}
         self.lexicon = lexicon
-        self.pairs: Counter[tuple[str, str]] = Counter()
-        self.unigrams: Counter[str] = Counter()
-        self.bigrams: Counter[tuple[str, str]] = Counter()
+        self._table = _WordTable(lexicon)
+        self._raw_ids = _RawIds(self._table, cleaner.stopwords)
+        self._ids: list[int] = []  # word ids and tweet ends, not yet folded
+        self._parsed: list[NvEdges] = []  # parses whose edges are not yet folded
+        self._fold_at = FOLD_ENTRIES
+        self._unigrams = np.zeros(0, np.int64)
+        self._bigrams = _no_counts()
+        self._pairs = _no_counts()
+        self._pair_counter: Counter[tuple[str, str]] = Counter()
         self.tweets = 0
         self.parsed = self.fallback = self.neither = 0
 
+    def add_texts(self, texts: Iterable[tuple[str, str]]) -> None:
+        """Count each ``(tweet_id, raw_text)`` as ``add`` counts the
+        tweet's cleaned tokens."""
+        raw_ids, parse = self._raw_ids.__getitem__, self.parses.get
+        self._count(((parse(tweet_id), map(raw_ids, text.lower().split()))
+                     for tweet_id, text in texts), grams=True, pairs=True)
+
     def add(self, tweet_id: str, tokens: Sequence[str]) -> None:
-        self.tweets += 1
-        self.count_nv(self.parses.get(tweet_id), tokens)
-        self.count_grams(tokens)
+        self._count([(self.parses.get(tweet_id), map(self._table.__getitem__, tokens))],
+                    grams=True, pairs=True)
 
     def count_nv(self, parse: NvEdges | None, tokens: Sequence[str]) -> None:
         """Count one tweet's noun-verb pairs. With a parse, each of its
         (noun, verb) edges counts once, both words lowercased and cleaned
-        by ``cleaner``; an edge whose words do not both survive is dropped.
-        Without a parse but with a lexicon, the pairs are those of
-        ``_window_pairs`` over the tokens. Otherwise the tweet has none."""
-        if parse is not None:
-            self.parsed += 1
-            self.pairs.update(_edge_pairs(parse, self.cleaner))
-        elif self.lexicon is not None:
-            self.fallback += 1
-            self.pairs.update(_window_pairs(tokens, self.lexicon))
-        else:
-            self.neither += 1
+        by ``cleaner``'s rule; an edge whose words do not both survive is
+        dropped. Without a parse but with a lexicon, the pairs are (noun,
+        verb) for each lexicon noun and each lexicon verb that follows it
+        within a sliding window of DEFAULT_WINDOW tokens (at distance <
+        DEFAULT_WINDOW). Otherwise the tweet has none."""
+        self._count([(parse, map(self._table.__getitem__, tokens))], grams=False, pairs=True)
 
     def count_grams(self, tokens: Sequence[str]) -> None:
         """Count one tweet's unigrams and adjacent bigrams."""
-        self.unigrams.update(tokens)
-        self.bigrams.update(zip(tokens, tokens[1:]))
+        self._count([(None, map(self._table.__getitem__, tokens))], grams=True, pairs=False)
+
+    def _count(
+        self, tweets: Iterable[tuple[NvEdges | None, Iterable[int]]], grams: bool, pairs: bool
+    ) -> None:
+        """Count each tweet's word ids, given with its parse or None: toward
+        the unigrams and bigrams when `grams`, and toward the pairs, by its
+        parse or else by the lexicon window, when `pairs`. Each tweet
+        counted both ways counts in ``tweets``."""
+        ids, parsed = self._ids, self._parsed
+        window = self.lexicon is not None
+        whole = grams and pairs
+        plain = _GRAMS if grams else None
+        windowed = _GRAMS_WINDOW if grams else _WINDOW
+        for parse, words in tweets:
+            if whole:
+                self.tweets += 1
+            end = plain
+            if pairs and parse is not None:
+                self.parsed += 1
+                parsed.append(parse)
+            elif pairs and window:
+                self.fallback += 1
+                end = windowed
+            elif pairs:
+                self.neither += 1
+            if end is not None:
+                ids.extend(words)
+                ids.append(end)
+            if len(ids) + len(parsed) > self._fold_at:
+                self._fold()
+
+    def _fold(self) -> None:
+        """Fold the buffers (and the pair ``Counter``, if any) into the
+        held counts."""
+        ids = np.fromiter(self._ids, np.int32, len(self._ids))
+        forms = list(chain.from_iterable(chain.from_iterable(self._parsed)))
+        del self._ids[:], self._parsed[:]
+        # Each edge's noun and verb, lowercased and cleaned as a raw token.
+        edges = np.fromiter(map(self._raw_ids.__getitem__, map(str.lower, forms)),
+                            np.int32, len(forms)).reshape(-1, 2)
+        edges = edges[(edges != _REMOVED).all(axis=1)]
+        pair_keys = [_keys(edges[:, 0], edges[:, 1])]
+        ids = ids[ids != _REMOVED]
+        end = ids < 0
+        grams = ~end
+        kinds = ids[end]
+        windowed = (kinds == _GRAMS_WINDOW) | (kinds == _WINDOW)
+        if windowed.any():
+            tweet = np.cumsum(end) - end  # the tweet each entry is part of
+            word_tags = np.zeros(len(ids), np.uint8)
+            word_tags[grams] = np.frombuffer(bytes(self._table.tags), np.uint8)[ids[grams]]
+            nouns = np.flatnonzero((word_tags & _NOUN > 0) & windowed[tweet])
+            for distance in range(1, DEFAULT_WINDOW):
+                verbs = nouns + distance
+                verbs = verbs[verbs < len(ids)]
+                first = nouns[: len(verbs)]
+                first = first[(tweet[verbs] == tweet[first]) & (word_tags[verbs] & _VERB > 0)]
+                pair_keys.append(_keys(ids[first], ids[first + distance]))
+            if (kinds == _WINDOW).any():
+                grams &= (kinds != _WINDOW)[tweet]
+        unigrams = np.bincount(ids[grams], minlength=len(self._table.words))
+        unigrams[: len(self._unigrams)] += self._unigrams
+        self._unigrams = unigrams
+        bigram = grams[:-1] & grams[1:]
+        self._bigrams = _merge(*self._bigrams, *np.unique(
+            _keys(ids[:-1][bigram], ids[1:][bigram]), return_counts=True))
+        self._pairs = _merge(*self._pairs, *np.unique(
+            np.concatenate(pair_keys), return_counts=True))
+        if self._pair_counter:
+            word = self._table.__getitem__
+            counter = self._pair_counter
+            keys = np.fromiter((word(n) << _WORD_BITS | word(v) for n, v in counter), np.int64)
+            order = np.argsort(keys)
+            self._pairs = _merge(*self._pairs, keys[order],
+                                 np.fromiter(counter.values(), np.int64)[order])
+            counter.clear()
+        self._fold_at = max(FOLD_ENTRIES, len(self._bigrams[0]))
+
+    @property
+    def pairs(self) -> Counter[tuple[str, str]]:
+        """The pair counts as a ``Counter`` of (noun, verb) words, the
+        buffers folded first. What is added to it counts as pairs too: the
+        next fold takes it back into the held counts."""
+        self._fold()
+        keys, counts = self._pairs
+        self._pair_counter.update(dict(zip(self._words(keys), counts.tolist())))
+        self._pairs = _no_counts()
+        return self._pair_counter
+
+    def _words(self, keys: np.ndarray) -> list[tuple[str, str]]:
+        """The (first, second) words of each key."""
+        words = self._table.words
+        return list(zip(map(words.__getitem__, (keys >> _WORD_BITS).tolist()),
+                        map(words.__getitem__, (keys & _WORD_MASK).tolist())))
 
     def phrases(self, cfg: PhraseConfig = PhraseConfig()) -> list[Candidate]:
         """Adjacent two-word phrases over the counted tokens.
 
         A bigram (a, b) with count(a,b) >= min_count is scored by
-        ``phrase_score`` with V the distinct-unigram count; one whose score
-        is above threshold becomes a Phrase candidate with frequency
+        ``phrase_scores`` with V the distinct-unigram count; one whose
+        score is above threshold becomes a Phrase candidate with frequency
         count(a,b). Output is sorted by (first, second) and so independent
         of tweet order.
         """
-        unigrams = self.unigrams
-        vocab_size = len(unigrams)
-        phrases = []
-        for (a, b), count_ab in self.bigrams.items():
-            if count_ab < cfg.min_count:
-                continue
-            score = phrase_score(count_ab, unigrams[a], unigrams[b], vocab_size, cfg.min_count)
-            if score > cfg.threshold:
-                phrases.append(Candidate(CandidateKind.PHRASE, a, b, frequency=count_ab))
-        phrases.sort(key=lambda c: (c.first, c.second))
-        return phrases
+        self._fold()
+        keys, counts = self._bigrams
+        gate = _at_least(counts, cfg.min_count)
+        if not gate.any():
+            return []
+        keys, counts = keys[gate], counts[gate]
+        unigrams = self._unigrams
+        scores = phrase_scores(counts, unigrams[keys >> _WORD_BITS], unigrams[keys & _WORD_MASK],
+                               int(np.count_nonzero(unigrams)), cfg.min_count)
+        kept = scores > cfg.threshold
+        return [Candidate(CandidateKind.PHRASE, a, b, frequency=count)
+                for (a, b), count in sorted(zip(self._words(keys[kept]), counts[kept].tolist()))]
 
     def candidates(
         self, cfg: PhraseConfig = PhraseConfig(), min_freq: int = DEFAULT_MIN_FREQ
@@ -204,14 +376,16 @@ class ExtractCounts:
         verb), then the phrases, sorted by (first, second). "nv" sorts
         before "phrase", so the whole is in (kind, first, second) order;
         ``nv_before`` is the number of distinct pairs counted."""
-        kept = [
-            Candidate(CandidateKind.NOUN_VERB_PAIR, noun, verb, frequency=count)
-            for (noun, verb), count in sorted(p for p in self.pairs.items() if p[1] >= min_freq)
-        ]
+        self._fold()
+        keys, counts = self._pairs
+        often = _at_least(counts, min_freq)
+        kept = [Candidate(CandidateKind.NOUN_VERB_PAIR, noun, verb, frequency=count)
+                for (noun, verb), count in sorted(zip(self._words(keys[often]),
+                                                      counts[often].tolist()))]
         phrases = self.phrases(cfg)
         return CandidateSet(
             candidates=(*kept, *phrases),
-            nv_before=len(self.pairs),
+            nv_before=len(keys),
             nv_after=len(kept),
             phrase_count=len(phrases),
             total=len(kept) + len(phrases),
@@ -226,6 +400,22 @@ def phrase_score(
     (count(a,b) - min_count) * V / (count(a) * count(b)), with V the
     distinct-unigram count."""
     return (count_ab - min_count) * vocab_size / (count_a * count_b)
+
+
+def phrase_scores(
+    count_ab: np.ndarray, count_a: np.ndarray, count_b: np.ndarray,
+    vocab_size: int, min_count: int,
+) -> np.ndarray:
+    """``phrase_score`` of each row of int64 counts, each count_ab at least
+    min_count, bit for bit: in float64 where the numerator and denominator
+    are both below 2**53, and on Python ints in the other rows."""
+    numerator = (count_ab - min_count).astype(np.float64) * vocab_size
+    denominator = count_a.astype(np.float64) * count_b
+    scores = numerator / denominator
+    for i in np.flatnonzero((numerator >= _EXACT_BELOW) | (denominator >= _EXACT_BELOW)).tolist():
+        scores[i] = phrase_score(int(count_ab[i]), int(count_a[i]), int(count_b[i]),
+                                 vocab_size, min_count)
+    return scores
 
 
 def reduction_percent(before: int, after: int) -> float:

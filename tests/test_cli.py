@@ -16,6 +16,7 @@ import pytest
 import make_fixtures
 import subevents.cli as cli
 from subevents import __version__
+from subevents.extract import read_candidates
 from subevents.rank import read_ranked
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -1040,17 +1041,27 @@ def _edge_case_corpora(paths: dict, tmp_path: Path) -> tuple[Path, Path]:
 
 
 # Each variant also reads the parse sidecar in 7-character blocks, which
-# cut a block at nearly every sentence.
-@pytest.mark.parametrize("variant, block_chars", [
+# cut a block at nearly every sentence, and folds the id buffer of extract's
+# counts once it holds more than 1 or 7 entries (or more than the distinct
+# bigrams held), so the held counts are merged many times.
+_EXTRACT_PATCHES = {
+    "block7": ("subevents.corpus.PARSE_BLOCK_CHARS", 7),
+    "flush1": ("subevents.extract.FOLD_ENTRIES", 1),
+    "flush7": ("subevents.extract.FOLD_ENTRIES", 7),
+}
+
+
+@pytest.mark.parametrize("variant, patch", [
     *(pytest.param(variant, None, id=variant) for variant in sorted(GOLDEN_EXTRACT)),
-    *(pytest.param(variant, 7, id=f"{variant}-block7") for variant in sorted(GOLDEN_EXTRACT)),
+    *(pytest.param(variant, patch, id=f"{variant}-{patch}")
+      for patch in _EXTRACT_PATCHES for variant in sorted(GOLDEN_EXTRACT)),
 ])
 def test_extract_artifacts_match_golden_digests(run_cli, tmp_path, write_config, monkeypatch,
-                                                pipeline_config_dict, variant, block_chars):
+                                                pipeline_config_dict, variant, patch):
     # The lexicon tags each planted candidate's first word N and second word
     # V, so the 120 tweets without a parse add window pairs.
-    if block_chars is not None:
-        monkeypatch.setattr("subevents.corpus.PARSE_BLOCK_CHARS", block_chars)
+    if patch is not None:
+        monkeypatch.setattr(*_EXTRACT_PATCHES[patch])
     planted = make_fixtures.crisis_candidates() + make_fixtures.noise_candidates()
     lexicon = tmp_path / "lexicon.tsv"
     lexicon.write_text("".join(f"{first}\tN\n{second}\tV\n" for _, first, second in planted),
@@ -1193,6 +1204,24 @@ def test_extract_reports_what_it_discarded(run_cli, tmp_path, write_config, pipe
     assert code == 0
     assert "  discarded:         13 malformed lines, 0 duplicate tweets\n" in stdout
 
+
+
+@pytest.mark.parametrize("flags", [
+    ["--phrase.min_count", "99999999999999999999", "--filter_min_freq", "99999999999999999999"],
+    ["--phrase.threshold", "1e308", "--filter_min_freq", "99999999999999999999"],
+])
+def test_extract_takes_huge_gates(run_cli, tmp_path, write_config, pipeline_config_dict, flags):
+    """Gates past int64 or near the float64 maximum keep every candidate
+    out, and the distinct pairs are counted as with the default gates."""
+    cfg = write_config(pipeline_config_dict, tmp_path / "out")
+    assert run_cli("extract", "--config", cfg)[0] == 0
+    default = json.loads((tmp_path / "out" / "accounting.json").read_text(encoding="utf-8"))
+    code, _, err = run_cli("extract", "--config", cfg, *flags)
+    assert code == 0, err
+    got = json.loads((tmp_path / "out" / "accounting.json").read_text(encoding="utf-8"))
+    assert (got["phrases"], got["nv_after"], got["total"]) == (0, 0, 0)
+    assert got["nv_before"] == default["nv_before"] > 0
+    assert read_candidates(tmp_path / "out" / "candidates.csv") == []
 
 
 def test_verbose_cluster_logs_one_kmeans_line(run_cli, tmp_path, write_config,

@@ -244,6 +244,38 @@ def test_shared_cleaner_equals_per_tweet_cleaner(texts):
         TokenCleaner(STOPWORDS).tokens(text) for text in texts]
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+# Text around a JSON value: JSON whitespace, and characters that are
+# whitespace to str.strip() but not to JSON, or a byte order mark.
+_JSON_SPACE = st.sampled_from(["", "", "\n", " \t\r\n", "\x0c", "\u00a0", "\ufeff", "\n\x0c"])
+
+
+def _outcome(fn, line):
+    try:
+        return "value", fn(line)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(line=st.one_of(
+    st.tuples(_JSON_SPACE, _JSON.map(json.dumps), _JSON_SPACE,
+              st.sampled_from(["", "", "x", "}", "{}", " 1"])).map("".join),
+    st.text(max_size=12),
+))
+@settings(max_examples=300, deadline=None)
+def test_line_decoding_equals_json_loads(line):
+    """The corpus reader decodes a line to the value ``json.loads`` gives,
+    or raises its error with its message, whatever whitespace or text
+    surrounds the JSON value."""
+    got, want = _outcome(corpus._loads, line), _outcome(json.loads, line)
+    assert repr(got) == repr(want)
+
+
 class TestStopwords:
     def test_bundled_list(self):
         assert "the" in STOPWORDS
@@ -289,6 +321,16 @@ class TestTweetTokens:
         tweets = TweetTokens(self._files(tmp_path), STOPWORDS)
         assert [tweet_id for tweet_id, _ in tweets] == ["1", "2", "3", "4", "5"]
         assert (tweets.skipped, tweets.duplicates) == (2, 0)
+
+    @pytest.mark.parametrize("dedupe", [False, True])
+    def test_texts_are_the_raw_texts_of_the_tweets_kept(self, tmp_path, dedupe):
+        tweets = TweetTokens(self._files(tmp_path), STOPWORDS, dedupe=dedupe)
+        tokens, counts = list(tweets), (tweets.skipped, tweets.duplicates)
+        texts = list(tweets.texts())
+        assert [tweet_id for tweet_id, _ in texts] == [tweet_id for tweet_id, _ in tokens]
+        assert [tweets.cleaner.tokens(text) for _, text in texts] == [t for _, t in tokens]
+        assert texts[0] == ("1", "Flood waters rise")
+        assert (tweets.skipped, tweets.duplicates) == counts
 
 
 class TestCorpusOps:
