@@ -120,13 +120,15 @@ def load_vectors(
     The rows that are read are parsed VECTOR_BLOCK_ROWS at a time: the text
     after each row's word goes to one ``np.loadtxt``, whose C reader rounds
     as ``float()`` does and splits fields where ``str.split()`` does. A
-    block it rejects or returns in another shape, and any row that holds
-    only a word, is parsed row by row instead, by numpy's string-to-float64
-    cast, which reads every value as ``float()`` does. Either way a row is
-    rejected with a warning when its arity disagrees with the declared
-    dimension or a value is non-numeric, non-finite or larger in magnitude
-    than VALUE_BOUND, and a duplicate word keeps the first accepted row;
-    the warnings come in line order. A malformed header is fatal.
+    block is taken whole only when every row holds `dim` finite values no
+    larger in magnitude than VALUE_BOUND. Any other block (one holding a
+    row of only a word, too) is parsed row by row, by numpy's
+    string-to-float64 cast, which reads every value as ``float()`` does;
+    only there is a row rejected with a warning, when its arity disagrees
+    with the declared dimension or a value is non-numeric, non-finite or
+    larger in magnitude than VALUE_BOUND. A duplicate word keeps the first
+    accepted row; the warnings come in line order. A malformed header is
+    fatal.
     """
     with open_text(path) as fh:
         header = fh.readline().split()
@@ -178,40 +180,30 @@ def _row_blocks(lines: Iterable[str], words: Collection[str] | None) -> Iterator
 def _parse_block(path: str | Path, dim: int,
                  block: list[_Row]) -> Iterator[tuple[int, str, np.ndarray | None]]:
     """(line number, word, values) for each row of `block`, in order, with
-    values None for a row rejected with a warning. One ``np.loadtxt`` reads
-    every row that has values; the block falls back to `_parse_row` when it
-    fails or gives another shape. ``np.loadtxt`` warns on empty input, so
-    rows holding only a word are never passed to it."""
-    tails = [tail for _, _, tail in block if tail is not None]
+    values None for a row rejected with a warning. The block is taken whole
+    from one ``np.loadtxt`` when every row holds `dim` finite values within
+    VALUE_BOUND; any other block goes row by row through `_parse_row`.
+    ``np.loadtxt`` warns on empty input, so a block holding a row of only a
+    word is never passed to it."""
+    tails = [tail for _, _, tail in block]
     table = None
-    if tails:
+    if None not in tails:
         try:
             table = np.loadtxt(tails, dtype=np.float64, comments=None, ndmin=2)
         except ValueError:
             pass
-    if table is None or table.shape != (len(tails), dim):
+    if table is not None and table.shape == (len(block), dim) and (
+            np.abs(table) <= VALUE_BOUND).all():
+        for (lineno, word, _), values in zip(block, table):
+            yield lineno, word, values
+    else:
         for lineno, word, tail in block:
             yield lineno, word, _parse_row(path, dim, lineno, word, tail)
-        return
-    finite = np.isfinite(table).all(axis=1).tolist()
-    bounded = (np.abs(table).max(axis=1) <= VALUE_BOUND).tolist()
-    i = 0
-    for lineno, word, tail in block:
-        if tail is None:
-            yield lineno, word, _parse_row(path, dim, lineno, word, tail)
-            continue
-        values = table[i]
-        if not finite[i]:
-            values = _reject(path, lineno, word, "non-finite")
-        elif not bounded[i]:
-            values = _reject(path, lineno, word, f"|value| > {VALUE_BOUND:g}")
-        i += 1
-        yield lineno, word, values
 
 
 def _parse_row(path: str | Path, dim: int, lineno: int, word: str,
                tail: str | None) -> np.ndarray | None:
-    """The values of one row, parsed on their own, or None after a warning."""
+    """The values of one row, or None after a warning: the one owner of the row rules."""
     fields = tail.split() if tail is not None else []
     if len(fields) != dim:
         return _reject(path, lineno, word, f"{len(fields)} values, expected {dim}")

@@ -103,11 +103,10 @@ def load_pos_lexicon(path: str | Path) -> dict[str, frozenset[str]]:
 
 
 # Entries of the id buffer below every word id: a removed raw token, and the
-# end of a tweet, which says what the ids since the previous end count toward.
+# end of a tweet, which says whether the tweet takes the lexicon window.
 _REMOVED = -1  # a raw token that preprocessing removes
-_GRAMS = -2  # unigrams and adjacent bigrams
-_GRAMS_WINDOW = -3  # those, and the lexicon window's pairs
-_WINDOW = -4  # the lexicon window's pairs only
+_END = -2  # the end of a tweet
+_END_WINDOW = -3  # the end of a tweet whose pairs come from the lexicon window
 
 _NOUN, _VERB = 1, 2  # bits of a word's lexicon tag
 
@@ -191,20 +190,17 @@ def _at_least(counts: np.ndarray, bound: int) -> np.ndarray:
 class ExtractCounts:
     """The corpus-wide counts extraction reads, folded on integer word ids.
 
-    A tweet comes in as raw text (``add_texts``, the path ``cmd_extract``
-    takes) or as the cleaned tokens ``TweetTokens`` yields (``add``), and
-    both map its words through one word table into one buffer of ids, each
-    tweet closed by an entry that says whether it takes the lexicon
-    window. A tweet whose id has an entry in ``parses`` takes its pairs
-    from that parse's edges, their words lowercased and cleaned by
-    ``cleaner``'s rule; one without takes them from the lexicon window
-    when a lexicon is given, and has none otherwise. Once the buffer (and
-    the list of parses not yet counted) holds more than
-    max(``FOLD_ENTRIES``, distinct bigrams held) entries it is folded:
-    unigrams into one count per id, bigram and pair keys
-    (``first << 32 | second``) into sorted arrays of distinct keys and
-    their counts. Memory grows with the distinct words, bigrams and pairs,
-    not with the number of tweets.
+    A tweet comes in only as raw text (``add_texts``, the path
+    ``cmd_extract`` takes) or as the cleaned tokens ``TweetTokens`` yields
+    (``add``). Both map its words through one word table into one buffer
+    of ids, closed by an entry that says whether the tweet takes the
+    lexicon window, and count it in one of ``parsed``, ``fallback`` and
+    ``neither``, whose sum is ``tweets``. Once the buffer (and the list of
+    parses not yet counted) holds more than max(``FOLD_ENTRIES``, distinct
+    bigrams held) entries it is folded: unigrams into one count per id,
+    bigram and pair keys (``first << 32 | second``) into sorted arrays of
+    distinct keys and their counts. Memory grows with the distinct words,
+    bigrams and pairs, not with the number of tweets.
     """
 
     def __init__(
@@ -225,61 +221,50 @@ class ExtractCounts:
         self._bigrams = _no_counts()
         self._pairs = _no_counts()
         self._pair_counter: Counter[tuple[str, str]] = Counter()
-        self.tweets = 0
         self.parsed = self.fallback = self.neither = 0
+
+    @property
+    def tweets(self) -> int:
+        """The tweets counted, each in one of the three pair sources."""
+        return self.parsed + self.fallback + self.neither
 
     def add_texts(self, texts: Iterable[tuple[str, str]]) -> None:
         """Count each ``(tweet_id, raw_text)`` as ``add`` counts the
         tweet's cleaned tokens."""
         raw_ids, parse = self._raw_ids.__getitem__, self.parses.get
-        self._count(((parse(tweet_id), map(raw_ids, text.lower().split()))
-                     for tweet_id, text in texts), grams=True, pairs=True)
+        self._count((parse(tweet_id), map(raw_ids, text.lower().split()))
+                    for tweet_id, text in texts)
 
     def add(self, tweet_id: str, tokens: Sequence[str]) -> None:
-        self._count([(self.parses.get(tweet_id), map(self._table.__getitem__, tokens))],
-                    grams=True, pairs=True)
+        """Count one tweet's unigrams, adjacent bigrams and noun-verb pairs.
 
-    def count_nv(self, parse: NvEdges | None, tokens: Sequence[str]) -> None:
-        """Count one tweet's noun-verb pairs. With a parse, each of its
-        (noun, verb) edges counts once, both words lowercased and cleaned
-        by ``cleaner``'s rule; an edge whose words do not both survive is
-        dropped. Without a parse but with a lexicon, the pairs are (noun,
-        verb) for each lexicon noun and each lexicon verb that follows it
-        within a sliding window of DEFAULT_WINDOW tokens (at distance <
-        DEFAULT_WINDOW). Otherwise the tweet has none."""
-        self._count([(parse, map(self._table.__getitem__, tokens))], grams=False, pairs=True)
+        A tweet whose id has an entry in ``parses`` counts in ``parsed``:
+        each (noun, verb) edge of its parse counts once, both words
+        lowercased and cleaned by ``cleaner``'s rule, and an edge whose
+        words do not both survive is dropped. Otherwise, with a lexicon,
+        it counts in ``fallback``: its pairs are (noun, verb) for each
+        lexicon noun and each lexicon verb that follows it within a
+        sliding window of DEFAULT_WINDOW tokens (at distance <
+        DEFAULT_WINDOW). Otherwise it counts in ``neither`` and has no
+        pair."""
+        self._count([(self.parses.get(tweet_id), map(self._table.__getitem__, tokens))])
 
-    def count_grams(self, tokens: Sequence[str]) -> None:
-        """Count one tweet's unigrams and adjacent bigrams."""
-        self._count([(None, map(self._table.__getitem__, tokens))], grams=True, pairs=False)
-
-    def _count(
-        self, tweets: Iterable[tuple[NvEdges | None, Iterable[int]]], grams: bool, pairs: bool
-    ) -> None:
-        """Count each tweet's word ids, given with its parse or None: toward
-        the unigrams and bigrams when `grams`, and toward the pairs, by its
-        parse or else by the lexicon window, when `pairs`. Each tweet
-        counted both ways counts in ``tweets``."""
+    def _count(self, tweets: Iterable[tuple[NvEdges | None, Iterable[int]]]) -> None:
+        """Count each tweet's word ids, given with its parse or None."""
         ids, parsed = self._ids, self._parsed
         window = self.lexicon is not None
-        whole = grams and pairs
-        plain = _GRAMS if grams else None
-        windowed = _GRAMS_WINDOW if grams else _WINDOW
         for parse, words in tweets:
-            if whole:
-                self.tweets += 1
-            end = plain
-            if pairs and parse is not None:
+            ids.extend(words)
+            if parse is not None:
                 self.parsed += 1
                 parsed.append(parse)
-            elif pairs and window:
+                ids.append(_END)
+            elif window:
                 self.fallback += 1
-                end = windowed
-            elif pairs:
+                ids.append(_END_WINDOW)
+            else:
                 self.neither += 1
-            if end is not None:
-                ids.extend(words)
-                ids.append(end)
+                ids.append(_END)
             if len(ids) + len(parsed) > self._fold_at:
                 self._fold()
 
@@ -297,8 +282,7 @@ class ExtractCounts:
         ids = ids[ids != _REMOVED]
         end = ids < 0
         grams = ~end
-        kinds = ids[end]
-        windowed = (kinds == _GRAMS_WINDOW) | (kinds == _WINDOW)
+        windowed = ids[end] == _END_WINDOW
         if windowed.any():
             tweet = np.cumsum(end) - end  # the tweet each entry is part of
             word_tags = np.zeros(len(ids), np.uint8)
@@ -310,8 +294,6 @@ class ExtractCounts:
                 first = nouns[: len(verbs)]
                 first = first[(tweet[verbs] == tweet[first]) & (word_tags[verbs] & _VERB > 0)]
                 pair_keys.append(_keys(ids[first], ids[first + distance]))
-            if (kinds == _WINDOW).any():
-                grams &= (kinds != _WINDOW)[tweet]
         unigrams = np.bincount(ids[grams], minlength=len(self._table.words))
         unigrams[: len(self._unigrams)] += self._unigrams
         self._unigrams = unigrams

@@ -96,13 +96,13 @@ def test_1_worked_example(fixtures_dir):
         key_id, key_tokens = tweets[0]
         assert key_tokens == ["waterborne", "diseases", "hurricane", "water", "recedes"]
 
-        counts = ExtractCounts(reader.cleaner)
-        counts.count_nv(parses[key_id], key_tokens)
+        counts = ExtractCounts(reader.cleaner, parses)
+        counts.add(key_id, key_tokens)
         assert set(counts.pairs) == {("waterborne", "recedes"), ("water", "recedes")}
 
         counts = ExtractCounts(reader.cleaner)
-        for _, tokens in tweets:
-            counts.count_grams(tokens)
+        for tweet_id, tokens in tweets:
+            counts.add(tweet_id, tokens)
         phrases = counts.phrases(PhraseConfig(min_count=2, threshold=10.0))
         assert [c.words for c in phrases] == [("waterborne", "diseases")]
 
@@ -140,7 +140,7 @@ def test_2_accounting_identities(fixtures_dir):
             counts.pairs.update(c.words for c in pair_pool)
             for c in phrase_pool:
                 for _ in range(c.frequency):
-                    counts.count_grams(c.words)
+                    counts.add("", c.words)
             result = counts.candidates(PhraseConfig(min_count=1, threshold=0.0),
                                        min_freq=int(rng.integers(1, 4)))
             assert result.phrase_count == len({c.words for c in phrase_pool})
@@ -173,7 +173,7 @@ def test_3_phrase_scorer(fixtures_dir):
         ]
         counts = ExtractCounts(TokenCleaner(frozenset()))
         for text in token_lists:
-            counts.count_grams(text.split())
+            counts.add("", text.split())
         hand_scores = [
             (3, 3, 3, 8, 2, (3 - 2) * 8 / 9),   # (a,b)
             (2, 3, 3, 8, 2, 0.0),               # (c,d)
@@ -210,7 +210,7 @@ def test_3_phrase_scorer(fixtures_dir):
                 rand_lists.append(toks)
             rand_counts = ExtractCounts(TokenCleaner(frozenset()))
             for toks in rand_lists:
-                rand_counts.count_grams(toks)
+                rand_counts.add("", toks)
             min_count = int(rng.integers(1, 4))
             emitted = rand_counts.phrases(PhraseConfig(min_count, 0.0))
             true_counts: Counter = Counter()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -445,6 +446,25 @@ class TestStagedFlow:
         code, stdout, _ = run_cli("extract", "--config", cfg)
         assert code == 0
         assert "160 parsed, 0 lexicon fallback, 120 neither" in stdout
+
+    @pytest.mark.parametrize("lexicon_only", [False, True], ids=["parsed", "lexicon-only"])
+    def test_extract_nv_sources_sum_to_tweets_processed(self, run_cli, tmp_path, write_config,
+                                                        pipeline_config_dict, fixtures_dir,
+                                                        lexicon_only):
+        """Each tweet processed takes its pairs from exactly one source."""
+        flags = ["--paths.parses", "", "--paths.lexicon",
+                 str(fixtures_dir / "pos_lexicon.txt")] if lexicon_only else []
+        cfg = write_config(pipeline_config_dict, tmp_path / "out")
+        code, stdout, _ = run_cli("extract", "--config", cfg, *flags)
+        assert code == 0
+        tweets = int(re.search(r"\n  tweets processed: +(\d+)\n", stdout)[1])
+        sources = re.search(r"\n  nv pair source: +(\d+) parsed, (\d+) lexicon fallback,"
+                            r" (\d+) neither\n", stdout)
+        parsed, fallback, neither = map(int, sources.groups())
+        assert tweets == 280
+        assert parsed + fallback + neither == tweets
+        if lexicon_only:
+            assert (parsed, fallback, neither) == (0, tweets, 0)
 
     def test_unmatched_parse_file_warns_with_lexicon(self, run_cli, tmp_path, write_config,
                                                       pipeline_config_dict, caplog):

@@ -265,6 +265,41 @@ def test_clean_rows_take_no_per_row_numpy_call(tmp_path):
     assert counts[0] == counts[1]
 
 
+@pytest.mark.parametrize("bad", [
+    pytest.param("bad 0.5 nan -1.5", id="non-finite"),
+    pytest.param("bad 0.5 -1e101 -1.5", id="beyond-bound"),
+    pytest.param("bad", id="word-only"),
+    pytest.param("bad 0.5 -1.5", id="wrong-arity"),
+    pytest.param("bad 0.5 x -1.5", id="non-numeric"),
+])
+def test_one_bad_row_sends_its_block_row_by_row(bad, tmp_path, caplog, monkeypatch):
+    """In blocks of 4, one bad row inside an otherwise clean block, then a
+    duplicate of a good word: the rows, bits and warnings (text and order)
+    of the per-row reference, and no word-only row given to np.loadtxt."""
+    monkeypatch.setattr(embed, "VECTOR_BLOCK_ROWS", 4)
+    rows = ["a 0.1 0.2 0.3", "b 1e-5 -2.5 3.0", "c 7 8 9", "d 0.25 0.5 0.75",
+            "e 0.3 0.2 0.1", bad, "a 9 9 9", "f -0.1 -0.2 -0.3", "g 1 2 3"]
+    path = tmp_path / "v.txt"
+    path.write_text("9 3\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    given = []
+    loadtxt = np.loadtxt
+
+    def spy(lines, *args, **kwargs):
+        given.extend(lines)
+        return loadtxt(lines, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    caplog.set_level(logging.WARNING, logger="subevents.embed")
+    store = load_vectors(path)
+    _, vectors, warnings = _reference_load(path)
+    assert list(store.vectors) == list(vectors) == ["a", "b", "c", "d", "e", "f", "g"]
+    for word, values in vectors.items():
+        assert store.vectors[word].tobytes() == values.tobytes()
+    assert [r.getMessage() for r in caplog.records] == [message for _, message in warnings]
+    assert [word for word, _ in warnings] == ["bad", "a"]
+    assert all(line is not None and line.strip() for line in given)
+
+
 class TestCompose:
     def test_sum_then_normalize(self):
         store = _store({"aaa": [3.0, 0.0, 0.0], "bbb": [0.0, 4.0, 0.0]})

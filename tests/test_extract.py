@@ -49,10 +49,11 @@ def _parse(words):
 
 
 def _pairs(parse, tokens=(), lexicon=None):
-    """The (noun, verb) pairs ``ExtractCounts.count_nv`` counts for one
-    tweet, in the order first counted."""
-    counts = ExtractCounts(TokenCleaner(STOPWORDS), lexicon=lexicon)
-    counts.count_nv(parse, tokens)
+    """The (noun, verb) pairs ``ExtractCounts.add`` counts for one tweet,
+    in the order first counted."""
+    parses = {"t": parse} if parse is not None else None
+    counts = ExtractCounts(TokenCleaner(STOPWORDS), parses, lexicon)
+    counts.add("t", tokens)
     return list(counts.pairs)
 
 
@@ -60,7 +61,7 @@ def _phrases(token_lists, cfg):
     """``ExtractCounts.phrases`` after counting the grams of each token list."""
     counts = ExtractCounts(TokenCleaner(frozenset()))
     for tokens in token_lists:
-        counts.count_grams(tokens)
+        counts.add("", tokens)
     return counts.phrases(cfg)
 
 
@@ -129,7 +130,7 @@ class TestNvPairs:
         # Without a parse and without a lexicon a tweet has no pair, however
         # its tokens read, and is counted as having neither source.
         counts = ExtractCounts(TokenCleaner(STOPWORDS))
-        counts.count_nv(None, ["bridge", "collapsed"])
+        counts.add("t", ["bridge", "collapsed"])
         assert not counts.pairs
         assert (counts.parsed, counts.fallback, counts.neither) == (0, 0, 1)
 
@@ -270,8 +271,8 @@ def pipeline_tweets(generated_fixtures):
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_count_nv_pairs_equals_per_tweet_aggregate(pipeline_tweets, data):
-    """Folding ``ExtractCounts.count_nv`` over the pipeline fixtures gives
-    the ``Counter`` of each tweet's ``oracles.reference_nv_pairs``, for a
+    """Folding ``ExtractCounts.add`` over the pipeline fixtures gives the
+    ``Counter`` of each tweet's ``oracles.reference_nv_pairs``, for a
     random tweet subset and a random lexicon over the fixture vocabulary."""
     tweets = data.draw(st.lists(st.sampled_from(pipeline_tweets), max_size=60))
     vocabulary = sorted({token for tokens, _ in pipeline_tweets for token in tokens})
@@ -283,9 +284,10 @@ def test_count_nv_pairs_equals_per_tweet_aggregate(pipeline_tweets, data):
         pair for tokens, parse in tweets
         for pair in oracles.reference_nv_pairs(parse, tokens, lexicon, STOPWORDS)
     )
-    counts = ExtractCounts(TokenCleaner(STOPWORDS), lexicon=lexicon)
-    for tokens, parse in tweets:
-        counts.count_nv(parse, tokens)
+    parses = {str(i): parse for i, (_, parse) in enumerate(tweets) if parse is not None}
+    counts = ExtractCounts(TokenCleaner(STOPWORDS), parses, lexicon)
+    for i, (tokens, _) in enumerate(tweets):
+        counts.add(str(i), tokens)
     assert counts.pairs == expected
     parsed = sum(1 for _, parse in tweets if parse is not None)
     assert counts.parsed == parsed
@@ -429,6 +431,47 @@ def test_fold_matches_whole_corpus_reference(inputs, tmp_path, caplog):
             assert [r for r in got_log if path in r[1]] == [r for r in want_log if path in r[1]]
 
 
+_EDGES = st.lists(st.tuples(st.sampled_from(_WORDS).map(str.capitalize),
+                            st.sampled_from(_WORDS)), max_size=3).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts=st.lists(st.tuples(st.sampled_from(_IDS),
+                                st.lists(st.sampled_from(_WORDS), max_size=6).map(" ".join)),
+                      max_size=20),
+       parses=st.dictionaries(st.sampled_from(_IDS), _EDGES),
+       lexicon=st.none() | st.dictionaries(st.sampled_from(_WORDS), st.sampled_from(
+           [frozenset("N"), frozenset("V"), frozenset("NV")])),
+       fold_entries=st.sampled_from([1, 7, 4096]))
+def test_add_and_add_texts_count_alike(texts, parses, lexicon, fold_entries):
+    """A stream of tweets, some of their ids parsed, gives the same pair
+    sources and counts through ``add`` (cleaned tokens) as through
+    ``add_texts`` (raw texts), the pairs of ``oracles.reference_nv_pairs``,
+    and each tweet counts in exactly one source: ``tweets == parsed +
+    fallback + neither``."""
+    cleaner = TokenCleaner(STOPWORDS)
+    runs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("subevents.extract.FOLD_ENTRIES", fold_entries)
+        by_tokens = ExtractCounts(cleaner, parses, lexicon)
+        for tweet_id, text in texts:
+            by_tokens.add(tweet_id, cleaner.tokens(text))
+        by_texts = ExtractCounts(cleaner, parses, lexicon)
+        by_texts.add_texts(texts)
+        for counts in (by_tokens, by_texts):
+            sources = (counts.parsed, counts.fallback, counts.neither)
+            assert counts.tweets == sum(sources) == len(texts)
+            runs.append((sources, counts.pairs.copy(),
+                         counts.candidates(PhraseConfig(1, 0.0), 1)))
+    parsed = sum(tweet_id in parses for tweet_id, _ in texts)
+    unparsed = len(texts) - parsed
+    assert runs[0][0] == ((parsed, unparsed, 0) if lexicon is not None else (parsed, 0, unparsed))
+    assert runs[0] == runs[1]
+    assert runs[0][1] == Counter(
+        pair for tweet_id, text in texts for pair in oracles.reference_nv_pairs(
+            parses.get(tweet_id), cleaner.tokens(text), lexicon, STOPWORDS))
+
+
 def test_oracles_take_only_readers_from_the_package():
     """``tests/oracles.py`` imports only the line reader, the token rule and
     the parse reader from ``subevents``, so the fold is checked against its
@@ -546,7 +589,7 @@ def _candidates(pairs, token_lists=(), min_freq=2):
     counts = ExtractCounts(TokenCleaner(frozenset()))
     counts.pairs.update(pairs)
     for tokens in token_lists:
-        counts.count_grams(tokens)
+        counts.add("", tokens)
     return counts.candidates(PhraseConfig(min_count=1, threshold=0.0), min_freq)
 
 
