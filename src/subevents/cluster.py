@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import replacing, write_json
+from .embed import row_norms
 from .rank import RankedCandidate
 
 logger = logging.getLogger(__name__)
@@ -192,11 +193,8 @@ def _descending_eigh(m: np.ndarray, k: int,
                      cache: str | os.PathLike | None) -> tuple[np.ndarray, np.ndarray]:
     """The k largest eigenvalues of m in descending order and their
     eigenvectors as the columns of an (n, k) array: the columns of
-    np.linalg.eigh(m) at the first k of a stable argsort of -values. With
-    `cache`, that .npz file memoizes eigh: it holds values and vectors as
-    eigh returns them, under the key of these exact matrix bytes
-    (`_spectrum_key`). A hit reads the values and gathers the k columns;
-    a miss decomposes and saves, and a failed save only logs a warning."""
+    np.linalg.eigh(m) at the first k of a stable argsort of -values, read
+    from or saved to `cache` as `eig_topk` says; a failed save only warns."""
 
     def leading(values: np.ndarray) -> np.ndarray:
         return np.argsort(-values, kind="stable")[:k]
@@ -392,13 +390,11 @@ def spectral_cluster(
     so the output always has exactly k cluster ids. Labels are canonical by
     first appearance, making the result deterministic for (A, k, seed).
 
-    `cache` is passed to `eig_topk` in both variants: runs at several k on
-    one affinity decompose its (normalized or Laplacian) matrix once; the
-    file holds eigh's output for it as returned, and one in the previous
-    layout is recomputed once. The matrix is built in one n x n array
-    (D^-1/2 A D^-1/2 scaled and mirrored in place, or -L), so a run that
-    reads its pairs from `cache` holds two n x n arrays: the affinity and
-    that matrix.
+    `cache` is passed to `eig_topk` in both variants, so runs at several k
+    on one affinity decompose its (normalized or Laplacian) matrix once.
+    The matrix is built in one n x n array (D^-1/2 A D^-1/2 scaled and
+    mirrored in place, or -L), so a run that reads its pairs from `cache`
+    holds two n x n arrays: the affinity and that matrix.
     """
     affinity.validate()
     n = affinity.n
@@ -441,9 +437,9 @@ def spectral_cluster(
             np.negative(matrix, out=matrix)
         embedding = np.stack([vec for _, vec in eig_topk(matrix, k_rem, cache)], axis=1)
         if normalized:
-            row_norms = np.linalg.norm(embedding, axis=1)
-            nonzero = row_norms > 0.0
-            embedding[nonzero] = embedding[nonzero] / row_norms[nonzero, None]
+            lengths = np.linalg.norm(embedding, axis=1)
+            nonzero = lengths > 0.0
+            embedding[nonzero] = embedding[nonzero] / lengths[nonzero, None]
         sub_labels, _, _ = kmeans(embedding, k_rem, seed)
 
     # Each row's k-means id, or for a singleton k_rem + its index, past
@@ -471,24 +467,20 @@ def summarize_clusters(
     """
     if not len(ranked) == len(vectors) == len(assignment.labels):
         raise ValueError("ranked candidates, vectors, and labels must align")
-    by_cluster: dict[int, list[int]] = {}
-    for idx, label in enumerate(assignment.labels):
-        by_cluster.setdefault(label, []).append(idx)
+    dim = vectors.shape[1]
+    # Centroid differences go in rows 16-byte aligned, as fresh arrays are (see row_norms).
+    work = np.empty((len(vectors), dim + dim % 2))
+    labels = np.asarray(assignment.labels)
     summaries = []
-    for cluster_id in sorted(by_cluster):
-        indices = sorted(by_cluster[cluster_id], key=lambda i: ranked[i].rank)
-        centroid = np.mean(vectors[indices], axis=0)
-        medoid_idx = indices[0]
-        best = np.inf
-        for i in indices:
-            dist = float(np.linalg.norm(vectors[i] - centroid))
-            if dist < best:
-                best = dist
-                medoid_idx = i
+    for cluster_id in sorted(set(assignment.labels)):
+        indices = sorted(np.flatnonzero(labels == cluster_id), key=lambda i: ranked[i].rank)
+        members = vectors[indices]
+        diffs = np.subtract(members, np.mean(members, axis=0), out=work[: len(indices), :dim])
+        medoid = indices[int(np.argmin(row_norms(diffs)))]
         summaries.append({
             "cluster_id": cluster_id,
             "members": [_member_dict(ranked[i]) for i in indices],
-            "medoid": _member_dict(ranked[medoid_idx]),
+            "medoid": _member_dict(ranked[medoid]),
         })
     return summaries
 

@@ -222,6 +222,20 @@ def _reject(path: str | Path, lineno: int, word: str, reason: str) -> None:
     logger.warning("%s:%d: rejecting row for %r (%s)", path, lineno, word, reason)
 
 
+def row_products(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix @ row`` for each row, bit for bit: one stacked BLAS gemv per
+    row (``rows @ matrix.T`` sums in another order and rounds otherwise)."""
+    return np.matmul(matrix, rows[:, :, None])[:, :, 0]
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(row)`` for each row, bit for bit: one stacked BLAS
+    dot per row, then the square root. Some kernel sets round by a row's
+    alignment, so both helpers take rows where the per-row call reads them
+    (``vec[None]``, not a copy) or 16-byte aligned as a fresh array is."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
 def compose(words: Sequence[str], store: EmbeddingStore) -> ComposedVector:
     """Sum the words' vectors and L2-normalize the sum.
 
@@ -240,12 +254,12 @@ def compose(words: Sequence[str], store: EmbeddingStore) -> ComposedVector:
         if vec is None:
             continue
         if store.normalize_words:
-            norm = float(np.linalg.norm(vec))
+            norm = float(row_norms(vec[None])[0])
             if norm == 0.0:
                 continue
             vec = vec / norm
         total = total + vec
-    norm = float(np.linalg.norm(total))
+    norm = float(row_norms(total[None])[0])
     if norm == 0.0:
         return ComposedVector(values=np.zeros(store.dim), is_null=True)
     return ComposedVector(values=total / norm, is_null=False)

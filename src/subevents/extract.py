@@ -416,7 +416,12 @@ def write_candidates(candidates: Iterable[Candidate], path: str | Path) -> None:
 
 
 def _parse_candidate(row: list[str]) -> Candidate:
-    return Candidate(CandidateKind(row[0]), row[1], row[2], int(row[3]))
+    """The candidate of a (kind, first, second, frequency) record; ValueError
+    for an empty word or a frequency below 1, which extract never writes."""
+    candidate = Candidate(CandidateKind(row[0]), row[1], row[2], int(row[3]))
+    if not (candidate.first and candidate.second) or candidate.frequency < 1:
+        raise ValueError(f"empty word or frequency below 1 in {row!r}")
+    return candidate
 
 
 def read_candidates(path: str | Path) -> list[Candidate]:

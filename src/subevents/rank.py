@@ -9,6 +9,7 @@ log(1 + co-occurrence count).
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -17,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from ._util import format_float, read_list_file, read_table, write_table
-from .embed import EmbeddingStore, compose
+from .embed import EmbeddingStore, compose, row_products
 from .errors import InputFormatError
-from .extract import Candidate, CandidateKind, CandidateSet
+from .extract import Candidate, CandidateSet, _parse_candidate
 
 NULL_SCORE = -1.0
 DISCOUNTS = ("log", "none")
@@ -59,8 +60,7 @@ def compose_rows(
     null = np.zeros(len(word_lists), dtype=bool)
     for i, words in enumerate(word_lists):
         vec = compose(words, store)
-        rows[i] = vec.values
-        null[i] = vec.is_null
+        rows[i], null[i] = vec.values, vec.is_null
     return rows, null
 
 
@@ -119,17 +119,12 @@ def rank_candidates(
     """
     cands = _as_candidates(candidates)
     rows, null = compose_rows([cand.words for cand in cands], store)
-    scored: list[tuple[Candidate, float, str | None]] = []
-    for cand, vec, is_null in zip(cands, rows, null):
-        if is_null:
-            scored.append((cand, NULL_SCORE, None))
-            continue
-        # One matrix-vector product per candidate: a single rows @ matrix.T
-        # sums in a different order and changes the last bits of scores.
-        sims = ontology.matrix @ vec
-        best = int(np.argmax(sims))
-        scored.append((cand, float(sims[best]), ontology.usable_terms[best]))
-    return _sort_and_rank(scored)
+    sims = row_products(ontology.matrix, rows)
+    best = np.argmax(sims, axis=1)
+    scores = np.where(null, NULL_SCORE, sims[np.arange(len(cands)), best])
+    del sims, rows  # freed before the per-candidate objects are made
+    terms = np.where(null, None, np.array(ontology.usable_terms, dtype=object)[best])
+    return _sort_and_rank(list(zip(cands, scores.tolist(), terms.tolist())))
 
 
 def rank_baseline_overlap(
@@ -183,11 +178,18 @@ def write_ranked(ranked: Sequence[RankedCandidate], path: str | Path) -> None:
     ))
 
 
-def _parse_ranked(row: list[str]) -> RankedCandidate:
-    candidate = Candidate(CandidateKind(row[1]), row[2], row[3], int(row[4]))
-    return RankedCandidate(candidate=candidate, score=float(row[5]),
-                           best_term=row[6] or None, rank=int(row[0]))
-
-
 def read_ranked(path: str | Path) -> list[RankedCandidate]:
-    return read_table(path, RANKED_CSV_HEADER, _parse_ranked)
+    """The records of a ranked.csv, whose candidate fields are read as
+    candidates.csv's are. A rank other than the record's 1-based position
+    is malformed: cluster takes the top candidates by position, evaluate by
+    rank, and only the file rank writes makes the two agree."""
+    positions = itertools.count(1)
+
+    def parse(row: list[str]) -> RankedCandidate:
+        ranked = RankedCandidate(candidate=_parse_candidate(row[1:5]), score=float(row[5]),
+                                 best_term=row[6] or None, rank=int(row[0]))
+        if ranked.rank != next(positions):
+            raise ValueError(f"rank {ranked.rank} out of position")
+        return ranked
+
+    return read_table(path, RANKED_CSV_HEADER, parse)

@@ -1,7 +1,9 @@
+import csv
 import hashlib
 import json
 import os
 import re
+import reprlib
 import shutil
 import stat
 import subprocess
@@ -163,6 +165,48 @@ class TestExitCodes:
         code, _, err = run_cli("report", "--config", cfg)
         assert code == 1
         assert "evaluate stage" in err
+
+    @pytest.mark.parametrize("stage, artifact, column, value", [
+        pytest.param("rank", "candidates.csv", "frequency", "-5", id="candidates-frequency-negative"),
+        pytest.param("rank", "candidates.csv", "frequency", "0", id="candidates-frequency-zero"),
+        pytest.param("rank", "candidates.csv", "first", "", id="candidates-empty-word"),
+        pytest.param("cluster", "ranked.csv", "frequency", "0", id="ranked-frequency-zero"),
+        pytest.param("evaluate", "ranked.csv", "second", "", id="ranked-empty-word"),
+        pytest.param("cluster", "ranked.csv", "rank", "2", id="ranked-rank-off-position-cluster"),
+        pytest.param("evaluate", "ranked.csv", "rank", "2", id="ranked-rank-off-position-evaluate"),
+    ])
+    def test_record_no_stage_writes_is_data_error(self, run_cli, tmp_path, write_config,
+                                                  pipeline_config_dict, stage, artifact, column,
+                                                  value):
+        """A first record with a frequency below 1, an empty word or, in
+        ranked.csv, a rank other than its position 1 (cluster cuts the
+        top by position, evaluate by rank) exits 2 with one line."""
+        out = tmp_path / "out"
+        cfg = write_config(pipeline_config_dict, out)
+        for producer in ("extract", "rank"):
+            assert run_cli(producer, "--config", cfg)[0] == 0
+        path = out / artifact
+        with open(path, newline="", encoding="utf-8") as fh:
+            records = list(csv.reader(fh))
+        records[1][records[0].index(column)] = value
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(records)
+        code, _, err = run_cli(stage, "--config", cfg)
+        assert code == 2
+        assert err == f"error: {path}:2: malformed row {reprlib.repr(records[1])}\n"
+
+    def test_cluster_without_two_vectors_names_top_m_and_k(self, run_cli, tmp_path, write_config,
+                                                           pipeline_config_dict):
+        out = tmp_path / "out"
+        cfg = write_config(pipeline_config_dict, out)
+        assert run_cli("extract", "--config", cfg)[0] == 0
+        (out / "ranked.csv").write_text(
+            "rank,kind,first,second,frequency,score,best_term\n"
+            "1,nv,novector,nowhere,3,-1.0,\n2,phrase,absent,words,2,-1.0,\n", encoding="utf-8")
+        code, _, err = run_cli("cluster", "--config", cfg)
+        assert code == 2
+        assert err == ("error: cannot cluster into cluster.k 8 clusters: 0 of the top 2 candidates"
+                       " (cluster.top_m 40) have a vector, and at least 2 are needed\n")
 
     def test_malformed_vectors_is_data_error(self, run_cli, tmp_path, write_config, pipeline_config_dict):
         out = tmp_path / "out"

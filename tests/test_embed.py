@@ -300,6 +300,35 @@ def test_one_bad_row_sends_its_block_row_by_row(bad, tmp_path, caplog, monkeypat
     assert all(line is not None and line.strip() for line in given)
 
 
+@st.composite
+def _blas_rows(draw):
+    """(matrix, rows) laid out as rank lays them out: t unit term rows and n
+    rows of d values, some all zero, each in one C-contiguous array, so with
+    an odd d every other row starts 8 bytes off a 16-byte boundary."""
+    d, t, n = draw(st.integers(1, 320)), draw(st.integers(1, 70)), draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.standard_normal((t, d))
+    matrix /= np.linalg.norm(matrix, axis=1)[:, None]
+    rows = rng.standard_normal((n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rows[rng.random(n) < 0.2] = 0.0
+    return matrix, rows
+
+
+@given(case=_blas_rows())
+@settings(max_examples=200, deadline=None)
+def test_row_helpers_match_per_row_blas(case):
+    """row_products equals one ``matrix @ row`` per row and row_norms one
+    ``np.linalg.norm(row)`` per row, bit for bit, on rows read where they
+    lie: the scores rank writes and the norms compose takes (``vec[None]``).
+    OpenBLAS kernel sets that round by alignment (Prescott) test the layout."""
+    matrix, rows = case
+    expected = np.array([matrix @ row for row in rows]).reshape(len(rows), len(matrix))
+    assert embed.row_products(matrix, rows).tobytes() == expected.tobytes()
+    norms = np.array([np.linalg.norm(row) for row in rows])
+    assert embed.row_norms(rows).tobytes() == norms.tobytes()
+    assert np.array([embed.row_norms(row[None])[0] for row in rows]).tobytes() == norms.tobytes()
+
+
 class TestCompose:
     def test_sum_then_normalize(self):
         store = _store({"aaa": [3.0, 0.0, 0.0], "bbb": [0.0, 4.0, 0.0]})

@@ -3,6 +3,7 @@ reads each file, and write/read round trips and reader robustness as
 hypothesis properties."""
 
 import csv
+import dataclasses
 from collections.abc import Callable
 from typing import NamedTuple
 
@@ -26,7 +27,9 @@ FLOATS = st.floats(allow_nan=False)
 # Words with the characters CSV framing must quote, plus any character UTF-8
 # can encode (lone surrogates cannot be written to a UTF-8 file).
 WORDS = st.text(st.characters(codec="utf-8") | st.sampled_from(',"\n\r '))
-CANDIDATES = st.builds(Candidate, st.sampled_from(list(CandidateKind)), WORDS, WORDS, INTS)
+# Candidates as extract writes them: no empty word, a frequency of at least 1.
+CANDIDATES = st.builds(Candidate, st.sampled_from(list(CandidateKind)), WORDS.filter(bool),
+                       WORDS.filter(bool), st.integers(min_value=1, max_value=2**63))
 
 
 class Table(NamedTuple):
@@ -46,7 +49,7 @@ TABLES = {
     "ranked.csv": Table(
         "cluster", RANKED_CSV_HEADER, "1,nv,road,blocked,3,0.5,flood",
         write_ranked, read_ranked,
-        st.builds(RankedCandidate, CANDIDATES, FLOATS, st.none() | WORDS.filter(bool), INTS),
+        st.builds(RankedCandidate, CANDIDATES, FLOATS, st.none() | WORDS.filter(bool), st.just(0)),
     ),
     "metrics.csv": Table(
         "report", METRICS_CSV_HEADER, "1,1,0,0,1,1.0,1.0,1.0,0.0,1.0",
@@ -91,10 +94,47 @@ def test_stage_reports_framing_error_on_one_line(name, case, run_cli, tmp_path, 
 @given(data=st.data())
 def test_write_then_read_round_trips(name, data, table_dir):
     table = TABLES[name]
-    rows = data.draw(st.lists(table.rows, max_size=5))
+    rows = _numbered(name, data.draw(st.lists(table.rows, max_size=5)))
     path = table_dir / name
     table.write(rows, path)
     assert table.read(path) == rows
+
+
+def _numbered(name, rows):
+    """`rows`, with ranked.csv's ranks set to their 1-based positions, as rank writes them."""
+    if name != "ranked.csv":
+        return rows
+    return [dataclasses.replace(row, rank=i) for i, row in enumerate(rows, start=1)]
+
+
+@pytest.mark.parametrize("name", ["candidates.csv", "ranked.csv"])
+@settings(deadline=None)
+@given(data=st.data())
+def test_row_no_stage_writes_is_malformed(name, data, table_dir):
+    """One row with an empty word, a frequency below 1 or, in ranked.csv, a
+    rank other than its position, among rows a stage writes, fails the read."""
+    table = TABLES[name]
+    rows = _numbered(name, data.draw(st.lists(table.rows, min_size=1, max_size=5)))
+    i = data.draw(st.integers(0, len(rows) - 1))
+    rules = ["first", "second", "frequency"] + (["rank"] if name == "ranked.csv" else [])
+    rule = data.draw(st.sampled_from(rules))
+    if rule == "rank":
+        bad = dataclasses.replace(rows[i], rank=data.draw(INTS.filter(lambda r: r != i + 1)))
+    elif name == "candidates.csv":
+        bad = _broken(rows[i], rule, data)
+    else:
+        bad = dataclasses.replace(rows[i], candidate=_broken(rows[i].candidate, rule, data))
+    path = table_dir / name
+    table.write([*rows[:i], bad, *rows[i + 1:]], path)
+    with pytest.raises(InputFormatError, match="malformed row"):
+        table.read(path)
+
+
+def _broken(candidate, rule, data):
+    """`candidate` with its `rule` field ("first", "second" or "frequency")
+    set to a value extract never writes."""
+    value = data.draw(st.integers(-(2**63), 0)) if rule == "frequency" else ""
+    return dataclasses.replace(candidate, **{rule: value})
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
