@@ -341,11 +341,12 @@ def cmd_cluster(cfg: PipelineConfig, out_dir: Path) -> None:
     # The store is freed once composed, before the affinity is built.
     rows, null = compose_rows(word_lists, _load_store(cfg, word_lists))
     kept = [rc for rc, is_null in zip(top, null) if not is_null]
-    if len(kept) < 2:
+    # The config holds k >= 2, which build_affinity needs too.
+    if len(kept) < cfg.cluster.k:
         raise InputFormatError(
             f"cannot cluster into cluster.k {cfg.cluster.k} clusters: {len(kept)} of the top"
             f" {len(top)} candidates (cluster.top_m {cfg.cluster.top_m}) have a vector, and at"
-            " least 2 are needed")
+            f" least {cfg.cluster.k} are needed")
     vectors = rows[~null]
     affinity = build_affinity(vectors)
     assignment = spectral_cluster(affinity, cfg.cluster.k, cfg.cluster.seed,

@@ -467,15 +467,12 @@ def summarize_clusters(
     """
     if not len(ranked) == len(vectors) == len(assignment.labels):
         raise ValueError("ranked candidates, vectors, and labels must align")
-    dim = vectors.shape[1]
-    # Centroid differences go in rows 16-byte aligned, as fresh arrays are (see row_norms).
-    work = np.empty((len(vectors), dim + dim % 2))
     labels = np.asarray(assignment.labels)
     summaries = []
     for cluster_id in sorted(set(assignment.labels)):
         indices = sorted(np.flatnonzero(labels == cluster_id), key=lambda i: ranked[i].rank)
         members = vectors[indices]
-        diffs = np.subtract(members, np.mean(members, axis=0), out=work[: len(indices), :dim])
+        diffs = members - np.mean(members, axis=0)
         medoid = indices[int(np.argmin(row_norms(diffs)))]
         summaries.append({
             "cluster_id": cluster_id,

@@ -223,17 +223,15 @@ def _reject(path: str | Path, lineno: int, word: str, reason: str) -> None:
 
 
 def row_products(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``matrix @ row`` for each row, bit for bit: one stacked BLAS gemv per
-    row (``rows @ matrix.T`` sums in another order and rounds otherwise)."""
-    return np.matmul(matrix, rows[:, :, None])[:, :, 0]
+    """``matrix @ row`` for each row, summed by einsum, not BLAS: the bits
+    depend neither on the BLAS kernels nor on a row's alignment, and are
+    the same for ``row[None]`` as batched (``optimize=True`` is BLAS)."""
+    return np.einsum("td,nd->nt", matrix, rows, optimize=False)
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm(row)`` for each row, bit for bit: one stacked BLAS
-    dot per row, then the square root. Some kernel sets round by a row's
-    alignment, so both helpers take rows where the per-row call reads them
-    (``vec[None]``, not a copy) or 16-byte aligned as a fresh array is."""
-    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+    """``np.linalg.norm(row)`` for each row, with einsum's bits as in `row_products`."""
+    return np.sqrt(np.einsum("nd,nd->n", rows, rows, optimize=False))
 
 
 def compose(words: Sequence[str], store: EmbeddingStore) -> ComposedVector:

@@ -11,6 +11,7 @@ integer word ids, a buffer of tweets at a time.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from collections import Counter
@@ -415,12 +416,20 @@ def write_candidates(candidates: Iterable[Candidate], path: str | Path) -> None:
                 ((c.kind.value, c.first, c.second, c.frequency) for c in candidates))
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _written_by_extract(word: str) -> bool:
+    """Whether extract can write `word`: it is lowercase and ``clean_token``
+    keeps it as it is (stopwords aside: rank may read no stopword list).
+    Cached, as a ranking repeats few distinct words in many rows."""
+    return word == word.lower() and clean_token(word, frozenset()) == word
+
+
 def _parse_candidate(row: list[str]) -> Candidate:
     """The candidate of a (kind, first, second, frequency) record; ValueError
-    for an empty word or a frequency below 1, which extract never writes."""
+    for a frequency below 1 or a word extract never writes."""
     candidate = Candidate(CandidateKind(row[0]), row[1], row[2], int(row[3]))
-    if not (candidate.first and candidate.second) or candidate.frequency < 1:
-        raise ValueError(f"empty word or frequency below 1 in {row!r}")
+    if candidate.frequency < 1 or not all(map(_written_by_extract, candidate.words)):
+        raise ValueError(f"a word or frequency extract never writes in {row!r}")
     return candidate
 
 

@@ -170,6 +170,9 @@ class TestExitCodes:
         pytest.param("rank", "candidates.csv", "frequency", "-5", id="candidates-frequency-negative"),
         pytest.param("rank", "candidates.csv", "frequency", "0", id="candidates-frequency-zero"),
         pytest.param("rank", "candidates.csv", "first", "", id="candidates-empty-word"),
+        pytest.param("rank", "candidates.csv", "first", "Flood Water",
+                     id="candidates-word-not-lowercase"),
+        pytest.param("rank", "candidates.csv", "second", "rise!", id="candidates-word-uncleaned"),
         pytest.param("cluster", "ranked.csv", "frequency", "0", id="ranked-frequency-zero"),
         pytest.param("evaluate", "ranked.csv", "second", "", id="ranked-empty-word"),
         pytest.param("cluster", "ranked.csv", "rank", "2", id="ranked-rank-off-position-cluster"),
@@ -178,9 +181,10 @@ class TestExitCodes:
     def test_record_no_stage_writes_is_data_error(self, run_cli, tmp_path, write_config,
                                                   pipeline_config_dict, stage, artifact, column,
                                                   value):
-        """A first record with a frequency below 1, an empty word or, in
-        ranked.csv, a rank other than its position 1 (cluster cuts the
-        top by position, evaluate by rank) exits 2 with one line."""
+        """A first record with a frequency below 1, a word extract never
+        writes (empty, not lowercase, or one clean_token changes) or, in
+        ranked.csv, a rank other than its position 1 (cluster cuts the top
+        by position, evaluate by rank) exits 2 with one line."""
         out = tmp_path / "out"
         cfg = write_config(pipeline_config_dict, out)
         for producer in ("extract", "rank"):
@@ -206,7 +210,20 @@ class TestExitCodes:
         code, _, err = run_cli("cluster", "--config", cfg)
         assert code == 2
         assert err == ("error: cannot cluster into cluster.k 8 clusters: 0 of the top 2 candidates"
-                       " (cluster.top_m 40) have a vector, and at least 2 are needed\n")
+                       " (cluster.top_m 40) have a vector, and at least 8 are needed\n")
+
+    def test_cluster_k_above_candidates_with_a_vector_names_top_m(self, run_cli, tmp_path,
+                                                                  write_config,
+                                                                  pipeline_config_dict):
+        cfg = write_config(pipeline_config_dict, tmp_path / "out")
+        for stage in ("extract", "rank"):
+            assert run_cli(stage, "--config", cfg)[0] == 0
+        code, _, err = run_cli("cluster", "--config", cfg, "--cluster.k", "41",
+                               "--cluster.top_m", "1000")
+        assert code == 2
+        assert err == ("error: cannot cluster into cluster.k 41 clusters: 40 of the top 40"
+                       " candidates (cluster.top_m 1000) have a vector, and at least 41 are"
+                       " needed\n")
 
     def test_malformed_vectors_is_data_error(self, run_cli, tmp_path, write_config, pipeline_config_dict):
         out = tmp_path / "out"
@@ -1141,10 +1158,13 @@ def test_extract_artifacts_match_golden_digests(run_cli, tmp_path, write_config,
 
 
 # sha256 of ranked.csv, clusters.json and metrics.csv of the fixture
-# pipeline, recorded with numpy 2.4 on x86-64. No variant changes what
-# extract reads (the fixture corpora hold no duplicate texts), so each also
-# gives the "shipped" extract digests above. The fixture holds no word
-# without a vector, so "subword" ranks with OOV_VECTORS (``_oov_vectors``).
+# pipeline, recorded with numpy 2.4 on x86-64; they hold under OpenBLAS's
+# SkylakeX, Haswell and Prescott kernels. "subword" was re-recorded when
+# the row helpers moved from BLAS to einsum: one score changed in its last
+# digit. No variant changes what extract reads (the fixture corpora hold no
+# duplicate texts), so each also gives the "shipped" extract digests above.
+# The fixture holds no word without a vector, so "subword" ranks with
+# OOV_VECTORS (``_oov_vectors``).
 GOLDEN_PIPELINE = {
     "shipped": ([], "b716adb4c52c9362a9983b8f88023a2190ec3209afc1a58dcbbea3d91836f28d",
                 "b4d88bbe8d9c557b142e06227856fb4b6352d4846c9f5753ec425e879b1b6438",
@@ -1166,14 +1186,27 @@ GOLDEN_PIPELINE = {
                              "26c15e5211242076e3bc26cce88d34cdcaa9143c2f1993f1cdbc9d41801732eb",
                              "f120e9c03500394be4ccf58c3b626ae295c1091147096a9f99ea6239952ef487"),
     "subword": (["--rank.oov_policy", "subword", "--paths.vectors", "OOV_VECTORS"],
-                "87d7873ed415df6fe6036e7c07961d01945db19dc4b6d5102149251a0b3df270",
-                "4ea28ef269498eed070fe52aa8e90ce73346043caec36c7ba3fdffd503f0cc85",
+                "b124c5295110526cd668d87ab40d5d6ccf2214592b26b2d689f8f80e1ddb33ba",
+                "8ce93ca22fff48d94d9480906760d495ed781ecec8162febf4ac5bbd41b3303d",
                 "f120e9c03500394be4ccf58c3b626ae295c1091147096a9f99ea6239952ef487"),
     "match_modes": (["--eval.nv_match", "bigram", "--eval.phrase_match", "tokens"],
                     "b716adb4c52c9362a9983b8f88023a2190ec3209afc1a58dcbbea3d91836f28d",
                     "b4d88bbe8d9c557b142e06227856fb4b6352d4846c9f5753ec425e879b1b6438",
                     "9d916e51b98abfca3a6a11146da931d6fb4dc19c8fa0bdeaf8d4c7a1ce5612ff"),
 }
+
+
+PIPELINE_ARTIFACTS = ("candidates.csv", "accounting.json", "ranked.csv", "clusters.json",
+                      "metrics.csv")
+
+
+def _pipeline_digests(out: Path) -> dict[str, str]:
+    return {name: sha256(out / name) for name in PIPELINE_ARTIFACTS}
+
+
+def _golden_pipeline_digests(variant: str) -> dict[str, str]:
+    _, *digests = GOLDEN_PIPELINE[variant]
+    return dict(zip(PIPELINE_ARTIFACTS, [*GOLDEN_EXTRACT["shipped"][1:], *digests]))
 
 
 def _golden_flags(variant: str, pipeline_config_dict: dict, tmp_path: Path) -> tuple:
@@ -1187,12 +1220,48 @@ def _golden_flags(variant: str, pipeline_config_dict: dict, tmp_path: Path) -> t
 @pytest.mark.parametrize("variant", sorted(GOLDEN_PIPELINE))
 def test_pipeline_artifacts_match_golden_digests(run_cli, tmp_path, write_config,
                                                  pipeline_config_dict, variant):
-    flags, *digests = _golden_flags(variant, pipeline_config_dict, tmp_path)
+    flags, *_ = _golden_flags(variant, pipeline_config_dict, tmp_path)
     out = tmp_path / "out"
     assert run_cli("pipeline", "--config", write_config(pipeline_config_dict, out), *flags)[0] == 0
-    names = ("candidates.csv", "accounting.json", "ranked.csv", "clusters.json", "metrics.csv")
-    assert {name: sha256(out / name) for name in names} == dict(
-        zip(names, [*GOLDEN_EXTRACT["shipped"][1:], *digests]))
+    assert _pipeline_digests(out) == _golden_pipeline_digests(variant)
+
+
+def _openblas_configuration() -> str:
+    """The build string numpy reports for its OpenBLAS; empty when it
+    reports none (numpy before 1.26 has no ``mode`` for show_config)."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        return ""
+    return config.get("Build Dependencies", {}).get("blas", {}).get("openblas configuration", "")
+
+
+@pytest.mark.skipif("DYNAMIC_ARCH" not in _openblas_configuration(),
+                    reason="numpy's OpenBLAS is not built with DYNAMIC_ARCH, so"
+                           " OPENBLAS_CORETYPE cannot choose its kernel set")
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_pipeline_digests_hold_under_other_blas_kernels(tmp_path, write_config,
+                                                        pipeline_config_dict, coretype):
+    """Every golden pipeline variant, run in one child process under another
+    OpenBLAS kernel set, writes the five artifacts of the default set: no
+    artifact float comes from BLAS, and the affinity, eigh and k-means
+    screen that do use it give the same partitions."""
+    outs, calls = {}, []
+    for variant in GOLDEN_PIPELINE:
+        flags, *_ = _golden_flags(variant, pipeline_config_dict, tmp_path)
+        outs[variant] = tmp_path / variant
+        calls.append(["pipeline", "--config", write_config(pipeline_config_dict, outs[variant]),
+                      *flags])
+    script = ("import json, sys\n"
+              "from subevents.cli import main\n"
+              "for args in json.loads(sys.argv[1]):\n"
+              "    assert main(args) == 0, args\n")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "OPENBLAS_CORETYPE": coretype}
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert {variant: _pipeline_digests(out) for variant, out in outs.items()} == {
+        variant: _golden_pipeline_digests(variant) for variant in GOLDEN_PIPELINE}
 
 
 # sha256 of ranked.csv from the overlap baseline (extract, then rank) on

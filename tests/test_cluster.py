@@ -682,46 +682,6 @@ class TestSpectralCluster:
         ClusterAssignment(k=2, labels=(0, 1, 0)).validate()
 
 
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_medoid_distances_match_fresh_1d_norms(data):
-    """Each cluster's medoid distances, as summarize_clusters hands them to
-    row_norms, equal ``np.linalg.norm(vector - centroid)`` of each member's
-    fresh 1-D difference bit for bit (odd and even d, zero and repeated
-    rows), and the medoid is the first member by rank at the least one.
-    Under an OpenBLAS kernel set that rounds by alignment (Prescott) this
-    checks the even-stride buffer the differences are written into."""
-    d, n = data.draw(st.integers(1, 320)), data.draw(st.integers(1, 60))
-    k = data.draw(st.integers(1, n))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    vectors = rng.standard_normal((n, d))
-    vectors[rng.random(n) < 0.2] = 0.0
-    vectors[rng.random(n) < 0.2] = vectors[0]
-    labels = rng.integers(0, k, n)
-    ranks = rng.permutation(n) + 1
-    ranked = [RankedCandidate(Candidate(CandidateKind.PHRASE, f"w{i}", "x", 2), 0.5, None,
-                              int(ranks[i])) for i in range(n)]
-    calls, row_norms = [], cluster_module.row_norms
-
-    def spy(rows):
-        calls.append(row_norms(rows))
-        return calls[-1]
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cluster_module, "row_norms", spy)
-        summaries = summarize_clusters(ClusterAssignment(k, tuple(labels.tolist())), ranked,
-                                       vectors)
-    expected, medoids = [], []
-    for cluster_id in sorted(set(labels.tolist())):
-        members = sorted(np.flatnonzero(labels == cluster_id), key=lambda i: ranks[i])
-        centroid = np.mean(vectors[members], axis=0)
-        dists = [float(np.linalg.norm(vectors[i] - centroid)) for i in members]
-        expected.append(np.array(dists).tobytes())
-        medoids.append(f"w{members[dists.index(min(dists))]}")
-    assert [dists.tobytes() for dists in calls] == expected
-    assert [summary["medoid"]["first"] for summary in summaries] == medoids
-
-
 class TestSummaries:
     def _ranked(self, n):
         out = []

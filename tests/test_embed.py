@@ -300,33 +300,43 @@ def test_one_bad_row_sends_its_block_row_by_row(bad, tmp_path, caplog, monkeypat
     assert all(line is not None and line.strip() for line in given)
 
 
-@st.composite
-def _blas_rows(draw):
-    """(matrix, rows) laid out as rank lays them out: t unit term rows and n
-    rows of d values, some all zero, each in one C-contiguous array, so with
-    an odd d every other row starts 8 bytes off a 16-byte boundary."""
-    d, t, n = draw(st.integers(1, 320)), draw(st.integers(1, 70)), draw(st.integers(0, 60))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def _offset_copy(a):
+    """A C-contiguous copy of `a` that starts 8 bytes past a 16-byte boundary."""
+    buf = np.empty(a.size + 2)
+    start = 1 if buf.ctypes.data % 16 == 0 else 2
+    copy = buf[start:start + a.size].reshape(a.shape)
+    copy[...] = a
+    return copy
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_row_helpers_same_bits_alone_batched_and_misaligned(data):
+    """row_products and row_norms give each row the same bits batched, alone
+    (``row[None]``, as compose calls row_norms) and from an 8-byte-offset
+    copy, at odd and even d with zero rows; the values lie within the
+    forward error bound of a length-d sum from ``matrix @ row`` and
+    ``np.linalg.norm(row)``."""
+    d, t = data.draw(st.integers(1, 320)), data.draw(st.integers(1, 70))
+    n = data.draw(st.integers(0, 60))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     matrix = rng.standard_normal((t, d))
     matrix /= np.linalg.norm(matrix, axis=1)[:, None]
-    rows = rng.standard_normal((n, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    rows = rng.standard_normal((n, d)) * data.draw(st.sampled_from([1e-3, 1.0, 1e3]))
     rows[rng.random(n) < 0.2] = 0.0
-    return matrix, rows
-
-
-@given(case=_blas_rows())
-@settings(max_examples=200, deadline=None)
-def test_row_helpers_match_per_row_blas(case):
-    """row_products equals one ``matrix @ row`` per row and row_norms one
-    ``np.linalg.norm(row)`` per row, bit for bit, on rows read where they
-    lie: the scores rank writes and the norms compose takes (``vec[None]``).
-    OpenBLAS kernel sets that round by alignment (Prescott) test the layout."""
-    matrix, rows = case
-    expected = np.array([matrix @ row for row in rows]).reshape(len(rows), len(matrix))
-    assert embed.row_products(matrix, rows).tobytes() == expected.tobytes()
-    norms = np.array([np.linalg.norm(row) for row in rows])
-    assert embed.row_norms(rows).tobytes() == norms.tobytes()
-    assert np.array([embed.row_norms(row[None])[0] for row in rows]).tobytes() == norms.tobytes()
+    products, norms = embed.row_products(matrix, rows), embed.row_norms(rows)
+    assert products.shape == (n, t) and norms.shape == (n,)
+    alone = [(embed.row_products(matrix, row[None])[0], embed.row_norms(row[None])[0])
+             for row in rows]
+    assert [p.tobytes() for p, _ in alone] == [p.tobytes() for p in products]
+    assert np.array([m for _, m in alone]).tobytes() == norms.tobytes()
+    shifted = _offset_copy(rows)
+    assert embed.row_products(_offset_copy(matrix), shifted).tobytes() == products.tobytes()
+    assert embed.row_norms(shifted).tobytes() == norms.tobytes()
+    width = 2 * d * np.finfo(np.float64).eps
+    for row, product, norm in zip(rows, products, norms):
+        assert (np.abs(product - matrix @ row) <= width * (np.abs(matrix) @ np.abs(row))).all()
+        assert abs(norm - np.linalg.norm(row)) <= width * norm
 
 
 class TestCompose:

@@ -11,12 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subevents.corpus import clean_token
 from subevents.errors import InputFormatError
 from subevents.evaluate import METRICS_CSV_HEADER, MetricsPoint, read_metrics, write_metrics
 from subevents.extract import (
     CANDIDATE_CSV_HEADER,
     Candidate,
     CandidateKind,
+    _parse_candidate,
     read_candidates,
     write_candidates,
 )
@@ -26,10 +28,15 @@ INTS = st.integers(min_value=-(2**63), max_value=2**63)
 FLOATS = st.floats(allow_nan=False)
 # Words with the characters CSV framing must quote, plus any character UTF-8
 # can encode (lone surrogates cannot be written to a UTF-8 file).
-WORDS = st.text(st.characters(codec="utf-8") | st.sampled_from(',"\n\r '))
-# Candidates as extract writes them: no empty word, a frequency of at least 1.
-CANDIDATES = st.builds(Candidate, st.sampled_from(list(CandidateKind)), WORDS.filter(bool),
-                       WORDS.filter(bool), st.integers(min_value=1, max_value=2**63))
+CHARS = st.characters(codec="utf-8") | st.sampled_from(',"\n\r ')
+WORDS = st.text(CHARS)
+# Words as extract writes them: lowercased tokens that clean_token keeps,
+# framing characters and inner spaces included.
+CANDIDATE_WORDS = st.text(CHARS, min_size=3).map(
+    lambda token: clean_token(token.lower(), frozenset())).filter(bool)
+# Candidates as extract writes them: such words, a frequency of at least 1.
+CANDIDATES = st.builds(Candidate, st.sampled_from(list(CandidateKind)), CANDIDATE_WORDS,
+                       CANDIDATE_WORDS, st.integers(min_value=1, max_value=2**63))
 
 
 class Table(NamedTuple):
@@ -111,8 +118,9 @@ def _numbered(name, rows):
 @settings(deadline=None)
 @given(data=st.data())
 def test_row_no_stage_writes_is_malformed(name, data, table_dir):
-    """One row with an empty word, a frequency below 1 or, in ranked.csv, a
-    rank other than its position, among rows a stage writes, fails the read."""
+    """One row with a word extract never writes, a frequency below 1 or, in
+    ranked.csv, a rank other than its position, among rows a stage writes,
+    fails the read."""
     table = TABLES[name]
     rows = _numbered(name, data.draw(st.lists(table.rows, min_size=1, max_size=5)))
     i = data.draw(st.integers(0, len(rows) - 1))
@@ -133,8 +141,21 @@ def test_row_no_stage_writes_is_malformed(name, data, table_dir):
 def _broken(candidate, rule, data):
     """`candidate` with its `rule` field ("first", "second" or "frequency")
     set to a value extract never writes."""
-    value = data.draw(st.integers(-(2**63), 0)) if rule == "frequency" else ""
+    if rule == "frequency":
+        value = data.draw(st.integers(-(2**63), 0))
+    else:
+        value = data.draw(st.sampled_from(["", "Flood", "flood water.", "#flood", "fl00d", "ab"]))
     return dataclasses.replace(candidate, **{rule: value})
+
+
+@settings(deadline=None)
+@given(token=WORDS, stopwords=st.frozensets(WORDS, max_size=3))
+def test_words_extract_writes_pass_the_row_rule(token, stopwords):
+    """Any word extract cleans out of a raw token is one a candidates.csv
+    row may hold."""
+    word = clean_token(token.lower(), stopwords)
+    if word is not None:
+        assert _parse_candidate(["nv", word, word, "1"]).words == (word, word)
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
