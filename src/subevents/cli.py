@@ -250,6 +250,11 @@ def _log_dedupe(tweets: TweetTokens) -> None:
         logger.info("dedupe removed %d duplicate tweets", tweets.duplicates)
 
 
+def _print_discarded(tweets: TweetTokens) -> None:
+    print(f"  discarded:         {tweets.skipped} malformed lines,"
+          f" {tweets.duplicates} duplicate tweets")
+
+
 def _load_store(cfg: PipelineConfig, word_lists: Iterable[Sequence[str]]) -> EmbeddingStore:
     """The configured vectors of the words in `word_lists`; the rows of
     other words are not read."""
@@ -292,10 +297,7 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     write_json(_artifact(out_dir, "accounting"), accounting)
     print("extraction accounting:")
     print(f"  tweets processed:  {accounting['tweets']}")
-    print(
-        f"  discarded:         {tweets.skipped} malformed lines,"
-        f" {tweets.duplicates} duplicate tweets"
-    )
+    _print_discarded(tweets)
     print(
         f"  nv pair source:    {counts.parsed} parsed, {counts.fallback} lexicon fallback,"
         f" {counts.neither} neither"
@@ -315,7 +317,8 @@ def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> None:
     candidates = read_candidates(_artifact(out_dir, "candidates"))
     if cfg.rank.method == "baseline":
         tweets = _tweet_tokens(cfg)
-        ranked = rank_baseline_overlap(candidates, tweets, cfg.rank.discount)
+        ranked = rank_baseline_overlap(candidates, tweets.texts(), tweets.cleaner,
+                                       cfg.rank.discount)
         _log_dedupe(tweets)
     else:
         _, _, term_words = read_terms(cfg.paths.ontology)
@@ -324,7 +327,9 @@ def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> None:
         ranked = rank_candidates(candidates, ontology, store)
     write_ranked(ranked, _artifact(out_dir, "ranked"))
     print(f"ranked {len(ranked)} candidates with the {cfg.rank.method} method")
-    if cfg.rank.method == "moac":
+    if cfg.rank.method == "baseline":
+        _print_discarded(tweets)
+    else:
         no_vector = sum(1 for rc in ranked if rc.best_term is None)
         unusable = len(ontology) - len(ontology.usable_terms)
         print(f"  candidates without a vector: {no_vector} (scored {NULL_SCORE:g}, ranked last)")

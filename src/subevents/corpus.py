@@ -10,10 +10,11 @@ token edges, and removes stopwords, tokens shorter than three characters,
 tokens containing a digit, hashtags, and user mentions.
 
 Corpus files are read one line at a time and no tweet is kept:
-``CorpusLines`` yields each line's (id, text, label), and ``TokenCleaner``
-applies the preprocessing rules to its text. ``TweetTokens`` builds on
-both for a stream of (tweet id, raw text) or (tweet id, tokens) over
-several files; evaluation pairs each label with its tokens.
+``CorpusLines`` yields each line's (id, text, label), and ``TweetTokens``
+builds on it for a stream of (tweet id, raw text) over several files.
+``TokenCleaner`` applies the preprocessing rules to a text's tokens and
+numbers the words kept; extraction and the overlap baseline read texts as
+its word ids, and evaluation pairs each label with its tokens.
 """
 
 from __future__ import annotations
@@ -213,35 +214,55 @@ def clean_token(token: str, stopwords: frozenset[str]) -> str | None:
     return token
 
 
-class TokenCleaner(dict):
-    """``clean_token`` memoized per distinct raw token.
+REMOVED = -1  # the id of a raw token that preprocessing removes
 
-    ``cleaner[token]`` is the cleaned token, or None when it is removed.
-    The vocabulary of tweets is Zipfian, so a corpus holds few distinct tokens
-    for its size. Make one per batch of work: it holds every token seen.
+
+class TokenCleaner(dict):
+    """Raw lowercased token -> the id of its word cleaned by
+    ``clean_token``, or ``REMOVED``; ``clean_token`` runs once per
+    distinct raw token.
+
+    ``words[id]`` is the word of an id. Ids count up from 0 in order of
+    first appearance, of a word kept from a raw token or one given to
+    ``word_id``. The vocabulary of tweets is Zipfian, so a corpus holds few
+    distinct tokens for its size. Make one per batch of work: it holds
+    every token seen.
     """
 
     def __init__(self, stopwords: frozenset[str]) -> None:
         super().__init__()
         self.stopwords = stopwords
+        self.words: list[str] = []
+        self._ids: dict[str, int] = {}  # word -> id
 
-    def __missing__(self, token: str) -> str | None:
-        cleaned = self[token] = clean_token(token, self.stopwords)
-        return cleaned
+    def __missing__(self, raw: str) -> int:
+        word = clean_token(raw, self.stopwords)
+        words = self.words
+        index = self[raw] = REMOVED if word is None else self._ids.setdefault(word, len(words))
+        if index == len(words):
+            words.append(word)
+        return index
+
+    def word_id(self, word: str) -> int:
+        """The id of `word` as it is, not cleaned; a new word gets the next id."""
+        index = self._ids.setdefault(word, len(self.words))
+        if index == len(self.words):
+            self.words.append(word)
+        return index
 
     def tokens(self, raw_text: str) -> list[str]:
         """The tokens of a raw tweet text: lowercased, split on whitespace,
         each cleaned, the removed ones dropped."""
-        return [tok for raw in raw_text.lower().split() if (tok := self[raw]) is not None]
+        words = self.words
+        return [words[i] for i in map(self.__getitem__, raw_text.lower().split()) if i != REMOVED]
 
 
 class TweetTokens:
     """The tweets kept from a list of ``(path, label_mode)`` JSON Lines
     corpus files, read in list order one line at a time by ``CorpusLines``.
 
-    ``texts()`` yields each kept tweet's ``(tweet_id, raw_text)``; iterating
-    the reader yields its ``(tweet_id, tokens)``, the text's tokens cleaned
-    by ``cleaner``, one ``TokenCleaner`` for the whole read. With
+    ``texts()`` yields each kept tweet's ``(tweet_id, raw_text)``, and
+    ``cleaner`` is the one ``TokenCleaner`` for reading them. With
     ``dedupe``, a tweet whose exact raw text was read before is dropped
     (the first is kept, across files) and counted in ``duplicates``; the
     read then holds every distinct text. Malformed lines are counted in
@@ -272,11 +293,6 @@ class TweetTokens:
                     seen.add(raw_text)
                 yield tweet_id, raw_text
             self.skipped += lines.skipped
-
-    def __iter__(self) -> Iterator[tuple[str, list[str]]]:
-        tokens = self.cleaner.tokens
-        for tweet_id, raw_text in self.texts():
-            yield tweet_id, tokens(raw_text)
 
 
 # Characters of a parse sidecar read at a time. A block is cut at a sentence

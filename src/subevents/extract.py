@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import read_list_file, read_table, write_table
-from .corpus import NvEdges, TokenCleaner, clean_token
+from .corpus import REMOVED, NvEdges, TokenCleaner, clean_token
 from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
@@ -103,9 +103,8 @@ def load_pos_lexicon(path: str | Path) -> dict[str, frozenset[str]]:
     return lexicon
 
 
-# Entries of the id buffer below every word id: a removed raw token, and the
-# end of a tweet, which says whether the tweet takes the lexicon window.
-_REMOVED = -1  # a raw token that preprocessing removes
+# The id buffer holds word ids, REMOVED for a removed raw token, and one end
+# entry per tweet, which says whether the tweet takes the lexicon window.
 _END = -2  # the end of a tweet
 _END_WINDOW = -3  # the end of a tweet whose pairs come from the lexicon window
 
@@ -121,39 +120,6 @@ _WORD_MASK = (1 << _WORD_BITS) - 1
 # Below this a float64 holds every integer exactly, so dividing two such
 # values rounds as Python's int true division does.
 _EXACT_BELOW = float(1 << 53)
-
-
-class _WordTable(dict):
-    """Cleaned word -> id, in order of first appearance; ``words[id]`` is
-    the word and ``tags[id]`` its lexicon tag bits."""
-
-    def __init__(self, lexicon: dict[str, frozenset[str]] | None) -> None:
-        super().__init__()
-        self.lexicon = lexicon if lexicon is not None else {}
-        self.words: list[str] = []
-        self.tags = bytearray()
-
-    def __missing__(self, word: str) -> int:
-        index = self[word] = len(self.words)
-        self.words.append(word)
-        tags = self.lexicon.get(word, _NO_TAGS)
-        self.tags.append(_NOUN * ("N" in tags) | _VERB * ("V" in tags))
-        return index
-
-
-class _RawIds(dict):
-    """Raw lowercased token -> the id of its cleaned word in `table`, or
-    _REMOVED; ``clean_token`` runs once per distinct raw token."""
-
-    def __init__(self, table: _WordTable, stopwords: frozenset[str]) -> None:
-        super().__init__()
-        self.table = table
-        self.stopwords = stopwords
-
-    def __missing__(self, raw: str) -> int:
-        word = clean_token(raw, self.stopwords)
-        index = self[raw] = _REMOVED if word is None else self.table[word]
-        return index
 
 
 def _keys(first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -192,11 +158,12 @@ class ExtractCounts:
     """The corpus-wide counts extraction reads, folded on integer word ids.
 
     A tweet comes in only as raw text (``add_texts``, the path
-    ``cmd_extract`` takes) or as the cleaned tokens ``TweetTokens`` yields
-    (``add``). Both map its words through one word table into one buffer
-    of ids, closed by an entry that says whether the tweet takes the
-    lexicon window, and count it in one of ``parsed``, ``fallback`` and
-    ``neither``, whose sum is ``tweets``. Once the buffer (and the list of
+    ``cmd_extract`` takes) or as cleaned tokens (``add``). Both map its
+    words to their ids in ``cleaner`` into one buffer of ids, closed by an
+    entry that says whether the tweet takes the lexicon window, and count
+    it in one of ``parsed``, ``fallback`` and ``neither``, whose sum is
+    ``tweets``. The cleaner may be shared: a word it holds that no tweet
+    counted here has a unigram count of 0. Once the buffer (and the list of
     parses not yet counted) holds more than max(``FOLD_ENTRIES``, distinct
     bigrams held) entries it is folded: unigrams into one count per id,
     bigram and pair keys (``first << 32 | second``) into sorted arrays of
@@ -213,8 +180,7 @@ class ExtractCounts:
         self.cleaner = cleaner
         self.parses = parses if parses is not None else {}
         self.lexicon = lexicon
-        self._table = _WordTable(lexicon)
-        self._raw_ids = _RawIds(self._table, cleaner.stopwords)
+        self._tags = bytearray()  # lexicon tag bits by word id, extended by a fold
         self._ids: list[int] = []  # word ids and tweet ends, not yet folded
         self._parsed: list[NvEdges] = []  # parses whose edges are not yet folded
         self._fold_at = FOLD_ENTRIES
@@ -232,7 +198,7 @@ class ExtractCounts:
     def add_texts(self, texts: Iterable[tuple[str, str]]) -> None:
         """Count each ``(tweet_id, raw_text)`` as ``add`` counts the
         tweet's cleaned tokens."""
-        raw_ids, parse = self._raw_ids.__getitem__, self.parses.get
+        raw_ids, parse = self.cleaner.__getitem__, self.parses.get
         self._count((parse(tweet_id), map(raw_ids, text.lower().split()))
                     for tweet_id, text in texts)
 
@@ -248,7 +214,7 @@ class ExtractCounts:
         sliding window of DEFAULT_WINDOW tokens (at distance <
         DEFAULT_WINDOW). Otherwise it counts in ``neither`` and has no
         pair."""
-        self._count([(self.parses.get(tweet_id), map(self._table.__getitem__, tokens))])
+        self._count([(self.parses.get(tweet_id), map(self.cleaner.word_id, tokens))])
 
     def _count(self, tweets: Iterable[tuple[NvEdges | None, Iterable[int]]]) -> None:
         """Count each tweet's word ids, given with its parse or None."""
@@ -276,18 +242,22 @@ class ExtractCounts:
         forms = list(chain.from_iterable(chain.from_iterable(self._parsed)))
         del self._ids[:], self._parsed[:]
         # Each edge's noun and verb, lowercased and cleaned as a raw token.
-        edges = np.fromiter(map(self._raw_ids.__getitem__, map(str.lower, forms)),
+        edges = np.fromiter(map(self.cleaner.__getitem__, map(str.lower, forms)),
                             np.int32, len(forms)).reshape(-1, 2)
-        edges = edges[(edges != _REMOVED).all(axis=1)]
+        edges = edges[(edges != REMOVED).all(axis=1)]
         pair_keys = [_keys(edges[:, 0], edges[:, 1])]
-        ids = ids[ids != _REMOVED]
+        ids = ids[ids != REMOVED]
         end = ids < 0
         grams = ~end
         windowed = ids[end] == _END_WINDOW
+        words = self.cleaner.words
         if windowed.any():
+            for word in words[len(self._tags):]:
+                tags = self.lexicon.get(word, _NO_TAGS)
+                self._tags.append(_NOUN * ("N" in tags) | _VERB * ("V" in tags))
             tweet = np.cumsum(end) - end  # the tweet each entry is part of
             word_tags = np.zeros(len(ids), np.uint8)
-            word_tags[grams] = np.frombuffer(bytes(self._table.tags), np.uint8)[ids[grams]]
+            word_tags[grams] = np.frombuffer(bytes(self._tags), np.uint8)[ids[grams]]
             nouns = np.flatnonzero((word_tags & _NOUN > 0) & windowed[tweet])
             for distance in range(1, DEFAULT_WINDOW):
                 verbs = nouns + distance
@@ -295,7 +265,7 @@ class ExtractCounts:
                 first = nouns[: len(verbs)]
                 first = first[(tweet[verbs] == tweet[first]) & (word_tags[verbs] & _VERB > 0)]
                 pair_keys.append(_keys(ids[first], ids[first + distance]))
-        unigrams = np.bincount(ids[grams], minlength=len(self._table.words))
+        unigrams = np.bincount(ids[grams], minlength=len(words))
         unigrams[: len(self._unigrams)] += self._unigrams
         self._unigrams = unigrams
         bigram = grams[:-1] & grams[1:]
@@ -304,7 +274,7 @@ class ExtractCounts:
         self._pairs = _merge(*self._pairs, *np.unique(
             np.concatenate(pair_keys), return_counts=True))
         if self._pair_counter:
-            word = self._table.__getitem__
+            word = self.cleaner.word_id
             counter = self._pair_counter
             keys = np.fromiter((word(n) << _WORD_BITS | word(v) for n, v in counter), np.int64)
             order = np.argsort(keys)
@@ -326,7 +296,7 @@ class ExtractCounts:
 
     def _words(self, keys: np.ndarray) -> list[tuple[str, str]]:
         """The (first, second) words of each key."""
-        words = self._table.words
+        words = self.cleaner.words
         return list(zip(map(words.__getitem__, (keys >> _WORD_BITS).tolist()),
                         map(words.__getitem__, (keys & _WORD_MASK).tolist())))
 

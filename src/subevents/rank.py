@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from ._util import format_float, read_list_file, read_table, write_table
+from .corpus import TokenCleaner
 from .embed import EmbeddingStore, compose, row_products
 from .errors import InputFormatError
 from .extract import Candidate, CandidateSet, _parse_candidate
@@ -129,11 +130,13 @@ def rank_candidates(
 
 def rank_baseline_overlap(
     candidates: CandidateSet | Sequence[Candidate],
-    tweets: Iterable[tuple[str, Sequence[str]]],
+    texts: Iterable[tuple[str, str]],
+    cleaner: TokenCleaner,
     discount: str = "log",
 ) -> list[RankedCandidate]:
-    """Overlap-coefficient baseline ranking over ``(tweet_id, tokens)``
-    pairs, such as ``TweetTokens`` yields.
+    """Overlap-coefficient baseline ranking over ``(tweet_id, raw_text)``
+    pairs, such as ``TweetTokens.texts`` yields, each text read as the ids
+    of its words in `cleaner`.
 
     For candidate (a, b) with tweet-id occurrence sets A and B, the score is
     |A∩B| / min(|A|, |B|) times a discounting factor: log(1 + |A∩B|) by
@@ -145,16 +148,20 @@ def rank_baseline_overlap(
     if discount not in DISCOUNTS:
         raise ValueError(f"unknown discount {discount!r}")
     cands = _as_candidates(candidates)
-    postings: dict[str, set[str]] = {word: set() for cand in cands for word in cand.words}
-    for tweet_id, tokens in tweets:
-        for token in tokens:
-            ids = postings.get(token)
+    # Candidate words take ids as they are, not cleaned: a cleaned stopword
+    # would take REMOVED, the id of every removed token.
+    word_id = cleaner.word_id
+    postings: dict[int, set[str]] = {word_id(word): set() for cand in cands for word in cand.words}
+    raw_ids, posting = cleaner.__getitem__, postings.get
+    for tweet_id, text in texts:
+        for word in map(raw_ids, text.lower().split()):
+            ids = posting(word)
             if ids is not None:
                 ids.add(tweet_id)
     scored: list[tuple[Candidate, float, str | None]] = []
     for cand in cands:
-        ids_a = postings[cand.first]
-        ids_b = postings[cand.second]
+        ids_a = postings[word_id(cand.first)]
+        ids_b = postings[word_id(cand.second)]
         smaller = min(len(ids_a), len(ids_b))
         if smaller == 0:
             scored.append((cand, 0.0, None))

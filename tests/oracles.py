@@ -107,6 +107,42 @@ def brute_force_rank(candidates, word_vectors: dict[str, list[float]], terms):
     return scored
 
 
+def reference_overlap(candidates, texts, stopwords, discount):
+    """Reference overlap baseline on str tokens: each text of the
+    ``(tweet_id, raw_text)`` pairs lowercased, split on whitespace and
+    cleaned by ``clean_token``; per candidate word, the set of ids of the
+    tweets whose tokens hold it, scored as |A∩B| / min(|A|, |B|) times
+    log(1 + |A∩B|) (discount "log") or 1 (discount "none"), and 0 for an
+    empty set. `candidates` are (kind, first, second, frequency) tuples.
+    Returns the sorted list of (kind, first, second, frequency, score) with
+    the ordering contract of ``brute_force_rank``."""
+    from subevents.corpus import clean_token
+
+    postings = {word: set() for _, first, second, _ in candidates for word in (first, second)}
+    for tweet_id, text in texts:
+        tokens = [token for raw in text.lower().split()
+                  if (token := clean_token(raw, stopwords)) is not None]
+        for token in tokens:
+            ids = postings.get(token)
+            if ids is not None:
+                ids.add(tweet_id)
+    scored = []
+    for kind, first, second, freq in candidates:
+        ids_a = postings[first]
+        ids_b = postings[second]
+        smaller = min(len(ids_a), len(ids_b))
+        if smaller == 0:
+            scored.append((kind, first, second, freq, 0.0))
+            continue
+        co_count = len(ids_a & ids_b)
+        score = co_count / smaller
+        if discount == "log":
+            score *= math.log1p(co_count)
+        scored.append((kind, first, second, freq, score))
+    scored.sort(key=lambda row: (-row[4], -row[3], row[1], row[2], row[0]))
+    return scored
+
+
 def adjusted_rand_index(labels_a, labels_b) -> float:
     """ARI from the contingency table; 1.0 iff the partitions agree."""
     if len(labels_a) != len(labels_b):

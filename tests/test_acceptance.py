@@ -75,8 +75,7 @@ def fixture_ranking(fixtures_dir):
         (fixtures_dir / "pipeline_labeled.jsonl", LabelMode.LABELED),
     ], load_stopwords())
     counts = ExtractCounts(tweets.cleaner, load_parses(fixtures_dir / "pipeline_parses.conllu"))
-    for tweet_id, tokens in tweets:
-        counts.add(tweet_id, tokens)
+    counts.add_texts(tweets.texts())
     candidates = counts.candidates(PhraseConfig(2, 10.0), 2)
     store = load_vectors(fixtures_dir / "pipeline_vectors.txt")
     ontology = load_ontology(fixtures_dir / "pipeline_ontology.txt", store)
@@ -91,7 +90,7 @@ def test_1_worked_example(fixtures_dir):
         start = time.perf_counter()
         reader = TweetTokens([(fixtures_dir / "worked_corpus.jsonl", LabelMode.UNLABELED)],
                              load_stopwords())
-        tweets = list(reader)
+        tweets = [(tweet_id, reader.cleaner.tokens(text)) for tweet_id, text in reader.texts()]
         parses = load_parses(fixtures_dir / "worked_parses.conllu")
         key_id, key_tokens = tweets[0]
         assert key_tokens == ["waterborne", "diseases", "hurricane", "water", "recedes"]

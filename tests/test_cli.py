@@ -1338,6 +1338,25 @@ def test_extract_reports_what_it_discarded(run_cli, tmp_path, write_config, pipe
     assert "  discarded:         13 malformed lines, 0 duplicate tweets\n" in stdout
 
 
+def test_baseline_rank_reports_what_it_discarded(run_cli, tmp_path, write_config,
+                                                 pipeline_config_dict):
+    """The baseline reads the corpus again and reports what it discarded as
+    extract does; the MOAC ranking reads no corpus and reports nothing."""
+    unlabeled, labeled = _edge_case_corpora(pipeline_config_dict["paths"], tmp_path)
+    cfg = write_config(pipeline_config_dict, tmp_path / "out")
+    args = ["--config", cfg,
+            "--paths.corpus_unlabeled", str(unlabeled), "--paths.corpus_labeled", str(labeled)]
+    assert run_cli("extract", *args)[0] == 0
+    for flags, duplicates in (["--dedupe"], 17), ([], 0):
+        code, stdout, _ = run_cli("rank", *args, "--rank.method", "baseline", *flags)
+        assert code == 0
+        assert stdout.splitlines()[1:] == [
+            f"  discarded:         13 malformed lines, {duplicates} duplicate tweets"]
+    code, stdout, _ = run_cli("rank", *args)
+    assert code == 0
+    assert "discarded" not in stdout
+
+
 
 @pytest.mark.parametrize("flags", [
     ["--phrase.min_count", "99999999999999999999", "--filter_min_freq", "99999999999999999999"],

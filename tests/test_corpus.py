@@ -13,6 +13,7 @@ import oracles
 
 from subevents import corpus
 from subevents.corpus import (
+    REMOVED,
     CorpusLines,
     Label,
     LabelMode,
@@ -24,7 +25,7 @@ from subevents.corpus import (
     validate_heads,
 )
 from subevents.errors import InputFormatError
-from subevents.extract import ExtractCounts
+from subevents.extract import ExtractCounts, PhraseConfig
 
 STOPWORDS = load_stopwords()
 
@@ -33,6 +34,11 @@ def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line + "\n")
+
+
+def _tweet_tokens(tweets):
+    """The ``(tweet_id, tokens)`` of each tweet one read of `tweets` keeps."""
+    return [(tweet_id, tweets.cleaner.tokens(text)) for tweet_id, text in tweets.texts()]
 
 
 def _read(path, label_mode=LabelMode.UNLABELED):
@@ -183,7 +189,7 @@ class TestPreprocess:
         path = tmp_path / "c.jsonl"
         _write_lines(path, [json.dumps({"id": "t", "text": "#only @refs 12"})])
         tweets = TweetTokens([(path, LabelMode.UNLABELED)], STOPWORDS)
-        assert list(tweets) == [("t", [])]
+        assert _tweet_tokens(tweets) == [("t", [])]
         assert tweets.skipped == 0
 
     def test_no_forbidden_tokens_property(self):
@@ -234,14 +240,51 @@ _TEXT = st.lists(
 ).map(" ".join)
 
 
-@given(texts=st.lists(_TEXT, max_size=8))
+_LEXICON = st.none() | st.dictionaries(
+    st.sampled_from(["flood", "bridge", "water", "roads", "e-mail", "café", "naïve"]),
+    st.sampled_from([frozenset("N"), frozenset("V"), frozenset("NV")]))
+
+
+@given(texts=st.lists(_TEXT, max_size=8), earlier=st.lists(_TEXT, max_size=4),
+       fill=st.sampled_from(["tokens", "counts"]), earlier_lexicon=_LEXICON,
+       counted=st.lists(st.lists(_WORDS, max_size=10).map(" ".join), max_size=10),
+       lexicon=_LEXICON, parses=st.dictionaries(st.sampled_from("0123"), st.lists(
+           st.tuples(_WORDS, _WORDS), max_size=3).map(tuple)),
+       phrase=st.builds(PhraseConfig, st.integers(1, 2),
+                        st.sampled_from([0.0, 0.5, 1.0, 2.0, 4.0])))
 @settings(max_examples=200, deadline=None)
-def test_shared_cleaner_equals_per_tweet_cleaner(texts):
+def test_shared_cleaner_equals_per_tweet_cleaner(texts, earlier, fill, earlier_lexicon, counted,
+                                                 lexicon, parses, phrase):
     """One ``TokenCleaner`` over many texts, reusing what it cached, gives
-    each text the tokens a fresh one does."""
+    each text the tokens a fresh one does; each raw token's id is that of
+    the word ``clean_token`` keeps, or REMOVED, and ids count up in order
+    of first appearance. ``ExtractCounts`` on a cleaner that earlier texts
+    filled (through ``tokens`` or other counts) counts the same texts as
+    one on a fresh cleaner does."""
     shared = TokenCleaner(STOPWORDS)
     assert [shared.tokens(text) for text in texts] == [
         TokenCleaner(STOPWORDS).tokens(text) for text in texts]
+    assert shared.words == list(dict.fromkeys(
+        token for text in texts for token in shared.tokens(text)))
+    for raw in {raw for text in texts for raw in text.lower().split()}:
+        index = shared[raw]
+        assert (shared.words[index] if index != REMOVED else None) == clean_token(raw, STOPWORDS)
+
+    filled = TokenCleaner(STOPWORDS)
+    if fill == "tokens":
+        for text in earlier:
+            filled.tokens(text)
+    else:
+        earlier_counts = ExtractCounts(filled, parses, earlier_lexicon)
+        earlier_counts.add_texts((str(i), text) for i, text in enumerate(earlier))
+        earlier_counts.candidates()
+    runs = []
+    for cleaner in (filled, TokenCleaner(STOPWORDS)):
+        counts = ExtractCounts(cleaner, parses, lexicon)
+        counts.add_texts((str(i), text) for i, text in enumerate(counted))
+        runs.append((counts.candidates(phrase, 1), counts.parsed, counts.fallback,
+                     counts.neither))
+    assert runs[0] == runs[1]
 
 
 _JSON = st.recursive(
@@ -313,19 +356,19 @@ class TestTweetTokens:
     def test_dedupe_across_files_keeps_first(self, tmp_path):
         tweets = TweetTokens(self._files(tmp_path), STOPWORDS, dedupe=True)
         for _ in range(2):  # each read recounts
-            assert list(tweets) == [
+            assert _tweet_tokens(tweets) == [
                 ("1", ["flood", "waters", "rise"]), ("2", ["bridge", "gone"]), ("5", ["roads"])]
             assert (tweets.skipped, tweets.duplicates) == (2, 2)
 
     def test_without_dedupe_keeps_every_tweet_in_file_order(self, tmp_path):
         tweets = TweetTokens(self._files(tmp_path), STOPWORDS)
-        assert [tweet_id for tweet_id, _ in tweets] == ["1", "2", "3", "4", "5"]
+        assert [tweet_id for tweet_id, _ in tweets.texts()] == ["1", "2", "3", "4", "5"]
         assert (tweets.skipped, tweets.duplicates) == (2, 0)
 
     @pytest.mark.parametrize("dedupe", [False, True])
     def test_texts_are_the_raw_texts_of_the_tweets_kept(self, tmp_path, dedupe):
         tweets = TweetTokens(self._files(tmp_path), STOPWORDS, dedupe=dedupe)
-        tokens, counts = list(tweets), (tweets.skipped, tweets.duplicates)
+        tokens, counts = _tweet_tokens(tweets), (tweets.skipped, tweets.duplicates)
         texts = list(tweets.texts())
         assert [tweet_id for tweet_id, _ in texts] == [tweet_id for tweet_id, _ in tokens]
         assert [tweets.cleaner.tokens(text) for _, text in texts] == [t for _, t in tokens]
@@ -343,7 +386,7 @@ class TestCorpusOps:
         _write_lines(b, [json.dumps({"id": "2", "text": "y"}), "bad",
                          json.dumps({"id": "4", "text": "w"})])
         tweets = TweetTokens([(a, LabelMode.UNLABELED), (b, LabelMode.UNLABELED)], STOPWORDS)
-        assert [tweet_id for tweet_id, _ in tweets] == ["1", "3", "2", "4"]
+        assert [tweet_id for tweet_id, _ in tweets.texts()] == ["1", "3", "2", "4"]
         assert tweets.skipped == 3
 
 

@@ -77,7 +77,8 @@ class TestNvPairs:
     def test_sample_parse(self, fixtures_dir):
         tweets = TweetTokens([(fixtures_dir / "worked_corpus.jsonl", LabelMode.UNLABELED)],
                              STOPWORDS)
-        key_id, tokens = next(iter(tweets))
+        key_id, text = next(tweets.texts())
+        tokens = tweets.cleaner.tokens(text)
         assert key_id == "w000"
         parse = load_parses(fixtures_dir / "worked_parses.conllu")[key_id]
         assert _pairs(parse, tokens) == [("waterborne", "recedes"), ("water", "recedes")]
@@ -226,7 +227,7 @@ class TestPhrases:
     def test_worked_corpus_score(self, fixtures_dir):
         tweets = TweetTokens([(fixtures_dir / "worked_corpus.jsonl", LabelMode.UNLABELED)],
                              STOPWORDS)
-        phrases = _phrases((tokens for _, tokens in tweets),
+        phrases = _phrases((tweets.cleaner.tokens(text) for _, text in tweets.texts()),
                            PhraseConfig(min_count=2, threshold=10.0))
         assert [c.words for c in phrases] == [("waterborne", "diseases")]
         assert phrases[0].frequency == 6
@@ -265,7 +266,8 @@ def pipeline_tweets(generated_fixtures):
         (generated_fixtures / "pipeline_labeled.jsonl", LabelMode.LABELED),
     ], STOPWORDS)
     parses = load_parses(generated_fixtures / "pipeline_parses.conllu")
-    return [(tokens, parses.get(tweet_id)) for tweet_id, tokens in tweets]
+    return [(tweets.cleaner.tokens(text), parses.get(tweet_id))
+            for tweet_id, text in tweets.texts()]
 
 
 @given(data=st.data())
@@ -405,8 +407,8 @@ def test_fold_matches_whole_corpus_reference(inputs, tmp_path, caplog):
         if raw_texts:
             counts.add_texts(tweets.texts())
         else:
-            for tweet_id, tokens in tweets:
-                counts.add(tweet_id, tokens)
+            for tweet_id, text in tweets.texts():
+                counts.add(tweet_id, tweets.cleaner.tokens(text))
         got = {"tweets": counts.tweets, "skipped": tweets.skipped,
                "duplicates": tweets.duplicates, "parsed": counts.parsed,
                "fallback": counts.fallback, "neither": counts.neither}
@@ -496,8 +498,7 @@ def _fold_peak(path) -> int:
     try:
         tweets = TweetTokens([(path, LabelMode.UNLABELED)], STOPWORDS)
         counts = ExtractCounts(tweets.cleaner, lexicon=lexicon)
-        for tweet_id, tokens in tweets:
-            counts.add(tweet_id, tokens)
+        counts.add_texts(tweets.texts())
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -520,9 +521,9 @@ def test_fold_memory_does_not_grow_with_tweets(tmp_path):
 def test_fold_holds_arrays_not_a_counter_per_bigram(tmp_path):
     """What the fold holds after a corpus of about 44k distinct bigrams:
     at most 40 bytes per distinct bigram (one key and one count of int64,
-    the unfolded id buffer, the word table). Measured on CPython 3.11,
-    numpy 2.4: 23 bytes per bigram, and 118 for per-tweet ``Counter``s of
-    str tuples."""
+    the unfolded id buffer, the cleaner's word ids). Measured on CPython
+    3.11, numpy 2.4: 23 bytes per bigram, and 118 for per-tweet
+    ``Counter``s of str tuples."""
     rng = random.Random(7)
     vocab = [f"word{chr(97 + i % 26)}{chr(97 + i // 26 % 26)}{chr(97 + i // 676)}"
              for i in range(2000)]
@@ -537,9 +538,8 @@ def test_fold_holds_arrays_not_a_counter_per_bigram(tmp_path):
     try:
         tweets = TweetTokens([(path, LabelMode.UNLABELED)], STOPWORDS)
         counts = ExtractCounts(tweets.cleaner)
-        for tweet_id, tokens in tweets:
-            counts.add(tweet_id, tokens)
-        del tweets, tweet_id, tokens
+        counts.add_texts(tweets.texts())
+        del tweets
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:

@@ -5,13 +5,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from subevents.cli import cmd_rank
 from subevents.config import PipelineConfig
+from subevents.corpus import TokenCleaner, load_stopwords
 from subevents.embed import EmbeddingStore, compose, load_vectors
 from subevents.errors import InputFormatError
 from subevents.extract import Candidate, CandidateKind, write_candidates
 from subevents.rank import (
+    DISCOUNTS,
     NULL_SCORE,
     compose_rows,
     load_ontology,
@@ -28,6 +33,9 @@ def nv(first, second, freq=1):
 
 def ph(first, second, freq=1):
     return Candidate(CandidateKind.PHRASE, first, second, frequency=freq)
+
+
+STOPWORDS = load_stopwords()
 
 
 def _store(vectors, dim):
@@ -181,58 +189,91 @@ class TestRankCandidates:
 class TestBaselineOverlap:
     def _corpus(self):
         return [
-            ("1", ("road", "blocked", "tree")),
-            ("2", ("road", "blocked")),
-            ("3", ("road", "clear")),
-            ("4", ("tree", "fell")),
+            ("1", "road blocked tree"),
+            ("2", "road blocked"),
+            ("3", "road clear"),
+            ("4", "tree fell"),
         ]
+
+    def _rank(self, candidates, corpus=None, **kwargs):
+        """The baseline over `corpus` (``_corpus`` by default) read by a
+        fresh cleaner."""
+        corpus = self._corpus() if corpus is None else corpus
+        return rank_baseline_overlap(candidates, corpus, TokenCleaner(STOPWORDS), **kwargs)
 
     def test_hand_counted_overlap(self):
         # road in {1,2,3}, blocked in {1,2}: overlap 2 / min(3,2) = 1.0,
         # discounted by log(1+2).
-        ranked = rank_baseline_overlap([nv("road", "blocked")], self._corpus())
+        ranked = self._rank([nv("road", "blocked")])
         assert ranked[0].score == pytest.approx(math.log(3.0), abs=1e-12)
         assert ranked[0].best_term is None
 
     def test_undiscounted(self):
-        ranked = rank_baseline_overlap(
-            [nv("road", "blocked")], self._corpus(), discount="none"
-        )
+        ranked = self._rank([nv("road", "blocked")], discount="none")
         assert ranked[0].score == pytest.approx(1.0, abs=1e-12)
 
     def test_partial_overlap(self):
         # tree in {1,4}, road in {1,2,3}: overlap 1 / min(2,3) = 0.5.
-        ranked = rank_baseline_overlap([nv("tree", "road")], self._corpus(), discount="none")
+        ranked = self._rank([nv("tree", "road")], discount="none")
         assert ranked[0].score == pytest.approx(0.5, abs=1e-12)
 
     def test_unknown_word_scores_zero(self):
-        ranked = rank_baseline_overlap([nv("road", "absent")], self._corpus())
+        ranked = self._rank([nv("road", "absent")])
         assert ranked[0].score == 0.0
 
     def test_duplicate_tokens_in_tweet_count_once(self):
-        corpus = [("1", ("fire", "fire", "spreads")), ("2", ("fire",))]
-        ranked = rank_baseline_overlap([nv("fire", "spreads")], corpus, discount="none")
+        ranked = self._rank([nv("fire", "spreads")], [("1", "fire fire spreads"), ("2", "fire")],
+                            discount="none")
         # fire in {1,2}, spreads in {1}: 1 / min(2,1) = 1.0.
         assert ranked[0].score == pytest.approx(1.0, abs=1e-12)
 
     def test_repeated_tweet_id_counts_once(self):
-        corpus = [("1", ("fire", "spreads")), ("1", ("fire",)), ("2", ("spreads",))]
-        ranked = rank_baseline_overlap([nv("fire", "spreads")], corpus, discount="none")
+        corpus = [("1", "fire spreads"), ("1", "fire"), ("2", "spreads")]
+        ranked = self._rank([nv("fire", "spreads")], corpus, discount="none")
         # fire in {1}, spreads in {1,2}: 1 / min(1,2) = 1.0.
         assert ranked[0].score == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_discount_rejected(self):
         with pytest.raises(ValueError):
-            rank_baseline_overlap([], self._corpus(), discount="sqrt")
+            self._rank([], discount="sqrt")
 
     def test_ordering_matches_scores(self):
-        ranked = rank_baseline_overlap(
-            [nv("tree", "road"), nv("road", "blocked"), nv("road", "absent")],
-            self._corpus(),
-        )
+        ranked = self._rank([nv("tree", "road"), nv("road", "blocked"), nv("road", "absent")])
         scores = [rc.score for rc in ranked]
         assert scores == sorted(scores, reverse=True)
         assert [rc.rank for rc in ranked] == [1, 2, 3]
+
+
+# Raw tokens in mixed case and with edge punctuation, repeated across
+# tweets, and tokens preprocessing removes (stopwords, hashtags, mentions,
+# digits, short tokens).
+_RAW_TOKENS = st.sampled_from([
+    "fire", "Fire", "FIRE!", "(fire)", "road", "Road,", "“road”", "spreads", "spreads...",
+    "the", "The", "and", "#fire", "@road", "x1", "ab", "",
+])
+# Candidate words: words the texts hold, a word they never hold, and
+# stopwords, whose tweets must not be those of the removed tokens.
+_CANDIDATE_WORDS = st.sampled_from(["fire", "road", "spreads", "absent", "the", "and"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(st.tuples(st.sampled_from("123"),
+                                st.lists(_RAW_TOKENS, max_size=6).map(" ".join)), max_size=8),
+       candidates=st.lists(st.builds(Candidate, st.sampled_from(CandidateKind), _CANDIDATE_WORDS,
+                                     _CANDIDATE_WORDS, st.integers(1, 3)), max_size=6),
+       discount=st.sampled_from(DISCOUNTS))
+@example(texts=[("1", "the fire"), ("2", "#fire and")], candidates=[nv("the", "fire")],
+         discount="none")
+def test_baseline_equals_reference_overlap(texts, candidates, discount):
+    """The baseline on word ids gives ``oracles.reference_overlap``'s order
+    and scores, bit for bit, on str tokens."""
+    ranked = rank_baseline_overlap(candidates, texts, TokenCleaner(STOPWORDS), discount)
+    want = oracles.reference_overlap(
+        [(c.kind.value, c.first, c.second, c.frequency) for c in candidates], texts, STOPWORDS,
+        discount)
+    assert [(rc.candidate.kind.value, *rc.candidate.words, rc.candidate.frequency, rc.score)
+            for rc in ranked] == want
+    assert [rc.rank for rc in ranked] == list(range(1, len(candidates) + 1))
 
 
 def _baseline_peak(corpus, out) -> int:
