@@ -9,7 +9,6 @@ the ranking retrieves labeled informative tweets.
 
 from .cluster import (
     AffinityMatrix,
-    ClusterAssignment,
     build_affinity,
     eig_topk,
     kmeans,
@@ -38,7 +37,6 @@ __all__ = [
     "Candidate",
     "CandidateKind",
     "CandidateSet",
-    "ClusterAssignment",
     "ComposedVector",
     "ConfigError",
     "EmbeddingStore",

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from ._util import sha256_file, write_json, write_text
-from .cluster import build_affinity, spectral_cluster, summarize_clusters, write_clusters
+from .cluster import build_affinity, spectral_cluster, summarize_clusters
 from .config import OVERRIDABLE, PipelineConfig, apply_override, load_config
 from .corpus import (
     CorpusLines,
@@ -321,9 +321,9 @@ def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> None:
                                        cfg.rank.discount)
         _log_dedupe(tweets)
     else:
-        _, _, term_words = read_terms(cfg.paths.ontology)
-        store = _load_store(cfg, [*(cand.words for cand in candidates), *term_words])
-        ontology = load_ontology(cfg.paths.ontology, store)
+        term_list = read_terms(cfg.paths.ontology)
+        store = _load_store(cfg, [*(cand.words for cand in candidates), *term_list[2]])
+        ontology = load_ontology(term_list, store)
         ranked = rank_candidates(candidates, ontology, store)
     write_ranked(ranked, _artifact(out_dir, "ranked"))
     print(f"ranked {len(ranked)} candidates with the {cfg.rank.method} method")
@@ -354,10 +354,10 @@ def cmd_cluster(cfg: PipelineConfig, out_dir: Path) -> None:
             f" least {cfg.cluster.k} are needed")
     vectors = rows[~null]
     affinity = build_affinity(vectors)
-    assignment = spectral_cluster(affinity, cfg.cluster.k, cfg.cluster.seed,
-                                  cfg.cluster.normalized, cache=out_dir / SPECTRUM_CACHE)
-    summaries = summarize_clusters(assignment, kept, vectors)
-    write_clusters(summaries, _artifact(out_dir, "clusters"))
+    labels = spectral_cluster(affinity, cfg.cluster.k, cfg.cluster.seed,
+                              cfg.cluster.normalized, cache=out_dir / SPECTRUM_CACHE)
+    summaries = summarize_clusters(labels, kept, vectors)
+    write_json(_artifact(out_dir, "clusters"), summaries)
     print(f"clustered {len(kept)} candidates into {len(summaries)} clusters")
     print(f"  top {len(top)} candidates without a vector: {int(null.sum())} (left unclustered)")
 

@@ -5,6 +5,10 @@ affinity matrix, embeds each candidate as its row in the matrix of the k
 leading eigenvectors (row-normalized), and runs k-means on the rows. An
 unnormalized-Laplacian variant (L = D - A, smallest eigenvectors, no row
 normalization) is available behind the `normalized` flag.
+
+Every step hands over arrays: `eig_topk` returns the eigenvalues and an
+(n, k) eigenvector matrix, `spectral_cluster` an int64 label per row, and
+`summarize_clusters` reads those labels.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import replacing, write_json
+from ._util import replacing
 from .embed import row_norms
 from .rank import RankedCandidate
 
@@ -63,18 +67,6 @@ class AffinityMatrix:
             raise ValueError("affinity diagonal must be zero")
         if np.any(m < 0.0) or np.any(m > 1.0):
             raise ValueError("affinity entries must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """k clusters over n candidates; ids are canonical by first appearance."""
-
-    k: int
-    labels: tuple[int, ...]
-
-    def validate(self) -> None:
-        if any(not 0 <= lab < self.k for lab in self.labels):
-            raise ValueError("cluster ids must lie in [0, k)")
 
 
 def build_affinity(vectors: np.ndarray) -> AffinityMatrix:
@@ -217,12 +209,14 @@ def _descending_eigh(m: np.ndarray, k: int,
 
 def eig_topk(
     matrix: np.ndarray, k: int, cache: str | os.PathLike | None = None
-) -> list[tuple[float, np.ndarray]]:
-    """k eigenpairs of a symmetric matrix with the largest eigenvalues.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k eigenpairs of a symmetric matrix with the largest eigenvalues,
+    as (values, vectors).
 
-    Eigenvalues descend; eigenvectors are unit-norm with a deterministic
-    sign (largest-magnitude component positive, first index on ties).
-    Each pair is checked against the residual bound
+    `values` has shape (k,) and descends; column i of the C-contiguous
+    (n, k) array `vectors` is the eigenvector of values[i], unit-norm with
+    a deterministic sign (largest-magnitude component positive, first
+    index on ties). Each pair is checked against the residual bound
     ||Mv - lv|| <= 1e-8 * max(1, ||M||_F).
 
     With `cache`, the path of an .npz file, the full decomposition is kept
@@ -249,8 +243,7 @@ def eig_topk(
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     top_values, top = _descending_eigh(m, k, cache)
-    cols = np.arange(k)
-    flip = top[np.argmax(np.abs(top), axis=0), cols] < 0.0
+    flip = top[np.argmax(np.abs(top), axis=0), np.arange(k)] < 0.0
     top[:, flip] = -top[:, flip]
     # All k residuals from one matrix product; they only gate the result.
     residuals = np.linalg.norm(m @ top - top * top_values, axis=0)
@@ -260,7 +253,10 @@ def eig_topk(
         raise ArithmeticError(
             f"eigenpair residual {residuals[worst]:.3e} exceeds bound {bound:.3e}"
         )
-    return [(float(top_values[i]), top[:, i].copy()) for i in cols]
+    # A fresh decomposition gives F-ordered columns, a saved one C-ordered
+    # rows; numpy's row norms of the two can differ in the last bit, so a
+    # cache hit and a miss hand over one layout.
+    return top_values, np.ascontiguousarray(top)
 
 
 def _assign(
@@ -382,13 +378,13 @@ def spectral_cluster(
     seed: int,
     normalized: bool = True,
     cache: str | os.PathLike | None = None,
-) -> ClusterAssignment:
-    """Cluster the affinity graph into k groups.
+) -> np.ndarray:
+    """Cluster the affinity graph into k groups: an int64 cluster id per row.
 
     Zero-degree rows (similar to nothing) become singleton clusters first
     and the remaining rows are decomposed into the leftover cluster budget,
-    so the output always has exactly k cluster ids. Labels are canonical by
-    first appearance, making the result deterministic for (A, k, seed).
+    so the output always holds each of the ids 0..k-1. Labels are canonical
+    by first appearance, making the result deterministic for (A, k, seed).
 
     `cache` is passed to `eig_topk` in both variants, so runs at several k
     on one affinity decompose its (normalized or Laplacian) matrix once.
@@ -435,7 +431,7 @@ def spectral_cluster(
             matrix = np.diag(deg)
             np.subtract(matrix, sub, out=matrix)
             np.negative(matrix, out=matrix)
-        embedding = np.stack([vec for _, vec in eig_topk(matrix, k_rem, cache)], axis=1)
+        _, embedding = eig_topk(matrix, k_rem, cache)
         if normalized:
             lengths = np.linalg.norm(embedding, axis=1)
             nonzero = lengths > 0.0
@@ -447,29 +443,26 @@ def spectral_cluster(
     raw = k_rem + np.arange(n)
     raw[connected] = sub_labels
     _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
-    labels = np.argsort(np.argsort(first))[inverse]
-    assignment = ClusterAssignment(k=k, labels=tuple(labels.tolist()))
-    assignment.validate()
-    return assignment
+    return np.argsort(np.argsort(first))[inverse]
 
 
 def summarize_clusters(
-    assignment: ClusterAssignment,
+    labels: np.ndarray,
     ranked: Sequence[RankedCandidate],
     vectors: np.ndarray,
 ) -> list[dict]:
     """Group ranked candidates by cluster id and pick each cluster's medoid.
 
-    `vectors` holds one composed vector per ranked candidate, as the rows
-    of an (n, dim) array. The medoid is the member whose vector is closest
-    to the cluster centroid (first by rank on ties). Members are listed in
-    rank order.
+    `labels` holds a cluster id per ranked candidate, as `spectral_cluster`
+    returns them, and `vectors` one composed vector per ranked candidate,
+    as the rows of an (n, dim) array. Clusters are listed by id. The
+    medoid is the member whose vector is closest to the cluster centroid
+    (first by rank on ties). Members are listed in rank order.
     """
-    if not len(ranked) == len(vectors) == len(assignment.labels):
+    if not len(ranked) == len(vectors) == len(labels):
         raise ValueError("ranked candidates, vectors, and labels must align")
-    labels = np.asarray(assignment.labels)
     summaries = []
-    for cluster_id in sorted(set(assignment.labels)):
+    for cluster_id in np.unique(labels).tolist():
         indices = sorted(np.flatnonzero(labels == cluster_id), key=lambda i: ranked[i].rank)
         members = vectors[indices]
         diffs = members - np.mean(members, axis=0)
@@ -489,8 +482,3 @@ def _member_dict(rc: RankedCandidate) -> dict:
         "second": rc.candidate.second,
         "score": rc.score,
     }
-
-
-def write_clusters(summaries: list[dict], path: str | Path) -> None:
-    write_json(path, summaries)
-

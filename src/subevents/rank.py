@@ -77,10 +77,12 @@ def read_terms(path: str | Path | None) -> tuple[str | Path, list[str], list[lis
     return path, terms, [term.split() for term in terms]
 
 
-def load_ontology(path: str | Path | None, store: EmbeddingStore) -> Ontology:
-    """Read a term list (see `read_terms`) and compose a vector per term.
+def load_ontology(term_list: tuple[str | Path, list[str], list[list[str]]],
+                  store: EmbeddingStore) -> Ontology:
+    """Compose a vector per term of a term list as `read_terms` returns it,
+    so the words a caller loaded vectors for are the words composed here.
     Zero usable (non-null) terms is fatal."""
-    path, terms, words = read_terms(path)
+    path, terms, words = term_list
     if not terms:
         raise InputFormatError(f"{path}: no terms found")
     rows, null = compose_rows(words, store)

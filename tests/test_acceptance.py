@@ -38,7 +38,7 @@ from subevents.extract import (
     phrase_score,
     reduction_percent,
 )
-from subevents.rank import RankedCandidate, load_ontology, rank_candidates
+from subevents.rank import RankedCandidate, load_ontology, rank_candidates, read_terms
 
 
 def _gate_line(text: str) -> None:
@@ -78,7 +78,7 @@ def fixture_ranking(fixtures_dir):
     counts.add_texts(tweets.texts())
     candidates = counts.candidates(PhraseConfig(2, 10.0), 2)
     store = load_vectors(fixtures_dir / "pipeline_vectors.txt")
-    ontology = load_ontology(fixtures_dir / "pipeline_ontology.txt", store)
+    ontology = load_ontology(read_terms(fixtures_dir / "pipeline_ontology.txt"), store)
     ranked = rank_candidates(candidates, ontology, store)
     lines = CorpusLines(fixtures_dir / "pipeline_labeled.jsonl", LabelMode.LABELED)
     labeled = [(label, tweets.cleaner.tokens(text)) for _, text, label in lines]
@@ -106,7 +106,7 @@ def test_1_worked_example(fixtures_dir):
         assert [c.words for c in phrases] == [("waterborne", "diseases")]
 
         store = load_vectors(fixtures_dir / "worked_vectors.txt")
-        ontology = load_ontology(None, store)  # bundled 62-term crisis list
+        ontology = load_ontology(read_terms(None), store)  # bundled 62-term crisis list
         ranked = rank_candidates(
             [ph("waterborne", "diseases", 6), nv("water", "recedes", 2)],
             ontology,
@@ -259,7 +259,7 @@ def test_4_ranking_oracle(tmp_path):
             )
 
         store = build_store(1.0)
-        ontology = load_ontology(term_path, store)
+        ontology = load_ontology(read_terms(term_path), store)
         ranked = rank_candidates(candidates, ontology, store)
 
         oracle_rows = oracles.brute_force_rank(
@@ -280,7 +280,7 @@ def test_4_ranking_oracle(tmp_path):
         # ranking (scores included) must be bit-identical.
         for scale in (2.0, 0.25):
             scaled_store = build_store(scale)
-            scaled_ontology = load_ontology(term_path, scaled_store)
+            scaled_ontology = load_ontology(read_terms(term_path), scaled_store)
             rescaled = rank_candidates(candidates, scaled_ontology, scaled_store)
             for base, other in zip(ranked, rescaled):
                 assert base.candidate == other.candidate
@@ -296,10 +296,10 @@ def test_5_eigensolver():
             raw = rng.normal(size=(n, n))
             m = (raw + raw.T) / 2.0
             k = int(rng.integers(1, n + 1))
-            pairs = eig_topk(m, k)
+            values, vectors = eig_topk(m, k)
             oracle_values, _ = oracles.jacobi_eigh(m)
             bound = 1e-8 * max(1.0, float(np.linalg.norm(m)))
-            for i, (value, vector) in enumerate(pairs):
+            for i, (value, vector) in enumerate(zip(values, vectors.T)):
                 residual = float(np.linalg.norm(m @ vector - value * vector))
                 assert residual <= bound
                 assert abs(value - float(oracle_values[i])) <= 1e-8
@@ -319,10 +319,10 @@ def test_6_spectral_clustering():
         affinity = AffinityMatrix(entries=entries)
         affinity.validate()
         for seed in range(10):
-            assignment = spectral_cluster(affinity, k=3, seed=seed)
+            labels = spectral_cluster(affinity, k=3, seed=seed)
             repeat = spectral_cluster(affinity, k=3, seed=seed)
-            assert assignment.labels == repeat.labels
-            ari = oracles.adjusted_rand_index(list(assignment.labels), truth)
+            assert np.array_equal(labels, repeat)
+            ari = oracles.adjusted_rand_index(labels.tolist(), truth)
             assert ari == 1.0
 
 

@@ -23,6 +23,7 @@ from subevents.rank import (
     rank_baseline_overlap,
     rank_candidates,
     read_ranked,
+    read_terms,
     write_ranked,
 )
 
@@ -72,7 +73,7 @@ class TestLoadOntology:
     def test_custom_file(self, tmp_path, axis_store):
         path = tmp_path / "terms.txt"
         path.write_text("# crisis terms\nNorth\n\neast mixx\n", encoding="utf-8")
-        ontology = load_ontology(path, axis_store)
+        ontology = load_ontology(read_terms(path), axis_store)
         assert ontology.terms == ("north", "east mixx")
         assert ontology.usable_terms == ontology.terms
         assert ontology.matrix.shape == (2, 3)
@@ -80,7 +81,7 @@ class TestLoadOntology:
     def test_multiword_term_composes(self, tmp_path, axis_store):
         path = tmp_path / "terms.txt"
         path.write_text("north east\n", encoding="utf-8")
-        ontology = load_ontology(path, axis_store)
+        ontology = load_ontology(read_terms(path), axis_store)
         expected = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
         assert np.allclose(ontology.matrix[0], expected)
 
@@ -88,25 +89,25 @@ class TestLoadOntology:
         path = tmp_path / "terms.txt"
         path.write_text("# only comments\n\n", encoding="utf-8")
         with pytest.raises(InputFormatError):
-            load_ontology(path, axis_store)
+            load_ontology(read_terms(path), axis_store)
 
     def test_all_terms_oov_fatal(self, tmp_path, axis_store):
         path = tmp_path / "terms.txt"
         path.write_text("absent\nmissing\n", encoding="utf-8")
         with pytest.raises(InputFormatError):
-            load_ontology(path, axis_store)
+            load_ontology(read_terms(path), axis_store)
 
     def test_partial_oov_terms_kept_but_unusable(self, tmp_path, axis_store):
         path = tmp_path / "terms.txt"
         path.write_text("north\nabsent\n", encoding="utf-8")
-        ontology = load_ontology(path, axis_store)
+        ontology = load_ontology(read_terms(path), axis_store)
         assert len(ontology) == 2
         assert ontology.usable_terms == ("north",)
         assert np.array_equal(ontology.matrix, [[1.0, 0.0, 0.0]])
 
     def test_bundled_list_loads(self, fixtures_dir):
         store = load_vectors(fixtures_dir / "worked_vectors.txt")
-        ontology = load_ontology(None, store)
+        ontology = load_ontology(read_terms(None), store)
         # The bundled crisis vocabulary is substantial and contains the
         # terms the worked fixtures embed.
         assert len(ontology) >= 60
@@ -117,7 +118,7 @@ class TestRankCandidates:
     def _ontology(self, tmp_path, store, lines):
         path = tmp_path / "terms.txt"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        return load_ontology(path, store)
+        return load_ontology(read_terms(path), store)
 
     def test_max_cosine_and_best_term(self, tmp_path, axis_store):
         ontology = self._ontology(tmp_path, axis_store, ["north", "east"])
@@ -181,7 +182,7 @@ class TestRankCandidates:
         store = _store({"neg": [-1.0, 0.0], "pos": [1.0, 0.0]}, dim=2)
         path = tmp_path / "terms.txt"
         path.write_text("pos\n", encoding="utf-8")
-        ontology = load_ontology(path, store)
+        ontology = load_ontology(read_terms(path), store)
         ranked = rank_candidates([nv("neg", "neg")], ontology, store)
         assert ranked[0].score == pytest.approx(-1.0, abs=1e-12)
 
@@ -316,7 +317,7 @@ class TestRankedCsv:
     def _ranked(self, axis_store, tmp_path):
         path = tmp_path / "terms.txt"
         path.write_text("north\n", encoding="utf-8")
-        ontology = load_ontology(path, axis_store)
+        ontology = load_ontology(read_terms(path), axis_store)
         return rank_candidates(
             [nv("north", "east", 4), nv("absent", "missing")], ontology, axis_store
         )

@@ -6,6 +6,8 @@ import re
 import shutil
 from types import ModuleType
 
+import numpy as np
+
 import conftest
 from subevents import cli
 from subevents.config import OVERRIDABLE
@@ -48,6 +50,8 @@ def test_library_use_blocks_run_in_order(fixtures_dir, tmp_path, monkeypatch):
                   if not name.startswith("__")
                   and not callable(value) and not isinstance(value, ModuleType)}
     assert values["ranked"]
+    assert values["labels"].dtype == np.int64
+    assert [summary["cluster_id"] for summary in values["summaries"]] == list(range(8))
     assert [point.k for point in values["metrics"]] == [1, 10, 100]
 
 

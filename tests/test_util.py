@@ -11,7 +11,7 @@ from subevents.corpus import load_stopwords
 from subevents.embed import EmbeddingStore
 from subevents.errors import InputFormatError
 from subevents.extract import load_pos_lexicon
-from subevents.rank import load_ontology
+from subevents.rank import load_ontology, read_terms
 
 
 class TestFnv1a:
@@ -61,7 +61,8 @@ def list_dir(tmp_path_factory):
 
 class TestListFileProperties:
     @pytest.mark.parametrize("load", [
-        load_stopwords, load_pos_lexicon, lambda path: load_ontology(path, _FLOOD_STORE),
+        load_stopwords, load_pos_lexicon,
+        lambda path: load_ontology(read_terms(path), _FLOOD_STORE),
     ], ids=["stopwords", "lexicon", "term_list"])
     @settings(deadline=None)
     @given(data=LIST_BYTES)
