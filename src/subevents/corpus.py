@@ -19,11 +19,12 @@ its word ids, and evaluation pairs each label with its tokens.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import string
 import unicodedata
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
 from pathlib import Path
 
@@ -306,11 +307,55 @@ _COL_ID, _COL_FORM, _COL_UPOS, _COL_HEAD = 0, 1, 3, 6
 # other field is left to int().
 _FAST_DIGITS = 6
 
+# _MASKS[n] keeps the first n bytes of a little-endian window.
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
 
-def load_parses(path: str | Path) -> dict[str, NvEdges]:
+
+def _word(text: bytes) -> int:
+    """The bytes of `text` as the window where `text` starts holds them,
+    masked to len(text) bytes."""
+    return int.from_bytes(text, "little")
+
+
+# A comment line numpy reads: "# tweet_id = <id>", the id starting and
+# ending with a printable ASCII character, or one whose text (after "# ")
+# starts with one and not with "tweet_". Python reads any other.
+_TWEET_, _ID_IS = _word(b"# tweet_"), _word(b"id = ")
+# A UPOS field with the tab after it.
+_NOUN, _PROPN, _VERB = _word(b"NOUN\t"), _word(b"PROPN\t"), _word(b"VERB\t")
+
+
+class Parses(Mapping[str, NvEdges]):
+    """The noun-verb edges ``load_parses`` reads, as columns.
+
+    ``rows`` maps each parsed tweet id, in file order, to its row; row r's
+    edges are ``edges[offsets[r]:offsets[r + 1]]``, each a (noun, verb)
+    pair of int32 indexes into ``forms``, the distinct surface forms. As a
+    read-only Mapping a tweet id's value is its ``NvEdges``, built when it
+    is looked up.
+    """
+
+    def __init__(
+        self, rows: dict[str, int], offsets: np.ndarray, edges: np.ndarray, forms: list[str]
+    ) -> None:
+        self.rows, self.offsets, self.edges, self.forms = rows, offsets, edges, forms
+
+    def __getitem__(self, tweet_id: str) -> NvEdges:
+        row, forms = self.rows[tweet_id], self.forms
+        return tuple((forms[noun], forms[verb]) for noun, verb
+                     in self.edges[self.offsets[row] : self.offsets[row + 1]].tolist())
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def load_parses(path: str | Path) -> Parses:
     """Read a CoNLL-U sidecar keyed by ``# tweet_id = <id>`` comments into
-    tweet id -> the (noun, verb) edges of its parse (``NvEdges``); ``()``
-    is a parse with no noun-verb edge.
+    the (noun, verb) edges of each tweet's parse (``Parses``); a parse with
+    no noun-verb edge has none.
 
     A sentence ends at a blank line or at the next ``# tweet_id`` comment.
     A line of fewer than 7 columns is skipped, and so are multiword-token
@@ -324,16 +369,13 @@ def load_parses(path: str | Path) -> dict[str, NvEdges]:
     The file is read in blocks of about ``PARSE_BLOCK_CHARS`` characters,
     each cut just before its last blank line or ``# tweet_id`` comment
     line, so a block holds whole sentences. numpy finds the columns of
-    every line of a block as byte offsets, reads IDs and HEADs of plain
-    ASCII digits, checks each sentence's tree and finds its edges; Python
-    reads only comment lines, ID and HEAD fields of any other form (by
-    ``int()``), the words of the edges (one str per distinct word and one
-    tuple per distinct edge for the whole read), and the message for a
-    rejected tree (``validate_heads``).
+    every line of a block as byte offsets, reads tweet ids, IDs and HEADs
+    of the usual forms, checks each sentence's tree and finds its edges.
+    Python runs per block, per line of an unusual form (a comment numpy
+    does not read, an ID or HEAD left to ``int()``), per sentence that logs
+    a warning and per new edge form, not per sentence or per edge.
     """
-    parses: dict[str, NvEdges] = {}
-    interned: dict = {}
-    bad = lines_before = 0
+    reader = _ParseReader(path)
     text = ""
     with open_text(path) as fh:
         while True:
@@ -341,14 +383,14 @@ def load_parses(path: str | Path) -> dict[str, NvEdges]:
             carried, text = len(text), text + chunk
             cut = _block_end(text, carried) if chunk else len(text)
             if cut:
-                bad += _read_block(text[:cut], lines_before, path, parses, interned)
-                lines_before += text.count("\n", 0, cut)
+                reader.read_block(text[:cut])
                 text = text[cut:]
             if not chunk:
                 break
-    if bad:
-        logger.info("%s: dropped %d malformed parse entries", path, bad)
-    return parses
+    if reader.bad:
+        logger.info("%s: dropped %d malformed parse entries", path, reader.bad)
+    offsets = np.concatenate(([0], np.cumsum(np.concatenate(reader.counts))))
+    return Parses(reader.rows, offsets, np.concatenate(reader.edges), list(reader.form_numbers))
 
 
 def _block_end(text: str, carried: int) -> int:
@@ -368,161 +410,209 @@ def _block_end(text: str, carried: int) -> int:
     return cut
 
 
-def _ascii_digits(buf: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
-    """The value of each field ``buf[start:stop]`` of 1 to ``_FAST_DIGITS``
+def _printable(byte: np.ndarray) -> np.ndarray:
+    """Whether each byte is a printable ASCII character other than space."""
+    return (byte > ord(" ")) & (byte < 0x7F)
+
+
+def _ascii_digits(windows: np.ndarray, start: np.ndarray, stop: np.ndarray) -> np.ndarray:
+    """The value of each field ``[start, stop)`` of 1 to ``_FAST_DIGITS``
     ASCII digits, and -1 for any other field."""
     width = stop - start
     plain = (width >= 1) & (width <= _FAST_DIGITS)
+    window = windows[start]
     value = np.zeros(len(start), np.int64)
     for k in range(min(int(width.max(initial=0)), _FAST_DIGITS)):
+        digit = (window >> 8 * k & 0xFF).astype(np.int64) - ord("0")
         inside = width > k
-        digit = buf[np.where(inside, start + k, 0)].astype(np.int64) - ord("0")
         plain &= ~inside | ((digit >= 0) & (digit <= 9))
         value = np.where(inside, value * 10 + digit, value)
     return np.where(plain, value, -1)
 
 
-def _field_in(
-    buf: np.ndarray, start: np.ndarray, stop: np.ndarray, words: Iterable[str]
-) -> np.ndarray:
-    """Whether each field ``buf[start:stop]`` is one of `words`."""
-    found = np.zeros(len(start), bool)
-    for word in map(str.encode, words):
-        equal = stop - start == len(word)
-        for k, byte in enumerate(word):
-            equal &= buf[np.where(equal, start + k, 0)] == byte
-        found |= equal
-    return found
+def _fields(padded: np.ndarray, start: np.ndarray, stop: np.ndarray) -> list[str]:
+    """The fields ``padded[start:stop]``, which hold no newline, as str:
+    one gather and one split for all of them."""
+    width = stop - start + 1  # each field and a newline after it
+    end = np.cumsum(width)
+    at = np.repeat(start - (end - width), width) + np.arange(end[-1] if len(end) else 0)
+    at[end - 1] = len(padded) - 1
+    return padded[at].tobytes().decode().split("\n")[:-1]
 
 
-def _read_block(
-    text: str, lines_before: int, path: str | Path,
-    parses: dict[str, NvEdges], interned: dict,
-) -> int:
-    """Read the whole sentences in `text`, the lines of a sidecar after its
-    first `lines_before`, into `parses`, logging as ``load_parses`` does,
-    and return the number of malformed entries met. `interned` holds the
-    one str of each edge word and the one tuple of each edge read so far."""
-    data = text.encode()
-    buf = np.frombuffer(data, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if not data.endswith(b"\n"):
-        ends = np.append(ends, len(buf))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    comment = (starts < ends) & (buf[np.minimum(starts, len(buf) - 1)] == ord("#"))
+class _ParseReader:
+    """The columns of ``Parses`` as read so far, a block of whole sentences
+    at a time, and the malformed entries met."""
 
-    # A sentence ends at each blank line and each tweet_id comment line.
-    flush = starts == ends
-    tid_rows, tids = [], []
-    rows = np.flatnonzero(comment)
-    for row, start, end in zip(rows.tolist(), starts[rows].tolist(), ends[rows].tolist()):
-        body = data[start + 1 : end].decode().strip()
-        if body.startswith("tweet_id"):
-            tid_rows.append(row)
-            tids.append(body.partition("=")[2].strip())
-    flush[tid_rows] = True
-    segment = np.cumsum(flush)  # line -> the sentence it is read into
-    tweet_id = dict(zip(segment[tid_rows].tolist(), tids))
+    def __init__(self, path: str | Path) -> None:
+        self.path = path
+        self.rows: dict[str, int] = {}
+        self.form_numbers: dict[str, int] = {}  # in the order of the numbers
+        self.edges = [np.zeros((0, 2), np.int32)]
+        self.counts = [np.zeros(0, np.int64)]  # edges per row
+        self.bad = self.lines = 0
 
-    # Token lines: at least 7 columns, found from the line's first tab on.
-    tabs = np.flatnonzero(buf == ord("\t"))
-    first_tab = np.searchsorted(tabs, starts)
-    n_tabs = np.searchsorted(tabs, ends) - first_tab
-    rows = np.flatnonzero(~comment & (n_tabs >= _COL_HEAD))
-    tab = first_tab[rows]
-    head_stop = np.where(n_tabs[rows] > _COL_HEAD,
-                         tabs[np.minimum(tab + _COL_HEAD, len(tabs) - 1)], ends[rows])
-    ids = _ascii_digits(buf, starts[rows], tabs[tab])
-    heads = _ascii_digits(buf, tabs[tab + _COL_HEAD - 1] + 1, head_stop)
-    keep = (ids >= 0) & (heads >= 0)
-    unparseable = []  # (sentence, text) of each token line int() rejects
-    for j in np.flatnonzero(~keep).tolist():
-        row = rows[j]
-        line = data[starts[row] : ends[row]].decode()
-        cols = line.split("\t", _COL_HEAD + 1)
-        if "-" in cols[_COL_ID] or "." in cols[_COL_ID]:
-            continue
-        try:
-            index, head = int(cols[_COL_ID]), int(cols[_COL_HEAD])
-        except ValueError:
-            unparseable.append((int(segment[row]), line))
-            continue
-        keep[j] = True
-        # Beyond -1..len(buf) a value fails the tree check as those two do.
-        ids[j], heads[j] = (min(max(value, -1), len(buf)) for value in (index, head))
-    rows, tab, ids, heads = rows[keep], tab[keep], ids[keep], heads[keep]
+    def _new_rows(self, tids: list[str]) -> np.ndarray:
+        """Whether each tweet id is not in ``rows`` and not earlier in
+        `tids`; each such one is given the next row."""
+        rows, n = self.rows, len(self.rows)
+        got = np.fromiter(map(rows.setdefault, tids, itertools.count(n)), np.int64, len(tids))
+        new = got == np.arange(n, n + len(tids))
+        if not new.all():  # a repeated id took a number: renumber the rows after it
+            rows.update(zip(itertools.compress(tids, new.tolist()), itertools.count(n)))
+        return new
 
-    # Tree check: ids run 1..n, heads in range, one root, and every token
-    # reaches the root by pointer jumping (up[i] is 2**k steps up after k).
-    seg = segment[rows]
-    n = len(rows)
-    new = np.ones(n, bool)
-    new[1:] = seg[1:] != seg[:-1]
-    first = np.flatnonzero(new)  # each sentence's first token
-    sentence = np.cumsum(new) - 1
-    base = first[sentence]
-    size = np.diff(first, append=n)
-    root = heads == 0
-    in_range = (ids == np.arange(n) - base + 1) & (heads >= 0) & (heads <= size[sentence])
-    good = np.logical_and.reduceat(in_range, first) & (np.add.reduceat(root, first) == 1)
-    up = np.where(good[sentence] & ~root, base + heads - 1, np.arange(n))
-    for _ in range(int(size.max(initial=0)).bit_length()):
-        up = up[up]
-    good &= np.logical_and.reduceat(root[up], first)
+    def _form_numbers(self, forms: list[str]) -> np.ndarray:
+        """The number of each form; a new one takes the next number, in
+        order of first appearance."""
+        numbers = self.form_numbers
+        got = np.fromiter(map(numbers.get, forms, itertools.repeat(-1)), np.int64, len(forms))
+        new = (got < 0).tolist()
+        if any(new):
+            numbers.update(zip(dict.fromkeys(itertools.compress(forms, new)),
+                               itertools.count(len(numbers))))
+            got[got < 0] = np.fromiter(map(numbers.__getitem__, itertools.compress(forms, new)),
+                                       np.int64)
+        return got
 
-    # Noun-verb edges of the good trees, in token order, and their words.
-    def column(col: int) -> tuple[np.ndarray, np.ndarray]:
-        return tabs[tab + col - 1] + 1, tabs[tab + col]
+    def read_block(self, text: str) -> None:
+        """Read the whole sentences in `text`, the sidecar's lines after
+        the first ``lines``, logging as ``load_parses`` does."""
+        path = self.path
+        data = text.encode()
+        # A view in which item i is the 8 bytes from position i as a
+        # little-endian uint64, newlines past the end, so that a field is
+        # tested by one gather.
+        padded = np.frombuffer(data + b"\n" * 16, np.uint8)
+        windows = np.ndarray((len(data) + 9,), "<u8", padded, 0, (1,))
+        buf = padded[: len(data)]
+        # Tabs and newlines in order; a line's tabs lie between its newline
+        # and the one before, and the last line ends at a newline or at
+        # len(buf).
+        seps = np.flatnonzero((buf == ord("\t")) | (buf == ord("\n")))
+        newlines = np.flatnonzero(buf[seps] == ord("\n"))
+        lines_before, self.lines = self.lines, self.lines + len(newlines)
+        if not data.endswith(b"\n"):
+            seps = np.append(seps, len(buf))
+            newlines = np.append(newlines, len(seps) - 1)
+        ends = seps[newlines]
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        first_sep = np.concatenate(([0], newlines[:-1] + 1))
+        lead = windows[starts]
+        comment = (starts < ends) & (lead & 0xFF == ord("#"))
 
-    noun, verb = (_field_in(buf, *column(_COL_UPOS), tags) for tags in (NOUN_TAGS, [VERB_TAG]))
-    child = np.flatnonzero(good[sentence] & ~root)
-    parent = base[child] + heads[child] - 1
-    noun_child = noun[child] & verb[parent]
-    edge = noun_child | verb[child] & noun[parent]
-    child, parent, noun_child = child[edge], parent[edge], noun_child[edge]
-    pair_tokens = np.stack([np.where(noun_child, child, parent),
-                            np.where(noun_child, parent, child)], axis=1).ravel()
-    start, stop = (field[pair_tokens] for field in column(_COL_FORM))
-    width = stop - start + 1  # each form with the tab after it
-    at = np.repeat(start - (np.cumsum(width) - width), width) + np.arange(width.sum())
-    forms = buf[at].tobytes().decode().split("\t")
-    canonical = map(interned.setdefault, forms, forms)
-    edges = list(zip(canonical, canonical))
-    pairs = tuple(map(interned.setdefault, edges, edges))
-    bounds = np.searchsorted(sentence[child], np.arange(len(first) + 1)).tolist()
+        # Tweet id comments; a sentence ends at each of them and each blank line.
+        comments = np.flatnonzero(comment)
+        lead, after = lead[comments], windows[starts[comments] + 8]
+        is_tid = ((lead == _TWEET_) & (after & _MASKS[5] == _ID_IS)
+                  & _printable(after >> 40 & 0xFF) & _printable(buf[ends[comments] - 1]))
+        other = (lead != _TWEET_) & (lead >> 8 & 0xFF == ord(" ")) & _printable(lead >> 16 & 0xFF)
+        tid_rows = comments[is_tid]
+        tids = _fields(padded, starts[tid_rows] + 13, ends[tid_rows])
+        slow = comments[~is_tid & ~other]
+        for row in slow.tolist():
+            body = data[starts[row] + 1 : ends[row]].decode().strip()
+            if body.startswith("tweet_id"):
+                tid_rows = np.append(tid_rows, row)
+                tids.append(body.partition("=")[2].strip())
+        if len(slow):
+            order = np.argsort(tid_rows, kind="stable")
+            tid_rows, tids = tid_rows[order], list(map(tids.__getitem__, order.tolist()))
+        flush = starts == ends
+        flush[tid_rows] = True
+        segment = np.cumsum(flush)  # line -> the sentence it is read into
+        tid_of = np.full(segment[-1] + 1, -1)  # sentence -> its index in tids
+        tid_of[segment[tid_rows]] = np.arange(len(tids))
 
-    # Sentences in order; each unparseable line is logged before the
-    # sentence after it.
-    bad = len(unparseable)
-    dropped = {k for k, _ in unparseable}
-    unparseable.append((len(starts), None))  # after every sentence
-    u = 0
-    for k, token, count, ok, lo, hi in zip(seg[first].tolist(), first.tolist(), size.tolist(),
-                                           good.tolist(), bounds, bounds[1:]):
-        while unparseable[u][0] <= k:
-            logger.warning("%s: unparseable token line %r", path, unparseable[u][1])
-            u += 1
-        if k in dropped:
-            continue
-        tid = tweet_id.get(k)
-        if tid is None:
-            bad += 1
-            logger.warning("%s:%d: dropping sentence with no tweet_id comment",
-                           path, lines_before + int(rows[token]) + 1)
-        elif not ok:
-            lines = rows[token : token + count]
+        # Token lines: at least 7 columns. HEAD ends at the seventh tab or
+        # at the end of the line.
+        lines = np.flatnonzero(~comment & (newlines - first_sep >= _COL_HEAD))
+        tab = first_sep[lines]
+        ids = _ascii_digits(windows, starts[lines], seps[tab])
+        heads = _ascii_digits(windows, seps[tab + _COL_HEAD - 1] + 1, seps[tab + _COL_HEAD])
+        keep = (ids >= 0) & (heads >= 0)
+        unparseable = []  # (line, sentence, text) of each token line int() rejects
+        for j in np.flatnonzero(~keep).tolist():
+            row = lines[j]
+            line = data[starts[row] : ends[row]].decode()
+            cols = line.split("\t", _COL_HEAD + 1)
+            if "-" in cols[_COL_ID] or "." in cols[_COL_ID]:
+                continue
             try:
-                validate_heads(*_int_columns(data, starts[lines], ends[lines]))
-            except ValueError as exc:
-                bad += 1
-                logger.warning("%s: dropping parse for %s (%s)", path, tid, exc)
-        elif tid in parses:
-            logger.warning("%s: duplicate tweet_id %r, keeping first", path, tid)
-        else:
-            parses[tid] = pairs[lo:hi]
-    for _, line in unparseable[u:-1]:
-        logger.warning("%s: unparseable token line %r", path, line)
-    return bad
+                index, head = int(cols[_COL_ID]), int(cols[_COL_HEAD])
+            except ValueError:
+                unparseable.append((int(row), int(segment[row]), line))
+                continue
+            keep[j] = True
+            # Beyond -1..len(buf) a value fails the tree check as those two do.
+            ids[j], heads[j] = (min(max(value, -1), len(buf)) for value in (index, head))
+        lines, tab, ids, heads = lines[keep], tab[keep], ids[keep], heads[keep]
+
+        # Tree check: ids run 1..n, heads in range, one root, and every token
+        # reaches the root by pointer jumping (up[i] is 2**k steps up after k).
+        seg = segment[lines]
+        n = len(lines)
+        new = np.ones(n, bool)
+        new[1:] = seg[1:] != seg[:-1]
+        first = np.flatnonzero(new)  # each sentence's first token
+        sentence = np.cumsum(new) - 1
+        base = first[sentence]
+        size = np.diff(first, append=n)
+        root = heads == 0
+        in_range = (ids == np.arange(n) - base + 1) & (heads >= 0) & (heads <= size[sentence])
+        good = np.logical_and.reduceat(in_range, first) & (np.add.reduceat(root, first) == 1)
+        up = np.where(good[sentence] & ~root, base + heads - 1, np.arange(n))
+        for _ in range(int(size.max(initial=0)).bit_length()):
+            up = up[up]
+        good &= np.logical_and.reduceat(root[up], first)
+
+        # The parses kept: those with a tweet id, no unparseable line and a
+        # good tree, each the first such parse of its tweet id.
+        tid = tid_of[seg[first]]
+        dropped = np.zeros(len(tid_of), bool)
+        dropped[[k for _, k, _ in unparseable]] = True
+        dropped = dropped[seg[first]]
+        valid = np.flatnonzero((tid >= 0) & ~dropped & good)
+        kept = np.zeros(len(first), bool)
+        kept[valid[self._new_rows(list(map(tids.__getitem__, tid[valid].tolist())))]] = True
+
+        # Warnings in line order: each unparseable line, and each other
+        # sentence not kept: with no tweet id, a bad tree, or a tweet id kept
+        # before.
+        self.bad += len(unparseable)
+        events = sorted([(row, -1, line) for row, _, line in unparseable]
+                        + [(int(lines[first[j]]), j, "") for j in np.flatnonzero(~dropped & ~kept)])
+        for row, j, line in events:
+            if j < 0:
+                logger.warning("%s: unparseable token line %r", path, line)
+            elif tid[j] < 0:
+                self.bad += 1
+                logger.warning("%s:%d: dropping sentence with no tweet_id comment",
+                               path, lines_before + row + 1)
+            elif not good[j]:
+                token = lines[first[j] : first[j] + size[j]]
+                try:
+                    validate_heads(*_int_columns(data, starts[token], ends[token]))
+                except ValueError as exc:
+                    self.bad += 1
+                    logger.warning("%s: dropping parse for %s (%s)", path, tids[tid[j]], exc)
+            else:
+                logger.warning("%s: duplicate tweet_id %r, keeping first", path, tids[tid[j]])
+
+        # Noun-verb edges of the kept parses, in token order, and their forms.
+        upos = windows[seps[tab + _COL_UPOS - 1] + 1]
+        noun = (upos & _MASKS[5] == _NOUN) | (upos & _MASKS[6] == _PROPN)
+        verb = upos & _MASKS[5] == _VERB
+        child = np.flatnonzero(kept[sentence] & ~root)
+        parent = base[child] + heads[child] - 1
+        noun_child = noun[child] & verb[parent]
+        edge = noun_child | verb[child] & noun[parent]
+        child, parent, noun_child = child[edge], parent[edge], noun_child[edge]
+        pair_tokens = tab[np.stack([np.where(noun_child, child, parent),
+                                    np.where(noun_child, parent, child)], axis=1).ravel()]
+        numbers = self._form_numbers(_fields(padded, seps[pair_tokens] + 1, seps[pair_tokens + 1]))
+        self.edges.append(numbers.astype(np.int32).reshape(-1, 2))
+        self.counts.append(np.bincount(sentence[child], minlength=len(first))[kept])
 
 
 def _int_columns(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[list[int], list[int]]:

@@ -15,16 +15,15 @@ import functools
 import logging
 import math
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from ._util import read_list_file, read_table, write_table
-from .corpus import REMOVED, NvEdges, TokenCleaner, clean_token
+from .corpus import REMOVED, Parses, TokenCleaner, clean_token
 from .errors import InputFormatError
 
 logger = logging.getLogger(__name__)
@@ -110,6 +109,8 @@ _END_WINDOW = -3  # the end of a tweet whose pairs come from the lexicon window
 
 _NOUN, _VERB = 1, 2  # bits of a word's lexicon tag
 
+_UNSEEN = -4  # the word id of a parse form not yet mapped
+
 # The fold of the id buffer runs once the buffer holds more than this many
 # entries, or more than the distinct bigrams held, whichever is larger.
 FOLD_ENTRIES = 4096
@@ -164,25 +165,30 @@ class ExtractCounts:
     it in one of ``parsed``, ``fallback`` and ``neither``, whose sum is
     ``tweets``. The cleaner may be shared: a word it holds that no tweet
     counted here has a unigram count of 0. Once the buffer (and the list of
-    parses not yet counted) holds more than max(``FOLD_ENTRIES``, distinct
-    bigrams held) entries it is folded: unigrams into one count per id,
-    bigram and pair keys (``first << 32 | second``) into sorted arrays of
-    distinct keys and their counts. Memory grows with the distinct words,
+    parse rows not yet counted) holds more than max(``FOLD_ENTRIES``,
+    distinct bigrams held) entries it is folded: unigrams into one count
+    per id, bigram and pair keys (``first << 32 | second``) into sorted
+    arrays of distinct keys and their counts. A parse's edges are gathered
+    from the columns of ``parses`` by row, and each distinct edge form is
+    mapped to its word id once. Memory grows with the distinct words,
     bigrams and pairs, not with the number of tweets.
     """
 
     def __init__(
         self,
         cleaner: TokenCleaner,
-        parses: Mapping[str, NvEdges] | None = None,
+        parses: Parses | None = None,
         lexicon: dict[str, frozenset[str]] | None = None,
     ) -> None:
         self.cleaner = cleaner
-        self.parses = parses if parses is not None else {}
+        self.parses = parses if parses is not None else Parses({}, np.zeros(1, np.int64),
+                                                                np.zeros((0, 2), np.int32), [])
         self.lexicon = lexicon
         self._tags = bytearray()  # lexicon tag bits by word id, extended by a fold
         self._ids: list[int] = []  # word ids and tweet ends, not yet folded
-        self._parsed: list[NvEdges] = []  # parses whose edges are not yet folded
+        self._parsed: list[int] = []  # rows of the parses whose edges are not yet folded
+        # The word id of each form of the parses, REMOVED, or _UNSEEN.
+        self._form_ids = np.full(len(self.parses.forms), _UNSEEN, np.int32)
         self._fold_at = FOLD_ENTRIES
         self._unigrams = np.zeros(0, np.int64)
         self._bigrams = _no_counts()
@@ -198,8 +204,8 @@ class ExtractCounts:
     def add_texts(self, texts: Iterable[tuple[str, str]]) -> None:
         """Count each ``(tweet_id, raw_text)`` as ``add`` counts the
         tweet's cleaned tokens."""
-        raw_ids, parse = self.cleaner.__getitem__, self.parses.get
-        self._count((parse(tweet_id), map(raw_ids, text.lower().split()))
+        raw_ids, row = self.cleaner.__getitem__, self.parses.rows.get
+        self._count((row(tweet_id), map(raw_ids, text.lower().split()))
                     for tweet_id, text in texts)
 
     def add(self, tweet_id: str, tokens: Sequence[str]) -> None:
@@ -214,17 +220,17 @@ class ExtractCounts:
         sliding window of DEFAULT_WINDOW tokens (at distance <
         DEFAULT_WINDOW). Otherwise it counts in ``neither`` and has no
         pair."""
-        self._count([(self.parses.get(tweet_id), map(self.cleaner.word_id, tokens))])
+        self._count([(self.parses.rows.get(tweet_id), map(self.cleaner.word_id, tokens))])
 
-    def _count(self, tweets: Iterable[tuple[NvEdges | None, Iterable[int]]]) -> None:
-        """Count each tweet's word ids, given with its parse or None."""
+    def _count(self, tweets: Iterable[tuple[int | None, Iterable[int]]]) -> None:
+        """Count each tweet's word ids, given with its parse's row or None."""
         ids, parsed = self._ids, self._parsed
         window = self.lexicon is not None
-        for parse, words in tweets:
+        for row, words in tweets:
             ids.extend(words)
-            if parse is not None:
+            if row is not None:
                 self.parsed += 1
-                parsed.append(parse)
+                parsed.append(row)
                 ids.append(_END)
             elif window:
                 self.fallback += 1
@@ -239,11 +245,9 @@ class ExtractCounts:
         """Fold the buffers (and the pair ``Counter``, if any) into the
         held counts."""
         ids = np.fromiter(self._ids, np.int32, len(self._ids))
-        forms = list(chain.from_iterable(chain.from_iterable(self._parsed)))
+        rows = np.fromiter(self._parsed, np.int64, len(self._parsed))
         del self._ids[:], self._parsed[:]
-        # Each edge's noun and verb, lowercased and cleaned as a raw token.
-        edges = np.fromiter(map(self.cleaner.__getitem__, map(str.lower, forms)),
-                            np.int32, len(forms)).reshape(-1, 2)
+        edges = self._edge_ids(rows)
         edges = edges[(edges != REMOVED).all(axis=1)]
         pair_keys = [_keys(edges[:, 0], edges[:, 1])]
         ids = ids[ids != REMOVED]
@@ -282,6 +286,24 @@ class ExtractCounts:
                                  np.fromiter(counter.values(), np.int64)[order])
             counter.clear()
         self._fold_at = max(FOLD_ENTRIES, len(self._bigrams[0]))
+
+    def _edge_ids(self, rows: np.ndarray) -> np.ndarray:
+        """The (noun, verb) word ids of the edges of the parses in `rows`,
+        in order: each form lowercased and cleaned as a raw token, the
+        first time it is met."""
+        offsets = self.parses.offsets
+        start, count = offsets[rows], offsets[rows + 1] - offsets[rows]
+        end = np.cumsum(count)
+        forms = self.parses.edges[np.repeat(start - (end - count), count)
+                                  + np.arange(end[-1] if len(end) else 0)]
+        form_ids = self._form_ids
+        unseen = forms[form_ids[forms] == _UNSEEN]
+        fresh, at = np.unique(unseen, return_index=True)
+        fresh = fresh[np.argsort(at)].tolist()  # in order of first appearance
+        form_ids[fresh] = np.fromiter(
+            map(self.cleaner.__getitem__, map(str.lower, map(self.parses.forms.__getitem__, fresh))),
+            np.int32, len(fresh))
+        return form_ids[forms]
 
     @property
     def pairs(self) -> Counter[tuple[str, str]]:

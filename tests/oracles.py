@@ -376,6 +376,34 @@ def reference_load_parses(path) -> dict[str, tuple[_Node, ...]]:
     return parses
 
 
+def parses_from_edges(edges_by_id):
+    """``load_parses`` of a sidecar written so that each tweet id's parse
+    holds exactly the given (noun, verb) surface forms, in order: the i-th
+    noun a dependent of the i-th verb, and each verb after the first a
+    dependent of the first (a verb-verb edge). A parse with no edge is one
+    untagged token."""
+    import tempfile
+    from pathlib import Path
+
+    from subevents.corpus import load_parses
+
+    lines = []
+    for tweet_id, edges in edges_by_id.items():
+        lines.append(f"# tweet_id = {tweet_id}")
+        for i, (noun, verb) in enumerate(edges):
+            lines.append(f"{2 * i + 1}\t{noun}\t_\tNOUN\t_\t_\t{2 * i + 2}\tdep\t_\t_")
+            lines.append(f"{2 * i + 2}\t{verb}\t_\tVERB\t_\t_\t{2 if i else 0}\tdep\t_\t_")
+        if not edges:
+            lines.append("1\t_\t_\tX\t_\t_\t0\troot\t_\t_")
+        lines.append("")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.conllu"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        parses = load_parses(path)
+    assert parses == dict(edges_by_id)
+    return parses
+
+
 def reference_nv_pairs(parse, tokens, lexicon, stopwords):
     """One tweet's (noun, verb) pairs, in order: each edge of its parse (as
     ``load_parses`` gives it) with both words lowercased and surviving

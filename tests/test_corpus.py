@@ -270,6 +270,7 @@ def test_shared_cleaner_equals_per_tweet_cleaner(texts, earlier, fill, earlier_l
         index = shared[raw]
         assert (shared.words[index] if index != REMOVED else None) == clean_token(raw, STOPWORDS)
 
+    parses = oracles.parses_from_edges(parses)
     filled = TokenCleaner(STOPWORDS)
     if fill == "tokens":
         for text in earlier:
@@ -781,36 +782,42 @@ def test_load_parses_retains_a_fraction_of_the_tree_reader(tmp_path):
     )[0]
 
 
-def test_equal_edge_words_are_one_str_across_blocks(tmp_path, monkeypatch):
-    """An edge word is one str however many sentences and blocks hold it."""
+def test_equal_edge_words_are_one_form_across_blocks(tmp_path, monkeypatch):
+    """An edge word is one entry of the form table however many sentences
+    and blocks hold it, and each edge holds its index."""
     monkeypatch.setattr(corpus, "PARSE_BLOCK_CHARS", 64)
     sentence = ("1\tfloods\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
                 "2\trise\t_\tVERB\t_\t_\t0\troot\t_\t_\n\n")
     path = tmp_path / "p.conllu"
     path.write_text("".join(f"# tweet_id = {i}\n{sentence}" for i in range(4)), encoding="utf-8")
     parses = load_parses(path)
-    assert len(parses) == 4
-    (noun, verb), = parses["0"]
-    for edges in parses.values():
-        assert edges == (("floods", "rise"),)
-        assert edges[0][0] is noun and edges[0][1] is verb
+    assert dict(parses) == {str(i): (("floods", "rise"),) for i in range(4)}
+    assert parses.forms == ["floods", "rise"]
+    assert parses.edges.tolist() == [[0, 1]] * 4
 
 
-def test_equal_edges_are_one_tuple_across_blocks(tmp_path, monkeypatch):
-    """An edge is one (noun, verb) tuple however many sentences and blocks
-    hold it, so a parse holds only a reference to it."""
+def test_edge_columns_index_in_range_across_blocks(tmp_path, monkeypatch):
+    """Across blocks the form table holds each distinct form once, every
+    edge indexes into it, and the row offsets run from 0, never down, to
+    the number of edges."""
     monkeypatch.setattr(corpus, "PARSE_BLOCK_CHARS", 64)
-    sentence = ("1\tfloods\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n"
-                "2\trise\t_\tVERB\t_\t_\t0\troot\t_\t_\n"
-                "3\troads\t_\tNOUN\t_\t_\t2\tobj\t_\t_\n\n")
+    floods, rise, roads = ("1\tfloods\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n",
+                           "2\trise\t_\tVERB\t_\t_\t0\troot\t_\t_\n",
+                           "3\troads\t_\tNOUN\t_\t_\t2\tobj\t_\t_\n")
+    sentences = [floods + rise, floods + rise + roads, "1\tcalm\t_\tADJ\t_\t_\t0\troot\t_\t_\n"]
     path = tmp_path / "p.conllu"
-    path.write_text("".join(f"# tweet_id = {i}\n{sentence}" for i in range(4)), encoding="utf-8")
+    path.write_text("".join(f"# tweet_id = {i}\n{sentences[i % 3]}\n" for i in range(8)),
+                    encoding="utf-8")
     parses = load_parses(path)
-    assert len(parses) == 4
-    first = parses["0"]
-    assert first == (("floods", "rise"), ("roads", "rise"))
-    for edges in parses.values():
-        assert all(edge is kept for edge, kept in zip(edges, first, strict=True))
+    assert len(parses) == 8
+    assert parses.forms == ["floods", "rise", "roads"]
+    assert parses.edges.dtype == np.int32 and parses.edges.shape[1] == 2
+    assert ((parses.edges >= 0) & (parses.edges < len(parses.forms))).all()
+    offsets = parses.offsets
+    assert offsets[0] == 0 and offsets[-1] == len(parses.edges) and len(offsets) == 9
+    assert (np.diff(offsets) >= 0).all()
+    assert [parses[str(i)] for i in range(3)] == [
+        (("floods", "rise"),), (("floods", "rise"), ("roads", "rise")), ()]
 
 
 @pytest.mark.parametrize("blank_lines", [True, False], ids=["blank_lines", "tweet_id_only"])

@@ -51,7 +51,7 @@ def _parse(words):
 def _pairs(parse, tokens=(), lexicon=None):
     """The (noun, verb) pairs ``ExtractCounts.add`` counts for one tweet,
     in the order first counted."""
-    parses = {"t": parse} if parse is not None else None
+    parses = oracles.parses_from_edges({"t": parse}) if parse is not None else None
     counts = ExtractCounts(TokenCleaner(STOPWORDS), parses, lexicon)
     counts.add("t", tokens)
     return list(counts.pairs)
@@ -288,7 +288,8 @@ def test_count_nv_pairs_equals_per_tweet_aggregate(pipeline_tweets, data):
         pair for tokens, parse in tweets
         for pair in oracles.reference_nv_pairs(parse, tokens, lexicon, STOPWORDS)
     )
-    parses = {str(i): parse for i, (_, parse) in enumerate(tweets) if parse is not None}
+    parses = oracles.parses_from_edges(
+        {str(i): parse for i, (_, parse) in enumerate(tweets) if parse is not None})
     counts = ExtractCounts(TokenCleaner(STOPWORDS), parses, lexicon)
     for i, (tokens, _) in enumerate(tweets):
         counts.add(str(i), tokens)
@@ -454,13 +455,14 @@ def test_add_and_add_texts_count_alike(texts, parses, lexicon, fold_entries):
     and each tweet counts in exactly one source: ``tweets == parsed +
     fallback + neither``."""
     cleaner = TokenCleaner(STOPWORDS)
+    columns = oracles.parses_from_edges(parses)
     runs = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("subevents.extract.FOLD_ENTRIES", fold_entries)
-        by_tokens = ExtractCounts(cleaner, parses, lexicon)
+        by_tokens = ExtractCounts(cleaner, columns, lexicon)
         for tweet_id, text in texts:
             by_tokens.add(tweet_id, cleaner.tokens(text))
-        by_texts = ExtractCounts(cleaner, parses, lexicon)
+        by_texts = ExtractCounts(cleaner, columns, lexicon)
         by_texts.add_texts(texts)
         for counts in (by_tokens, by_texts):
             sources = (counts.parsed, counts.fallback, counts.neither)
