@@ -3,7 +3,9 @@
 Corpora arrive as JSON Lines files (one object per line with ``id``,
 ``text``, and an optional ``label`` of "informative"/"uninformative").
 Dependency parses arrive as an optional CoNLL-U sidecar keyed by a
-``# tweet_id = <id>`` sentence comment.
+``# tweet_id = <id>`` sentence comment. ``load_parses`` reads it in blocks
+into ``Parses``: the noun-verb edges of each parsed tweet as columns of
+int indexes into one table of the distinct surface forms.
 
 Preprocessing lowercases, splits on whitespace, strips punctuation from
 token edges, and removes stopwords, tokens shorter than three characters,
@@ -51,14 +53,12 @@ class LabelMode(Enum):
     LABELED = "labeled"
 
 
-NOUN_TAGS = frozenset({"NOUN", "PROPN"})
-VERB_TAG = "VERB"
-
 # What extraction reads of a sentence's dependency parse: the (noun, verb)
 # surface forms of each head-dependent edge joining a {NOUN, PROPN} token
 # and a VERB token, noun first, in token order (see ``load_parses``). Only
 # these edges are kept, not the tree: a parse file holds one token per
-# word, and most of them take part in no such edge.
+# word, and most of them take part in no such edge. ``Parses`` holds them
+# as columns and builds this tuple when a tweet id is looked up.
 NvEdges = tuple[tuple[str, str], ...]
 
 
@@ -321,7 +321,7 @@ def _word(text: bytes) -> int:
 # ending with a printable ASCII character, or one whose text (after "# ")
 # starts with one and not with "tweet_". Python reads any other.
 _TWEET_, _ID_IS = _word(b"# tweet_"), _word(b"id = ")
-# A UPOS field with the tab after it.
+# A UPOS field with the tab after it: the noun tags and the verb tag.
 _NOUN, _PROPN, _VERB = _word(b"NOUN\t"), _word(b"PROPN\t"), _word(b"VERB\t")
 
 
@@ -498,12 +498,11 @@ class _ParseReader:
         ends = seps[newlines]
         starts = np.concatenate(([0], ends[:-1] + 1))
         first_sep = np.concatenate(([0], newlines[:-1] + 1))
-        lead = windows[starts]
-        comment = (starts < ends) & (lead & 0xFF == ord("#"))
+        comment = (starts < ends) & (padded[starts] == ord("#"))
 
         # Tweet id comments; a sentence ends at each of them and each blank line.
         comments = np.flatnonzero(comment)
-        lead, after = lead[comments], windows[starts[comments] + 8]
+        lead, after = windows[starts[comments]], windows[starts[comments] + 8]
         is_tid = ((lead == _TWEET_) & (after & _MASKS[5] == _ID_IS)
                   & _printable(after >> 40 & 0xFF) & _printable(buf[ends[comments] - 1]))
         other = (lead != _TWEET_) & (lead >> 8 & 0xFF == ord(" ")) & _printable(lead >> 16 & 0xFF)
@@ -546,7 +545,8 @@ class _ParseReader:
             keep[j] = True
             # Beyond -1..len(buf) a value fails the tree check as those two do.
             ids[j], heads[j] = (min(max(value, -1), len(buf)) for value in (index, head))
-        lines, tab, ids, heads = lines[keep], tab[keep], ids[keep], heads[keep]
+        if not keep.all():
+            lines, tab, ids, heads = lines[keep], tab[keep], ids[keep], heads[keep]
 
         # Tree check: ids run 1..n, heads in range, one root, and every token
         # reaches the root by pointer jumping (up[i] is 2**k steps up after k).

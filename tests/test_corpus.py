@@ -839,21 +839,29 @@ def test_load_parses_transient_memory_is_bounded_by_the_block(tmp_path, monkeypa
     assert large < 1.25 * small
 
 
-def test_load_parses_does_no_per_line_python_work(tmp_path):
-    """Fewer than two Python and C function calls (profile events) per
-    token line of a well-formed sidecar: the lines are read by numpy, not
-    by Python one at a time."""
-    path = _bulk_sidecar(tmp_path / "bulk.conllu")
-    calls = 0
+def test_load_parses_does_no_per_line_python_work(tmp_path, monkeypatch):
+    """Read in one block, 1,000 well-formed sentences take as many Python
+    and C function calls (profile events) as 500, give or take one per 20
+    sentences: numpy reads the lines, the sentences and their edges, not
+    Python one at a time. The reader this replaced made about 7 per
+    sentence."""
+    monkeypatch.setattr(corpus, "PARSE_BLOCK_CHARS", 1 << 20)
+    load_parses(_bulk_sidecar(tmp_path / "warm.conllu", sentences=10))  # first calls import
+    calls = []
+    for sentences in (500, 1000):
+        path = _bulk_sidecar(tmp_path / f"{sentences}.conllu", sentences=sentences)
+        assert path.stat().st_size < corpus.PARSE_BLOCK_CHARS
+        count = 0
 
-    def count(frame, event, arg):
-        nonlocal calls
-        calls += event in ("call", "c_call")
+        def profile(frame, event, arg):
+            nonlocal count
+            count += event in ("call", "c_call")
 
-    sys.setprofile(count)
-    try:
-        parses = load_parses(path)
-    finally:
-        sys.setprofile(None)
-    assert len(parses) == 2000
-    assert calls < 2 * 2000 * 15
+        sys.setprofile(profile)
+        try:
+            parses = load_parses(path)
+        finally:
+            sys.setprofile(None)
+        assert len(parses) == sentences
+        calls.append(count)
+    assert calls[1] - calls[0] < 500 / 20

@@ -388,7 +388,9 @@ def test_fold_matches_whole_corpus_reference(inputs, tmp_path, caplog):
     corpora; only the parse file's records move ahead of the corpus ones.
     So does the raw-text path ``cmd_extract`` takes, with the id buffer
     folded once it holds more than 1 or 7 entries (or more than the
-    distinct bigrams held)."""
+    distinct bigrams held), and with the parse file read in blocks of 16
+    or 1 characters, so that nearly every sentence, a repeated tweet id's
+    first parse and its repeat among them, is a block of its own."""
     files = []
     for name, mode in (("unlabeled", LabelMode.UNLABELED), ("labeled", LabelMode.LABELED)):
         if inputs[name] is not None:
@@ -421,9 +423,10 @@ def test_fold_matches_whole_corpus_reference(inputs, tmp_path, caplog):
 
     want, want_log = _run_logged(caplog, reference)
     got_runs = [_run_logged(caplog, fold)]
-    for fold_entries in (1, 7):
+    for name, value in [("extract.FOLD_ENTRIES", 1), ("extract.FOLD_ENTRIES", 7),
+                        ("corpus.PARSE_BLOCK_CHARS", 16), ("corpus.PARSE_BLOCK_CHARS", 1)]:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("subevents.extract.FOLD_ENTRIES", fold_entries)
+            patch.setattr(f"subevents.{name}", value)
             got_runs.append(_run_logged(caplog, lambda: fold(raw_texts=True)))
     for got, got_log in got_runs:
         assert got == want
