@@ -26,6 +26,7 @@ import json
 import logging
 import string
 import unicodedata
+from array import array
 from collections.abc import Iterator, Mapping, Sequence
 from enum import Enum
 from pathlib import Path
@@ -389,8 +390,8 @@ def load_parses(path: str | Path) -> Parses:
                 break
     if reader.bad:
         logger.info("%s: dropped %d malformed parse entries", path, reader.bad)
-    offsets = np.concatenate(([0], np.cumsum(np.concatenate(reader.counts))))
-    return Parses(reader.rows, offsets, np.concatenate(reader.edges), list(reader.form_numbers))
+    return Parses(reader.rows, np.frombuffer(reader.offsets, np.int64),
+                  np.frombuffer(reader.edges, np.int32).reshape(-1, 2), list(reader.form_numbers))
 
 
 def _block_end(text: str, carried: int) -> int:
@@ -448,8 +449,8 @@ class _ParseReader:
         self.path = path
         self.rows: dict[str, int] = {}
         self.form_numbers: dict[str, int] = {}  # in the order of the numbers
-        self.edges = [np.zeros((0, 2), np.int32)]
-        self.counts = [np.zeros(0, np.int64)]  # edges per row
+        # The columns grow in place, a block at a time.
+        self.edges, self.offsets = array("i"), array("q", [0])
         self.bad = self.lines = 0
 
     def _new_rows(self, tids: list[str]) -> np.ndarray:
@@ -611,8 +612,9 @@ class _ParseReader:
         pair_tokens = tab[np.stack([np.where(noun_child, child, parent),
                                     np.where(noun_child, parent, child)], axis=1).ravel()]
         numbers = self._form_numbers(_fields(padded, seps[pair_tokens] + 1, seps[pair_tokens + 1]))
-        self.edges.append(numbers.astype(np.int32).reshape(-1, 2))
-        self.counts.append(np.bincount(sentence[child], minlength=len(first))[kept])
+        self.edges.frombytes(numbers.astype(np.int32).tobytes())
+        counts = np.bincount(sentence[child], minlength=len(first))[kept]
+        self.offsets.frombytes((self.offsets[-1] + np.cumsum(counts)).tobytes())
 
 
 def _int_columns(data: bytes, starts: np.ndarray, ends: np.ndarray) -> tuple[list[int], list[int]]:
