@@ -843,10 +843,10 @@ def test_load_parses_does_no_per_line_python_work(tmp_path, monkeypatch):
     """Read in one block, 1,000 well-formed sentences take as many Python
     and C function calls (profile events) as 500, give or take one per 20
     sentences: numpy reads the lines, the sentences and their edges, not
-    Python one at a time. The reader this replaced made about 7 per
-    sentence."""
+    Python one at a time."""
     monkeypatch.setattr(corpus, "PARSE_BLOCK_CHARS", 1 << 20)
-    load_parses(_bulk_sidecar(tmp_path / "warm.conllu", sentences=10))  # first calls import
+    # The first read makes one-time calls: it imports the file's codec.
+    load_parses(_bulk_sidecar(tmp_path / "warm.conllu", sentences=10))
     calls = []
     for sentences in (500, 1000):
         path = _bulk_sidecar(tmp_path / f"{sentences}.conllu", sentences=sentences)
