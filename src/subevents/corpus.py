@@ -372,9 +372,10 @@ def load_parses(path: str | Path) -> Parses:
     line, so a block holds whole sentences. numpy finds the columns of
     every line of a block as byte offsets, reads tweet ids, IDs and HEADs
     of the usual forms, checks each sentence's tree and finds its edges.
-    Python runs per block, per line of an unusual form (a comment numpy
-    does not read, an ID or HEAD left to ``int()``), per sentence that logs
-    a warning and per new edge form, not per sentence or per edge.
+    Tweet ids and edge forms are numbered by dict methods that ``map``
+    calls from C. Python code runs per block, per line of an unusual form
+    (a comment numpy does not read, an ID or HEAD left to ``int()``) and
+    per sentence that logs a warning, not per sentence or per edge.
     """
     reader = _ParseReader(path)
     text = ""
