@@ -318,9 +318,8 @@ def _word(text: bytes) -> int:
     return int.from_bytes(text, "little")
 
 
-# A comment line numpy reads: "# tweet_id = <id>", the id starting and
-# ending with a printable ASCII character, or one whose text (after "# ")
-# starts with one and not with "tweet_". Python reads any other.
+# The comment line numpy reads: "# tweet_id = <id>", the id starting and
+# ending with a printable ASCII character. Python reads any other comment.
 _TWEET_, _ID_IS = _word(b"# tweet_"), _word(b"id = ")
 # A UPOS field with the tab after it: the noun tags and the verb tag.
 _NOUN, _PROPN, _VERB = _word(b"NOUN\t"), _word(b"PROPN\t"), _word(b"VERB\t")
@@ -340,6 +339,11 @@ class Parses(Mapping[str, NvEdges]):
         self, rows: dict[str, int], offsets: np.ndarray, edges: np.ndarray, forms: list[str]
     ) -> None:
         self.rows, self.offsets, self.edges, self.forms = rows, offsets, edges, forms
+
+    @classmethod
+    def empty(cls) -> Parses:
+        """No parses."""
+        return cls({}, np.zeros(1, np.int64), np.zeros((0, 2), np.int32), [])
 
     def __getitem__(self, tweet_id: str) -> NvEdges:
         row, forms = self.rows[tweet_id], self.forms
@@ -507,16 +511,16 @@ class _ParseReader:
         lead, after = windows[starts[comments]], windows[starts[comments] + 8]
         is_tid = ((lead == _TWEET_) & (after & _MASKS[5] == _ID_IS)
                   & _printable(after >> 40 & 0xFF) & _printable(buf[ends[comments] - 1]))
-        other = (lead != _TWEET_) & (lead >> 8 & 0xFF == ord(" ")) & _printable(lead >> 16 & 0xFF)
         tid_rows = comments[is_tid]
         tids = _fields(padded, starts[tid_rows] + 13, ends[tid_rows])
-        slow = comments[~is_tid & ~other]
-        for row in slow.tolist():
+        slow_rows = []
+        for row in comments[~is_tid].tolist():
             body = data[starts[row] + 1 : ends[row]].decode().strip()
             if body.startswith("tweet_id"):
-                tid_rows = np.append(tid_rows, row)
+                slow_rows.append(row)
                 tids.append(body.partition("=")[2].strip())
-        if len(slow):
+        if slow_rows:
+            tid_rows = np.concatenate((tid_rows, slow_rows))
             order = np.argsort(tid_rows, kind="stable")
             tid_rows, tids = tid_rows[order], list(map(tids.__getitem__, order.tolist()))
         flush = starts == ends

@@ -181,8 +181,7 @@ class ExtractCounts:
         lexicon: dict[str, frozenset[str]] | None = None,
     ) -> None:
         self.cleaner = cleaner
-        self.parses = parses if parses is not None else Parses({}, np.zeros(1, np.int64),
-                                                                np.zeros((0, 2), np.int32), [])
+        self.parses = parses if parses is not None else Parses.empty()
         self.lexicon = lexicon
         self._tags = bytearray()  # lexicon tag bits by word id, extended by a fold
         self._ids: list[int] = []  # word ids and tweet ends, not yet folded
