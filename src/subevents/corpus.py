@@ -27,7 +27,7 @@ import logging
 import string
 import unicodedata
 from array import array
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from pathlib import Path
 
@@ -52,15 +52,6 @@ class Label(Enum):
 class LabelMode(Enum):
     UNLABELED = "unlabeled"
     LABELED = "labeled"
-
-
-# What extraction reads of a sentence's dependency parse: the (noun, verb)
-# surface forms of each head-dependent edge joining a {NOUN, PROPN} token
-# and a VERB token, noun first, in token order (see ``load_parses``). Only
-# these edges are kept, not the tree: a parse file holds one token per
-# word, and most of them take part in no such edge. ``Parses`` holds them
-# as columns and builds this tuple when a tweet id is looked up.
-NvEdges = tuple[tuple[str, str], ...]
 
 
 _REACHES_ROOT = -1
@@ -325,14 +316,13 @@ _TWEET_, _ID_IS = _word(b"# tweet_"), _word(b"id = ")
 _NOUN, _PROPN, _VERB = _word(b"NOUN\t"), _word(b"PROPN\t"), _word(b"VERB\t")
 
 
-class Parses(Mapping[str, NvEdges]):
+class Parses:
     """The noun-verb edges ``load_parses`` reads, as columns.
 
     ``rows`` maps each parsed tweet id, in file order, to its row; row r's
     edges are ``edges[offsets[r]:offsets[r + 1]]``, each a (noun, verb)
-    pair of int32 indexes into ``forms``, the distinct surface forms. As a
-    read-only Mapping a tweet id's value is its ``NvEdges``, built when it
-    is looked up.
+    pair of int32 indexes into ``forms``, the distinct surface forms.
+    ``len()`` is the number of parsed tweets.
     """
 
     def __init__(
@@ -344,14 +334,6 @@ class Parses(Mapping[str, NvEdges]):
     def empty(cls) -> Parses:
         """No parses."""
         return cls({}, np.zeros(1, np.int64), np.zeros((0, 2), np.int32), [])
-
-    def __getitem__(self, tweet_id: str) -> NvEdges:
-        row, forms = self.rows[tweet_id], self.forms
-        return tuple((forms[noun], forms[verb]) for noun, verb
-                     in self.edges[self.offsets[row] : self.offsets[row + 1]].tolist())
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.rows)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -409,11 +391,29 @@ def _block_end(text: str, carried: int) -> int:
     end = len(text)
     while (newline := text.rfind("\n#", max(start, cut), end)) >= 0:
         line_end = text.find("\n", newline + 1)
-        comment = text[newline + 2 : line_end if line_end >= 0 else None]
-        if comment.strip().startswith("tweet_id"):
+        if _comment_tweet_id(text[newline + 2 : line_end if line_end >= 0 else None]) is not None:
             return newline + 1
         end = newline + 1
     return cut
+
+
+def _comment_tweet_id(body: str) -> str | None:
+    """The tweet id of a comment line's `body` after its ``#``: what
+    follows ``=`` when the body starts with ``tweet_id``, else None."""
+    body = body.strip()
+    return body.partition("=")[2].strip() if body.startswith("tweet_id") else None
+
+
+def _numbers(keys: list[str], numbers: dict[str, int]) -> np.ndarray:
+    """The number of each of `keys` in `numbers`; a new key takes the next
+    number, in order of first appearance."""
+    n = len(numbers)
+    got = np.fromiter(map(numbers.setdefault, keys, itertools.count(n)), np.int64, len(keys))
+    new = got == np.arange(n, n + len(keys))  # the first appearance of each new key
+    if not new.all():  # a key met before took a number: renumber the new keys from n
+        numbers.update(zip(itertools.compress(keys, new.tolist()), itertools.count(n)))
+        got[got >= n] = n - 1 + np.cumsum(new)[got[got >= n] - n]
+    return got
 
 
 def _printable(byte: np.ndarray) -> np.ndarray:
@@ -458,29 +458,6 @@ class _ParseReader:
         self.edges, self.offsets = array("i"), array("q", [0])
         self.bad = self.lines = 0
 
-    def _new_rows(self, tids: list[str]) -> np.ndarray:
-        """Whether each tweet id is not in ``rows`` and not earlier in
-        `tids`; each such one is given the next row."""
-        rows, n = self.rows, len(self.rows)
-        got = np.fromiter(map(rows.setdefault, tids, itertools.count(n)), np.int64, len(tids))
-        new = got == np.arange(n, n + len(tids))
-        if not new.all():  # a repeated id took a number: renumber the rows after it
-            rows.update(zip(itertools.compress(tids, new.tolist()), itertools.count(n)))
-        return new
-
-    def _form_numbers(self, forms: list[str]) -> np.ndarray:
-        """The number of each form; a new one takes the next number, in
-        order of first appearance."""
-        numbers = self.form_numbers
-        got = np.fromiter(map(numbers.get, forms, itertools.repeat(-1)), np.int64, len(forms))
-        new = (got < 0).tolist()
-        if any(new):
-            numbers.update(zip(dict.fromkeys(itertools.compress(forms, new)),
-                               itertools.count(len(numbers))))
-            got[got < 0] = np.fromiter(map(numbers.__getitem__, itertools.compress(forms, new)),
-                                       np.int64)
-        return got
-
     def read_block(self, text: str) -> None:
         """Read the whole sentences in `text`, the sidecar's lines after
         the first ``lines``, logging as ``load_parses`` does."""
@@ -515,10 +492,10 @@ class _ParseReader:
         tids = _fields(padded, starts[tid_rows] + 13, ends[tid_rows])
         slow_rows = []
         for row in comments[~is_tid].tolist():
-            body = data[starts[row] + 1 : ends[row]].decode().strip()
-            if body.startswith("tweet_id"):
+            tweet_id = _comment_tweet_id(data[starts[row] + 1 : ends[row]].decode())
+            if tweet_id is not None:
                 slow_rows.append(row)
-                tids.append(body.partition("=")[2].strip())
+                tids.append(tweet_id)
         if slow_rows:
             tid_rows = np.concatenate((tid_rows, slow_rows))
             order = np.argsort(tid_rows, kind="stable")
@@ -579,8 +556,11 @@ class _ParseReader:
         dropped[[k for _, k, _ in unparseable]] = True
         dropped = dropped[seg[first]]
         valid = np.flatnonzero((tid >= 0) & ~dropped & good)
+        n_rows = len(self.rows)
+        rows, at = np.unique(_numbers(list(map(tids.__getitem__, tid[valid].tolist())), self.rows),
+                             return_index=True)
         kept = np.zeros(len(first), bool)
-        kept[valid[self._new_rows(list(map(tids.__getitem__, tid[valid].tolist())))]] = True
+        kept[valid[at[rows >= n_rows]]] = True
 
         # Warnings in line order: each unparseable line, and each other
         # sentence not kept: with no tweet id, a bad tree, or a tweet id kept
@@ -616,7 +596,8 @@ class _ParseReader:
         child, parent, noun_child = child[edge], parent[edge], noun_child[edge]
         pair_tokens = tab[np.stack([np.where(noun_child, child, parent),
                                     np.where(noun_child, parent, child)], axis=1).ravel()]
-        numbers = self._form_numbers(_fields(padded, seps[pair_tokens] + 1, seps[pair_tokens + 1]))
+        numbers = _numbers(_fields(padded, seps[pair_tokens] + 1, seps[pair_tokens + 1]),
+                           self.form_numbers)
         self.edges.frombytes(numbers.astype(np.int32).tobytes())
         counts = np.bincount(sentence[child], minlength=len(first))[kept]
         self.offsets.frombytes((self.offsets[-1] + np.cumsum(counts)).tobytes())

@@ -109,8 +109,6 @@ _END_WINDOW = -3  # the end of a tweet whose pairs come from the lexicon window
 
 _NOUN, _VERB = 1, 2  # bits of a word's lexicon tag
 
-_UNSEEN = -4  # the word id of a parse form not yet mapped
-
 # The fold of the id buffer runs once the buffer holds more than this many
 # entries, or more than the distinct bigrams held, whichever is larger.
 FOLD_ENTRIES = 4096
@@ -168,9 +166,9 @@ class ExtractCounts:
     parse rows not yet counted) holds more than max(``FOLD_ENTRIES``,
     distinct bigrams held) entries it is folded: unigrams into one count
     per id, bigram and pair keys (``first << 32 | second``) into sorted
-    arrays of distinct keys and their counts. A parse's edges are gathered
-    from the columns of ``parses`` by row, and each distinct edge form is
-    mapped to its word id once. Memory grows with the distinct words,
+    arrays of distinct keys and their counts. Every form of ``parses`` is
+    mapped to its word id when this is made, and a parse's edges are
+    gathered from its columns by row. Memory grows with the distinct words,
     bigrams and pairs, not with the number of tweets.
     """
 
@@ -186,8 +184,9 @@ class ExtractCounts:
         self._tags = bytearray()  # lexicon tag bits by word id, extended by a fold
         self._ids: list[int] = []  # word ids and tweet ends, not yet folded
         self._parsed: list[int] = []  # rows of the parses whose edges are not yet folded
-        # The word id of each form of the parses, REMOVED, or _UNSEEN.
-        self._form_ids = np.full(len(self.parses.forms), _UNSEEN, np.int32)
+        # The word id of each form of the parses, or REMOVED.
+        self._form_ids = np.fromiter(map(cleaner.__getitem__, map(str.lower, self.parses.forms)),
+                                     np.int32, len(self.parses.forms))
         self._fold_at = FOLD_ENTRIES
         self._unigrams = np.zeros(0, np.int64)
         self._bigrams = _no_counts()
@@ -210,7 +209,7 @@ class ExtractCounts:
     def add(self, tweet_id: str, tokens: Sequence[str]) -> None:
         """Count one tweet's unigrams, adjacent bigrams and noun-verb pairs.
 
-        A tweet whose id has an entry in ``parses`` counts in ``parsed``:
+        A tweet whose id has a row in ``parses`` counts in ``parsed``:
         each (noun, verb) edge of its parse counts once, both words
         lowercased and cleaned by ``cleaner``'s rule, and an edge whose
         words do not both survive is dropped. Otherwise, with a lexicon,
@@ -288,21 +287,13 @@ class ExtractCounts:
 
     def _edge_ids(self, rows: np.ndarray) -> np.ndarray:
         """The (noun, verb) word ids of the edges of the parses in `rows`,
-        in order: each form lowercased and cleaned as a raw token, the
-        first time it is met."""
+        in order: each form lowercased and cleaned as a raw token."""
         offsets = self.parses.offsets
         start, count = offsets[rows], offsets[rows + 1] - offsets[rows]
         end = np.cumsum(count)
         forms = self.parses.edges[np.repeat(start - (end - count), count)
                                   + np.arange(end[-1] if len(end) else 0)]
-        form_ids = self._form_ids
-        unseen = forms[form_ids[forms] == _UNSEEN]
-        fresh, at = np.unique(unseen, return_index=True)
-        fresh = fresh[np.argsort(at)].tolist()  # in order of first appearance
-        form_ids[fresh] = np.fromiter(
-            map(self.cleaner.__getitem__, map(str.lower, map(self.parses.forms.__getitem__, fresh))),
-            np.int32, len(fresh))
-        return form_ids[forms]
+        return self._form_ids[forms]
 
     @property
     def pairs(self) -> Counter[tuple[str, str]]:

@@ -400,8 +400,18 @@ def parses_from_edges(edges_by_id):
         path = Path(tmp) / "edges.conllu"
         path.write_text("\n".join(lines), encoding="utf-8")
         parses = load_parses(path)
-    assert parses == dict(edges_by_id)
+    assert edges_from_parses(parses) == dict(edges_by_id)
     return parses
+
+
+def edges_from_parses(parses):
+    """The inverse of `parses_from_edges`: each parsed tweet id of a
+    ``corpus.Parses``, in row order, with the (noun, verb) surface forms of
+    its edges, ``{tweet_id: ((noun, verb), ...)}``."""
+    forms, offsets = parses.forms, parses.offsets
+    return {tweet_id: tuple((forms[noun], forms[verb])
+                            for noun, verb in parses.edges[offsets[row]:offsets[row + 1]].tolist())
+            for tweet_id, row in sorted(parses.rows.items(), key=lambda item: item[1])}
 
 
 def reference_nv_pairs(parse, tokens, lexicon, stopwords):
@@ -471,7 +481,7 @@ def reference_extract(files, stopwords, parses_path, lexicon, dedupe, phrase_cfg
                     if (token := clean_token(raw, stopwords)) is not None])
         for tweet_id, text, _ in records
     ]
-    parses = load_parses(parses_path) if parses_path is not None else {}
+    parses = edges_from_parses(load_parses(parses_path)) if parses_path is not None else {}
     counts = {
         "tweets": len(tweets), "skipped": skipped, "duplicates": loaded - len(tweets),
         "parsed": 0, "fallback": 0, "neither": 0,

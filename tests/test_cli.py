@@ -1428,6 +1428,8 @@ class TestBenchmarkTrace:
         assert "Traceback" not in proc.stderr
         layers = json.loads(report.read_text(encoding="utf-8"))["layers"]
         assert {"embed.vectors_n", "cluster.n", "rank.null_candidates_n"} <= set(layers["levels"])
+        # len() of load_parses' result, the one dunder Parses keeps for the tracer.
+        assert layers["levels"]["corpus.parses_n"] == 160
         assert layers["sums"]["embed.compose_calls"] > 0
 
 

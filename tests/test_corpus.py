@@ -406,7 +406,8 @@ class TestParses:
             "# tweet_id = b\n"
             "1\tcalm\tcalm\tADJ\t_\t_\t0\troot\t_\t_\n"
         ))
-        assert load_parses(path) == {"a": (("floods", "rise"),), "b": ()}
+        parses = oracles.edges_from_parses(load_parses(path))
+        assert parses == {"a": (("floods", "rise"),), "b": ()}
 
     def test_leading_byte_order_mark_is_ignored(self, tmp_path):
         path = self._write(tmp_path, (
@@ -417,7 +418,7 @@ class TestParses:
             "# tweet_id = b\n"
             "1\tcalm\tcalm\tADJ\t_\t_\t0\troot\t_\t_\n"
         ))
-        parses = load_parses(path)
+        parses = oracles.edges_from_parses(load_parses(path))
         assert set(parses) == {"a", "b"}
         assert parses["a"] == (("floods", "rise"),)
 
@@ -429,8 +430,7 @@ class TestParses:
             "1.1\telided\t_\t_\t_\t_\t_\t_\t_\t_\n"
             "2\tgo\tgo\tVERB\t_\t_\t0\troot\t_\t_\n"
         ))
-        parses = load_parses(path)
-        assert parses["a"] == (("can", "go"),)
+        assert oracles.edges_from_parses(load_parses(path))["a"] == (("can", "go"),)
 
     def test_invalid_sentence_dropped_others_kept(self, tmp_path, caplog):
         path = self._write(tmp_path, (
@@ -443,7 +443,7 @@ class TestParses:
         ))
         with caplog.at_level("WARNING"):
             parses = load_parses(path)
-        assert set(parses) == {"good"}
+        assert set(oracles.edges_from_parses(parses)) == {"good"}
         assert any("bad" in rec.message for rec in caplog.records)
 
     def test_sentence_without_tweet_id_ignored(self, tmp_path):
@@ -451,7 +451,7 @@ class TestParses:
             "# sent_id = 1\n"
             "1\tx\tx\tNOUN\t_\t_\t0\troot\t_\t_\n"
         ))
-        assert load_parses(path) == {}
+        assert oracles.edges_from_parses(load_parses(path)) == {}
 
     def test_sentence_without_tweet_id_is_warned_and_counted(self, tmp_path, caplog):
         path = self._write(tmp_path, (
@@ -466,7 +466,7 @@ class TestParses:
         ))
         with caplog.at_level("INFO"):
             parses = load_parses(path)
-        assert list(parses) == ["a"]
+        assert list(oracles.edges_from_parses(parses)) == ["a"]
         assert [rec.getMessage() for rec in caplog.records] == [
             f"{path}:5: dropping sentence with no tweet_id comment",
             f"{path}: unparseable token line '1\\tx\\tx\\tNOUN\\t_\\t_\\tnot-a-head\\troot\\t_\\t_'",
@@ -482,10 +482,8 @@ class TestParses:
             "1\tcalm\tcalm\tADJ\t_\t_\t0\troot\t_\t_\n"
         ))
         with caplog.at_level("WARNING"):
-            parses = load_parses(path)
-        assert set(parses) == {"a", "b"}
-        assert parses["a"] == (("floods", "rise"),)
-        assert parses["b"] == ()
+            parses = oracles.edges_from_parses(load_parses(path))
+        assert parses == {"a": (("floods", "rise"),), "b": ()}
         assert not caplog.records
 
     def test_duplicate_tweet_id_keeps_first(self, tmp_path, caplog):
@@ -499,7 +497,7 @@ class TestParses:
             "2\tgo\tgo\tVERB\t_\t_\t0\troot\t_\t_\n"
         ))
         with caplog.at_level("WARNING"):
-            parses = load_parses(path)
+            parses = oracles.edges_from_parses(load_parses(path))
         assert parses["a"] == (("first", "go"),)
         assert any("duplicate tweet_id 'a'" in rec.message for rec in caplog.records)
 
@@ -650,7 +648,7 @@ class TestReaderProperties:
         expected = _reference_edges(path)
         for block_chars in BLOCK_CHARS:
             with mock.patch.object(corpus, "PARSE_BLOCK_CHARS", block_chars):
-                assert load_parses(path) == expected
+                assert oracles.edges_from_parses(load_parses(path)) == expected
 
 
 # Block sizes the parse reader is checked at: its own, and reads of 16 and
@@ -735,7 +733,7 @@ def test_load_parses_matches_node_reference(data, reader_dir, caplog):
         for block_chars in BLOCK_CHARS:
             caplog.clear()
             with mock.patch.object(corpus, "PARSE_BLOCK_CHARS", block_chars):
-                parses = load_parses(path)
+                parses = oracles.edges_from_parses(load_parses(path))
             got = [(rec.levelname, rec.getMessage()) for rec in caplog.records]
             assert list(parses) == list(expected)
             assert parses == expected
@@ -791,7 +789,7 @@ def test_equal_edge_words_are_one_form_across_blocks(tmp_path, monkeypatch):
     path = tmp_path / "p.conllu"
     path.write_text("".join(f"# tweet_id = {i}\n{sentence}" for i in range(4)), encoding="utf-8")
     parses = load_parses(path)
-    assert dict(parses) == {str(i): (("floods", "rise"),) for i in range(4)}
+    assert oracles.edges_from_parses(parses) == {str(i): (("floods", "rise"),) for i in range(4)}
     assert parses.forms == ["floods", "rise"]
     assert parses.edges.tolist() == [[0, 1]] * 4
 
@@ -799,16 +797,32 @@ def test_equal_edge_words_are_one_form_across_blocks(tmp_path, monkeypatch):
 def test_edge_columns_index_in_range_across_blocks(tmp_path, monkeypatch):
     """Across blocks the form table holds each distinct form once, every
     edge indexes into it, and the row offsets run from 0, never down, to
-    the number of edges."""
+    the number of edges. The rows number the kept tweet ids 0..n-1 in file
+    order, though one id repeats inside a block and another in a later
+    block."""
     monkeypatch.setattr(corpus, "PARSE_BLOCK_CHARS", 64)
+    blocks = []
+    read_block = corpus._ParseReader.read_block
+
+    def recording_read_block(reader, text):
+        blocks.append(text)
+        read_block(reader, text)
+
+    monkeypatch.setattr(corpus._ParseReader, "read_block", recording_read_block)
     floods, rise, roads = ("1\tfloods\t_\tNOUN\t_\t_\t2\tnsubj\t_\t_\n",
                            "2\trise\t_\tVERB\t_\t_\t0\troot\t_\t_\n",
                            "3\troads\t_\tNOUN\t_\t_\t2\tobj\t_\t_\n")
-    sentences = [floods + rise, floods + rise + roads, "1\tcalm\t_\tADJ\t_\t_\t0\troot\t_\t_\n"]
+    calm, short = "1\tcalm\t_\tADJ\t_\t_\t0\troot\t_\t_\n", "1\tx\t_\tX\t_\t_\t0\n"
+    sentences = [("0", floods + rise), ("1", floods + rise + roads), ("2", short), ("2", short),
+                 ("3", floods + rise), ("4", floods + rise + roads), ("1", short), ("5", calm),
+                 ("6", floods + rise), ("7", floods + rise + roads)]
     path = tmp_path / "p.conllu"
-    path.write_text("".join(f"# tweet_id = {i}\n{sentences[i % 3]}\n" for i in range(8)),
+    path.write_text("".join(f"# tweet_id = {i}\n{sentence}\n" for i, sentence in sentences),
                     encoding="utf-8")
     parses = load_parses(path)
+    assert any(block.count("# tweet_id = 2\n") == 2 for block in blocks)
+    assert not any(block.count("# tweet_id = 1\n") == 2 for block in blocks)
+    assert parses.rows == {str(i): i for i in range(8)}
     assert len(parses) == 8
     assert parses.forms == ["floods", "rise", "roads"]
     assert parses.edges.dtype == np.int32 and parses.edges.shape[1] == 2
@@ -816,7 +830,8 @@ def test_edge_columns_index_in_range_across_blocks(tmp_path, monkeypatch):
     offsets = parses.offsets
     assert offsets[0] == 0 and offsets[-1] == len(parses.edges) and len(offsets) == 9
     assert (np.diff(offsets) >= 0).all()
-    assert [parses[str(i)] for i in range(3)] == [
+    edges = oracles.edges_from_parses(parses)
+    assert [edges[str(i)] for i in range(3)] == [
         (("floods", "rise"),), (("floods", "rise"), ("roads", "rise")), ()]
 
 

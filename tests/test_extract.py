@@ -45,7 +45,7 @@ def _parse(words):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sentence.conllu"
         path.write_text("# tweet_id = s\n" + "".join(lines), encoding="utf-8")
-        return load_parses(path)["s"]
+        return oracles.edges_from_parses(load_parses(path))["s"]
 
 
 def _pairs(parse, tokens=(), lexicon=None):
@@ -80,7 +80,8 @@ class TestNvPairs:
         key_id, text = next(tweets.texts())
         tokens = tweets.cleaner.tokens(text)
         assert key_id == "w000"
-        parse = load_parses(fixtures_dir / "worked_parses.conllu")[key_id]
+        parses = load_parses(fixtures_dir / "worked_parses.conllu")
+        parse = oracles.edges_from_parses(parses)[key_id]
         assert _pairs(parse, tokens) == [("waterborne", "recedes"), ("water", "recedes")]
 
     def test_noun_first_both_edge_directions(self):
@@ -265,7 +266,7 @@ def pipeline_tweets(generated_fixtures):
         (generated_fixtures / "pipeline_unlabeled.jsonl", LabelMode.UNLABELED),
         (generated_fixtures / "pipeline_labeled.jsonl", LabelMode.LABELED),
     ], STOPWORDS)
-    parses = load_parses(generated_fixtures / "pipeline_parses.conllu")
+    parses = oracles.edges_from_parses(load_parses(generated_fixtures / "pipeline_parses.conllu"))
     return [(tweets.cleaner.tokens(text), parses.get(tweet_id))
             for tweet_id, text in tweets.texts()]
 
