@@ -36,7 +36,6 @@ from .errors import ConfigError, InputFormatError, SubeventsError
 from .evaluate import evaluate_labeled, read_metrics, roc_points, write_metrics
 from .extract import (
     ExtractCounts,
-    PhraseConfig,
     load_pos_lexicon,
     read_candidates,
     reduction_percent,
@@ -276,9 +275,7 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     _log_dedupe(tweets)
     if cfg.paths.parses and counts.parsed == 0:
         logger.warning("no tweet id in the corpus matched the parse file %s", cfg.paths.parses)
-    result = counts.candidates(
-        PhraseConfig(cfg.phrase.min_count, cfg.phrase.threshold), cfg.filter_min_freq
-    )
+    result = counts.candidates(cfg.phrase, cfg.filter_min_freq)
     write_candidates(result.candidates, _artifact(out_dir, "candidates"))
     accounting = {
         "tweets": counts.tweets,

@@ -1,11 +1,12 @@
 """Pipeline configuration: JSON file, defaults, and dotted-key overrides.
 
-The field annotations of the dataclasses below are the schema. Every leaf
-field is a JSON key (nested under its section) and a command-line flag of
-the same dotted name (e.g. --cluster.k 40); both sources go through the
-same per-annotation coercion, so a value of the wrong type is a
-ConfigError. One seed (cluster.seed) drives all randomness: k-means
-initialization and the out-of-vocabulary hash buckets.
+The field annotations of the dataclasses below, with the phrase section
+``extract.PhraseConfig``, are the schema. Every leaf field is a JSON key
+(nested under its section) and a command-line flag of the same dotted name
+(e.g. --cluster.k 40); both sources go through the same per-annotation
+coercion, so a value of the wrong type is a ConfigError. One seed
+(cluster.seed) drives all randomness: k-means initialization and the
+out-of-vocabulary hash buckets.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from ._util import open_text
 from .embed import OovPolicy
 from .errors import ConfigError, InputFormatError
 from .evaluate import MATCH_MODES
+from .extract import DEFAULT_MIN_FREQ, PhraseConfig
 from .rank import DISCOUNTS
 
 DEFAULT_KS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
@@ -40,12 +42,6 @@ class PathsSection:
     stopwords: str | None = None  # None = bundled stopword list
     lexicon: str | None = None    # POS lexicon for parse-free extraction
     out_dir: str = "out"
-
-
-@dataclass
-class PhraseSection:
-    min_count: int = 2
-    threshold: float = 10.0
 
 
 @dataclass
@@ -74,8 +70,8 @@ class EvalSection:
 @dataclass
 class PipelineConfig:
     paths: PathsSection = field(default_factory=PathsSection)
-    phrase: PhraseSection = field(default_factory=PhraseSection)
-    filter_min_freq: int = 2
+    phrase: PhraseConfig = field(default_factory=PhraseConfig)
+    filter_min_freq: int = DEFAULT_MIN_FREQ
     dedupe: bool = False
     rank: RankSection = field(default_factory=RankSection)
     cluster: ClusterSection = field(default_factory=ClusterSection)

@@ -230,10 +230,7 @@ class TokenCleaner(dict):
 
     def __missing__(self, raw: str) -> int:
         word = clean_token(raw, self.stopwords)
-        words = self.words
-        index = self[raw] = REMOVED if word is None else self._ids.setdefault(word, len(words))
-        if index == len(words):
-            words.append(word)
+        index = self[raw] = REMOVED if word is None else self.word_id(word)
         return index
 
     def word_id(self, word: str) -> int:
@@ -243,11 +240,16 @@ class TokenCleaner(dict):
             self.words.append(word)
         return index
 
+    def text_ids(self, raw_text: str) -> Iterator[int]:
+        """The ids of a raw tweet text's tokens, lowercased and split on
+        whitespace, in order: a word id, or ``REMOVED``."""
+        return map(self.__getitem__, raw_text.lower().split())
+
     def tokens(self, raw_text: str) -> list[str]:
-        """The tokens of a raw tweet text: lowercased, split on whitespace,
-        each cleaned, the removed ones dropped."""
+        """The tokens of a raw tweet text, each cleaned, the removed ones
+        dropped."""
         words = self.words
-        return [words[i] for i in map(self.__getitem__, raw_text.lower().split()) if i != REMOVED]
+        return [words[i] for i in self.text_ids(raw_text) if i != REMOVED]
 
 
 class TweetTokens:

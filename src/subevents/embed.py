@@ -87,8 +87,6 @@ class EmbeddingStore:
             for n in range(SUBWORD_MIN_GRAM, SUBWORD_MAX_GRAM + 1)
             for i in range(len(marked) - n + 1)
         ]
-        if not grams:
-            grams = [marked]
         total = np.zeros(self.dim)
         for gram in grams:
             total += self._bucket_vector(fnv1a_32(gram.encode("utf-8")) % SUBWORD_BUCKETS)

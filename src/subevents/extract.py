@@ -58,7 +58,7 @@ class Candidate:
         return (self.first, self.second)
 
 
-@dataclass(frozen=True)
+@dataclass
 class PhraseConfig:
     min_count: int = 2
     threshold: float = 10.0
@@ -85,9 +85,6 @@ class CandidateSet:
     phrase_count: int
     total: int
     overlap: int
-
-    def __len__(self) -> int:
-        return len(self.candidates)
 
 
 def load_pos_lexicon(path: str | Path) -> dict[str, frozenset[str]]:
@@ -202,9 +199,8 @@ class ExtractCounts:
     def add_texts(self, texts: Iterable[tuple[str, str]]) -> None:
         """Count each ``(tweet_id, raw_text)`` as ``add`` counts the
         tweet's cleaned tokens."""
-        raw_ids, row = self.cleaner.__getitem__, self.parses.rows.get
-        self._count((row(tweet_id), map(raw_ids, text.lower().split()))
-                    for tweet_id, text in texts)
+        text_ids, row = self.cleaner.text_ids, self.parses.rows.get
+        self._count((row(tweet_id), text_ids(text)) for tweet_id, text in texts)
 
     def add(self, tweet_id: str, tokens: Sequence[str]) -> None:
         """Count one tweet's unigrams, adjacent bigrams and noun-verb pairs.

@@ -154,9 +154,9 @@ def rank_baseline_overlap(
     # would take REMOVED, the id of every removed token.
     word_id = cleaner.word_id
     postings: dict[int, set[str]] = {word_id(word): set() for cand in cands for word in cand.words}
-    raw_ids, posting = cleaner.__getitem__, postings.get
+    text_ids, posting = cleaner.text_ids, postings.get
     for tweet_id, text in texts:
-        for word in map(raw_ids, text.lower().split()):
+        for word in text_ids(text):
             ids = posting(word)
             if ids is not None:
                 ids.add(tweet_id)

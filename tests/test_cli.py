@@ -19,7 +19,7 @@ import pytest
 import make_fixtures
 import subevents.cli as cli
 from subevents import __version__
-from subevents.extract import read_candidates
+from subevents.extract import PhraseConfig, read_candidates
 from subevents.rank import read_ranked
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -294,6 +294,31 @@ class TestExitCodes:
         assert code == 1
         assert err == "error: phrase.threshold must be finite and >= 0\n"
         assert not out.exists()
+
+    def test_phrase_section_and_flag_reach_candidates_as_one_phrase_config(
+            self, run_cli, tmp_path, write_config, pipeline_config_dict, monkeypatch):
+        cfg_dict = json.loads(json.dumps(pipeline_config_dict))
+        cfg_dict["phrase"]["min_count"] = 3
+        resolved, passed = [], []
+        resolve, candidates = cli._resolve_config, cli.ExtractCounts.candidates
+
+        def spy_resolve(args):
+            resolved.append(resolve(args))
+            return resolved[-1]
+
+        def spy_candidates(counts, phrase, min_freq):
+            passed.append(phrase)
+            return candidates(counts, phrase, min_freq)
+
+        monkeypatch.setattr(cli, "_resolve_config", spy_resolve)
+        monkeypatch.setattr(cli.ExtractCounts, "candidates", spy_candidates)
+        code, _, _ = run_cli("extract", "--config", write_config(cfg_dict, tmp_path / "out"),
+                             "--phrase.threshold", "7.5")
+        assert code == 0
+        (cfg,) = resolved
+        (phrase,) = passed
+        assert phrase is cfg.phrase
+        assert phrase == PhraseConfig(min_count=3, threshold=7.5)
 
     @pytest.mark.parametrize("source", ["flag", "json"])
     def test_cluster_k_above_top_m_rejected_before_any_stage(

@@ -15,11 +15,13 @@ from subevents.config import (
     load_config,
 )
 from subevents.errors import ConfigError
+from subevents.extract import PhraseConfig
 
 
 class TestDefaults:
     def test_default_values(self):
         cfg = PipelineConfig()
+        assert isinstance(cfg.phrase, PhraseConfig)
         assert cfg.phrase.min_count == 2
         assert cfg.phrase.threshold == 10.0
         assert cfg.filter_min_freq == 2

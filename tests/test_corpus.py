@@ -227,6 +227,15 @@ class TestCleanToken:
         assert clean_token("!!!", STOPWORDS) is None
 
 
+def test_text_ids_are_the_ids_of_the_lowercased_whitespace_split_tokens():
+    cleaner = TokenCleaner(STOPWORDS)
+    ids = list(cleaner.text_ids("Flood, the #Rescue 2017 bridge\u00a0flood CREWS"))
+    flood, bridge, crews = range(3)
+    assert ids == [flood, REMOVED, REMOVED, REMOVED, bridge, flood, crews]
+    assert cleaner.words == ["flood", "bridge", "crews"]
+    assert cleaner["flood,"] == cleaner["flood"] == flood
+
+
 # Words that repeat across tweets (so the per-call cache is hit), stopwords,
 # and tokens the prefix, digit and punctuation rules act on, including
 # Unicode punctuation of several P* categories.
