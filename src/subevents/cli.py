@@ -261,7 +261,6 @@ def _load_store(cfg: PipelineConfig, word_lists: Iterable[Sequence[str]]) -> Emb
         cfg.paths.vectors,
         OovPolicy(cfg.rank.oov_policy),
         hash_seed=cfg.cluster.seed,
-        normalize_words=cfg.rank.normalize_words,
         words={word for words in word_lists for word in words},
     )
 
@@ -314,8 +313,7 @@ def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> None:
     candidates = read_candidates(_artifact(out_dir, "candidates"))
     if cfg.rank.method == "baseline":
         tweets = _tweet_tokens(cfg)
-        ranked = rank_baseline_overlap(candidates, tweets.texts(), tweets.cleaner,
-                                       cfg.rank.discount)
+        ranked = rank_baseline_overlap(candidates, tweets.texts(), tweets.cleaner)
         _log_dedupe(tweets)
     else:
         term_list = read_terms(cfg.paths.ontology)
@@ -352,7 +350,7 @@ def cmd_cluster(cfg: PipelineConfig, out_dir: Path) -> None:
     vectors = rows[~null]
     affinity = build_affinity(vectors)
     labels = spectral_cluster(affinity, cfg.cluster.k, cfg.cluster.seed,
-                              cfg.cluster.normalized, cache=out_dir / SPECTRUM_CACHE)
+                              cache=out_dir / SPECTRUM_CACHE)
     summaries = summarize_clusters(labels, kept, vectors)
     write_json(_artifact(out_dir, "clusters"), summaries)
     print(f"clustered {len(kept)} candidates into {len(summaries)} clusters")
@@ -370,10 +368,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
             read[label] += 1
             yield label, cleaner.tokens(text)
 
-    metrics = evaluate_labeled(
-        ranked, labeled(), list(cfg.eval.ks),
-        nv_mode=cfg.eval.nv_match, phrase_mode=cfg.eval.phrase_match,
-    )
+    metrics = evaluate_labeled(ranked, labeled(), list(cfg.eval.ks))
     write_metrics(metrics, _artifact(out_dir, "metrics"))
     best = max(metrics, key=lambda m: m.f1)
     curve = roc_points(metrics)

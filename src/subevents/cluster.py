@@ -1,10 +1,9 @@
 """Spectral clustering of top-ranked candidates.
 
-The normalized variant builds D^{-1/2} A D^{-1/2} from a clamped-cosine
-affinity matrix, embeds each candidate as its row in the matrix of the k
-leading eigenvectors (row-normalized), and runs k-means on the rows. An
-unnormalized-Laplacian variant (L = D - A, smallest eigenvectors, no row
-normalization) is available behind the `normalized` flag.
+Builds D^{-1/2} A D^{-1/2} from a clamped-cosine affinity matrix, embeds
+each candidate as its row in the matrix of the k leading eigenvectors
+(row-normalized), and runs k-means on the rows: the normalized spectral
+clustering of Ng, Jordan and Weiss (2002).
 
 Every step hands over arrays: `eig_topk` returns the eigenvalues and an
 (n, k) eigenvector matrix, `spectral_cluster` an int64 label per row, and
@@ -376,7 +375,6 @@ def spectral_cluster(
     affinity: AffinityMatrix,
     k: int,
     seed: int,
-    normalized: bool = True,
     cache: str | os.PathLike | None = None,
 ) -> np.ndarray:
     """Cluster the affinity graph into k groups: an int64 cluster id per row.
@@ -386,11 +384,10 @@ def spectral_cluster(
     so the output always holds each of the ids 0..k-1. Labels are canonical
     by first appearance, making the result deterministic for (A, k, seed).
 
-    `cache` is passed to `eig_topk` in both variants, so runs at several k
-    on one affinity decompose its (normalized or Laplacian) matrix once.
-    The matrix is built in one n x n array (D^-1/2 A D^-1/2 scaled and
-    mirrored in place, or -L), so a run that reads its pairs from `cache`
-    holds two n x n arrays: the affinity and that matrix.
+    `cache` is passed to `eig_topk`, so runs at several k on one affinity
+    decompose its matrix once. The matrix is built in one n x n array
+    (D^-1/2 A D^-1/2 scaled and mirrored in place), so a run that reads its
+    pairs from `cache` holds two n x n arrays: the affinity and that matrix.
     """
     affinity.validate()
     n = affinity.n
@@ -417,25 +414,15 @@ def spectral_cluster(
         sub_labels = np.zeros(len(connected), dtype=np.int64)
     else:
         sub = affinity.entries[np.ix_(connected, connected)] if len(isolated) else affinity.entries
-        deg = sub.sum(axis=1)
-        if normalized:
-            inv_sqrt = 1.0 / np.sqrt(deg)
-            # The submatrix without the isolated rows is already a copy.
-            matrix = np.multiply(sub, inv_sqrt[:, None], out=sub if len(isolated) else None)
-            matrix *= inv_sqrt[None, :]
-            _mirror_upper(matrix)
-        else:
-            # -L = -(D - A) in one array; -(0.0 - 0.0) is -0.0 off the
-            # diagonal, as in the expression. Smallest eigenvalues of L are
-            # the largest of -L.
-            matrix = np.diag(deg)
-            np.subtract(matrix, sub, out=matrix)
-            np.negative(matrix, out=matrix)
+        inv_sqrt = 1.0 / np.sqrt(sub.sum(axis=1))
+        # The submatrix without the isolated rows is already a copy.
+        matrix = np.multiply(sub, inv_sqrt[:, None], out=sub if len(isolated) else None)
+        matrix *= inv_sqrt[None, :]
+        _mirror_upper(matrix)
         _, embedding = eig_topk(matrix, k_rem, cache)
-        if normalized:
-            lengths = np.linalg.norm(embedding, axis=1)
-            nonzero = lengths > 0.0
-            embedding[nonzero] = embedding[nonzero] / lengths[nonzero, None]
+        lengths = np.linalg.norm(embedding, axis=1)
+        nonzero = lengths > 0.0
+        embedding[nonzero] = embedding[nonzero] / lengths[nonzero, None]
         sub_labels, _, _ = kmeans(embedding, k_rem, seed)
 
     # Each row's k-means id, or for a singleton k_rem + its index, past

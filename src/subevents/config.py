@@ -23,9 +23,7 @@ from typing import Literal, get_args, get_origin, get_type_hints
 from ._util import open_text
 from .embed import OovPolicy
 from .errors import ConfigError, InputFormatError
-from .evaluate import MATCH_MODES
 from .extract import DEFAULT_MIN_FREQ, PhraseConfig
-from .rank import DISCOUNTS
 
 DEFAULT_KS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
 
@@ -47,9 +45,7 @@ class PathsSection:
 @dataclass
 class RankSection:
     method: Literal["moac", "baseline"] = "moac"
-    normalize_words: bool = False
     oov_policy: OovPolicyName = "skip"
-    discount: Literal[DISCOUNTS] = "log"
 
 
 @dataclass
@@ -57,14 +53,11 @@ class ClusterSection:
     k: int | None = None  # required by the cluster stage; no safe default
     top_m: int = 1000
     seed: int = 0
-    normalized: bool = True
 
 
 @dataclass
 class EvalSection:
     ks: tuple[int, ...] = DEFAULT_KS
-    nv_match: Literal[MATCH_MODES] = "tokens"
-    phrase_match: Literal[MATCH_MODES] = "bigram"
 
 
 @dataclass

@@ -46,8 +46,7 @@ class OovPolicy(Enum):
 class EmbeddingStore:
     """Immutable-after-load store of word vectors plus how to compose them.
 
-    With `normalize_words`, `compose` L2-normalizes each word vector before
-    summing. Under SUBWORD_HASH, an OOV word gets the average of per-n-gram
+    Under SUBWORD_HASH, an OOV word gets the average of per-n-gram
     vectors drawn from a table of SUBWORD_BUCKETS buckets generated
     deterministically from (hash_seed, bucket); bucket vectors are
     materialized lazily but are a pure function of the seed, and each OOV
@@ -58,7 +57,6 @@ class EmbeddingStore:
     vectors: dict[str, np.ndarray]
     oov_policy: OovPolicy = OovPolicy.SKIP_WORD
     hash_seed: int = 0
-    normalize_words: bool = False
     _bucket_cache: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
     _subword_cache: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
@@ -108,7 +106,6 @@ def load_vectors(
     path: str | Path,
     oov_policy: OovPolicy = OovPolicy.SKIP_WORD,
     hash_seed: int = 0,
-    normalize_words: bool = False,
     words: Collection[str] | None = None,
 ) -> EmbeddingStore:
     """Load word2vec-text-format vectors: every row, or with `words` only
@@ -151,8 +148,7 @@ def load_vectors(
         logger.info("%s: loaded %d of the %d words asked for", path, len(vectors), len(words))
     elif declared != len(vectors):
         logger.info("%s: header declared %d words, loaded %d", path, declared, len(vectors))
-    return EmbeddingStore(dim=dim, vectors=vectors, oov_policy=oov_policy,
-                          hash_seed=hash_seed, normalize_words=normalize_words)
+    return EmbeddingStore(dim=dim, vectors=vectors, oov_policy=oov_policy, hash_seed=hash_seed)
 
 
 _Row = tuple[int, str, str | None]
@@ -235,9 +231,7 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 def compose(words: Sequence[str], store: EmbeddingStore) -> ComposedVector:
     """Sum the words' vectors and L2-normalize the sum.
 
-    OOV words follow the store's policy. With the store's
-    `normalize_words`, each word vector is normalized before summation
-    instead of only normalizing the sum. Returns a null vector when no word
+    OOV words follow the store's policy. Returns a null vector when no word
     contributes or the sum is zero.
     """
     if not words:
@@ -247,14 +241,8 @@ def compose(words: Sequence[str], store: EmbeddingStore) -> ComposedVector:
         vec = store.vectors.get(word)
         if vec is None and store.oov_policy is OovPolicy.SUBWORD_HASH:
             vec = store.subword_vector(word)
-        if vec is None:
-            continue
-        if store.normalize_words:
-            norm = float(row_norms(vec[None])[0])
-            if norm == 0.0:
-                continue
-            vec = vec / norm
-        total = total + vec
+        if vec is not None:
+            total = total + vec
     norm = float(row_norms(total[None])[0])
     if norm == 0.0:
         return ComposedVector(values=np.zeros(store.dim), is_null=True)

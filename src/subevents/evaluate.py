@@ -3,7 +3,7 @@
 A labeled tweet is "identified" at cut k when it matches at least one of
 the top-k candidates. Noun-verb pairs match by unordered token
 containment (dependency pairs need not be adjacent in text); phrases match
-by ordered adjacent bigram. Both match modes can be overridden.
+by ordered adjacent bigram.
 
 The labeled tweets arrive as a stream of ``(label, tokens)``, one per
 corpus line, and are read once; of each, only its label and its lowest
@@ -24,8 +24,6 @@ from .corpus import Label
 from .errors import InputFormatError
 from .extract import CandidateKind
 from .rank import RankedCandidate
-
-MATCH_MODES = ("tokens", "bigram")
 
 
 @dataclass(frozen=True)
@@ -61,17 +59,10 @@ class RocCurve:
     auc: float
 
 
-def _check_mode(name: str, mode: str) -> None:
-    if mode not in MATCH_MODES:
-        raise ValueError(f"{name} must be one of {MATCH_MODES}, got {mode!r}")
-
-
 def evaluate_labeled(
     ranked: Sequence[RankedCandidate],
     labeled: Iterable[tuple[Label, Sequence[str]]],
     ks: Sequence[int],
-    nv_mode: str = "tokens",
-    phrase_mode: str = "bigram",
 ) -> list[MetricsPoint]:
     """Metrics for each top-k cut of the ranking over a stream of
     ``(label, tokens)``, one per tweet, read once after the arguments are
@@ -79,15 +70,13 @@ def evaluate_labeled(
 
     Each candidate ranked at most ``ks[-1]`` (no later one can change a
     metric) maps its ``(first, second)`` to its lowest rank, in one map for
-    the candidates matched by containment and one for those matched by
-    bigram. A tweet's lowest matching rank is then the least rank looked
-    up by its adjacent bigrams and by the ordered pairs of its distinct
-    words that a containment candidate could name (a first word then a
+    the noun-verb pairs, matched by containment, and one for the phrases,
+    matched by bigram. A tweet's lowest matching rank is then the least
+    rank looked up by its adjacent bigrams and by the ordered pairs of its
+    distinct words that a noun-verb pair could name (a first word then a
     second word, which covers first == second); every k is answered by
     binary search over those ranks. k = 0 is allowed as a curve origin.
     """
-    _check_mode("nv_mode", nv_mode)
-    _check_mode("phrase_mode", phrase_mode)
     if any(k < 0 for k in ks):
         raise ValueError("ks must be >= 0")
     if any(a >= b for a, b in zip(ks, ks[1:])):
@@ -98,8 +87,8 @@ def evaluate_labeled(
         if not ks or rc.rank > ks[-1]:
             break  # this rank and all after it are past every k
         c = rc.candidate
-        mode = nv_mode if c.kind is CandidateKind.NOUN_VERB_PAIR else phrase_mode
-        (by_tokens if mode == "tokens" else by_bigram).setdefault((c.first, c.second), rc.rank)
+        by_kind = by_tokens if c.kind is CandidateKind.NOUN_VERB_PAIR else by_bigram
+        by_kind.setdefault((c.first, c.second), rc.rank)
     firsts = {first for first, _ in by_tokens}
     seconds = {second for _, second in by_tokens}
     # Each labeled tweet's lowest matching rank, inf when none matches.

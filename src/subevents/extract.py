@@ -237,7 +237,9 @@ class ExtractCounts:
 
     def _fold(self) -> None:
         """Fold the buffers (and the pair ``Counter``, if any) into the
-        held counts."""
+        held counts; with nothing to fold, do nothing."""
+        if not self._ids and not self._pair_counter:
+            return  # every counted tweet put an end entry in _ids
         ids = np.fromiter(self._ids, np.int32, len(self._ids))
         rows = np.fromiter(self._parsed, np.int64, len(self._parsed))
         del self._ids[:], self._parsed[:]

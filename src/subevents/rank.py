@@ -24,7 +24,6 @@ from .errors import InputFormatError
 from .extract import Candidate, CandidateSet, _parse_candidate
 
 NULL_SCORE = -1.0
-DISCOUNTS = ("log", "none")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,21 +133,17 @@ def rank_baseline_overlap(
     candidates: CandidateSet | Sequence[Candidate],
     texts: Iterable[tuple[str, str]],
     cleaner: TokenCleaner,
-    discount: str = "log",
 ) -> list[RankedCandidate]:
     """Overlap-coefficient baseline ranking over ``(tweet_id, raw_text)``
     pairs, such as ``TweetTokens.texts`` yields, each text read as the ids
     of its words in `cleaner`.
 
     For candidate (a, b) with tweet-id occurrence sets A and B, the score is
-    |A∩B| / min(|A|, |B|) times a discounting factor: log(1 + |A∩B|) by
-    default, or 1 with discount="none". A repeated tweet id counts once.
-    Candidates with an empty occurrence set score 0. Only the occurrence
-    sets of candidate words are kept, so memory does not grow with tweets
-    that hold none.
+    |A∩B| / min(|A|, |B|) times log(1 + |A∩B|). A repeated tweet id counts
+    once. Candidates with an empty occurrence set score 0. Only the
+    occurrence sets of candidate words are kept, so memory does not grow
+    with tweets that hold none.
     """
-    if discount not in DISCOUNTS:
-        raise ValueError(f"unknown discount {discount!r}")
     cands = _as_candidates(candidates)
     # Candidate words take ids as they are, not cleaned: a cleaned stopword
     # would take REMOVED, the id of every removed token.
@@ -169,10 +164,7 @@ def rank_baseline_overlap(
             scored.append((cand, 0.0, None))
             continue
         co_count = len(ids_a & ids_b)
-        score = co_count / smaller
-        if discount == "log":
-            score *= math.log1p(co_count)
-        scored.append((cand, score, None))
+        scored.append((cand, co_count / smaller * math.log1p(co_count), None))
     return _sort_and_rank(scored)
 
 

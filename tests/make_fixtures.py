@@ -259,10 +259,9 @@ def write_pipeline(out_dir: Path) -> dict:
         },
         "phrase": {"min_count": 2, "threshold": 10.0},
         "filter_min_freq": 2,
-        "rank": {"method": "moac", "normalize_words": False, "oov_policy": "skip",
-                 "discount": "log"},
+        "rank": {"method": "moac", "oov_policy": "skip"},
         "cluster": {"k": 8, "top_m": 40, "seed": 7},
-        "eval": {"ks": list(range(1, 41)), "nv_match": "tokens", "phrase_match": "bigram"},
+        "eval": {"ks": list(range(1, 41))},
     }
     with open(out_dir / "pipeline_config.json", "w", encoding="utf-8") as fh:
         json.dump(config, fh, indent=2)

@@ -107,13 +107,12 @@ def brute_force_rank(candidates, word_vectors: dict[str, list[float]], terms):
     return scored
 
 
-def reference_overlap(candidates, texts, stopwords, discount):
+def reference_overlap(candidates, texts, stopwords):
     """Reference overlap baseline on str tokens: each text of the
     ``(tweet_id, raw_text)`` pairs lowercased, split on whitespace and
     cleaned by ``clean_token``; per candidate word, the set of ids of the
     tweets whose tokens hold it, scored as |A∩B| / min(|A|, |B|) times
-    log(1 + |A∩B|) (discount "log") or 1 (discount "none"), and 0 for an
-    empty set. `candidates` are (kind, first, second, frequency) tuples.
+    log(1 + |A∩B|), and 0 for an empty set. `candidates` are (kind, first, second, frequency) tuples.
     Returns the sorted list of (kind, first, second, frequency, score) with
     the ordering contract of ``brute_force_rank``."""
     from subevents.corpus import clean_token
@@ -136,8 +135,7 @@ def reference_overlap(candidates, texts, stopwords, discount):
             continue
         co_count = len(ids_a & ids_b)
         score = co_count / smaller
-        if discount == "log":
-            score *= math.log1p(co_count)
+        score *= math.log1p(co_count)
         scored.append((kind, first, second, freq, score))
     scored.sort(key=lambda row: (-row[4], -row[3], row[1], row[2], row[0]))
     return scored
@@ -160,14 +158,13 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     return (sum_cells - expected) / (max_index - expected)
 
 
-def brute_force_confusion(tweets, candidates, k, nv_mode="tokens", phrase_mode="bigram"):
+def brute_force_confusion(tweets, candidates, k):
     """Reference top-k confusion counts via a full double loop.
 
     `tweets` are (tokens, is_informative) pairs; `candidates` are
-    (kind, first, second) in rank order. A kind's mode is "tokens" (both
-    words anywhere in the tweet) or "bigram" (an adjacent ordered pair);
-    the defaults are token containment for nv, ordered adjacency for
-    phrases.
+    (kind, first, second) in rank order. An nv candidate matches when both
+    words are anywhere in the tweet, a phrase when (first, second) is an
+    adjacent ordered pair.
     """
     top = candidates[:k]
     tp = fp = fn = tn = 0
@@ -176,8 +173,7 @@ def brute_force_confusion(tweets, candidates, k, nv_mode="tokens", phrase_mode="
         bigrams = set(zip(tokens, tokens[1:]))
         matched = False
         for kind, first, second in top:
-            mode = nv_mode if kind == "nv" else phrase_mode
-            if mode == "tokens":
+            if kind == "nv":
                 if first in token_set and second in token_set:
                     matched = True
                     break
@@ -194,13 +190,12 @@ def brute_force_confusion(tweets, candidates, k, nv_mode="tokens", phrase_mode="
     return tp, fp, fn, tn
 
 
-def tweet_matches(tokens, kind, first, second, nv_mode="tokens", phrase_mode="bigram"):
+def tweet_matches(tokens, kind, first, second):
     """Reference match of one candidate against one tweet's tokens by a
-    direct scan. `kind` is "nv" or "phrase" and picks the mode: "tokens"
-    needs both words anywhere in the tweet, "bigram" needs (first, second)
-    as an adjacent ordered pair."""
-    mode = nv_mode if kind == "nv" else phrase_mode
-    if mode == "tokens":
+    direct scan. `kind` is "nv", which needs both words anywhere in the
+    tweet, or "phrase", which needs (first, second) as an adjacent ordered
+    pair."""
+    if kind == "nv":
         return first in tokens and second in tokens
     return any(tokens[i] == first and tokens[i + 1] == second for i in range(len(tokens) - 1))
 

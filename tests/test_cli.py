@@ -39,9 +39,18 @@ class TestExitCodes:
         code, _, _ = run_cli("transmogrify")
         assert code == 1
 
+    # A flag that never existed, then the keys removed with the code paths
+    # they chose, each with a value the removed key accepted.
+    UNKNOWN_FLAGS = {"bogus": "1", "rank.normalize_words": "true", "rank.discount": "none",
+                     "cluster.normalized": "false", "eval.nv_match": "bigram",
+                     "eval.phrase_match": "tokens"}
+
     def test_unknown_flag(self, run_cli):
-        code, _, _ = run_cli("extract", "--bogus", "1")
-        assert code == 1
+        for flag, value in self.UNKNOWN_FLAGS.items():
+            code, out, err = run_cli("extract", f"--{flag}", value)
+            assert (code, out) == (1, ""), flag
+            assert err.endswith(f"subevents: error: unrecognized arguments: --{flag} {value}\n")
+            assert "Traceback" not in err
 
     def test_version(self, run_cli):
         code, out, _ = run_cli("--version")
@@ -768,7 +777,7 @@ class TestPipeline:
         rejected = [line for line in stderr if "rejecting row for 'cnounaa'" in line]
         assert len(rejected) == len(loads)
 
-    @pytest.mark.parametrize("variant", ["shipped", "normalize_words", "subword"])
+    @pytest.mark.parametrize("variant", ["shipped", "subword"])
     def test_staged_run_matches_pipeline(self, run_cli, tmp_path, write_config,
                                          pipeline_config_dict, variant):
         # Run alone, rank loads the vectors of the candidate and term words
@@ -933,25 +942,23 @@ class TestSpectrumCache:
         assert run_cli("rank", "--config", cfg)[0] == 0
         return cfg
 
-    def _fresh(self, run_cli, cfg, out: Path, k: int, flags=()) -> bytes:
+    def _fresh(self, run_cli, cfg, out: Path, k: int) -> bytes:
         """clusters.json of cluster at k in a new out_dir holding only ranked.csv."""
-        fresh = out.parent / f"fresh-{k}-{'-'.join(flags)}"
+        fresh = out.parent / f"fresh-{k}"
         fresh.mkdir()
         (fresh / "ranked.csv").write_bytes((out / "ranked.csv").read_bytes())
         args = ("cluster", "--config", cfg, "--paths.out_dir", str(fresh), "--cluster.k", str(k))
-        assert run_cli(*args, *flags)[0] == 0
+        assert run_cli(*args)[0] == 0
         return (fresh / "clusters.json").read_bytes()
 
-    @pytest.mark.parametrize("flags", [(), ("--cluster.normalized", "false")],
-                             ids=["normalized", "laplacian"])
     def test_sweep_decomposes_once(self, run_cli, tmp_path, write_config, pipeline_config_dict,
-                                   monkeypatch, flags):
+                                   monkeypatch):
         out = tmp_path / "out"
         cfg = self._ranked(run_cli, write_config, pipeline_config_dict, out)
-        fresh = {k: self._fresh(run_cli, cfg, out, k, flags) for k in (2, 3)}
+        fresh = {k: self._fresh(run_cli, cfg, out, k) for k in (2, 3)}
         calls = _count_eigh(monkeypatch)
         for k in (2, 3, 2):
-            assert run_cli("cluster", "--config", cfg, "--cluster.k", str(k), *flags)[0] == 0
+            assert run_cli("cluster", "--config", cfg, "--cluster.k", str(k))[0] == 0
             assert (out / "clusters.json").read_bytes() == fresh[k], k
         assert calls == [(40, 40)]
         assert (out / "spectrum.npz").is_file()
@@ -1202,22 +1209,10 @@ GOLDEN_PIPELINE = {
                         "4a29cab8818afd4210ec893f1395c26d45207c2cc37b9b1427d6d87845fa4ae9",
                         "f84bdd022da75ed91407b4cf4495c6ac7f5b126c983fde909ee42cd6a5327849",
                         "d3fe7250096d9b55039a1c612e19595ab40a4576ff0b7bc38942d240d42835c8"),
-    "normalize_words": (["--rank.normalize_words", "true"],
-                        "77e622d02f59d5596de3c63bf82ca2c9632e1b7eba6333f05559b261877f0d45",
-                        "fbf76e40b68da5e2d8c2dff037ca70646885047f05a9efac4ce21a8f57942ebf",
-                        "f120e9c03500394be4ccf58c3b626ae295c1091147096a9f99ea6239952ef487"),
-    "unnormalized_cluster": (["--cluster.normalized", "false"],
-                             "b716adb4c52c9362a9983b8f88023a2190ec3209afc1a58dcbbea3d91836f28d",
-                             "26c15e5211242076e3bc26cce88d34cdcaa9143c2f1993f1cdbc9d41801732eb",
-                             "f120e9c03500394be4ccf58c3b626ae295c1091147096a9f99ea6239952ef487"),
     "subword": (["--rank.oov_policy", "subword", "--paths.vectors", "OOV_VECTORS"],
                 "b124c5295110526cd668d87ab40d5d6ccf2214592b26b2d689f8f80e1ddb33ba",
                 "8ce93ca22fff48d94d9480906760d495ed781ecec8162febf4ac5bbd41b3303d",
                 "f120e9c03500394be4ccf58c3b626ae295c1091147096a9f99ea6239952ef487"),
-    "match_modes": (["--eval.nv_match", "bigram", "--eval.phrase_match", "tokens"],
-                    "b716adb4c52c9362a9983b8f88023a2190ec3209afc1a58dcbbea3d91836f28d",
-                    "b4d88bbe8d9c557b142e06227856fb4b6352d4846c9f5753ec425e879b1b6438",
-                    "9d916e51b98abfca3a6a11146da931d6fb4dc19c8fa0bdeaf8d4c7a1ce5612ff"),
 }
 
 

@@ -66,20 +66,16 @@ def _expression_affinity(vectors):
     return np.clip(upper + upper.T, 0.0, 1.0)
 
 
-def _expression_matrix(entries, normalized):
+def _expression_matrix(entries):
     """The matrix spectral_cluster decomposes, written with whole-matrix
-    expressions: D^-1/2 A D^-1/2 or -L over the rows of nonzero degree."""
+    expressions: D^-1/2 A D^-1/2 over the rows of nonzero degree."""
     connected = np.flatnonzero(entries.sum(axis=1) > 0.0)
     sub = entries[np.ix_(connected, connected)] if len(connected) < len(entries) else entries
-    deg = sub.sum(axis=1)
-    if normalized:
-        inv_sqrt = 1.0 / np.sqrt(deg)
-        scaled = sub * inv_sqrt[:, None]
-        scaled *= inv_sqrt[None, :]
-        upper = np.triu(scaled, 1)
-        return upper + upper.T
-    laplacian = np.diag(deg) - sub
-    return -laplacian
+    inv_sqrt = 1.0 / np.sqrt(sub.sum(axis=1))
+    scaled = sub * inv_sqrt[:, None]
+    scaled *= inv_sqrt[None, :]
+    upper = np.triu(scaled, 1)
+    return upper + upper.T
 
 
 class TestBuildAffinity:
@@ -350,9 +346,8 @@ class TestEigTopkCache:
     # At k >= 8 numpy's row norms of the embedding can differ in the last bit
     # between a C- and an F-ordered copy, so a hit and a miss must hand
     # k-means the same layout.
-    @pytest.mark.parametrize("normalized, k", [(True, 3), (False, 3), (True, 9), (False, 9)],
-                             ids=["True", "False", "True-k9", "False-k9"])
-    def test_spectral_cluster_passes_the_cache(self, tmp_path, monkeypatch, normalized, k):
+    @pytest.mark.parametrize("k", [3, 9], ids=["k3", "k9"])
+    def test_spectral_cluster_passes_the_cache(self, tmp_path, monkeypatch, k):
         affinity = build_affinity(block_vectors()[0])
         cache = tmp_path / "spectrum.npz"
         embeddings = []
@@ -363,10 +358,10 @@ class TestEigTopkCache:
             return real(points, k, seed)
 
         monkeypatch.setattr(cluster_module, "kmeans", capturing)
-        fresh = spectral_cluster(affinity, k, seed=0, normalized=normalized)
-        assert np.array_equal(spectral_cluster(affinity, k, 0, normalized, cache=cache), fresh)
+        fresh = spectral_cluster(affinity, k, seed=0)
+        assert np.array_equal(spectral_cluster(affinity, k, 0, cache=cache), fresh)
         assert cache.is_file()
-        assert np.array_equal(spectral_cluster(affinity, k, 0, normalized, cache=cache), fresh)
+        assert np.array_equal(spectral_cluster(affinity, k, 0, cache=cache), fresh)
         assert len(embeddings) == 3 and len(set(embeddings)) == 1
 
 
@@ -518,12 +513,6 @@ class TestSpectralCluster:
             labels = spectral_cluster(aff, k=3, seed=seed)
             assert oracles.adjusted_rand_index(labels.tolist(), truth) == 1.0
 
-    def test_unnormalized_variant_recovers_blocks(self):
-        vectors, truth = block_vectors()
-        aff = build_affinity(vectors)
-        labels = spectral_cluster(aff, k=3, seed=0, normalized=False)
-        assert oracles.adjusted_rand_index(labels.tolist(), truth) == 1.0
-
     def test_labels_canonical_by_first_appearance(self):
         vectors, _ = block_vectors(sizes=(3, 3, 3))
         labels = spectral_cluster(build_affinity(vectors), k=3, seed=0)
@@ -620,15 +609,14 @@ class TestSpectralCluster:
         n_grouped=st.integers(4, 30),
         n_isolated=st.integers(0, 3),
         integer_rows=st.booleans(),
-        normalized=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
         data=st.data(),
     )
     def test_decomposed_matrix_matches_the_expression(self, n_grouped, n_isolated, integer_rows,
-                                                      normalized, seed, data):
+                                                      seed, data):
         # Nonnegative rows; the isolated ones are unit vectors on their own
         # axes. Integer rows also give exact zero affinities between grouped
-        # rows, which -L turns into -0.0.
+        # rows.
         rng = np.random.default_rng(seed)
         dim = 4
         vectors = np.zeros((n_grouped + n_isolated, dim + n_isolated))
@@ -653,9 +641,9 @@ class TestSpectralCluster:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cluster_module, "eig_topk", capturing)
-            labels = spectral_cluster(affinity, k, seed=0, normalized=normalized)
+            labels = spectral_cluster(affinity, k, seed=0)
         (matrix,) = seen
-        assert matrix.tobytes() == _expression_matrix(affinity.entries, normalized).tobytes()
+        assert matrix.tobytes() == _expression_matrix(affinity.entries).tobytes()
         in_order = list(dict.fromkeys(labels.tolist()))
         assert in_order == list(range(len(in_order)))
         assert np.all(np.bincount(labels)[labels[affinity.entries.sum(axis=1) == 0.0]] == 1)

@@ -14,13 +14,12 @@ from subevents.embed import EmbeddingStore, OovPolicy, compose, load_vectors
 from subevents.errors import InputFormatError
 
 
-def _store(vectors, dim=3, policy=OovPolicy.SKIP_WORD, hash_seed=0, normalize_words=False):
+def _store(vectors, dim=3, policy=OovPolicy.SKIP_WORD, hash_seed=0):
     return EmbeddingStore(
         dim=dim,
         vectors={w: np.array(v, dtype=float) for w, v in vectors.items()},
         oov_policy=policy,
         hash_seed=hash_seed,
-        normalize_words=normalize_words,
     )
 
 
@@ -38,8 +37,6 @@ class TestLoadVectors:
         assert np.array_equal(store.vectors["flood"], [1.0, 0.0, 0.0])
         assert "flood" in store
         assert "absent" not in store
-        assert not store.normalize_words
-        assert load_vectors(path, normalize_words=True).normalize_words
 
     def test_leading_byte_order_mark_is_ignored(self, tmp_path):
         path = self._write(tmp_path, "\ufeff2 3\nflood 1 0 0\nfire 0 1 0\n")
@@ -353,15 +350,6 @@ class TestCompose:
         vec = compose(["aaa", "aaa", "bbb"], store)
         assert np.allclose(vec.values, np.array([2.0, 1.0, 0.0]) / math.sqrt(5.0))
 
-    def test_normalize_words_flag(self):
-        # Per-word normalization equalizes the long vector's pull:
-        # raw sum (10,1)/norm vs unit sum (1,1)/sqrt(2).
-        vectors = {"big": [10.0, 0.0, 0.0], "sml": [0.0, 1.0, 0.0]}
-        raw = compose(["big", "sml"], _store(vectors))
-        unit = compose(["big", "sml"], _store(vectors, normalize_words=True))
-        assert np.allclose(raw.values, np.array([10.0, 1.0, 0.0]) / math.sqrt(101.0))
-        assert np.allclose(unit.values, [1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.0])
-
     def test_skip_policy_ignores_oov(self):
         store = _store({"aaa": [1.0, 0.0, 0.0]})
         vec = compose(["aaa", "missing"], store)
@@ -380,11 +368,6 @@ class TestCompose:
     def test_empty_words_rejected(self):
         with pytest.raises(ValueError):
             compose([], _store({}))
-
-    def test_zero_vector_word_skipped_under_normalize_words(self):
-        store = _store({"zero": [0.0, 0.0, 0.0], "aaa": [0.0, 2.0, 0.0]}, normalize_words=True)
-        vec = compose(["zero", "aaa"], store)
-        assert np.allclose(vec.values, [0.0, 1.0, 0.0])
 
     def test_worked_fixture_composition(self, fixtures_dir):
         # diseases = 0.8 e0 + 0.6 e1 and waterborne = e0; their sum is

@@ -1,5 +1,4 @@
 import gc
-import itertools
 import json
 import tracemalloc
 
@@ -12,7 +11,6 @@ from subevents.config import PipelineConfig
 from subevents.corpus import Label
 from subevents.errors import InputFormatError
 from subevents.evaluate import (
-    MATCH_MODES,
     MetricsPoint,
     evaluate_labeled,
     read_metrics,
@@ -38,14 +36,14 @@ def ranked_list(candidates):
     ]
 
 
-def one_tweet_matches(tokens, candidate, nv_mode="tokens", phrase_mode="bigram"):
+def one_tweet_matches(tokens, candidate):
     """Whether the candidate, ranked alone, identifies one informative
     tweet at k = 1, checked against the direct-scan oracle; an empty
     uninformative tweet makes the labels valid."""
     labeled = [(Label.INFORMATIVE, tokens), (Label.UNINFORMATIVE, [])]
-    (point,) = evaluate_labeled(ranked_list([candidate]), labeled, [1], nv_mode, phrase_mode)
+    (point,) = evaluate_labeled(ranked_list([candidate]), labeled, [1])
     assert point.tp == oracles.tweet_matches(tokens, candidate.kind.value, candidate.first,
-                                             candidate.second, nv_mode, phrase_mode)
+                                             candidate.second)
     return point.tp == 1
 
 
@@ -63,26 +61,9 @@ class TestTweetMatches:
         assert not one_tweet_matches(t, ph("surge", "storm"))
         assert not one_tweet_matches(t, ph("storm", "coming"))
 
-    def test_phrase_tokens_mode_override(self):
-        t = ["storm", "surge", "coming"]
-        assert one_tweet_matches(t, ph("storm", "coming"), phrase_mode="tokens")
-
-    def test_nv_bigram_mode_override(self):
-        t = ["blocked", "tree", "road"]
-        assert not one_tweet_matches(t, nv("road", "blocked"), nv_mode="bigram")
-        assert one_tweet_matches(t, nv("blocked", "tree"), nv_mode="bigram")
-
     def test_empty_tweet_never_matches(self):
         assert not one_tweet_matches([], nv("road", "blocked"))
         assert not one_tweet_matches([], ph("road", "blocked"))
-
-    def test_invalid_mode_rejected(self):
-        labeled = [(Label.INFORMATIVE, ["road"])]
-        ranked = ranked_list([nv("a", "b"), ph("a", "b")])
-        with pytest.raises(ValueError):
-            evaluate_labeled(ranked, labeled, [1], nv_mode="fuzzy")
-        with pytest.raises(ValueError):
-            evaluate_labeled(ranked, labeled, [1], phrase_mode="fuzzy")
 
 
 class _HandFixture:
@@ -202,13 +183,11 @@ class TestEvaluateAtK(_HandFixture):
                 (rc.candidate.kind.value, rc.candidate.first, rc.candidate.second)
                 for rc in ranking
             ]
-            for ks, (nv_mode, phrase_mode) in itertools.product(
-                    sweeps, itertools.product(MATCH_MODES, MATCH_MODES)):
-                streamed = evaluate_labeled(ranking, iter(labeled), ks, nv_mode, phrase_mode)
+            for ks in sweeps:
+                streamed = evaluate_labeled(ranking, iter(labeled), ks)
                 assert [p.k for p in streamed] == ks
                 for k, p in zip(ks, streamed):
-                    expected = oracles.brute_force_confusion(
-                        oracle_tweets, oracle_cands, k, nv_mode, phrase_mode)
+                    expected = oracles.brute_force_confusion(oracle_tweets, oracle_cands, k)
                     assert (p.tp, p.fp, p.fn, p.tn) == expected
 
     def test_checks_arguments_before_reading_the_stream(self):
@@ -216,10 +195,9 @@ class TestEvaluateAtK(_HandFixture):
             raise AssertionError("stream read")
             yield
 
-        for kwargs in ({"ks": [-1]}, {"ks": [2, 1]}, {"ks": [1], "nv_mode": "fuzzy"},
-                       {"ks": [1], "phrase_mode": "fuzzy"}):
+        for ks in ([-1], [2, 1]):
             with pytest.raises(ValueError):
-                evaluate_labeled(self.ranking(), stream(), **kwargs)
+                evaluate_labeled(self.ranking(), stream(), ks)
 
     def test_counts_monotone_in_k(self):
         points = evaluate_labeled(self.ranking(), self.corpus(), ks=list(range(0, 8)))

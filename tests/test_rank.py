@@ -16,7 +16,6 @@ from subevents.embed import EmbeddingStore, compose, load_vectors
 from subevents.errors import InputFormatError
 from subevents.extract import Candidate, CandidateKind, write_candidates
 from subevents.rank import (
-    DISCOUNTS,
     NULL_SCORE,
     compose_rows,
     load_ontology,
@@ -196,11 +195,11 @@ class TestBaselineOverlap:
             ("4", "tree fell"),
         ]
 
-    def _rank(self, candidates, corpus=None, **kwargs):
+    def _rank(self, candidates, corpus=None):
         """The baseline over `corpus` (``_corpus`` by default) read by a
         fresh cleaner."""
         corpus = self._corpus() if corpus is None else corpus
-        return rank_baseline_overlap(candidates, corpus, TokenCleaner(STOPWORDS), **kwargs)
+        return rank_baseline_overlap(candidates, corpus, TokenCleaner(STOPWORDS))
 
     def test_hand_counted_overlap(self):
         # road in {1,2,3}, blocked in {1,2}: overlap 2 / min(3,2) = 1.0,
@@ -209,34 +208,26 @@ class TestBaselineOverlap:
         assert ranked[0].score == pytest.approx(math.log(3.0), abs=1e-12)
         assert ranked[0].best_term is None
 
-    def test_undiscounted(self):
-        ranked = self._rank([nv("road", "blocked")], discount="none")
-        assert ranked[0].score == pytest.approx(1.0, abs=1e-12)
-
     def test_partial_overlap(self):
-        # tree in {1,4}, road in {1,2,3}: overlap 1 / min(2,3) = 0.5.
-        ranked = self._rank([nv("tree", "road")], discount="none")
-        assert ranked[0].score == pytest.approx(0.5, abs=1e-12)
+        # tree in {1,4}, road in {1,2,3}: overlap 1 / min(2,3) = 0.5,
+        # discounted by log(1+1).
+        ranked = self._rank([nv("tree", "road")])
+        assert ranked[0].score == pytest.approx(0.5 * math.log(2.0), abs=1e-12)
 
     def test_unknown_word_scores_zero(self):
         ranked = self._rank([nv("road", "absent")])
         assert ranked[0].score == 0.0
 
     def test_duplicate_tokens_in_tweet_count_once(self):
-        ranked = self._rank([nv("fire", "spreads")], [("1", "fire fire spreads"), ("2", "fire")],
-                            discount="none")
-        # fire in {1,2}, spreads in {1}: 1 / min(2,1) = 1.0.
-        assert ranked[0].score == pytest.approx(1.0, abs=1e-12)
+        ranked = self._rank([nv("fire", "spreads")], [("1", "fire fire spreads"), ("2", "fire")])
+        # fire in {1,2}, spreads in {1}: 1 / min(2,1) = 1.0, times log(1+1).
+        assert ranked[0].score == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_repeated_tweet_id_counts_once(self):
         corpus = [("1", "fire spreads"), ("1", "fire"), ("2", "spreads")]
-        ranked = self._rank([nv("fire", "spreads")], corpus, discount="none")
-        # fire in {1}, spreads in {1,2}: 1 / min(1,2) = 1.0.
-        assert ranked[0].score == pytest.approx(1.0, abs=1e-12)
-
-    def test_unknown_discount_rejected(self):
-        with pytest.raises(ValueError):
-            self._rank([], discount="sqrt")
+        ranked = self._rank([nv("fire", "spreads")], corpus)
+        # fire in {1}, spreads in {1,2}: 1 / min(1,2) = 1.0, times log(1+1).
+        assert ranked[0].score == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_ordering_matches_scores(self):
         ranked = self._rank([nv("tree", "road"), nv("road", "blocked"), nv("road", "absent")])
@@ -261,17 +252,14 @@ _CANDIDATE_WORDS = st.sampled_from(["fire", "road", "spreads", "absent", "the", 
 @given(texts=st.lists(st.tuples(st.sampled_from("123"),
                                 st.lists(_RAW_TOKENS, max_size=6).map(" ".join)), max_size=8),
        candidates=st.lists(st.builds(Candidate, st.sampled_from(CandidateKind), _CANDIDATE_WORDS,
-                                     _CANDIDATE_WORDS, st.integers(1, 3)), max_size=6),
-       discount=st.sampled_from(DISCOUNTS))
-@example(texts=[("1", "the fire"), ("2", "#fire and")], candidates=[nv("the", "fire")],
-         discount="none")
-def test_baseline_equals_reference_overlap(texts, candidates, discount):
+                                     _CANDIDATE_WORDS, st.integers(1, 3)), max_size=6))
+@example(texts=[("1", "the fire"), ("2", "#fire and")], candidates=[nv("the", "fire")])
+def test_baseline_equals_reference_overlap(texts, candidates):
     """The baseline on word ids gives ``oracles.reference_overlap``'s order
     and scores, bit for bit, on str tokens."""
-    ranked = rank_baseline_overlap(candidates, texts, TokenCleaner(STOPWORDS), discount)
+    ranked = rank_baseline_overlap(candidates, texts, TokenCleaner(STOPWORDS))
     want = oracles.reference_overlap(
-        [(c.kind.value, c.first, c.second, c.frequency) for c in candidates], texts, STOPWORDS,
-        discount)
+        [(c.kind.value, c.first, c.second, c.frequency) for c in candidates], texts, STOPWORDS)
     assert [(rc.candidate.kind.value, *rc.candidate.words, rc.candidate.frequency, rc.score)
             for rc in ranked] == want
     assert [rc.rank for rc in ranked] == list(range(1, len(candidates) + 1))
