@@ -14,7 +14,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 import types
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,10 +75,10 @@ class PipelineConfig:
         # Path("") is the current directory, not an output directory.
         if not self.paths.out_dir:
             raise ConfigError("paths.out_dir must not be empty")
-        if self.phrase.min_count < 1:
-            raise ConfigError("phrase.min_count must be >= 1")
-        if not (math.isfinite(self.phrase.threshold) and self.phrase.threshold >= 0):
-            raise ConfigError("phrase.threshold must be finite and >= 0")
+        try:
+            dataclasses.replace(self.phrase)  # runs PhraseConfig's own check
+        except ValueError as exc:
+            raise ConfigError(f"phrase.{exc}") from None
         if self.filter_min_freq < 1:
             raise ConfigError("filter_min_freq must be >= 1")
         if self.cluster.k is not None and self.cluster.k < 2:

@@ -14,8 +14,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -153,12 +152,12 @@ def _at_least(counts: np.ndarray, bound: int) -> np.ndarray:
 class ExtractCounts:
     """The corpus-wide counts extraction reads, folded on integer word ids.
 
-    A tweet comes in only as raw text (``add_texts``, the path
-    ``cmd_extract`` takes) or as cleaned tokens (``add``). Both map its
-    words to their ids in ``cleaner`` into one buffer of ids, closed by an
-    entry that says whether the tweet takes the lexicon window, and count
-    it in one of ``parsed``, ``fallback`` and ``neither``, whose sum is
-    ``tweets``. The cleaner may be shared: a word it holds that no tweet
+    A tweet comes in only as raw text, through ``add_texts``, which maps
+    its words to their ids in ``cleaner`` into one buffer of ids, closed by
+    an entry that says whether the tweet takes the lexicon window, and
+    counts it in one of ``parsed``, ``fallback`` and ``neither``, whose sum
+    is ``tweets``. The counts are read only through ``candidates`` and
+    ``phrases``. The cleaner may be shared: a word it holds that no tweet
     counted here has a unigram count of 0. Once the buffer (and the list of
     parse rows not yet counted) holds more than max(``FOLD_ENTRIES``,
     distinct bigrams held) entries it is folded: unigrams into one count
@@ -188,7 +187,6 @@ class ExtractCounts:
         self._unigrams = np.zeros(0, np.int64)
         self._bigrams = _no_counts()
         self._pairs = _no_counts()
-        self._pair_counter: Counter[tuple[str, str]] = Counter()
         self.parsed = self.fallback = self.neither = 0
 
     @property
@@ -197,13 +195,9 @@ class ExtractCounts:
         return self.parsed + self.fallback + self.neither
 
     def add_texts(self, texts: Iterable[tuple[str, str]]) -> None:
-        """Count each ``(tweet_id, raw_text)`` as ``add`` counts the
-        tweet's cleaned tokens."""
-        text_ids, row = self.cleaner.text_ids, self.parses.rows.get
-        self._count((row(tweet_id), text_ids(text)) for tweet_id, text in texts)
-
-    def add(self, tweet_id: str, tokens: Sequence[str]) -> None:
-        """Count one tweet's unigrams, adjacent bigrams and noun-verb pairs.
+        """Count each ``(tweet_id, raw_text)``: the unigrams and adjacent
+        bigrams of its words, read through ``cleaner.text_ids``, and its
+        noun-verb pairs.
 
         A tweet whose id has a row in ``parses`` counts in ``parsed``:
         each (noun, verb) edge of its parse counts once, both words
@@ -211,20 +205,17 @@ class ExtractCounts:
         words do not both survive is dropped. Otherwise, with a lexicon,
         it counts in ``fallback``: its pairs are (noun, verb) for each
         lexicon noun and each lexicon verb that follows it within a
-        sliding window of DEFAULT_WINDOW tokens (at distance <
+        sliding window of DEFAULT_WINDOW kept words (at distance <
         DEFAULT_WINDOW). Otherwise it counts in ``neither`` and has no
         pair."""
-        self._count([(self.parses.rows.get(tweet_id), map(self.cleaner.word_id, tokens))])
-
-    def _count(self, tweets: Iterable[tuple[int | None, Iterable[int]]]) -> None:
-        """Count each tweet's word ids, given with its parse's row or None."""
-        ids, parsed = self._ids, self._parsed
-        window = self.lexicon is not None
-        for row, words in tweets:
-            ids.extend(words)
-            if row is not None:
+        ids, parsed, row = self._ids, self._parsed, self.parses.rows.get
+        text_ids, window = self.cleaner.text_ids, self.lexicon is not None
+        for tweet_id, text in texts:
+            ids.extend(text_ids(text))
+            at = row(tweet_id)
+            if at is not None:
                 self.parsed += 1
-                parsed.append(row)
+                parsed.append(at)
                 ids.append(_END)
             elif window:
                 self.fallback += 1
@@ -236,9 +227,9 @@ class ExtractCounts:
                 self._fold()
 
     def _fold(self) -> None:
-        """Fold the buffers (and the pair ``Counter``, if any) into the
-        held counts; with nothing to fold, do nothing."""
-        if not self._ids and not self._pair_counter:
+        """Fold the buffers into the held counts; with nothing to fold, do
+        nothing."""
+        if not self._ids:
             return  # every counted tweet put an end entry in _ids
         ids = np.fromiter(self._ids, np.int32, len(self._ids))
         rows = np.fromiter(self._parsed, np.int64, len(self._parsed))
@@ -273,14 +264,6 @@ class ExtractCounts:
             _keys(ids[:-1][bigram], ids[1:][bigram]), return_counts=True))
         self._pairs = _merge(*self._pairs, *np.unique(
             np.concatenate(pair_keys), return_counts=True))
-        if self._pair_counter:
-            word = self.cleaner.word_id
-            counter = self._pair_counter
-            keys = np.fromiter((word(n) << _WORD_BITS | word(v) for n, v in counter), np.int64)
-            order = np.argsort(keys)
-            self._pairs = _merge(*self._pairs, keys[order],
-                                 np.fromiter(counter.values(), np.int64)[order])
-            counter.clear()
         self._fold_at = max(FOLD_ENTRIES, len(self._bigrams[0]))
 
     def _edge_ids(self, rows: np.ndarray) -> np.ndarray:
@@ -292,17 +275,6 @@ class ExtractCounts:
         forms = self.parses.edges[np.repeat(start - (end - count), count)
                                   + np.arange(end[-1] if len(end) else 0)]
         return self._form_ids[forms]
-
-    @property
-    def pairs(self) -> Counter[tuple[str, str]]:
-        """The pair counts as a ``Counter`` of (noun, verb) words, the
-        buffers folded first. What is added to it counts as pairs too: the
-        next fold takes it back into the held counts."""
-        self._fold()
-        keys, counts = self._pairs
-        self._pair_counter.update(dict(zip(self._words(keys), counts.tolist())))
-        self._pairs = _no_counts()
-        return self._pair_counter
 
     def _words(self, keys: np.ndarray) -> list[tuple[str, str]]:
         """The (first, second) words of each key."""

@@ -21,7 +21,7 @@ from ._util import format_float, read_list_file, read_table, write_table
 from .corpus import TokenCleaner
 from .embed import EmbeddingStore, compose, row_products
 from .errors import InputFormatError
-from .extract import Candidate, CandidateSet, _parse_candidate
+from .extract import Candidate, _parse_candidate
 
 NULL_SCORE = -1.0
 
@@ -91,12 +91,6 @@ def load_ontology(term_list: tuple[str | Path, list[str], list[list[str]]],
     return Ontology(terms=tuple(terms), usable_terms=usable, matrix=rows[~null])
 
 
-def _as_candidates(candidates: CandidateSet | Sequence[Candidate]) -> Sequence[Candidate]:
-    if isinstance(candidates, CandidateSet):
-        return candidates.candidates
-    return candidates
-
-
 def _sort_and_rank(scored: list[tuple[Candidate, float, str | None]]) -> list[RankedCandidate]:
     # Ties: frequency descending, then (first, second) lexicographic; kind is
     # a final key so same-worded pair/phrase candidates order deterministically.
@@ -109,34 +103,36 @@ def _sort_and_rank(scored: list[tuple[Candidate, float, str | None]]) -> list[Ra
 
 
 def rank_candidates(
-    candidates: CandidateSet | Sequence[Candidate],
+    candidates: Sequence[Candidate],
     ontology: Ontology,
     store: EmbeddingStore,
 ) -> list[RankedCandidate]:
-    """Rank candidates by max cosine similarity to the ontology terms.
+    """Rank candidates, such as ``read_candidates`` returns or
+    ``CandidateSet.candidates`` holds, by max cosine similarity to the
+    ontology terms.
 
     best_term is the argmax term (the first listed on exact ties).
     Candidates whose composed vector is null score -1 and sink to the
     bottom, kept for auditability.
     """
-    cands = _as_candidates(candidates)
-    rows, null = compose_rows([cand.words for cand in cands], store)
+    rows, null = compose_rows([cand.words for cand in candidates], store)
     sims = row_products(ontology.matrix, rows)
     best = np.argmax(sims, axis=1)
-    scores = np.where(null, NULL_SCORE, sims[np.arange(len(cands)), best])
+    scores = np.where(null, NULL_SCORE, sims[np.arange(len(candidates)), best])
     del sims, rows  # freed before the per-candidate objects are made
     terms = np.where(null, None, np.array(ontology.usable_terms, dtype=object)[best])
-    return _sort_and_rank(list(zip(cands, scores.tolist(), terms.tolist())))
+    return _sort_and_rank(list(zip(candidates, scores.tolist(), terms.tolist())))
 
 
 def rank_baseline_overlap(
-    candidates: CandidateSet | Sequence[Candidate],
+    candidates: Sequence[Candidate],
     texts: Iterable[tuple[str, str]],
     cleaner: TokenCleaner,
 ) -> list[RankedCandidate]:
-    """Overlap-coefficient baseline ranking over ``(tweet_id, raw_text)``
-    pairs, such as ``TweetTokens.texts`` yields, each text read as the ids
-    of its words in `cleaner`.
+    """Overlap-coefficient baseline ranking of candidates, as
+    ``rank_candidates`` takes them, over ``(tweet_id, raw_text)`` pairs,
+    such as ``TweetTokens.texts`` yields, each text read as the ids of its
+    words in `cleaner`.
 
     For candidate (a, b) with tweet-id occurrence sets A and B, the score is
     |A∩B| / min(|A|, |B|) times log(1 + |A∩B|). A repeated tweet id counts
@@ -144,11 +140,11 @@ def rank_baseline_overlap(
     occurrence sets of candidate words are kept, so memory does not grow
     with tweets that hold none.
     """
-    cands = _as_candidates(candidates)
     # Candidate words take ids as they are, not cleaned: a cleaned stopword
     # would take REMOVED, the id of every removed token.
     word_id = cleaner.word_id
-    postings: dict[int, set[str]] = {word_id(word): set() for cand in cands for word in cand.words}
+    postings: dict[int, set[str]] = {word_id(word): set()
+                                     for cand in candidates for word in cand.words}
     text_ids, posting = cleaner.text_ids, postings.get
     for tweet_id, text in texts:
         for word in text_ids(text):
@@ -156,7 +152,7 @@ def rank_baseline_overlap(
             if ids is not None:
                 ids.add(tweet_id)
     scored: list[tuple[Candidate, float, str | None]] = []
-    for cand in cands:
+    for cand in candidates:
         ids_a = postings[word_id(cand.first)]
         ids_b = postings[word_id(cand.second)]
         smaller = min(len(ids_a), len(ids_b))

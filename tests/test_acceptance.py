@@ -79,7 +79,7 @@ def fixture_ranking(fixtures_dir):
     candidates = counts.candidates(PhraseConfig(2, 10.0), 2)
     store = load_vectors(fixtures_dir / "pipeline_vectors.txt")
     ontology = load_ontology(read_terms(fixtures_dir / "pipeline_ontology.txt"), store)
-    ranked = rank_candidates(candidates, ontology, store)
+    ranked = rank_candidates(candidates.candidates, ontology, store)
     lines = CorpusLines(fixtures_dir / "pipeline_labeled.jsonl", LabelMode.LABELED)
     labeled = [(label, tweets.cleaner.tokens(text)) for _, text, label in lines]
     return ranked, labeled
@@ -90,18 +90,20 @@ def test_1_worked_example(fixtures_dir):
         start = time.perf_counter()
         reader = TweetTokens([(fixtures_dir / "worked_corpus.jsonl", LabelMode.UNLABELED)],
                              load_stopwords())
-        tweets = [(tweet_id, reader.cleaner.tokens(text)) for tweet_id, text in reader.texts()]
+        texts = list(reader.texts())
         parses = load_parses(fixtures_dir / "worked_parses.conllu")
-        key_id, key_tokens = tweets[0]
-        assert key_tokens == ["waterborne", "diseases", "hurricane", "water", "recedes"]
+        key_id, key_text = texts[0]
+        assert reader.cleaner.tokens(key_text) == [
+            "waterborne", "diseases", "hurricane", "water", "recedes"]
 
         counts = ExtractCounts(reader.cleaner, parses)
-        counts.add(key_id, key_tokens)
-        assert set(counts.pairs) == {("waterborne", "recedes"), ("water", "recedes")}
+        counts.add_texts([(key_id, key_text)])
+        pairs = counts.candidates(min_freq=1).candidates
+        assert {c.words for c in pairs if c.kind is CandidateKind.NOUN_VERB_PAIR} == {
+            ("waterborne", "recedes"), ("water", "recedes")}
 
         counts = ExtractCounts(reader.cleaner)
-        for tweet_id, tokens in tweets:
-            counts.add(tweet_id, tokens)
+        counts.add_texts(texts)
         phrases = counts.phrases(PhraseConfig(min_count=2, threshold=10.0))
         assert [c.words for c in phrases] == [("waterborne", "diseases")]
 
@@ -122,7 +124,7 @@ def test_1_worked_example(fixtures_dir):
 def test_2_accounting_identities(fixtures_dir):
     with criterion(2, "accounting identities"):
         rng = np.random.default_rng(404)
-        words = [f"w{i}" for i in range(12)]
+        words = [f"word{letter}" for letter in "abcdefghijkl"]
         for _ in range(200):
             pair_pool = [
                 nv(words[int(a)], words[int(b)])
@@ -132,14 +134,14 @@ def test_2_accounting_identities(fixtures_dir):
                 ph(words[int(a)], words[int(b)], freq=int(rng.integers(2, 6)))
                 for a, b in rng.integers(0, len(words), size=(int(rng.integers(0, 8)), 2))
             ]
-            # The fold counts each pool pair once and each pool phrase's
-            # bigram `freq` times; at min_count 1 and threshold 0 every
-            # bigram counted twice or more is a phrase.
-            counts = ExtractCounts(TokenCleaner(frozenset()))
-            counts.pairs.update(c.words for c in pair_pool)
-            for c in phrase_pool:
-                for _ in range(c.frequency):
-                    counts.add("", c.words)
+            # The fold counts each pool pair once, as an edge of one parsed
+            # tweet without text, and each pool phrase's bigram `freq`
+            # times; at min_count 1 and threshold 0 every bigram counted
+            # twice or more is a phrase.
+            parses = oracles.parses_from_edges({"p": tuple(c.words for c in pair_pool)})
+            counts = ExtractCounts(TokenCleaner(frozenset()), parses)
+            counts.add_texts([("p", ""), *(("", f"{c.first} {c.second}")
+                                           for c in phrase_pool for _ in range(c.frequency))])
             result = counts.candidates(PhraseConfig(min_count=1, threshold=0.0),
                                        min_freq=int(rng.integers(1, 4)))
             assert result.phrase_count == len({c.words for c in phrase_pool})
@@ -160,19 +162,19 @@ def test_2_accounting_identities(fixtures_dir):
 
 def test_3_phrase_scorer(fixtures_dir):
     with criterion(3, "phrase scorer"):
-        # Toy corpus tallied by hand:
+        # Toy corpus tallied by hand, with a for the word aaa, b for bbb
+        # and so on:
         #   t1: a b a b | t2: a b c | t3: c d | t4: d c d
         #   t5: e f     | t6: e f e f e f | t7: g h | t8: h g
         # unigrams a=3 b=3 c=3 d=3 e=4 f=4 g=2 h=2, V=8
         # bigrams (a,b)=3 (b,a)=1 (b,c)=1 (c,d)=2 (d,c)=1 (e,f)=4 (f,e)=2
         #         (g,h)=1 (h,g)=1
-        token_lists = [
-            "a b a b", "a b c", "c d", "d c d",
-            "e f", "e f e f e f", "g h", "h g",
+        texts = [
+            "aaa bbb aaa bbb", "aaa bbb ccc", "ccc ddd", "ddd ccc ddd",
+            "eee fff", "eee fff eee fff eee fff", "ggg hhh", "hhh ggg",
         ]
         counts = ExtractCounts(TokenCleaner(frozenset()))
-        for text in token_lists:
-            counts.add("", text.split())
+        counts.add_texts(("", text) for text in texts)
         hand_scores = [
             (3, 3, 3, 8, 2, (3 - 2) * 8 / 9),   # (a,b)
             (2, 3, 3, 8, 2, 0.0),               # (c,d)
@@ -192,24 +194,23 @@ def test_3_phrase_scorer(fixtures_dir):
         # The detector emits exactly the bigrams whose hand score clears
         # the threshold: (e,f)=1.0 and (a,b)=8/9 at min_count 2.
         out = counts.phrases(PhraseConfig(min_count=2, threshold=0.95))
-        assert [c.words for c in out] == [("e", "f")]
+        assert [c.words for c in out] == [("eee", "fff")]
         out = counts.phrases(PhraseConfig(min_count=2, threshold=0.5))
-        assert [c.words for c in out] == [("a", "b"), ("e", "f")]
+        assert [c.words for c in out] == [("aaa", "bbb"), ("eee", "fff")]
 
         # Property: no bigram below min_count is ever emitted, and emitted
         # frequencies equal true corpus counts. Threshold 0 maximizes
         # emission, making the count gate the only defense.
         rng = np.random.default_rng(5150)
         for _ in range(1000):
-            vocab_words = [f"w{i}" for i in range(int(rng.integers(2, 7)))]
+            vocab_words = [f"word{letter}" for letter in "abcdef"[:int(rng.integers(2, 7))]]
             rand_lists = []
             for i in range(int(rng.integers(1, 6))):
                 length = int(rng.integers(0, 9))
                 toks = tuple(vocab_words[int(j)] for j in rng.integers(0, len(vocab_words), length))
                 rand_lists.append(toks)
             rand_counts = ExtractCounts(TokenCleaner(frozenset()))
-            for toks in rand_lists:
-                rand_counts.add("", toks)
+            rand_counts.add_texts(("", " ".join(toks)) for toks in rand_lists)
             min_count = int(rng.integers(1, 4))
             emitted = rand_counts.phrases(PhraseConfig(min_count, 0.0))
             true_counts: Counter = Counter()

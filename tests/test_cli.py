@@ -290,18 +290,30 @@ class TestExitCodes:
         assert "cluster.k" in err
         assert not (tmp_path / "out" / "candidates.csv").exists()
 
-    @pytest.mark.parametrize("source", ["flag", "json"])
+    @pytest.mark.parametrize("source, key, value, message", [
+        pytest.param("flag", "threshold", -1, "phrase.threshold must be finite and >= 0",
+                     id="flag"),
+        pytest.param("json", "threshold", -1, "phrase.threshold must be finite and >= 0",
+                     id="json"),
+        pytest.param("flag", "min_count", 0, "phrase.min_count must be >= 1",
+                     id="min_count-flag"),
+        pytest.param("json", "min_count", 0, "phrase.min_count must be >= 1",
+                     id="min_count-json"),
+    ])
     def test_negative_phrase_threshold_rejected_before_any_stage(
-            self, run_cli, tmp_path, write_config, pipeline_config_dict, source):
+            self, run_cli, tmp_path, write_config, pipeline_config_dict, source, key, value,
+            message):
+        """A negative phrase.threshold, or a phrase.min_count of 0, stops the
+        run with ``PhraseConfig``'s own message before any stage."""
         cfg_dict = json.loads(json.dumps(pipeline_config_dict))
-        flags = ["--phrase.threshold", "-1"]
+        flags = [f"--phrase.{key}", str(value)]
         if source == "json":
-            cfg_dict["phrase"]["threshold"] = -1
+            cfg_dict["phrase"][key] = value
             flags = []
         out = tmp_path / "out"
         code, _, err = run_cli("extract", "--config", write_config(cfg_dict, out), *flags)
         assert code == 1
-        assert err == "error: phrase.threshold must be finite and >= 0\n"
+        assert err == f"error: {message}\n"
         assert not out.exists()
 
     def test_phrase_section_and_flag_reach_candidates_as_one_phrase_config(
@@ -1256,16 +1268,24 @@ def _openblas_configuration() -> str:
     return config.get("Build Dependencies", {}).get("blas", {}).get("openblas configuration", "")
 
 
-@pytest.mark.skipif("DYNAMIC_ARCH" not in _openblas_configuration(),
-                    reason="numpy's OpenBLAS is not built with DYNAMIC_ARCH, so"
-                           " OPENBLAS_CORETYPE cannot choose its kernel set")
-@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+_NEEDS_DYNAMIC_ARCH = pytest.mark.skipif(
+    "DYNAMIC_ARCH" not in _openblas_configuration(),
+    reason="numpy's OpenBLAS is not built with DYNAMIC_ARCH, so OPENBLAS_CORETYPE cannot"
+           " choose its kernel set")
+
+
+@pytest.mark.parametrize("variable, value", [
+    pytest.param("OPENBLAS_CORETYPE", "Haswell", id="Haswell", marks=_NEEDS_DYNAMIC_ARCH),
+    pytest.param("OPENBLAS_CORETYPE", "Prescott", id="Prescott", marks=_NEEDS_DYNAMIC_ARCH),
+    pytest.param("OPENBLAS_NUM_THREADS", "1", id="threads1"),
+    pytest.param("OPENBLAS_NUM_THREADS", "4", id="threads4"),
+])
 def test_pipeline_digests_hold_under_other_blas_kernels(tmp_path, write_config,
-                                                        pipeline_config_dict, coretype):
+                                                        pipeline_config_dict, variable, value):
     """Every golden pipeline variant, run in one child process under another
-    OpenBLAS kernel set, writes the five artifacts of the default set: no
-    artifact float comes from BLAS, and the affinity, eigh and k-means
-    screen that do use it give the same partitions."""
+    OpenBLAS kernel set or BLAS thread count, writes the five artifacts of
+    the default: no artifact float comes from BLAS, and the affinity, eigh
+    and k-means screen that do use it give the same partitions."""
     outs, calls = {}, []
     for variant in GOLDEN_PIPELINE:
         flags, *_ = _golden_flags(variant, pipeline_config_dict, tmp_path)
@@ -1276,7 +1296,7 @@ def test_pipeline_digests_hold_under_other_blas_kernels(tmp_path, write_config,
               "from subevents.cli import main\n"
               "for args in json.loads(sys.argv[1]):\n"
               "    assert main(args) == 0, args\n")
-    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "OPENBLAS_CORETYPE": coretype}
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), variable: value}
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(calls)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -518,9 +518,9 @@ class TestParses:
         # ExtractCounts looks each tweet's parse up by id: tweet "2" takes
         # the parse, tweet "1" has none.
         counts = ExtractCounts(TokenCleaner(STOPWORDS), load_parses(path))
-        counts.add("1", ["aaa"])
+        counts.add_texts([("1", "aaa")])
         assert (counts.parsed, counts.neither) == (0, 1)
-        counts.add("2", ["bbb"])
+        counts.add_texts([("2", "bbb")])
         assert (counts.parsed, counts.neither) == (1, 1)
 
 

@@ -48,20 +48,26 @@ def _parse(words):
         return oracles.edges_from_parses(load_parses(path))["s"]
 
 
-def _pairs(parse, tokens=(), lexicon=None):
-    """The (noun, verb) pairs ``ExtractCounts.add`` counts for one tweet,
-    in the order first counted."""
+def _nv_counts(counts):
+    """The noun-verb pairs ``counts`` holds, all of them: (noun, verb) ->
+    count, read off the candidates at min_freq 1."""
+    return Counter({c.words: c.frequency for c in counts.candidates(min_freq=1).candidates
+                    if c.kind is CandidateKind.NOUN_VERB_PAIR})
+
+
+def _pairs(parse, text="", lexicon=None):
+    """The distinct (noun, verb) pairs ``ExtractCounts.add_texts`` counts
+    for one tweet, sorted."""
     parses = oracles.parses_from_edges({"t": parse}) if parse is not None else None
     counts = ExtractCounts(TokenCleaner(STOPWORDS), parses, lexicon)
-    counts.add("t", tokens)
-    return list(counts.pairs)
+    counts.add_texts([("t", text)])
+    return sorted(_nv_counts(counts))
 
 
-def _phrases(token_lists, cfg):
-    """``ExtractCounts.phrases`` after counting the grams of each token list."""
+def _phrases(texts, cfg):
+    """``ExtractCounts.phrases`` after counting the grams of each raw text."""
     counts = ExtractCounts(TokenCleaner(frozenset()))
-    for tokens in token_lists:
-        counts.add("", tokens)
+    counts.add_texts(("", text) for text in texts)
     return counts.phrases(cfg)
 
 
@@ -78,11 +84,10 @@ class TestNvPairs:
         tweets = TweetTokens([(fixtures_dir / "worked_corpus.jsonl", LabelMode.UNLABELED)],
                              STOPWORDS)
         key_id, text = next(tweets.texts())
-        tokens = tweets.cleaner.tokens(text)
         assert key_id == "w000"
         parses = load_parses(fixtures_dir / "worked_parses.conllu")
         parse = oracles.edges_from_parses(parses)[key_id]
-        assert _pairs(parse, tokens) == [("waterborne", "recedes"), ("water", "recedes")]
+        assert _pairs(parse, text) == [("water", "recedes"), ("waterborne", "recedes")]
 
     def test_noun_first_both_edge_directions(self):
         # floods(NOUN) <- destroyed(VERB) root, bridge(NOUN) -> destroyed:
@@ -92,7 +97,7 @@ class TestNvPairs:
             ("destroyed", "VERB", 0),
             ("bridge", "NOUN", 2),
         ])
-        assert _pairs(parse) == [("floods", "destroyed"), ("bridge", "destroyed")]
+        assert _pairs(parse) == [("bridge", "destroyed"), ("floods", "destroyed")]
 
     def test_verb_with_noun_head(self):
         parse = _parse([
@@ -132,8 +137,8 @@ class TestNvPairs:
         # Without a parse and without a lexicon a tweet has no pair, however
         # its tokens read, and is counted as having neither source.
         counts = ExtractCounts(TokenCleaner(STOPWORDS))
-        counts.add("t", ["bridge", "collapsed"])
-        assert not counts.pairs
+        counts.add_texts([("t", "bridge collapsed")])
+        assert not _nv_counts(counts)
         assert (counts.parsed, counts.fallback, counts.neither) == (0, 0, 1)
 
 
@@ -141,24 +146,23 @@ class TestFallback:
     LEXICON = load_pos_lexicon(Path(__file__).parent / "fixtures" / "pos_lexicon.txt")
 
     def test_window_four_reaches_farther_verb(self):
-        tokens = ["house", "burning", "road", "blocked"]
-        assert _pairs(None, tokens, self.LEXICON) == [
-            ("house", "burning"),
+        assert _pairs(None, "house burning road blocked", self.LEXICON) == [
             ("house", "blocked"),
+            ("house", "burning"),
             ("road", "blocked"),
         ]
 
     def test_noun_must_precede_verb(self):
-        assert _pairs(None, ["burning", "house"], self.LEXICON) == []
+        assert _pairs(None, "burning house", self.LEXICON) == []
 
     def test_dual_tag_word_pairs_both_ways(self):
         # "flood" is tagged NV in the fixture lexicon.
-        pairs = _pairs(None, ["flood", "blocked", "road", "flood"], self.LEXICON)
+        pairs = _pairs(None, "flood blocked road flood", self.LEXICON)
         assert ("flood", "blocked") in pairs
         assert ("road", "flood") in pairs
 
     def test_unknown_words_ignored(self):
-        pairs = _pairs(None, ["zzzz", "house", "qqqq", "burning"], self.LEXICON)
+        pairs = _pairs(None, "zzzz house qqqq burning", self.LEXICON)
         assert pairs == [("house", "burning")]
 
     def test_custom_lexicon_file(self, tmp_path):
@@ -181,55 +185,44 @@ class TestPhrases:
     def test_hand_counted_example(self):
         # unigrams: storm 3, surge 3, hits 1, calm 1, waters 1 -> V = 5
         # bigram (storm, surge) occurs 3 times, score (3-2)*5/(3*3) = 5/9.
-        token_lists = [
-            ["storm", "surge", "storm", "surge"],
-            ["storm", "surge", "hits"],
-            ["calm", "waters"],
-        ]
-        phrases = _phrases(token_lists, PhraseConfig(min_count=2, threshold=0.5))
+        texts = ["storm surge storm surge", "storm surge hits", "calm waters"]
+        phrases = _phrases(texts, PhraseConfig(min_count=2, threshold=0.5))
         assert len(phrases) == 1
         assert phrases[0].words == ("storm", "surge")
         assert phrases[0].frequency == 3
         assert phrases[0].kind is CandidateKind.PHRASE
 
     def test_threshold_is_strict(self):
-        token_lists = [
-            ["storm", "surge", "storm", "surge"],
-            ["storm", "surge", "hits"],
-            ["calm", "waters"],
-        ]
+        texts = ["storm surge storm surge", "storm surge hits", "calm waters"]
         exactly = 5.0 / 9.0
-        assert _phrases(token_lists, PhraseConfig(2, exactly)) == []
-        assert len(_phrases(token_lists, PhraseConfig(2, exactly - 1e-9))) == 1
+        assert _phrases(texts, PhraseConfig(2, exactly)) == []
+        assert len(_phrases(texts, PhraseConfig(2, exactly - 1e-9))) == 1
 
     def test_min_count_gates_before_scoring(self):
         # (rare, pair) occurs once; even a huge score cannot rescue it.
-        token_lists = [["rare", "pair"], ["rare"], ["pair"]]
-        assert _phrases(token_lists, PhraseConfig(min_count=2, threshold=0.0)) == []
+        texts = ["rare pair", "rare", "pair"]
+        assert _phrases(texts, PhraseConfig(min_count=2, threshold=0.0)) == []
 
     def test_count_equal_to_min_count_scores_zero(self):
-        token_lists = [["aaa", "bbb"], ["aaa", "bbb"]]
-        assert _phrases(token_lists, PhraseConfig(min_count=2, threshold=0.0)) == []
+        texts = ["aaa bbb", "aaa bbb"]
+        assert _phrases(texts, PhraseConfig(min_count=2, threshold=0.0)) == []
 
     def test_tweet_order_independent(self):
-        lists = [
-            ["storm", "surge", "storm", "surge"],
-            ["storm", "surge", "hits"],
-            ["calm", "waters"],
-            ["fire", "spreads", "fire", "spreads", "fire", "spreads"],
-        ]
-        forward = _phrases(lists, PhraseConfig(2, 0.1))
-        backward = _phrases(lists[::-1], PhraseConfig(2, 0.1))
+        texts = ["storm surge storm surge", "storm surge hits", "calm waters",
+                 "fire spreads fire spreads fire spreads"]
+        forward = _phrases(texts, PhraseConfig(2, 0.1))
+        backward = _phrases(texts[::-1], PhraseConfig(2, 0.1))
         assert forward == backward
 
     def test_no_cross_tweet_bigrams(self):
-        assert _phrases([["aaa"], ["bbb"], ["aaa"], ["bbb"]], PhraseConfig(1, 0.0)) == []
+        assert _phrases(["aaa", "bbb", "aaa", "bbb"], PhraseConfig(1, 0.0)) == []
 
     def test_worked_corpus_score(self, fixtures_dir):
         tweets = TweetTokens([(fixtures_dir / "worked_corpus.jsonl", LabelMode.UNLABELED)],
                              STOPWORDS)
-        phrases = _phrases((tweets.cleaner.tokens(text) for _, text in tweets.texts()),
-                           PhraseConfig(min_count=2, threshold=10.0))
+        counts = ExtractCounts(tweets.cleaner)
+        counts.add_texts(tweets.texts())
+        phrases = counts.phrases(PhraseConfig(min_count=2, threshold=10.0))
         assert [c.words for c in phrases] == [("waterborne", "diseases")]
         assert phrases[0].frequency == 6
         assert phrase_score(6, 6, 6, 111, 2) == pytest.approx(37.0 / 3.0, abs=1e-12)
@@ -260,42 +253,41 @@ class TestPhraseScore:
 
 @pytest.fixture(scope="module")
 def pipeline_tweets(generated_fixtures):
-    """(tokens, parse) of each tweet of the pipeline fixtures, the parse
-    None for a tweet without one."""
+    """(raw text, cleaned tokens, parse) of each tweet of the pipeline
+    fixtures, the parse None for a tweet without one."""
     tweets = TweetTokens([
         (generated_fixtures / "pipeline_unlabeled.jsonl", LabelMode.UNLABELED),
         (generated_fixtures / "pipeline_labeled.jsonl", LabelMode.LABELED),
     ], STOPWORDS)
     parses = oracles.edges_from_parses(load_parses(generated_fixtures / "pipeline_parses.conllu"))
-    return [(tweets.cleaner.tokens(text), parses.get(tweet_id))
+    return [(text, tweets.cleaner.tokens(text), parses.get(tweet_id))
             for tweet_id, text in tweets.texts()]
 
 
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_count_nv_pairs_equals_per_tweet_aggregate(pipeline_tweets, data):
-    """Folding ``ExtractCounts.add`` over the pipeline fixtures gives the
-    ``Counter`` of each tweet's ``oracles.reference_nv_pairs``, for a
+    """Folding ``ExtractCounts.add_texts`` over the pipeline fixtures gives
+    the ``Counter`` of each tweet's ``oracles.reference_nv_pairs``, for a
     random tweet subset and a random lexicon over those tweets' own tokens
     (one over the whole fixture vocabulary seldom tags a noun and a verb
     within a window of a parsed tweet)."""
     tweets = data.draw(st.lists(st.sampled_from(pipeline_tweets), max_size=60))
-    vocabulary = sorted({token for tokens, _ in tweets for token in tokens})
+    vocabulary = sorted({token for _, tokens, _ in tweets for token in tokens})
     lexicon = data.draw(st.none() | st.dictionaries(
         st.sampled_from(vocabulary) if vocabulary else st.nothing(),
         st.sampled_from([frozenset("N"), frozenset("V"), frozenset("NV")]),
     ))
     expected = Counter(
-        pair for tokens, parse in tweets
+        pair for _, tokens, parse in tweets
         for pair in oracles.reference_nv_pairs(parse, tokens, lexicon, STOPWORDS)
     )
     parses = oracles.parses_from_edges(
-        {str(i): parse for i, (_, parse) in enumerate(tweets) if parse is not None})
+        {str(i): parse for i, (_, _, parse) in enumerate(tweets) if parse is not None})
     counts = ExtractCounts(TokenCleaner(STOPWORDS), parses, lexicon)
-    for i, (tokens, _) in enumerate(tweets):
-        counts.add(str(i), tokens)
-    assert counts.pairs == expected
-    parsed = sum(1 for _, parse in tweets if parse is not None)
+    counts.add_texts((str(i), text) for i, (text, _, _) in enumerate(tweets))
+    assert _nv_counts(counts) == expected
+    parsed = sum(1 for _, _, parse in tweets if parse is not None)
     assert counts.parsed == parsed
     assert (counts.fallback, counts.neither) == (
         (len(tweets) - parsed, 0) if lexicon is not None else (0, len(tweets) - parsed)
@@ -384,14 +376,14 @@ def _run_logged(caplog, fn):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(inputs=_extract_inputs())
 def test_fold_matches_whole_corpus_reference(inputs, tmp_path, caplog):
-    """Folding the corpus files line by line gives the candidates, counts
-    and log records of loading, deduping, preprocessing and counting whole
-    corpora; only the parse file's records move ahead of the corpus ones.
-    So does the raw-text path ``cmd_extract`` takes, with the id buffer
-    folded once it holds more than 1 or 7 entries (or more than the
-    distinct bigrams held), and with the parse file read in blocks of 16
-    or 1 characters, so that nearly every sentence, a repeated tweet id's
-    first parse and its repeat among them, is a block of its own."""
+    """Folding the raw texts of the corpus files line by line gives the
+    candidates, counts and log records of loading, deduping, preprocessing
+    and counting whole corpora; only the parse file's records move ahead of
+    the corpus ones. So it does with the id buffer folded once it holds
+    more than 1 or 7 entries (or more than the distinct bigrams held), and
+    with the parse file read in blocks of 16 or 1 characters, so that
+    nearly every sentence, a repeated tweet id's first parse and its repeat
+    among them, is a block of its own."""
     files = []
     for name, mode in (("unlabeled", LabelMode.UNLABELED), ("labeled", LabelMode.LABELED)):
         if inputs[name] is not None:
@@ -404,15 +396,11 @@ def test_fold_matches_whole_corpus_reference(inputs, tmp_path, caplog):
         parses_path.write_text("\n".join(inputs["sidecar"]), encoding="utf-8")
     lexicon, dedupe = inputs["lexicon"], inputs["dedupe"]
 
-    def fold(raw_texts=False):
+    def fold():
         parses = load_parses(parses_path) if parses_path is not None else None
         tweets = TweetTokens(files, STOPWORDS, dedupe)
         counts = ExtractCounts(tweets.cleaner, parses, lexicon)
-        if raw_texts:
-            counts.add_texts(tweets.texts())
-        else:
-            for tweet_id, text in tweets.texts():
-                counts.add(tweet_id, tweets.cleaner.tokens(text))
+        counts.add_texts(tweets.texts())
         got = {"tweets": counts.tweets, "skipped": tweets.skipped,
                "duplicates": tweets.duplicates, "parsed": counts.parsed,
                "fallback": counts.fallback, "neither": counts.neither}
@@ -428,7 +416,7 @@ def test_fold_matches_whole_corpus_reference(inputs, tmp_path, caplog):
                         ("corpus.PARSE_BLOCK_CHARS", 16), ("corpus.PARSE_BLOCK_CHARS", 1)]:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(f"subevents.{name}", value)
-            got_runs.append(_run_logged(caplog, lambda: fold(raw_texts=True)))
+            got_runs.append(_run_logged(caplog, fold))
     for got, got_log in got_runs:
         assert got == want
         if isinstance(got, str) and parses_path is not None:
@@ -452,32 +440,23 @@ _EDGES = st.lists(st.tuples(st.sampled_from(_WORDS).map(str.capitalize),
        lexicon=st.none() | st.dictionaries(st.sampled_from(_WORDS), st.sampled_from(
            [frozenset("N"), frozenset("V"), frozenset("NV")])),
        fold_entries=st.sampled_from([1, 7, 4096]))
-def test_add_and_add_texts_count_alike(texts, parses, lexicon, fold_entries):
-    """A stream of tweets, some of their ids parsed, gives the same pair
-    sources and counts through ``add`` (cleaned tokens) as through
-    ``add_texts`` (raw texts), the pairs of ``oracles.reference_nv_pairs``,
-    and each tweet counts in exactly one source: ``tweets == parsed +
-    fallback + neither``."""
+def test_add_texts_counts_each_tweet_in_one_source(texts, parses, lexicon, fold_entries):
+    """A stream of raw tweets, some of their ids parsed, gives through
+    ``add_texts`` the pairs of ``oracles.reference_nv_pairs``, and each
+    tweet counts in exactly one source: ``tweets == parsed + fallback +
+    neither``."""
     cleaner = TokenCleaner(STOPWORDS)
-    columns = oracles.parses_from_edges(parses)
-    runs = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr("subevents.extract.FOLD_ENTRIES", fold_entries)
-        by_tokens = ExtractCounts(cleaner, columns, lexicon)
-        for tweet_id, text in texts:
-            by_tokens.add(tweet_id, cleaner.tokens(text))
-        by_texts = ExtractCounts(cleaner, columns, lexicon)
-        by_texts.add_texts(texts)
-        for counts in (by_tokens, by_texts):
-            sources = (counts.parsed, counts.fallback, counts.neither)
-            assert counts.tweets == sum(sources) == len(texts)
-            runs.append((sources, counts.pairs.copy(),
-                         counts.candidates(PhraseConfig(1, 0.0), 1)))
+        counts = ExtractCounts(cleaner, oracles.parses_from_edges(parses), lexicon)
+        counts.add_texts(texts)
+        sources = (counts.parsed, counts.fallback, counts.neither)
+        pairs = _nv_counts(counts)
+    assert counts.tweets == sum(sources) == len(texts)
     parsed = sum(tweet_id in parses for tweet_id, _ in texts)
     unparsed = len(texts) - parsed
-    assert runs[0][0] == ((parsed, unparsed, 0) if lexicon is not None else (parsed, 0, unparsed))
-    assert runs[0] == runs[1]
-    assert runs[0][1] == Counter(
+    assert sources == ((parsed, unparsed, 0) if lexicon is not None else (parsed, 0, unparsed))
+    assert pairs == Counter(
         pair for tweet_id, text in texts for pair in oracles.reference_nv_pairs(
             parses.get(tweet_id), cleaner.tokens(text), lexicon, STOPWORDS))
 
@@ -590,14 +569,13 @@ def test_phrase_scores_past_two_to_53_differ_from_float_division():
         assert naive != phrase_score(count_ab, count_a, count_b, vocab_size, min_count)
 
 
-def _candidates(pairs, token_lists=(), min_freq=2):
-    """``ExtractCounts.candidates`` after counting the given (noun, verb)
-    pairs and the grams of each token list; a bigram counted twice or more
-    is a phrase."""
-    counts = ExtractCounts(TokenCleaner(frozenset()))
-    counts.pairs.update(pairs)
-    for tokens in token_lists:
-        counts.add("", tokens)
+def _candidates(pairs, texts=(), min_freq=2):
+    """``ExtractCounts.candidates`` after counting a tweet whose parse has
+    the given (noun, verb) edges and no text, and the grams of each raw
+    text; a bigram counted twice or more is a phrase."""
+    parses = oracles.parses_from_edges({"p": tuple(pairs)})
+    counts = ExtractCounts(TokenCleaner(frozenset()), parses)
+    counts.add_texts([("p", ""), *(("", text) for text in texts)])
     return counts.candidates(PhraseConfig(min_count=1, threshold=0.0), min_freq)
 
 
@@ -611,20 +589,20 @@ class TestAggregateAndFilter:
         assert result.total == 1
 
     def test_phrases_not_refiltered(self):
-        result = _candidates([], [["storm", "surge"]] * 2, min_freq=5)
+        result = _candidates([], ["storm surge"] * 2, min_freq=5)
         assert result.candidates == (ph("storm", "surge", 2),)
         assert result.phrase_count == 1
         assert result.total == 1
 
     def test_union_counts_and_overlap_zero(self):
-        result = _candidates([("road", "blocked")] * 2, [["road", "blocked"]] * 2)
+        result = _candidates([("road", "blocked")] * 2, ["road blocked"] * 2)
         assert result.candidates == (nv("road", "blocked", 2), ph("road", "blocked", 2))
         assert result.total == 2
         assert result.overlap == 0
 
     def test_output_sorted_by_identity(self):
         result = _candidates([("zebra", "runs"), ("apple", "falls")] * 2,
-                             [["mid", "point"], ["able", "bodied"]] * 2)
+                             ["mid point", "able bodied"] * 2)
         identities = [(c.kind.value, c.first, c.second) for c in result.candidates]
         assert identities == [("nv", "apple", "falls"), ("nv", "zebra", "runs"),
                               ("phrase", "able", "bodied"), ("phrase", "mid", "point")]
