@@ -16,7 +16,7 @@ from .cluster import (
     summarize_clusters,
 )
 from .config import PipelineConfig, load_config
-from .corpus import Label, LabelMode, TweetTokens, load_parses, load_stopwords
+from .corpus import CorpusLines, Label, LabelMode, load_parses, load_stopwords
 from .embed import ComposedVector, EmbeddingStore, OovPolicy, compose, load_vectors
 from .errors import ConfigError, InputFormatError, SubeventsError
 from .evaluate import MetricsPoint, RocCurve, evaluate_labeled, roc_points
@@ -39,6 +39,7 @@ __all__ = [
     "CandidateSet",
     "ComposedVector",
     "ConfigError",
+    "CorpusLines",
     "EmbeddingStore",
     "ExtractCounts",
     "InputFormatError",
@@ -52,7 +53,6 @@ __all__ = [
     "RankedCandidate",
     "RocCurve",
     "SubeventsError",
-    "TweetTokens",
     "build_affinity",
     "compose",
     "eig_topk",

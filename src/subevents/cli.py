@@ -27,7 +27,6 @@ from .corpus import (
     Label,
     LabelMode,
     TokenCleaner,
-    TweetTokens,
     load_parses,
     load_stopwords,
 )
@@ -149,10 +148,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         help="accepted for compatibility; has no effect (every stage runs on one thread)",
     )
     parser.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="override cluster.seed, the single source of randomness",
-    )
-    parser.add_argument(
         "--dedupe", nargs="?", const="true", default=None, metavar="BOOL",
         help="drop exact duplicate tweet texts before extraction",
     )
@@ -189,8 +184,6 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
         raw = values.get(dotted)
         if raw is not None:
             apply_override(cfg, dotted, raw)
-    if args.seed is not None:
-        cfg.cluster.seed = args.seed
     cfg.validate()
     return cfg
 
@@ -235,21 +228,21 @@ def _own_manifest(path: Path) -> bool:
     return isinstance(data, dict) and all(key in data for key in MANIFEST_KEYS)
 
 
-def _tweet_tokens(cfg: PipelineConfig) -> TweetTokens:
+def _corpus(cfg: PipelineConfig) -> CorpusLines:
     """The reader of the configured corpus files, unlabeled before labeled."""
     paths = cfg.paths
-    stopwords = load_stopwords(paths.stopwords)
     files = [(path, mode) for path, mode in [(paths.corpus_unlabeled, LabelMode.UNLABELED),
                                              (paths.corpus_labeled, LabelMode.LABELED)] if path]
-    return TweetTokens(files, stopwords, cfg.dedupe)
+    return CorpusLines(files, cfg.dedupe)
 
 
-def _log_dedupe(tweets: TweetTokens) -> None:
-    if tweets.dedupe:
-        logger.info("dedupe removed %d duplicate tweets", tweets.duplicates)
+def _cleaner(cfg: PipelineConfig) -> TokenCleaner:
+    """A cleaner with the configured stopwords; each stage calls this where
+    it loads them, so which missing input it names first stays fixed."""
+    return TokenCleaner(load_stopwords(cfg.paths.stopwords))
 
 
-def _print_discarded(tweets: TweetTokens) -> None:
+def _print_discarded(tweets: CorpusLines) -> None:
     print(f"  discarded:         {tweets.skipped} malformed lines,"
           f" {tweets.duplicates} duplicate tweets")
 
@@ -267,11 +260,11 @@ def _load_store(cfg: PipelineConfig, word_lists: Iterable[Sequence[str]]) -> Emb
 
 def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     lexicon = load_pos_lexicon(cfg.paths.lexicon) if cfg.paths.lexicon else None
-    tweets = _tweet_tokens(cfg)
+    cleaner = _cleaner(cfg)
     parses = load_parses(cfg.paths.parses) if cfg.paths.parses else None
-    counts = ExtractCounts(tweets.cleaner, parses, lexicon)
+    tweets = _corpus(cfg)
+    counts = ExtractCounts(cleaner, parses, lexicon)
     counts.add_texts(tweets.texts())
-    _log_dedupe(tweets)
     if cfg.paths.parses and counts.parsed == 0:
         logger.warning("no tweet id in the corpus matched the parse file %s", cfg.paths.parses)
     result = counts.candidates(cfg.phrase, cfg.filter_min_freq)
@@ -312,9 +305,8 @@ def cmd_extract(cfg: PipelineConfig, out_dir: Path) -> None:
 def cmd_rank(cfg: PipelineConfig, out_dir: Path) -> None:
     candidates = read_candidates(_artifact(out_dir, "candidates"))
     if cfg.rank.method == "baseline":
-        tweets = _tweet_tokens(cfg)
-        ranked = rank_baseline_overlap(candidates, tweets.texts(), tweets.cleaner)
-        _log_dedupe(tweets)
+        tweets = _corpus(cfg)
+        ranked = rank_baseline_overlap(candidates, tweets.texts(), _cleaner(cfg))
     else:
         term_list = read_terms(cfg.paths.ontology)
         store = _load_store(cfg, [*(cand.words for cand in candidates), *term_list[2]])
@@ -358,9 +350,9 @@ def cmd_cluster(cfg: PipelineConfig, out_dir: Path) -> None:
 
 
 def cmd_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
-    lines = CorpusLines(cfg.paths.corpus_labeled, LabelMode.LABELED)
+    lines = CorpusLines([(cfg.paths.corpus_labeled, LabelMode.LABELED)])
     ranked = read_ranked(_artifact(out_dir, "ranked"))
-    cleaner = TokenCleaner(load_stopwords(cfg.paths.stopwords))
+    cleaner = _cleaner(cfg)
     read: Counter[Label] = Counter()
 
     def labeled():

@@ -12,11 +12,11 @@ token edges, and removes stopwords, tokens shorter than three characters,
 tokens containing a digit, hashtags, and user mentions.
 
 Corpus files are read one line at a time and no tweet is kept:
-``CorpusLines`` yields each line's (id, text, label), and ``TweetTokens``
-builds on it for a stream of (tweet id, raw text) over several files.
-``TokenCleaner`` applies the preprocessing rules to a text's tokens and
-numbers the words kept; extraction and the overlap baseline read texts as
-its word ids, and evaluation pairs each label with its tokens.
+``CorpusLines`` yields each line's (id, text, label) over a list of files,
+with an optional dedupe, and counts what it drops. ``TokenCleaner``
+applies the preprocessing rules to a text's tokens and numbers the words
+kept; extraction and the overlap baseline read texts as its word ids, and
+evaluation pairs each label with its tokens.
 """
 
 from __future__ import annotations
@@ -128,43 +128,61 @@ def _parse_line(line: str, label_mode: LabelMode) -> tuple[str, str, Label]:
 
 
 class CorpusLines:
-    """The ``(id, raw_text, label)`` records of a JSON Lines corpus, read
-    one line at a time.
+    """The ``(id, raw_text, label)`` records of a list of ``(path,
+    label_mode)`` JSON Lines corpus files, read in list order one line at a
+    time.
 
-    Malformed lines are logged, skipped and, once the file has been read
-    to its end, counted in ``skipped``; blank lines are ignored. More than
-    50% malformed lines raises InputFormatError at the end of the file.
+    Blank lines are ignored. Malformed lines are logged, skipped and
+    counted in ``skipped``; more than 50% malformed lines in a file raises
+    InputFormatError at the end of that file. With ``dedupe``, a record
+    whose exact raw text was read before is dropped (the first is kept,
+    across files) and counted in ``duplicates``; the read then holds every
+    distinct text. Each read opens the files anew and recounts.
     """
 
-    def __init__(self, path: str | Path, label_mode: LabelMode = LabelMode.UNLABELED) -> None:
-        self.path = path
-        self.label_mode = label_mode
-        self.skipped = 0
+    def __init__(
+        self, files: Sequence[tuple[str | Path, LabelMode]], dedupe: bool = False
+    ) -> None:
+        self.files = files
+        self.dedupe = dedupe
+        self.skipped = self.duplicates = 0
 
     def __iter__(self) -> Iterator[tuple[str, str, Label]]:
-        path, label_mode = self.path, self.label_mode
-        skipped = 0
-        total = 0
-        with open_text(path) as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                total += 1
-                try:
-                    record = _parse_line(line, label_mode)
-                except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deep
-                    skipped += 1
-                    logger.warning("%s:%d: skipping malformed line (%s)", path, lineno, exc)
-                    continue
-                yield record
-        self.skipped = skipped
-        if total > 0 and skipped * 2 > total:
-            raise InputFormatError(
-                f"{path}: {skipped} of {total} lines malformed; not a JSONL tweet corpus?"
-            )
-        if skipped:
-            logger.info("%s: loaded %d tweets, skipped %d malformed lines",
-                        path, total - skipped, skipped)
+        self.skipped = self.duplicates = 0
+        seen: set[str] | None = set() if self.dedupe else None
+        for path, label_mode in self.files:
+            skipped = total = 0
+            with open_text(path) as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    total += 1
+                    try:
+                        record = _parse_line(line, label_mode)
+                    except (ValueError, RecursionError) as exc:  # RecursionError: too deep JSON
+                        skipped += 1
+                        logger.warning("%s:%d: skipping malformed line (%s)", path, lineno, exc)
+                        continue
+                    if seen is not None:
+                        if record[1] in seen:
+                            self.duplicates += 1
+                            continue
+                        seen.add(record[1])
+                    yield record
+            self.skipped += skipped
+            if total > 0 and skipped * 2 > total:
+                raise InputFormatError(
+                    f"{path}: {skipped} of {total} lines malformed; not a JSONL tweet corpus?"
+                )
+            if skipped:
+                logger.info("%s: loaded %d tweets, skipped %d malformed lines",
+                            path, total - skipped, skipped)
+        if seen is not None:
+            logger.info("dedupe removed %d duplicate tweets", self.duplicates)
+
+    def texts(self) -> Iterator[tuple[str, str]]:
+        """The ``(tweet_id, raw_text)`` of each record a read yields."""
+        return ((tweet_id, text) for tweet_id, text, _ in self)
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
@@ -250,44 +268,6 @@ class TokenCleaner(dict):
         dropped."""
         words = self.words
         return [words[i] for i in self.text_ids(raw_text) if i != REMOVED]
-
-
-class TweetTokens:
-    """The tweets kept from a list of ``(path, label_mode)`` JSON Lines
-    corpus files, read in list order one line at a time by ``CorpusLines``.
-
-    ``texts()`` yields each kept tweet's ``(tweet_id, raw_text)``, and
-    ``cleaner`` is the one ``TokenCleaner`` for reading them. With
-    ``dedupe``, a tweet whose exact raw text was read before is dropped
-    (the first is kept, across files) and counted in ``duplicates``; the
-    read then holds every distinct text. Malformed lines are counted in
-    ``skipped``. Each read opens the files anew and recounts.
-    """
-
-    def __init__(
-        self,
-        files: Sequence[tuple[str | Path, LabelMode]],
-        stopwords: frozenset[str],
-        dedupe: bool = False,
-    ) -> None:
-        self.files = files
-        self.cleaner = TokenCleaner(stopwords)
-        self.dedupe = dedupe
-        self.skipped = self.duplicates = 0
-
-    def texts(self) -> Iterator[tuple[str, str]]:
-        self.skipped = self.duplicates = 0
-        seen: set[str] | None = set() if self.dedupe else None
-        for path, label_mode in self.files:
-            lines = CorpusLines(path, label_mode)
-            for tweet_id, raw_text, _ in lines:
-                if seen is not None:
-                    if raw_text in seen:
-                        self.duplicates += 1
-                        continue
-                    seen.add(raw_text)
-                yield tweet_id, raw_text
-            self.skipped += lines.skipped
 
 
 # Characters of a parse sidecar read at a time. A block is cut at a sentence

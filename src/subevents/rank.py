@@ -131,7 +131,7 @@ def rank_baseline_overlap(
 ) -> list[RankedCandidate]:
     """Overlap-coefficient baseline ranking of candidates, as
     ``rank_candidates`` takes them, over ``(tweet_id, raw_text)`` pairs,
-    such as ``TweetTokens.texts`` yields, each text read as the ids of its
+    such as ``CorpusLines.texts`` yields, each text read as the ids of its
     words in `cleaner`.
 
     For candidate (a, b) with tweet-id occurrence sets A and B, the score is

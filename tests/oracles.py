@@ -434,11 +434,12 @@ def reference_nv_pairs(parse, tokens, lexicon, stopwords):
 
 def reference_extract(files, stopwords, parses_path, lexicon, dedupe, phrase_cfg, min_freq):
     """The extract stage as whole-corpus steps over plain lists: read every
-    ``(path, label_mode)`` corpus file whole with ``CorpusLines``, drop a
-    tweet whose exact raw text came before when ``dedupe`` (the first kept,
-    across files), clean each whitespace token of the lowercased text with
-    ``clean_token``, read the parses, then count each tweet's noun-verb
-    pairs (``reference_nv_pairs``), the unigrams and the adjacent bigrams.
+    ``(path, label_mode)`` corpus file whole with ``CorpusLines``, one file
+    at a time and without its dedupe, drop a tweet whose exact raw text
+    came before when ``dedupe`` (the first kept, across files), clean each
+    whitespace token of the lowercased text with ``clean_token``, read the
+    parses, then count each tweet's noun-verb pairs
+    (``reference_nv_pairs``), the unigrams and the adjacent bigrams.
     A pair counted at least ``min_freq`` times is kept; a bigram counted at
     least ``phrase_cfg.min_count`` times whose word2phrase score
     (count(a,b) - min_count) * V / (count(a) * count(b)), V the number of
@@ -459,7 +460,7 @@ def reference_extract(files, stopwords, parses_path, lexicon, dedupe, phrase_cfg
     records = []
     skipped = 0
     for path, mode in files:
-        lines = CorpusLines(path, mode)
+        lines = CorpusLines([(path, mode)])
         records.extend(lines)
         skipped += lines.skipped
     loaded = len(records)

@@ -24,7 +24,6 @@ from subevents.corpus import (
     Label,
     LabelMode,
     TokenCleaner,
-    TweetTokens,
     load_parses,
     load_stopwords,
 )
@@ -70,39 +69,40 @@ def ph(first, second, freq=1):
 def fixture_ranking(fixtures_dir):
     """The bundled synthetic corpus pushed through extract and rank, and
     the (label, tokens) of its labeled file."""
-    tweets = TweetTokens([
+    tweets = CorpusLines([
         (fixtures_dir / "pipeline_unlabeled.jsonl", LabelMode.UNLABELED),
         (fixtures_dir / "pipeline_labeled.jsonl", LabelMode.LABELED),
-    ], load_stopwords())
-    counts = ExtractCounts(tweets.cleaner, load_parses(fixtures_dir / "pipeline_parses.conllu"))
+    ])
+    cleaner = TokenCleaner(load_stopwords())
+    counts = ExtractCounts(cleaner, load_parses(fixtures_dir / "pipeline_parses.conllu"))
     counts.add_texts(tweets.texts())
     candidates = counts.candidates(PhraseConfig(2, 10.0), 2)
     store = load_vectors(fixtures_dir / "pipeline_vectors.txt")
     ontology = load_ontology(read_terms(fixtures_dir / "pipeline_ontology.txt"), store)
     ranked = rank_candidates(candidates.candidates, ontology, store)
-    lines = CorpusLines(fixtures_dir / "pipeline_labeled.jsonl", LabelMode.LABELED)
-    labeled = [(label, tweets.cleaner.tokens(text)) for _, text, label in lines]
+    lines = CorpusLines([(fixtures_dir / "pipeline_labeled.jsonl", LabelMode.LABELED)])
+    labeled = [(label, cleaner.tokens(text)) for _, text, label in lines]
     return ranked, labeled
 
 
 def test_1_worked_example(fixtures_dir):
     with criterion(1, "worked example"):
         start = time.perf_counter()
-        reader = TweetTokens([(fixtures_dir / "worked_corpus.jsonl", LabelMode.UNLABELED)],
-                             load_stopwords())
+        reader = CorpusLines([(fixtures_dir / "worked_corpus.jsonl", LabelMode.UNLABELED)])
+        cleaner = TokenCleaner(load_stopwords())
         texts = list(reader.texts())
         parses = load_parses(fixtures_dir / "worked_parses.conllu")
         key_id, key_text = texts[0]
-        assert reader.cleaner.tokens(key_text) == [
+        assert cleaner.tokens(key_text) == [
             "waterborne", "diseases", "hurricane", "water", "recedes"]
 
-        counts = ExtractCounts(reader.cleaner, parses)
+        counts = ExtractCounts(cleaner, parses)
         counts.add_texts([(key_id, key_text)])
         pairs = counts.candidates(min_freq=1).candidates
         assert {c.words for c in pairs if c.kind is CandidateKind.NOUN_VERB_PAIR} == {
             ("waterborne", "recedes"), ("water", "recedes")}
 
-        counts = ExtractCounts(reader.cleaner)
+        counts = ExtractCounts(cleaner)
         counts.add_texts(texts)
         phrases = counts.phrases(PhraseConfig(min_count=2, threshold=10.0))
         assert [c.words for c in phrases] == [("waterborne", "diseases")]

@@ -40,10 +40,11 @@ class TestExitCodes:
         assert code == 1
 
     # A flag that never existed, then the keys removed with the code paths
-    # they chose, each with a value the removed key accepted.
+    # they chose and the removed shorthand for --cluster.seed, each with a
+    # value the removed flag accepted.
     UNKNOWN_FLAGS = {"bogus": "1", "rank.normalize_words": "true", "rank.discount": "none",
                      "cluster.normalized": "false", "eval.nv_match": "bigram",
-                     "eval.phrase_match": "tokens"}
+                     "eval.phrase_match": "tokens", "seed": "3"}
 
     def test_unknown_flag(self, run_cli):
         for flag, value in self.UNKNOWN_FLAGS.items():
@@ -280,6 +281,23 @@ class TestExitCodes:
         assert err.startswith(f"error: {bad}: not UTF-8 text: ")
         assert err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("missing, named", [
+        (("stopwords", "parses"), "stopwords"),
+        (("lexicon", "stopwords", "parses"), "lexicon"),
+    ], ids=["stopwords-before-parses", "lexicon-before-stopwords"])
+    def test_extract_names_the_first_missing_input_it_loads(self, run_cli, tmp_path,
+                                                            write_config, pipeline_config_dict,
+                                                            missing, named):
+        """Extract loads the lexicon, then the stopwords, then the parses:
+        with several of them missing, its one-line error names the first."""
+        cfg_dict = json.loads(json.dumps(pipeline_config_dict))
+        for key in missing:
+            cfg_dict["paths"][key] = str(tmp_path / f"absent_{key}.txt")
+        code, out, err = run_cli("extract", "--config", write_config(cfg_dict, tmp_path / "out"))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [key for key in missing if str(tmp_path / f"absent_{key}.txt") in err] == [named]
 
     def test_pipeline_requires_cluster_k(self, run_cli, tmp_path, write_config, pipeline_config_dict):
         cfg_dict = json.loads(json.dumps(pipeline_config_dict))
@@ -713,7 +731,7 @@ class TestPipeline:
                                              pipeline_config_dict):
         out = tmp_path / "out"
         cfg = write_config(pipeline_config_dict, out)
-        assert run_cli("pipeline", "--config", cfg, "--seed", "9")[0] == 0
+        assert run_cli("pipeline", "--config", cfg, "--cluster.seed", "9")[0] == 0
         manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["config"]["cluster"]["seed"] == 9
 

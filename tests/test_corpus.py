@@ -18,7 +18,6 @@ from subevents.corpus import (
     Label,
     LabelMode,
     TokenCleaner,
-    TweetTokens,
     clean_token,
     load_parses,
     load_stopwords,
@@ -38,13 +37,14 @@ def _write_lines(path, lines):
 
 def _tweet_tokens(tweets):
     """The ``(tweet_id, tokens)`` of each tweet one read of `tweets` keeps."""
-    return [(tweet_id, tweets.cleaner.tokens(text)) for tweet_id, text in tweets.texts()]
+    cleaner = TokenCleaner(STOPWORDS)
+    return [(tweet_id, cleaner.tokens(text)) for tweet_id, text in tweets.texts()]
 
 
 def _read(path, label_mode=LabelMode.UNLABELED):
     """The (id, raw_text, label) records ``CorpusLines`` yields for a file,
     and its count of malformed lines."""
-    lines = CorpusLines(path, label_mode)
+    lines = CorpusLines([(path, label_mode)])
     records = list(lines)
     return records, lines.skipped
 
@@ -188,7 +188,7 @@ class TestPreprocess:
         # A tweet whose every token is removed is still read, with no tokens.
         path = tmp_path / "c.jsonl"
         _write_lines(path, [json.dumps({"id": "t", "text": "#only @refs 12"})])
-        tweets = TweetTokens([(path, LabelMode.UNLABELED)], STOPWORDS)
+        tweets = CorpusLines([(path, LabelMode.UNLABELED)])
         assert _tweet_tokens(tweets) == [("t", [])]
         assert tweets.skipped == 0
 
@@ -348,6 +348,9 @@ class TestStopwords:
 
 
 class TestTweetTokens:
+    """The tweets ``CorpusLines`` keeps from an unlabeled and a labeled
+    file, with and without dedupe."""
+
     def _files(self, tmp_path):
         unlabeled, labeled = tmp_path / "u.jsonl", tmp_path / "l.jsonl"
         _write_lines(unlabeled, [
@@ -364,40 +367,142 @@ class TestTweetTokens:
         return [(unlabeled, LabelMode.UNLABELED), (labeled, LabelMode.LABELED)]
 
     def test_dedupe_across_files_keeps_first(self, tmp_path):
-        tweets = TweetTokens(self._files(tmp_path), STOPWORDS, dedupe=True)
+        tweets = CorpusLines(self._files(tmp_path), dedupe=True)
         for _ in range(2):  # each read recounts
             assert _tweet_tokens(tweets) == [
                 ("1", ["flood", "waters", "rise"]), ("2", ["bridge", "gone"]), ("5", ["roads"])]
             assert (tweets.skipped, tweets.duplicates) == (2, 2)
 
     def test_without_dedupe_keeps_every_tweet_in_file_order(self, tmp_path):
-        tweets = TweetTokens(self._files(tmp_path), STOPWORDS)
+        tweets = CorpusLines(self._files(tmp_path))
         assert [tweet_id for tweet_id, _ in tweets.texts()] == ["1", "2", "3", "4", "5"]
         assert (tweets.skipped, tweets.duplicates) == (2, 0)
 
     @pytest.mark.parametrize("dedupe", [False, True])
     def test_texts_are_the_raw_texts_of_the_tweets_kept(self, tmp_path, dedupe):
-        tweets = TweetTokens(self._files(tmp_path), STOPWORDS, dedupe=dedupe)
+        tweets = CorpusLines(self._files(tmp_path), dedupe=dedupe)
         tokens, counts = _tweet_tokens(tweets), (tweets.skipped, tweets.duplicates)
         texts = list(tweets.texts())
+        cleaner = TokenCleaner(STOPWORDS)
         assert [tweet_id for tweet_id, _ in texts] == [tweet_id for tweet_id, _ in tokens]
-        assert [tweets.cleaner.tokens(text) for _, text in texts] == [t for _, t in tokens]
+        assert [cleaner.tokens(text) for _, text in texts] == [t for _, t in tokens]
         assert texts[0] == ("1", "Flood waters rise")
         assert (tweets.skipped, tweets.duplicates) == counts
 
 
 class TestCorpusOps:
     def test_concat_preserves_order_and_skips(self, tmp_path):
-        # TweetTokens reads its files one after the other: tweets in file
+        # CorpusLines reads its files one after the other: tweets in file
         # order, malformed lines summed over the files.
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         _write_lines(a, [json.dumps({"id": "1", "text": "x"}), "bad", "bad",
                          json.dumps({"id": "3", "text": "z"})])
         _write_lines(b, [json.dumps({"id": "2", "text": "y"}), "bad",
                          json.dumps({"id": "4", "text": "w"})])
-        tweets = TweetTokens([(a, LabelMode.UNLABELED), (b, LabelMode.UNLABELED)], STOPWORDS)
+        tweets = CorpusLines([(a, LabelMode.UNLABELED), (b, LabelMode.UNLABELED)])
         assert [tweet_id for tweet_id, _ in tweets.texts()] == ["1", "3", "2", "4"]
         assert tweets.skipped == 3
+
+
+_TEXTS = ["flood rising", "flood rising ", "bridge gone", "Roads closed"]
+_BLANK = ["", "   ", "\t"]
+_MALFORMED = ["{", "not json", "[]", '{"id": 1, "text": "x"}', '{"id": "1"}']
+
+
+@st.composite
+def _corpus_file(draw):
+    """A label mode and the lines of one corpus file, each as (kind,
+    line, record): valid lines whose few ids and texts repeat, malformed
+    lines (in labeled mode an unknown label too) and blank lines."""
+    mode = draw(st.sampled_from(LabelMode))
+    malformed = _MALFORMED + (['{"id": "1", "text": "x", "label": "maybe"}']
+                              if mode is LabelMode.LABELED else [])
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(["valid", "valid", "malformed", "blank"]),
+                              max_size=10)):
+        if kind == "blank":
+            lines.append((kind, draw(st.sampled_from(_BLANK)), None))
+        elif kind == "malformed":
+            lines.append((kind, draw(st.sampled_from(malformed)), None))
+        else:
+            tweet_id, text = draw(st.sampled_from("1234")), draw(st.sampled_from(_TEXTS))
+            label = draw(st.sampled_from(Label))
+            obj = {"id": tweet_id, "text": text}
+            if label is not Label.UNLABELED:
+                obj["label"] = label.value
+            if mode is LabelMode.UNLABELED:
+                label = Label.UNLABELED  # an unlabeled file's label field is ignored
+            lines.append((kind, json.dumps(obj), (tweet_id, text, label)))
+    return mode, lines
+
+
+def _expected_read(files, dedupe):
+    """The records, skipped and duplicate counts, and non-blank lines of a
+    read of `files`, and whether it ends in InputFormatError: a file whose
+    lines are more than half malformed stops the read at its end."""
+    records, seen = [], set()
+    skipped = duplicates = nonblank = 0
+    for _, lines in files:
+        bad = total = 0
+        for kind, _, record in lines:
+            if kind == "blank":
+                continue
+            total += 1
+            if kind == "malformed":
+                bad += 1
+            elif dedupe and record[1] in seen:
+                duplicates += 1
+            else:
+                seen.add(record[1])
+                records.append(record)
+        skipped += bad
+        nonblank += total
+        if bad * 2 > total:
+            return records, skipped, duplicates, nonblank, True
+    return records, skipped, duplicates, nonblank, False
+
+
+def _read_all(reader):
+    """The records one read of `reader` yields, and whether it raised
+    InputFormatError."""
+    records = []
+    try:
+        for record in reader:
+            records.append(record)
+    except InputFormatError:
+        return records, True
+    return records, False
+
+
+@settings(max_examples=200, deadline=None)
+@given(files=st.lists(_corpus_file(), min_size=1, max_size=3), dedupe=st.booleans())
+def test_reader_accounts_for_every_non_blank_line(files, dedupe, reader_dir):
+    """Over several files in both label modes, each non-blank line read is
+    a record, a duplicate or a skipped line; each file's malformed lines
+    are its ``skipped``; dedupe keeps the first copy of a text across
+    files; and a second read gives the same records and counts."""
+    paths = []
+    for i, (mode, lines) in enumerate(files):
+        path = reader_dir / f"part{i}.jsonl"
+        path.write_text("".join(line + "\n" for _, line, _ in lines), encoding="utf-8")
+        paths.append((path, mode))
+    want, skipped, duplicates, nonblank, fails = _expected_read(files, dedupe)
+    reader = CorpusLines(paths, dedupe)
+    for _ in range(2):
+        assert _read_all(reader) == (want, fails)
+        assert (reader.skipped, reader.duplicates) == (skipped, duplicates)
+        assert len(want) + reader.duplicates + reader.skipped == nonblank
+    for path, (mode, lines) in zip(paths, files):
+        alone = CorpusLines([path])
+        _read_all(alone)
+        assert alone.skipped == sum(kind == "malformed" for kind, _, _ in lines)
+    if not fails and dedupe:
+        every, _ = _read_all(CorpusLines(paths))
+        firsts = {}
+        for record in every:
+            firsts.setdefault(record[1], record)
+        assert want == list(firsts.values())
+        assert reader.duplicates == len(every) - len(want)
 
 
 class TestParses:
