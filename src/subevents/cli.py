@@ -360,7 +360,7 @@ def cmd_evaluate(cfg: PipelineConfig, out_dir: Path) -> None:
             read[label] += 1
             yield label, cleaner.tokens(text)
 
-    metrics = evaluate_labeled(ranked, labeled(), list(cfg.eval.ks))
+    metrics = evaluate_labeled([rc.candidate for rc in ranked], labeled(), list(cfg.eval.ks))
     write_metrics(metrics, _artifact(out_dir, "metrics"))
     best = max(metrics, key=lambda m: m.f1)
     curve = roc_points(metrics)
@@ -384,10 +384,12 @@ def cmd_report(cfg: PipelineConfig, out_dir: Path) -> None:
 
 
 def _input_hashes(cfg: PipelineConfig) -> dict:
+    """The configured input files the pipeline reads, by key; the term list
+    is read only by the moac ranking."""
     return {
         name: {"path": value, "sha256": sha256_file(value)}
         for name, value in vars(cfg.paths).items()
-        if value and name != "out_dir"
+        if value and name != "out_dir" and (name != "ontology" or cfg.rank.method == "moac")
     }
 
 

@@ -305,22 +305,17 @@ def _assign(
     return labels, contributions, len(doubt)
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = KMEANS_MAX_ITER,
-    tol: float = KMEANS_REL_TOL,
-) -> tuple[np.ndarray, np.ndarray, list[float]]:
+def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Lloyd iterations from k-means++ seeding.
 
-    Stops when the relative inertia improvement drops to tol or after
-    max_iter assignment rounds. Returns (labels, centers, inertia history);
-    the history is non-increasing. A cluster emptied during an update is
-    re-seeded at the point contributing most to inertia, so descent holds
-    on the next assignment too. Every label and inertia term is the
-    per-center sum of squared differences (see `_assign`); logs one info
-    line with the iterations, the final inertia and the rechecked rows.
+    Stops when the relative inertia improvement drops to KMEANS_REL_TOL or
+    after KMEANS_MAX_ITER assignment rounds. Returns (labels, centers,
+    inertia history); the history is non-empty and non-increasing. A
+    cluster emptied during an update is re-seeded at the point contributing
+    most to inertia, so descent holds on the next assignment too. Every
+    label and inertia term is the per-center sum of squared differences
+    (see `_assign`); logs one info line with the iterations, the final
+    inertia and the rechecked rows.
     """
     pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
@@ -345,12 +340,12 @@ def kmeans(
     prev = np.inf
     sq_norms = (pts ** 2).sum(axis=1)
     rechecked = 0
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         labels, contributions, doubtful = _assign(pts, sq_norms, centers)
         rechecked += doubtful
         inertia = float(contributions.sum())
         history.append(inertia)
-        if np.isfinite(prev) and prev - inertia <= tol * max(prev, 1e-12):
+        if np.isfinite(prev) and prev - inertia <= KMEANS_REL_TOL * max(prev, 1e-12):
             break
         prev = inertia
         taken: set[int] = set()
@@ -367,7 +362,7 @@ def kmeans(
             centers[c] = pts[far]
     logger.info("k-means: %d iterations, final inertia %r, %d of %d row assignments"
                 " decided by the exact recheck", len(history),
-                history[-1] if history else float("nan"), rechecked, n * len(history))
+                history[-1], rechecked, n * len(history))
     return labels, centers, history
 
 
@@ -438,19 +433,20 @@ def summarize_clusters(
     ranked: Sequence[RankedCandidate],
     vectors: np.ndarray,
 ) -> list[dict]:
-    """Group ranked candidates by cluster id and pick each cluster's medoid.
+    """Group ranked candidates, given in rank order, by cluster id and pick
+    each cluster's medoid.
 
     `labels` holds a cluster id per ranked candidate, as `spectral_cluster`
     returns them, and `vectors` one composed vector per ranked candidate,
-    as the rows of an (n, dim) array. Clusters are listed by id. The
-    medoid is the member whose vector is closest to the cluster centroid
-    (first by rank on ties). Members are listed in rank order.
+    as the rows of an (n, dim) array. Clusters are listed by id, and their
+    members in the order given. The medoid is the member whose vector is
+    closest to the cluster centroid (the earlier member on ties).
     """
     if not len(ranked) == len(vectors) == len(labels):
         raise ValueError("ranked candidates, vectors, and labels must align")
     summaries = []
     for cluster_id in np.unique(labels).tolist():
-        indices = sorted(np.flatnonzero(labels == cluster_id), key=lambda i: ranked[i].rank)
+        indices = np.flatnonzero(labels == cluster_id)
         members = vectors[indices]
         diffs = members - np.mean(members, axis=0)
         medoid = indices[int(np.argmin(row_norms(diffs)))]

@@ -22,8 +22,7 @@ from pathlib import Path
 from ._util import format_float, read_table, write_table
 from .corpus import Label
 from .errors import InputFormatError
-from .extract import CandidateKind
-from .rank import RankedCandidate
+from .extract import Candidate, CandidateKind
 
 
 @dataclass(frozen=True)
@@ -60,15 +59,16 @@ class RocCurve:
 
 
 def evaluate_labeled(
-    ranked: Sequence[RankedCandidate],
+    ranking: Sequence[Candidate],
     labeled: Iterable[tuple[Label, Sequence[str]]],
     ks: Sequence[int],
 ) -> list[MetricsPoint]:
-    """Metrics for each top-k cut of the ranking over a stream of
+    """Metrics for each top-k cut of a ranking, the candidates in rank
+    order (a candidate's rank is its 1-based position), over a stream of
     ``(label, tokens)``, one per tweet, read once after the arguments are
     checked. Unlabeled tweets are skipped; a tweet read twice counts twice.
 
-    Each candidate ranked at most ``ks[-1]`` (no later one can change a
+    Each of the first ``ks[-1]`` candidates (no later one can change a
     metric) maps its ``(first, second)`` to its lowest rank, in one map for
     the noun-verb pairs, matched by containment, and one for the phrases,
     matched by bigram. A tweet's lowest matching rank is then the least
@@ -83,12 +83,9 @@ def evaluate_labeled(
         raise ValueError("ks must be strictly ascending")
     by_tokens: dict[tuple[str, str], int] = {}
     by_bigram: dict[tuple[str, str], int] = {}
-    for rc in sorted(ranked, key=lambda r: r.rank):
-        if not ks or rc.rank > ks[-1]:
-            break  # this rank and all after it are past every k
-        c = rc.candidate
+    for rank, c in enumerate(ranking[: ks[-1] if ks else 0], start=1):
         by_kind = by_tokens if c.kind is CandidateKind.NOUN_VERB_PAIR else by_bigram
-        by_kind.setdefault((c.first, c.second), rc.rank)
+        by_kind.setdefault((c.first, c.second), rank)
     firsts = {first for first, _ in by_tokens}
     seconds = {second for _, second in by_tokens}
     # Each labeled tweet's lowest matching rank, inf when none matches.

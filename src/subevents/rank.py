@@ -45,7 +45,6 @@ class RankedCandidate:
     candidate: Candidate
     score: float
     best_term: str | None
-    rank: int
 
 
 def compose_rows(
@@ -96,10 +95,7 @@ def _sort_and_rank(scored: list[tuple[Candidate, float, str | None]]) -> list[Ra
     # a final key so same-worded pair/phrase candidates order deterministically.
     scored.sort(key=lambda item: (-item[1], -item[0].frequency, item[0].first,
                                   item[0].second, item[0].kind.value))
-    return [
-        RankedCandidate(candidate=cand, score=score, best_term=term, rank=i)
-        for i, (cand, score, term) in enumerate(scored, start=1)
-    ]
+    return [RankedCandidate(*item) for item in scored]
 
 
 def rank_candidates(
@@ -168,25 +164,25 @@ RANKED_CSV_HEADER = ["rank", "kind", "first", "second", "frequency", "score", "b
 
 
 def write_ranked(ranked: Sequence[RankedCandidate], path: str | Path) -> None:
+    """Write a ranking in its order; each row's rank is its 1-based position."""
     write_table(path, RANKED_CSV_HEADER, (
-        (rc.rank, rc.candidate.kind.value, rc.candidate.first, rc.candidate.second,
+        (rank, rc.candidate.kind.value, rc.candidate.first, rc.candidate.second,
          rc.candidate.frequency, format_float(rc.score), rc.best_term or "")
-        for rc in ranked
+        for rank, rc in enumerate(ranked, start=1)
     ))
 
 
 def read_ranked(path: str | Path) -> list[RankedCandidate]:
-    """The records of a ranked.csv, whose candidate fields are read as
-    candidates.csv's are. A rank other than the record's 1-based position
-    is malformed: cluster takes the top candidates by position, evaluate by
-    rank, and only the file rank writes makes the two agree."""
+    """The records of a ranked.csv in file order, which is rank order;
+    their candidate fields are read as candidates.csv's are. The rank column
+    is checked, not kept: a rank other than the record's 1-based position is
+    malformed."""
     positions = itertools.count(1)
 
     def parse(row: list[str]) -> RankedCandidate:
-        ranked = RankedCandidate(candidate=_parse_candidate(row[1:5]), score=float(row[5]),
-                                 best_term=row[6] or None, rank=int(row[0]))
-        if ranked.rank != next(positions):
-            raise ValueError(f"rank {ranked.rank} out of position")
-        return ranked
+        rank = int(row[0])
+        if rank != next(positions):
+            raise ValueError(f"rank {rank} out of position")
+        return RankedCandidate(_parse_candidate(row[1:5]), float(row[5]), row[6] or None)
 
     return read_table(path, RANKED_CSV_HEADER, parse)

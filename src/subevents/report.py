@@ -28,15 +28,13 @@ def _chart(
     y_label: str,
     points: Sequence[tuple[float, float]],
     x_max: float,
-    y_max: float = 1.0,
 ) -> str:
+    """An SVG line chart of `points`, x over [0, x_max] and y over [0, 1]."""
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def to_px(x: float, y: float) -> tuple[float, float]:
-        px = _MARGIN_LEFT + (x / x_max) * plot_w if x_max else _MARGIN_LEFT
-        py = _MARGIN_TOP + (1.0 - y / y_max) * plot_h if y_max else _MARGIN_TOP + plot_h
-        return px, py
+        return _MARGIN_LEFT + (x / x_max) * plot_w, _MARGIN_TOP + (1.0 - y) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -48,10 +46,10 @@ def _chart(
     # Axes and quarter gridlines.
     x0, y0 = to_px(0.0, 0.0)
     x1, _ = to_px(x_max, 0.0)
-    _, y1 = to_px(0.0, y_max)
+    _, y1 = to_px(0.0, 1.0)
     for frac in (0.25, 0.5, 0.75, 1.0):
         gx, _ = to_px(frac * x_max, 0.0)
-        _, gy = to_px(0.0, frac * y_max)
+        _, gy = to_px(0.0, frac)
         parts.append(
             f'<line x1="{_fmt(gx)}" y1="{_fmt(y0)}" x2="{_fmt(gx)}" y2="{_fmt(y1)}" '
             f'stroke="#dddddd" stroke-width="1"/>'
@@ -66,7 +64,7 @@ def _chart(
         )
         parts.append(
             f'<text x="{_fmt(x0 - 6)}" y="{_fmt(gy + 3)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="10">{_fmt(frac * y_max)}</text>'
+            f'font-family="sans-serif" font-size="10">{_fmt(frac)}</text>'
         )
     parts.append(
         f'<line x1="{_fmt(x0)}" y1="{_fmt(y0)}" x2="{_fmt(x1)}" y2="{_fmt(y0)}" '

@@ -37,7 +37,7 @@ from subevents.extract import (
     phrase_score,
     reduction_percent,
 )
-from subevents.rank import RankedCandidate, load_ontology, rank_candidates, read_terms
+from subevents.rank import load_ontology, rank_candidates, read_terms
 
 
 def _gate_line(text: str) -> None:
@@ -338,14 +338,8 @@ def test_7_metrics(fixture_ranking):
             (Label.UNINFORMATIVE, ("blocked", "joke", "road")),
             (Label.UNINFORMATIVE, ("calm", "waters", "today")),
         ]
-        hand_ranking = [
-            RankedCandidate(candidate=nv("road", "blocked", 2), score=0.9,
-                            best_term=None, rank=1),
-            RankedCandidate(candidate=ph("storm", "surge", 2), score=0.8,
-                            best_term=None, rank=2),
-            RankedCandidate(candidate=nv("fire", "spreads", 2), score=0.7,
-                            best_term=None, rank=3),
-        ]
+        hand_ranking = [nv("road", "blocked", 2), ph("storm", "surge", 2),
+                        nv("fire", "spreads", 2)]
         point = evaluate_labeled(hand_ranking, labeled_tweets, ks=[2])[0]
         assert point.precision == 2 / 3
         assert point.recall == 1 / 2
@@ -365,11 +359,9 @@ def test_7_metrics(fixture_ranking):
                 label = Label.INFORMATIVE if rng.random() < 0.5 else Label.UNINFORMATIVE
                 rand_tweets.append((label, toks))
             ranking = []
-            for pos in range(int(rng.integers(1, 8))):
+            for _ in range(int(rng.integers(1, 8))):
                 a, b = (vocab[int(j)] for j in rng.integers(0, len(vocab), 2))
-                cand = nv(a, b) if rng.random() < 0.5 else ph(a, b)
-                ranking.append(RankedCandidate(candidate=cand, score=float(-pos),
-                                               best_term=None, rank=pos + 1))
+                ranking.append(nv(a, b) if rng.random() < 0.5 else ph(a, b))
             ks = list(range(0, len(ranking) + 2))
             points = evaluate_labeled(ranking, rand_tweets, ks=ks)
             tps = [p.tp for p in points]
@@ -382,18 +374,14 @@ def test_7_metrics(fixture_ranking):
         # the planted crisis candidates almost perfectly.
         ranked, labeled = fixture_ranking
         ks = list(range(1, len(ranked) + 1))
-        planted_auc = roc_points(evaluate_labeled(ranked, labeled, ks)).auc
+        candidates = [rc.candidate for rc in ranked]
+        planted_auc = roc_points(evaluate_labeled(candidates, labeled, ks)).auc
         assert planted_auc >= 0.8
 
-        candidates = [rc.candidate for rc in ranked]
         aucs = []
         for seed in range(20):
             perm = np.random.default_rng(seed).permutation(len(candidates))
-            shuffled = [
-                RankedCandidate(candidate=candidates[int(idx)], score=0.0,
-                                best_term=None, rank=pos + 1)
-                for pos, idx in enumerate(perm)
-            ]
+            shuffled = [candidates[int(idx)] for idx in perm]
             aucs.append(roc_points(evaluate_labeled(shuffled, labeled, ks)).auc)
         mean_auc = sum(aucs) / len(aucs)
         assert abs(mean_auc - 0.5) <= 0.05

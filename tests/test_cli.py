@@ -643,6 +643,19 @@ class TestPipeline:
         assert all(v >= 0 for v in stages.values())
         assert manifest["total_seconds"] >= max(stages.values())
 
+    def test_baseline_pipeline_neither_reads_nor_hashes_the_term_list(
+            self, run_cli, tmp_path, write_config, pipeline_config_dict):
+        # Only the moac ranking reads paths.ontology, so a missing file is
+        # no error under the baseline and the manifest names no such input.
+        out = tmp_path / "out"
+        cfg = write_config(pipeline_config_dict, out)
+        code, _, err = run_cli("pipeline", "--config", cfg, "--rank.method", "baseline",
+                               "--paths.ontology", str(tmp_path / "missing.txt"))
+        assert code == 0, err
+        inputs = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["inputs"]
+        assert "ontology" not in inputs
+        assert inputs["vectors"]["sha256"] == sha256(pipeline_config_dict["paths"]["vectors"])
+
     def test_stage_alone_removes_the_manifest(self, run_cli, tmp_path, write_config,
                                               pipeline_config_dict):
         # A manifest whose checksums no longer match the artifacts is gone;
@@ -1274,6 +1287,22 @@ def test_pipeline_artifacts_match_golden_digests(run_cli, tmp_path, write_config
     out = tmp_path / "out"
     assert run_cli("pipeline", "--config", write_config(pipeline_config_dict, out), *flags)[0] == 0
     assert _pipeline_digests(out) == _golden_pipeline_digests(variant)
+
+
+# sha256 of the two plots `report` draws from the fixture pipeline's
+# metrics.csv ("shipped" above).
+GOLDEN_REPORT = {
+    "report_f1.svg": "12760ee69b07b704163ecc7c5e2ad761f421b926fe8dd512df020fee3ab62023",
+    "report_roc.svg": "c13d748a909c7cd464837ccf02268b6534ae45d0f3baff167067070e74e7433b",
+}
+
+
+def test_report_plots_match_golden_digests(run_cli, tmp_path, write_config,
+                                           pipeline_config_dict):
+    cfg = write_config(pipeline_config_dict, tmp_path / "out")
+    assert run_cli("pipeline", "--config", cfg)[0] == 0
+    assert run_cli("report", "--config", cfg)[0] == 0
+    assert {name: sha256(tmp_path / "out" / name) for name in GOLDEN_REPORT} == GOLDEN_REPORT
 
 
 def _openblas_configuration() -> str:

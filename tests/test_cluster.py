@@ -498,7 +498,7 @@ class TestKmeans:
         pts = np.random.default_rng(3).normal(size=(n, d))
         tracemalloc.start()
         try:
-            kmeans(pts, k, seed=0, max_iter=2)
+            kmeans(pts, k, seed=0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -682,7 +682,7 @@ class TestSummaries:
         for i in range(n):
             cand = Candidate(CandidateKind.NOUN_VERB_PAIR, f"word{i}", "verbs", 2)
             out.append(RankedCandidate(candidate=cand, score=1.0 - 0.1 * i,
-                                       best_term="storm", rank=i + 1))
+                                       best_term="storm"))
         return out
 
     def test_medoid_closest_to_centroid(self):

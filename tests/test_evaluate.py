@@ -30,10 +30,8 @@ def ph(first, second):
 
 
 def ranked_list(candidates):
-    return [
-        RankedCandidate(candidate=c, score=1.0 - 0.01 * i, best_term=None, rank=i + 1)
-        for i, c in enumerate(candidates)
-    ]
+    """A ranking as `evaluate_labeled` takes it: the candidates in rank order."""
+    return list(candidates)
 
 
 def one_tweet_matches(tokens, candidate):
@@ -179,10 +177,7 @@ class TestEvaluateAtK(_HandFixture):
                 (toks, label is Label.INFORMATIVE)
                 for label, toks in labeled if label is not Label.UNLABELED
             ]
-            oracle_cands = [
-                (rc.candidate.kind.value, rc.candidate.first, rc.candidate.second)
-                for rc in ranking
-            ]
+            oracle_cands = [(c.kind.value, c.first, c.second) for c in ranking]
             for ks in sweeps:
                 streamed = evaluate_labeled(ranking, iter(labeled), ks)
                 assert [p.k for p in streamed] == ks
@@ -216,7 +211,8 @@ def _evaluate_peak(labeled, out) -> int:
     cfg = PipelineConfig()
     cfg.paths.corpus_labeled = str(labeled)
     out.mkdir()
-    write_ranked(ranked_list([nv("flood", "rise"), ph("water", "rise")]), out / "ranked.csv")
+    write_ranked([RankedCandidate(nv("flood", "rise"), 0.5, None),
+                  RankedCandidate(ph("water", "rise"), 0.4, None)], out / "ranked.csv")
     gc.collect()
     tracemalloc.start()
     try:

@@ -56,7 +56,7 @@ TABLES = {
     "ranked.csv": Table(
         "cluster", RANKED_CSV_HEADER, "1,nv,road,blocked,3,0.5,flood",
         write_ranked, read_ranked,
-        st.builds(RankedCandidate, CANDIDATES, FLOATS, st.none() | WORDS.filter(bool), st.just(0)),
+        st.builds(RankedCandidate, CANDIDATES, FLOATS, st.none() | WORDS.filter(bool)),
     ),
     "metrics.csv": Table(
         "report", METRICS_CSV_HEADER, "1,1,0,0,1,1.0,1.0,1.0,0.0,1.0",
@@ -101,17 +101,10 @@ def test_stage_reports_framing_error_on_one_line(name, case, run_cli, tmp_path, 
 @given(data=st.data())
 def test_write_then_read_round_trips(name, data, table_dir):
     table = TABLES[name]
-    rows = _numbered(name, data.draw(st.lists(table.rows, max_size=5)))
+    rows = data.draw(st.lists(table.rows, max_size=5))
     path = table_dir / name
     table.write(rows, path)
     assert table.read(path) == rows
-
-
-def _numbered(name, rows):
-    """`rows`, with ranked.csv's ranks set to their 1-based positions, as rank writes them."""
-    if name != "ranked.csv":
-        return rows
-    return [dataclasses.replace(row, rank=i) for i, row in enumerate(rows, start=1)]
 
 
 @pytest.mark.parametrize("name", ["candidates.csv", "ranked.csv"])
@@ -122,20 +115,33 @@ def test_row_no_stage_writes_is_malformed(name, data, table_dir):
     ranked.csv, a rank other than its position, among rows a stage writes,
     fails the read."""
     table = TABLES[name]
-    rows = _numbered(name, data.draw(st.lists(table.rows, min_size=1, max_size=5)))
+    rows = data.draw(st.lists(table.rows, min_size=1, max_size=5))
     i = data.draw(st.integers(0, len(rows) - 1))
     rules = ["first", "second", "frequency"] + (["rank"] if name == "ranked.csv" else [])
     rule = data.draw(st.sampled_from(rules))
     if rule == "rank":
-        bad = dataclasses.replace(rows[i], rank=data.draw(INTS.filter(lambda r: r != i + 1)))
+        bad = rows[i]
     elif name == "candidates.csv":
         bad = _broken(rows[i], rule, data)
     else:
         bad = dataclasses.replace(rows[i], candidate=_broken(rows[i].candidate, rule, data))
     path = table_dir / name
     table.write([*rows[:i], bad, *rows[i + 1:]], path)
+    if rule == "rank":
+        # write_ranked writes each row's position, so the wrong rank goes
+        # into the CSV text.
+        _set_rank(path, i, data.draw(INTS.filter(lambda r: r != i + 1)))
     with pytest.raises(InputFormatError, match="malformed row"):
         table.read(path)
+
+
+def _set_rank(path, i, rank):
+    """Rewrite the rank field of record `i` (0-based, after the header) of a ranked.csv."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = list(csv.reader(fh))
+    records[i + 1][0] = rank
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(records)
 
 
 def _broken(candidate, rule, data):
