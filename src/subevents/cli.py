@@ -15,7 +15,7 @@ import sys
 import time
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -403,7 +403,7 @@ def cmd_pipeline(cfg: PipelineConfig, out_dir: Path) -> None:
     total = round(time.perf_counter() - start, 6)
     manifest = {
         "tool_version": __version__,
-        "config": cfg.to_dict(),
+        "config": asdict(cfg),
         "inputs": _input_hashes(cfg),
         "artifacts": {
             name: {

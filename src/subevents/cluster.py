@@ -34,8 +34,6 @@ KMEANS_REL_TOL = 1e-6
 # 2 * (d + 4) * eps * R^2 covers the rounding of both k-means distance forms
 # in any summation order; 64 leaves a 32x margin (see _assign).
 KMEANS_SCREEN_SLACK = 64
-# Side of the square blocks _mirror_upper copies at a time (512 KiB each).
-MIRROR_TILE = 256
 # spectrum.npz: the layout tag in its key, and the chunk size in which its
 # eigenvector matrix is read to gather the columns a run uses.
 SPECTRUM_LAYOUT = "np.linalg.eigh as returned: values ascending, eigenvectors as columns"
@@ -93,16 +91,9 @@ def build_affinity(vectors: np.ndarray) -> AffinityMatrix:
 def _mirror_upper(m: np.ndarray) -> None:
     """Set the square array m, in place, to np.triu(m, 1) + np.triu(m, 1).T:
     the strict upper triangle copied onto the lower one, a zero diagonal
-    and no -0.0. Copies MIRROR_TILE x MIRROR_TILE tiles, so the scratch
-    memory does not grow with n."""
-    n = m.shape[0]
-    below = np.tri(MIRROR_TILE, k=-1, dtype=bool)
-    for start in range(0, n, MIRROR_TILE):
-        stop = min(start + MIRROR_TILE, n)
-        for left in range(0, start, MIRROR_TILE):
-            m[start:stop, left:left + MIRROR_TILE] = m[left:left + MIRROR_TILE, start:stop].T
-        tile = m[start:stop, start:stop]
-        np.copyto(tile, tile.T, where=below[: stop - start, : stop - start])
+    and no -0.0. Copies one row at a time, so scratch is at most one row."""
+    for i in range(1, m.shape[0]):
+        m[i, :i] = m[:i, i]
     np.fill_diagonal(m, 0.0)
     # x + 0.0 is x except that -0.0 becomes +0.0, as in the sum above.
     m += 0.0
@@ -336,7 +327,6 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> tuple[np.ndarray, np.ndarra
         nearest_sq = np.minimum(nearest_sq, ((pts - centers[c]) ** 2).sum(axis=1))
 
     history: list[float] = []
-    labels = np.zeros(n, dtype=np.int64)
     prev = np.inf
     sq_norms = (pts ** 2).sum(axis=1)
     rechecked = 0
@@ -381,8 +371,9 @@ def spectral_cluster(
 
     `cache` is passed to `eig_topk`, so runs at several k on one affinity
     decompose its matrix once. The matrix is built in one n x n array
-    (D^-1/2 A D^-1/2 scaled and mirrored in place), so a run that reads its
-    pairs from `cache` holds two n x n arrays: the affinity and that matrix.
+    (D^-1/2 A D^-1/2, scaled in place and mirrored one row at a time), so a
+    run that reads its pairs from `cache` holds two n x n arrays: the
+    affinity and that matrix.
     """
     affinity.validate()
     n = affinity.n

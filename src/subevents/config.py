@@ -98,11 +98,6 @@ class PipelineConfig:
         if any(a >= b for a, b in zip(self.eval.ks, self.eval.ks[1:])):
             raise ConfigError("eval.ks must be strictly ascending")
 
-    def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["eval"]["ks"] = list(self.eval.ks)
-        return data
-
 
 def _leaf_fields(cls: type, prefix: str = "") -> dict[str, object]:
     """Dotted key -> annotation for every non-section field of `cls`."""

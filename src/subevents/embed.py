@@ -60,9 +60,6 @@ class EmbeddingStore:
     _bucket_cache: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
     _subword_cache: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
-
     def _bucket_vector(self, bucket: int) -> np.ndarray:
         vec = self._bucket_cache.get(bucket)
         if vec is None:

@@ -15,7 +15,6 @@ import oracles
 from subevents import cluster as cluster_module
 from subevents._util import write_json
 from subevents.cluster import (
-    MIRROR_TILE,
     SPECTRUM_LAYOUT,
     AffinityMatrix,
     _assign,
@@ -53,9 +52,8 @@ def block_vectors(sizes=(4, 5, 6), dim=6):
     return vectors, truth
 
 
-# Sizes within one tile of _mirror_upper and across several.
-ACROSS_TILES = st.one_of(st.integers(2, 24), st.sampled_from(
-    [MIRROR_TILE - 1, MIRROR_TILE, MIRROR_TILE + 1, 2 * MIRROR_TILE + 3]))
+# Sizes for the mirror properties: all small ones, and four in the hundreds.
+MIRROR_SIZES = st.one_of(st.integers(2, 24), st.sampled_from([255, 256, 257, 515]))
 
 
 def _expression_affinity(vectors):
@@ -105,7 +103,7 @@ class TestBuildAffinity:
         aff.validate()
 
     @settings(deadline=None, max_examples=30)
-    @given(n=ACROSS_TILES, seed=st.integers(0, 2**32 - 1))
+    @given(n=MIRROR_SIZES, seed=st.integers(0, 2**32 - 1))
     def test_mirror_upper_matches_the_expression(self, n, seed):
         # -0.0 in the upper triangle must come out as the sum's +0.0.
         rng = np.random.default_rng(seed)
@@ -118,7 +116,7 @@ class TestBuildAffinity:
 
     @settings(deadline=None, max_examples=30)
     @given(
-        n=ACROSS_TILES,
+        n=MIRROR_SIZES,
         dim=st.integers(1, 6),
         integer_rows=st.booleans(),
         seed=st.integers(0, 2**32 - 1),

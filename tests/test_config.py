@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import types
@@ -46,14 +47,13 @@ class TestDefaults:
         assert cfg.paths.ontology is None
         cfg.validate()
 
-    def test_to_dict_round_trips(self):
+    def test_asdict_round_trips_through_json(self):
         cfg = PipelineConfig()
         cfg.cluster.k = 8
-        data = cfg.to_dict()
+        data = json.loads(json.dumps(dataclasses.asdict(cfg)))
         assert data["cluster"]["k"] == 8
         assert data["eval"]["ks"] == list(DEFAULT_KS)
-        rebuilt = config_from_dict(json.loads(json.dumps(data)))
-        assert rebuilt == cfg
+        assert config_from_dict(data) == cfg
 
 
 class TestFromDict:
@@ -294,7 +294,7 @@ class TestSchema:
         for key, (value, _) in samples.items():
             assert value != _get(defaults, key), key
             assert _get(cfg, key) == value and type(_get(cfg, key)) is type(value), key
-        assert config_from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+        assert config_from_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
 
     @pytest.mark.parametrize("key,wrong", WRONG, ids=[f"{k}={json.dumps(w)}" for k, w in WRONG])
     def test_wrong_json_type_exits_1_with_one_line(self, run_cli, tmp_path, key, wrong):

@@ -631,7 +631,8 @@ class TestParses:
 
 class TestDependencyParseValidate:
     """``validate_heads``: the tree invariants ``load_parses`` checks on a
-    sentence's id and head columns before keeping its edges."""
+    sentence's id and head columns before keeping its edges, worded as the
+    warning for a tree that check rejects."""
 
     def _validate(self, heads):
         validate_heads(list(range(1, len(heads) + 1)), heads)

@@ -35,8 +35,8 @@ class TestLoadVectors:
         assert store.dim == 3
         assert set(store.vectors) == {"flood", "fire"}
         assert np.array_equal(store.vectors["flood"], [1.0, 0.0, 0.0])
-        assert "flood" in store
-        assert "absent" not in store
+        assert "flood" in store.vectors
+        assert "absent" not in store.vectors
 
     def test_leading_byte_order_mark_is_ignored(self, tmp_path):
         path = self._write(tmp_path, "\ufeff2 3\nflood 1 0 0\nfire 0 1 0\n")
@@ -81,7 +81,7 @@ class TestLoadVectors:
     def test_worked_fixture(self, fixtures_dir):
         store = load_vectors(fixtures_dir / "worked_vectors.txt")
         assert store.dim == 8
-        assert "waterborne" in store
+        assert "waterborne" in store.vectors
 
 
 def _reference_load(path):
@@ -454,11 +454,11 @@ class TestSubwordHash:
 
         monkeypatch.setattr(embed, "fnv1a_32", counting_hash)
         store = _store({"flood": [1.0, 0.0, 0.0]}, policy=OovPolicy.SUBWORD_HASH, hash_seed=3)
-        got = [store.subword_vector(word) for word in words if word not in store]
+        got = [store.subword_vector(word) for word in words if word not in store.vectors]
         compose(words, store)
         # '<rain>' and '<storm>' have 4+3+2+1 and 5+4+3+2 grams of 3-6 characters.
         assert len(calls) == 10 + 14
-        for word, vec in zip([w for w in words if w not in store], got):
+        for word, vec in zip([w for w in words if w not in store.vectors], got):
             assert vec.tobytes() == fresh[word].tobytes()
             assert not vec.flags.writeable
 
