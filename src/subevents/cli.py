@@ -340,8 +340,7 @@ def cmd_cluster(cfg: PipelineConfig, out_dir: Path) -> None:
             f" {len(top)} candidates (cluster.top_m {cfg.cluster.top_m}) have a vector, and at"
             f" least {cfg.cluster.k} are needed")
     vectors = rows[~null]
-    affinity = build_affinity(vectors)
-    labels = spectral_cluster(affinity, cfg.cluster.k, cfg.cluster.seed,
+    labels = spectral_cluster(build_affinity(vectors), cfg.cluster.k, cfg.cluster.seed,
                               cache=out_dir / SPECTRUM_CACHE)
     summaries = summarize_clusters(labels, kept, vectors)
     write_json(_artifact(out_dir, "clusters"), summaries)

@@ -122,10 +122,15 @@ def _load_spectrum(path: Path, key: str, n: int, leading: Callable[[np.ndarray],
                    ) -> tuple[np.ndarray, np.ndarray] | None:
     """The values saved in `path` under `key` at `leading(values)` and
     those columns of the saved eigenvectors; None when the file is
-    unreadable, is no .npz, fails its CRC check, holds another key or the
+    unreadable, is no .npz, holds a member np.savez does not write (one
+    compressed or encrypted), fails its CRC check, holds another key or the
     wrong shapes."""
     try:
         with open(path, "rb") as fh, zipfile.ZipFile(fh) as saved:
+            # Other members can raise NotImplementedError, RuntimeError or zlib.error.
+            if any(info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1
+                   for info in saved.infolist()):
+                return None
             with saved.open("key.npy") as member:
                 stored_key = np.lib.format.read_array(member, allow_pickle=False)
             if stored_key.shape != () or stored_key.item() != key:
@@ -370,10 +375,10 @@ def spectral_cluster(
     by first appearance, making the result deterministic for (A, k, seed).
 
     `cache` is passed to `eig_topk`, so runs at several k on one affinity
-    decompose its matrix once. The matrix is built in one n x n array
-    (D^-1/2 A D^-1/2, scaled in place and mirrored one row at a time), so a
-    run that reads its pairs from `cache` holds two n x n arrays: the
-    affinity and that matrix.
+    decompose its matrix once. The affinity's float64 entries (as
+    `build_affinity` makes them) are consumed: with no row isolated, the
+    eigensolver path scales them in place into D^-1/2 A D^-1/2 and leaves
+    them read-only, so build a new affinity for each call.
     """
     affinity.validate()
     n = affinity.n
@@ -399,12 +404,12 @@ def spectral_cluster(
     elif k_rem == 1:
         sub_labels = np.zeros(len(connected), dtype=np.int64)
     else:
-        sub = affinity.entries[np.ix_(connected, connected)] if len(isolated) else affinity.entries
-        inv_sqrt = 1.0 / np.sqrt(sub.sum(axis=1))
-        # The submatrix without the isolated rows is already a copy.
-        matrix = np.multiply(sub, inv_sqrt[:, None], out=sub if len(isolated) else None)
+        matrix = affinity.entries[np.ix_(connected, connected)] if len(isolated) else affinity.entries
+        inv_sqrt = 1.0 / np.sqrt(matrix.sum(axis=1))
+        matrix *= inv_sqrt[:, None]
         matrix *= inv_sqrt[None, :]
         _mirror_upper(matrix)
+        matrix.flags.writeable = False
         _, embedding = eig_topk(matrix, k_rem, cache)
         lengths = np.linalg.norm(embedding, axis=1)
         nonzero = lengths > 0.0

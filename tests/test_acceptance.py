@@ -320,8 +320,9 @@ def test_6_spectral_clustering():
         affinity = AffinityMatrix(entries=entries)
         affinity.validate()
         for seed in range(10):
-            labels = spectral_cluster(affinity, k=3, seed=seed)
-            repeat = spectral_cluster(affinity, k=3, seed=seed)
+            # Each call consumes the affinity it is given, so each gets a copy.
+            labels = spectral_cluster(AffinityMatrix(entries=entries.copy()), k=3, seed=seed)
+            repeat = spectral_cluster(AffinityMatrix(entries=entries.copy()), k=3, seed=seed)
             assert np.array_equal(labels, repeat)
             ari = oracles.adjusted_rand_index(labels.tolist(), truth)
             assert ari == 1.0

@@ -6,6 +6,7 @@ import re
 import reprlib
 import shutil
 import stat
+import struct
 import subprocess
 import sys
 import warnings
@@ -966,6 +967,39 @@ def _npy(path, monkeypatch):
         np.save(fh, np.zeros(3))
 
 
+def _set_member_headers(path, flag_bits=0, method=None, first_byte=None):
+    """Set flag bits and the compression method of each member of the saved
+    .npz in its local and central headers, and optionally the first byte of
+    its data; the rest stays as saved."""
+    data = bytearray(path.read_bytes())
+    for name in (b"key.npy", b"values.npy", b"vectors.npy"):
+        local, central = data.find(name) - 30, data.rfind(name) - 46
+        # Flags and method sit 6 bytes into a local header, 8 into a central one.
+        for at in (local + 6, central + 8):
+            flags, saved_method = struct.unpack_from("<HH", data, at)
+            struct.pack_into("<HH", data, at, flags | flag_bits,
+                             saved_method if method is None else method)
+        if first_byte is not None:
+            (extra,) = struct.unpack_from("<H", data, local + 28)
+            data[local + 30 + len(name) + extra] = first_byte
+    path.write_bytes(bytes(data))
+
+
+def _unknown_method(path, monkeypatch):
+    # zipfile raises NotImplementedError for a method it cannot decompress.
+    _set_member_headers(path, method=99)
+
+
+def _encrypted(path, monkeypatch):
+    # zipfile raises RuntimeError for an encrypted member without a password.
+    _set_member_headers(path, flag_bits=0x1)
+
+
+def _deflate_garbage(path, monkeypatch):
+    # Deflated data whose first block has the reserved type 3: zlib.error.
+    _set_member_headers(path, method=8, first_byte=0xFF)
+
+
 def _write_fails(path, monkeypatch):
     path.unlink()
 
@@ -1020,7 +1054,8 @@ class TestSpectrumCache:
         assert (out / "clusters.json").read_bytes() == fresh
 
     @pytest.mark.parametrize("damage", [_truncate, _empty, _flip_data_byte, _flip_last_row_byte,
-                                        _other_matrix, _text, _npy, _write_fails],
+                                        _other_matrix, _text, _npy, _unknown_method,
+                                        _encrypted, _deflate_garbage, _write_fails],
                              ids=lambda fn: fn.__name__.lstrip("_"))
     def test_bad_cache_is_a_miss(self, run_cli, tmp_path, write_config, pipeline_config_dict,
                                  monkeypatch, caplog, damage):
@@ -1033,6 +1068,7 @@ class TestSpectrumCache:
         with caplog.at_level("WARNING", logger="subevents.cluster"):
             code, _, err = run_cli("cluster", "--config", cfg)
         assert code == 0, err
+        assert "Traceback" not in err
         assert (out / "clusters.json").read_bytes() == expected
         assert calls == [(40, 40)]
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]

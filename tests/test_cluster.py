@@ -346,7 +346,7 @@ class TestEigTopkCache:
     # k-means the same layout.
     @pytest.mark.parametrize("k", [3, 9], ids=["k3", "k9"])
     def test_spectral_cluster_passes_the_cache(self, tmp_path, monkeypatch, k):
-        affinity = build_affinity(block_vectors()[0])
+        vectors = block_vectors()[0]
         cache = tmp_path / "spectrum.npz"
         embeddings = []
         real = cluster_module.kmeans
@@ -356,10 +356,11 @@ class TestEigTopkCache:
             return real(points, k, seed)
 
         monkeypatch.setattr(cluster_module, "kmeans", capturing)
-        fresh = spectral_cluster(affinity, k, seed=0)
-        assert np.array_equal(spectral_cluster(affinity, k, 0, cache=cache), fresh)
+        # Each call consumes its affinity, so each gets a new one.
+        fresh = spectral_cluster(build_affinity(vectors), k, seed=0)
+        assert np.array_equal(spectral_cluster(build_affinity(vectors), k, 0, cache=cache), fresh)
         assert cache.is_file()
-        assert np.array_equal(spectral_cluster(affinity, k, 0, cache=cache), fresh)
+        assert np.array_equal(spectral_cluster(build_affinity(vectors), k, 0, cache=cache), fresh)
         assert len(embeddings) == 3 and len(set(embeddings)) == 1
 
 
@@ -506,9 +507,8 @@ class TestKmeans:
 class TestSpectralCluster:
     def test_three_blocks_exact_recovery(self):
         vectors, truth = block_vectors()
-        aff = build_affinity(vectors)
         for seed in (0, 1, 2):
-            labels = spectral_cluster(aff, k=3, seed=seed)
+            labels = spectral_cluster(build_affinity(vectors), k=3, seed=seed)
             assert oracles.adjusted_rand_index(labels.tolist(), truth) == 1.0
 
     def test_labels_canonical_by_first_appearance(self):
@@ -523,10 +523,30 @@ class TestSpectralCluster:
 
     def test_deterministic(self):
         vectors, _ = block_vectors()
-        aff = build_affinity(vectors)
-        a = spectral_cluster(aff, k=3, seed=5)
-        b = spectral_cluster(aff, k=3, seed=5)
+        a = spectral_cluster(build_affinity(vectors), k=3, seed=5)
+        b = spectral_cluster(build_affinity(vectors), k=3, seed=5)
         assert np.array_equal(a, b)
+
+    def test_consumed_affinity_is_read_only(self):
+        # With no row isolated, the affinity itself becomes the matrix
+        # decomposed, so a second call on it fails loudly.
+        affinity = build_affinity(block_vectors()[0])
+        expected = _expression_matrix(affinity.entries).tobytes()
+        spectral_cluster(affinity, k=3, seed=0)
+        assert affinity.entries.tobytes() == expected
+        with pytest.raises(ValueError, match="read-only"):
+            spectral_cluster(affinity, k=3, seed=0)
+
+    def test_affinity_with_isolated_rows_is_untouched(self):
+        # One more row on an axis of its own: the matrix decomposed is a
+        # copy of the other rows.
+        vectors = np.pad(block_vectors()[0], ((0, 1), (0, 1)))
+        vectors[-1, -1] = 1.0
+        affinity = build_affinity(vectors)
+        before = affinity.entries.tobytes()
+        labels = spectral_cluster(affinity, k=4, seed=0)
+        assert affinity.entries.tobytes() == before
+        assert np.array_equal(spectral_cluster(affinity, k=4, seed=0), labels)
 
     def test_permutation_equivariant_partition(self):
         vectors, truth = block_vectors()
@@ -627,7 +647,10 @@ class TestSpectralCluster:
         for j in range(n_isolated):
             vectors[n_grouped + j, dim + j] = 1.0
         affinity = build_affinity(vectors[rng.permutation(len(vectors))])
-        isolated = int(np.sum(affinity.entries.sum(axis=1) == 0.0))
+        # The call consumes the affinity; what is compared is read first.
+        zero_degree = affinity.entries.sum(axis=1) == 0.0
+        expected = _expression_matrix(affinity.entries).tobytes()
+        isolated = int(zero_degree.sum())
         assume(affinity.n - isolated >= 3)
         k = isolated + data.draw(st.integers(2, affinity.n - isolated - 1))
         seen = []
@@ -641,37 +664,40 @@ class TestSpectralCluster:
             mp.setattr(cluster_module, "eig_topk", capturing)
             labels = spectral_cluster(affinity, k, seed=0)
         (matrix,) = seen
-        assert matrix.tobytes() == _expression_matrix(affinity.entries).tobytes()
+        assert matrix.tobytes() == expected
         in_order = list(dict.fromkeys(labels.tolist()))
         assert in_order == list(range(len(in_order)))
-        assert np.all(np.bincount(labels)[labels[affinity.entries.sum(axis=1) == 0.0]] == 1)
+        assert np.all(np.bincount(labels)[labels[zero_degree]] == 1)
         assert len(in_order) == k
 
-    def test_affinity_and_cache_hit_hold_two_n_by_n_arrays(self, tmp_path, monkeypatch):
+    def test_affinity_and_cache_hit_hold_one_n_by_n_array(self, tmp_path, monkeypatch):
         n, k = 600, 10
-        budget = 1.6 * n * n * 8
+        n_by_n = n * n * 8
         vectors = np.random.default_rng(5).normal(size=(n, 50))
-        tracemalloc.start()
-        try:
-            affinity = build_affinity(vectors)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < budget
+
+        def traced(fn, *args, **kwargs):
+            tracemalloc.start()
+            try:
+                result = fn(*args, **kwargs)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return result, peak
+
+        affinity, peak = traced(build_affinity, vectors)
+        assert peak < 1.6 * n_by_n
+        # Each call is given a new affinity, built before tracing starts, and
+        # scales it in place: a miss adds eigh's copy and output, a hit little.
         cache = tmp_path / "spectrum.npz"
-        fresh = spectral_cluster(affinity, k, seed=0, cache=cache)
+        fresh, peak = traced(spectral_cluster, affinity, k, seed=0, cache=cache)
+        assert peak < 2.5 * n_by_n
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
-        # The affinity (one n x n array) is held before tracing starts.
-        tracemalloc.start()
-        try:
-            hit = spectral_cluster(affinity, k, seed=0, cache=cache)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        affinity = build_affinity(vectors)
+        hit, peak = traced(spectral_cluster, affinity, k, seed=0, cache=cache)
         assert calls == [] and np.array_equal(hit, fresh)
-        assert peak < budget
+        assert peak < 0.5 * n_by_n
 
 
 class TestSummaries:
